@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .expr import Expr, ZERO, const
-from .fields import VectorField, lie_bracket, pushforward_along_word
+from .fields import FlowError, VectorField, lie_bracket, pushforward_along_word
 from .linalg import exact_pivot_columns, exact_nullspace, in_span, span_rank
 
 __all__ = [
@@ -267,11 +267,17 @@ class InvarianceReport:
     bracket_witness: Optional[tuple]  # (generator index, point, bracket value)
     flow_invariant_sampled: bool
     flow_witness: Optional[tuple]  # (generator index, point, time, residual)
+    flow_samples_skipped: int  # (generator, point, time) samples with no pushforward
 
 
 def invariance_check(D, X, sample_points, flow_times, flow_tol=FLOW_INVARIANCE_TOL):
     """Bracket-invariance ([X, g] stays in the fibre) and sampled
-    flow-invariance (pushforwards by the flow of X stay in the fibre)."""
+    flow-invariance (pushforwards by the flow of X stay in the fibre).
+
+    For each sample point and time, every generator is pushed forward
+    through the same one-step word.  A sample whose flow fails, or whose
+    generator is undefined at the pulled-back point, is skipped and
+    counted in ``flow_samples_skipped``."""
     bracket_ok = True
     bracket_witness = None
     for gi, g in enumerate(D.generators):
@@ -290,25 +296,34 @@ def invariance_check(D, X, sample_points, flow_times, flow_tol=FLOW_INVARIANCE_T
                 bracket_ok = False
                 if bracket_witness is None:
                     bracket_witness = (gi, tuple(p), tuple(bval))
-    flow_ok = True
-    flow_witness = None
-    family = [X]
-    for gi, g in enumerate(D.generators):
-        for p in sample_points:
-            for t in flow_times:
-                try:
-                    v = pushforward_along_word(family, [(0, t)], g, p)
-                except Exception:
+    # the witness is the first failure in (generator, point, time) order
+    flow_failures = []
+    skipped = 0
+    for pi, p in enumerate(sample_points):
+        for ti, t in enumerate(flow_times):
+            try:
+                pushed = pushforward_along_word([X], [(0, t)], D.generators, p)
+            except FlowError:
+                skipped += len(D.generators)
+                continue
+            fibre = np.array(
+                [[float(x) for x in vv] for _, vv in D.defined_values(p)]
+            )
+            for gi, v in enumerate(pushed):
+                if v is None:
+                    skipped += 1
                     continue
-                fibre = np.array(
-                    [[float(x) for x in vv] for _, vv in D.defined_values(p)]
-                )
                 residual = _orthogonal_residual(fibre, v)
                 if residual > flow_tol:
-                    flow_ok = False
-                    if flow_witness is None:
-                        flow_witness = (gi, tuple(p), t, residual)
-    return InvarianceReport(bracket_ok, bracket_witness, flow_ok, flow_witness)
+                    flow_failures.append(((gi, pi, ti), (gi, tuple(p), t, residual)))
+    flow_witness = min(flow_failures)[1] if flow_failures else None
+    return InvarianceReport(
+        bracket_invariant=bracket_ok,
+        bracket_witness=bracket_witness,
+        flow_invariant_sampled=not flow_failures,
+        flow_witness=flow_witness,
+        flow_samples_skipped=skipped,
+    )
 
 
 def _orthogonal_residual(basis_rows, v):

@@ -10,8 +10,12 @@ Flows take a closed-form fast path whenever the field allows it:
 
 Tangent vectors are pushed forward along flow words by transporting them
 with the exact Jacobian of each step (closed form where the flow is closed
-form, otherwise the variational equation dv/dt = DX(x(t)) v integrated
-jointly with the trajectory).
+form, otherwise the variational equation dV/dt = DX(x(t)) V integrated
+jointly with the trajectory).  Several fields are pushed forward along one
+word together: the word is walked once and their values, stacked as the
+columns of an n x k matrix V, are transported in that single walk.  A
+k-column variational solve scales rtol and atol by sqrt(2 / (k + 1)), so
+each component keeps the error bound of a one-column solve.
 """
 
 from __future__ import annotations
@@ -281,7 +285,8 @@ def _check_box(p, box, step=None):
 
 
 def _flow_step(X, t, p, v=None, rtol=DEFAULT_RTOL, box=DEFAULT_BOX, method="auto", step=None):
-    """Advance p by the time-t flow of X; optionally transport tangent v."""
+    """Advance p by the time-t flow of X; optionally transport v, an
+    n x k matrix whose columns are tangent vectors at p."""
     p = np.asarray(p, dtype=float)
     if not X.domain.contains(p):
         raise DomainExitError(
@@ -327,6 +332,13 @@ MAX_RHS_EVALS = 50_000
 def _flow_step_ode(X, t, p, v, rtol, box, step):
     n = X.dim
     transport = v is not None
+    atol = 1e-12
+    if transport:
+        # RK45 bounds the RMS of the scaled errors over all n (k + 1) state
+        # components; shrink both tolerances so that each component keeps
+        # the worst case it has in a one-column (2n-component) solve.
+        scale = np.sqrt(2.0 / (v.shape[1] + 1))
+        rtol, atol = rtol * scale, atol * scale
     evals = [0]
 
     def rhs(_, y):
@@ -340,7 +352,7 @@ def _flow_step_ode(X, t, p, v, rtol, box, step):
         out = np.empty_like(y)
         out[:n] = X.value_float(x)
         if transport:
-            out[n:] = _jacobian_at(X, x) @ y[n:]
+            out[n:] = (_jacobian_at(X, x) @ y[n:].reshape(v.shape)).ravel()
         return out
 
     events = []
@@ -356,14 +368,14 @@ def _flow_step_ode(X, t, p, v, rtol, box, step):
 
         events.append(make())
 
-    y0 = np.concatenate([p, np.asarray(v, dtype=float)]) if transport else p.copy()
+    y0 = np.concatenate([p, v.ravel()]) if transport else p.copy()
     sol = solve_ivp(
         rhs,
         (0.0, t),
         y0,
         method="RK45",
         rtol=rtol,
-        atol=1e-12,
+        atol=atol,
         events=events or None,
         dense_output=False,
     )
@@ -382,7 +394,7 @@ def _flow_step_ode(X, t, p, v, rtol, box, step):
         raise IntegrationError("trajectory escaped the bounding box", step=step)
     yT = sol.y[:, -1]
     if transport:
-        return yT[:n], yT[n:]
+        return yT[:n], yT[n:].reshape(v.shape)
     return yT, None
 
 
@@ -409,23 +421,37 @@ def pushforward_along_word(
 ):
     """Pushforward of X under the word's composite diffeomorphism, at point.
 
-    Walks back to y = Phi^{-1}(point), takes v = X(y), and transports v
-    forward through every step with the step's exact flow Jacobian.
+    Walks back to y = Phi^{-1}(point), stacks the values at y of the
+    requested fields as the columns of an n x k matrix V, and transports V
+    forward through every step with the step's exact flow Jacobian, so the
+    word is walked once whatever k is.
+
+    X is one field, giving one vector (DomainExitError when X is undefined
+    at y), or a sequence of fields, giving one vector per field, with None
+    for a field undefined at y.  A failing step raises FlowError with
+    ``step`` set, whatever the number of fields.
     """
+    single = isinstance(X, VectorField)
+    fields = (X,) if single else tuple(X)
     steps = _as_steps(word)
     inverse = tuple((i, -t) for i, t in reversed(steps))
     y = apply_word(family, inverse, point, rtol, box, method)
-    if not X.domain.contains(y):
+    defined = [F.domain.contains(y) for F in fields]
+    if single and not defined[0]:
         raise DomainExitError(f"{X.name} is undefined at the pulled-back point")
-    v = X.value_float(y)
+    if not any(defined):
+        return [None] * len(fields)
+    V = np.column_stack([F.value_float(y) for F, ok in zip(fields, defined) if ok])
     p = y
     for k, (i, t) in enumerate(steps):
         try:
-            p, v = _flow_step(family[i], t, p, v, rtol, box, method, step=k)
+            p, V = _flow_step(family[i], t, p, V, rtol, box, method, step=k)
         except FlowError as err:
             err.step = k
             raise
     drift = np.max(np.abs(p - np.asarray(point, dtype=float)))
     if drift > 1e-6 * (1.0 + np.max(np.abs(point))):
         raise IntegrationError(f"round-trip drift {drift:.2e} exceeds tolerance")
-    return v
+    columns = iter(V.T)
+    pushed = [next(columns) if ok else None for ok in defined]
+    return pushed[0] if single else pushed

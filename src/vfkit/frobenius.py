@@ -212,8 +212,16 @@ def flow_box_chart(
     if m == 0:
         ok = orbit_dim in (0, None)
         return FlowBoxChart(
-            base, 0, 0.0, 0, True, orbit_dim, ok,
-            None if ok else "sampled orbit dimension exceeds the chart rank",
+            base=base,
+            chart_rank=0,
+            max_residual=0.0,
+            image_tangent_rank=0,
+            fibre_rank_constant=True,
+            orbit_dimension=orbit_dim,
+            accepted=ok,
+            rejected_reason=(
+                None if ok else "sampled orbit dimension exceeds the chart rank"
+            ),
         )
     frame = [D.generators[i] for i in base_report.witness]
     axes = np.linspace(-radius, radius, grid_points)
@@ -228,9 +236,7 @@ def flow_box_chart(
         try:
             image_pt = apply_word(frame, word, base)
         except FlowError as err:
-            return FlowBoxChart(
-                base, m, float("inf"), 0, False, False, f"flow failure: {err}"
-            )
+            return _chart_flow_failure(base, m, orbit_dim, err)
         fibre_vals = np.array(
             [[float(x) for x in v] for _, v in D.defined_values(image_pt)]
         )
@@ -243,10 +249,7 @@ def flow_box_chart(
             try:
                 v = pushforward_along_word(frame, tail, frame[j], image_pt)
             except FlowError as err:
-                return FlowBoxChart(
-                    base, m, float("inf"), 0, False, orbit_dim, False,
-                    f"flow failure: {err}",
-                )
+                return _chart_flow_failure(base, m, orbit_dim, err)
             tangents.append(tuple(float(x) for x in v))
             max_residual = max(max_residual, _orthogonal_residual(fibre_vals, v))
     tangent_rank = svd_rank(np.array(tangents, dtype=float), 1e-9)
@@ -265,5 +268,25 @@ def flow_box_chart(
         else:
             reason = "sampled image degenerates (tangent rank below chart rank)"
     return FlowBoxChart(
-        base, m, max_residual, tangent_rank, fibre_ok, orbit_dim, accepted, reason
+        base=base,
+        chart_rank=m,
+        max_residual=max_residual,
+        image_tangent_rank=tangent_rank,
+        fibre_rank_constant=fibre_ok,
+        orbit_dimension=orbit_dim,
+        accepted=accepted,
+        rejected_reason=reason,
+    )
+
+
+def _chart_flow_failure(base, m, orbit_dim, err):
+    return FlowBoxChart(
+        base=base,
+        chart_rank=m,
+        max_residual=float("inf"),
+        image_tangent_rank=0,
+        fibre_rank_constant=False,
+        orbit_dimension=orbit_dim,
+        accepted=False,
+        rejected_reason=f"flow failure: {err}",
     )

@@ -101,15 +101,13 @@ def _collect_pushforwards(family, words, point, skip_stats):
     used = 0
     skipped = 0
     for w in words:
-        word_ok = False
-        for X in family:
-            try:
-                v = pushforward_along_word(family, w, X, point)
-            except FlowError:
-                continue
-            vectors.append(tuple(float(x) for x in v))
-            word_ok = True
-        if word_ok:
+        try:
+            pushed = pushforward_along_word(family, w, family, point)
+        except FlowError:
+            pushed = ()
+        got = [tuple(float(x) for x in v) for v in pushed if v is not None]
+        vectors.extend(got)
+        if got:
             used += 1
         else:
             skipped += 1

@@ -11,7 +11,7 @@ from vfkit.distributions import (
     rank_at,
     singular_locus_minors,
 )
-from vfkit.expr import parse
+from vfkit.expr import EvalError, parse
 from vfkit.fields import multiply_field
 
 from conftest import frac_grid
@@ -194,6 +194,22 @@ class TestInvariance:
             rep = invariance_check(D, X, pts, [0.1, -0.1, 0.2, -0.2])
             if rep.flow_invariant_sampled:
                 assert rep.bracket_invariant
+
+    def test_flow_skips_counted(self, vf):
+        X = vf("X", ["1", "0"], 2, [(1, "<", Fraction(1, 2))])
+        g1 = vf("g1", ["0", "1"], 2, [(1, ">", Fraction(-1, 2))])
+        D = Distribution((g1, vf("g2", ["0", "1"], 2)))
+        # t = -0.75 leaves X's domain (both generators skipped); t = 0.75
+        # pulls back outside g1's domain (g1 skipped)
+        rep = invariance_check(D, X, [(0, 0)], [0.25, -0.75, 0.75])
+        assert rep.flow_invariant_sampled
+        assert rep.flow_samples_skipped == 3
+
+    def test_non_flow_error_propagates(self, vf):
+        # g has a pole at the pulled-back point (-1, 0) but not at (0, 0)
+        D = Distribution((vf("g", ["(x1+1)^-1", "0"], 2),))
+        with pytest.raises(EvalError):
+            invariance_check(D, vf("X", ["1", "0"], 2), [(0, 0)], [1.0])
 
 
 class TestRobustness:

@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from vfkit import fields
 from vfkit.expr import const, parse, var
 from vfkit.fields import (
     DomainExitError,
+    FlowError,
     IntegrationError,
     VectorField,
     add_fields,
@@ -16,6 +18,7 @@ from vfkit.fields import (
     multiply_field,
     pushforward_along_word,
 )
+from vfkit.orbits import WordSampler
 
 
 def random_poly_field(rng, n, max_degree=3):
@@ -206,3 +209,88 @@ class TestPushforward:
                 want = b.value_float(p)
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(fd - want)) < 1e-6 * scale
+
+
+FLAT_PAIR = (["1", "0"], ["0", "bumpp(x1)"])  # straight-line flows
+DIAG_PAIR = (["x1", "0"], ["0", "x2"])  # affine flows
+CUBIC_PAIR = (["1", "0"], ["0", "x1^2*x2+x2^3"])  # variational ODE
+
+
+def _single_or_error(family, word, X, point):
+    try:
+        return pushforward_along_word(family, word, X, point)
+    except FlowError as err:
+        return err
+
+
+class TestBatchedTransport:
+    """A k-field pushforward walks the word once and agrees with k
+    single-field pushforwards."""
+
+    @pytest.mark.parametrize("comps", [FLAT_PAIR, DIAG_PAIR], ids=["straight", "affine"])
+    def test_closed_form_batch_equals_singles_exactly(self, vf, comps):
+        family = [vf(f"X{j + 1}", c, 2) for j, c in enumerate(comps)]
+        point = (0.3, 0.7)
+        for word in WordSampler(seed=11, count=60).words(2):
+            singles = [_single_or_error(family, word, X, point) for X in family]
+            try:
+                batch = pushforward_along_word(family, word, family, point)
+            except FlowError as err:
+                assert all(type(s) is type(err) for s in singles)
+                assert all(s.step == err.step for s in singles)
+                continue
+            for single, column in zip(singles, batch):
+                assert np.array_equal(single, column)
+
+    def test_ode_batch_matches_singles(self, vf):
+        family = [vf(f"X{j + 1}", c, 2) for j, c in enumerate(CUBIC_PAIR)]
+        point = (0.3, 0.7)
+        compared = 0
+        for word in WordSampler(seed=5, count=12, max_len=4).words(2):
+            singles = [_single_or_error(family, word, X, point) for X in family]
+            if any(isinstance(s, FlowError) for s in singles):
+                continue
+            batch = pushforward_along_word(family, word, family, point)
+            for single, column in zip(singles, batch):
+                scale = max(1.0, float(np.max(np.abs(single))))
+                assert np.max(np.abs(column - single)) <= 1e-9 * scale
+            compared += 1
+        assert compared >= 8
+
+    def test_word_walked_once(self, vf, monkeypatch):
+        family = [vf(f"X{j + 1}", c, 2) for j, c in enumerate(FLAT_PAIR)]
+        word = [(0, 0.2), (1, -0.3), (0, 0.1)]
+        calls = []
+        real = fields._flow_step
+        monkeypatch.setattr(
+            fields, "_flow_step", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        )
+        pushforward_along_word(family, word, family, (0.3, 0.7))
+        assert len(calls) == 2 * len(word)
+
+    def test_undefined_field_gives_none(self, vf):
+        family = [vf("X", ["1", "0"], 2)]
+        g1 = vf("g1", ["0", "1"], 2, [(1, ">", Fraction(-1, 2))])
+        g2 = vf("g2", ["x1", "1"], 2)
+        word = [(0, 0.75)]  # pulls (0, 0) back to (-0.75, 0), outside g1's domain
+        missing, pushed = pushforward_along_word(family, word, [g1, g2], (0.0, 0.0))
+        assert missing is None
+        assert np.array_equal(pushed, pushforward_along_word(family, word, g2, (0.0, 0.0)))
+        with pytest.raises(DomainExitError, match="g1 is undefined"):
+            pushforward_along_word(family, word, g1, (0.0, 0.0))
+
+    def test_failing_step_raises_once_with_step(self, vf):
+        X1 = vf("X1", ["1", "0"], 2, [(1, "<", Fraction(1, 2))])
+        X2 = vf("X2", ["0", "1"], 2)
+        word = [(0, -1.0), (1, 0.3)]  # the inverse walk leaves X1's domain
+        for fields_arg in ([X1, X2], X2):
+            with pytest.raises(DomainExitError) as err:
+                pushforward_along_word([X1, X2], word, fields_arg, (0.0, 0.0))
+            assert err.value.step == 1
+
+    def test_single_field_returns_one_vector(self, vf):
+        family = [vf(f"X{j + 1}", c, 2) for j, c in enumerate(CUBIC_PAIR)]
+        v = pushforward_along_word(family, [(1, 0.2), (0, -0.1)], family[1], (0.3, 0.7))
+        assert isinstance(v, np.ndarray) and v.shape == (2,)
+        batch = pushforward_along_word(family, [(1, 0.2)], family[:1], (0.3, 0.7))
+        assert isinstance(batch, list) and len(batch) == 1

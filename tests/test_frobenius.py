@@ -4,7 +4,7 @@ import pytest
 
 from vfkit.distributions import Distribution
 from vfkit.frobenius import flow_box_chart, frobenius_verdict
-from vfkit.orbits import WordSampler
+from vfkit.orbits import WordSampler, orbit_dimension
 
 
 
@@ -119,6 +119,17 @@ class TestCharts:
         off = flow_box_chart(isolated, (Fraction(1, 2), 0, 0), orbit_sampler=LIGHT)
         assert not off.accepted
         assert off.max_residual > 1e-7
+
+    def test_flow_failure_rejects_chart(self, vf):
+        # the chart's t = 0.2 step leaves x1 < 1/10
+        X1 = vf("X1", ["1", "0"], 2, [(1, "<", Fraction(1, 10))])
+        chart = flow_box_chart(Distribution((X1,)), (0, 0))
+        sampled = orbit_dimension(
+            [X1], (0, 0), WordSampler(seed=0, count=200, max_len=8, max_time=1.0)
+        ).dimension
+        assert chart.accepted is False
+        assert chart.rejected_reason.startswith("flow failure")
+        assert chart.orbit_dimension == sampled
 
 
 class TestCoherence:
