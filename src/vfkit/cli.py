@@ -16,15 +16,28 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distributions import Distribution, classify_grid, rank_at, singular_locus_minors
-from .expr import ExprError, parse as parse_expr
+from .distributions import (
+    Distribution,
+    classify_grid,
+    grid_points,
+    rank_at,
+    singular_locus_minors,
+)
+from .expr import ExprError
 from .fields import FlowError, lie_bracket
 from .frobenius import flow_box_chart, frobenius_verdict
 from .liealg import LieAlgebraError, filtration, fixed_time_ideal_rank
+from .linalg import FLOW_REL_TOL, VALUE_REL_TOL
 from .membership import MembershipError, member_bounded
 from .orbits import WordSampler, fixed_time_dimension, orbit_dimension
 from .presets import PRESETS, run_preset
-from .systems import SystemParseError, parse_grid, parse_point, parse_system
+from .systems import (
+    SystemParseError,
+    parse_grid,
+    parse_point,
+    parse_system,
+    parse_target,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,6 +135,14 @@ def _default_seed():
     return 0
 
 
+def _time(text):
+    """A flow time given as a decimal or a rational such as 1/2."""
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid time {text!r}") from None
+
+
 def _add_common(p, system_required=True):
     p.add_argument("--system", required=system_required, help="system file path")
     p.add_argument("--format", default="text", choices=["json", "csv", "text"])
@@ -163,8 +184,8 @@ def build_parser():
     p.add_argument("--point", required=True)
     p.add_argument("--words", type=int, default=200)
     p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--max-time", type=float, default=0.5)
-    p.add_argument("--fixed-time", type=float, default=None)
+    p.add_argument("--max-time", type=_time, default=0.5)
+    p.add_argument("--fixed-time", type=_time, default=None)
     p.add_argument("--depth", type=int, default=6)
 
     p = sub.add_parser("frobenius", help="integrability verdict")
@@ -257,7 +278,7 @@ def _cmd_rank(args, seed):
             results["generic_rank"] = locus.generic_rank
             results["minors"] = [str(m) for m in locus.minors]
         return _report("rank", seed, results, system=system.name,
-                       tolerances={"svd_rel_tol": 1e-9}), EXIT_OK
+                       tolerances={"svd_rel_tol": VALUE_REL_TOL}), EXIT_OK
     axes = parse_grid(args.grid, system.dim)
     gc = classify_grid(D, axes)
     rows = [("point", "rank", "class")] + [
@@ -310,17 +331,7 @@ def _cmd_lie(args, seed):
 
 def _cmd_member(args, seed):
     system = _load_system(args.system)
-    body = args.target.strip()
-    if not (body.startswith("(") and body.endswith(")")):
-        raise SystemParseError('target must look like "(e1,...,en)"')
-    from .systems import _split_components
-
-    comps = _split_components(body[1:-1], 1)
-    if len(comps) != system.dim:
-        raise SystemParseError(
-            f"target has {len(comps)} components, expected {system.dim}"
-        )
-    target = tuple(parse_expr(t, system.dim) for t in comps)
+    target = parse_target(args.target, system.dim)
     gens = system.pick([n.strip() for n in args.gens.split(",")])
     cert = member_bounded(target, gens, args.degree)
     results = {
@@ -373,7 +384,7 @@ def _cmd_orbit(args, seed):
             "words_skipped": rep.words_skipped,
         }
     return _report("orbit", seed, results, system=system.name,
-                   tolerances={"rank_tol": 1e-7}), EXIT_OK
+                   tolerances={"rank_tol": FLOW_REL_TOL}), EXIT_OK
 
 
 def _cmd_frobenius(args, seed):
@@ -384,14 +395,7 @@ def _cmd_frobenius(args, seed):
     else:
         vals = [Fraction(-1), Fraction(0), Fraction(1)]
         axes = {i + 1: vals for i in range(system.dim)}
-    import itertools
-
-    samples = [
-        tuple(axes.get(i + 1, [Fraction(0)])[j[i]] for i in range(system.dim))
-        for j in itertools.product(
-            *[range(len(axes.get(i + 1, [0]))) for i in range(system.dim)]
-        )
-    ]
+    samples = grid_points(axes, system.dim)
     sampler = WordSampler(seed=seed, count=300, max_len=8, max_time=1.0)
     v = frobenius_verdict(D, samples, args.depth, args.module_degree, sampler)
     results = {
@@ -417,7 +421,8 @@ def _cmd_frobenius(args, seed):
             "rejected_reason": chart.rejected_reason,
         }
     return _report("frobenius", seed, results, system=system.name,
-                   tolerances={"chart_residual": 1e-7, "svd_rel_tol": 1e-9}), EXIT_OK
+                   tolerances={"chart_residual": FLOW_REL_TOL,
+                               "svd_rel_tol": VALUE_REL_TOL}), EXIT_OK
 
 
 def _cmd_examples(args, seed):

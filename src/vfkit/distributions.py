@@ -17,7 +17,15 @@ import numpy as np
 
 from .expr import Expr, ZERO, const
 from .fields import FlowError, VectorField, lie_bracket, pushforward_along_word
-from .linalg import exact_pivot_columns, exact_nullspace, in_span, span_rank
+from .linalg import (
+    FLOW_REL_TOL,
+    all_exact,
+    exact_nullspace,
+    exact_pivot_columns,
+    in_span,
+    orthogonal_residual,
+    span_rank,
+)
 
 __all__ = [
     "Distribution",
@@ -27,13 +35,11 @@ __all__ = [
     "InvarianceReport",
     "rank_at",
     "classify_grid",
+    "grid_points",
     "singular_locus_minors",
     "adapt_generators",
     "invariance_check",
 ]
-
-SVD_REL_TOL = 1e-9
-FLOW_INVARIANCE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -72,11 +78,7 @@ class RankReport:
     excluded: Tuple[int, ...]  # generators undefined at the point
 
 
-def _values_are_exact(values):
-    return all(isinstance(x, (int, Fraction)) for v in values for x in v)
-
-
-def rank_at(D, point, rel_tol=SVD_REL_TOL):
+def rank_at(D, point):
     defined = D.defined_values(point)
     if not defined:
         raise ValueError(f"no generator of the distribution is defined at {point}")
@@ -85,18 +87,18 @@ def rank_at(D, point, rel_tol=SVD_REL_TOL):
     )
     idxs = [i for i, _ in defined]
     vals = [v for _, v in defined]
-    if _values_are_exact(vals):
+    if all_exact(vals):
         pivots = exact_pivot_columns([list(col) for col in zip(*vals)])
         # columns of the n x k matrix are the generator values
         witness = tuple(idxs[c] for c in pivots)
         return RankReport(tuple(point), len(pivots), "exact-rational", witness, excluded)
     m = np.array([[float(x) for x in v] for v in vals], dtype=float)
-    r = span_rank(m, rel_tol)
+    r = span_rank(m)
     # greedy witness: add generators while the rank grows
     witness = []
     for row_i, i in enumerate(idxs):
         candidate = witness + [row_i]
-        if span_rank(m[candidate], rel_tol) == len(candidate):
+        if span_rank(m[candidate]) == len(candidate):
             witness.append(row_i)
         if len(witness) == r:
             break
@@ -116,25 +118,28 @@ class GridClassification:
         return "regular" if self.regular[i] else "singular"
 
 
-def classify_grid(D, axes):
-    """Classify grid samples as sampled-regular or sampled-singular.
+def grid_points(axes, n):
+    """Points of the grid, last coordinate fastest.
 
     ``axes`` maps variable index (1-based) to a sequence of grid values for
-    that coordinate; missing coordinates are pinned at 0.  A sample is
-    sampled-singular when an axis-adjacent neighbour has strictly greater
-    rank (rank is lower semicontinuous, so a rank jump upward next door is
-    the sampled signature of a singular point).
+    that coordinate; missing coordinates are pinned at 0.
+    """
+    return list(itertools.product(*(axes.get(i + 1, [Fraction(0)]) for i in range(n))))
+
+
+def classify_grid(D, axes):
+    """Classify grid samples (see ``grid_points``) as sampled-regular or
+    sampled-singular.
+
+    A sample is sampled-singular when an axis-adjacent neighbour has
+    strictly greater rank (rank is lower semicontinuous, so a rank jump
+    upward next door is the sampled signature of a singular point).
     """
     n = D.dim
-    axis_vals = [list(axes.get(i + 1, [Fraction(0)])) for i in range(n)]
-    shape = [len(v) for v in axis_vals]
+    shape = [len(axes.get(i + 1, [0])) for i in range(n)]
     index_grid = list(itertools.product(*[range(s) for s in shape]))
-    points = []
-    ranks = {}
-    for multi in index_grid:
-        p = tuple(axis_vals[d][multi[d]] for d in range(n))
-        points.append(p)
-        ranks[multi] = rank_at(D, p).rank
+    points = grid_points(axes, n)
+    ranks = {multi: rank_at(D, p).rank for multi, p in zip(index_grid, points)}
     regular = []
     for multi in index_grid:
         r = ranks[multi]
@@ -227,7 +232,7 @@ def adapt_generators(D, point):
     defined = D.defined_values(point)
     idxs = [i for i, _ in defined]
     vals = [v for _, v in defined]
-    if not _values_are_exact(vals):
+    if not all_exact(vals):
         raise ValueError("adapt_generators needs exactly evaluable generator values")
     k = len(vals)
     columns = [list(col) for col in zip(*vals)]  # n x k
@@ -270,7 +275,7 @@ class InvarianceReport:
     flow_samples_skipped: int  # (generator, point, time) samples with no pushforward
 
 
-def invariance_check(D, X, sample_points, flow_times, flow_tol=FLOW_INVARIANCE_TOL):
+def invariance_check(D, X, sample_points, flow_times):
     """Bracket-invariance ([X, g] stays in the fibre) and sampled
     flow-invariance (pushforwards by the flow of X stay in the fibre).
 
@@ -287,12 +292,7 @@ def invariance_check(D, X, sample_points, flow_times, flow_tol=FLOW_INVARIANCE_T
                 continue
             fibre = [v for _, v in D.defined_values(p)]
             bval = B.value(p)
-            vectors = fibre + [bval]
-            exactable = _values_are_exact(vectors)
-            if not exactable:
-                fibre = [[float(x) for x in v] for v in fibre]
-                bval = [float(x) for x in bval]
-            if not in_span(fibre, bval, SVD_REL_TOL):
+            if not in_span(fibre, bval):
                 bracket_ok = False
                 if bracket_witness is None:
                     bracket_witness = (gi, tuple(p), tuple(bval))
@@ -306,15 +306,13 @@ def invariance_check(D, X, sample_points, flow_times, flow_tol=FLOW_INVARIANCE_T
             except FlowError:
                 skipped += len(D.generators)
                 continue
-            fibre = np.array(
-                [[float(x) for x in vv] for _, vv in D.defined_values(p)]
-            )
+            fibre = [vv for _, vv in D.defined_values(p)]
             for gi, v in enumerate(pushed):
                 if v is None:
                     skipped += 1
                     continue
-                residual = _orthogonal_residual(fibre, v)
-                if residual > flow_tol:
+                residual = orthogonal_residual(fibre, v)
+                if residual > FLOW_REL_TOL:
                     flow_failures.append(((gi, pi, ti), (gi, tuple(p), t, residual)))
     flow_witness = min(flow_failures)[1] if flow_failures else None
     return InvarianceReport(
@@ -325,19 +323,3 @@ def invariance_check(D, X, sample_points, flow_times, flow_tol=FLOW_INVARIANCE_T
         flow_samples_skipped=skipped,
     )
 
-
-def _orthogonal_residual(basis_rows, v):
-    """Norm of the component of v orthogonal to the row span, relative."""
-    v = np.asarray(v, dtype=float)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    if basis_rows.size == 0:
-        return 1.0
-    _, sv, vt = np.linalg.svd(basis_rows)
-    keep = int(np.sum(sv > SVD_REL_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
-    if keep == 0:
-        return 1.0
-    basis = vt[:keep]
-    resid = v - basis.T @ (basis @ v)
-    return float(np.linalg.norm(resid) / nv)

@@ -19,16 +19,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .distributions import Distribution, rank_at, _orthogonal_residual
+from .distributions import Distribution, rank_at
 from .fields import FlowError, apply_word, pushforward_along_word
 from .liealg import involutive
 from .membership import MembershipError
 from .orbits import WordSampler, orbit_dimension
-from .linalg import svd_rank
+from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 
 __all__ = ["FrobeniusVerdict", "FlowBoxChart", "frobenius_verdict", "flow_box_chart"]
 
-CHART_RESIDUAL_TOL = 1e-7
 CHART_RADIUS = 0.2
 
 
@@ -71,104 +70,64 @@ def frobenius_verdict(
             if first_witness is None:
                 first_witness = rep.witness
 
-    if failing:
-        return FrobeniusVerdict(
-            integrable="no",
-            clause=(
-                "a bracket of generators leaves the fibre at a sample; an "
-                "integrable distribution is involutive, so no integral "
-                "manifold passes near the witness points"
-            ),
-            involutive_pointwise=False,
-            involutive_witness=first_witness,
-            module_involutive=None,
-            module_degree=None,
-            rank_constant_sampled=rank_constant,
-            ranks=ranks,
-            witnesses=tuple(failing),
-            invariant_slice_samples=tuple(holding),
-        )
-
-    if rank_constant:
-        return FrobeniusVerdict(
-            integrable="yes",
-            clause=(
-                "pointwise involutive with sampled-constant rank: a locally "
-                "constant-rank involutive distribution is integrable"
-            ),
-            involutive_pointwise=True,
-            involutive_witness=None,
-            module_involutive=None,
-            module_degree=None,
-            rank_constant_sampled=True,
-            ranks=ranks,
-            witnesses=(),
-            invariant_slice_samples=tuple(holding),
-        )
-
+    # the module certificate and the orbit comparison run only when the
+    # cheaper tests leave the question open
+    open_question = not failing and not rank_constant
     module_ok: Optional[bool] = None
-    if D.is_polynomial():
+    if open_question and D.is_polynomial():
         try:
             module_ok = bool(involutive(family, "module", degree=module_degree))
         except MembershipError:
             module_ok = None
-    if module_ok:
-        return FrobeniusVerdict(
-            integrable="yes",
-            clause=(
-                "pointwise involutive and the generator module is involutive "
-                f"(multipliers of degree <= {module_degree}); a finitely "
-                "generated involutive module of sections is integrable"
-            ),
-            involutive_pointwise=True,
-            involutive_witness=None,
-            module_involutive=True,
-            module_degree=module_degree,
-            rank_constant_sampled=False,
-            ranks=ranks,
-            witnesses=(),
-            invariant_slice_samples=tuple(holding),
-        )
+    witnesses = list(failing)
+    if open_question and not module_ok:
+        sampler = orbit_sampler or WordSampler(seed=0, count=200, max_len=8, max_time=1.0)
+        for p, r in zip(samples, ranks):
+            try:
+                rep = orbit_dimension(family, p, sampler, depth_cap)
+            except FlowError:
+                continue
+            if rep.dimension > r:
+                witnesses.append(p)
 
-    sampler = orbit_sampler or WordSampler(seed=0, count=200, max_len=8, max_time=1.0)
-    orbit_witnesses = []
-    for p, r in zip(samples, ranks):
-        try:
-            rep = orbit_dimension(family, p, sampler, depth_cap)
-        except FlowError:
-            continue
-        if rep.dimension > r:
-            orbit_witnesses.append((p, rep.dimension, r))
-    if orbit_witnesses:
-        return FrobeniusVerdict(
-            integrable="no",
-            clause=(
-                "sampled orbit dimension exceeds the fibre rank at a witness "
-                "point; generator flows cannot leave an integral manifold, so "
-                "the orbit outrunning the fibre refutes integrability"
-            ),
-            involutive_pointwise=True,
-            involutive_witness=None,
-            module_involutive=module_ok,
-            module_degree=module_degree if module_ok is not None else None,
-            rank_constant_sampled=False,
-            ranks=ranks,
-            witnesses=tuple(w[0] for w in orbit_witnesses),
-            invariant_slice_samples=tuple(holding),
+    if failing:
+        integrable, clause = "no", (
+            "a bracket of generators leaves the fibre at a sample; an "
+            "integrable distribution is involutive, so no integral "
+            "manifold passes near the witness points"
         )
-    return FrobeniusVerdict(
-        integrable="undetermined",
-        clause=(
+    elif rank_constant:
+        integrable, clause = "yes", (
+            "pointwise involutive with sampled-constant rank: a locally "
+            "constant-rank involutive distribution is integrable"
+        )
+    elif module_ok:
+        integrable, clause = "yes", (
+            "pointwise involutive and the generator module is involutive "
+            f"(multipliers of degree <= {module_degree}); a finitely "
+            "generated involutive module of sections is integrable"
+        )
+    elif witnesses:
+        integrable, clause = "no", (
+            "sampled orbit dimension exceeds the fibre rank at a witness "
+            "point; generator flows cannot leave an integral manifold, so "
+            "the orbit outrunning the fibre refutes integrability"
+        )
+    else:
+        integrable, clause = "undetermined", (
             "pointwise involutive, rank varies across samples, and neither a "
             "module certificate nor an orbit-rank gap decided the question"
-        ),
-        involutive_pointwise=True,
-        involutive_witness=None,
+        )
+    return FrobeniusVerdict(
+        integrable=integrable,
+        clause=clause,
+        involutive_pointwise=not failing,
+        involutive_witness=first_witness,
         module_involutive=module_ok,
         module_degree=module_degree if module_ok is not None else None,
-        rank_constant_sampled=False,
+        rank_constant_sampled=rank_constant,
         ranks=ranks,
-        witnesses=(),
+        witnesses=tuple(witnesses),
         invariant_slice_samples=tuple(holding),
     )
 
@@ -190,7 +149,6 @@ def flow_box_chart(
     base,
     radius=CHART_RADIUS,
     grid_points=3,
-    residual_tol=CHART_RESIDUAL_TOL,
     orbit_sampler: Optional[WordSampler] = None,
 ):
     """Chart candidate t -> flow_{Y_m, t_m} o ... o flow_{Y_1, t_1}(base)
@@ -237,9 +195,7 @@ def flow_box_chart(
             image_pt = apply_word(frame, word, base)
         except FlowError as err:
             return _chart_flow_failure(base, m, orbit_dim, err)
-        fibre_vals = np.array(
-            [[float(x) for x in v] for _, v in D.defined_values(image_pt)]
-        )
+        fibre_vals = [v for _, v in D.defined_values(image_pt)]
         if rank_at(D, tuple(image_pt)).rank != m:
             fibre_ok = False
         for j in range(m):
@@ -251,13 +207,15 @@ def flow_box_chart(
             except FlowError as err:
                 return _chart_flow_failure(base, m, orbit_dim, err)
             tangents.append(tuple(float(x) for x in v))
-            max_residual = max(max_residual, _orthogonal_residual(fibre_vals, v))
-    tangent_rank = svd_rank(np.array(tangents, dtype=float), 1e-9)
+            max_residual = max(max_residual, orthogonal_residual(fibre_vals, v))
+    # the tighter threshold: this asks whether the sampled image degenerates,
+    # not whether a tangent leaves the fibre
+    tangent_rank = svd_rank(np.array(tangents, dtype=float), VALUE_REL_TOL)
     orbit_ok = orbit_dim is None or orbit_dim == m
-    accepted = max_residual < residual_tol and fibre_ok and tangent_rank == m and orbit_ok
+    accepted = max_residual < FLOW_REL_TOL and fibre_ok and tangent_rank == m and orbit_ok
     if not accepted:
-        if max_residual >= residual_tol:
-            reason = f"tangency residual {max_residual:.3e} exceeds {residual_tol:.1e}"
+        if max_residual >= FLOW_REL_TOL:
+            reason = f"tangency residual {max_residual:.3e} exceeds {FLOW_REL_TOL:.1e}"
         elif not fibre_ok:
             reason = "fibre rank varies over the sampled image"
         elif not orbit_ok:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .expr import Expr
 from .fields import VectorField, lie_bracket
-from .linalg import span_rank
+from .linalg import in_span, span_rank
 from .membership import MembershipError, member_bounded
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
 
 DEPTH_CAP_LIMIT = 10
 DEFAULT_DEPTH_CAP = 6
-RANK_REL_TOL = 1e-9
 
 
 class LieAlgebraError(Exception):
@@ -94,18 +93,7 @@ class LieFiltration:
         for f in self.fields_up_to(depth):
             if f.domain.contains(point):
                 vectors.append(f.value(point))
-        return _mixed_span_rank(vectors)
-
-
-def _mixed_span_rank(vectors):
-    if not vectors:
-        return 0
-    exact = all(
-        isinstance(x, (int, Fraction)) for v in vectors for x in v
-    )
-    if exact:
         return span_rank(vectors)
-    return span_rank([[float(x) for x in v] for v in vectors], RANK_REL_TOL)
 
 
 def filtration(
@@ -222,18 +210,8 @@ def involutive(family, mode="pointwise", samples=(), degree=2):
         for p in samples:
             if not b.domain.contains(p):
                 continue
-            fibre = [
-                g.value(p) for g in family if g.domain.contains(p)
-            ]
-            bval = b.value(p)
-            vectors = fibre + [bval]
-            exact = all(isinstance(x, (int, Fraction)) for v in vectors for x in v)
-            if not exact:
-                fibre = [[float(x) for x in v] for v in fibre]
-                bval = [float(x) for x in bval]
-            before = _mixed_span_rank(fibre)
-            after = _mixed_span_rank(fibre + [bval])
-            if after > before:
+            fibre = [g.value(p) for g in family if g.domain.contains(p)]
+            if not in_span(fibre, b.value(p)):
                 return InvolutivityReport("pointwise", False, (i, j, tuple(p)))
     return InvolutivityReport("pointwise", True, None)
 
@@ -281,6 +259,6 @@ def fixed_time_ideal_rank(family, point, depth_cap=DEFAULT_DEPTH_CAP):
                 derived_vals.append(f.value(point))
     ideal_vectors = diffs + derived_vals
     lie_vectors = values + derived_vals
-    i_rank = _mixed_span_rank(ideal_vectors)
-    l_rank = _mixed_span_rank(lie_vectors)
+    i_rank = span_rank(ideal_vectors)
+    l_rank = span_rank(lie_vectors)
     return FixedTimeRankReport(tuple(point), i_rank, l_rank, l_rank - i_rank)

@@ -1,4 +1,18 @@
-"""Linear algebra helpers: exact over Fraction, tolerance-based over floats."""
+"""Linear algebra: exact over Fraction, tolerance-based over floats.
+
+This module alone decides how the rank of a set of vectors, and whether a
+vector lies in their span, is computed: exactly when every entry is a
+rational, by singular values otherwise.  The float thresholds live here
+too, each relative to the largest singular value:
+
+* ``VALUE_REL_TOL`` (1e-9) ranks generator and bracket values evaluated at
+  a point.  Those floats are a few roundings away from exact, so anything
+  below 1e-9 of the largest singular value is a rounding zero.
+* ``FLOW_REL_TOL`` (1e-7) ranks vectors computed by integrating flows
+  (pushforwards along words) and bounds their orthogonal residuals.  They
+  carry the integrator's error (rtol 1e-10, grown along the word), so the
+  threshold sits three orders above it.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +28,14 @@ __all__ = [
     "svd_rank",
     "span_rank",
     "in_span",
+    "all_exact",
+    "orthogonal_residual",
+    "VALUE_REL_TOL",
+    "FLOW_REL_TOL",
 ]
+
+VALUE_REL_TOL = 1e-9
+FLOW_REL_TOL = 1e-7
 
 
 def _elim(rows, ncols):
@@ -94,7 +115,7 @@ def exact_nullspace(A):
     return basis
 
 
-def svd_rank(matrix, rel_tol=1e-9):
+def svd_rank(matrix, rel_tol):
     m = np.asarray(matrix, dtype=float)
     if m.size == 0:
         return 0
@@ -104,7 +125,7 @@ def svd_rank(matrix, rel_tol=1e-9):
     return int(np.sum(sv > rel_tol * sv[0]))
 
 
-def _all_exact(vectors):
+def all_exact(vectors):
     return all(
         isinstance(x, (int, Fraction)) and not isinstance(x, bool)
         for v in vectors
@@ -112,17 +133,40 @@ def _all_exact(vectors):
     )
 
 
-def span_rank(vectors, rel_tol=1e-9):
+def _rank(vectors, exact):
+    return exact_rank(vectors) if exact else svd_rank(vectors, VALUE_REL_TOL)
+
+
+def span_rank(vectors):
     """Rank of the span of the given vectors; exact when all entries rational."""
     vectors = [tuple(v) for v in vectors]
     if not vectors:
         return 0
-    if _all_exact(vectors):
-        return exact_rank(vectors)
-    return svd_rank(vectors, rel_tol)
+    return _rank(vectors, all_exact(vectors))
 
 
-def in_span(vectors, v, rel_tol=1e-9):
-    """True when v lies in the span of the vectors (exactness as available)."""
+def in_span(vectors, v):
+    """True when v lies in the span of the vectors.  One method, chosen over
+    the vectors and v together, computes both ranks."""
     base = [tuple(w) for w in vectors]
-    return span_rank(base + [tuple(v)], rel_tol) == span_rank(base, rel_tol)
+    extended = base + [tuple(v)]
+    exact = all_exact(extended)
+    return _rank(extended, exact) == _rank(base, exact)
+
+
+def orthogonal_residual(basis_rows, v):
+    """Norm of the component of v orthogonal to the row span, relative."""
+    v = np.asarray(v, dtype=float)
+    nv = np.linalg.norm(v)
+    if nv == 0.0:
+        return 0.0
+    basis_rows = np.asarray(basis_rows, dtype=float)
+    if basis_rows.size == 0:
+        return 1.0
+    _, sv, vt = np.linalg.svd(basis_rows)
+    keep = int(np.sum(sv > VALUE_REL_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
+    if keep == 0:
+        return 1.0
+    basis = vt[:keep]
+    resid = v - basis.T @ (basis @ v)
+    return float(np.linalg.norm(resid) / nv)

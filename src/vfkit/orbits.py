@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .fields import (
     pushforward_along_word,
 )
 from .liealg import filtration, fixed_time_ideal_rank
-from .linalg import svd_rank
+from .linalg import FLOW_REL_TOL, svd_rank
 
 __all__ = [
     "WordSampler",
@@ -37,8 +37,6 @@ __all__ = [
     "chow_verdict",
     "steer_linear",
 ]
-
-RANK_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,10 @@ class OrbitTangentReport:
         return self.dimension == n or self.dimension == self.linf_rank
 
 
-def _collect_pushforwards(family, words, point, skip_stats):
+def _collect_pushforwards(family, words, point):
+    """Generator values at the point and their pushforwards along each word,
+    with the number of words that pushed some generator forward and the
+    number that pushed none."""
     vectors = []
     for X in family:
         if X.domain.contains(point):
@@ -111,25 +112,28 @@ def _collect_pushforwards(family, words, point, skip_stats):
             used += 1
         else:
             skipped += 1
-    skip_stats.extend([used, skipped])
-    return vectors
+    return vectors, used, skipped
 
 
-def orbit_dimension(family, point, sampler, depth_cap=6, rank_tol=RANK_TOL):
-    """Sampled orbit dimension at the point (a certified lower bound)."""
-    family = tuple(family)
+def _sampled_orbit(family, point, sampler, rank_tol):
+    """(rank, vectors, words used, words skipped) of the pushforwards that
+    the sampler's words give at the point."""
     if not any(X.domain.contains(point) for X in family):
         raise DomainExitError(f"no generator is defined at {point}")
     words = sampler.words(len(family))
-    stats: List[int] = []
-    vectors = _collect_pushforwards(family, words, point, stats)
-    used, skipped = stats
+    vectors, used, skipped = _collect_pushforwards(family, words, point)
     if not vectors:
         raise DomainExitError(
             f"all {len(words)} sampled words exited the domains "
             f"(used {used}, skipped {skipped})"
         )
-    dim = svd_rank(np.array(vectors, dtype=float), rank_tol)
+    return svd_rank(np.array(vectors, dtype=float), rank_tol), vectors, used, skipped
+
+
+def orbit_dimension(family, point, sampler, depth_cap=6, rank_tol=FLOW_REL_TOL):
+    """Sampled orbit dimension at the point (a certified lower bound)."""
+    family = tuple(family)
+    dim, vectors, used, skipped = _sampled_orbit(family, point, sampler, rank_tol)
     linf = filtration(family, depth_cap).rank_at(point)
     return OrbitTangentReport(
         tuple(point), dim, tuple(vectors), linf, used, skipped, rank_tol
@@ -180,7 +184,7 @@ def fixed_time_dimension(
     sampler,
     invariant: Optional[Expr] = None,
     depth_cap=6,
-    rank_tol=RANK_TOL,
+    rank_tol=FLOW_REL_TOL,
 ):
     """Sampled tangent dimension of the fixed-time orbit through the point.
 
@@ -201,9 +205,7 @@ def fixed_time_dimension(
             constraint="zero-sum",
         )
     words = zs.words(len(family))
-    stats: List[int] = []
-    vectors = _collect_pushforwards(family, words, reached, stats)
-    used, skipped = stats
+    vectors, used, skipped = _collect_pushforwards(family, words, reached)
     if not vectors:
         raise DomainExitError("all zero-sum words exited the domains")
     base = np.array(vectors[0], dtype=float)
@@ -224,14 +226,14 @@ def fixed_time_dimension(
         if invariant is not None:
             inv_dev = max(inv_dev, abs(invariant.eval_float(landed) - inv_ref))
 
-    orbit_rep = orbit_dimension(family, tuple(reached), sampler, depth_cap, rank_tol)
+    orbit_dim = _sampled_orbit(family, tuple(reached), sampler, rank_tol)[0]
     ideal = fixed_time_ideal_rank(family, tuple(reached), depth_cap)
     return FixedTimeReport(
         start=tuple(point),
         reached=tuple(reached),
         net_time=float(T),
         dimension=dim,
-        orbit_dimension_at_reached=orbit_rep.dimension,
+        orbit_dimension_at_reached=orbit_dim,
         ideal_rank=ideal.ideal_rank,
         max_displacement=max_disp,
         invariant_max_deviation=inv_dev,

@@ -18,7 +18,14 @@ from typing import Dict, List, Tuple
 from .expr import ParseError, parse
 from .fields import DomainPredicate, VectorField
 
-__all__ = ["System", "SystemParseError", "parse_system", "parse_point", "parse_grid"]
+__all__ = [
+    "System",
+    "SystemParseError",
+    "parse_system",
+    "parse_point",
+    "parse_grid",
+    "parse_target",
+]
 
 
 class SystemParseError(Exception):
@@ -147,6 +154,17 @@ def parse_point(text, dim):
         except (ValueError, ZeroDivisionError) as err:
             raise SystemParseError(f"bad coordinate {p!r}: {err}") from err
     return tuple(out)
+
+
+def parse_target(text, dim):
+    """Parse a target field '(e1,...,en)' into its n component expressions."""
+    body = text.strip()
+    if not (body.startswith("(") and body.endswith(")")):
+        raise SystemParseError('target must look like "(e1,...,en)"')
+    comps = _split_components(body[1:-1], 1)
+    if len(comps) != dim:
+        raise SystemParseError(f"target has {len(comps)} components, expected {dim}")
+    return tuple(parse(t, dim) for t in comps)
 
 
 _GRID_AXIS = re.compile(r"^x(\d+)=(-?[\d./]+):(-?[\d./]+):(-?[\d./]+)$")

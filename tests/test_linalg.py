@@ -78,3 +78,10 @@ def test_in_span():
     assert in_span([(1, 0, 0), (0, 1, 0)], (2, -3, 0))
     assert not in_span([(1, 0, 0), (0, 1, 0)], (0, 0, 1))
     assert in_span([(Fraction(1, 3), Fraction(1, 7))], (Fraction(3), Fraction(9, 7)))
+    assert in_span([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], (2.0, -3.0, 0.0))
+    assert not in_span([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], (0.0, 0.0, 1.0))
+    # mixed exactness: one method for both ranks, so the exact 1e-12 entry
+    # is a rounding zero beside the float vector, and v adds a direction
+    base = [(1, 0, 0), (0, Fraction(1, 10**12), 0)]
+    assert not in_span(base, (0.0, 0.0, 1.0))
+    assert in_span(base, (0, 0, 0))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from vfkit import liealg, orbits
 from vfkit.expr import parse
 from vfkit.fields import DomainExitError, apply_word
 from vfkit.orbits import (
@@ -142,6 +143,21 @@ class TestFixedTime:
         integrator = [vf("X0", ["x2", "0"], 2), vf("X1", ["x2", "1"], 2)]
         rep = fixed_time_dimension(integrator, (0, 0), 1.0, WordSampler(seed=6, count=150))
         assert rep.dimension == 2
+
+    def test_one_filtration_per_call(self, diag, monkeypatch):
+        calls = []
+        original = liealg.filtration
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # the name is bound both in liealg and, by import, in orbits
+        monkeypatch.setattr(liealg, "filtration", counted)
+        monkeypatch.setattr(orbits, "filtration", counted)
+        rep = fixed_time_dimension(diag, (1, 1), 0.0, WordSampler(seed=3, count=40))
+        assert rep.orbit_dimension_at_reached == 2
+        assert len(calls) == 1
 
 
 class TestChow:

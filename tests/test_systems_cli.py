@@ -7,7 +7,14 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from vfkit.cli import main
-from vfkit.systems import SystemParseError, parse_grid, parse_point, parse_system
+from vfkit.linalg import FLOW_REL_TOL, VALUE_REL_TOL
+from vfkit.systems import (
+    SystemParseError,
+    parse_grid,
+    parse_point,
+    parse_system,
+    parse_target,
+)
 
 SHEAR = """\
 system shear dim 2
@@ -63,6 +70,14 @@ class TestSystemFormat:
         assert parse_point("1/2,-3", 2) == (Fraction(1, 2), Fraction(-3))
         with pytest.raises(SystemParseError):
             parse_point("1,2,3", 2)
+
+    def test_parse_target(self):
+        target = parse_target(" (x1*x2, 1) ", 2)
+        assert [str(c) for c in target] == ["x1*x2", "1"]
+        with pytest.raises(SystemParseError, match=r'look like "\(e1,...,en\)"'):
+            parse_target("x1, 1", 2)
+        with pytest.raises(SystemParseError, match="target has 1 components, expected 2"):
+            parse_target("(x1)", 2)
 
     def test_parse_grid(self):
         axes = parse_grid("x1=-1:1:1/2,x2=0:1:1", 2)
@@ -153,6 +168,23 @@ class TestCli:
         payload = json.loads(out)
         assert payload["results"]["dimension"] == 2
 
+    def test_orbit_rational_times(self, capsys, shear_file):
+        def orbit(*times):
+            return run_cli(capsys, "orbit", "--system", shear_file, "--point",
+                           "3/10,7/10", "--words", "20", *times, "--format", "json")
+
+        def results(*times):
+            code, out = orbit(*times)
+            assert code == 0
+            return json.loads(out)["results"]
+
+        decimal = results("--fixed-time", "0.5", "--max-time", "0.25")
+        assert decimal["net_time"] == 0.5
+        assert results("--fixed-time", "1/2", "--max-time", "1/4") == decimal
+        for bad in ("1/0", "half", ""):
+            assert orbit("--fixed-time", bad)[0] == 1
+            assert orbit("--max-time", bad)[0] == 1
+
     def test_frobenius_command(self, capsys, isolated_file):
         code, out = run_cli(capsys, "frobenius", "--system", isolated_file,
                             "--format", "json")
@@ -209,6 +241,18 @@ class TestReports:
             code, out = run_cli(capsys, *argv, "--format", "json")
             assert code == 0
             jsonschema.validate(json.loads(out), schema)
+
+    def test_tolerances_echo_linalg(self, capsys, shear_file):
+        _, out = run_cli(capsys, "rank", "--system", shear_file, "--point", "1,1",
+                         "--format", "json")
+        assert json.loads(out)["tolerances"] == {"svd_rel_tol": VALUE_REL_TOL}
+        _, out = run_cli(capsys, "frobenius", "--system", shear_file,
+                         "--grid", "x1=0:1:1,x2=0:0:1", "--chart-point", "1,1",
+                         "--format", "json")
+        assert json.loads(out)["tolerances"] == {
+            "chart_residual": FLOW_REL_TOL,
+            "svd_rel_tol": VALUE_REL_TOL,
+        }
 
     def test_byte_identical_reports(self, capsys, shear_file):
         args = ("orbit", "--system", shear_file, "--point", "1,1",
