@@ -273,7 +273,7 @@ def _cmd_rank(args, seed):
             "witness_generators": [system.fields[i].name for i in rep.witness],
             "excluded_generators": [system.fields[i].name for i in rep.excluded],
         }
-        if D.is_polynomial():
+        if D.minors_obstacle() is None:
             locus = singular_locus_minors(D)
             results["generic_rank"] = locus.generic_rank
             results["minors"] = [str(m) for m in locus.minors]

@@ -60,6 +60,17 @@ class Distribution:
     def is_polynomial(self):
         return all(g.is_polynomial() for g in self.generators)
 
+    def minors_obstacle(self):
+        """Why ``singular_locus_minors`` does not apply, or None when it does.
+
+        Minors of the full generator matrix match the fibre rank only when
+        every generator is a polynomial defined on all of R^n."""
+        if not self.is_polynomial():
+            return "singular locus minors need polynomial generators"
+        if not all(g.domain.is_full for g in self.generators):
+            return "singular locus minors need generators defined on all of R^n"
+        return None
+
     def defined_values(self, point):
         """(index, value) for every generator whose domain contains point."""
         out = []
@@ -192,8 +203,9 @@ def _random_rational_points(n, count, seed, span=4):
 def singular_locus_minors(D, samples=200, seed=20240, verify=True):
     """Generic rank and the full list of (rank x rank)-minors of the
     generator matrix; their common zeros cut out the singular locus."""
-    if not D.is_polynomial():
-        raise ValueError("singular locus minors need polynomial generators")
+    obstacle = D.minors_obstacle()
+    if obstacle:
+        raise ValueError(obstacle)
     n = D.dim
     k = len(D.generators)
     pts = _random_rational_points(n, samples, seed)

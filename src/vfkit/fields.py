@@ -16,6 +16,11 @@ word together: the word is walked once and their values, stacked as the
 columns of an n x k matrix V, are transported in that single walk.  A
 k-column variational solve scales rtol and atol by sqrt(2 / (k + 1)), so
 each component keeps the error bound of a one-column solve.
+
+The relative tolerance ``DEFAULT_RTOL`` and the bounding box ``DEFAULT_BOX``
+(every coordinate stays within 1e6 in absolute value) are module constants,
+not per-call options.  Words are walked step by step in one place, which
+sets ``.step`` on the error of a failing step to that step's index.
 """
 
 from __future__ import annotations
@@ -53,20 +58,20 @@ DEFAULT_RTOL = 1e-10
 
 
 class FlowError(Exception):
-    pass
+    """A flow that failed.  ``step`` is the index of the failing step when the
+    failure happened in a word walk, and None otherwise."""
+
+    step = None
 
 
 class DomainExitError(FlowError):
-    def __init__(self, message, exit_time=None, step=None):
+    def __init__(self, message, exit_time=None):
         super().__init__(message)
         self.exit_time = exit_time
-        self.step = step
 
 
 class IntegrationError(FlowError):
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
+    pass
 
 
 @dataclass(frozen=True)
@@ -235,19 +240,19 @@ def _jacobian_at(X, point):
 
 @lru_cache(maxsize=None)
 def _flow_kind(X):
+    """("straight",), ("affine", M, diagonal) or ("ode",).
+
+    M is the float (n+1) x (n+1) augmented matrix [[A, b], [0, 0]] of an
+    affine field x' = A x + b; diagonal says whether A is."""
+    J = jacobian_exprs(X)
+    n = X.dim
     # straight lines: the field is constant along its own integral curves
-    straight = True
-    for i in range(X.dim):
-        acc = ZERO
-        for j in range(X.dim):
-            acc = acc + X.components[j] * X.components[i].diff(j + 1)
-        if not acc.is_zero():
-            straight = False
-            break
-    if straight:
+    if all(
+        sum((X.components[j] * J[i][j] for j in range(n)), ZERO).is_zero()
+        for i in range(n)
+    ):
         return ("straight",)
     if all(c.is_polynomial() and c.total_degree() <= 1 for c in X.components):
-        n = X.dim
         A = [[Fraction(0)] * n for _ in range(n)]
         b = [Fraction(0)] * n
         for i, comp in enumerate(X.components):
@@ -258,81 +263,75 @@ def _flow_kind(X):
                 else:
                     j = mono.index(1)
                     A[i][j] = c
-        return ("affine", tuple(map(tuple, A)), tuple(b))
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = np.array(A, dtype=float)
+        M[:n, n] = np.array(b, dtype=float)
+        M.flags.writeable = False
+        diagonal = all(A[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+        return ("affine", M, diagonal)
     return ("ode",)
 
 
-def _affine_maps(A, b, t):
-    n = len(b)
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = np.array(A, dtype=float)
-    M[:n, n] = np.array(b, dtype=float)
+def _affine_maps(M, t):
+    n = M.shape[0] - 1
     E = expm(M * t)
     return E[:n, :n], E[:n, n]
 
 
-def _check_domain_endpoints(X, points, step=None):
-    for s, p in points:
-        if not X.domain.contains(p):
-            raise DomainExitError(
-                f"trajectory of {X.name} left its domain", exit_time=s, step=step
-            )
+def _check_domain_endpoint(X, s, point):
+    if not X.domain.contains(point):
+        raise DomainExitError(f"trajectory of {X.name} left its domain", exit_time=s)
 
 
-def _check_box(p, box, step=None):
-    if np.max(np.abs(p)) > box:
-        raise IntegrationError("trajectory escaped the bounding box", step=step)
+def _check_box(p):
+    if np.max(np.abs(p)) > DEFAULT_BOX:
+        raise IntegrationError("trajectory escaped the bounding box")
 
 
-def _flow_step(X, t, p, v=None, rtol=DEFAULT_RTOL, box=DEFAULT_BOX, method="auto", step=None):
+def _flow_step(X, t, p, v=None):
     """Advance p by the time-t flow of X; optionally transport v, an
     n x k matrix whose columns are tangent vectors at p."""
     p = np.asarray(p, dtype=float)
     if not X.domain.contains(p):
-        raise DomainExitError(
-            f"start point outside the domain of {X.name}", exit_time=0.0, step=step
-        )
+        raise DomainExitError(f"start point outside the domain of {X.name}", exit_time=0.0)
     if t == 0.0:
         return (p.copy(), None if v is None else np.array(v, dtype=float))
-    kind = _flow_kind(X) if method == "auto" else ("ode",)
+    kind = _flow_kind(X)
     if kind[0] == "straight":
         direction = X.value_float(p)
         end = p + t * direction
-        _check_domain_endpoints(X, [(t, end)], step)
-        _check_box(end, box, step)
+        _check_domain_endpoint(X, t, end)
+        _check_box(end)
         if v is None:
             return end, None
         J = np.eye(X.dim) + t * _jacobian_at(X, p)
         return end, J @ np.asarray(v, dtype=float)
     if kind[0] == "affine":
-        _, A, b = kind
-        E, c = _affine_maps(A, b, t)
+        _, M, diagonal = kind
+        E, c = _affine_maps(M, t)
         end = E @ p + c
         if not X.domain.is_full:
-            diagonal = all(
-                A[i][j] == 0 for i in range(X.dim) for j in range(X.dim) if i != j
-            )
             if diagonal:
-                _check_domain_endpoints(X, [(t, end)], step)
+                _check_domain_endpoint(X, t, end)
             else:
                 for k in range(1, 17):
                     s = t * k / 16.0
-                    Es, cs = _affine_maps(A, b, s)
-                    _check_domain_endpoints(X, [(s, Es @ p + cs)], step)
-        _check_box(end, box, step)
+                    Es, cs = _affine_maps(M, s)
+                    _check_domain_endpoint(X, s, Es @ p + cs)
+        _check_box(end)
         if v is None:
             return end, None
         return end, E @ np.asarray(v, dtype=float)
-    return _flow_step_ode(X, t, p, v, rtol, box, step)
+    return _flow_step_ode(X, t, p, v)
 
 
 MAX_RHS_EVALS = 50_000
 
 
-def _flow_step_ode(X, t, p, v, rtol, box, step):
+def _flow_step_ode(X, t, p, v):
     n = X.dim
     transport = v is not None
-    atol = 1e-12
+    rtol, atol = DEFAULT_RTOL, 1e-12
     if transport:
         # RK45 bounds the RMS of the scaled errors over all n (k + 1) state
         # components; shrink both tolerances so that each component keeps
@@ -345,8 +344,7 @@ def _flow_step_ode(X, t, p, v, rtol, box, step):
         evals[0] += 1
         if evals[0] > MAX_RHS_EVALS:
             raise IntegrationError(
-                "integration budget exceeded (likely finite-time blow-up)",
-                step=step,
+                "integration budget exceeded (likely finite-time blow-up)"
             )
         x = y[:n]
         out = np.empty_like(y)
@@ -355,19 +353,14 @@ def _flow_step_ode(X, t, p, v, rtol, box, step):
             out[n:] = (_jacobian_at(X, x) @ y[n:].reshape(v.shape)).ravel()
         return out
 
-    events = []
-    for index, rel, bound in X.domain.constraints:
-        bnd = float(bound)
+    def domain_event(index, bound):
+        def ev(_, y):
+            return y[index - 1] - bound
 
-        def make(idx=index, b=bnd):
-            def ev(_, y):
-                return y[idx - 1] - b
+        ev.terminal = True
+        return ev
 
-            ev.terminal = True
-            return ev
-
-        events.append(make())
-
+    events = [domain_event(i, float(b)) for i, _, b in X.domain.constraints]
     y0 = np.concatenate([p, v.ravel()]) if transport else p.copy()
     sol = solve_ivp(
         rhs,
@@ -383,42 +376,41 @@ def _flow_step_ode(X, t, p, v, rtol, box, step):
         hit = min(
             (te[0] for te in sol.t_events if len(te)), default=None, key=abs
         )
-        raise DomainExitError(
-            f"trajectory of {X.name} left its domain",
-            exit_time=hit,
-            step=step,
-        )
+        raise DomainExitError(f"trajectory of {X.name} left its domain", exit_time=hit)
     if sol.status != 0:
-        raise IntegrationError(f"integrator failed: {sol.message}", step=step)
-    if np.max(np.abs(sol.y[:n])) > box:
-        raise IntegrationError("trajectory escaped the bounding box", step=step)
+        raise IntegrationError(f"integrator failed: {sol.message}")
+    _check_box(sol.y[:n])
     yT = sol.y[:, -1]
     if transport:
         return yT[:n], yT[n:].reshape(v.shape)
     return yT, None
 
 
-def flow(X, t, point, rtol=DEFAULT_RTOL, box=DEFAULT_BOX, method="auto"):
-    """Flow the point for time t along X.  Raises on domain exit or blow-up."""
-    end, _ = _flow_step(X, float(t), point, None, rtol, box, method)
-    return end
-
-
-def apply_word(family, word, point, rtol=DEFAULT_RTOL, box=DEFAULT_BOX, method="auto"):
-    """Apply a flow word left to right: step k flows along family[i_k]."""
-    p = np.asarray(point, dtype=float)
-    for k, (i, t) in enumerate(_as_steps(word)):
+def _walk(family, steps, p, V=None):
+    """Flow p through the steps, transporting V when given; a failing step's
+    error gets the step's index as ``step``."""
+    p = np.asarray(p, dtype=float)
+    for k, (i, t) in enumerate(steps):
         try:
-            p, _ = _flow_step(family[i], t, p, None, rtol, box, method, step=k)
+            p, V = _flow_step(family[i], t, p, V)
         except FlowError as err:
             err.step = k
             raise
-    return p
+    return p, V
 
 
-def pushforward_along_word(
-    family, word, X, point, rtol=DEFAULT_RTOL, box=DEFAULT_BOX, method="auto"
-):
+def flow(X, t, point):
+    """Flow the point for time t along X.  Raises on domain exit or blow-up."""
+    end, _ = _flow_step(X, float(t), point)
+    return end
+
+
+def apply_word(family, word, point):
+    """Apply a flow word left to right: step k flows along family[i_k]."""
+    return _walk(family, _as_steps(word), point)[0]
+
+
+def pushforward_along_word(family, word, X, point):
     """Pushforward of X under the word's composite diffeomorphism, at point.
 
     Walks back to y = Phi^{-1}(point), stacks the values at y of the
@@ -429,26 +421,21 @@ def pushforward_along_word(
     X is one field, giving one vector (DomainExitError when X is undefined
     at y), or a sequence of fields, giving one vector per field, with None
     for a field undefined at y.  A failing step raises FlowError with
-    ``step`` set, whatever the number of fields.
+    ``step`` set, whatever the number of fields; a failure of the walk back
+    carries its index in that walk.
     """
     single = isinstance(X, VectorField)
     fields = (X,) if single else tuple(X)
     steps = _as_steps(word)
     inverse = tuple((i, -t) for i, t in reversed(steps))
-    y = apply_word(family, inverse, point, rtol, box, method)
+    y, _ = _walk(family, inverse, point)
     defined = [F.domain.contains(y) for F in fields]
     if single and not defined[0]:
         raise DomainExitError(f"{X.name} is undefined at the pulled-back point")
     if not any(defined):
         return [None] * len(fields)
     V = np.column_stack([F.value_float(y) for F, ok in zip(fields, defined) if ok])
-    p = y
-    for k, (i, t) in enumerate(steps):
-        try:
-            p, V = _flow_step(family[i], t, p, V, rtol, box, method, step=k)
-        except FlowError as err:
-            err.step = k
-            raise
+    p, V = _walk(family, steps, y, V)
     drift = np.max(np.abs(p - np.asarray(point, dtype=float)))
     if drift > 1e-6 * (1.0 + np.max(np.abs(point))):
         raise IntegrationError(f"round-trip drift {drift:.2e} exceeds tolerance")

@@ -29,6 +29,7 @@ from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 __all__ = ["FrobeniusVerdict", "FlowBoxChart", "frobenius_verdict", "flow_box_chart"]
 
 CHART_RADIUS = 0.2
+ORBIT_SAMPLER = WordSampler(seed=0, count=200, max_len=8, max_time=1.0)
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ def frobenius_verdict(
             module_ok = None
     witnesses = list(failing)
     if open_question and not module_ok:
-        sampler = orbit_sampler or WordSampler(seed=0, count=200, max_len=8, max_time=1.0)
+        sampler = orbit_sampler or ORBIT_SAMPLER
         for p, r in zip(samples, ranks):
             try:
                 rep = orbit_dimension(family, p, sampler, depth_cap)
@@ -162,7 +163,7 @@ def flow_box_chart(
     base = tuple(base)
     base_report = rank_at(D, base)
     m = base_report.rank
-    sampler = orbit_sampler or WordSampler(seed=0, count=200, max_len=8, max_time=1.0)
+    sampler = orbit_sampler or ORBIT_SAMPLER
     try:
         orbit_dim = orbit_dimension(list(D.generators), base, sampler).dimension
     except FlowError:

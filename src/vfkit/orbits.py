@@ -9,7 +9,7 @@ words and the linear part of the affine hull of the collected vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -195,16 +195,7 @@ def fixed_time_dimension(
     family = tuple(family)
     seed_word = _seed_word(family, point, T)
     reached = apply_word(family, seed_word, point)
-    zs = sampler
-    if zs.constraint != "zero-sum":
-        zs = WordSampler(
-            seed=sampler.seed,
-            max_len=sampler.max_len,
-            max_time=sampler.max_time,
-            count=sampler.count,
-            constraint="zero-sum",
-        )
-    words = zs.words(len(family))
+    words = replace(sampler, constraint="zero-sum").words(len(family))
     vectors, used, skipped = _collect_pushforwards(family, words, reached)
     if not vectors:
         raise DomainExitError("all zero-sum words exited the domains")

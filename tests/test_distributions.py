@@ -117,6 +117,14 @@ class TestMinors:
         with pytest.raises(ValueError):
             singular_locus_minors(flat_pair)
 
+    def test_rejects_restricted_domains(self, vf):
+        # rank_at drops X1 where x1 >= 1/10; the full-matrix minor x1 does not
+        D = Distribution(
+            (vf("X1", ["1", "0"], 2, [(1, "<", Fraction(1, 10))]), vf("X2", ["0", "x1"], 2))
+        )
+        with pytest.raises(ValueError, match="defined on all of R"):
+            singular_locus_minors(D)
+
     def test_soundness_verification_runs(self, vf):
         # rank < generic rank iff all minors vanish, on the sample set
         D = Distribution(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from vfkit import fields
 from vfkit.expr import const, parse, var
@@ -125,11 +126,16 @@ class TestFlows:
         assert flow(X, -3.5, (1.0, 2.0)) == pytest.approx([1.0, -1.5])
 
     def test_affine_matches_rk(self, vf):
-        # double integrator with unit input: closed form vs forced RK path
+        # double integrator with unit input: closed form vs the analytic
+        # flow and vs an independent RK45 solve
         X = vf("X", ["x2", "1"], 2)
+        x1, x2 = 0.2, -0.4
         for t in (0.3, 1.0, -0.7):
-            closed = flow(X, t, (0.2, -0.4))
-            rk = flow(X, t, (0.2, -0.4), method="rk")
+            closed = flow(X, t, (x1, x2))
+            exact = np.array([x1 + x2 * t + t * t / 2, x2 + t])
+            assert np.max(np.abs(closed - exact)) < 1e-12
+            rk = solve_ivp(lambda _, y: [y[1], 1.0], (0.0, t), [x1, x2],
+                           method="RK45", rtol=1e-10, atol=1e-12).y[:, -1]
             assert np.max(np.abs(closed - rk)) < 1e-10
 
     def test_nonlinear_rk(self, vf):
@@ -158,6 +164,18 @@ class TestFlows:
         X = vf("X", ["x1^2"], 1)
         with pytest.raises((IntegrationError, DomainExitError)):
             flow(X, 2.0, (1.0,))  # finite-time blow-up
+
+    def test_restricted_rotation_exits_domain(self, vf):
+        # a non-diagonal affine flow on a restricted domain: from (0, 1) the
+        # backward rotation leaves x1 < 1/2 at -pi/6 and re-enters at -5pi/6
+        R = vf("R", ["-x2", "x1"], 2, [(1, "<", Fraction(1, 2))])
+        with pytest.raises(DomainExitError) as err:
+            flow(R, -math.pi, (0.0, 1.0))
+        assert -5 * math.pi / 6 < err.value.exit_time <= -math.pi / 6
+        assert err.value.step is None
+        with pytest.raises(DomainExitError) as err:
+            apply_word([R], [(0, 0.5), (0, -math.pi)], (0.0, 1.0))
+        assert err.value.step == 1
 
     def test_apply_word_reports_step(self, vf):
         X = vf("X", ["1", "0"], 2, [(1, "<", Fraction(1))])

@@ -29,6 +29,12 @@ field X1 = (1, 0) on x1 < 1
 field X2 = (0, 1) on x1 > -1
 """
 
+HALF_PLANE = """\
+system half-plane dim 2
+field X1 = (1, 0) on x1 < 1/10
+field X2 = (0, x1)
+"""
+
 ISOLATED = """\
 system isolated dim 3
 field X1 = (x1*x3, 1, 0)
@@ -241,6 +247,22 @@ class TestReports:
             code, out = run_cli(capsys, *argv, "--format", "json")
             assert code == 0
             jsonschema.validate(json.loads(out), schema)
+
+    def test_rank_point_restricted_domain(self, capsys, tmp_path):
+        # minors of the full generator matrix do not apply when a generator
+        # is undefined somewhere, so the report leaves them out
+        import vfkit
+
+        path = tmp_path / "half.vf"
+        path.write_text(HALF_PLANE)
+        code, out = run_cli(capsys, "rank", "--system", str(path),
+                            "--point", "3/10,7/10", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["results"]["rank"] == 1
+        assert "minors" not in payload["results"]
+        schema_path = os.path.join(os.path.dirname(vfkit.__file__), "report_schema.json")
+        jsonschema.validate(payload, json.load(open(schema_path)))
 
     def test_tolerances_echo_linalg(self, capsys, shear_file):
         _, out = run_cli(capsys, "rank", "--system", shear_file, "--point", "1,1",
