@@ -23,7 +23,7 @@ from .distributions import Distribution, rank_at
 from .fields import FlowError, apply_word, pushforward_along_word
 from .liealg import involutive
 from .membership import MembershipError
-from .orbits import WordSampler, orbit_dimension
+from .orbits import WordSampler, sampled_orbit
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 
 __all__ = ["FrobeniusVerdict", "FlowBoxChart", "frobenius_verdict", "flow_box_chart"]
@@ -85,10 +85,10 @@ def frobenius_verdict(
         sampler = orbit_sampler or ORBIT_SAMPLER
         for p, r in zip(samples, ranks):
             try:
-                rep = orbit_dimension(family, p, sampler, depth_cap)
+                dim = sampled_orbit(family, p, sampler).dimension
             except FlowError:
                 continue
-            if rep.dimension > r:
+            if dim > r:
                 witnesses.append(p)
 
     if failing:
@@ -165,7 +165,7 @@ def flow_box_chart(
     m = base_report.rank
     sampler = orbit_sampler or ORBIT_SAMPLER
     try:
-        orbit_dim = orbit_dimension(list(D.generators), base, sampler).dimension
+        orbit_dim = sampled_orbit(list(D.generators), base, sampler).dimension
     except FlowError:
         orbit_dim = None
     if m == 0:

@@ -16,6 +16,8 @@ too, each relative to the largest singular value:
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -38,70 +40,129 @@ VALUE_REL_TOL = 1e-9
 FLOW_REL_TOL = 1e-7
 
 
-def _elim(rows, ncols):
-    """Row-reduce in place; returns list of (pivot_row, pivot_col)."""
+def _sparse_rows(matrix, rhs=()):
+    """Rows as ``{column: int}`` dicts without zero cells, and the width.
+
+    A row may be a sequence or a ``{column: value}`` dict; the width of dict
+    rows is one past their largest column.  Each entry of ``rhs`` joins its
+    row in the column after the last one.  Every row is scaled to a
+    primitive integer vector, which keeps its span.
+    """
+    rows = []
+    ncols = 0
+    for row in matrix:
+        if isinstance(row, Mapping):
+            ncols = max(ncols, max(row, default=-1) + 1)
+            items = row.items()
+        else:
+            ncols = max(ncols, len(row))
+            items = enumerate(row)
+        rows.append({c: Fraction(x) for c, x in items if x != 0})
+    for row, v in zip(rows, rhs):
+        if v != 0:
+            row[ncols] = Fraction(v)
+    for i, row in enumerate(rows):
+        scale = math.lcm(*(x.denominator for x in row.values()))
+        rows[i] = _primitive(
+            {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
+        )
+    return rows, ncols
+
+
+def _primitive(row):
+    g = math.gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+    return row
+
+
+def _rref(rows, ncols):
+    """Sparse Gauss-Jordan elimination of ``_sparse_rows`` rows, in place.
+
+    Columns are taken in order.  Each pivot is the sparsest row not yet used
+    as one, and it is cleared from every other row by integer combinations
+    (each row kept primitive), so no fraction is formed.  Dividing each
+    pivot row by its pivot gives the reduced row echelon form, which is
+    unique, so the pivot choice changes no result.  Returns ``(pivot row,
+    column)`` pairs in column order; the other rows are zero in the first
+    ``ncols`` columns.
+    """
+    holders = {}  # column -> indices of the rows with a nonzero there
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    unused = set(range(len(rows)))
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(rows):
+        if not unused:
             break
+        candidates = holders.get(c, set()) & unused
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        a = prow[c]
+        for i in list(holders[c]):
+            if i == p:
+                continue
+            row = rows[i]
+            g = math.gcd(a, row[c])
+            ai, fi = a // g, row[c] // g
+            # row <- ai * row - fi * prow, which clears column c
+            if ai != 1:
+                for k in row:
+                    row[k] *= ai
+            for k, v in prow.items():
+                x = row.get(k)
+                if x is None:
+                    row[k] = -fi * v
+                    holders.setdefault(k, set()).add(i)
+                else:
+                    x -= fi * v
+                    if x:
+                        row[k] = x
+                    else:
+                        del row[k]
+                        holders[k].discard(i)
+            _primitive(row)
+        unused.discard(p)
+        pivots.append((prow, c))
     return pivots
 
 
 def exact_rank(matrix):
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return 0
-    return len(_elim(rows, len(rows[0])))
+    return len(_rref(*_sparse_rows(matrix)))
 
 
 def exact_pivot_columns(matrix):
     """Column indices of a maximal independent subset, in elimination order."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return []
-    return [c for _, c in _elim(rows, len(rows[0]))]
+    return [c for _, c in _rref(*_sparse_rows(matrix))]
 
 
 def exact_solve(A, b):
-    """One exact solution of A x = b (free variables 0), or None if none exists."""
-    rows = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(A, b)]
-    if not rows:
-        return []
-    ncols = len(rows[0]) - 1
-    pivots = _elim(rows, ncols)
-    for i, row in enumerate(rows):
-        if row[-1] != 0 and all(x == 0 for x in row[:-1]):
-            return None
+    """One exact solution of A x = b (free variables 0), or None if none exists.
+
+    Rows of A are sequences, and the solution is a list, or they are
+    ``{column: value}`` dicts, and the solution is a dict of its nonzero
+    entries.
+    """
+    rows, ncols = _sparse_rows(A, b)
+    pivots = _rref(rows, ncols)
+    if any(ncols in row and len(row) == 1 for row in rows):
+        return None  # a row reads 0 = nonzero
+    if len(A) and isinstance(A[0], Mapping):
+        return {c: Fraction(row[ncols], row[c]) for row, c in pivots if ncols in row}
     x = [Fraction(0)] * ncols
-    for r, c in pivots:
-        x[c] = rows[r][-1]
+    for row, c in pivots:
+        x[c] = Fraction(row.get(ncols, 0), row[c])
     return x
 
 
 def exact_nullspace(A):
     """Basis of the kernel of A (rows = equations), as Fraction vectors."""
-    rows = [[Fraction(x) for x in row] for row in A]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = _elim(rows, ncols)
+    rows, ncols = _sparse_rows(A)
+    pivots = _rref(rows, ncols)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for free in range(ncols):
@@ -109,8 +170,8 @@ def exact_nullspace(A):
             continue
         v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
-        for r, c in pivots:
-            v[c] = -rows[r][free]
+        for row, c in pivots:
+            v[c] = -Fraction(row.get(free, 0), row[c])
         basis.append(v)
     return basis
 

@@ -10,8 +10,8 @@ it never claims non-membership at all degrees.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .expr import Expr, ZERO, poly_coeff_dict, poly_from_coeff_dict
@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 DEGREE_CAP = 12
+# Unknowns (generators x multiplier monomials) of one membership system.
+UNKNOWNS_CAP = 4_000
 
 
 class MembershipError(Exception):
@@ -111,46 +113,34 @@ def member_bounded(target, generators, degree, cap=DEGREE_CAP):
         zero_mults = tuple(ZERO for _ in gens)
         return MembershipCertificate(True, degree, zero_mults)
 
+    unknowns = len(gens) * math.comb(n + degree, degree)
+    if unknowns > UNKNOWNS_CAP:
+        raise MembershipError(
+            f"membership system has {unknowns} unknowns, more than {UNKNOWNS_CAP}"
+        )
     monos = _monomials_up_to(n, degree)
     unknown_index = {}
     for gi in range(len(gens)):
         for mono in monos:
             unknown_index[(gi, mono)] = len(unknown_index)
 
-    # rows: one equation per (component, monomial of the expanded products)
+    # one sparse equation {unknown: coefficient} per (component, monomial of
+    # the expanded products), with the target's coefficient on the right
     rows = {}
-
-    def row_for(comp, mono):
-        key = (comp, mono)
-        if key not in rows:
-            rows[key] = [Fraction(0)] * len(unknown_index)
-        return rows[key]
-
     for gi, g in enumerate(gens):
         for comp in range(ncomp):
-            gdict = poly_coeff_dict(g[comp], n)
-            for gmono, gc in gdict.items():
+            for gmono, gc in poly_coeff_dict(g[comp], n).items():
                 for mmono in monos:
                     prod = tuple(a + b for a, b in zip(gmono, mmono))
-                    row_for(comp, prod)[unknown_index[(gi, mmono)]] += gc
-
-    rhs_rows = []
-    matrix = []
-    for comp in range(ncomp):
-        tdict = poly_coeff_dict(tgt[comp], n)
-        seen = set(tdict)
-        for (c, mono), row in rows.items():
-            if c != comp:
-                continue
-            matrix.append(row)
-            rhs_rows.append(tdict.get(mono, Fraction(0)))
-            seen.discard(mono)
-        for mono in seen:
-            # target monomial never produced by any multiplier: unsatisfiable
-            matrix.append([Fraction(0)] * len(unknown_index))
-            rhs_rows.append(tdict[mono])
-
-    solution = exact_solve(matrix, rhs_rows)
+                    rows.setdefault((comp, prod), {})[unknown_index[(gi, mmono)]] = gc
+    target = {
+        (comp, mono): tc
+        for comp in range(ncomp)
+        for mono, tc in poly_coeff_dict(tgt[comp], n).items()
+    }
+    for key in target:
+        rows.setdefault(key, {})  # no multiplier produces it: 0 = coefficient
+    solution = exact_solve(list(rows.values()), [target.get(key, 0) for key in rows])
     if solution is None:
         return MembershipCertificate(False, degree)
 
@@ -159,7 +149,7 @@ def member_bounded(target, generators, degree, cap=DEGREE_CAP):
         coeffs = {
             mono: solution[unknown_index[(gi, mono)]]
             for mono in monos
-            if solution[unknown_index[(gi, mono)]] != 0
+            if unknown_index[(gi, mono)] in solution
         }
         multipliers.append(poly_from_coeff_dict(coeffs, n))
     cert = MembershipCertificate(True, degree, tuple(multipliers))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,8 @@ __all__ = [
     "FixedTimeReport",
     "ChowReport",
     "SteeringReport",
+    "SampledOrbit",
+    "sampled_orbit",
     "orbit_dimension",
     "fixed_time_dimension",
     "chow_verdict",
@@ -87,8 +89,9 @@ class OrbitTangentReport:
 
     @property
     def certified_exact(self):
-        n = len(self.point)
-        return self.dimension == n or self.dimension == self.linf_rank
+        # both the sampled dimension and linf_rank are lower bounds for a
+        # smooth family, so only a full dimension is a certificate
+        return self.dimension == len(self.point)
 
 
 def _collect_pushforwards(family, words, point):
@@ -115,9 +118,16 @@ def _collect_pushforwards(family, words, point):
     return vectors, used, skipped
 
 
-def _sampled_orbit(family, point, sampler, rank_tol):
-    """(rank, vectors, words used, words skipped) of the pushforwards that
-    the sampler's words give at the point."""
+class SampledOrbit(NamedTuple):
+    dimension: int  # rank of the vectors: a certified lower bound
+    vectors: list  # generator values at the point and their pushforwards
+    words_used: int
+    words_skipped: int
+
+
+def sampled_orbit(family, point, sampler, rank_tol=FLOW_REL_TOL):
+    """Sampled orbit dimension at the point, from the pushforwards that the
+    sampler's words give there; no bracket filtration is built."""
     if not any(X.domain.contains(point) for X in family):
         raise DomainExitError(f"no generator is defined at {point}")
     words = sampler.words(len(family))
@@ -127,16 +137,19 @@ def _sampled_orbit(family, point, sampler, rank_tol):
             f"all {len(words)} sampled words exited the domains "
             f"(used {used}, skipped {skipped})"
         )
-    return svd_rank(np.array(vectors, dtype=float), rank_tol), vectors, used, skipped
+    dim = svd_rank(np.array(vectors, dtype=float), rank_tol)
+    return SampledOrbit(dim, vectors, used, skipped)
 
 
 def orbit_dimension(family, point, sampler, depth_cap=6, rank_tol=FLOW_REL_TOL):
-    """Sampled orbit dimension at the point (a certified lower bound)."""
+    """Sampled orbit dimension at the point (a certified lower bound), with
+    the bracket-filtration rank there."""
     family = tuple(family)
-    dim, vectors, used, skipped = _sampled_orbit(family, point, sampler, rank_tol)
+    s = sampled_orbit(family, point, sampler, rank_tol)
     linf = filtration(family, depth_cap).rank_at(point)
     return OrbitTangentReport(
-        tuple(point), dim, tuple(vectors), linf, used, skipped, rank_tol
+        tuple(point), s.dimension, tuple(s.vectors), linf, s.words_used,
+        s.words_skipped, rank_tol,
     )
 
 
@@ -217,7 +230,7 @@ def fixed_time_dimension(
         if invariant is not None:
             inv_dev = max(inv_dev, abs(invariant.eval_float(landed) - inv_ref))
 
-    orbit_dim = _sampled_orbit(family, tuple(reached), sampler, rank_tol)[0]
+    orbit_dim = sampled_orbit(family, tuple(reached), sampler, rank_tol).dimension
     ideal = fixed_time_ideal_rank(family, tuple(reached), depth_cap)
     return FixedTimeReport(
         start=tuple(point),
@@ -261,7 +274,7 @@ def chow_verdict(family, samples, depth_cap=6, orbit_sampler=None):
     if orbit_sampler is not None:
         for p in failing:
             try:
-                dims.append(orbit_dimension(family, p, orbit_sampler, depth_cap).dimension)
+                dims.append(sampled_orbit(family, p, orbit_sampler).dimension)
             except FlowError:
                 dims.append(-1)
     note = f"not established at depth cap {depth_cap}"

@@ -22,7 +22,7 @@ from .fields import apply_word, lie_bracket
 from .frobenius import flow_box_chart, frobenius_verdict
 from .liealg import filtration, involutive
 from .membership import ideal_member_bounded, member_bounded
-from .orbits import WordSampler, chow_verdict, fixed_time_dimension, orbit_dimension, steer_linear
+from .orbits import WordSampler, chow_verdict, fixed_time_dimension, sampled_orbit, steer_linear
 from .systems import parse_system
 
 __all__ = ["Preset", "Fact", "FactResult", "PRESETS", "run_preset", "preset_names"]
@@ -113,7 +113,7 @@ _NINE_DIMS = (0, 1, 1, 1, 1, 2, 2, 2, 2)
 
 def _nine_orbit_dims(ctx):
     dims = tuple(
-        orbit_dimension(ctx.family, p, ctx.sampler(i)).dimension
+        sampled_orbit(ctx.family, p, ctx.sampler(i)).dimension
         for i, p in enumerate(_NINE_POINTS)
     )
     return _eq_result(_NINE_DIMS, dims)
@@ -249,7 +249,7 @@ def _flat_lie_ranks(ctx):
 
 def _flat_orbit_dims(ctx):
     got = tuple(
-        orbit_dimension(ctx.family, p, _flat_sampler(ctx, 10 + i)).dimension
+        sampled_orbit(ctx.family, p, _flat_sampler(ctx, 10 + i)).dimension
         for i, p in enumerate(_FLAT_POINTS)
     )
     return _eq_result((2, 2, 2), got)
@@ -474,8 +474,8 @@ field X2 = (0, 1) on x1 > -1
 
 
 def _half_plane_dims(ctx):
-    r_out = orbit_dimension(ctx.family, (2, 0), ctx.sampler(5))
-    r_in = orbit_dimension(ctx.family, (0, 0), ctx.sampler(6))
+    r_out = sampled_orbit(ctx.family, (2, 0), ctx.sampler(5))
+    r_in = sampled_orbit(ctx.family, (0, 0), ctx.sampler(6))
     ok = r_out.dimension == 1 and r_in.dimension == 2 and r_out.words_skipped > 0
     return _result(ok,
                    "orbit dimension 1 at (2,0) (with skipped words reported) "

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vfkit.linalg import (
     exact_nullspace,
@@ -85,3 +87,139 @@ def test_in_span():
     base = [(1, 0, 0), (0, Fraction(1, 10**12), 0)]
     assert not in_span(base, (0.0, 0.0, 1.0))
     assert in_span(base, (0, 0, 0))
+
+
+# -- parity with dense Gauss-Jordan ------------------------------------------------
+# The dense elimination that the sparse one replaced, kept as the oracle: the
+# reduced row echelon form is unique, so every result must match exactly.
+
+
+def _dense_elim(rows, ncols):
+    """Row-reduce in place; returns list of (pivot_row, pivot_col)."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def dense_pivot_columns(matrix):
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    return [c for _, c in _dense_elim(rows, len(rows[0]))]
+
+
+def dense_solve(A, b):
+    rows = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(A, b)]
+    ncols = len(rows[0]) - 1
+    pivots = _dense_elim(rows, ncols)
+    for row in rows:
+        if row[-1] != 0 and all(x == 0 for x in row[:-1]):
+            return None
+    x = [Fraction(0)] * ncols
+    for r, c in pivots:
+        x[c] = rows[r][-1]
+    return x
+
+
+def dense_nullspace(A):
+    rows = [[Fraction(x) for x in row] for row in A]
+    ncols = len(rows[0])
+    pivots = _dense_elim(rows, ncols)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, c in pivots:
+            v[c] = -rows[r][free]
+        basis.append(v)
+    return basis
+
+
+# zero half the time, so rows are sparse and ranks drop
+ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5)),
+)
+
+
+@st.composite
+def matrices(draw):
+    """Wide, tall and square rational matrices, with zero, repeated and
+    scaled rows mixed in."""
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(ENTRY, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "scaled"]))
+        src = rows[draw(st.integers(0, len(rows) - 1))]
+        k = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        extra = {"zero": [Fraction(0)] * ncols, "repeat": list(src),
+                 "scaled": [k * x for x in src]}[kind]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+@st.composite
+def systems(draw):
+    """A matrix and a right-hand side that is consistent (A x for a drawn x)
+    or arbitrary, which is inconsistent whenever it leaves the column space."""
+    A = draw(matrices())
+    if draw(st.booleans()):
+        x = draw(st.lists(ENTRY, min_size=len(A[0]), max_size=len(A[0])))
+        b = [sum(a * v for a, v in zip(row, x)) for row in A]
+    else:
+        b = draw(st.lists(ENTRY, min_size=len(A), max_size=len(A)))
+    return A, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rank_pivots_kernel_match_dense(A):
+    pivots = dense_pivot_columns(A)
+    assert exact_pivot_columns(A) == pivots
+    assert exact_rank(A) == len(pivots)
+    assert exact_nullspace(A) == dense_nullspace(A)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_solve_matches_dense(system):
+    A, b = system
+    want = dense_solve(A, b)
+    assert exact_solve(A, b) == want
+    # the same system as {column: value} rows gives the nonzero entries
+    sparse = [{c: x for c, x in enumerate(row) if x != 0} for row in A]
+    got = exact_solve(sparse, b)
+    if want is None:
+        assert got is None
+    else:
+        assert got == {c: x for c, x in enumerate(want) if x != 0}
+
+
+def test_solve_edge_shapes():
+    assert exact_solve([[0, 0], [0, 0]], [0, 0]) == [Fraction(0), Fraction(0)]
+    assert exact_solve([[0, 0]], [1]) is None
+    assert exact_solve([{}, {1: 2}], [0, 3]) == {1: Fraction(3, 2)}
+    assert exact_solve([{}, {1: 2}], [1, 3]) is None
+    assert exact_solve([], []) == []
+    assert exact_rank([]) == 0 and exact_nullspace([]) == []

@@ -6,7 +6,9 @@ import pytest
 from vfkit.expr import ZERO, const, parse, var
 from vfkit.fields import lie_bracket, multiply_field
 from vfkit.linalg import in_span
+from vfkit import membership
 from vfkit.membership import (
+    UNKNOWNS_CAP,
     MembershipError,
     ideal_member_bounded,
     member_bounded,
@@ -123,3 +125,37 @@ def test_rejects_flat_components(vf):
 def test_rejects_excessive_degree(vf):
     with pytest.raises(MembershipError):
         member_bounded(vf("t", ["x1"], 1), [vf("g", ["x1"], 1)], 13)
+
+
+def test_rejects_oversized_system_before_building_rows(vf, monkeypatch):
+    def enumerated(n, d):
+        raise AssertionError("monomials enumerated for an over-cap system")
+
+    monkeypatch.setattr(membership, "_monomials_up_to", enumerated)
+    x = ["x%d" % i for i in range(1, 11)]
+    # one generator in 10 variables at degree 12: C(22, 12) = 646646 unknowns
+    with pytest.raises(MembershipError, match="646646 unknowns"):
+        member_bounded(vf("t", [x[0]], 10), [vf("g", [x[9]], 10)], 12)
+    assert UNKNOWNS_CAP < 646646
+
+
+# Multiplier strings pinned exactly: the reduced row echelon form, with free
+# unknowns set to 0, fixes every coefficient.
+
+
+def test_mixed_pair_certificate_strings(mixed_pair, vf):
+    r2, q4 = "(x1^2+x2^2)", "(x1^4+x2^4)"
+    target = vf("t", [f"(1+x1-2*x2^2)*{r2}", f"(3*x1*x2-1)*{q4}"], 2)
+    cert = member_bounded(target, mixed_pair, 3)
+    assert [str(m) for m in cert.multipliers] == ["1 + x1 - 2*x2^2", "-1 + 3*x1*x2"]
+    # a redundant third generator: its multiplier is the free unknown set to 0
+    redundant = mixed_pair + [vf("X3", [f"x1*{r2}", "0"], 2)]
+    cert = member_bounded(vf("t", [f"x1^2*{r2}", f"x2*{q4}"], 2), redundant, 2)
+    assert [str(m) for m in cert.multipliers] == ["x1^2", "x2", "0"]
+
+
+def test_umbrella_certificate_string():
+    f = parse("x3*(x1^2+x2^2) - x2^3", 3)
+    m = parse("2 - x1*x3 + 3*x2^2", 3)
+    cert = ideal_member_bounded(m * f, [f], 8)
+    assert [str(c) for c in cert.multipliers] == ["2 - x1*x3 + 3*x2^2"]

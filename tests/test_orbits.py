@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vfkit import liealg, orbits
+from vfkit import frobenius, liealg, orbits
+from vfkit.distributions import Distribution
 from vfkit.expr import parse
 from vfkit.fields import DomainExitError, apply_word
 from vfkit.orbits import (
@@ -94,6 +95,16 @@ class TestOrbitDimension:
         with pytest.raises(DomainExitError):
             orbit_dimension(lonely, (1,), WordSampler(seed=1, count=10))
 
+    def test_certified_exact_only_at_full_dimension(self, flat):
+        # words of total time <= 3 never leave x1 <= 0, where bumpp(x1) and
+        # every bracket vanish: dimension 1 equals the Lie rank 1, yet longer
+        # words show the orbit is R^2
+        short = orbit_dimension(flat, (-3, 0), WordSampler(seed=0, count=200))
+        assert (short.dimension, short.linf_rank) == (1, 1)
+        assert not short.certified_exact
+        long = orbit_dimension(flat, (-3, 0), WordSampler(seed=0, count=200, max_time=2.0))
+        assert long.dimension == 2 and long.certified_exact
+
     def test_determinism_of_report(self, diag):
         a = orbit_dimension(diag, (1, 1), WordSampler(seed=11, count=50))
         b = orbit_dimension(diag, (1, 1), WordSampler(seed=11, count=50))
@@ -159,6 +170,30 @@ class TestFixedTime:
         assert rep.orbit_dimension_at_reached == 2
         assert len(calls) == 1
 
+    def test_sampled_dimension_callers_build_no_extra_filtration(self, flat, monkeypatch):
+        calls = []
+        original = liealg.filtration
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(liealg, "filtration", counted)
+        monkeypatch.setattr(orbits, "filtration", counted)
+        sampler = WordSampler(seed=1, count=30, max_len=4, max_time=1.0)
+        # the rank drops to 1 on x1 <= 0, so the verdict samples orbits there
+        grid = [(Fraction(i, 2), Fraction(j, 2)) for i in (-1, 0, 1) for j in (-1, 1)]
+        verdict = frobenius.frobenius_verdict(Distribution(tuple(flat)), grid,
+                                              orbit_sampler=sampler)
+        assert verdict.ranks == (1, 1, 1, 1, 2, 2)
+        chart = frobenius.flow_box_chart(Distribution(tuple(flat)), (-1, 0),
+                                         orbit_sampler=sampler)
+        assert chart.orbit_dimension == 2
+        assert calls == []
+        rep = orbits.chow_verdict(flat, [(-1, 0), (-2, 1), (1, 0)], 2, sampler)
+        assert len(rep.sampled_orbit_dims) == 2  # (-1, 0) and (-2, 1) fail
+        assert len(calls) == 1  # chow_verdict's own
+
 
 class TestChow:
     def test_shear_positive_at_depth_two(self, vf):
@@ -180,7 +215,7 @@ class TestChow:
             orbit_sampler=WordSampler(seed=13, count=400, max_len=8, max_time=1.5),
         )
         assert not rep.bracket_generating
-        assert rep.sampled_orbit_dims == (2, 2)
+        assert len(rep.sampled_orbit_dims) == 2  # (-1, 0) and (-2, 1) fail
         assert "one-sided" in rep.verdict  # never claims non-controllability
 
 
