@@ -48,7 +48,7 @@ cases = {
 boost = WordSampler(seed=11, count=400, max_len=8, max_time=1.5)
 for label, D in cases.items():
     samples = grid(D.dim)
-    verdict = frobenius_verdict(D, samples, depth_cap=8, orbit_sampler=boost)
+    verdict = frobenius_verdict(D, samples, orbit_sampler=boost)
     print(f"{label}:")
     print(f"  integrable: {verdict.integrable}")
     print(f"  {verdict.clause}")

@@ -191,7 +191,6 @@ def build_parser():
     p = sub.add_parser("frobenius", help="integrability verdict")
     _add_common(p)
     p.add_argument("--grid", default=None)
-    p.add_argument("--depth", type=int, default=6)
     p.add_argument("--module-degree", type=int, default=4)
     p.add_argument("--chart-point", default=None,
                    help="also attempt a flow-box chart at this point")
@@ -397,7 +396,7 @@ def _cmd_frobenius(args, seed):
         axes = {i + 1: vals for i in range(system.dim)}
     samples = grid_points(axes, system.dim)
     sampler = WordSampler(seed=seed, count=300, max_len=8, max_time=1.0)
-    v = frobenius_verdict(D, samples, args.depth, args.module_degree, sampler)
+    v = frobenius_verdict(D, samples, args.module_degree, sampler)
     results = {
         "integrable": v.integrable,
         "clause": v.clause,

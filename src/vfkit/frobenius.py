@@ -49,7 +49,6 @@ class FrobeniusVerdict:
 def frobenius_verdict(
     D: Distribution,
     samples,
-    depth_cap=6,
     module_degree=4,
     orbit_sampler: Optional[WordSampler] = None,
 ):

@@ -277,8 +277,7 @@ def _flat_involutive(ctx):
 def _flat_frobenius(ctx):
     d = Distribution(tuple(ctx.family))
     grid = [(Fraction(i, 2), Fraction(j, 2)) for i in range(-2, 3) for j in range(-2, 3)]
-    v = frobenius_verdict(d, grid, depth_cap=8,
-                          orbit_sampler=_flat_sampler(ctx, 30))
+    v = frobenius_verdict(d, grid, orbit_sampler=_flat_sampler(ctx, 30))
     ok = (
         v.integrable == "no"
         and v.involutive_pointwise
@@ -841,7 +840,7 @@ def _two_sided_ranks(ctx):
 def _two_sided_frobenius(ctx):
     d = Distribution(tuple(ctx.family))
     grid = [(Fraction(i, 2), Fraction(j, 2)) for i in range(-2, 3) for j in range(-2, 3)]
-    v = frobenius_verdict(d, grid, depth_cap=8,
+    v = frobenius_verdict(d, grid,
                           orbit_sampler=ctx.sampler(40, count=400, max_len=8, max_time=1.5))
     ok = v.integrable == "no" and v.involutive_pointwise
     return _result(ok, "involutive but not integrable",

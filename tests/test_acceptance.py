@@ -164,8 +164,7 @@ def test_criterion_5_flat_counterexample():
             assert orbit_dimension(FLAT, p, boost).dimension == 2
 
         grid = [(Fraction(i), Fraction(j)) for i in (-1, 0, 1) for j in (-1, 0, 1)]
-        v = frobenius_verdict(Distribution(tuple(FLAT)), grid, depth_cap=8,
-                              orbit_sampler=boost)
+        v = frobenius_verdict(Distribution(tuple(FLAT)), grid, orbit_sampler=boost)
         assert v.integrable == "no"
         assert v.involutive_pointwise
         assert (Fraction(0), Fraction(0)) in v.witnesses

@@ -68,7 +68,7 @@ class TestVerdicts:
         assert not v.rank_constant_sampled
 
     def test_flat_not_integrable_with_origin_witness(self, flat):
-        v = frobenius_verdict(flat, grid2(1), depth_cap=8, orbit_sampler=BOOST)
+        v = frobenius_verdict(flat, grid2(1), orbit_sampler=BOOST)
         assert v.integrable == "no"
         assert v.involutive_pointwise
         assert (Fraction(0), Fraction(0)) in v.witnesses
@@ -157,7 +157,7 @@ class TestCoherence:
              {"module_degree": 1,
               "orbit_sampler": WordSampler(seed=2, count=60, max_len=3, max_time=0.2)},
              [(0, 0), (1, 1)]),
-            (flat, grid2(1), {"depth_cap": 8, "orbit_sampler": BOOST},
+            (flat, grid2(1), {"orbit_sampler": BOOST},
              [(0, 0), (-1, 0), (1, 0)]),
             (diag, grid2(), {}, [(1, 1), (1, 0), (0, 0)]),
         ]

@@ -215,7 +215,7 @@ class TestChow:
             orbit_sampler=WordSampler(seed=13, count=400, max_len=8, max_time=1.5),
         )
         assert not rep.bracket_generating
-        assert len(rep.sampled_orbit_dims) == 2  # (-1, 0) and (-2, 1) fail
+        assert rep.sampled_orbit_dims == (2, 2)
         assert "one-sided" in rep.verdict  # never claims non-controllability
 
 
