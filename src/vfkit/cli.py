@@ -33,6 +33,7 @@ from .orbits import WordSampler, fixed_time_dimension, orbit_dimension
 from .presets import PRESETS, run_preset
 from .systems import (
     SystemParseError,
+    UsageError,
     parse_grid,
     parse_point,
     parse_system,
@@ -45,9 +46,11 @@ EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_FACTS = 4
 
-
-class UsageError(Exception):
-    pass
+# Largest --words and --max-len that orbit accepts (the defaults are 200
+# and 6; no test, demo, preset or benchmark samples more than 400 words or
+# words longer than 8).
+WORDS_CAP = 5_000
+MAX_LEN_CAP = 32
 
 
 def _jsonable(x):
@@ -349,6 +352,10 @@ def _cmd_member(args, seed):
 
 
 def _cmd_orbit(args, seed):
+    for flag, value, cap in (("--words", args.words, WORDS_CAP),
+                             ("--max-len", args.max_len, MAX_LEN_CAP)):
+        if not 1 <= value <= cap:
+            raise UsageError(f"{flag} must lie in [1, {cap}], got {value}")
     system = _load_system(args.system)
     p = parse_point(args.point, system.dim)
     sampler = WordSampler(seed=seed, max_len=args.max_len,

@@ -16,6 +16,12 @@ Negative powers of a variable are legitimate only as companions of a
 bump/bumpp factor in the same argument (that is how differentiation closes
 over the flat functions); such a product extends by zero at the argument's
 zero and floating evaluation honours that.
+
+Float evaluation has one implementation, ``compile_float``, which turns an
+expression once into a function of a list of floats (log-space terms, the
+same float operations in the same order at every call).
+``Expr.eval_float`` compiles and calls; the flows in ``fields`` keep the
+compiled functions.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from typing import Optional, Union
 __all__ = [
     "Expr",
     "ExprError",
+    "compile_float",
     "ParseError",
     "EvalError",
     "const",
@@ -354,11 +361,7 @@ class Expr:
         return total
 
     def eval_float(self, point):
-        pt = [float(v) for v in point]
-        total = 0.0
-        for c, factors in self.terms:
-            total += _term_eval_float(c, factors, pt)
-        return total
+        return compile_float(self)([float(v) for v in point])
 
     # -- printing ---------------------------------------------------------------------
 
@@ -406,64 +409,97 @@ def _atom_power_diff(atom, k, i):
     raise ExprError(f"unknown atom kind {atom.kind}")
 
 
-def _term_eval_float(coeff, factors, pt):
-    """One term in log-space so monomial*bump products cannot overflow."""
+# -- float evaluation ----------------------------------------------------------------
+
+
+def compile_float(e):
+    """e as a function of a list of floats (x_i at index i-1).
+
+    Each term is sign * exp(log|c| + sum k*log|v|), in log-space so that
+    monomial*bump products cannot overflow; an overflowing term is +-inf.
+    A bump or bumpp factor within ``FLAT_EVAL_EPS`` of its extension set
+    pins its term to 0, and then only a pole that no flat factor of the
+    same argument cancels raises EvalError.  Everything that does not depend
+    on the point is resolved here, once, and the function performs the same
+    float operations in the same order at every call.
+    """
+    terms = tuple(_compile_term(c, factors) for c, factors in e.terms)
+
+    def evaluate(pt):
+        total = 0.0
+        for term in terms:
+            total += term(pt)
+        return total
+
+    return evaluate
+
+
+_VAR, _EXP, _FLAT, _INV = range(4)
+_CODES = {"var": _VAR, "exp": _EXP, "bump": _FLAT, "bumpp": _FLAT, "invbase": _INV}
+
+
+def _compile_term(coeff, factors):
     if not factors:
-        return float(coeff)
-    flat_zero_args = []
-    for atom, k in factors:
-        if atom.kind in ("bump", "bumpp") and k > 0:
-            u = atom.arg.eval_float(pt)
-            if atom.kind == "bump" and abs(u) < FLAT_EVAL_EPS:
-                flat_zero_args.append(atom.arg)
-            elif atom.kind == "bumpp" and u < FLAT_EVAL_EPS:
-                flat_zero_args.append(atom.arg)
-    if flat_zero_args:
-        # the flat factor pins the term to 0; only an unrelated pole objects
-        for atom, k in factors:
-            if atom.kind == "var" and k < 0:
-                if abs(pt[atom.index - 1]) < FLAT_EVAL_EPS and not any(
-                    a == var(atom.index) for a in flat_zero_args
-                ):
+        value = float(coeff)
+        return lambda pt: value
+    sign0 = 1.0 if coeff > 0 else -1.0
+    log_c = math.log(abs(float(coeff)))
+    # (code, index of x_i or compiled argument, k, k odd)
+    steps = tuple(
+        (_CODES[a.kind], a.index - 1 if a.kind == "var" else compile_float(a.arg),
+         k, k % 2 == 1)
+        for a, k in factors
+    )
+    # bump^k and bumpp^k with k > 0: (distance of u to the extension set up
+    # to sign, abs for bump and u itself for bumpp; compiled u; u)
+    flats = [
+        (abs if a.kind == "bump" else float, at, a.arg)
+        for (a, k), (code, at, _, _) in zip(factors, steps)
+        if code == _FLAT and k > 0
+    ]
+    # the poles x_i^k (k < 0) and inverse bases, each with the flat factors
+    # of the same argument, which cancel it: (is x_i, index or argument, j's)
+    poles = tuple(
+        (code == _VAR, at, tuple(j for j, f in enumerate(flats) if f[2] == base))
+        for (a, k), (code, at, _, _) in zip(factors, steps)
+        if (code == _VAR and k < 0) or code == _INV
+        for base in [var(a.index) if code == _VAR else a.arg]
+    )
+    flats = tuple((dist, at) for dist, at, _ in flats)
+
+    def term(pt):
+        pinned = flats and [
+            j for j, (dist, at) in enumerate(flats) if dist(at(pt)) < FLAT_EVAL_EPS
+        ]
+        if pinned:  # a flat factor pins the term to 0
+            for is_var, at, cancels in poles:
+                v = pt[at] if is_var else at(pt)
+                if abs(v) < FLAT_EVAL_EPS and not any(j in pinned for j in cancels):
                     raise EvalError("division by zero at a pole")
-            if atom.kind == "invbase":
-                if abs(atom.arg.eval_float(pt)) < FLAT_EVAL_EPS and not any(
-                    a == atom.arg for a in flat_zero_args
-                ):
+            return 0.0
+        sign = sign0
+        logmag = log_c
+        for code, at, k, odd in steps:
+            if code == _VAR or code == _INV:
+                v = pt[at] if code == _VAR else at(pt)
+                if v == 0.0:
+                    if k > 0:
+                        return 0.0
                     raise EvalError("division by zero at a pole")
-        return 0.0
-    sign = 1.0 if coeff > 0 else -1.0
-    logmag = math.log(abs(float(coeff)))
-    for atom, k in factors:
-        if atom.kind == "var":
-            v = pt[atom.index - 1]
-            if v == 0.0:
-                if k > 0:
-                    return 0.0
-                raise EvalError("division by zero at a pole")
-            if v < 0 and k % 2:
-                sign = -sign
-            logmag += k * math.log(abs(v))
-        elif atom.kind == "exp":
-            logmag += k * atom.arg.eval_float(pt)
-        elif atom.kind in ("bump", "bumpp"):
-            u = atom.arg.eval_float(pt)
-            logmag += k * (-1.0 / (u * u))
-        elif atom.kind == "invbase":
-            v = atom.arg.eval_float(pt)
-            if v == 0.0:
-                if k > 0:
-                    return 0.0
-                raise EvalError("division by zero at a pole")
-            if v < 0 and k % 2:
-                sign = -sign
-            logmag += k * math.log(abs(v))
-        else:
-            raise ExprError(f"unknown atom kind {atom.kind}")
-    try:
-        return sign * math.exp(logmag)
-    except OverflowError:
-        return sign * math.inf
+                if v < 0 and odd:
+                    sign = -sign
+                logmag += k * math.log(abs(v))
+            elif code == _EXP:
+                logmag += k * at(pt)
+            else:
+                u = at(pt)
+                logmag += k * (-1.0 / (u * u))
+        try:
+            return sign * math.exp(logmag)
+        except OverflowError:
+            return sign * math.inf
+
+    return term
 
 
 def _term_str(coeff, factors):

@@ -17,6 +17,10 @@ columns of an n x k matrix V, are transported in that single walk.  A
 k-column variational solve scales rtol and atol by sqrt(2 / (k + 1)), so
 each component keeps the error bound of a one-column solve.
 
+A field's flow kind is detected once, and its value and Jacobian are
+compiled once (``expr.compile_float``, same log-space semantics) in the
+same ``_flow_kind`` entry; flow steps and ODE right-hand sides call them.
+
 The relative tolerance ``DEFAULT_RTOL`` and the bounding box ``DEFAULT_BOX``
 (every coordinate stays within 1e6 in absolute value) are module constants,
 not per-call options.  Words are walked step by step in one place, which
@@ -28,13 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .expr import Expr, ZERO, const, poly_coeff_dict
+from .expr import Expr, ZERO, compile_float, const, poly_coeff_dict
 
 __all__ = [
     "DomainPredicate",
@@ -140,7 +144,7 @@ class VectorField:
         return [float(v) for v in vals]
 
     def value_float(self, point):
-        return np.array([c.eval_float(point) for c in self.components], dtype=float)
+        return _flow_kind(self).value(point)
 
     def is_zero(self):
         return all(c.is_zero() for c in self.components)
@@ -233,25 +237,46 @@ def jacobian_exprs(X):
     )
 
 
-def _jacobian_at(X, point):
-    J = jacobian_exprs(X)
-    return np.array([[e.eval_float(point) for e in row] for row in J], dtype=float)
+class _Flow(NamedTuple):
+    kind: str  # "straight" | "affine" | "ode"
+    value: Callable  # point -> X(point), a float vector
+    jacobian: Callable  # point -> DX(point), a float n x n matrix
+    eye: np.ndarray  # n x n identity, for the straight step's Jacobian
+    M: Optional[np.ndarray] = None  # affine x' = Ax + b: [[A, b], [0, 0]]
+    diagonal: bool = False  # affine: whether A is diagonal
+
+
+def _floats(point):
+    if isinstance(point, np.ndarray) and point.dtype == float:
+        return point.tolist()
+    return [float(v) for v in point]
 
 
 @lru_cache(maxsize=None)
 def _flow_kind(X):
-    """("straight",), ("affine", M, diagonal) or ("ode",).
-
-    M is the float (n+1) x (n+1) augmented matrix [[A, b], [0, 0]] of an
-    affine field x' = A x + b; diagonal says whether A is."""
+    """X's flow kind, detected symbolically, and X's value and Jacobian
+    compiled once into functions that convert the point to floats once."""
     J = jacobian_exprs(X)
     n = X.dim
+    comps = tuple(compile_float(c) for c in X.components)
+    rows = tuple(tuple(compile_float(e) for e in row) for row in J)
+
+    def value(point):
+        pt = _floats(point)
+        return np.array([f(pt) for f in comps], dtype=float)
+
+    def jacobian(point):
+        pt = _floats(point)
+        return np.array([[f(pt) for f in row] for row in rows], dtype=float)
+
+    eye = np.eye(n)
+    eye.flags.writeable = False
     # straight lines: the field is constant along its own integral curves
     if all(
         sum((X.components[j] * J[i][j] for j in range(n)), ZERO).is_zero()
         for i in range(n)
     ):
-        return ("straight",)
+        return _Flow("straight", value, jacobian, eye)
     if all(c.is_polynomial() and c.total_degree() <= 1 for c in X.components):
         A = [[Fraction(0)] * n for _ in range(n)]
         b = [Fraction(0)] * n
@@ -268,8 +293,8 @@ def _flow_kind(X):
         M[:n, n] = np.array(b, dtype=float)
         M.flags.writeable = False
         diagonal = all(A[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-        return ("affine", M, diagonal)
-    return ("ode",)
+        return _Flow("affine", value, jacobian, eye, M, diagonal)
+    return _Flow("ode", value, jacobian, eye)
 
 
 def _affine_maps(M, t):
@@ -284,7 +309,7 @@ def _check_domain_endpoint(X, s, point):
 
 
 def _check_box(p):
-    if np.max(np.abs(p)) > DEFAULT_BOX:
+    if np.abs(p).max() > DEFAULT_BOX:
         raise IntegrationError("trajectory escaped the bounding box")
 
 
@@ -297,17 +322,16 @@ def _flow_step(X, t, p, v=None):
     if t == 0.0:
         return (p.copy(), None if v is None else np.array(v, dtype=float))
     kind = _flow_kind(X)
-    if kind[0] == "straight":
-        direction = X.value_float(p)
-        end = p + t * direction
+    if kind.kind == "straight":
+        end = p + t * kind.value(p)
         _check_domain_endpoint(X, t, end)
         _check_box(end)
         if v is None:
             return end, None
-        J = np.eye(X.dim) + t * _jacobian_at(X, p)
+        J = kind.eye + t * kind.jacobian(p)
         return end, J @ np.asarray(v, dtype=float)
-    if kind[0] == "affine":
-        _, M, diagonal = kind
+    if kind.kind == "affine":
+        M, diagonal = kind.M, kind.diagonal
         E, c = _affine_maps(M, t)
         end = E @ p + c
         if not X.domain.is_full:
@@ -322,14 +346,15 @@ def _flow_step(X, t, p, v=None):
         if v is None:
             return end, None
         return end, E @ np.asarray(v, dtype=float)
-    return _flow_step_ode(X, t, p, v)
+    return _flow_step_ode(X, kind, t, p, v)
 
 
 MAX_RHS_EVALS = 50_000
 
 
-def _flow_step_ode(X, t, p, v):
+def _flow_step_ode(X, kind, t, p, v):
     n = X.dim
+    value, jacobian = kind.value, kind.jacobian
     transport = v is not None
     rtol, atol = DEFAULT_RTOL, 1e-12
     if transport:
@@ -348,9 +373,9 @@ def _flow_step_ode(X, t, p, v):
             )
         x = y[:n]
         out = np.empty_like(y)
-        out[:n] = X.value_float(x)
+        out[:n] = value(x)
         if transport:
-            out[n:] = (_jacobian_at(X, x) @ y[n:].reshape(v.shape)).ravel()
+            out[n:] = (jacobian(x) @ y[n:].reshape(v.shape)).ravel()
         return out
 
     def domain_event(index, bound):

@@ -22,7 +22,6 @@ import numpy as np
 from .distributions import Distribution, rank_at
 from .fields import FlowError, apply_word, pushforward_along_word
 from .liealg import involutive
-from .membership import MembershipError
 from .orbits import WordSampler, sampled_orbit
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 
@@ -75,10 +74,7 @@ def frobenius_verdict(
     open_question = not failing and not rank_constant
     module_ok: Optional[bool] = None
     if open_question and D.is_polynomial():
-        try:
-            module_ok = bool(involutive(family, "module", degree=module_degree))
-        except MembershipError:
-            module_ok = None
+        module_ok = bool(involutive(family, "module", degree=module_degree))
     witnesses = list(failing)
     if open_question and not module_ok:
         sampler = orbit_sampler or ORBIT_SAMPLER

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from .expr import Expr
 from .fields import VectorField, lie_bracket
 from .linalg import in_span, span_rank
-from .membership import MembershipError, member_bounded
+from .membership import member_bounded
 
 __all__ = [
     "BracketWord",
@@ -104,7 +104,8 @@ def filtration(
 ):
     """Generate bracket words up to the cap; rank samples; try to certify
     stabilization for polynomial families (module_degree controls the
-    multiplier degree bound, default 6)."""
+    multiplier degree bound, default 6).  A membership system outside the
+    caps of ``member_bounded`` raises its MembershipError."""
     family = tuple(family)
     if depth_cap < 1 or depth_cap > DEPTH_CAP_LIMIT:
         raise LieAlgebraError(f"depth cap must lie in [1, {DEPTH_CAP_LIMIT}]")
@@ -149,14 +150,9 @@ def filtration(
         for depth in range(1, depth_cap):
             basis = [f for lv in kept[:depth] for f in lv]
             nxt = kept[depth]
-            try:
-                if all(
-                    member_bounded(f, basis, module_degree).member for f in nxt
-                ):
-                    stabilized_at = depth
-                    certificate = f"module-degree-{module_degree}"
-                    break
-            except MembershipError:
+            if all(member_bounded(f, basis, module_degree).member for f in nxt):
+                stabilized_at = depth
+                certificate = f"module-degree-{module_degree}"
                 break
 
     sample_ranks = {}

@@ -10,6 +10,7 @@ Blank lines and lines starting with '#' are ignored.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,11 +22,22 @@ from .fields import DomainPredicate, VectorField
 __all__ = [
     "System",
     "SystemParseError",
+    "UsageError",
+    "GRID_POINTS_CAP",
     "parse_system",
     "parse_point",
     "parse_grid",
     "parse_target",
 ]
+
+
+# Most points a grid spec may describe (the largest grid in the tests,
+# demos and benchmark has 81).
+GRID_POINTS_CAP = 10_000
+
+
+class UsageError(Exception):
+    """A well-formed input outside the range the CLI accepts."""
 
 
 class SystemParseError(Exception):
@@ -171,8 +183,11 @@ _GRID_AXIS = re.compile(r"^x(\d+)=(-?[\d./]+):(-?[\d./]+):(-?[\d./]+)$")
 
 
 def parse_grid(spec, dim):
-    """Parse 'x1=-1:1:0.25,x2=-1:1:0.25' into {index: [values]} (exact)."""
-    axes: Dict[int, List[Fraction]] = {}
+    """Parse 'x1=-1:1:0.25,x2=-1:1:0.25' into {index: [values]} (exact).
+
+    The points are counted before any is built: a grid of more than
+    ``GRID_POINTS_CAP`` points is a UsageError."""
+    axes: Dict[int, Tuple[Fraction, Fraction, int]] = {}
     for piece in spec.split(","):
         m = _GRID_AXIS.match(piece.strip())
         if not m:
@@ -183,13 +198,14 @@ def parse_grid(spec, dim):
         lo, hi, step = (_parse_rat(m.group(k)) for k in (2, 3, 4))
         if step <= 0:
             raise SystemParseError("grid step must be positive")
-        vals = []
-        v = lo
-        while v <= hi:
-            vals.append(v)
-            v += step
-        axes[idx] = vals
-    return axes
+        axes[idx] = (lo, step, max(0, (hi - lo) // step + 1))
+    points = math.prod(count for _, _, count in axes.values())
+    if points > GRID_POINTS_CAP:
+        raise UsageError(f"grid has {points} points, more than {GRID_POINTS_CAP}")
+    return {
+        idx: [lo + k * step for k in range(count)]
+        for idx, (lo, step, count) in axes.items()
+    }
 
 
 def _parse_rat(text):

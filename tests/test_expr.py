@@ -1,20 +1,24 @@
 import math
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vfkit.expr import (
+    FLAT_EVAL_EPS,
     EvalError,
     ExprError,
     ParseError,
     bump,
     bumpp,
+    compile_float,
     const,
     exp_of,
     parse,
     var,
 )
+from vfkit.fields import VectorField, _flow_kind, jacobian_exprs
 
 N = 3
 
@@ -194,3 +198,174 @@ class TestEval:
 
     def test_bump_small_argument_threshold(self):
         assert parse("bump(x1)", 1).eval_float((1e-13,)) == 0.0
+
+
+# -- the compiled evaluator against a tree-walking oracle -------------------------------
+
+
+def walk_eval_float(e, pt):
+    """Reference float evaluation: walks the term tree at every call."""
+    total = 0.0
+    for c, factors in e.terms:
+        total += _term_eval_float(c, factors, pt)
+    return total
+
+
+def _term_eval_float(coeff, factors, pt):
+    """One term in log-space so monomial*bump products cannot overflow."""
+    if not factors:
+        return float(coeff)
+    flat_zero_args = []
+    for atom, k in factors:
+        if atom.kind in ("bump", "bumpp") and k > 0:
+            u = walk_eval_float(atom.arg, pt)
+            if atom.kind == "bump" and abs(u) < FLAT_EVAL_EPS:
+                flat_zero_args.append(atom.arg)
+            elif atom.kind == "bumpp" and u < FLAT_EVAL_EPS:
+                flat_zero_args.append(atom.arg)
+    if flat_zero_args:
+        # the flat factor pins the term to 0; only an unrelated pole objects
+        for atom, k in factors:
+            if atom.kind == "var" and k < 0:
+                if abs(pt[atom.index - 1]) < FLAT_EVAL_EPS and not any(
+                    a == var(atom.index) for a in flat_zero_args
+                ):
+                    raise EvalError("division by zero at a pole")
+            if atom.kind == "invbase":
+                if abs(walk_eval_float(atom.arg, pt)) < FLAT_EVAL_EPS and not any(
+                    a == atom.arg for a in flat_zero_args
+                ):
+                    raise EvalError("division by zero at a pole")
+        return 0.0
+    sign = 1.0 if coeff > 0 else -1.0
+    logmag = math.log(abs(float(coeff)))
+    for atom, k in factors:
+        if atom.kind == "var":
+            v = pt[atom.index - 1]
+            if v == 0.0:
+                if k > 0:
+                    return 0.0
+                raise EvalError("division by zero at a pole")
+            if v < 0 and k % 2:
+                sign = -sign
+            logmag += k * math.log(abs(v))
+        elif atom.kind == "exp":
+            logmag += k * walk_eval_float(atom.arg, pt)
+        elif atom.kind in ("bump", "bumpp"):
+            u = walk_eval_float(atom.arg, pt)
+            logmag += k * (-1.0 / (u * u))
+        elif atom.kind == "invbase":
+            v = walk_eval_float(atom.arg, pt)
+            if v == 0.0:
+                if k > 0:
+                    return 0.0
+                raise EvalError("division by zero at a pole")
+            if v < 0 and k % 2:
+                sign = -sign
+            logmag += k * math.log(abs(v))
+        else:
+            raise ExprError(f"unknown atom kind {atom.kind}")
+    try:
+        return sign * math.exp(logmag)
+    except OverflowError:
+        return sign * math.inf
+
+
+def outcome(evaluate, *args):
+    """The bits of a float result, or the type and message of the error."""
+    try:
+        return ("value", struct.pack("<d", evaluate(*args)))
+    except Exception as err:  # the oracle's errors are part of its answer
+        return ("error", type(err).__name__, str(err))
+
+
+def _power(e, k):
+    try:
+        return e.int_pow(k)
+    except ExprError:  # 0^k with k <= 0
+        return e
+
+
+def grammar_exprs(nvars=2, depth=2):
+    """Expressions over the whole grammar: sums of products of powers of
+    either sign of variables, exp, bump, bumpp and sums (a negative power
+    of a sum is an inverse base), nested ``depth`` deep."""
+    coeff = st.sampled_from([1, -1, Fraction(3, 2), Fraction(-2, 7), 400]).map(const)
+    if depth == 0:
+        return coeff
+    xs = [var(i) for i in range(1, nvars + 1)]
+    simple = st.sampled_from(xs + [xs[0] - xs[-1], xs[0] * xs[-1] + 1])
+    args = st.one_of(simple, grammar_exprs(nvars, depth - 1))
+    base = st.one_of(
+        st.sampled_from(xs),
+        args.map(exp_of),
+        args.map(bump),
+        args.map(bumpp),
+        st.tuples(args, args).map(lambda p: p[0] + p[1]),
+    )
+    factor = st.tuples(base, st.integers(-3, 3)).map(lambda p: _power(*p))
+    term = st.tuples(coeff, st.lists(factor, max_size=3)).map(
+        lambda p: math.prod(p[1], start=p[0])
+    )
+    return st.lists(term, min_size=1, max_size=3).map(lambda ts: sum(ts, const(0)))
+
+
+_NEAR_EPS = [
+    FLAT_EVAL_EPS,
+    -FLAT_EVAL_EPS,
+    math.nextafter(FLAT_EVAL_EPS, 0.0),
+    math.nextafter(FLAT_EVAL_EPS, 1.0),
+    -math.nextafter(FLAT_EVAL_EPS, 0.0),
+]
+coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-13, -1e-170, 750.0, -750.0] + _NEAR_EPS),
+    st.floats(-3.0, 3.0),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(grammar_exprs(), st.lists(coordinates, min_size=2, max_size=2))
+def test_compiled_eval_matches_tree_walk_bit_for_bit(e, pt):
+    want = outcome(walk_eval_float, e, pt)
+    assert outcome(compile_float(e), pt) == want
+    assert outcome(e.eval_float, tuple(pt)) == want
+
+
+def test_parity_cases_cover_the_grammar():
+    # each branch of the oracle, with the outcome it must give
+    cases = [
+        ("x1^-3*bumpp(x1)", [0.0, 1.0], 0.0),  # flat factor cancels its pole
+        ("x2^-1*bump(x1)", [0.0, 0.0], EvalError),  # unrelated pole
+        ("(x1+x2)^-2*bump(x1+x2)", [1.0, -1.0], 0.0),  # cancelled inverse base
+        ("(x1+x2)^-1*bump(x1)", [1.0, -1.0], EvalError),  # inverse base pole
+        ("x1^-1", [0.0, 1.0], EvalError),
+        ("x1^3*x2^-1", [0.0, 0.0], 0.0),  # a zero factor first returns 0
+        ("exp(x1^2)", [750.0, 0.0], math.inf),  # overflow
+        ("-exp(x1^2)", [750.0, 0.0], -math.inf),
+        ("bump(x1)^-1", [0.0, 0.0], ZeroDivisionError),
+        ("bump(x1)", [math.nextafter(FLAT_EVAL_EPS, 1.0), 0.0], 0.0),  # underflow
+    ]
+    for text, pt, want in cases:
+        e = parse(text, 2)
+        got = outcome(compile_float(e), pt)
+        assert got == outcome(walk_eval_float, e, pt), text
+        if isinstance(want, float):
+            assert got == ("value", struct.pack("<d", want)), text
+        else:
+            assert got[:2] == ("error", want.__name__), text
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(grammar_exprs(depth=1), grammar_exprs(depth=1),
+       st.lists(coordinates, min_size=2, max_size=2))
+def test_field_value_and_jacobian_match_tree_walk(e1, e2, pt):
+    X = VectorField("X", (e1, e2))
+    entries = [e for row in jacobian_exprs(X) for e in row]  # row-major
+    for compiled, exprs in ((X.value_float, X.components),
+                            (_flow_kind(X).jacobian, entries)):
+        want = [outcome(walk_eval_float, e, pt) for e in exprs]
+        errors = [w for w in want if w[0] == "error"]
+        if errors:  # the first failing entry raises
+            assert outcome(compiled, pt) == errors[0]
+        else:
+            assert [outcome(float, v) for v in compiled(pt).ravel()] == want

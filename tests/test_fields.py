@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from vfkit import fields
-from vfkit.expr import const, parse, var
+from vfkit.expr import Expr, const, parse, var
 from vfkit.fields import (
     DomainExitError,
     FlowError,
@@ -312,3 +312,30 @@ class TestBatchedTransport:
         assert isinstance(v, np.ndarray) and v.shape == (2,)
         batch = pushforward_along_word(family, [(1, 0.2)], family[:1], (0.3, 0.7))
         assert isinstance(batch, list) and len(batch) == 1
+
+
+class TestCompiledEvaluation:
+    def test_each_field_compiled_once_per_cache_lifetime(self, vf, monkeypatch):
+        family = [vf(f"X{j + 1}", c, 2) for j, c in enumerate(CUBIC_PAIR)]
+        fields._flow_kind.cache_clear()
+        fields.jacobian_exprs.cache_clear()
+        compiled = []
+        real = fields.compile_float
+        monkeypatch.setattr(
+            fields, "compile_float", lambda e: compiled.append(e) or real(e)
+        )
+        walked = []
+        real_eval = Expr.eval_float
+        monkeypatch.setattr(
+            Expr, "eval_float", lambda *a: walked.append(1) or real_eval(*a)
+        )
+        once = sum(X.dim + X.dim**2 for X in family)  # value and Jacobian
+        word = [(0, 0.1), (1, 0.1), (0, -0.05)]
+        for _ in range(100):
+            pushforward_along_word(family, word, family, (0.3, 0.7))
+        assert len(compiled) == once
+        assert not walked  # flow steps never evaluate an Expr directly
+        fields._flow_kind.cache_clear()
+        fields.jacobian_exprs.cache_clear()
+        pushforward_along_word(family, word, family, (0.3, 0.7))
+        assert len(compiled) == 2 * once

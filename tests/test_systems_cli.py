@@ -6,10 +6,13 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from vfkit.cli import main
+from vfkit import membership
+from vfkit.cli import MAX_LEN_CAP, WORDS_CAP, main
 from vfkit.linalg import FLOW_REL_TOL, VALUE_REL_TOL
 from vfkit.systems import (
+    GRID_POINTS_CAP,
     SystemParseError,
+    UsageError,
     parse_grid,
     parse_point,
     parse_system,
@@ -39,6 +42,12 @@ ISOLATED = """\
 system isolated dim 3
 field X1 = (x1*x3, 1, 0)
 field X2 = (0, 0, 1)
+"""
+
+VANISHING = """\
+system vanishing-pair dim 2
+field X1 = (x1^2+x2^2, 0)
+field X2 = (0, x1^2+x2^2)
 """
 
 
@@ -90,6 +99,15 @@ class TestSystemFormat:
         assert axes[1] == [Fraction(-1), Fraction(-1, 2), 0, Fraction(1, 2), 1]
         assert axes[2] == [0, 1]
 
+    def test_parse_grid_caps_the_point_count(self):
+        assert GRID_POINTS_CAP == 10_000
+        axes = parse_grid("x1=0:99:1,x2=0:99:1", 2)  # exactly at the cap
+        assert len(axes[1]) * len(axes[2]) == GRID_POINTS_CAP
+        with pytest.raises(UsageError, match="grid has 1000001 points"):
+            parse_grid("x1=0:1000:1/1000", 2)
+        with pytest.raises(UsageError, match="grid has 10100 points"):
+            parse_grid("x1=0:99:1,x2=0:100:1", 2)
+
 
 @pytest.fixture
 def shear_file(tmp_path):
@@ -102,6 +120,13 @@ def shear_file(tmp_path):
 def isolated_file(tmp_path):
     path = tmp_path / "isolated.vf"
     path.write_text(ISOLATED)
+    return str(path)
+
+
+@pytest.fixture
+def vanishing_file(tmp_path):
+    path = tmp_path / "vanishing.vf"
+    path.write_text(VANISHING)
     return str(path)
 
 
@@ -197,6 +222,46 @@ class TestCli:
         assert code == 0
         payload = json.loads(out)
         assert payload["results"]["integrable"] == "no"
+
+    def test_module_degree_cap_reaches_lie(self, capsys, vanishing_file):
+        def lie(degree):
+            return run_cli(capsys, "lie", "--system", vanishing_file, "--point",
+                           "1/2,3/4", "--module-degree", degree, "--format", "json")
+
+        code, out = lie("4")
+        assert code == 0
+        assert json.loads(out)["results"]["certificate"] == "module-degree-4"
+        code, out = lie("13")
+        assert code == 3
+        assert json.loads(out)["error"] == "degree bound 13 outside [0, 12]"
+
+    def test_module_degree_cap_reaches_frobenius(self, capsys, vanishing_file):
+        code, out = run_cli(capsys, "frobenius", "--system", vanishing_file,
+                            "--module-degree", "13", "--format", "json")
+        assert code == 3
+        assert json.loads(out)["error"] == "degree bound 13 outside [0, 12]"
+
+    def test_unknowns_cap_reaches_lie(self, capsys, vanishing_file, monkeypatch):
+        monkeypatch.setattr(membership, "UNKNOWNS_CAP", 10)
+        code, out = run_cli(capsys, "lie", "--system", vanishing_file, "--point",
+                            "1/2,3/4", "--module-degree", "4", "--format", "json")
+        assert code == 3
+        assert "unknowns, more than 10" in json.loads(out)["error"]
+
+    def test_grid_cap_is_a_usage_error(self, capsys, shear_file):
+        code, out = run_cli(capsys, "rank", "--system", shear_file, "--grid",
+                            "x1=0:1000:1/1000", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["status"] == "usage-error"
+
+    @pytest.mark.parametrize("flag,cap", [("--words", WORDS_CAP), ("--max-len", MAX_LEN_CAP)])
+    def test_orbit_word_caps_are_usage_errors(self, capsys, shear_file, flag, cap):
+        assert (WORDS_CAP, MAX_LEN_CAP) == (5_000, 32)
+        for bad in ("0", "-1", str(cap + 1)):
+            code, out = run_cli(capsys, "orbit", "--system", shear_file, "--point",
+                                "1,1", flag, bad, "--format", "json")
+            assert code == 1
+            assert json.loads(out)["error"] == f"{flag} must lie in [1, {cap}], got {bad}"
 
     def test_examples_list(self, capsys):
         code, out = run_cli(capsys, "examples", "--list", "--format", "json")
