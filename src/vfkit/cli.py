@@ -25,8 +25,14 @@ from .distributions import (
 )
 from .expr import ExprError
 from .fields import FlowError, lie_bracket
-from .frobenius import flow_box_chart, frobenius_verdict
-from .liealg import LieAlgebraError, filtration, fixed_time_ideal_rank
+from .frobenius import DEFAULT_INVOLUTIVITY_DEGREE, flow_box_chart, frobenius_verdict
+from .liealg import (
+    DEFAULT_DEPTH_CAP,
+    DEFAULT_MODULE_DEGREE,
+    LieAlgebraError,
+    filtration,
+    fixed_time_ideal_rank,
+)
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL
 from .membership import MembershipError, member_bounded
 from .orbits import WordSampler, fixed_time_dimension, orbit_dimension
@@ -46,9 +52,8 @@ EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_FACTS = 4
 
-# Largest --words and --max-len that orbit accepts (the defaults are 200
-# and 6; no test, demo, preset or benchmark samples more than 400 words or
-# words longer than 8).
+# Largest --words and --max-len that orbit accepts (no test, demo, preset or
+# benchmark samples more than 400 words or words longer than 8).
 WORDS_CAP = 5_000
 MAX_LEN_CAP = 32
 
@@ -171,8 +176,8 @@ def build_parser():
     p = sub.add_parser("lie", help="bracket filtration ranks at a point")
     _add_common(p)
     p.add_argument("--point", required=True)
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--module-degree", type=int, default=None)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH_CAP)
+    p.add_argument("--module-degree", type=int, default=DEFAULT_MODULE_DEGREE)
     p.add_argument("--fixed-time-ideal", action="store_true",
                    help="also report the fixed-time ideal rank and codimension")
 
@@ -185,16 +190,16 @@ def build_parser():
     p = sub.add_parser("orbit", help="sampled orbit (or fixed-time) dimension")
     _add_common(p)
     p.add_argument("--point", required=True)
-    p.add_argument("--words", type=int, default=200)
-    p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--max-time", type=_time, default=0.5)
+    p.add_argument("--words", type=int, default=WordSampler.count)
+    p.add_argument("--max-len", type=int, default=WordSampler.max_len)
+    p.add_argument("--max-time", type=_time, default=WordSampler.max_time)
     p.add_argument("--fixed-time", type=_time, default=None)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH_CAP)
 
     p = sub.add_parser("frobenius", help="integrability verdict")
     _add_common(p)
     p.add_argument("--grid", default=None)
-    p.add_argument("--module-degree", type=int, default=4)
+    p.add_argument("--module-degree", type=int, default=DEFAULT_INVOLUTIVITY_DEGREE)
     p.add_argument("--chart-point", default=None,
                    help="also attempt a flow-box chart at this point")
 
@@ -302,12 +307,11 @@ def _cmd_rank(args, seed):
 def _cmd_lie(args, seed):
     system = _load_system(args.system)
     p = parse_point(args.point, system.dim)
-    filt = filtration(list(system.fields), args.depth, samples=[p],
-                      module_degree=args.module_degree)
+    filt = filtration(list(system.fields), args.depth, args.module_degree)
     results = {
         "point": list(p),
         "depth_cap": args.depth,
-        "ranks_by_depth": filt.sample_ranks[tuple(p)],
+        "ranks_by_depth": [filt.rank_at(p, d) for d in range(1, args.depth + 1)],
         "stabilized_at": filt.stabilized_at,
         "certificate": filt.certificate,
         "words": [
@@ -322,7 +326,7 @@ def _cmd_lie(args, seed):
             "are lower bounds"
         )
     if args.fixed_time_ideal:
-        rep = fixed_time_ideal_rank(list(system.fields), p, args.depth)
+        rep = fixed_time_ideal_rank(filt, p)
         results["fixed_time_ideal"] = {
             "ideal_rank": rep.ideal_rank,
             "lie_rank": rep.lie_rank,

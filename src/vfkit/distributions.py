@@ -187,28 +187,29 @@ def _symbolic_minor(matrix, rows, cols):
     return acc
 
 
-def _random_rational_points(n, count, seed, span=4):
-    rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(count):
-        pts.append(
-            tuple(
-                Fraction(int(rng.integers(-span * 8, span * 8 + 1)), 8)
-                for _ in range(n)
-            )
-        )
-    return pts
+# Seeded rational points in [-4, 4]^n with denominator 8 set the generic
+# rank and check the minors.
+MINOR_SAMPLES = 200
+MINOR_SEED = 20240
 
 
-def singular_locus_minors(D, samples=200, seed=20240, verify=True):
+def singular_locus_minors(D):
     """Generic rank and the full list of (rank x rank)-minors of the
-    generator matrix; their common zeros cut out the singular locus."""
+    generator matrix; their common zeros cut out the singular locus.
+
+    The rank is the largest at ``MINOR_SAMPLES`` seeded rational points,
+    and at every one of them a rank drop must coincide with all minors
+    vanishing (an AssertionError otherwise)."""
     obstacle = D.minors_obstacle()
     if obstacle:
         raise ValueError(obstacle)
     n = D.dim
     k = len(D.generators)
-    pts = _random_rational_points(n, samples, seed)
+    rng = np.random.default_rng(MINOR_SEED)
+    pts = [
+        tuple(Fraction(int(rng.integers(-32, 33)), 8) for _ in range(n))
+        for _ in range(MINOR_SAMPLES)
+    ]
     m = 0
     for p in pts:
         m = max(m, rank_at(D, p).rank)
@@ -223,16 +224,14 @@ def singular_locus_minors(D, samples=200, seed=20240, verify=True):
                 minor = _symbolic_minor(matrix, rows, cols)
                 if not minor.is_zero():
                     minors.append(minor)
-    locus = SingularLocus(m, tuple(minors))
-    if verify:
-        for p in pts[: min(len(pts), samples)]:
-            drop = rank_at(D, p).rank < m
-            all_zero = all(mi.eval(p) == 0 for mi in minors)
-            if drop != all_zero:
-                raise AssertionError(
-                    f"minor soundness failed at {p}: rank drop {drop}, minors zero {all_zero}"
-                )
-    return locus
+    for p in pts:
+        drop = rank_at(D, p).rank < m
+        all_zero = all(mi.eval(p) == 0 for mi in minors)
+        if drop != all_zero:
+            raise AssertionError(
+                f"minor soundness failed at {p}: rank drop {drop}, minors zero {all_zero}"
+            )
+    return SingularLocus(m, tuple(minors))
 
 
 def adapt_generators(D, point):

@@ -162,15 +162,6 @@ class Expr:
                     return False
         return True
 
-    def has_flat_factor(self):
-        for _, factors in self.terms:
-            for atom, _ in factors:
-                if atom.kind in ("bump", "bumpp"):
-                    return True
-                if atom.kind in ("exp", "invbase") and atom.arg.has_flat_factor():
-                    return True
-        return False
-
     def total_degree(self):
         """Total degree of a polynomial expression (zero polynomial -> -1)."""
         if not self.is_polynomial():

@@ -129,6 +129,15 @@ class VectorField:
             if index > self.dim:
                 raise ValueError(f"domain constraint on x{index} exceeds dimension")
 
+    def __hash__(self):
+        # computed once, as Expr keeps its own: every flow step looks its
+        # field up in the ``_flow_kind`` cache
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.name, self.components, self.domain))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @property
     def dim(self):
         return len(self.components)
@@ -166,9 +175,6 @@ class FlowWord:
     @property
     def net_time(self):
         return sum(t for _, t in self.steps)
-
-    def inverse(self):
-        return FlowWord(tuple((i, -t) for i, t in reversed(self.steps)))
 
     def __len__(self):
         return len(self.steps)

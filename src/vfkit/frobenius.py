@@ -10,6 +10,9 @@ The verdict combines three independent detectors:
   integral manifold through a point would force the orbit tangent to equal
   the fibre, so sampled orbit dimension exceeding the rank rules
   integrability out even when every bracket test passes.
+
+Flow-box charts sample a ``CHART_GRID_POINTS``-per-axis grid of flow times
+in [-CHART_RADIUS, CHART_RADIUS].
 """
 
 from __future__ import annotations
@@ -28,7 +31,10 @@ from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 __all__ = ["FrobeniusVerdict", "FlowBoxChart", "frobenius_verdict", "flow_box_chart"]
 
 CHART_RADIUS = 0.2
-ORBIT_SAMPLER = WordSampler(seed=0, count=200, max_len=8, max_time=1.0)
+CHART_GRID_POINTS = 3
+# Multiplier degree bound of the module-involutivity certificate.
+DEFAULT_INVOLUTIVITY_DEGREE = 4
+ORBIT_SAMPLER = WordSampler(seed=0, max_len=8, max_time=1.0)
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,7 @@ class FrobeniusVerdict:
 def frobenius_verdict(
     D: Distribution,
     samples,
-    module_degree=4,
+    module_degree=DEFAULT_INVOLUTIVITY_DEGREE,
     orbit_sampler: Optional[WordSampler] = None,
 ):
     samples = [tuple(p) for p in samples]
@@ -140,13 +146,7 @@ class FlowBoxChart:
     rejected_reason: Optional[str] = None
 
 
-def flow_box_chart(
-    D: Distribution,
-    base,
-    radius=CHART_RADIUS,
-    grid_points=3,
-    orbit_sampler: Optional[WordSampler] = None,
-):
+def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] = None):
     """Chart candidate t -> flow_{Y_m, t_m} o ... o flow_{Y_1, t_1}(base)
     built from a fibre basis of generators at the base.
 
@@ -178,7 +178,7 @@ def flow_box_chart(
             ),
         )
     frame = [D.generators[i] for i in base_report.witness]
-    axes = np.linspace(-radius, radius, grid_points)
+    axes = np.linspace(-CHART_RADIUS, CHART_RADIUS, CHART_GRID_POINTS)
     grids = np.meshgrid(*([axes] * m), indexing="ij")
     t_list = np.stack([g.ravel() for g in grids], axis=-1)
     max_residual = 0.0

@@ -6,7 +6,8 @@ symbolic zeros and rational multiples of words already kept.  For
 polynomial families a stabilization certificate is attempted: once every
 depth-(k+1) word is a degree-bounded member of the module spanned by the
 words of depth <= k, no deeper word can leave that module, and pointwise
-ranks are final.
+ranks are final.  Ranks at a point and depth are read from the filtration
+with ``LieFiltration.rank_at``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .expr import Expr
 from .fields import VectorField, lie_bracket
@@ -34,6 +35,8 @@ __all__ = [
 
 DEPTH_CAP_LIMIT = 10
 DEFAULT_DEPTH_CAP = 6
+# Multiplier degree bound of the module stabilization certificate.
+DEFAULT_MODULE_DEGREE = 6
 
 
 class LieAlgebraError(Exception):
@@ -77,41 +80,30 @@ class LieFiltration:
     family: Tuple[VectorField, ...]
     depth_cap: int
     levels: List[List[Tuple[BracketWord, VectorField]]]
-    sample_ranks: Dict[tuple, List[int]]  # point -> rank at depth 1..K
     stabilized_at: Optional[int]  # certified depth; None = capped at depth_cap
     certificate: Optional[str]  # "symbolic-closure" | "module-degree-D"
 
-    def fields_up_to(self, depth):
-        out = []
-        for level in self.levels[:depth]:
-            out.extend(f for _, f in level)
-        return out
-
     def rank_at(self, point, depth=None):
+        """Rank at the point of the words of depth <= depth (default: the cap)."""
         depth = depth or self.depth_cap
-        vectors = []
-        for f in self.fields_up_to(depth):
-            if f.domain.contains(point):
-                vectors.append(f.value(point))
+        vectors = [
+            f.value(point)
+            for level in self.levels[:depth]
+            for _, f in level
+            if f.domain.contains(point)
+        ]
         return span_rank(vectors)
 
 
-def filtration(
-    family,
-    depth_cap=DEFAULT_DEPTH_CAP,
-    samples=(),
-    module_degree=None,
-):
-    """Generate bracket words up to the cap; rank samples; try to certify
-    stabilization for polynomial families (module_degree controls the
-    multiplier degree bound, default 6).  A membership system outside the
-    caps of ``member_bounded`` raises its MembershipError."""
+def filtration(family, depth_cap=DEFAULT_DEPTH_CAP, module_degree=DEFAULT_MODULE_DEGREE):
+    """Generate bracket words up to the cap and try to certify stabilization
+    for polynomial families, with multipliers of degree <= module_degree.
+    A membership system outside the caps of ``member_bounded`` raises its
+    MembershipError."""
     family = tuple(family)
     if depth_cap < 1 or depth_cap > DEPTH_CAP_LIMIT:
         raise LieAlgebraError(f"depth cap must lie in [1, {DEPTH_CAP_LIMIT}]")
     polynomial = all(g.is_polynomial() for g in family)
-    if module_degree is None:
-        module_degree = 6
 
     seen = set()
     levels: List[List[Tuple[BracketWord, VectorField]]] = []
@@ -155,15 +147,7 @@ def filtration(
                 certificate = f"module-degree-{module_degree}"
                 break
 
-    sample_ranks = {}
-    filt = LieFiltration(
-        family, depth_cap, levels, sample_ranks, stabilized_at, certificate
-    )
-    for p in samples:
-        sample_ranks[tuple(p)] = [
-            filt.rank_at(p, depth) for depth in range(1, depth_cap + 1)
-        ]
-    return filt
+    return LieFiltration(family, depth_cap, levels, stabilized_at, certificate)
 
 
 @dataclass(frozen=True)
@@ -235,13 +219,12 @@ class FixedTimeRankReport:
             )
 
 
-def fixed_time_ideal_rank(family, point, depth_cap=DEFAULT_DEPTH_CAP):
+def fixed_time_ideal_rank(filt, point):
     """Rank of the fixed-time ideal: zero-sum combinations of generators
     (the linear part of their affine hull at the point) plus the derived
-    algebra; also the full Lie-algebra rank and the codimension."""
-    family = tuple(family)
-    filt = filtration(family, depth_cap)
-    defined = [g for g in family if g.domain.contains(point)]
+    algebra of the filtration ``filt``; also the full Lie-algebra rank and
+    the codimension."""
+    defined = [g for g in filt.family if g.domain.contains(point)]
     if not defined:
         raise LieAlgebraError(f"no generator defined at {point}")
     values = [g.value(point) for g in defined]

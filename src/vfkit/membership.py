@@ -84,14 +84,14 @@ def _require_polynomial(components, what):
             )
 
 
-def member_bounded(target, generators, degree, cap=DEGREE_CAP):
+def member_bounded(target, generators, degree):
     """Search for multipliers of total degree <= degree; exact verdict.
 
     ``target`` and every generator may be a VectorField or a plain tuple of
     expressions of equal length (scalars count as length one).
     """
-    if degree < 0 or degree > cap:
-        raise MembershipError(f"degree bound {degree} outside [0, {cap}]")
+    if degree < 0 or degree > DEGREE_CAP:
+        raise MembershipError(f"degree bound {degree} outside [0, {DEGREE_CAP}]")
     tgt = _components(target)
     gens = [_components(g) for g in generators]
     if not gens:
@@ -166,11 +166,11 @@ def _verify(cert, tgt, gens):
             raise MembershipError("certificate failed symbolic re-verification")
 
 
-def ideal_member_bounded(target, generators, degree, cap=DEGREE_CAP):
+def ideal_member_bounded(target, generators, degree):
     """Scalar specialization: membership of target in the ideal <generators>."""
-    return member_bounded((target,), [(g,) for g in generators], degree, cap)
+    return member_bounded((target,), [(g,) for g in generators], degree)
 
 
-def module_contained_bounded(A, B, degree, cap=DEGREE_CAP):
+def module_contained_bounded(A, B, degree):
     """True when every field of A is a degree-bounded member of the module <B>."""
-    return all(member_bounded(a, list(B), degree, cap).member for a in A)
+    return all(member_bounded(a, list(B), degree).member for a in A)

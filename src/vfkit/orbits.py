@@ -5,12 +5,13 @@ of the collected vectors is a certified lower bound for the orbit
 dimension (the tangent space is the span over the full diffeomorphism
 group, which no finite sample exhausts).  Fixed-time orbits use zero-sum
 words and the linear part of the affine hull of the collected vectors.
+Ranks are read at ``linalg.FLOW_REL_TOL`` and bracket filtrations are
+built to ``liealg.DEFAULT_DEPTH_CAP`` unless a depth cap is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -23,7 +24,7 @@ from .fields import (
     apply_word,
     pushforward_along_word,
 )
-from .liealg import filtration, fixed_time_ideal_rank
+from .liealg import DEFAULT_DEPTH_CAP, filtration, fixed_time_ideal_rank
 from .linalg import FLOW_REL_TOL, svd_rank
 
 __all__ = [
@@ -48,14 +49,14 @@ class WordSampler:
     Lengths are uniform on 1..max_len, field indices uniform, step times
     uniform on [-max_time, max_time].  The zero-sum constraint replaces
     the final time by minus the partial sum, so the word's net time is
-    exactly zero; net-time words are built the same way.
+    exactly zero.
     """
 
     seed: int
     max_len: int = 6
     max_time: float = 0.5
     count: int = 200
-    constraint: object = "free"  # "free" | "zero-sum" | ("net-time", T)
+    constraint: str = "free"  # "free" | "zero-sum"
 
     def words(self, n_fields):
         rng = np.random.default_rng(self.seed)
@@ -66,11 +67,6 @@ class WordSampler:
             times = rng.uniform(-self.max_time, self.max_time, size=k)
             if self.constraint == "zero-sum":
                 times[-1] = -float(np.sum(times[:-1]))
-            elif isinstance(self.constraint, tuple):
-                kind, T = self.constraint
-                if kind != "net-time":
-                    raise ValueError(f"unknown constraint {self.constraint!r}")
-                times[-1] = float(T) - float(np.sum(times[:-1]))
             elif self.constraint != "free":
                 raise ValueError(f"unknown constraint {self.constraint!r}")
             out.append(FlowWord(tuple((int(i), float(t)) for i, t in zip(idx, times))))
@@ -85,7 +81,6 @@ class OrbitTangentReport:
     linf_rank: int  # bracket-filtration rank at the same point
     words_used: int
     words_skipped: int
-    rank_tol: float
 
     @property
     def certified_exact(self):
@@ -125,7 +120,7 @@ class SampledOrbit(NamedTuple):
     words_skipped: int
 
 
-def sampled_orbit(family, point, sampler, rank_tol=FLOW_REL_TOL):
+def sampled_orbit(family, point, sampler):
     """Sampled orbit dimension at the point, from the pushforwards that the
     sampler's words give there; no bracket filtration is built."""
     if not any(X.domain.contains(point) for X in family):
@@ -137,19 +132,19 @@ def sampled_orbit(family, point, sampler, rank_tol=FLOW_REL_TOL):
             f"all {len(words)} sampled words exited the domains "
             f"(used {used}, skipped {skipped})"
         )
-    dim = svd_rank(np.array(vectors, dtype=float), rank_tol)
+    dim = svd_rank(np.array(vectors, dtype=float), FLOW_REL_TOL)
     return SampledOrbit(dim, vectors, used, skipped)
 
 
-def orbit_dimension(family, point, sampler, depth_cap=6, rank_tol=FLOW_REL_TOL):
+def orbit_dimension(family, point, sampler, depth_cap=DEFAULT_DEPTH_CAP):
     """Sampled orbit dimension at the point (a certified lower bound), with
     the bracket-filtration rank there."""
     family = tuple(family)
-    s = sampled_orbit(family, point, sampler, rank_tol)
+    s = sampled_orbit(family, point, sampler)
     linf = filtration(family, depth_cap).rank_at(point)
     return OrbitTangentReport(
         tuple(point), s.dimension, tuple(s.vectors), linf, s.words_used,
-        s.words_skipped, rank_tol,
+        s.words_skipped,
     )
 
 
@@ -196,8 +191,7 @@ def fixed_time_dimension(
     T,
     sampler,
     invariant: Optional[Expr] = None,
-    depth_cap=6,
-    rank_tol=FLOW_REL_TOL,
+    depth_cap=DEFAULT_DEPTH_CAP,
 ):
     """Sampled tangent dimension of the fixed-time orbit through the point.
 
@@ -214,7 +208,7 @@ def fixed_time_dimension(
         raise DomainExitError("all zero-sum words exited the domains")
     base = np.array(vectors[0], dtype=float)
     diffs = np.array([np.array(v) - base for v in vectors[1:]], dtype=float)
-    dim = svd_rank(diffs, rank_tol) if len(diffs) else 0
+    dim = svd_rank(diffs, FLOW_REL_TOL) if len(diffs) else 0
 
     max_disp = 0.0
     inv_dev = None
@@ -230,8 +224,8 @@ def fixed_time_dimension(
         if invariant is not None:
             inv_dev = max(inv_dev, abs(invariant.eval_float(landed) - inv_ref))
 
-    orbit_dim = sampled_orbit(family, tuple(reached), sampler, rank_tol).dimension
-    ideal = fixed_time_ideal_rank(family, tuple(reached), depth_cap)
+    orbit_dim = sampled_orbit(family, tuple(reached), sampler).dimension
+    ideal = fixed_time_ideal_rank(filtration(family, depth_cap), tuple(reached))
     return FixedTimeReport(
         start=tuple(point),
         reached=tuple(reached),
@@ -255,7 +249,7 @@ class ChowReport:
     sampled_orbit_dims: Tuple[int, ...]  # at failing samples, when computed
 
 
-def chow_verdict(family, samples, depth_cap=6, orbit_sampler=None):
+def chow_verdict(family, samples, depth_cap=DEFAULT_DEPTH_CAP, orbit_sampler=None):
     """Sufficiency test: full bracket rank everywhere sampled means any two
     points are joinable by flows.  Failure at the cap decides nothing."""
     family = tuple(family)
@@ -294,24 +288,12 @@ class SteeringReport:
     landing_error: float
 
 
-_STEER_A = ((0, 1), (0, 0))
-_STEER_B = (0, 1)
-
-
-def steer_linear(A, b, start, target, T):
-    """Two-piece steering for the planar system x' = A x + b u with
-    A = [[0,1],[0,0]], b = (0,1): closed-form u1, u2 drive start to target
-    in time T (first input on [0, T/2], second on [T/2, T])."""
+def steer_linear(start, target, T):
+    """Two-piece steering for the planar double integrator x1' = x2,
+    x2' = u: closed-form u1, u2 drive start to target in time T (first
+    input on [0, T/2], second on [T/2, T])."""
     if T == 0:
         raise ValueError("steering time T must be nonzero")
-    A = tuple(tuple(Fraction(x) for x in row) for row in A)
-    b = tuple(Fraction(x) for x in b)
-    if A != tuple(tuple(map(Fraction, row)) for row in _STEER_A) or b != tuple(
-        map(Fraction, _STEER_B)
-    ):
-        raise ValueError(
-            "closed-form steering is derived for A=[[0,1],[0,0]], b=(0,1)"
-        )
     x11, x12 = (float(v) for v in start)
     x21, x22 = (float(v) for v in target)
     T = float(T)

@@ -59,9 +59,7 @@ class PresetContext:
         self.family = list(self.system.fields)
 
     def sampler(self, offset=0, **kw):
-        params = dict(seed=self.seed + offset, count=200, max_len=6, max_time=0.5)
-        params.update(kw)
-        return WordSampler(**params)
+        return WordSampler(seed=self.seed + offset, **kw)
 
 
 @dataclass(frozen=True)
@@ -85,6 +83,26 @@ def _result(ok, expected, measured):
 
 def _eq_result(expected, measured):
     return _result(expected == measured, expected, measured)
+
+
+def _first_bracket_is(expected):
+    """Check that [X1, X2] prints as ``expected``."""
+
+    def check(ctx):
+        b = lie_bracket(ctx.family[0], ctx.family[1])
+        return _eq_result(expected, f"({', '.join(str(c) for c in b.components)})")
+
+    return check
+
+
+# Frobenius sample grids: half steps on [-1, 1]^2, unit steps on [-1, 1]^3.
+_HALF_STEP_GRID = [
+    (Fraction(i, 2), Fraction(j, 2)) for i in range(-2, 3) for j in range(-2, 3)
+]
+_UNIT_CUBE_GRID = [
+    (Fraction(i), Fraction(j), Fraction(k))
+    for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)
+]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +153,7 @@ def _nine_orbit_signs(ctx):
 
 
 def _diag_stabilizes(ctx):
-    filt = filtration(ctx.family, 6, samples=_NINE_POINTS)
+    filt = filtration(ctx.family)
     ok = filt.stabilized_at == 1 and all(
         not level for level in filt.levels[1:]
     )
@@ -242,8 +260,8 @@ def _flat_sampler(ctx, offset):
 
 
 def _flat_lie_ranks(ctx):
-    filt = filtration(ctx.family, 8, samples=_FLAT_POINTS)
-    got = tuple(filt.sample_ranks[p][-1] for p in _FLAT_POINTS)
+    filt = filtration(ctx.family, 8)
+    got = tuple(filt.rank_at(p) for p in _FLAT_POINTS)
     return _eq_result((1, 1, 2), got)
 
 
@@ -276,8 +294,7 @@ def _flat_involutive(ctx):
 
 def _flat_frobenius(ctx):
     d = Distribution(tuple(ctx.family))
-    grid = [(Fraction(i, 2), Fraction(j, 2)) for i in range(-2, 3) for j in range(-2, 3)]
-    v = frobenius_verdict(d, grid, orbit_sampler=_flat_sampler(ctx, 30))
+    v = frobenius_verdict(d, _HALF_STEP_GRID, orbit_sampler=_flat_sampler(ctx, 30))
     ok = (
         v.integrable == "no"
         and v.involutive_pointwise
@@ -291,9 +308,7 @@ def _flat_frobenius(ctx):
 
 
 def _flat_generator_dependence(ctx):
-    smooth = parse_system(
-        "system linear-partner dim 2\nfield X1 = (1, 0)\nfield X2 = (0, x1)\n"
-    )
+    smooth = parse_system(_LINEAR_SHEAR)
     flat_rank = filtration(ctx.family, 8).rank_at((0, 0))
     poly_rank = filtration(list(smooth.fields), 8).rank_at((0, 0))
     return _result(flat_rank == 1 and poly_rank == 2,
@@ -342,16 +357,12 @@ field X2 = (0, x1)
 """
 
 
-def _linear_shear_bracket(ctx):
-    b = lie_bracket(ctx.family[0], ctx.family[1])
-    return _eq_result("(0, 1)", f"({b.components[0]}, {b.components[1]})")
-
-
 def _linear_shear_rank(ctx):
-    filt = filtration(ctx.family, 6, samples=[(0, 0)])
-    ok = filt.sample_ranks[(0, 0)][-1] == 2 and filt.stabilized_at == 2
+    filt = filtration(ctx.family)
+    ranks = [filt.rank_at((0, 0), d) for d in range(1, filt.depth_cap + 1)]
+    ok = ranks[-1] == 2 and filt.stabilized_at == 2
     return _result(ok, "rank 2 at the origin, stable at depth 2",
-                   f"ranks={filt.sample_ranks[(0, 0)]}, stabilized_at={filt.stabilized_at}")
+                   f"ranks={ranks}, stabilized_at={filt.stabilized_at}")
 
 
 def _linear_shear_chow(ctx):
@@ -366,7 +377,7 @@ LINEAR_SHEAR = Preset(
     _LINEAR_SHEAR,
     (
         Fact("bracket", "published", "[X1, X2] = (0, 1) exactly",
-             _linear_shear_bracket),
+             _first_bracket_is("(0, 1)")),
         Fact("full-rank", "published",
              "bracket rank 2 everywhere, certified stable at depth 2",
              _linear_shear_rank),
@@ -412,19 +423,15 @@ field X0 = (x2, 0)
 field X1 = (x2, 1)
 """
 
-_STEER_A = [[0, 1], [0, 0]]
-_STEER_B = [0, 1]
-
-
 def _steer_to_corner(ctx):
-    rep = steer_linear(_STEER_A, _STEER_B, (0, 0), (1, 1), 1.0)
+    rep = steer_linear((0, 0), (1, 1), 1.0)
     ok = abs(rep.u1 - 3.0) < 1e-12 and abs(rep.u2 + 1.0) < 1e-12 and rep.landing_error < 1e-8
     return _result(ok, "u1=3, u2=-1, landing error < 1e-8",
                    f"u1={rep.u1}, u2={rep.u2}, error={rep.landing_error:.2e}")
 
 
 def _steer_loop(ctx):
-    rep = steer_linear(_STEER_A, _STEER_B, (1, 1), (1, 1), 1.0)
+    rep = steer_linear((1, 1), (1, 1), 1.0)
     ok = (abs(rep.u1) > 1e-9 or abs(rep.u2) > 1e-9) and rep.landing_error < 1e-8
     return _result(ok, "a nonzero-input loop lands back within 1e-8",
                    f"u1={rep.u1}, u2={rep.u2}, error={rep.landing_error:.2e}")
@@ -545,8 +552,7 @@ def _pair_membership(ctx):
 
 def _pair_frobenius(ctx):
     d = Distribution(tuple(ctx.family))
-    grid = [(Fraction(i, 2), Fraction(j, 2)) for i in range(-2, 3) for j in range(-2, 3)]
-    v = frobenius_verdict(d, grid, module_degree=1)
+    v = frobenius_verdict(d, _HALF_STEP_GRID, module_degree=1)
     ok = v.integrable == "yes" and v.module_involutive
     return _result(ok, "integrable via the module-involutivity certificate",
                    f"integrable={v.integrable}, clause: {v.clause}")
@@ -683,16 +689,9 @@ field X2 = (1, 0, x2)
 """
 
 
-def _shear3_bracket(ctx):
-    b = lie_bracket(ctx.family[0], ctx.family[1])
-    return _eq_result("(0, 0, 1)", f"({', '.join(str(c) for c in b.components)})")
-
-
 def _shear3_frobenius(ctx):
     d = Distribution(tuple(ctx.family))
-    grid = [(Fraction(i), Fraction(j), Fraction(k))
-            for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)]
-    v = frobenius_verdict(d, grid)
+    v = frobenius_verdict(d, _UNIT_CUBE_GRID)
     ok = v.integrable == "no" and not v.involutive_pointwise
     return _result(ok, "not involutive anywhere, hence not integrable",
                    f"integrable={v.integrable}")
@@ -724,7 +723,7 @@ SHEAR3 = Preset(
     _SHEAR3,
     (
         Fact("bracket", "derived", "[X1, X2] = (0, 0, 1) exactly",
-             _shear3_bracket),
+             _first_bracket_is("(0, 0, 1)")),
         Fact("not-integrable", "published",
              "the verdict is 'no' by the involutivity clause",
              _shear3_frobenius),
@@ -747,9 +746,7 @@ field X2 = (0, 1, 0)
 
 def _plane_frobenius(ctx):
     d = Distribution(tuple(ctx.family))
-    grid = [(Fraction(i), Fraction(j), Fraction(k))
-            for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)]
-    v = frobenius_verdict(d, grid)
+    v = frobenius_verdict(d, _UNIT_CUBE_GRID)
     chart = flow_box_chart(d, (0, 0, 0))
     ok = v.integrable == "yes" and chart.accepted and chart.max_residual < 1e-9
     return _result(ok, "integrable, chart accepted with residual < 1e-9",
@@ -775,16 +772,9 @@ field X2 = (0, 0, 1)
 """
 
 
-def _isolated_bracket(ctx):
-    b = lie_bracket(ctx.family[0], ctx.family[1])
-    return _eq_result("(-x1, 0, 0)", f"({', '.join(str(c) for c in b.components)})")
-
-
 def _isolated_frobenius(ctx):
     d = Distribution(tuple(ctx.family))
-    grid = [(Fraction(i), Fraction(j), Fraction(k))
-            for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)]
-    v = frobenius_verdict(d, grid)
+    v = frobenius_verdict(d, _UNIT_CUBE_GRID)
     ok = (
         v.integrable == "no"
         and all(p[0] != 0 for p in v.witnesses)
@@ -814,7 +804,7 @@ ISOLATED = Preset(
     _ISOLATED,
     (
         Fact("bracket", "published", "[X1, X2] = (-x1, 0, 0) exactly",
-             _isolated_bracket),
+             _first_bracket_is("(-x1, 0, 0)")),
         Fact("slice-verdict", "published",
              "not integrable off x1=0, with the slice reported as the "
              "surviving invariant set", _isolated_frobenius),
@@ -832,16 +822,14 @@ field X2 = (0, bump(x1))
 
 
 def _two_sided_ranks(ctx):
-    filt = filtration(ctx.family, 8, samples=[(-1, 0), (0, 0), (1, 0)])
-    got = tuple(filt.sample_ranks[p][-1] for p in [(-1, 0), (0, 0), (1, 0)])
+    filt = filtration(ctx.family, 8)
+    got = tuple(filt.rank_at(p) for p in _FLAT_POINTS)
     return _eq_result((2, 1, 2), got)
 
 
 def _two_sided_frobenius(ctx):
     d = Distribution(tuple(ctx.family))
-    grid = [(Fraction(i, 2), Fraction(j, 2)) for i in range(-2, 3) for j in range(-2, 3)]
-    v = frobenius_verdict(d, grid,
-                          orbit_sampler=ctx.sampler(40, count=400, max_len=8, max_time=1.5))
+    v = frobenius_verdict(d, _HALF_STEP_GRID, orbit_sampler=_flat_sampler(ctx, 40))
     ok = v.integrable == "no" and v.involutive_pointwise
     return _result(ok, "involutive but not integrable",
                    f"integrable={v.integrable}, involutive={v.involutive_pointwise}")

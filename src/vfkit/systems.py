@@ -54,11 +54,8 @@ class System:
     dim: int
     fields: Tuple[VectorField, ...]
 
-    def field_map(self):
-        return {f.name: f for f in self.fields}
-
     def pick(self, names):
-        by_name = self.field_map()
+        by_name = {f.name: f for f in self.fields}
         out = []
         for name in names:
             if name not in by_name:

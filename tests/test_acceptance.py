@@ -51,7 +51,7 @@ def test_criterion_1_nine_orbits():
     ok = False
     try:
         dims = tuple(
-            orbit_dimension(DIAG, p, WordSampler(seed=i, count=200), rank_tol=1e-7).dimension
+            orbit_dimension(DIAG, p, WordSampler(seed=i, count=200)).dimension
             for i, p in enumerate(NINE)
         )
         assert dims == (0, 1, 1, 1, 1, 2, 2, 2, 2)
@@ -121,7 +121,7 @@ def test_criterion_3_linear_steering():
     announce = criterion(3, "closed-form steering and depth-2 controllability")
     ok = False
     try:
-        rep = steer_linear([[0, 1], [0, 0]], [0, 1], (0, 0), (1, 1), 1.0)
+        rep = steer_linear((0, 0), (1, 1), 1.0)
         assert rep.u1 == pytest.approx(3.0, abs=1e-12)
         assert rep.u2 == pytest.approx(-1.0, abs=1e-12)
         assert rep.landing_error < 1e-8
@@ -154,10 +154,10 @@ def test_criterion_5_flat_counterexample():
     announce = criterion(5, "flat pair: orbits full, brackets deficient, not integrable")
     ok = False
     try:
-        filt = filtration(FLAT, 8, samples=[(-1, 0), (0, 0), (1, 0)])
-        assert filt.sample_ranks[(-1, 0)][-1] == 1
-        assert filt.sample_ranks[(0, 0)][-1] == 1
-        assert filt.sample_ranks[(1, 0)][-1] == 2
+        filt = filtration(FLAT, 8)
+        assert filt.rank_at((-1, 0)) == 1
+        assert filt.rank_at((0, 0)) == 1
+        assert filt.rank_at((1, 0)) == 2
 
         boost = WordSampler(seed=13, count=400, max_len=8, max_time=1.5)
         for p in [(-1, 0), (0, 0), (1, 0)]:
@@ -322,8 +322,9 @@ def test_criterion_9_property_suites():
         # codim in {0,1} everywhere sampled, all presets
         integrator = [vf("X0", ["x2", "0"], 2), vf("X1", ["x2", "1"], 2)]
         for fam in (DIAG, SHEAR, FLAT, integrator):
+            filt = filtration(fam)
             for p in [(0, 0), (1, 0), (1, 1), (Fraction(-1, 2), Fraction(3, 4))]:
-                assert fixed_time_ideal_rank(fam, p).codim in (0, 1)
+                assert fixed_time_ideal_rank(filt, p).codim in (0, 1)
 
         # sampled orbit dim >= bracket rank; fixed-time dim >= ideal rank
         for i, (fam, p) in enumerate(

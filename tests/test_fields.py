@@ -339,3 +339,18 @@ class TestCompiledEvaluation:
         fields.jacobian_exprs.cache_clear()
         pushforward_along_word(family, word, family, (0.3, 0.7))
         assert len(compiled) == 2 * once
+
+    def test_field_hashed_once_across_lookups(self, vf, monkeypatch):
+        half = [(1, "<", Fraction(1))]
+        X = vf("X", ["1", "x1*x2"], 2, half)
+        hashed = []
+        real = fields.DomainPredicate.__hash__
+        monkeypatch.setattr(
+            fields.DomainPredicate, "__hash__", lambda d: hashed.append(1) or real(d)
+        )
+        kinds = {id(fields._flow_kind(X)) for _ in range(100)}
+        assert len(kinds) == 1
+        assert len(hashed) <= 1
+        twin = vf("X", ["1", "x1*x2"], 2, half)
+        assert twin == X and hash(twin) == hash(X)
+        assert fields._flow_kind(twin) is fields._flow_kind(X)

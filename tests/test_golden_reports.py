@@ -1,0 +1,69 @@
+"""The exact reports keep their bytes.
+
+These invocations report only rationals and strings, so their JSON does not
+depend on the platform's floats.  Each golden file under ``tests/golden``
+holds the stdout of one invocation; a change that alters any of them must
+say which bytes changed and why.
+"""
+
+import pathlib
+
+import pytest
+
+from vfkit.cli import main
+from vfkit.presets import PRESETS
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+PLANE_GRID = "x1=-1:1:1/2,x2=-1:1:1/2"
+# preset name: (point, rank grid, bracket pair, member (target, gens, degree)s)
+SYSTEMS = {
+    "linear-shear": ("1/2,3/4", PLANE_GRID, "X1,X2", [
+        ("(0,1)", "X1,X2", "1"),
+        ("(0,x1^2)", "X2", "3"),
+    ]),
+    "vanishing-pair": ("1/2,3/4", PLANE_GRID, "X1,X2", [
+        ("(-2*x2*(x1^2+x2^2), 2*x1*(x1^2+x2^2))", "X1,X2", "1"),
+        ("(x1, 0)", "X1,X2", "2"),
+    ]),
+    "mixed-degree-pair": ("1/2,3/4", PLANE_GRID, "X1,X2", [
+        ("(x1*(x1^2+x2^2), x2^2*(x1^4+x2^4))", "X1,X2", "2"),
+        ("(0, x1^2+x2^2)", "X1,X2", "3"),
+    ]),
+    "umbrella-ideal": ("1/2,3/4,1/3", "x1=-1:1:1,x2=-1:1:1,x3=-1:1:1", "U,U", [
+        ("(x1*(x3*(x1^2+x2^2) - x2^3), 0, 0)", "U", "2"),
+        ("(x1, 0, 0)", "U", "3"),
+    ]),
+}
+
+
+def _cases():
+    cases = []
+    for name, (point, grid, pair, members) in SYSTEMS.items():
+        runs = [
+            ("bracket", ["bracket", "--fields", pair]),
+            ("rank-point", ["rank", "--point", point]),
+            ("rank-grid", ["rank", "--grid", grid]),
+        ]
+        for tag, extra in (("", []), ("-deg2", ["--module-degree", "2"])):
+            lie = ["lie", "--point", point] + extra
+            runs.append((f"lie{tag}", lie))
+            runs.append((f"lie{tag}-ideal", lie + ["--fixed-time-ideal"]))
+        for k, (target, gens, degree) in enumerate(members):
+            runs.append((f"member-{k}", ["member", "--target", target,
+                                         "--gens", gens, "--degree", degree]))
+        cases.extend((f"{name}-{run}", name, argv) for run, argv in runs)
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("case,name,argv", CASES, ids=[c for c, _, _ in CASES])
+def test_report_matches_golden_bytes(case, name, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.vf").write_text(PRESETS[name].system_text)
+    code = main([argv[0], "--system", f"{name}.vf", *argv[1:], "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{case}.json").read_text()

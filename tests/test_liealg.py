@@ -15,6 +15,10 @@ from vfkit.liealg import (
 
 
 
+def ranks_by_depth(filt, point):
+    return [filt.rank_at(point, d) for d in range(1, filt.depth_cap + 1)]
+
+
 @pytest.fixture
 def diag(vf):
     return [vf("X1", ["x1", "0"], 2), vf("X2", ["0", "x2"], 2)]
@@ -32,24 +36,24 @@ def flat(vf):
 
 class TestFiltration:
     def test_diag_stabilizes_immediately(self, diag):
-        f = filtration(diag, 6, samples=[(0, 0), (1, 0), (1, 1)])
+        f = filtration(diag, 6)
         assert f.stabilized_at == 1
         assert all(not level for level in f.levels[1:])
-        assert f.sample_ranks[(0, 0)] == [0] * 6
-        assert f.sample_ranks[(1, 0)] == [1] * 6
-        assert f.sample_ranks[(1, 1)] == [2] * 6
+        assert ranks_by_depth(f, (0, 0)) == [0] * 6
+        assert ranks_by_depth(f, (1, 0)) == [1] * 6
+        assert ranks_by_depth(f, (1, 1)) == [2] * 6
 
     def test_shear_gains_rank_at_depth_two(self, shear):
-        f = filtration(shear, 6, samples=[(0, 0)])
+        f = filtration(shear, 6)
         assert f.stabilized_at == 2
-        assert f.sample_ranks[(0, 0)] == [1, 2, 2, 2, 2, 2]
+        assert ranks_by_depth(f, (0, 0)) == [1, 2, 2, 2, 2, 2]
 
     def test_flat_family_is_capped(self, flat):
-        f = filtration(flat, 8, samples=[(-1, 0), (0, 0), (1, 0)])
+        f = filtration(flat, 8)
         assert f.stabilized_at is None and f.certificate is None
-        assert f.sample_ranks[(-1, 0)][-1] == 1
-        assert f.sample_ranks[(0, 0)][-1] == 1
-        assert f.sample_ranks[(1, 0)][-1] == 2
+        assert f.rank_at((-1, 0)) == 1
+        assert f.rank_at((0, 0)) == 1
+        assert f.rank_at((1, 0)) == 2
 
     def test_module_certificate(self, vf):
         # brackets reproduce a generator up to a polynomial multiplier
@@ -67,8 +71,8 @@ class TestFiltration:
         ]
         for fam in fams:
             pts = [tuple(rng.uniform(-1, 1, size=fam[0].dim)) for _ in range(5)]
-            f = filtration(fam, 5, samples=pts)
-            for seq in f.sample_ranks.values():
+            f = filtration(fam, 5)
+            for seq in (ranks_by_depth(f, p) for p in pts):
                 assert all(a <= b for a, b in zip(seq, seq[1:]))
 
     def test_depth_cap_bounds(self, diag):
@@ -81,9 +85,9 @@ class TestFiltration:
             vf("X1b", ["3*x1", "0"], 2),
             vf("X2", ["0", "x2"], 2),
         ]
-        f = filtration(fam, 4, samples=[(1, 1)])
+        f = filtration(fam, 4)
         assert len(f.levels[0]) == 2  # the rescaled copy is pruned
-        assert f.sample_ranks[(1, 1)] == [2, 2, 2, 2]
+        assert ranks_by_depth(f, (1, 1)) == [2, 2, 2, 2]
 
 
 class TestInvolutivity:
@@ -125,15 +129,15 @@ class TestDerived:
 
 class TestFixedTimeIdeal:
     def test_diag_codim_one(self, diag):
-        rep = fixed_time_ideal_rank(diag, (1, 1))
+        rep = fixed_time_ideal_rank(filtration(diag), (1, 1))
         assert (rep.ideal_rank, rep.lie_rank, rep.codim) == (1, 2, 1)
 
     def test_shear_codim_zero(self, shear):
-        rep = fixed_time_ideal_rank(shear, (0, 0))
+        rep = fixed_time_ideal_rank(filtration(shear), (0, 0))
         assert (rep.ideal_rank, rep.lie_rank, rep.codim) == (2, 2, 0)
 
     def test_single_field(self, vf):
-        rep = fixed_time_ideal_rank([vf("X", ["1", "0"], 2)], (3, -2))
+        rep = fixed_time_ideal_rank(filtration([vf("X", ["1", "0"], 2)]), (3, -2))
         assert (rep.ideal_rank, rep.lie_rank, rep.codim) == (0, 1, 1)
 
     def test_codim_invariant_across_presets(self, diag, shear, flat, vf):
@@ -146,8 +150,9 @@ class TestFixedTimeIdeal:
         ]
         pts = [(0, 0), (1, 0), (1, 1), (Fraction(-1, 2), Fraction(3, 2))]
         for fam in fams:
+            filt = filtration(fam)
             for p in pts:
-                rep = fixed_time_ideal_rank(fam, p)  # raises if codim not in {0,1}
+                rep = fixed_time_ideal_rank(filt, p)  # raises if codim not in {0,1}
                 assert rep.codim in (0, 1)
 
 

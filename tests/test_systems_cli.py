@@ -6,7 +6,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from vfkit import membership
+from vfkit import cli, liealg, membership
 from vfkit.cli import MAX_LEN_CAP, WORDS_CAP, main
 from vfkit.linalg import FLOW_REL_TOL, VALUE_REL_TOL
 from vfkit.systems import (
@@ -240,6 +240,25 @@ class TestCli:
                             "--module-degree", "13", "--format", "json")
         assert code == 3
         assert json.loads(out)["error"] == "degree bound 13 outside [0, 12]"
+
+    def test_lie_fixed_time_ideal_builds_one_filtration(self, capsys, vanishing_file,
+                                                        monkeypatch):
+        # the ideal rank reads the filtration the report already built
+        calls = []
+        real = liealg.filtration
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(cli, "filtration", counted)
+        monkeypatch.setattr(liealg, "filtration", counted)
+        code, out = run_cli(capsys, "lie", "--system", vanishing_file, "--point",
+                            "1/2,3/4", "--depth", "3", "--module-degree", "1",
+                            "--fixed-time-ideal", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["fixed_time_ideal"]["ideal_rank"] == 2
+        assert len(calls) == 1
 
     def test_unknowns_cap_reaches_lie(self, capsys, vanishing_file, monkeypatch):
         monkeypatch.setattr(membership, "UNKNOWNS_CAP", 10)
