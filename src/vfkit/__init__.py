@@ -11,7 +11,6 @@ from .fields import (
     DomainExitError,
     DomainPredicate,
     FlowError,
-    FlowWord,
     IntegrationError,
     VectorField,
     apply_word,

@@ -43,7 +43,6 @@ from .expr import Expr, ZERO, compile_float, const, poly_coeff_dict
 __all__ = [
     "DomainPredicate",
     "VectorField",
-    "FlowWord",
     "FlowError",
     "DomainExitError",
     "IntegrationError",
@@ -166,23 +165,7 @@ class VectorField:
         return body
 
 
-@dataclass(frozen=True)
-class FlowWord:
-    """A composite of flows: apply step (index, time) left to right."""
-
-    steps: Tuple[Tuple[int, float], ...]
-
-    @property
-    def net_time(self):
-        return sum(t for _, t in self.steps)
-
-    def __len__(self):
-        return len(self.steps)
-
-
 def _as_steps(word):
-    if isinstance(word, FlowWord):
-        return word.steps
     return tuple((int(i), float(t)) for i, t in word)
 
 

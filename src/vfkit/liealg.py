@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 from .expr import Expr
 from .fields import VectorField, lie_bracket
 from .linalg import in_span, span_rank
-from .membership import member_bounded
+from .membership import members_bounded
 
 __all__ = [
     "BracketWord",
@@ -97,9 +97,9 @@ class LieFiltration:
 
 def filtration(family, depth_cap=DEFAULT_DEPTH_CAP, module_degree=DEFAULT_MODULE_DEGREE):
     """Generate bracket words up to the cap and try to certify stabilization
-    for polynomial families, with multipliers of degree <= module_degree.
-    A membership system outside the caps of ``member_bounded`` raises its
-    MembershipError."""
+    for polynomial families, with multipliers of degree <= module_degree:
+    one membership system per depth tried.  A system outside the caps of
+    ``members_bounded`` raises its MembershipError."""
     family = tuple(family)
     if depth_cap < 1 or depth_cap > DEPTH_CAP_LIMIT:
         raise LieAlgebraError(f"depth cap must lie in [1, {DEPTH_CAP_LIMIT}]")
@@ -141,8 +141,7 @@ def filtration(family, depth_cap=DEFAULT_DEPTH_CAP, module_degree=DEFAULT_MODULE
         kept = [[f for _, f in level] for level in levels]
         for depth in range(1, depth_cap):
             basis = [f for lv in kept[:depth] for f in lv]
-            nxt = kept[depth]
-            if all(member_bounded(f, basis, module_degree).member for f in nxt):
+            if all(c.member for c in members_bounded(kept[depth], basis, module_degree)):
                 stabilized_at = depth
                 certificate = f"module-degree-{module_degree}"
                 break
@@ -171,14 +170,11 @@ def involutive(family, mode="pointwise", samples=(), degree=2):
     family = tuple(family)
     pairs = list(itertools.combinations(range(len(family)), 2))
     if mode == "module":
-        for i, j in pairs:
-            b = lie_bracket(family[i], family[j])
-            if b.is_zero():
-                continue
-            cert = member_bounded(b, list(family), degree)
-            if not cert.member:
-                return InvolutivityReport("module", False, (i, j), degree)
-        return InvolutivityReport("module", True, None, degree)
+        brackets = {(i, j): lie_bracket(family[i], family[j]) for i, j in pairs}
+        brackets = {ij: b for ij, b in brackets.items() if not b.is_zero()}
+        certs = members_bounded(brackets.values(), family, degree) if brackets else []
+        witness = next((ij for ij, c in zip(brackets, certs) if not c.member), None)
+        return InvolutivityReport("module", witness is None, witness, degree)
     if mode != "pointwise":
         raise LieAlgebraError(f"unknown involutivity mode {mode!r}")
     if not samples:

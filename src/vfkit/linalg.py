@@ -44,9 +44,9 @@ def _sparse_rows(matrix, rhs=()):
     """Rows as ``{column: int}`` dicts without zero cells, and the width.
 
     A row may be a sequence or a ``{column: value}`` dict; the width of dict
-    rows is one past their largest column.  Each entry of ``rhs`` joins its
-    row in the column after the last one.  Every row is scaled to a
-    primitive integer vector, which keeps its span.
+    rows is one past their largest column.  ``rhs`` lists right-hand sides,
+    one entry per row each; the k-th joins the rows in column width + k.
+    Every row is scaled to a primitive integer vector, which keeps its span.
     """
     rows = []
     ncols = 0
@@ -58,9 +58,10 @@ def _sparse_rows(matrix, rhs=()):
             ncols = max(ncols, len(row))
             items = enumerate(row)
         rows.append({c: Fraction(x) for c, x in items if x != 0})
-    for row, v in zip(rows, rhs):
-        if v != 0:
-            row[ncols] = Fraction(v)
+    for k, side in enumerate(rhs):
+        for row, v in zip(rows, side):
+            if v != 0:
+                row[ncols + k] = Fraction(v)
     for i, row in enumerate(rows):
         scale = math.lcm(*(x.denominator for x in row.values()))
         rows[i] = _primitive(
@@ -140,23 +141,31 @@ def exact_pivot_columns(matrix):
     return [c for _, c in _rref(*_sparse_rows(matrix))]
 
 
-def exact_solve(A, b):
-    """One exact solution of A x = b (free variables 0), or None if none exists.
+def exact_solve(A, rhs):
+    """For each right-hand side b in ``rhs``, one exact solution of A x = b
+    (free variables 0), or None if none exists.
 
-    Rows of A are sequences, and the solution is a list, or they are
-    ``{column: value}`` dicts, and the solution is a dict of its nonzero
-    entries.
+    One elimination serves every b: pivots are taken among A's columns only,
+    and the reduced row echelon form is unique, so each solution is the one
+    b would get alone.  Rows of A are sequences, and each solution is a
+    list, or they are ``{column: value}`` dicts, and each is a dict of its
+    nonzero entries.
     """
-    rows, ncols = _sparse_rows(A, b)
+    rows, ncols = _sparse_rows(A, rhs)
     pivots = _rref(rows, ncols)
-    if any(ncols in row and len(row) == 1 for row in rows):
-        return None  # a row reads 0 = nonzero
+    # rows left over are zero among the unknowns: each reads 0 = b_i for its b's
+    inconsistent = {c for row in rows if row and min(row) >= ncols for c in row}
+    solutions = [
+        None if b in inconsistent
+        else {c: Fraction(row[b], row[c]) for row, c in pivots if b in row}
+        for b in range(ncols, ncols + len(rhs))
+    ]
     if len(A) and isinstance(A[0], Mapping):
-        return {c: Fraction(row[ncols], row[c]) for row, c in pivots if ncols in row}
-    x = [Fraction(0)] * ncols
-    for row, c in pivots:
-        x[c] = Fraction(row.get(ncols, 0), row[c])
-    return x
+        return solutions
+    return [
+        None if x is None else [x.get(c, Fraction(0)) for c in range(ncols)]
+        for x in solutions
+    ]
 
 
 def exact_nullspace(A):

@@ -22,8 +22,8 @@ __all__ = [
     "MembershipError",
     "MembershipCertificate",
     "member_bounded",
+    "members_bounded",
     "ideal_member_bounded",
-    "module_contained_bounded",
 ]
 
 DEGREE_CAP = 12
@@ -84,34 +84,32 @@ def _require_polynomial(components, what):
             )
 
 
-def member_bounded(target, generators, degree):
-    """Search for multipliers of total degree <= degree; exact verdict.
+def members_bounded(targets, generators, degree):
+    """Search multipliers of total degree <= degree for each target; one
+    exact verdict per target, in order.
 
-    ``target`` and every generator may be a VectorField or a plain tuple of
-    expressions of equal length (scalars count as length one).
+    Every target and generator may be a VectorField or a plain tuple of
+    expressions of equal length (scalars count as length one).  The
+    generators' system is built, and its size checked, once: each target
+    is one more right-hand side of a single elimination.
     """
     if degree < 0 or degree > DEGREE_CAP:
         raise MembershipError(f"degree bound {degree} outside [0, {DEGREE_CAP}]")
-    tgt = _components(target)
+    tgts = [_components(t) for t in targets]
     gens = [_components(g) for g in generators]
     if not gens:
         raise MembershipError("no generators given")
-    ncomp = len(tgt)
-    for g in gens:
-        if len(g) != ncomp:
-            raise MembershipError("component count mismatch")
-    _require_polynomial(tgt, "target")
+    ncomp = len(gens[0])
+    if any(len(c) != ncomp for c in tgts + gens):
+        raise MembershipError("component count mismatch")
+    for t in tgts:
+        _require_polynomial(t, "target")
     for g in gens:
         _require_polynomial(g, "generators")
 
-    n = max(
-        [c.max_var() for c in tgt]
-        + [c.max_var() for g in gens for c in g]
-        + [1]
-    )
-    if all(c.is_zero() for c in tgt):
-        zero_mults = tuple(ZERO for _ in gens)
-        return MembershipCertificate(True, degree, zero_mults)
+    n = max([c.max_var() for f in tgts + gens for c in f] + [1])
+    if all(c.is_zero() for t in tgts for c in t):
+        return [MembershipCertificate(True, degree, tuple(ZERO for _ in gens)) for _ in tgts]
 
     unknowns = len(gens) * math.comb(n + degree, degree)
     if unknowns > UNKNOWNS_CAP:
@@ -119,42 +117,51 @@ def member_bounded(target, generators, degree):
             f"membership system has {unknowns} unknowns, more than {UNKNOWNS_CAP}"
         )
     monos = _monomials_up_to(n, degree)
-    unknown_index = {}
-    for gi in range(len(gens)):
-        for mono in monos:
-            unknown_index[(gi, mono)] = len(unknown_index)
 
     # one sparse equation {unknown: coefficient} per (component, monomial of
-    # the expanded products), with the target's coefficient on the right
+    # the expanded products), with each target's coefficient on the right;
+    # unknown gi * len(monos) + j is the coefficient of monos[j] in m_gi
     rows = {}
     for gi, g in enumerate(gens):
         for comp in range(ncomp):
             for gmono, gc in poly_coeff_dict(g[comp], n).items():
-                for mmono in monos:
+                for k, mmono in enumerate(monos, gi * len(monos)):
                     prod = tuple(a + b for a, b in zip(gmono, mmono))
-                    rows.setdefault((comp, prod), {})[unknown_index[(gi, mmono)]] = gc
-    target = {
-        (comp, mono): tc
-        for comp in range(ncomp)
-        for mono, tc in poly_coeff_dict(tgt[comp], n).items()
-    }
-    for key in target:
-        rows.setdefault(key, {})  # no multiplier produces it: 0 = coefficient
-    solution = exact_solve(list(rows.values()), [target.get(key, 0) for key in rows])
-    if solution is None:
-        return MembershipCertificate(False, degree)
-
-    multipliers = []
-    for gi in range(len(gens)):
-        coeffs = {
-            mono: solution[unknown_index[(gi, mono)]]
-            for mono in monos
-            if unknown_index[(gi, mono)] in solution
+                    rows.setdefault((comp, prod), {})[k] = gc
+    sides = [
+        {
+            (comp, mono): tc
+            for comp in range(ncomp)
+            for mono, tc in poly_coeff_dict(t[comp], n).items()
         }
-        multipliers.append(poly_from_coeff_dict(coeffs, n))
-    cert = MembershipCertificate(True, degree, tuple(multipliers))
-    _verify(cert, tgt, gens)
-    return cert
+        for t in tgts
+    ]
+    for side in sides:
+        for key in side:
+            rows.setdefault(key, {})  # no multiplier produces it: 0 = coefficient
+    solutions = exact_solve(
+        list(rows.values()), [[side.get(key, 0) for key in rows] for side in sides]
+    )
+
+    certs = []
+    for tgt, x in zip(tgts, solutions):
+        if x is None:
+            certs.append(MembershipCertificate(False, degree))
+            continue
+        multipliers = tuple(
+            poly_from_coeff_dict(
+                {m: x[k] for k, m in enumerate(monos, gi * len(monos)) if k in x}, n
+            )
+            for gi in range(len(gens))
+        )
+        certs.append(MembershipCertificate(True, degree, multipliers))
+        _verify(certs[-1], tgt, gens)
+    return certs
+
+
+def member_bounded(target, generators, degree):
+    """The one-target case of ``members_bounded``."""
+    return members_bounded([target], generators, degree)[0]
 
 
 def _verify(cert, tgt, gens):
@@ -170,7 +177,3 @@ def ideal_member_bounded(target, generators, degree):
     """Scalar specialization: membership of target in the ideal <generators>."""
     return member_bounded((target,), [(g,) for g in generators], degree)
 
-
-def module_contained_bounded(A, B, degree):
-    """True when every field of A is a degree-bounded member of the module <B>."""
-    return all(member_bounded(a, list(B), degree).member for a in A)

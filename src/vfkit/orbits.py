@@ -20,7 +20,6 @@ from .expr import Expr
 from .fields import (
     DomainExitError,
     FlowError,
-    FlowWord,
     apply_word,
     pushforward_along_word,
 )
@@ -44,7 +43,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WordSampler:
-    """Seeded sampler of flow words.
+    """Seeded sampler of flow words: tuples of (field index, time) steps.
 
     Lengths are uniform on 1..max_len, field indices uniform, step times
     uniform on [-max_time, max_time].  The zero-sum constraint replaces
@@ -69,7 +68,7 @@ class WordSampler:
                 times[-1] = -float(np.sum(times[:-1]))
             elif self.constraint != "free":
                 raise ValueError(f"unknown constraint {self.constraint!r}")
-            out.append(FlowWord(tuple((int(i), float(t)) for i, t in zip(idx, times))))
+            out.append(tuple((int(i), float(t)) for i, t in zip(idx, times)))
         return out
 
 

@@ -156,13 +156,7 @@ def parse_point(text, dim):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != dim:
         raise SystemParseError(f"point has {len(parts)} coordinates, expected {dim}")
-    out = []
-    for p in parts:
-        try:
-            out.append(Fraction(p))
-        except (ValueError, ZeroDivisionError) as err:
-            raise SystemParseError(f"bad coordinate {p!r}: {err}") from err
-    return tuple(out)
+    return tuple(_rational(p, "coordinate") for p in parts)
 
 
 def parse_target(text, dim):
@@ -192,7 +186,7 @@ def parse_grid(spec, dim):
         idx = int(m.group(1))
         if idx < 1 or idx > dim:
             raise SystemParseError(f"grid axis x{idx} outside dimension {dim}")
-        lo, hi, step = (_parse_rat(m.group(k)) for k in (2, 3, 4))
+        lo, hi, step = (_grid_value(m.group(k)) for k in (2, 3, 4))
         if step <= 0:
             raise SystemParseError("grid step must be positive")
         axes[idx] = (lo, step, max(0, (hi - lo) // step + 1))
@@ -205,7 +199,13 @@ def parse_grid(spec, dim):
     }
 
 
-def _parse_rat(text):
-    if "." in text:
-        return Fraction(text).limit_denominator(10**9)
-    return Fraction(text)
+def _grid_value(text):
+    value = _rational(text, "grid value")
+    return value.limit_denominator(10**9) if "." in text else value
+
+
+def _rational(text, what):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as err:
+        raise SystemParseError(f"bad {what} {text!r}: {err}") from err

@@ -103,7 +103,7 @@ def test_criterion_2_axis_singleton_clause():
         words = WordSampler(seed=7, count=200, constraint="zero-sum").words(2)
         closed_form_disp = 0.0
         for w in words:
-            s1 = sum(t for i, t in w.steps if i == 0)
+            s1 = sum(t for i, t in w if i == 0)
             want = x1 * math.exp(s1)
             landed = apply_word(DIAG, w, rep.reached)
             assert landed[1] == 0.0, w

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from vfkit.expr import parse
-from vfkit.fields import multiply_field, scale_field
+from vfkit.fields import lie_bracket, multiply_field, scale_field
+from vfkit import membership
 from vfkit.liealg import (
     LieAlgebraError,
     derived_algebra,
@@ -79,6 +80,23 @@ class TestFiltration:
         with pytest.raises(LieAlgebraError):
             filtration(diag, 11)
 
+    def test_module_search_solves_one_system_per_depth(self, vf, monkeypatch):
+        solved = []
+
+        def counting(A, rhs):
+            solved.append(len(rhs))
+            return exact_solve(A, rhs)
+
+        exact_solve = membership.exact_solve
+        monkeypatch.setattr(membership, "exact_solve", counting)
+        fam = [vf("X1", ["x1^2+x2^2", "0"], 2), vf("X2", ["0", "x1^4+x2^4"], 2)]
+        f = filtration(fam, 6, 6)
+        # no certificate: depths 1..5 are tried, each against its next level
+        # as one system (one system per word of those levels before: 22)
+        assert f.stabilized_at is None
+        assert solved == [len(level) for level in f.levels[1:]]
+        assert len(solved) == 5
+
     def test_duplicate_generators_ignored(self, vf):
         fam = [
             vf("X1", ["x1", "0"], 2),
@@ -103,7 +121,20 @@ class TestInvolutivity:
 
     def test_mixed_pair_not_module_involutive(self, vf):
         fam = [vf("X1", ["x1^2+x2^2", "0"], 2), vf("X2", ["0", "x1^4+x2^4"], 2)]
-        assert not involutive(fam, "module", degree=8).involutive
+        rep = involutive(fam, "module", degree=8)
+        assert not rep.involutive
+        assert (rep.witness, rep.degree) == ((0, 1), 8)
+
+    def test_module_witness_is_first_non_member_pair(self, vf):
+        radial = ["x1^2+x2^2", "0"], ["0", "x1^2+x2^2"]
+        fam = [vf(f"X{k}", c, 2) for k, c in enumerate(radial + (["0", "x1^4+x2^4"],))]
+        singles = {
+            (i, j): membership.member_bounded(lie_bracket(fam[i], fam[j]), fam, 2).member
+            for i, j in [(0, 1), (0, 2), (1, 2)]
+        }
+        first = next(ij for ij, member in singles.items() if not member)
+        assert singles[(0, 1)] and first != (0, 1)
+        assert involutive(fam, "module", degree=2).witness == first
 
     def test_flat_pair_pointwise_involutive(self, flat):
         samples = [(-1, 0), (0, 0), (1, 0), (0.5, 0.5), (-2, 1)]

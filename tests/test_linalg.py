@@ -33,8 +33,10 @@ def test_rank_matches_numpy_on_random_matrices():
 
 def test_solve_consistent_and_inconsistent():
     A = [[1, 2], [2, 4]]
-    assert exact_solve(A, [3, 6]) == [Fraction(3), Fraction(0)]
-    assert exact_solve(A, [3, 7]) is None
+    assert exact_solve(A, [[3, 6]]) == [[Fraction(3), Fraction(0)]]
+    assert exact_solve(A, [[3, 7]]) == [None]
+    # one elimination, both sides: each gets what it gets alone
+    assert exact_solve(A, [[3, 7], [3, 6]]) == [None, [Fraction(3), Fraction(0)]]
 
 
 def test_solve_verifies():
@@ -44,7 +46,7 @@ def test_solve_verifies():
         A = random_rational_matrix(rng, rows, cols)
         x_true = [Fraction(int(rng.integers(-3, 4))) for _ in range(cols)]
         b = [sum(a * x for a, x in zip(row, x_true)) for row in A]
-        x = exact_solve(A, b)
+        [x] = exact_solve(A, [b])
         assert x is not None
         assert [sum(a * v for a, v in zip(row, x)) for row in A] == b
 
@@ -181,15 +183,18 @@ def matrices(draw):
 
 @st.composite
 def systems(draw):
-    """A matrix and a right-hand side that is consistent (A x for a drawn x)
-    or arbitrary, which is inconsistent whenever it leaves the column space."""
+    """A matrix and one to three right-hand sides, each consistent (A x for
+    a drawn x) or arbitrary, which is inconsistent whenever it leaves the
+    column space."""
     A = draw(matrices())
-    if draw(st.booleans()):
-        x = draw(st.lists(ENTRY, min_size=len(A[0]), max_size=len(A[0])))
-        b = [sum(a * v for a, v in zip(row, x)) for row in A]
-    else:
-        b = draw(st.lists(ENTRY, min_size=len(A), max_size=len(A)))
-    return A, b
+    sides = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            x = draw(st.lists(ENTRY, min_size=len(A[0]), max_size=len(A[0])))
+            sides.append([sum(a * v for a, v in zip(row, x)) for row in A])
+        else:
+            sides.append(draw(st.lists(ENTRY, min_size=len(A), max_size=len(A))))
+    return A, sides
 
 
 @settings(max_examples=200, deadline=None)
@@ -204,22 +209,23 @@ def test_rank_pivots_kernel_match_dense(A):
 @settings(max_examples=200, deadline=None)
 @given(systems())
 def test_solve_matches_dense(system):
-    A, b = system
-    want = dense_solve(A, b)
-    assert exact_solve(A, b) == want
+    A, sides = system
+    wants = [dense_solve(A, b) for b in sides]
+    assert exact_solve(A, sides) == wants
     # the same system as {column: value} rows gives the nonzero entries
     sparse = [{c: x for c, x in enumerate(row) if x != 0} for row in A]
-    got = exact_solve(sparse, b)
-    if want is None:
-        assert got is None
-    else:
-        assert got == {c: x for c, x in enumerate(want) if x != 0}
+    for got, want in zip(exact_solve(sparse, sides), wants):
+        if want is None:
+            assert got is None
+        else:
+            assert got == {c: x for c, x in enumerate(want) if x != 0}
 
 
 def test_solve_edge_shapes():
-    assert exact_solve([[0, 0], [0, 0]], [0, 0]) == [Fraction(0), Fraction(0)]
-    assert exact_solve([[0, 0]], [1]) is None
-    assert exact_solve([{}, {1: 2}], [0, 3]) == {1: Fraction(3, 2)}
-    assert exact_solve([{}, {1: 2}], [1, 3]) is None
-    assert exact_solve([], []) == []
+    assert exact_solve([[0, 0], [0, 0]], [[0, 0]]) == [[Fraction(0), Fraction(0)]]
+    assert exact_solve([[0, 0]], [[1]]) == [None]
+    assert exact_solve([{}, {1: 2}], [[0, 3]]) == [{1: Fraction(3, 2)}]
+    assert exact_solve([{}, {1: 2}], [[1, 3]]) == [None]
+    assert exact_solve([], [[]]) == [[]]
+    assert exact_solve([[1, 2]], []) == []
     assert exact_rank([]) == 0 and exact_nullspace([]) == []

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,10 @@ from vfkit.membership import (
     MembershipError,
     ideal_member_bounded,
     member_bounded,
-    module_contained_bounded,
+    members_bounded,
 )
+from vfkit.presets import PRESETS
+from vfkit.systems import parse_system
 
 
 
@@ -112,8 +115,8 @@ def test_member_implies_pointwise_span(vf):
 def test_module_containment(vf):
     small = [vf("a", ["x1^2", "0"], 2)]
     big = [vf("b1", ["x1", "0"], 2), vf("b2", ["0", "1"], 2)]
-    assert module_contained_bounded(small, big, 2)
-    assert not module_contained_bounded(big, small, 4)
+    assert all(c.member for c in members_bounded(small, big, 2))
+    assert not all(c.member for c in members_bounded(big, small, 4))
 
 
 def test_rejects_flat_components(vf):
@@ -159,3 +162,92 @@ def test_umbrella_certificate_string():
     m = parse("2 - x1*x3 + 3*x2^2", 3)
     cert = ideal_member_bounded(m * f, [f], 8)
     assert [str(c) for c in cert.multipliers] == ["2 - x1*x3 + 3*x2^2"]
+
+
+# Many targets against one generator set are one elimination; each
+# certificate must be the one its target gets alone, string for string.
+
+
+def _strings(certs):
+    return [
+        (c.verdict, None if c.multipliers is None else [str(m) for m in c.multipliers])
+        for c in certs
+    ]
+
+
+def _assert_batch_matches_singles(targets, gens, degree):
+    batched = members_bounded(targets, gens, degree)
+    singles = [member_bounded(t, gens, degree) for t in targets]
+    assert batched == singles
+    assert _strings(batched) == _strings(singles)
+    return batched
+
+
+POLYNOMIAL_PRESETS = [
+    name for name, preset in PRESETS.items()
+    if all(g.is_polynomial() for g in parse_system(preset.system_text).fields)
+]
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL_PRESETS)
+def test_batched_preset_brackets_match_singles(name):
+    family = list(parse_system(PRESETS[name].system_text).fields)
+    depth2 = [lie_bracket(a, b) for a, b in itertools.combinations(family, 2)]
+    depth3 = [lie_bracket(g, b) for g in family for b in depth2]
+    for degree in (0, 2):
+        _assert_batch_matches_singles(depth2 + depth3, family, degree)
+
+
+def test_batched_random_targets_match_singles(mixed_pair):
+    rng = np.random.default_rng(2024)
+
+    def random_poly(max_degree):
+        terms = [
+            f"({int(rng.integers(-3, 4))})*x1^{a}*x2^{b}"
+            for a in range(max_degree + 1)
+            for b in range(max_degree + 1 - a)
+            if rng.random() < 0.5
+        ]
+        return parse("+".join(terms) or "0", 2)
+
+    targets = [(ZERO, ZERO)]
+    for _ in range(6):  # members: combinations with multipliers of degree <= 2
+        m1, m2 = random_poly(2), random_poly(2)
+        targets.append(tuple(
+            m1 * g1 + m2 * g2
+            for g1, g2 in zip(mixed_pair[0].components, mixed_pair[1].components)
+        ))
+    for _ in range(6):  # arbitrary polynomials, mostly non-members
+        targets.append((random_poly(3), random_poly(3)))
+    for degree in (1, 2, 3):
+        certs = _assert_batch_matches_singles(targets, mixed_pair, degree)
+        assert certs[0].member
+    verdicts = [c.member for c in members_bounded(targets, mixed_pair, 2)]
+    assert all(verdicts[1:7]) and not all(verdicts[7:])
+
+
+def test_batched_redundant_generator_strings(mixed_pair, vf):
+    r2, q4 = "(x1^2+x2^2)", "(x1^4+x2^4)"
+    redundant = mixed_pair + [vf("X3", [f"x1*{r2}", "0"], 2)]
+    targets = [
+        vf("t", [f"x1^2*{r2}", f"x2*{q4}"], 2),
+        lie_bracket(*mixed_pair),
+        vf("z", ["0", "0"], 2),
+    ]
+    certs = _assert_batch_matches_singles(targets, redundant, 2)
+    assert _strings(certs) == [
+        ("member", ["x1^2", "x2", "0"]),
+        ("not-member-up-to-degree(2)", None),
+        ("member", ["0", "0", "0"]),
+    ]
+
+
+def test_batched_checks_keep_their_order(vf):
+    g = vf("g", ["x1"], 1)
+    with pytest.raises(MembershipError, match="component count mismatch"):
+        members_bounded([vf("t", ["x1"], 1), vf("u", ["x1", "0"], 2)], [g], 2)
+    with pytest.raises(MembershipError, match="target must be polynomial"):
+        members_bounded([vf("t", ["x1"], 1), vf("f", ["bumpp(x1)"], 1)], [g], 2)
+    x = ["x%d" % i for i in range(1, 11)]
+    with pytest.raises(MembershipError, match="646646 unknowns"):
+        members_bounded([vf("t", ["0"], 10), vf("u", [x[0]], 10)], [vf("g", [x[9]], 10)], 12)

@@ -273,6 +273,15 @@ class TestCli:
         assert code == 1
         assert json.loads(out)["status"] == "usage-error"
 
+    @pytest.mark.parametrize("spec", ["x1=0:1:1/0", "x1=0:1/0:1", "x1=0:1:1..2"])
+    def test_bad_grid_rational_is_a_parse_error(self, capsys, shear_file, spec):
+        code, out = run_cli(capsys, "rank", "--system", shear_file, "--grid", spec,
+                            "--format", "json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["status"] == "parse-error"
+        assert payload["error"].startswith("bad grid value")
+
     @pytest.mark.parametrize("flag,cap", [("--words", WORDS_CAP), ("--max-len", MAX_LEN_CAP)])
     def test_orbit_word_caps_are_usage_errors(self, capsys, shear_file, flag, cap):
         assert (WORDS_CAP, MAX_LEN_CAP) == (5_000, 32)
