@@ -1,11 +1,12 @@
 """Integrability verdicts: when does a plane field foliate space?
 
 Three detectors combine into one verdict.  A bracket escaping the fibre
-refutes integrability outright.  Involutivity plus constant rank, or plus
-a polynomial module certificate, confirms it.  In the remaining smooth
-singular cases the sampled orbit dimension is compared against the fibre
-rank: generator flows can never leave an integral manifold, so an orbit
-outrunning the fibre is a refutation invisible to every bracket test.
+refutes integrability outright.  Only a polynomial module certificate
+confirms it: the rank may drop between samples, so rank that looks
+constant there confirms nothing.  In the remaining cases the sampled orbit
+dimension is compared against the fibre rank: generator flows can never
+leave an integral manifold, so an orbit outrunning the fibre is a
+refutation invisible to every bracket test.
 """
 
 from fractions import Fraction

@@ -415,7 +415,6 @@ def _cmd_frobenius(args, seed):
         "involutive_witness": _jsonable(v.involutive_witness),
         "module_involutive": v.module_involutive,
         "module_degree": v.module_degree,
-        "rank_constant_sampled": v.rank_constant_sampled,
         "ranks": list(v.ranks),
         "witnesses": [list(map(str, w)) for w in v.witnesses],
         "invariant_slice_samples": [list(map(str, w)) for w in v.invariant_slice_samples],

@@ -4,8 +4,11 @@ The verdict combines three independent detectors:
 
 * a pointwise bracket escaping the fibre at a sample rules integrability
   out near that sample (integrable implies involutive);
-* pointwise involutivity plus sampled-constant rank, or plus a
-  degree-bounded module-involutivity certificate, rules it in;
+* a degree-bounded module-involutivity certificate rules it in: the module
+  of sections generated by a real-analytic family is involutive, so the
+  distribution is integrable (Hermann 1962; Nagano 1966).  It is the only
+  "yes": rank that looks constant on the samples is no certificate, since
+  the rank may drop between them;
 * otherwise the sampled orbit dimension is compared to the fibre rank: an
   integral manifold through a point would force the orbit tangent to equal
   the fibre, so sampled orbit dimension exceeding the rank rules
@@ -45,7 +48,6 @@ class FrobeniusVerdict:
     involutive_witness: Optional[tuple]
     module_involutive: Optional[bool]  # None when not attempted
     module_degree: Optional[int]
-    rank_constant_sampled: bool
     ranks: Tuple[int, ...]
     witnesses: Tuple[tuple, ...]  # points backing a "no"
     invariant_slice_samples: Tuple[tuple, ...]  # involutivity held there
@@ -60,7 +62,6 @@ def frobenius_verdict(
     samples = [tuple(p) for p in samples]
     family = list(D.generators)
     ranks = tuple(rank_at(D, p).rank for p in samples)
-    rank_constant = len(set(ranks)) <= 1
 
     # pointwise involutivity, sample by sample so mixed outcomes are visible
     failing: List[tuple] = []
@@ -75,14 +76,13 @@ def frobenius_verdict(
             if first_witness is None:
                 first_witness = rep.witness
 
-    # the module certificate and the orbit comparison run only when the
-    # cheaper tests leave the question open
-    open_question = not failing and not rank_constant
+    # the module certificate runs only when every sample passes, and the
+    # orbit comparison only when it does not certify
     module_ok: Optional[bool] = None
-    if open_question and D.is_polynomial():
+    if not failing and D.is_polynomial():
         module_ok = bool(involutive(family, "module", degree=module_degree))
     witnesses = list(failing)
-    if open_question and not module_ok:
+    if not failing and not module_ok:
         sampler = orbit_sampler or ORBIT_SAMPLER
         for p, r in zip(samples, ranks):
             try:
@@ -98,11 +98,6 @@ def frobenius_verdict(
             "integrable distribution is involutive, so no integral "
             "manifold passes near the witness points"
         )
-    elif rank_constant:
-        integrable, clause = "yes", (
-            "pointwise involutive with sampled-constant rank: a locally "
-            "constant-rank involutive distribution is integrable"
-        )
     elif module_ok:
         integrable, clause = "yes", (
             "pointwise involutive and the generator module is involutive "
@@ -117,8 +112,8 @@ def frobenius_verdict(
         )
     else:
         integrable, clause = "undetermined", (
-            "pointwise involutive, rank varies across samples, and neither a "
-            "module certificate nor an orbit-rank gap decided the question"
+            "pointwise involutive, and neither a module certificate nor an "
+            "orbit-rank gap decided the question"
         )
     return FrobeniusVerdict(
         integrable=integrable,
@@ -127,7 +122,6 @@ def frobenius_verdict(
         involutive_witness=first_witness,
         module_involutive=module_ok,
         module_degree=module_degree if module_ok is not None else None,
-        rank_constant_sampled=rank_constant,
         ranks=ranks,
         witnesses=tuple(witnesses),
         invariant_slice_samples=tuple(holding),
@@ -185,25 +179,31 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
     fibre_ok = True
     tangents = []
     reason = None
-    for t in t_list:
-        word = [(j, float(t[j])) for j in range(m)]
-        try:
+    try:
+        for t in t_list:
+            word = [(j, float(t[j])) for j in range(m)]
             image_pt = apply_word(frame, word, base)
-        except FlowError as err:
-            return _chart_flow_failure(base, m, orbit_dim, err)
-        fibre_vals = [v for _, v in D.defined_values(image_pt)]
-        if rank_at(D, tuple(image_pt)).rank != m:
-            fibre_ok = False
-        for j in range(m):
-            tail = word[j + 1 :]
-            # d(phi)/dt_j: the frame field Y_j after step j, pushed through
-            # the remaining flows (the pushforward pulls back from the image)
-            try:
+            fibre_vals = [v for _, v in D.defined_values(image_pt)]
+            if rank_at(D, tuple(image_pt)).rank != m:
+                fibre_ok = False
+            for j in range(m):
+                tail = word[j + 1 :]
+                # d(phi)/dt_j: the frame field Y_j after step j, pushed through
+                # the remaining flows (the pushforward pulls back from the image)
                 v = pushforward_along_word(frame, tail, frame[j], image_pt)
-            except FlowError as err:
-                return _chart_flow_failure(base, m, orbit_dim, err)
-            tangents.append(tuple(float(x) for x in v))
-            max_residual = max(max_residual, orthogonal_residual(fibre_vals, v))
+                tangents.append(tuple(float(x) for x in v))
+                max_residual = max(max_residual, orthogonal_residual(fibre_vals, v))
+    except FlowError as err:
+        return FlowBoxChart(
+            base=base,
+            chart_rank=m,
+            max_residual=float("inf"),
+            image_tangent_rank=0,
+            fibre_rank_constant=False,
+            orbit_dimension=orbit_dim,
+            accepted=False,
+            rejected_reason=f"flow failure: {err}",
+        )
     # the tighter threshold: this asks whether the sampled image degenerates,
     # not whether a tangent leaves the fibre
     tangent_rank = svd_rank(np.array(tangents, dtype=float), VALUE_REL_TOL)
@@ -232,15 +232,3 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
         rejected_reason=reason,
     )
 
-
-def _chart_flow_failure(base, m, orbit_dim, err):
-    return FlowBoxChart(
-        base=base,
-        chart_rank=m,
-        max_residual=float("inf"),
-        image_tangent_rank=0,
-        fibre_rank_constant=False,
-        orbit_dimension=orbit_dim,
-        accepted=False,
-        rejected_reason=f"flow failure: {err}",
-    )

@@ -16,15 +16,17 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .expr import Expr
+from .expr import ONE, ZERO, Expr
 from .fields import (
     DomainExitError,
     FlowError,
     apply_word,
     pushforward_along_word,
 )
-from .liealg import DEFAULT_DEPTH_CAP, filtration, fixed_time_ideal_rank
+from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, filtration,
+                     fixed_time_ideal_rank)
 from .linalg import FLOW_REL_TOL, svd_rank
+from .membership import members_bounded
 
 __all__ = [
     "WordSampler",
@@ -249,20 +251,28 @@ class ChowReport:
 
 
 def chow_verdict(family, samples, depth_cap=DEFAULT_DEPTH_CAP, orbit_sampler=None):
-    """Sufficiency test: full bracket rank everywhere sampled means any two
-    points are joinable by flows.  Failure at the cap decides nothing."""
+    """Sufficiency test: any two points are joinable by flows when the words
+    of the filtration span every tangent space (Chow-Rashevskii).  Certified
+    only for a polynomial family on full domains, by each coordinate field
+    being a member of the words' module at ``DEFAULT_MODULE_DEGREE``; full
+    rank at the samples alone is no certificate.  Failure decides nothing."""
     family = tuple(family)
     n = family[0].dim
     filt = filtration(family, depth_cap)
     failing = [tuple(p) for p in samples if filt.rank_at(p) < n]
     if not failing:
-        return ChowReport(
-            True,
-            depth_cap,
-            "sufficient condition met: any two points joinable by flows",
-            (),
-            (),
+        words = [f for level in filt.levels for _, f in level]
+        axes = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
+        certified = all(g.is_polynomial() and g.domain.is_full for g in family) and all(
+            c.member for c in members_bounded(axes, words, DEFAULT_MODULE_DEGREE)
         )
+        verdict = (
+            "sufficient condition met: any two points joinable by flows"
+            if certified
+            else "full bracket rank at every sample, but no module certificate "
+            f"at depth cap {depth_cap} that the words span every tangent space"
+        )
+        return ChowReport(certified, depth_cap, verdict, (), ())
     dims = []
     if orbit_sampler is not None:
         for p in failing:

@@ -5,6 +5,8 @@ import pytest
 from vfkit.distributions import Distribution
 from vfkit.frobenius import flow_box_chart, frobenius_verdict
 from vfkit.orbits import WordSampler, orbit_dimension
+from vfkit.presets import PRESETS
+from vfkit.systems import parse_system
 
 
 
@@ -45,6 +47,7 @@ def flat(vf):
     return Distribution((vf("X1", ["1", "0"], 2), vf("X2", ["0", "bumpp(x1)"], 2)))
 
 
+MODULE_CLAUSE = "pointwise involutive and the generator module is involutive"
 BOOST = WordSampler(seed=17, count=400, max_len=8, max_time=1.5)
 LIGHT = WordSampler(seed=5, count=100, max_len=4, max_time=1.0)
 
@@ -59,13 +62,13 @@ class TestVerdicts:
     def test_plane_integrable(self, plane3):
         v = frobenius_verdict(plane3, grid3())
         assert v.integrable == "yes"
-        assert v.rank_constant_sampled
+        assert v.module_involutive and v.clause.startswith(MODULE_CLAUSE)
 
     def test_radial_integrable_via_module(self, radial):
         v = frobenius_verdict(radial, grid2(), module_degree=1)
         assert v.integrable == "yes"
         assert v.module_involutive
-        assert not v.rank_constant_sampled
+        assert v.clause.startswith(MODULE_CLAUSE) and v.module_degree == 1
 
     def test_flat_not_integrable_with_origin_witness(self, flat):
         v = frobenius_verdict(flat, grid2(1), orbit_sampler=BOOST)
@@ -89,6 +92,41 @@ class TestVerdicts:
             D, [(-1, 0), (1, 0)], orbit_sampler=WordSampler(seed=3, count=100)
         )
         assert v.integrable == "undetermined"
+
+
+class TestYesOnlyFromModule:
+    def test_circle_rank_drop_not_yes(self, vf):
+        # every sample has rank 2, but the rank drops to 1 on the circle
+        # x1^2+x2^2 = 1/7, which holds no rational point; off x1 = 0 the
+        # bracket (0, 2*x1) leaves the fibre there
+        D = Distribution((vf("X1", ["1", "0"], 2), vf("X2", ["0", "x1^2+x2^2-1/7"], 2)))
+        v = frobenius_verdict(
+            D, grid2(1), orbit_sampler=WordSampler(seed=0, count=20, max_len=3, max_time=0.2)
+        )
+        assert v.ranks == (2,) * 9
+        assert v.integrable == "undetermined"
+        assert v.module_involutive is False
+
+    def test_quartic_twist_refuted(self, vf):
+        # [X1, X2] = (0, 0, x1^3 - x1) vanishes on the planes x1 in {-1, 0, 1},
+        # which hold every sample, and a 2-minor is 1; off those planes the
+        # bracket leaves the fibre, and the orbit outruns the rank
+        D = Distribution(
+            (vf("X1", ["1", "0", "0"], 3), vf("X2", ["0", "1", "x1^4/4-x1^2/2"], 3))
+        )
+        v = frobenius_verdict(D, grid3())
+        assert v.involutive_pointwise and v.ranks == (2,) * 27
+        assert v.module_involutive is False
+        assert v.integrable == "no"
+        assert len(v.witnesses) == 27
+
+    @pytest.mark.parametrize("name", ["coordinate-plane", "vanishing-pair", "umbrella-ideal"])
+    def test_preset_yes_from_module(self, name):
+        system = parse_system(PRESETS[name].system_text)
+        grid = grid3() if system.dim == 3 else grid2(1)
+        v = frobenius_verdict(Distribution(system.fields), grid)
+        assert v.integrable == "yes"
+        assert v.module_involutive and v.clause.startswith(MODULE_CLAUSE)
 
 
 class TestCharts:

@@ -1,7 +1,7 @@
 """The exact reports keep their bytes.
 
-These invocations report only rationals and strings, so their JSON does not
-depend on the platform's floats.  Each golden file under ``tests/golden``
+These invocations report only rationals, strings and fixed tolerance
+constants, so their JSON does not depend on the platform's floats.  Each golden file under ``tests/golden``
 holds the stdout of one invocation; a change that alters any of them must
 say which bytes changed and why.
 """
@@ -35,6 +35,8 @@ SYSTEMS = {
         ("(x1, 0, 0)", "U", "3"),
     ]),
 }
+# presets whose default-grid ``frobenius`` verdict needs no sampled orbit
+FROBENIUS = ["linear-shear", "vanishing-pair", "umbrella-ideal", "coordinate-plane"]
 
 
 def _cases():
@@ -53,6 +55,7 @@ def _cases():
             runs.append((f"member-{k}", ["member", "--target", target,
                                          "--gens", gens, "--degree", degree]))
         cases.extend((f"{name}-{run}", name, argv) for run, argv in runs)
+    cases.extend((f"{name}-frobenius", name, ["frobenius"]) for name in FROBENIUS)
     return cases
 
 

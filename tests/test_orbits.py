@@ -198,6 +198,15 @@ class TestChow:
         assert rep.bracket_generating
         assert "joinable" in rep.verdict
 
+    def test_full_sampled_rank_without_certificate(self, vf):
+        # the line x2 = 1/3 is invariant and the Lie rank there is 1, but
+        # no sample lies on it
+        fam = [vf("X1", ["1", "0"], 2), vf("X2", ["0", "x2-1/3"], 2)]
+        rep = chow_verdict(fam, [(0, 0), (1, 1), (-2, 3)], 2)
+        assert not rep.bracket_generating
+        assert rep.failing_samples == ()
+        assert "no module certificate" in rep.verdict
+
     def test_diag_not_established(self, diag):
         rep = chow_verdict(diag, [(0, 0), (1, 1)], 3)
         assert not rep.bracket_generating
