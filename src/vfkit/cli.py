@@ -35,7 +35,7 @@ from .liealg import (
 )
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL
 from .membership import MembershipError, member_bounded
-from .orbits import WordSampler, fixed_time_dimension, orbit_dimension
+from .orbits import WordSampler, fixed_time_dimension, orbit_dimension, sampled_orbit
 from .presets import PRESETS, run_preset
 from .systems import (
     SystemParseError,
@@ -321,10 +321,9 @@ def _cmd_lie(args, seed):
         ],
     }
     if filt.stabilized_at is None:
-        results["note"] = (
+        results["note"] = "; ".join(filter(None, [
             f"no stabilization certificate at depth cap {args.depth}; ranks "
-            "are lower bounds"
-        )
+            "are lower bounds", filt.note]))
     if args.fixed_time_ideal:
         rep = fixed_time_ideal_rank(filt, p)
         results["fixed_time_ideal"] = {
@@ -367,16 +366,19 @@ def _cmd_orbit(args, seed):
     family = list(system.fields)
     if args.fixed_time is None:
         rep = orbit_dimension(family, p, sampler, args.depth)
+        # the report keeps the sampled vectors even where Nagano decides
+        s = sampled_orbit(family, p, sampler) if rep.certificate == "nagano" else rep
         results = {
             "point": list(p),
             "dimension": rep.dimension,
+            "certificate": rep.certificate,
             "lie_rank": rep.linf_rank,
             "certified_exact": rep.certified_exact,
-            "words_used": rep.words_used,
-            "words_skipped": rep.words_skipped,
-            "vectors": [list(v) for v in rep.vectors],
+            "words_used": s.words_used,
+            "words_skipped": s.words_skipped,
+            "vectors": [list(v) for v in s.vectors],
             "csv_rows": [tuple(f"v{i}" for i in range(system.dim))]
-            + [tuple(v) for v in rep.vectors],
+            + [tuple(v) for v in s.vectors],
         }
     else:
         rep = fixed_time_dimension(family, p, args.fixed_time, sampler,

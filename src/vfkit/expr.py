@@ -162,6 +162,15 @@ class Expr:
                     return False
         return True
 
+    def is_analytic(self):
+        """Real analytic on all of R^n: no flat (bump, bumpp) factor and no
+        negative power, inside ``exp`` arguments too."""
+        return all(
+            (atom.kind == "var" and k > 0) or (atom.kind == "exp" and atom.arg.is_analytic())
+            for _, factors in self.terms
+            for atom, k in factors
+        )
+
     def total_degree(self):
         """Total degree of a polynomial expression (zero polynomial -> -1)."""
         if not self.is_polynomial():

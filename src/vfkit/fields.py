@@ -38,7 +38,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .expr import Expr, ZERO, compile_float, const, poly_coeff_dict
+from .expr import Expr, ZERO, compile_float, poly_coeff_dict
 
 __all__ = [
     "DomainPredicate",
@@ -50,8 +50,6 @@ __all__ = [
     "flow",
     "apply_word",
     "pushforward_along_word",
-    "scale_field",
-    "add_fields",
     "multiply_field",
     "jacobian_exprs",
 ]
@@ -184,25 +182,6 @@ def lie_bracket(X, Y, name=None):
     return VectorField(
         name or f"[{X.name},{Y.name}]",
         tuple(comps),
-        X.domain.intersect(Y.domain),
-    )
-
-
-def scale_field(c, X, name=None):
-    c = Fraction(c)
-    return VectorField(
-        name or f"{c}*{X.name}",
-        tuple(const(c) * comp for comp in X.components),
-        X.domain,
-    )
-
-
-def add_fields(X, Y, name=None):
-    if X.dim != Y.dim:
-        raise ValueError("sum of fields of different dimensions")
-    return VectorField(
-        name or f"{X.name}+{Y.name}",
-        tuple(a + b for a, b in zip(X.components, Y.components)),
         X.domain.intersect(Y.domain),
     )
 

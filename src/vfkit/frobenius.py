@@ -9,10 +9,14 @@ The verdict combines three independent detectors:
   distribution is integrable (Hermann 1962; Nagano 1966).  It is the only
   "yes": rank that looks constant on the samples is no certificate, since
   the rank may drop between them;
-* otherwise the sampled orbit dimension is compared to the fibre rank: an
-  integral manifold through a point would force the orbit tangent to equal
-  the fibre, so sampled orbit dimension exceeding the rank rules
-  integrability out even when every bracket test passes.
+* otherwise the orbit, which an integral manifold would hold to the
+  fibre, is compared to the fibre in three steps: (a) bracket words of
+  rank above the fibre rank at a sample rule integrability out for any
+  smooth family, since Lie(F)(p) lies in the orbit tangent (a bracket-rank
+  witness); (b) if the family is Nagano-certified (``orbits``) the words
+  span the orbit tangent, so no flow can find more and the verdict stays
+  undetermined; (c) else a sampled orbit dimension above the fibre rank
+  rules it out.
 
 Flow-box charts sample a ``CHART_GRID_POINTS``-per-axis grid of flow times
 in [-CHART_RADIUS, CHART_RADIUS].
@@ -27,8 +31,8 @@ import numpy as np
 
 from .distributions import Distribution, rank_at
 from .fields import FlowError, apply_word, pushforward_along_word
-from .liealg import involutive
-from .orbits import WordSampler, sampled_orbit
+from .liealg import filtration, involutive
+from .orbits import WordSampler, nagano_certified, orbit_dimension, sampled_orbit
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 
 __all__ = ["FrobeniusVerdict", "FlowBoxChart", "frobenius_verdict", "flow_box_chart"]
@@ -82,15 +86,22 @@ def frobenius_verdict(
     if not failing and D.is_polynomial():
         module_ok = bool(involutive(family, "module", degree=module_degree))
     witnesses = list(failing)
+    bracket_rank_gap = False
     if not failing and not module_ok:
-        sampler = orbit_sampler or ORBIT_SAMPLER
-        for p, r in zip(samples, ranks):
-            try:
-                dim = sampled_orbit(family, p, sampler).dimension
-            except FlowError:
-                continue
-            if dim > r:
-                witnesses.append(p)
+        # (a) bracket-rank witnesses; (b) under Nagano the words span the
+        # orbit tangent, so no flow can find more; (c) else sample orbits
+        filt = filtration(family)
+        witnesses = [p for p, r in zip(samples, ranks) if filt.rank_at(p) > r]
+        bracket_rank_gap = bool(witnesses)
+        if not witnesses and not nagano_certified(filt):
+            sampler = orbit_sampler or ORBIT_SAMPLER
+            for p, r in zip(samples, ranks):
+                try:
+                    dim = sampled_orbit(family, p, sampler).dimension
+                except FlowError:
+                    continue
+                if dim > r:
+                    witnesses.append(p)
 
     if failing:
         integrable, clause = "no", (
@@ -103,6 +114,12 @@ def frobenius_verdict(
             "pointwise involutive and the generator module is involutive "
             f"(multipliers of degree <= {module_degree}); a finitely "
             "generated involutive module of sections is integrable"
+        )
+    elif bracket_rank_gap:
+        integrable, clause = "no", (
+            "bracket words reach a rank above the fibre rank at a witness "
+            "point (a bracket-rank witness); Lie(F)(p) lies in the orbit "
+            "tangent, which an integral manifold would hold to the fibre"
         )
     elif witnesses:
         integrable, clause = "no", (
@@ -135,7 +152,7 @@ class FlowBoxChart:
     max_residual: float  # worst tangency defect of d(phi)/dt_j over the grid
     image_tangent_rank: int
     fibre_rank_constant: bool  # fibre rank stays m over the sampled image
-    orbit_dimension: Optional[int]  # sampled orbit dimension at the base
+    orbit_dimension: Optional[int]  # orbits.orbit_dimension at the base
     accepted: bool
     rejected_reason: Optional[str] = None
 
@@ -146,17 +163,19 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
 
     Accepted only when the chart behaves like an integral-manifold chart on
     the sample: every coordinate tangent stays in the fibre, the fibre rank
-    matches the chart rank over the sampled image, and the sampled orbit
-    dimension at the base does not outrun the chart (generator flows cannot
-    leave an integral manifold, so a larger sampled orbit refutes it)."""
+    matches the chart rank over the sampled image, and the orbit dimension
+    at the base (``orbits.orbit_dimension``: the Nagano rank, or a sampled
+    lower bound) does not outrun the chart (generator flows cannot leave an
+    integral manifold, so a larger orbit refutes it)."""
     base = tuple(base)
     base_report = rank_at(D, base)
     m = base_report.rank
     sampler = orbit_sampler or ORBIT_SAMPLER
     try:
-        orbit_dim = sampled_orbit(list(D.generators), base, sampler).dimension
+        orbit = orbit_dimension(D.generators, base, sampler)
+        orbit_dim, orbit_kind = orbit.dimension, orbit.certificate
     except FlowError:
-        orbit_dim = None
+        orbit_dim, orbit_kind = None, "sampled"
     if m == 0:
         ok = orbit_dim in (0, None)
         return FlowBoxChart(
@@ -168,7 +187,7 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
             orbit_dimension=orbit_dim,
             accepted=ok,
             rejected_reason=(
-                None if ok else "sampled orbit dimension exceeds the chart rank"
+                None if ok else f"{orbit_kind} orbit dimension exceeds the chart rank"
             ),
         )
     frame = [D.generators[i] for i in base_report.witness]
@@ -216,7 +235,7 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
             reason = "fibre rank varies over the sampled image"
         elif not orbit_ok:
             reason = (
-                f"sampled orbit dimension {orbit_dim} at the base exceeds the "
+                f"{orbit_kind} orbit dimension {orbit_dim} at the base exceeds the "
                 f"chart rank {m}"
             )
         else:

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 from .expr import Expr
 from .fields import VectorField, lie_bracket
 from .linalg import in_span, span_rank
-from .membership import members_bounded
+from .membership import members_bounded, oversize
 
 __all__ = [
     "BracketWord",
@@ -29,7 +29,6 @@ __all__ = [
     "FixedTimeRankReport",
     "filtration",
     "involutive",
-    "derived_algebra",
     "fixed_time_ideal_rank",
 ]
 
@@ -82,6 +81,7 @@ class LieFiltration:
     levels: List[List[Tuple[BracketWord, VectorField]]]
     stabilized_at: Optional[int]  # certified depth; None = capped at depth_cap
     certificate: Optional[str]  # "symbolic-closure" | "module-degree-D"
+    note: Optional[str] = None  # why the module search stopped short of the cap
 
     def rank_at(self, point, depth=None):
         """Rank at the point of the words of depth <= depth (default: the cap)."""
@@ -98,8 +98,9 @@ class LieFiltration:
 def filtration(family, depth_cap=DEFAULT_DEPTH_CAP, module_degree=DEFAULT_MODULE_DEGREE):
     """Generate bracket words up to the cap and try to certify stabilization
     for polynomial families, with multipliers of degree <= module_degree:
-    one membership system per depth tried.  A system outside the caps of
-    ``members_bounded`` raises its MembershipError."""
+    one membership system per depth tried.  The search stops, uncertified
+    and with a note, at the first depth whose system ``membership.oversize``
+    rejects; a degree outside ``DEGREE_CAP`` raises MembershipError."""
     family = tuple(family)
     if depth_cap < 1 or depth_cap > DEPTH_CAP_LIMIT:
         raise LieAlgebraError(f"depth cap must lie in [1, {DEPTH_CAP_LIMIT}]")
@@ -118,6 +119,7 @@ def filtration(family, depth_cap=DEFAULT_DEPTH_CAP, module_degree=DEFAULT_MODULE
 
     stabilized_at = None
     certificate = None
+    note = None
     for depth in range(2, depth_cap + 1):
         new_level = []
         for word, f in levels[-1]:
@@ -141,12 +143,16 @@ def filtration(family, depth_cap=DEFAULT_DEPTH_CAP, module_degree=DEFAULT_MODULE
         kept = [[f for _, f in level] for level in levels]
         for depth in range(1, depth_cap):
             basis = [f for lv in kept[:depth] for f in lv]
+            too_large = oversize(kept[depth], basis, module_degree)
+            if too_large:
+                note = f"module search stopped at depth {depth}: {too_large}"
+                break
             if all(c.member for c in members_bounded(kept[depth], basis, module_degree)):
                 stabilized_at = depth
                 certificate = f"module-degree-{module_degree}"
                 break
 
-    return LieFiltration(family, depth_cap, levels, stabilized_at, certificate)
+    return LieFiltration(family, depth_cap, levels, stabilized_at, certificate, note)
 
 
 @dataclass(frozen=True)
@@ -190,15 +196,6 @@ def involutive(family, mode="pointwise", samples=(), degree=2):
             if not in_span(fibre, b.value(p)):
                 return InvolutivityReport("pointwise", False, (i, j, tuple(p)))
     return InvolutivityReport("pointwise", True, None)
-
-
-def derived_algebra(family, depth_cap=DEFAULT_DEPTH_CAP):
-    """All kept bracket words of depth >= 2 up to the cap."""
-    filt = filtration(family, depth_cap)
-    out = []
-    for level in filt.levels[1:]:
-        out.extend(level)
-    return out
 
 
 @dataclass(frozen=True)

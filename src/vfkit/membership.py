@@ -23,6 +23,7 @@ __all__ = [
     "MembershipCertificate",
     "member_bounded",
     "members_bounded",
+    "oversize",
     "ideal_member_bounded",
 ]
 
@@ -84,6 +85,29 @@ def _require_polynomial(components, what):
             )
 
 
+def _check_degree(degree):
+    if degree < 0 or degree > DEGREE_CAP:
+        raise MembershipError(f"degree bound {degree} outside [0, {DEGREE_CAP}]")
+
+
+def _num_vars(fields):
+    return max([c.max_var() for f in fields for c in f] + [1])
+
+
+def oversize(targets, generators, degree):
+    """Why the one system that ``members_bounded`` builds for these targets
+    and generators is too large, or None when it fits: its unknowns
+    (generators x multiplier monomials) may not exceed ``UNKNOWNS_CAP``.
+    A degree outside [0, DEGREE_CAP] raises MembershipError, as it does
+    there."""
+    _check_degree(degree)
+    n = _num_vars([_components(f) for f in (*targets, *generators)])
+    unknowns = len(generators) * math.comb(n + degree, degree)
+    if unknowns > UNKNOWNS_CAP:
+        return f"membership system has {unknowns} unknowns, more than {UNKNOWNS_CAP}"
+    return None
+
+
 def members_bounded(targets, generators, degree):
     """Search multipliers of total degree <= degree for each target; one
     exact verdict per target, in order.
@@ -93,8 +117,7 @@ def members_bounded(targets, generators, degree):
     generators' system is built, and its size checked, once: each target
     is one more right-hand side of a single elimination.
     """
-    if degree < 0 or degree > DEGREE_CAP:
-        raise MembershipError(f"degree bound {degree} outside [0, {DEGREE_CAP}]")
+    _check_degree(degree)
     tgts = [_components(t) for t in targets]
     gens = [_components(g) for g in generators]
     if not gens:
@@ -107,15 +130,13 @@ def members_bounded(targets, generators, degree):
     for g in gens:
         _require_polynomial(g, "generators")
 
-    n = max([c.max_var() for f in tgts + gens for c in f] + [1])
+    n = _num_vars(tgts + gens)
     if all(c.is_zero() for t in tgts for c in t):
         return [MembershipCertificate(True, degree, tuple(ZERO for _ in gens)) for _ in tgts]
 
-    unknowns = len(gens) * math.comb(n + degree, degree)
-    if unknowns > UNKNOWNS_CAP:
-        raise MembershipError(
-            f"membership system has {unknowns} unknowns, more than {UNKNOWNS_CAP}"
-        )
+    too_large = oversize(tgts, gens, degree)
+    if too_large:
+        raise MembershipError(too_large)
     monos = _monomials_up_to(n, degree)
 
     # one sparse equation {unknown: coefficient} per (component, monomial of

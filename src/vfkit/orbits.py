@@ -1,12 +1,16 @@
-"""Monte-Carlo estimation of orbit and fixed-time-orbit tangent spaces.
+"""Orbit and fixed-time-orbit tangent spaces.
 
-Sampled flow words push the generators forward to a chosen point; the rank
-of the collected vectors is a certified lower bound for the orbit
-dimension (the tangent space is the span over the full diffeomorphism
-group, which no finite sample exhausts).  Fixed-time orbits use zero-sum
-words and the linear part of the affine hull of the collected vectors.
-Ranks are read at ``linalg.FLOW_REL_TOL`` and bracket filtrations are
-built to ``liealg.DEFAULT_DEPTH_CAP`` unless a depth cap is given.
+A family is *Nagano-certified* when every generator is real analytic on
+all of R^n (no ``bump``, ``bumpp`` or division atom, every domain full)
+and its bracket filtration carries a stabilization certificate.  Then the
+orbit tangent at p is Lie(F)(p) (Nagano 1966; Sussmann 1973): the orbit
+dimension is the filtration's exact rank at p (``certificate="nagano"``)
+and no flow is integrated.  Every other family is sampled: flow words push
+the generators forward to the point, and the rank of the collected vectors
+is a certified lower bound (``certificate="sampled"``).  Fixed-time orbits
+sample zero-sum words and take the linear part of the affine hull of the
+collected vectors.  Flow ranks are read at ``linalg.FLOW_REL_TOL``, and
+filtrations go to ``liealg.DEFAULT_DEPTH_CAP`` unless a cap is given.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "SteeringReport",
     "SampledOrbit",
     "sampled_orbit",
+    "nagano_certified",
     "orbit_dimension",
     "fixed_time_dimension",
     "chow_verdict",
@@ -78,16 +83,15 @@ class WordSampler:
 class OrbitTangentReport:
     point: tuple
     dimension: int
-    vectors: Tuple[tuple, ...]
+    vectors: Tuple[tuple, ...]  # sampled pushforwards; empty under "nagano"
     linf_rank: int  # bracket-filtration rank at the same point
     words_used: int
     words_skipped: int
+    certificate: str  # "nagano" (exact) | "sampled" (a lower bound)
 
     @property
     def certified_exact(self):
-        # both the sampled dimension and linf_rank are lower bounds for a
-        # smooth family, so only a full dimension is a certificate
-        return self.dimension == len(self.point)
+        return self.certificate == "nagano" or self.dimension == len(self.point)
 
 
 def _collect_pushforwards(family, words, point):
@@ -137,15 +141,30 @@ def sampled_orbit(family, point, sampler):
     return SampledOrbit(dim, vectors, used, skipped)
 
 
+def nagano_certified(filt):
+    """Whether ``filt.rank_at(p)`` is the orbit dimension at every p: every
+    generator is real analytic on all of R^n and a stabilization
+    certificate proves that the words span Lie(F)(p)."""
+    return filt.certificate is not None and all(
+        X.domain.is_full and all(c.is_analytic() for c in X.components)
+        for X in filt.family
+    )
+
+
 def orbit_dimension(family, point, sampler, depth_cap=DEFAULT_DEPTH_CAP):
-    """Sampled orbit dimension at the point (a certified lower bound), with
-    the bracket-filtration rank there."""
+    """Orbit dimension at the point, with the bracket-filtration rank there:
+    that rank itself when the family is Nagano-certified (no word is
+    walked; its generators are defined everywhere), else the sampled
+    dimension (a certified lower bound)."""
     family = tuple(family)
+    filt = filtration(family, depth_cap)
+    linf = filt.rank_at(point)
+    if nagano_certified(filt):
+        return OrbitTangentReport(tuple(point), linf, (), linf, 0, 0, "nagano")
     s = sampled_orbit(family, point, sampler)
-    linf = filtration(family, depth_cap).rank_at(point)
     return OrbitTangentReport(
         tuple(point), s.dimension, tuple(s.vectors), linf, s.words_used,
-        s.words_skipped,
+        s.words_skipped, "sampled",
     )
 
 
@@ -155,7 +174,7 @@ class FixedTimeReport:
     reached: tuple
     net_time: float
     dimension: int  # rank of the affine-hull linear part
-    orbit_dimension_at_reached: int
+    orbit_dimension_at_reached: int  # as orbit_dimension decides it
     ideal_rank: int  # I(X) rank at the reached point
     max_displacement: float  # max |word(x) - x| over the zero-sum words
     invariant_max_deviation: Optional[float]
@@ -198,7 +217,9 @@ def fixed_time_dimension(
 
     Reaches x by one net-time-T word, then samples zero-sum words at x;
     the tangent estimate is the rank of the differences of the collected
-    pushforward vectors (the linear part of their affine hull).
+    pushforward vectors (the linear part of their affine hull).  The orbit
+    dimension at x is read from the same filtration as the ideal rank when
+    the family is Nagano-certified, and sampled otherwise.
     """
     family = tuple(family)
     seed_word = _seed_word(family, point, T)
@@ -225,8 +246,12 @@ def fixed_time_dimension(
         if invariant is not None:
             inv_dev = max(inv_dev, abs(invariant.eval_float(landed) - inv_ref))
 
-    orbit_dim = sampled_orbit(family, tuple(reached), sampler).dimension
-    ideal = fixed_time_ideal_rank(filtration(family, depth_cap), tuple(reached))
+    filt = filtration(family, depth_cap)
+    if nagano_certified(filt):
+        orbit_dim = filt.rank_at(tuple(reached))
+    else:
+        orbit_dim = sampled_orbit(family, tuple(reached), sampler).dimension
+    ideal = fixed_time_ideal_rank(filt, tuple(reached))
     return FixedTimeReport(
         start=tuple(point),
         reached=tuple(reached),

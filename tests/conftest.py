@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from vfkit import fields
 from vfkit.expr import parse
 from vfkit.fields import DomainPredicate, VectorField
 
@@ -18,3 +19,17 @@ def vf():
 
 def frac_grid(lo, hi, denom):
     return [Fraction(k, denom) for k in range(lo * denom, hi * denom + 1)]
+
+
+@pytest.fixture
+def flow_steps(monkeypatch):
+    """The arguments of every flow step taken while the test runs."""
+    steps = []
+    real = fields._flow_step
+
+    def counted(*args, **kwargs):
+        steps.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "_flow_step", counted)
+    return steps

@@ -95,10 +95,11 @@ class TestVerdicts:
 
 
 class TestYesOnlyFromModule:
-    def test_circle_rank_drop_not_yes(self, vf):
+    def test_circle_rank_drop_not_yes(self, vf, flow_steps):
         # every sample has rank 2, but the rank drops to 1 on the circle
         # x1^2+x2^2 = 1/7, which holds no rational point; off x1 = 0 the
-        # bracket (0, 2*x1) leaves the fibre there
+        # bracket (0, 2*x1) leaves the fibre there.  The family is analytic
+        # and certified, so the words' rank 2 is the orbit's: no flow runs
         D = Distribution((vf("X1", ["1", "0"], 2), vf("X2", ["0", "x1^2+x2^2-1/7"], 2)))
         v = frobenius_verdict(
             D, grid2(1), orbit_sampler=WordSampler(seed=0, count=20, max_len=3, max_time=0.2)
@@ -106,11 +107,13 @@ class TestYesOnlyFromModule:
         assert v.ranks == (2,) * 9
         assert v.integrable == "undetermined"
         assert v.module_involutive is False
+        assert flow_steps == []
 
-    def test_quartic_twist_refuted(self, vf):
+    def test_quartic_twist_refuted(self, vf, flow_steps):
         # [X1, X2] = (0, 0, x1^3 - x1) vanishes on the planes x1 in {-1, 0, 1},
         # which hold every sample, and a 2-minor is 1; off those planes the
-        # bracket leaves the fibre, and the orbit outruns the rank
+        # bracket leaves the fibre, so deeper words reach rank 3 at every
+        # sample: a bracket-rank witness, found without a flow
         D = Distribution(
             (vf("X1", ["1", "0", "0"], 3), vf("X2", ["0", "1", "x1^4/4-x1^2/2"], 3))
         )
@@ -118,7 +121,9 @@ class TestYesOnlyFromModule:
         assert v.involutive_pointwise and v.ranks == (2,) * 27
         assert v.module_involutive is False
         assert v.integrable == "no"
+        assert "bracket-rank witness" in v.clause
         assert len(v.witnesses) == 27
+        assert flow_steps == []
 
     @pytest.mark.parametrize("name", ["coordinate-plane", "vanishing-pair", "umbrella-ideal"])
     def test_preset_yes_from_module(self, name):

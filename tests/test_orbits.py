@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +8,15 @@ from vfkit import frobenius, liealg, orbits
 from vfkit.distributions import Distribution
 from vfkit.expr import parse
 from vfkit.fields import DomainExitError, apply_word
+from vfkit.presets import PRESETS
+from vfkit.systems import parse_system
 from vfkit.orbits import (
     WordSampler,
     chow_verdict,
     fixed_time_dimension,
+    nagano_certified,
     orbit_dimension,
+    sampled_orbit,
     steer_linear,
 )
 
@@ -33,6 +38,11 @@ def partial(vf):
         vf("X1", ["1", "0"], 2, [(1, "<", Fraction(1))]),
         vf("X2", ["0", "1"], 2, [(1, ">", Fraction(-1))]),
     ]
+
+
+@pytest.fixture
+def cubic(vf):
+    return [vf("X1", ["1", "0"], 2), vf("X2", ["0", "x1^2*x2+x2^3"], 2)]
 
 
 NINE = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1)]
@@ -102,9 +112,83 @@ class TestOrbitDimension:
         assert long.dimension == 2 and long.certified_exact
 
     def test_determinism_of_report(self, diag):
-        a = orbit_dimension(diag, (1, 1), WordSampler(seed=11, count=50))
-        b = orbit_dimension(diag, (1, 1), WordSampler(seed=11, count=50))
-        assert a == b
+        # orbit_dimension walks no word on diag (Nagano), so compare the sampler
+        a = sampled_orbit(diag, (1, 1), WordSampler(seed=11, count=50))
+        b = sampled_orbit(diag, (1, 1), WordSampler(seed=11, count=50))
+        assert a == b and len(a.vectors) > 2
+
+
+def analytic_certified_families(vf):
+    """Every Nagano-certified family among the presets and the test fixtures."""
+    fams = [list(parse_system(p.system_text).fields) for p in PRESETS.values()]
+    fams += [
+        [vf("X1", ["x1", "0"], 2), vf("X2", ["0", "x2"], 2)],
+        [vf("X1", ["1", "0"], 2), vf("X2", ["0", "x1"], 2)],
+        [vf("X1", ["1", "0"], 2), vf("X2", ["0", "x1^2*x2+x2^3"], 2)],
+        [vf("X1", ["1", "0"], 2), vf("X2", ["0", "x1^2+x2^2-1/7"], 2)],
+        [vf("X1", ["1", "0", "0"], 3), vf("X2", ["0", "1", "x1^4/4-x1^2/2"], 3)],
+        [vf("X1", ["0", "1", "0"], 3), vf("X2", ["1", "0", "x2"], 3)],
+        [vf("X1", ["x1^2+x2^2", "0"], 2), vf("X2", ["0", "x1^2+x2^2"], 2)],
+        [vf("X0", ["x2", "0"], 2), vf("X1", ["x2", "1"], 2)],
+        [vf("X", ["exp(x2)", "0"], 2)],
+    ]
+    unique = {tuple(X.components for X in fam): fam for fam in fams}
+    return [(fam, filt) for fam in unique.values()
+            for filt in [liealg.filtration(fam)] if nagano_certified(filt)]
+
+
+class TestNagano:
+    def test_cubic_orbit_walks_no_word(self, cubic, flow_steps):
+        sampler = WordSampler(seed=0)
+        rep = orbit_dimension(cubic, (Fraction(3, 10), Fraction(7, 10)), sampler)
+        assert (rep.dimension, rep.linf_rank, rep.certificate) == (2, 2, "nagano")
+        assert (rep.vectors, rep.words_used, rep.words_skipped) == ((), 0, 0)
+        axis = orbit_dimension(cubic, (Fraction(1, 2), 0), sampler)
+        assert (axis.dimension, axis.certificate) == (1, "nagano")
+        assert axis.certified_exact  # exact below full dimension too
+        assert flow_steps == []
+
+    def test_fixed_time_reads_the_orbit_from_the_filtration(self, cubic, monkeypatch):
+        calls = []
+        monkeypatch.setattr(orbits, "sampled_orbit", lambda *a: calls.append(a))
+        rep = fixed_time_dimension(cubic, (Fraction(1, 4), Fraction(1, 2)), 0.3,
+                                   WordSampler(seed=2, count=20, max_len=4))
+        assert rep.orbit_dimension_at_reached == 2 and calls == []
+
+    def test_sampled_never_above_nagano_rank(self, vf):
+        # Lie(F)(p) is the orbit tangent, so a larger sampled rank is a bug
+        families = analytic_certified_families(vf)
+        assert len(families) >= 14
+        sampler = WordSampler(seed=21, count=12, max_len=3, max_time=0.4)
+        for fam, filt in families:
+            n = fam[0].dim
+            grid = [p for p in itertools.product((-1, 0, 1), repeat=n)]
+            for p in grid:
+                sampled = sampled_orbit(fam, p, sampler).dimension
+                assert sampled <= filt.rank_at(p), (fam, p)
+
+    def test_flat_restricted_and_divided_families_sample(self, flat, partial, vf):
+        divided = [vf("X", ["1/(1+x1^2)", "0"], 2)]
+        flat_in_exp = [vf("X", ["exp(bumpp(x1))", "0"], 2)]
+        assert liealg.filtration(divided).certificate == "symbolic-closure"
+        for fam, p in [(flat, (-3, 0)), (partial, (2, 0)), (divided, (0, 0)),
+                       (flat_in_exp, (1, 0))]:
+            rep = orbit_dimension(fam, p, WordSampler(seed=0, count=20))
+            assert rep.certificate == "sampled" and rep.vectors
+        assert orbit_dimension([vf("X", ["exp(x2)", "0"], 2)], (0, 0),
+                               WordSampler(seed=0)).certificate == "nagano"
+
+    def test_over_cap_filtration_is_not_certified(self, monkeypatch, vf):
+        from vfkit import membership
+
+        monkeypatch.setattr(membership, "UNKNOWNS_CAP", 10)
+        quadratic = [vf("X1", ["x2", "0"], 2), vf("X2", ["0", "x1^2"], 2)]
+        filt = liealg.filtration(quadratic, 4)
+        assert filt.certificate is None and not nagano_certified(filt)
+        assert filt.note == ("module search stopped at depth 1: membership system "
+                             "has 56 unknowns, more than 10")
+        rep = orbit_dimension(quadratic, (1, 1), WordSampler(seed=0, count=10))
+        assert rep.certificate == "sampled"
 
 
 class TestFixedTime:
@@ -174,21 +258,26 @@ class TestFixedTime:
             calls.append(args)
             return original(*args, **kwargs)
 
+        # each caller builds the one filtration whose words it reads (the
+        # bracket-rank and Nagano tests), and no other
         monkeypatch.setattr(liealg, "filtration", counted)
         monkeypatch.setattr(orbits, "filtration", counted)
+        monkeypatch.setattr(frobenius, "filtration", counted)
         sampler = WordSampler(seed=1, count=30, max_len=4, max_time=1.0)
         # the rank drops to 1 on x1 <= 0, so the verdict samples orbits there
         grid = [(Fraction(i, 2), Fraction(j, 2)) for i in (-1, 0, 1) for j in (-1, 1)]
         verdict = frobenius.frobenius_verdict(Distribution(tuple(flat)), grid,
                                               orbit_sampler=sampler)
         assert verdict.ranks == (1, 1, 1, 1, 2, 2)
+        assert verdict.integrable == "no" and "sampled" in verdict.clause
+        assert len(calls) == 1
         chart = frobenius.flow_box_chart(Distribution(tuple(flat)), (-1, 0),
                                          orbit_sampler=sampler)
         assert chart.orbit_dimension == 2
-        assert calls == []
+        assert len(calls) == 2
         rep = orbits.chow_verdict(flat, [(-1, 0), (-2, 1), (1, 0)], 2, sampler)
         assert len(rep.sampled_orbit_dims) == 2  # (-1, 0) and (-2, 1) fail
-        assert len(calls) == 1  # chow_verdict's own
+        assert len(calls) == 3  # chow_verdict's own
 
 
 class TestChow:

@@ -216,6 +216,23 @@ class TestCli:
             assert orbit("--fixed-time", bad)[0] == 1
             assert orbit("--max-time", bad)[0] == 1
 
+    def test_orbit_certificate(self, capsys, shear_file, tmp_path):
+        # Nagano decides the dimension; the sampled vectors stay in the report
+        code, out = run_cli(capsys, "orbit", "--system", shear_file, "--point", "0,0",
+                            "--words", "30", "--format", "json")
+        res = json.loads(out)["results"]
+        assert code == 0
+        assert (res["dimension"], res["certificate"], res["certified_exact"]) == (
+            2, "nagano", True)
+        assert res["words_used"] + res["words_skipped"] == 30 and len(res["vectors"]) > 2
+        partial = tmp_path / "partial.vf"
+        partial.write_text(PARTIAL)
+        _, out = run_cli(capsys, "orbit", "--system", str(partial), "--point", "2,0",
+                         "--words", "30", "--format", "json")
+        res = json.loads(out)["results"]
+        assert (res["dimension"], res["certificate"], res["certified_exact"]) == (
+            1, "sampled", False)
+
     def test_frobenius_command(self, capsys, isolated_file):
         code, out = run_cli(capsys, "frobenius", "--system", isolated_file,
                             "--format", "json")
@@ -261,11 +278,17 @@ class TestCli:
         assert len(calls) == 1
 
     def test_unknowns_cap_reaches_lie(self, capsys, vanishing_file, monkeypatch):
+        # an over-cap module search stops with a note; the ranks still print
         monkeypatch.setattr(membership, "UNKNOWNS_CAP", 10)
         code, out = run_cli(capsys, "lie", "--system", vanishing_file, "--point",
                             "1/2,3/4", "--module-degree", "4", "--format", "json")
-        assert code == 3
-        assert "unknowns, more than 10" in json.loads(out)["error"]
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["certificate"] is None and res["stabilized_at"] is None
+        assert res["ranks_by_depth"] and res["words"]
+        assert res["note"].endswith(
+            "module search stopped at depth 1: membership system has 30 unknowns, "
+            "more than 10")
 
     def test_grid_cap_is_a_usage_error(self, capsys, shear_file):
         code, out = run_cli(capsys, "rank", "--system", shear_file, "--grid",
