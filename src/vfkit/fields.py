@@ -21,10 +21,22 @@ A field's flow kind is detected once, and its value and Jacobian are
 compiled once (``expr.compile_float``, same log-space semantics) in the
 same ``_flow_kind`` entry; flow steps and ODE right-hand sides call them.
 
+Many words are walked in one place, ``_walk``, position by position.  At
+each position the words still going are grouped by field index (and by
+the column count of their V): a straight-line group takes one stacked
+step, end = P + t X(P) and V <- (I + t DX(P)) V over all its rows, with X
+and DX evaluated row by row by the compiled closures, so each row has the
+bits of a one-word walk; affine and ODE groups step row by row, each row
+with its own matrix exponential or its own solve (a stacked solve would
+share one error norm).  ``apply_words`` and ``pushforward_along_words``
+return, per word, its result or the FlowError that stopped it;
+``apply_word``, ``pushforward_along_word`` and ``flow`` are their one-word
+cases and raise that error.
+
 The relative tolerance ``DEFAULT_RTOL`` and the bounding box ``DEFAULT_BOX``
 (every coordinate stays within 1e6 in absolute value) are module constants,
-not per-call options.  Words are walked step by step in one place, which
-sets ``.step`` on the error of a failing step to that step's index.
+not per-call options.  The walk sets ``.step`` on the error of a failing
+step to that step's index in its word.
 """
 
 from __future__ import annotations
@@ -49,7 +61,9 @@ __all__ = [
     "lie_bracket",
     "flow",
     "apply_word",
+    "apply_words",
     "pushforward_along_word",
+    "pushforward_along_words",
     "multiply_field",
     "jacobian_exprs",
 ]
@@ -209,6 +223,8 @@ class _Flow(NamedTuple):
     kind: str  # "straight" | "affine" | "ode"
     value: Callable  # point -> X(point), a float vector
     jacobian: Callable  # point -> DX(point), a float n x n matrix
+    comps: tuple  # compiled components: list of floats -> float
+    rows: tuple  # compiled Jacobian rows, one tuple of closures per row
     eye: np.ndarray  # n x n identity, for the straight step's Jacobian
     M: Optional[np.ndarray] = None  # affine x' = Ax + b: [[A, b], [0, 0]]
     diagonal: bool = False  # affine: whether A is diagonal
@@ -244,7 +260,7 @@ def _flow_kind(X):
         sum((X.components[j] * J[i][j] for j in range(n)), ZERO).is_zero()
         for i in range(n)
     ):
-        return _Flow("straight", value, jacobian, eye)
+        return _Flow("straight", value, jacobian, comps, rows, eye)
     if all(c.is_polynomial() and c.total_degree() <= 1 for c in X.components):
         A = [[Fraction(0)] * n for _ in range(n)]
         b = [Fraction(0)] * n
@@ -261,8 +277,8 @@ def _flow_kind(X):
         M[:n, n] = np.array(b, dtype=float)
         M.flags.writeable = False
         diagonal = all(A[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-        return _Flow("affine", value, jacobian, eye, M, diagonal)
-    return _Flow("ode", value, jacobian, eye)
+        return _Flow("affine", value, jacobian, comps, rows, eye, M, diagonal)
+    return _Flow("ode", value, jacobian, comps, rows, eye)
 
 
 def _affine_maps(M, t):
@@ -281,23 +297,10 @@ def _check_box(p):
         raise IntegrationError("trajectory escaped the bounding box")
 
 
-def _flow_step(X, t, p, v=None):
-    """Advance p by the time-t flow of X; optionally transport v, an
-    n x k matrix whose columns are tangent vectors at p."""
-    p = np.asarray(p, dtype=float)
-    if not X.domain.contains(p):
-        raise DomainExitError(f"start point outside the domain of {X.name}", exit_time=0.0)
-    if t == 0.0:
-        return (p.copy(), None if v is None else np.array(v, dtype=float))
-    kind = _flow_kind(X)
-    if kind.kind == "straight":
-        end = p + t * kind.value(p)
-        _check_domain_endpoint(X, t, end)
-        _check_box(end)
-        if v is None:
-            return end, None
-        J = kind.eye + t * kind.jacobian(p)
-        return end, J @ np.asarray(v, dtype=float)
+def _flow_step(X, kind, t, p, v):
+    """Advance one point p by the nonzero time-t affine or ODE flow of X;
+    transport v, an n x k matrix whose columns are tangent vectors at p,
+    unless it is None."""
     if kind.kind == "affine":
         M, diagonal = kind.M, kind.diagonal
         E, c = _affine_maps(M, t)
@@ -311,9 +314,7 @@ def _flow_step(X, t, p, v=None):
                     Es, cs = _affine_maps(M, s)
                     _check_domain_endpoint(X, s, Es @ p + cs)
         _check_box(end)
-        if v is None:
-            return end, None
-        return end, E @ np.asarray(v, dtype=float)
+        return end, None if v is None else E @ v
     return _flow_step_ode(X, kind, t, p, v)
 
 
@@ -379,28 +380,156 @@ def _flow_step_ode(X, kind, t, p, v):
     return yT, None
 
 
-def _walk(family, steps, p, V=None):
-    """Flow p through the steps, transporting V when given; a failing step's
-    error gets the step's index as ``step``."""
-    p = np.asarray(p, dtype=float)
-    for k, (i, t) in enumerate(steps):
-        try:
-            p, V = _flow_step(family[i], t, p, V)
-        except FlowError as err:
-            err.step = k
-            raise
-    return p, V
+def _step_group(X, ts, rows, P, V):
+    """One flow step along X for the given rows of P, row rows[j] for time
+    ts[j], transporting the rows' matrices in V unless V is None; the
+    rows of P and V are replaced in place.  Returns {row: FlowError} for
+    the rows that fail.
+
+    A start point outside X's domain fails with exit time 0, and a zero
+    time leaves the row as it is.  A straight flow moves the other rows in
+    one stacked step, end = p + t X(p) and V <- (I + t DX(p)) V, with X and
+    DX evaluated row by row by the compiled closures, so every bit is that
+    of a one-row step.  Affine and ODE flows take ``_flow_step`` row by row.
+    """
+    kind = _flow_kind(X)
+    failed = {}
+    moving = []
+    for r, t in zip(rows, ts):
+        if not X.domain.contains(P[r]):
+            failed[r] = DomainExitError(
+                f"start point outside the domain of {X.name}", exit_time=0.0)
+        elif t != 0.0:
+            moving.append((r, t))
+    if kind.kind != "straight":
+        for r, t in moving:
+            try:
+                end, v = _flow_step(X, kind, t, np.array(P[r]), None if V is None else V[r])
+            except FlowError as err:
+                failed[r] = err
+                continue
+            P[r] = end.tolist()
+            if V is not None:
+                V[r] = v
+        return failed
+    if not moving:
+        return failed
+    rs, times = zip(*moving)
+    base = [P[r] for r in rs]
+    t = np.array(times)
+    vals = np.array([[f(p) for f in kind.comps] for p in base], dtype=float)
+    end = np.array(base) + t[:, None] * vals
+    escaped = (np.abs(end).max(axis=1) > DEFAULT_BOX).tolist()
+    ok = []
+    for k, e in enumerate(end.tolist()):
+        if not X.domain.contains(e):
+            failed[rs[k]] = DomainExitError(
+                f"trajectory of {X.name} left its domain", exit_time=times[k])
+        elif escaped[k]:
+            failed[rs[k]] = IntegrationError("trajectory escaped the bounding box")
+        else:
+            P[rs[k]] = e
+            ok.append(k)
+    if V is not None and ok:
+        t = np.array([times[k] for k in ok])
+        jac = np.array([[[f(base[k]) for f in row] for row in kind.rows] for k in ok],
+                       dtype=float)
+        J = kind.eye + t[:, None, None] * jac
+        for k, Vk in zip(ok, J @ np.array([V[rs[k]] for k in ok])):
+            V[rs[k]] = Vk
+    return failed
+
+
+def _walk(family, words, P, V=None):
+    """Flow row r of P, a list of points each given as a list of floats,
+    through words[r], transporting V[r] (an n x k_r matrix) unless V is
+    None.
+
+    All rows advance position by position: at each position the live rows
+    are grouped by field index and column count, and each group takes one
+    ``_step_group``.  Returns the end rows, the transported matrices and,
+    per row, the FlowError that stopped it (``step`` set to the index of
+    the failing step) or None.  Any other exception propagates at once.
+    """
+    P = list(P)
+    V = None if V is None else list(V)
+    errors = [None] * len(words)
+    for pos in range(max(map(len, words), default=0)):
+        groups = {}
+        for r, w in enumerate(words):
+            if pos < len(w) and errors[r] is None:
+                key = (w[pos][0], 0 if V is None else V[r].shape[1])
+                groups.setdefault(key, []).append(r)
+        for (i, _), rows in groups.items():
+            ts = [words[r][pos][1] for r in rows]
+            for r, err in _step_group(family[i], ts, rows, P, V).items():
+                err.step = pos
+                errors[r] = err
+    return P, V, errors
 
 
 def flow(X, t, point):
     """Flow the point for time t along X.  Raises on domain exit or blow-up."""
-    end, _ = _flow_step(X, float(t), point)
-    return end
+    P, _, (err,) = _walk((X,), [((0, float(t)),)], [_floats(point)])
+    if err is not None:
+        err.step = None  # a lone flow is no step of a word
+        raise err
+    return np.array(P[0])
+
+
+def apply_words(family, words, point):
+    """Apply every flow word to the point in one walk: per word, the end
+    point, or the FlowError (``step`` set) that stopped the word."""
+    steps = [_as_steps(w) for w in words]
+    P, _, errors = _walk(family, steps, [_floats(point)] * len(steps))
+    return [np.array(end) if err is None else err for end, err in zip(P, errors)]
 
 
 def apply_word(family, word, point):
     """Apply a flow word left to right: step k flows along family[i_k]."""
-    return _walk(family, _as_steps(word), point)[0]
+    (end,) = apply_words(family, [word], point)
+    if isinstance(end, FlowError):
+        raise end
+    return end
+
+
+def pushforward_along_words(family, words, X, point):
+    """``pushforward_along_word`` for every word in one pair of walks: per
+    word, its result, or the FlowError that it would raise."""
+    single = isinstance(X, VectorField)
+    fields = (X,) if single else tuple(X)
+    steps = [_as_steps(w) for w in words]
+    inverse = [tuple((i, -t) for i, t in reversed(s)) for s in steps]
+    start = _floats(point)
+    Y, _, out = _walk(family, inverse, [start] * len(steps))
+    walked, defined, V = [], [], []
+    for r, y in enumerate(Y):
+        if out[r] is not None:
+            continue
+        ok = [F.domain.contains(y) for F in fields]
+        if single and not ok[0]:
+            out[r] = DomainExitError(f"{X.name} is undefined at the pulled-back point")
+        elif not any(ok):
+            out[r] = [None] * len(fields)
+        else:
+            walked.append(r)
+            defined.append(ok)
+            V.append(np.column_stack(
+                [F.value_float(y) for F, d in zip(fields, ok) if d]))
+    P, V, errors = _walk(family, [steps[r] for r in walked], [Y[r] for r in walked], V)
+    tol = 1e-6 * (1.0 + np.max(np.abs(point)))
+    ends = np.array(P, dtype=float).reshape(len(P), len(start))
+    drifts = np.abs(ends - start).max(axis=1)
+    for r, drift, Vr, ok, err in zip(walked, drifts, V, defined, errors):
+        if err is None and drift > tol:
+            err = IntegrationError(f"round-trip drift {drift:.2e} exceeds tolerance")
+        if err is not None:
+            out[r] = err
+            continue
+        columns = iter(Vr.T)
+        pushed = [next(columns) if d else None for d in ok]
+        out[r] = pushed[0] if single else pushed
+    return out
 
 
 def pushforward_along_word(family, word, X, point):
@@ -417,21 +546,7 @@ def pushforward_along_word(family, word, X, point):
     ``step`` set, whatever the number of fields; a failure of the walk back
     carries its index in that walk.
     """
-    single = isinstance(X, VectorField)
-    fields = (X,) if single else tuple(X)
-    steps = _as_steps(word)
-    inverse = tuple((i, -t) for i, t in reversed(steps))
-    y, _ = _walk(family, inverse, point)
-    defined = [F.domain.contains(y) for F in fields]
-    if single and not defined[0]:
-        raise DomainExitError(f"{X.name} is undefined at the pulled-back point")
-    if not any(defined):
-        return [None] * len(fields)
-    V = np.column_stack([F.value_float(y) for F, ok in zip(fields, defined) if ok])
-    p, V = _walk(family, steps, y, V)
-    drift = np.max(np.abs(p - np.asarray(point, dtype=float)))
-    if drift > 1e-6 * (1.0 + np.max(np.abs(point))):
-        raise IntegrationError(f"round-trip drift {drift:.2e} exceeds tolerance")
-    columns = iter(V.T)
-    pushed = [next(columns) if ok else None for ok in defined]
-    return pushed[0] if single else pushed
+    (pushed,) = pushforward_along_words(family, [word], X, point)
+    if isinstance(pushed, FlowError):
+        raise pushed
+    return pushed

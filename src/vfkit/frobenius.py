@@ -16,7 +16,9 @@ The verdict combines three independent detectors:
   witness); (b) if the family is Nagano-certified (``orbits``) the words
   span the orbit tangent, so no flow can find more and the verdict stays
   undetermined; (c) else a sampled orbit dimension above the fibre rank
-  rules it out.
+  rules it out.  Step (c) samples only where that can happen: not at full
+  rank, and not where every generator is defined and exactly zero (the
+  orbit is the point, of dimension 0).
 
 Flow-box charts sample a ``CHART_GRID_POINTS``-per-axis grid of flow times
 in [-CHART_RADIUS, CHART_RADIUS].
@@ -65,7 +67,8 @@ def frobenius_verdict(
 ):
     samples = [tuple(p) for p in samples]
     family = list(D.generators)
-    ranks = tuple(rank_at(D, p).rank for p in samples)
+    reports = [rank_at(D, p) for p in samples]
+    ranks = tuple(rep.rank for rep in reports)
 
     # pointwise involutivity, sample by sample so mixed outcomes are visible
     failing: List[tuple] = []
@@ -95,12 +98,18 @@ def frobenius_verdict(
         bracket_rank_gap = bool(witnesses)
         if not witnesses and not nagano_certified(filt):
             sampler = orbit_sampler or ORBIT_SAMPLER
-            for p, r in zip(samples, ranks):
+            for p, rep in zip(samples, reports):
+                # no orbit outruns a full-rank fibre, and where every
+                # generator is defined and exactly zero the orbit is {p}
+                vanishing = (rep.rank == 0 and rep.method == "exact-rational"
+                             and not rep.excluded)
+                if rep.rank == D.dim or vanishing:
+                    continue
                 try:
                     dim = sampled_orbit(family, p, sampler).dimension
                 except FlowError:
                     continue
-                if dim > r:
+                if dim > rep.rank:
                     witnesses.append(p)
 
     if failing:

@@ -25,7 +25,8 @@ from .fields import (
     DomainExitError,
     FlowError,
     apply_word,
-    pushforward_along_word,
+    apply_words,
+    pushforward_along_words,
 )
 from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, filtration,
                      fixed_time_ideal_rank)
@@ -95,19 +96,17 @@ class OrbitTangentReport:
 
 
 def _collect_pushforwards(family, words, point):
-    """Generator values at the point and their pushforwards along each word,
-    with the number of words that pushed some generator forward and the
-    number that pushed none."""
+    """Generator values at the point and their pushforwards along each word
+    (all words walked together), with the number of words that pushed some
+    generator forward and the number that pushed none."""
     vectors = []
     for X in family:
         if X.domain.contains(point):
             vectors.append(tuple(X.value_float(point)))
     used = 0
     skipped = 0
-    for w in words:
-        try:
-            pushed = pushforward_along_word(family, w, family, point)
-        except FlowError:
+    for pushed in pushforward_along_words(family, words, family, point):
+        if isinstance(pushed, FlowError):
             pushed = ()
         got = [tuple(float(x) for x in v) for v in pushed if v is not None]
         vectors.extend(got)
@@ -237,10 +236,8 @@ def fixed_time_dimension(
     if invariant is not None:
         inv_dev = 0.0
         inv_ref = invariant.eval_float(reached)
-    for w in words:
-        try:
-            landed = apply_word(family, w, reached)
-        except FlowError:
+    for landed in apply_words(family, words, reached):
+        if isinstance(landed, FlowError):
             continue
         max_disp = max(max_disp, float(np.max(np.abs(landed - reached))))
         if invariant is not None:

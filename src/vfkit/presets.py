@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import Distribution, rank_at, singular_locus_minors
 from .expr import parse
-from .fields import apply_word, lie_bracket
+from .fields import FlowError, apply_word, apply_words, lie_bracket
 from .frobenius import flow_box_chart, frobenius_verdict
 from .liealg import filtration, involutive
 from .membership import ideal_member_bounded, member_bounded
@@ -145,8 +145,9 @@ def _nine_orbit_signs(ctx):
     bad = 0
     for i, p in enumerate(_NINE_POINTS):
         ref = _sign_pattern(p)
-        for w in ctx.sampler(100 + i).words(len(ctx.family)):
-            landed = apply_word(ctx.family, w, p)
+        for landed in apply_words(ctx.family, ctx.sampler(100 + i).words(len(ctx.family)), p):
+            if isinstance(landed, FlowError):
+                raise landed
             if _sign_pattern(np.where(np.abs(landed) < 1e-12, 0.0, landed)) != ref:
                 bad += 1
     return _result(bad == 0, "sign pattern (sgn x1, sgn x2) never changes", f"{bad} violations")

@@ -23,13 +23,14 @@ def frac_grid(lo, hi, denom):
 
 @pytest.fixture
 def flow_steps(monkeypatch):
-    """The arguments of every flow step taken while the test runs."""
+    """(field, time) of every flow step taken while the test runs, one per
+    walked row of each stacked step."""
     steps = []
-    real = fields._flow_step
+    real = fields._step_group
 
-    def counted(*args, **kwargs):
-        steps.append(args)
-        return real(*args, **kwargs)
+    def counted(X, ts, *args):
+        steps.extend((X, t) for t in ts)
+        return real(X, ts, *args)
 
-    monkeypatch.setattr(fields, "_flow_step", counted)
+    monkeypatch.setattr(fields, "_step_group", counted)
     return steps

@@ -13,12 +13,16 @@ from vfkit.fields import (
     IntegrationError,
     VectorField,
     apply_word,
+    apply_words,
     flow,
     lie_bracket,
     multiply_field,
     pushforward_along_word,
+    pushforward_along_words,
 )
 from vfkit.orbits import WordSampler
+
+from conftest import make_field
 
 
 def random_poly_field(rng, n, max_degree=3):
@@ -273,16 +277,11 @@ class TestBatchedTransport:
             compared += 1
         assert compared >= 8
 
-    def test_word_walked_once(self, vf, monkeypatch):
+    def test_word_walked_once(self, vf, flow_steps):
         family = [vf(f"X{j + 1}", c, 2) for j, c in enumerate(FLAT_PAIR)]
         word = [(0, 0.2), (1, -0.3), (0, 0.1)]
-        calls = []
-        real = fields._flow_step
-        monkeypatch.setattr(
-            fields, "_flow_step", lambda *a, **kw: calls.append(1) or real(*a, **kw)
-        )
         pushforward_along_word(family, word, family, (0.3, 0.7))
-        assert len(calls) == 2 * len(word)
+        assert len(flow_steps) == 2 * len(word)
 
     def test_undefined_field_gives_none(self, vf):
         family = [vf("X", ["1", "0"], 2)]
@@ -310,6 +309,111 @@ class TestBatchedTransport:
         assert isinstance(v, np.ndarray) and v.shape == (2,)
         batch = pushforward_along_word(family, [(1, 0.2)], family[:1], (0.3, 0.7))
         assert isinstance(batch, list) and len(batch) == 1
+
+
+def _stacked_families(vf):
+    half, tenth = Fraction(1, 2), Fraction(1, 10)
+    return {
+        "straight": [vf(f"X{j + 1}", c, 2) for j, c in enumerate(FLAT_PAIR)],
+        "half-plane-translations": [vf("X1", ["1", "0"], 2, [(1, "<", Fraction(1))]),
+                                    vf("X2", ["0", "1"], 2, [(1, ">", Fraction(-1))])],
+        "diagonal-affine": [vf("X1", ["x1", "0"], 2, [(1, "<", 3 * half)]),
+                            vf("X2", ["0", "x2"], 2, [(2, ">", -half)])],
+        "rotation": [vf("R", ["-x2", "x1"], 2, [(1, "<", half)]), vf("X", ["1", "0"], 2)],
+        "double-integrator": [vf("X0", ["x2", "0"], 2), vf("X1", ["x2", "1"], 2)],
+        # A and C blow up in finite time, C too fast for the integrator
+        "blow-up": [vf("A", ["x1^2", "0"], 2), vf("B", ["0", "1"], 2, [(1, ">", -half)]),
+                    vf("C", ["0", "x2^3"], 2)],
+        # X1 is undefined at many pulled-back points, so rows carry fewer columns
+        "half-plane": [vf("X1", ["1", "0"], 2, [(1, "<", tenth)]), vf("X2", ["0", "x1"], 2)],
+        # one step of S leaves the bounding box
+        "box-escape": [vf("S", ["3000000", "0"], 2), vf("T", ["0", "1"], 2, [(2, "<", half)])],
+    }
+
+
+# outcomes each family must reach, so that the comparison covers them
+STACKED_OUTCOMES = {
+    "half-plane-translations": {"start point outside the domain", "left its domain"},
+    "diagonal-affine": {"left its domain"},
+    "rotation": {"left its domain"},
+    "blow-up": {"integrator failed"},
+    "half-plane": {"undefined at the pulled-back point", "None column"},
+    "box-escape": {"escaped the bounding box"},
+}
+ZERO_TIME_WORDS = [(), ((0, 0.0),), ((0, 0.3), (1, 0.0), (0, -0.3)), ((1, 0.0), (1, 0.2))]
+
+
+def _one_word(walk, *args):
+    try:
+        return walk(*args)
+    except FlowError as err:
+        return err
+
+
+def _outcome(a, b, seen):
+    """Whether two walk results are the same, error for error and float
+    for float; records what kind of outcome it was in ``seen``."""
+    if isinstance(a, FlowError):
+        seen.update(m for m in ("start point outside the domain", "left its domain",
+                                "escaped the bounding box", "integrator failed",
+                                "undefined at the pulled-back point") if m in str(a))
+        return (type(a), str(a), a.step, getattr(a, "exit_time", None)) == (
+            type(b), str(b), b.step, getattr(b, "exit_time", None))
+    if isinstance(a, list):
+        seen.update(["None column"] if any(x is None for x in a) else [])
+        return len(a) == len(b) and all(
+            x is y is None or (x is not None and y is not None and np.array_equal(x, y))
+            for x, y in zip(a, b))
+    return isinstance(b, np.ndarray) and np.array_equal(a, b)
+
+
+class TestStackedWalk:
+    """All words of a call walk together, position by position; each word
+    ends as its own one-word walk does."""
+
+    @pytest.mark.parametrize("name", list(_stacked_families(make_field)))
+    def test_stacked_walk_equals_one_word_walks(self, vf, name):
+        family = _stacked_families(vf)[name]
+        ode = name in ("rotation", "blow-up")
+        sampler = WordSampler(seed=7, count=8 if ode else 40, max_len=5, max_time=1.0)
+        words = sampler.words(len(family)) + ZERO_TIME_WORDS
+        seen = set()
+        for point in [(0.3, 0.7), (Fraction(1, 2), Fraction(-1, 3)), (0.05, -0.6)]:
+            stacked = apply_words(family, words, point)
+            for w, got in zip(words, stacked):
+                assert _outcome(_one_word(apply_word, family, w, point), got, seen), w
+            for X in (family, family[0]):
+                stacked = pushforward_along_words(family, words, X, point)
+                for w, got in zip(words, stacked):
+                    want = _one_word(pushforward_along_word, family, w, X, point)
+                    assert _outcome(want, got, seen), (w, X)
+        assert STACKED_OUTCOMES.get(name, set()) <= seen
+
+    def test_straight_exit_reports_its_step_and_time(self, vf):
+        X1 = vf("X1", ["1", "0"], 2, [(1, "<", Fraction(1))])
+        X2 = vf("X2", ["0", "1"], 2)
+        words = [[(0, 0.5), (1, 0.2), (0, 0.75)], [(1, 1.0), (0, 2.0)], [(0, -3.0)]]
+        first, second, inside = apply_words([X1, X2], words, (0.0, 0.0))
+        assert isinstance(first, DomainExitError) and isinstance(second, DomainExitError)
+        assert (first.step, first.exit_time) == (2, 0.75)
+        assert (second.step, second.exit_time) == (1, 2.0)
+        assert np.array_equal(inside, [-3.0, 0.0])
+
+    def test_straight_step_matches_one_point_arithmetic(self, vf):
+        # X3 = (x2^2, 0) is constant along its own flow lines
+        family = [vf(f"X{j + 1}", c, 2) for j, c in enumerate(FLAT_PAIR)]
+        family.append(vf("X3", ["x2^2", "0"], 2))
+        words = WordSampler(seed=3, count=40, max_len=5).words(3) + ZERO_TIME_WORDS
+        point = (0.3, 0.7)
+        V0 = np.column_stack([X.value_float(point) for X in family])
+        P, V, errors = fields._walk(family, words, [point] * len(words), [V0] * len(words))
+        assert errors == [None] * len(words)
+        for w, p, Vw in zip(words, P, V):
+            q, U = np.array(point), V0
+            for i, t in w:
+                kind = fields._flow_kind(family[i])
+                q, U = q + t * kind.value(q), (kind.eye + t * kind.jacobian(q)) @ U
+            assert np.array_equal(p, q) and np.array_equal(Vw, U)
 
 
 class TestCompiledEvaluation:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from vfkit import frobenius
 from vfkit.distributions import Distribution
 from vfkit.frobenius import flow_box_chart, frobenius_verdict
 from vfkit.orbits import WordSampler, orbit_dimension
@@ -92,6 +93,40 @@ class TestVerdicts:
             D, [(-1, 0), (1, 0)], orbit_sampler=WordSampler(seed=3, count=100)
         )
         assert v.integrable == "undetermined"
+
+
+SAMPLED_CLAUSE = "sampled orbit dimension exceeds the fibre rank at a witness point"
+
+
+class TestOrbitSamplesSkipped:
+    """The orbit clause samples only where an orbit could outrun the fibre:
+    not at full rank, and not where every generator is exactly zero."""
+
+    @pytest.mark.parametrize("name,grid,sampler,sampled,verdict,witness_x1", [
+        ("one-sided-flat", grid2(), WordSampler(seed=30, count=400, max_len=8, max_time=1.5),
+         15, "no", {-1, Fraction(-1, 2), 0}),
+        ("two-sided-flat", grid2(), WordSampler(seed=40, count=400, max_len=8, max_time=1.5),
+         5, "no", {0}),
+        # both generators vanish at the origin and the rank is 2 elsewhere
+        ("mixed-degree-pair", grid2(1), WordSampler(seed=0, count=300, max_len=8, max_time=1.0),
+         0, "undetermined", set()),
+    ], ids=["one-sided-flat", "two-sided-flat", "mixed-degree-pair"])
+    def test_samples_only_where_the_orbit_may_outrun(
+        self, monkeypatch, name, grid, sampler, sampled, verdict, witness_x1
+    ):
+        calls = []
+        real = frobenius.sampled_orbit
+        monkeypatch.setattr(frobenius, "sampled_orbit",
+                            lambda fam, p, s: calls.append(p) or real(fam, p, s))
+        D = Distribution(parse_system(PRESETS[name].system_text).fields)
+        v = frobenius_verdict(D, grid, orbit_sampler=sampler)
+        assert len(calls) == sampled
+        assert v.integrable == verdict and v.involutive_pointwise
+        assert v.witnesses == tuple(p for p in grid if p[0] in witness_x1)
+        # every sampled point is a witness: no sample is wasted here
+        assert tuple(calls) == v.witnesses
+        if verdict == "no":
+            assert v.clause.startswith(SAMPLED_CLAUSE)
 
 
 class TestYesOnlyFromModule:

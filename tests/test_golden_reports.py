@@ -36,7 +36,8 @@ SYSTEMS = {
     ]),
 }
 # presets whose default-grid ``frobenius`` verdict needs no sampled orbit
-FROBENIUS = ["linear-shear", "vanishing-pair", "umbrella-ideal", "coordinate-plane"]
+FROBENIUS = ["linear-shear", "vanishing-pair", "umbrella-ideal", "coordinate-plane",
+             "mixed-degree-pair"]
 
 
 def _cases():
