@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .expr import Expr, ZERO, const
-from .fields import FlowError, VectorField, lie_bracket, pushforward_along_word
+from .fields import FlowError, VectorField, lie_bracket, pushforward_along_words
 from .linalg import (
     FLOW_REL_TOL,
     all_exact,
@@ -290,10 +290,10 @@ def invariance_check(D, X, sample_points, flow_times):
     """Bracket-invariance ([X, g] stays in the fibre) and sampled
     flow-invariance (pushforwards by the flow of X stay in the fibre).
 
-    For each sample point and time, every generator is pushed forward
-    through the same one-step word.  A sample whose flow fails, or whose
-    generator is undefined at the pulled-back point, is skipped and
-    counted in ``flow_samples_skipped``."""
+    At each sample point every generator is pushed forward through the
+    one-step words of all the times in one walk.  A sample whose flow
+    fails, or whose generator is undefined at the pulled-back point, is
+    skipped and counted in ``flow_samples_skipped``."""
     bracket_ok = True
     bracket_witness = None
     for gi, g in enumerate(D.generators):
@@ -310,11 +310,11 @@ def invariance_check(D, X, sample_points, flow_times):
     # the witness is the first failure in (generator, point, time) order
     flow_failures = []
     skipped = 0
+    words = [[(0, t)] for t in flow_times]
     for pi, p in enumerate(sample_points):
-        for ti, t in enumerate(flow_times):
-            try:
-                pushed = pushforward_along_word([X], [(0, t)], D.generators, p)
-            except FlowError:
+        at_p = pushforward_along_words([X], words, D.generators, p)
+        for ti, (t, pushed) in enumerate(zip(flow_times, at_p)):
+            if isinstance(pushed, FlowError):
                 skipped += len(D.generators)
                 continue
             fibre = [vv for _, vv in D.defined_values(p)]

@@ -23,20 +23,22 @@ same ``_flow_kind`` entry; flow steps and ODE right-hand sides call them.
 
 Many words are walked in one place, ``_walk``, position by position.  At
 each position the words still going are grouped by field index (and by
-the column count of their V): a straight-line group takes one stacked
-step, end = P + t X(P) and V <- (I + t DX(P)) V over all its rows, with X
-and DX evaluated row by row by the compiled closures, so each row has the
-bits of a one-word walk; affine and ODE groups step row by row, each row
-with its own matrix exponential or its own solve (a stacked solve would
-share one error norm).  ``apply_words`` and ``pushforward_along_words``
-return, per word, its result or the FlowError that stopped it;
-``apply_word``, ``pushforward_along_word`` and ``flow`` are their one-word
-cases and raise that error.
+the column count of their V).  A closed-form group takes one stacked
+step, end = E p + c and V <- E V over all its rows: E = I + t DX(p) for a
+straight field (X and DX evaluated row by row by the compiled closures),
+and E, c from one stacked matrix exponential for an affine one, so each
+row has the bits of a one-word walk.  ODE groups step row by row, each row
+with its own solve (a stacked solve would share one error norm).
+``apply_words`` and ``pushforward_along_words`` return, per word, its
+result or the FlowError that stopped it; ``apply_word``,
+``pushforward_along_word`` and ``flow`` are their one-word cases and raise
+that error.
 
 The relative tolerance ``DEFAULT_RTOL`` and the bounding box ``DEFAULT_BOX``
 (every coordinate stays within 1e6 in absolute value) are module constants,
-not per-call options.  The walk sets ``.step`` on the error of a failing
-step to that step's index in its word.
+not per-call options; a step that reaches a non-finite point or tangent
+fails.  The walk sets ``.step`` on the error of a failing step to that
+step's index in its word.
 """
 
 from __future__ import annotations
@@ -281,43 +283,6 @@ def _flow_kind(X):
     return _Flow("ode", value, jacobian, comps, rows, eye)
 
 
-def _affine_maps(M, t):
-    n = M.shape[0] - 1
-    E = expm(M * t)
-    return E[:n, :n], E[:n, n]
-
-
-def _check_domain_endpoint(X, s, point):
-    if not X.domain.contains(point):
-        raise DomainExitError(f"trajectory of {X.name} left its domain", exit_time=s)
-
-
-def _check_box(p):
-    if np.abs(p).max() > DEFAULT_BOX:
-        raise IntegrationError("trajectory escaped the bounding box")
-
-
-def _flow_step(X, kind, t, p, v):
-    """Advance one point p by the nonzero time-t affine or ODE flow of X;
-    transport v, an n x k matrix whose columns are tangent vectors at p,
-    unless it is None."""
-    if kind.kind == "affine":
-        M, diagonal = kind.M, kind.diagonal
-        E, c = _affine_maps(M, t)
-        end = E @ p + c
-        if not X.domain.is_full:
-            if diagonal:
-                _check_domain_endpoint(X, t, end)
-            else:
-                for k in range(1, 17):
-                    s = t * k / 16.0
-                    Es, cs = _affine_maps(M, s)
-                    _check_domain_endpoint(X, s, Es @ p + cs)
-        _check_box(end)
-        return end, None if v is None else E @ v
-    return _flow_step_ode(X, kind, t, p, v)
-
-
 MAX_RHS_EVALS = 50_000
 
 
@@ -373,8 +338,11 @@ def _flow_step_ode(X, kind, t, p, v):
         raise DomainExitError(f"trajectory of {X.name} left its domain", exit_time=hit)
     if sol.status != 0:
         raise IntegrationError(f"integrator failed: {sol.message}")
-    _check_box(sol.y[:n])
+    if np.abs(sol.y[:n]).max() > DEFAULT_BOX:
+        raise IntegrationError("trajectory escaped the bounding box")
     yT = sol.y[:, -1]
+    if not np.isfinite(yT).all():
+        raise IntegrationError("flow step gave a non-finite value")
     if transport:
         return yT[:n], yT[n:].reshape(v.shape)
     return yT, None
@@ -387,10 +355,13 @@ def _step_group(X, ts, rows, P, V):
     the rows that fail.
 
     A start point outside X's domain fails with exit time 0, and a zero
-    time leaves the row as it is.  A straight flow moves the other rows in
-    one stacked step, end = p + t X(p) and V <- (I + t DX(p)) V, with X and
-    DX evaluated row by row by the compiled closures, so every bit is that
-    of a one-row step.  Affine and ODE flows take ``_flow_step`` row by row.
+    time leaves the row as it is.  A closed-form flow moves the other rows
+    in one stacked step, end = E p + c and V <- E V, with every bit of a
+    one-row step: a straight flow has end = p + t X(p) and E = I + t DX(p),
+    X and DX evaluated row by row by the compiled closures; an affine flow
+    takes E and c from one stacked ``expm(t M)`` and, when non-diagonal on
+    a restricted domain, its exit time from one more at 16 equally spaced
+    times.  An ODE flow takes ``_flow_step_ode`` row by row.
     """
     kind = _flow_kind(X)
     failed = {}
@@ -401,10 +372,11 @@ def _step_group(X, ts, rows, P, V):
                 f"start point outside the domain of {X.name}", exit_time=0.0)
         elif t != 0.0:
             moving.append((r, t))
-    if kind.kind != "straight":
+    if kind.kind == "ode":
         for r, t in moving:
             try:
-                end, v = _flow_step(X, kind, t, np.array(P[r]), None if V is None else V[r])
+                end, v = _flow_step_ode(X, kind, t, np.array(P[r]),
+                                        None if V is None else V[r])
             except FlowError as err:
                 failed[r] = err
                 continue
@@ -414,29 +386,50 @@ def _step_group(X, ts, rows, P, V):
         return failed
     if not moving:
         return failed
+    n = X.dim
     rs, times = zip(*moving)
     base = [P[r] for r in rs]
-    t = np.array(times)
-    vals = np.array([[f(p) for f in kind.comps] for p in base], dtype=float)
-    end = np.array(base) + t[:, None] * vals
+    p, t = np.array(base), np.array(times)
+    if kind.kind == "affine":
+        F = expm(kind.M * t[:, None, None])  # [[E, c], [0, 1]]
+        E = F[:, :n, :n]
+        end = (E @ p[:, :, None])[:, :, 0] + F[:, :n, n]
+    else:
+        vals = np.array([[f(q) for f in kind.comps] for q in base], dtype=float)
+        end = p + t[:, None] * vals
+    probe_t, probe_p = t[:, None], end[:, None]
+    if kind.kind == "affine" and not kind.diagonal and not X.domain.is_full:
+        probe_t = t[:, None] * np.arange(1, 17) / 16.0
+        F = expm(kind.M * probe_t[:, :, None, None])
+        probe_p = (F[..., :n, :n] @ p[:, None, :, None])[..., 0] + F[..., :n, n]
     escaped = (np.abs(end).max(axis=1) > DEFAULT_BOX).tolist()
     ok = []
-    for k, e in enumerate(end.tolist()):
-        if not X.domain.contains(e):
+    for k, (ss, qs) in enumerate(zip(probe_t.tolist(), probe_p.tolist())):
+        exit_time = next((s for s, q in zip(ss, qs) if not X.domain.contains(q)), None)
+        if exit_time is not None:
             failed[rs[k]] = DomainExitError(
-                f"trajectory of {X.name} left its domain", exit_time=times[k])
+                f"trajectory of {X.name} left its domain", exit_time=exit_time)
         elif escaped[k]:
             failed[rs[k]] = IntegrationError("trajectory escaped the bounding box")
         else:
-            P[rs[k]] = e
             ok.append(k)
+    finite = np.isfinite(end[ok]).all(axis=1)
     if V is not None and ok:
-        t = np.array([times[k] for k in ok])
-        jac = np.array([[[f(base[k]) for f in row] for row in kind.rows] for k in ok],
-                       dtype=float)
-        J = kind.eye + t[:, None, None] * jac
-        for k, Vk in zip(ok, J @ np.array([V[rs[k]] for k in ok])):
-            V[rs[k]] = Vk
+        if kind.kind == "straight":
+            jac = np.array([[[f(base[k]) for f in row] for row in kind.rows] for k in ok],
+                           dtype=float)
+            E = kind.eye + t[ok][:, None, None] * jac
+        else:
+            E = E[ok]
+        moved = E @ np.array([V[rs[k]] for k in ok])
+        finite &= np.isfinite(moved).all(axis=(1, 2))
+    for j, (k, fin) in enumerate(zip(ok, finite.tolist())):
+        if not fin:
+            failed[rs[k]] = IntegrationError("flow step gave a non-finite value")
+            continue
+        P[rs[k]] = end[k].tolist()
+        if V is not None:
+            V[rs[k]] = moved[j]
     return failed
 
 

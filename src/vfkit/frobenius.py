@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .distributions import Distribution, rank_at
-from .fields import FlowError, apply_word, pushforward_along_word
+from .fields import FlowError, apply_words, pushforward_along_word
 from .liealg import filtration, involutive
 from .orbits import WordSampler, nagano_certified, orbit_dimension, sampled_orbit
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
@@ -207,10 +207,12 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
     fibre_ok = True
     tangents = []
     reason = None
+    words = [[(j, float(t[j])) for j in range(m)] for t in t_list]
     try:
-        for t in t_list:
-            word = [(j, float(t[j])) for j in range(m)]
-            image_pt = apply_word(frame, word, base)
+        # the images in one walk, checked in grid order
+        for word, image_pt in zip(words, apply_words(frame, words, base)):
+            if isinstance(image_pt, FlowError):
+                raise image_pt
             fibre_vals = [v for _, v in D.defined_values(image_pt)]
             if rank_at(D, tuple(image_pt)).rank != m:
                 fibre_ok = False

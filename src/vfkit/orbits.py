@@ -185,20 +185,19 @@ class FixedTimeReport:
         return self.orbit_dimension_at_reached - self.dimension
 
 
-def _seed_word(family, point, T):
-    """A net-time-T word from the point, trying single steps then pairs."""
+def _seed_point(family, point, T):
+    """The point that the first successful net-time-T word reaches from the
+    given one, trying single steps then pairs."""
     n = len(family)
     for i in range(n):
         try:
-            apply_word(family, [(i, T)], point)
-            return [(i, float(T))]
+            return apply_word(family, [(i, T)], point)
         except FlowError:
             continue
     for i in range(n):
         for j in range(n):
             try:
-                apply_word(family, [(i, T / 2.0), (j, T / 2.0)], point)
-                return [(i, float(T / 2.0)), (j, float(T / 2.0))]
+                return apply_word(family, [(i, T / 2.0), (j, T / 2.0)], point)
             except FlowError:
                 continue
     raise DomainExitError(f"no net-time-{T} seed word succeeds from {point}")
@@ -221,8 +220,7 @@ def fixed_time_dimension(
     the family is Nagano-certified, and sampled otherwise.
     """
     family = tuple(family)
-    seed_word = _seed_word(family, point, T)
-    reached = apply_word(family, seed_word, point)
+    reached = _seed_point(family, point, T)
     words = replace(sampler, constraint="zero-sum").words(len(family))
     vectors, used, skipped = _collect_pushforwards(family, words, reached)
     if not vectors:

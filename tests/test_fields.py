@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from vfkit import fields
 from vfkit.expr import Expr, const, parse, var
@@ -20,7 +21,7 @@ from vfkit.fields import (
     pushforward_along_word,
     pushforward_along_words,
 )
-from vfkit.orbits import WordSampler
+from vfkit.orbits import WordSampler, sampled_orbit
 
 from conftest import make_field
 
@@ -414,6 +415,97 @@ class TestStackedWalk:
                 kind = fields._flow_kind(family[i])
                 q, U = q + t * kind.value(q), (kind.eye + t * kind.jacobian(q)) @ U
             assert np.array_equal(p, q) and np.array_equal(Vw, U)
+
+
+    @pytest.mark.parametrize("name", ["diagonal", "diagonal-restricted", "non-diagonal",
+                                      "non-diagonal-restricted"])
+    def test_affine_step_matches_one_point_arithmetic(self, vf, name):
+        half = Fraction(1, 2)
+        family = {
+            "diagonal": [vf("X1", ["x1", "0"], 2), vf("X2", ["0", "-x2+1"], 2)],
+            "diagonal-restricted": [vf("X1", ["x1", "0"], 2, [(1, "<", 3 * half)]),
+                                    vf("X2", ["0", "x2"], 2, [(2, ">", -half)])],
+            "non-diagonal": [vf("X1", ["x2", "1"], 2), vf("H", ["x2", "x1"], 2)],
+            "non-diagonal-restricted": [vf("R", ["-x2", "x1"], 2, [(1, "<", half)]),
+                                        vf("X1", ["x2", "1"], 2, [(2, ">", -half)])],
+        }[name]
+        assert all(fields._flow_kind(X).kind == "affine" for X in family)
+        words = WordSampler(seed=3, count=60, max_len=5, max_time=2.0).words(2)
+        words += ZERO_TIME_WORDS
+        point = (0.3, 0.7)
+        V0 = np.column_stack([X.value_float(point) for X in family])
+        P, V, errors = fields._walk(family, words, [point] * len(words), [V0] * len(words))
+        seen = set()
+        for w, p, Vw, err in zip(words, P, V, errors):
+            want = _affine_steps(family, w, point, V0)
+            if isinstance(want, FlowError):
+                assert (type(err), str(err), err.step, err.exit_time) == (
+                    type(want), str(want), want.step, want.exit_time), w
+                seen.add("exit at a probe" if err.exit_time not in (0.0, w[err.step][1])
+                         else "exit")
+                continue
+            assert err is None, w
+            assert np.array_equal(p, want[0]) and np.array_equal(Vw, want[1]), w
+            seen.add("moved")
+        assert "moved" in seen
+        assert ("exit" in seen) == name.endswith("restricted")
+        assert ("exit at a probe" in seen) == (name == "non-diagonal-restricted")
+
+    @pytest.mark.parametrize("domain, calls", [((), 1), ([(1, "<", Fraction(1, 2))], 2)])
+    def test_affine_group_makes_one_stacked_expm(self, vf, monkeypatch, domain, calls):
+        R = vf("R", ["-x2", "x1"], 2, domain)
+        made = []
+        real = fields.expm
+        monkeypatch.setattr(fields, "expm", lambda A: made.append(A.shape) or real(A))
+        P = [[0.0, 0.1 * k] for k in range(5)]
+        V = [np.eye(2)] * 5
+        assert fields._step_group(R, [0.1, 0.2, 0.3, -0.4, 0.5], range(5), P, V) == {}
+        assert len(made) == calls
+        assert made[0] == (5, 3, 3)
+
+    def test_non_finite_step_fails(self, vf):
+        # X2's value is exp(800) - exp(900) = inf - inf at x1 = 1
+        family = [vf("X1", ["1", "0"], 2), vf("X2", ["0", "exp(800*x1)-exp(900*x1)"], 2)]
+        word = [(0, 0.5), (1, 0.1)]
+        with pytest.raises(IntegrationError, match="non-finite") as err:
+            apply_word(family, word, (0.5, 0.0))
+        assert err.value.step == 1
+        with pytest.raises(IntegrationError, match="non-finite"):
+            pushforward_along_word(family, [(1, 0.1)], family, (1.0, 0.0))
+        report = sampled_orbit(family, (0.5, 0.0), WordSampler(seed=1, count=40))
+        assert report.words_skipped > 0
+        assert report.words_used + report.words_skipped == 40
+
+
+def _affine_steps(family, word, point, V0):
+    """A word walked step by step with one ``expm(t M)`` per step (16 more
+    at the probe times of a non-diagonal field on a restricted domain):
+    the end point and matrix, or the FlowError that stops the word."""
+    q, U = np.array(point, dtype=float), V0
+    for step, (i, t) in enumerate(word):
+        X = family[i]
+        kind = fields._flow_kind(X)
+        err = None
+        if not X.domain.contains(q.tolist()):
+            err = DomainExitError(f"start point outside the domain of {X.name}", 0.0)
+        elif t != 0.0:
+            probes = [t]
+            if not kind.diagonal and not X.domain.is_full:
+                probes = [t * k / 16.0 for k in range(1, 17)]
+            for s in probes:
+                F = expm(kind.M * s)
+                if not X.domain.contains((F[:2, :2] @ q + F[:2, 2]).tolist()):
+                    err = DomainExitError(f"trajectory of {X.name} left its domain", s)
+                    break
+            else:
+                F = expm(kind.M * t)
+                q, U = F[:2, :2] @ q + F[:2, 2], F[:2, :2] @ U
+                if np.abs(q).max() > fields.DEFAULT_BOX:
+                    err = IntegrationError("trajectory escaped the bounding box")
+        if err is not None:
+            err.step = step
+            return err
+    return q, U
 
 
 class TestCompiledEvaluation:
