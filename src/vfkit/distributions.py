@@ -313,11 +313,13 @@ def invariance_check(D, X, sample_points, flow_times):
     words = [[(0, t)] for t in flow_times]
     for pi, p in enumerate(sample_points):
         at_p = pushforward_along_words([X], words, D.generators, p)
+        fibre = None  # evaluated at the first pushforward that succeeds
         for ti, (t, pushed) in enumerate(zip(flow_times, at_p)):
             if isinstance(pushed, FlowError):
                 skipped += len(D.generators)
                 continue
-            fibre = [vv for _, vv in D.defined_values(p)]
+            if fibre is None:
+                fibre = [vv for _, vv in D.defined_values(p)]
             for gi, v in enumerate(pushed):
                 if v is None:
                     skipped += 1

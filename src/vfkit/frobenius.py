@@ -34,7 +34,8 @@ import numpy as np
 from .distributions import Distribution, rank_at
 from .fields import FlowError, apply_words, pushforward_along_word
 from .liealg import filtration, involutive
-from .orbits import WordSampler, nagano_certified, orbit_dimension, sampled_orbit
+from .orbits import (WordSampler, nagano_certified, orbit_dimension,
+                     sampled_orbit_dimension)
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 
 __all__ = ["FrobeniusVerdict", "FlowBoxChart", "frobenius_verdict", "flow_box_chart"]
@@ -106,7 +107,7 @@ def frobenius_verdict(
                 if rep.rank == D.dim or vanishing:
                     continue
                 try:
-                    dim = sampled_orbit(family, p, sampler).dimension
+                    dim = sampled_orbit_dimension(family, p, sampler)
                 except FlowError:
                     continue
                 if dim > rep.rank:

@@ -7,15 +7,21 @@ orbit tangent at p is Lie(F)(p) (Nagano 1966; Sussmann 1973): the orbit
 dimension is the filtration's exact rank at p (``certificate="nagano"``)
 and no flow is integrated.  Every other family is sampled: flow words push
 the generators forward to the point, and the rank of the collected vectors
-is a certified lower bound (``certificate="sampled"``).  Fixed-time orbits
-sample zero-sum words and take the linear part of the affine hull of the
-collected vectors.  Flow ranks are read at ``linalg.FLOW_REL_TOL``, and
-filtrations go to ``liealg.DEFAULT_DEPTH_CAP`` unless a cap is given.
+is a certified lower bound (``certificate="sampled"``).  Every orbit is an
+immersed submanifold of R^n (Sussmann 1973), so a sampled rank that reaches
+n is the orbit dimension and no further word can change it: callers that
+need only the dimension (``sampled_orbit_dimension``) walk the first
+``FIRST_WORDS`` words and draw the rest only when their rank stays below n.
+Fixed-time orbits sample zero-sum words and take the linear part of the
+affine hull of the collected vectors.  Flow ranks are read at
+``linalg.FLOW_REL_TOL``, and filtrations go to ``liealg.DEFAULT_DEPTH_CAP``
+unless a cap is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -41,12 +47,17 @@ __all__ = [
     "SteeringReport",
     "SampledOrbit",
     "sampled_orbit",
+    "sampled_orbit_dimension",
+    "FIRST_WORDS",
     "nagano_certified",
     "orbit_dimension",
     "fixed_time_dimension",
     "chow_verdict",
     "steer_linear",
 ]
+
+# Words walked before a dimension-only sample checks for full rank.
+FIRST_WORDS = 32
 
 
 @dataclass(frozen=True)
@@ -65,9 +76,9 @@ class WordSampler:
     count: int = 200
     constraint: str = "free"  # "free" | "zero-sum"
 
-    def words(self, n_fields):
+    def draw(self, n_fields):
+        """The words one at a time, each drawn only when asked for."""
         rng = np.random.default_rng(self.seed)
-        out = []
         for _ in range(self.count):
             k = int(rng.integers(1, self.max_len + 1))
             idx = rng.integers(0, n_fields, size=k)
@@ -76,8 +87,10 @@ class WordSampler:
                 times[-1] = -float(np.sum(times[:-1]))
             elif self.constraint != "free":
                 raise ValueError(f"unknown constraint {self.constraint!r}")
-            out.append(tuple((int(i), float(t)) for i, t in zip(idx, times)))
-        return out
+            yield tuple((int(i), float(t)) for i, t in zip(idx, times))
+
+    def words(self, n_fields):
+        return list(self.draw(n_fields))
 
 
 @dataclass(frozen=True)
@@ -95,14 +108,15 @@ class OrbitTangentReport:
         return self.certificate == "nagano" or self.dimension == len(self.point)
 
 
-def _collect_pushforwards(family, words, point):
-    """Generator values at the point and their pushforwards along each word
-    (all words walked together), with the number of words that pushed some
-    generator forward and the number that pushed none."""
+def _generator_values(family, point):
+    return [tuple(X.value_float(point)) for X in family if X.domain.contains(point)]
+
+
+def _pushforwards(family, words, point):
+    """The generators' pushforwards to the point along each word (all words
+    walked together), with the number of words that pushed some generator
+    forward and the number that pushed none."""
     vectors = []
-    for X in family:
-        if X.domain.contains(point):
-            vectors.append(tuple(X.value_float(point)))
     used = 0
     skipped = 0
     for pushed in pushforward_along_words(family, words, family, point):
@@ -124,20 +138,39 @@ class SampledOrbit(NamedTuple):
     words_skipped: int
 
 
-def sampled_orbit(family, point, sampler):
-    """Sampled orbit dimension at the point, from the pushforwards that the
-    sampler's words give there; no bracket filtration is built."""
+def _sample_orbit(family, point, sampler, batches):
+    """Generator values at the point and their pushforwards along the
+    sampler's words, walked in the given batch sizes (None: all the rest)
+    until the rank of the collected vectors is full.  A generator defined
+    at the point gives a vector even when every word exits."""
     if not any(X.domain.contains(point) for X in family):
         raise DomainExitError(f"no generator is defined at {point}")
-    words = sampler.words(len(family))
-    vectors, used, skipped = _collect_pushforwards(family, words, point)
-    if not vectors:
-        raise DomainExitError(
-            f"all {len(words)} sampled words exited the domains "
-            f"(used {used}, skipped {skipped})"
-        )
-    dim = svd_rank(np.array(vectors, dtype=float), FLOW_REL_TOL)
+    draw = sampler.draw(len(family))
+    vectors = _generator_values(family, point)
+    used = skipped = 0
+    for size in batches:
+        pushed, u, s = _pushforwards(family, list(islice(draw, size)), point)
+        vectors += pushed
+        used += u
+        skipped += s
+        dim = svd_rank(np.array(vectors, dtype=float), FLOW_REL_TOL)
+        if dim == len(point):
+            break
     return SampledOrbit(dim, vectors, used, skipped)
+
+
+def sampled_orbit(family, point, sampler):
+    """Sampled orbit dimension at the point, from the pushforwards that all
+    the sampler's words give there; no bracket filtration is built."""
+    return _sample_orbit(family, point, sampler, (None,))
+
+
+def sampled_orbit_dimension(family, point, sampler):
+    """``sampled_orbit(family, point, sampler).dimension``, stopping after
+    the first ``FIRST_WORDS`` words when their rank is already full (an
+    orbit has no more dimensions than R^n); else the rank of all the
+    vectors, in the same order."""
+    return _sample_orbit(family, point, sampler, (FIRST_WORDS, None)).dimension
 
 
 def nagano_certified(filt):
@@ -222,7 +255,8 @@ def fixed_time_dimension(
     family = tuple(family)
     reached = _seed_point(family, point, T)
     words = replace(sampler, constraint="zero-sum").words(len(family))
-    vectors, used, skipped = _collect_pushforwards(family, words, reached)
+    pushed, used, skipped = _pushforwards(family, words, reached)
+    vectors = _generator_values(family, reached) + pushed
     if not vectors:
         raise DomainExitError("all zero-sum words exited the domains")
     base = np.array(vectors[0], dtype=float)
@@ -245,7 +279,7 @@ def fixed_time_dimension(
     if nagano_certified(filt):
         orbit_dim = filt.rank_at(tuple(reached))
     else:
-        orbit_dim = sampled_orbit(family, tuple(reached), sampler).dimension
+        orbit_dim = sampled_orbit_dimension(family, tuple(reached), sampler)
     ideal = fixed_time_ideal_rank(filt, tuple(reached))
     return FixedTimeReport(
         start=tuple(point),
@@ -297,7 +331,7 @@ def chow_verdict(family, samples, depth_cap=DEFAULT_DEPTH_CAP, orbit_sampler=Non
     if orbit_sampler is not None:
         for p in failing:
             try:
-                dims.append(sampled_orbit(family, p, orbit_sampler).dimension)
+                dims.append(sampled_orbit_dimension(family, p, orbit_sampler))
             except FlowError:
                 dims.append(-1)
     note = f"not established at depth cap {depth_cap}"

@@ -22,7 +22,8 @@ from .fields import FlowError, apply_word, apply_words, lie_bracket
 from .frobenius import flow_box_chart, frobenius_verdict
 from .liealg import filtration, involutive
 from .membership import ideal_member_bounded, member_bounded
-from .orbits import WordSampler, chow_verdict, fixed_time_dimension, sampled_orbit, steer_linear
+from .orbits import (WordSampler, chow_verdict, fixed_time_dimension, sampled_orbit,
+                     sampled_orbit_dimension, steer_linear)
 from .systems import parse_system
 
 __all__ = ["Preset", "Fact", "FactResult", "PRESETS", "run_preset", "preset_names"]
@@ -131,7 +132,7 @@ _NINE_DIMS = (0, 1, 1, 1, 1, 2, 2, 2, 2)
 
 def _nine_orbit_dims(ctx):
     dims = tuple(
-        sampled_orbit(ctx.family, p, ctx.sampler(i)).dimension
+        sampled_orbit_dimension(ctx.family, p, ctx.sampler(i))
         for i, p in enumerate(_NINE_POINTS)
     )
     return _eq_result(_NINE_DIMS, dims)
@@ -268,7 +269,7 @@ def _flat_lie_ranks(ctx):
 
 def _flat_orbit_dims(ctx):
     got = tuple(
-        sampled_orbit(ctx.family, p, _flat_sampler(ctx, 10 + i)).dimension
+        sampled_orbit_dimension(ctx.family, p, _flat_sampler(ctx, 10 + i))
         for i, p in enumerate(_FLAT_POINTS)
     )
     return _eq_result((2, 2, 2), got)

@@ -213,6 +213,20 @@ class TestInvariance:
         assert rep.flow_invariant_sampled
         assert rep.flow_samples_skipped == 3
 
+    def test_fibre_evaluated_once_per_flowed_point(self, vf, monkeypatch):
+        calls = []
+        real = Distribution.defined_values
+        monkeypatch.setattr(Distribution, "defined_values",
+                            lambda D, p: calls.append(tuple(p)) or real(D, p))
+        X = vf("X", ["1", "0"], 2, [(1, "<", Fraction(1, 2))])
+        D = Distribution((vf("d2", ["0", "1"], 2),))
+        # every flow fails at (1, 0), outside X's domain, where the bracket
+        # is undefined too: only (0, 0) needs its fibre, once for the bracket
+        # and once for all three flow times
+        rep = invariance_check(D, X, [(0, 0), (1, 0)], [0.1, -0.1, 0.2])
+        assert rep.flow_invariant_sampled and rep.flow_samples_skipped == 3
+        assert calls == [(0, 0), (0, 0)]
+
     def test_non_flow_error_propagates(self, vf):
         # g has a pole at the pulled-back point (-1, 0) but not at (0, 0)
         D = Distribution((vf("g", ["(x1+1)^-1", "0"], 2),))

@@ -115,8 +115,8 @@ class TestOrbitSamplesSkipped:
         self, monkeypatch, name, grid, sampler, sampled, verdict, witness_x1
     ):
         calls = []
-        real = frobenius.sampled_orbit
-        monkeypatch.setattr(frobenius, "sampled_orbit",
+        real = frobenius.sampled_orbit_dimension
+        monkeypatch.setattr(frobenius, "sampled_orbit_dimension",
                             lambda fam, p, s: calls.append(p) or real(fam, p, s))
         D = Distribution(parse_system(PRESETS[name].system_text).fields)
         v = frobenius_verdict(D, grid, orbit_sampler=sampler)

@@ -35,9 +35,11 @@ SYSTEMS = {
         ("(x1, 0, 0)", "U", "3"),
     ]),
 }
-# presets whose default-grid ``frobenius`` verdict needs no sampled orbit
+# presets whose default-grid ``frobenius`` report holds only rationals,
+# strings and integer ranks (the flat presets sample orbits at 6 and 3 grid
+# points, but no float reaches the report)
 FROBENIUS = ["linear-shear", "vanishing-pair", "umbrella-ideal", "coordinate-plane",
-             "mixed-degree-pair"]
+             "mixed-degree-pair", "one-sided-flat", "two-sided-flat"]
 
 
 def _cases():

@@ -32,6 +32,7 @@ MODULE_CONSTANTS = {
     "UNKNOWNS_CAP",
     "GRID_POINTS_CAP",
     "CHART_RADIUS",
+    "FIRST_WORDS",
 }
 
 

@@ -11,12 +11,14 @@ from vfkit.fields import DomainExitError, apply_word
 from vfkit.presets import PRESETS
 from vfkit.systems import parse_system
 from vfkit.orbits import (
+    FIRST_WORDS,
     WordSampler,
     chow_verdict,
     fixed_time_dimension,
     nagano_certified,
     orbit_dimension,
     sampled_orbit,
+    sampled_orbit_dimension,
     steer_linear,
 )
 
@@ -62,6 +64,13 @@ class TestSampler:
     def test_lengths_within_bounds(self):
         for w in WordSampler(seed=3, count=100, max_len=4).words(2):
             assert 1 <= len(w) <= 4
+
+    @pytest.mark.parametrize("constraint", ["free", "zero-sum"])
+    def test_draw_is_the_word_list(self, constraint):
+        s = WordSampler(seed=7, count=60, max_len=5, constraint=constraint)
+        assert list(s.draw(3)) == s.words(3)
+        # a prefix needs only its own words
+        assert list(itertools.islice(s.draw(3), 10)) == s.words(3)[:10]
 
 
 class TestOrbitDimension:
@@ -137,6 +146,69 @@ def analytic_certified_families(vf):
             for filt in [liealg.filtration(fam)] if nagano_certified(filt)]
 
 
+# the 2-D presets with closed-form flows; the ODE flows of vanishing-pair
+# and mixed-degree-pair blow up and take seconds per point
+CLOSED_FORM_PLANE = ["nine-orbits", "hyperbola-fixed-time", "one-sided-flat",
+                     "two-sided-flat", "linear-shear", "quadratic-shear",
+                     "double-integrator", "half-plane-translations"]
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The number of words of every pushforward walk that orbits makes."""
+    sizes = []
+    real = orbits.pushforward_along_words
+
+    def counted(family, words, X, point):
+        sizes.append(len(words))
+        return real(family, words, X, point)
+
+    monkeypatch.setattr(orbits, "pushforward_along_words", counted)
+    return sizes
+
+
+class TestDimensionOnly:
+    @pytest.mark.parametrize("name", CLOSED_FORM_PLANE)
+    def test_same_dimension_as_every_word(self, name):
+        family = list(parse_system(PRESETS[name].system_text).fields)
+        grid = [(Fraction(i, 2), Fraction(j, 2)) for i in (-2, 0, 1) for j in (-1, 2)]
+        for p, seed in itertools.product(grid, (0, 1)):
+            s = WordSampler(seed=seed, count=60, max_len=8, max_time=1.5)
+            try:
+                full = sampled_orbit(family, p, s).dimension
+            except DomainExitError:
+                with pytest.raises(DomainExitError):
+                    sampled_orbit_dimension(family, p, s)
+                continue
+            assert sampled_orbit_dimension(family, p, s) == full, p
+
+    def test_stops_once_the_rank_is_full(self, walked):
+        family = parse_system(PRESETS["one-sided-flat"].system_text).fields
+        s = WordSampler(seed=30, count=400, max_len=8, max_time=1.5)
+        assert sampled_orbit_dimension(family, (-1, 0), s) == 2
+        assert walked == [FIRST_WORDS]
+
+    def test_walks_every_word_below_full_rank(self, flat, walked):
+        # short words never leave x1 <= 0, where the orbit looks 1-D
+        s = WordSampler(seed=0, count=200)
+        assert sampled_orbit_dimension(flat, (-3, 0), s) == 1
+        assert walked == [FIRST_WORDS, 200 - FIRST_WORDS]
+        walked.clear()
+        assert sampled_orbit(flat, (-3, 0), s).dimension == 1
+        assert walked == [200]
+
+    def test_every_word_exits(self, vf, walked):
+        # a strip too thin for any sampled step: the generator value at the
+        # point is the only vector, and every word counts as skipped
+        strip = [vf("X", ["1", "0"], 2, [(1, ">", 0), (1, "<", Fraction(1, 10**9))])]
+        p = (Fraction(1, 2 * 10**9), 0)
+        s = WordSampler(seed=0, count=50)
+        full = sampled_orbit(strip, p, s)
+        assert (full.dimension, full.words_used, full.words_skipped) == (1, 0, 50)
+        assert sampled_orbit_dimension(strip, p, s) == 1
+        assert walked == [50, FIRST_WORDS, 50 - FIRST_WORDS]
+
+
 class TestNagano:
     def test_cubic_orbit_walks_no_word(self, cubic, flow_steps):
         sampler = WordSampler(seed=0)
@@ -150,7 +222,7 @@ class TestNagano:
 
     def test_fixed_time_reads_the_orbit_from_the_filtration(self, cubic, monkeypatch):
         calls = []
-        monkeypatch.setattr(orbits, "sampled_orbit", lambda *a: calls.append(a))
+        monkeypatch.setattr(orbits, "sampled_orbit_dimension", lambda *a: calls.append(a))
         rep = fixed_time_dimension(cubic, (Fraction(1, 4), Fraction(1, 2)), 0.3,
                                    WordSampler(seed=2, count=20, max_len=4))
         assert rep.orbit_dimension_at_reached == 2 and calls == []
