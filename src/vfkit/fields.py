@@ -27,8 +27,11 @@ the column count of their V).  A closed-form group takes one stacked
 step, end = E p + c and V <- E V over all its rows: E = I + t DX(p) for a
 straight field (X and DX evaluated row by row by the compiled closures),
 and E, c from one stacked matrix exponential for an affine one, so each
-row has the bits of a one-word walk.  ODE groups step row by row, each row
-with its own solve (a stacked solve would share one error norm).
+row has the bits of a one-word walk.  A scaling field (A diagonal, b = 0)
+has a diagonal t M, whose exponential is one vectorised ``np.exp`` of its
+diagonal, as in scipy's own diagonal case; every other affine field takes
+one stacked ``expm``.  ODE groups step row by row, each row with its own
+solve (a stacked solve would share one error norm).
 ``apply_words`` and ``pushforward_along_words`` return, per word, its
 result or the FlowError that stopped it; ``apply_word``,
 ``pushforward_along_word`` and ``flow`` are their one-word cases and raise
@@ -43,6 +46,7 @@ step's index in its word.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -93,27 +97,44 @@ class IntegrationError(FlowError):
 
 @dataclass(frozen=True)
 class DomainPredicate:
-    """Conjunction of strict one-variable inequalities; empty means all of R^n."""
+    """Conjunction of strict one-variable inequalities; empty means all of R^n.
+
+    Each bound b keeps its float form: f = float(b) (an infinity beyond the
+    float range) and whether f < b.  No float lies strictly between b and
+    f, so ``contains`` decides v < b for a Python float v exactly as v < f,
+    or v == f when f < b (likewise for ">"), building no Fraction; other
+    coordinates compare with b exactly.  ODE domain events cross at f.
+    """
 
     constraints: Tuple[Tuple[int, str, Fraction], ...] = ()
 
     def __post_init__(self):
-        for index, rel, _ in self.constraints:
+        floats = []
+        for index, rel, bound in self.constraints:
             if rel not in ("<", ">"):
                 raise ValueError(f"bad relation {rel!r}")
             if index < 1:
                 raise ValueError("constraint variable indices are 1-based")
+            try:
+                f = float(bound)
+            except OverflowError:
+                f = math.inf if bound > 0 else -math.inf
+            below = rel == "<"
+            floats.append((index - 1, below, bound, f, f < bound if below else f > bound))
+        object.__setattr__(self, "_float_form", tuple(floats))
 
     @property
     def is_full(self):
         return not self.constraints
 
     def contains(self, point):
-        for index, rel, bound in self.constraints:
-            v = point[index - 1]
-            if rel == "<" and not v < bound:
-                return False
-            if rel == ">" and not v > bound:
+        for i, below, bound, f, f_inside in self._float_form:
+            v = point[i]
+            if type(v) is float:
+                inside = (v < f if below else v > f) or (f_inside and v == f)
+            else:
+                inside = v < bound if below else v > bound
+            if not inside:
                 return False
         return True
 
@@ -229,7 +250,7 @@ class _Flow(NamedTuple):
     rows: tuple  # compiled Jacobian rows, one tuple of closures per row
     eye: np.ndarray  # n x n identity, for the straight step's Jacobian
     M: Optional[np.ndarray] = None  # affine x' = Ax + b: [[A, b], [0, 0]]
-    diagonal: bool = False  # affine: whether A is diagonal
+    diagonal: Optional[np.ndarray] = None  # affine with A diagonal: M's diagonal
 
 
 def _floats(point):
@@ -278,7 +299,9 @@ def _flow_kind(X):
         M[:n, :n] = np.array(A, dtype=float)
         M[:n, n] = np.array(b, dtype=float)
         M.flags.writeable = False
-        diagonal = all(A[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+        diagonal = None
+        if all(A[i][j] == 0 for i in range(n) for j in range(n) if i != j):
+            diagonal = np.diagonal(M)
         return _Flow("affine", value, jacobian, comps, rows, eye, M, diagonal)
     return _Flow("ode", value, jacobian, comps, rows, eye)
 
@@ -314,12 +337,12 @@ def _flow_step_ode(X, kind, t, p, v):
 
     def domain_event(index, bound):
         def ev(_, y):
-            return y[index - 1] - bound
+            return y[index] - bound
 
         ev.terminal = True
         return ev
 
-    events = [domain_event(i, float(b)) for i, _, b in X.domain.constraints]
+    events = [domain_event(i, f) for i, _, _, f, _ in X.domain._float_form]
     y0 = np.concatenate([p, v.ravel()]) if transport else p.copy()
     sol = solve_ivp(
         rhs,
@@ -359,9 +382,10 @@ def _step_group(X, ts, rows, P, V):
     in one stacked step, end = E p + c and V <- E V, with every bit of a
     one-row step: a straight flow has end = p + t X(p) and E = I + t DX(p),
     X and DX evaluated row by row by the compiled closures; an affine flow
-    takes E and c from one stacked ``expm(t M)`` and, when non-diagonal on
-    a restricted domain, its exit time from one more at 16 equally spaced
-    times.  An ODE flow takes ``_flow_step_ode`` row by row.
+    takes E and c from one stacked ``expm(t M)`` (``exp`` of the diagonal
+    of t M for a scaling field) and, when A is non-diagonal on a restricted
+    domain, its exit time from one more at 16 equally spaced times.  An ODE
+    flow takes ``_flow_step_ode`` row by row.
     """
     kind = _flow_kind(X)
     failed = {}
@@ -391,25 +415,33 @@ def _step_group(X, ts, rows, P, V):
     base = [P[r] for r in rs]
     p, t = np.array(base), np.array(times)
     if kind.kind == "affine":
-        F = expm(kind.M * t[:, None, None])  # [[E, c], [0, 1]]
+        if (kind.diagonal is not None and not kind.M[:n, n].any()
+                and math.isfinite(sum(times))):
+            # every t M is diagonal, and scipy's expm exponentiates its diagonal
+            F = np.zeros((len(t), n + 1, n + 1))
+            F[:, range(n + 1), range(n + 1)] = np.exp(kind.diagonal * t[:, None])
+        else:
+            F = expm(kind.M * t[:, None, None])  # [[E, c], [0, 1]]
         E = F[:, :n, :n]
         end = (E @ p[:, :, None])[:, :, 0] + F[:, :n, n]
     else:
         vals = np.array([[f(q) for f in kind.comps] for q in base], dtype=float)
         end = p + t[:, None] * vals
     probe_t, probe_p = t[:, None], end[:, None]
-    if kind.kind == "affine" and not kind.diagonal and not X.domain.is_full:
+    if kind.kind == "affine" and kind.diagonal is None and not X.domain.is_full:
         probe_t = t[:, None] * np.arange(1, 17) / 16.0
         F = expm(kind.M * probe_t[:, :, None, None])
         probe_p = (F[..., :n, :n] @ p[:, None, :, None])[..., 0] + F[..., :n, n]
     escaped = (np.abs(end).max(axis=1) > DEFAULT_BOX).tolist()
+    exits = [None] * len(rs) if X.domain.is_full else [
+        next((s for s, q in zip(ss, qs) if not X.domain.contains(q)), None)
+        for ss, qs in zip(probe_t.tolist(), probe_p.tolist())]
     ok = []
-    for k, (ss, qs) in enumerate(zip(probe_t.tolist(), probe_p.tolist())):
-        exit_time = next((s for s, q in zip(ss, qs) if not X.domain.contains(q)), None)
+    for k, (exit_time, esc) in enumerate(zip(exits, escaped)):
         if exit_time is not None:
             failed[rs[k]] = DomainExitError(
                 f"trajectory of {X.name} left its domain", exit_time=exit_time)
-        elif escaped[k]:
+        elif esc:
             failed[rs[k]] = IntegrationError("trajectory escaped the bounding box")
         else:
             ok.append(k)
@@ -423,11 +455,11 @@ def _step_group(X, ts, rows, P, V):
             E = E[ok]
         moved = E @ np.array([V[rs[k]] for k in ok])
         finite &= np.isfinite(moved).all(axis=(1, 2))
-    for j, (k, fin) in enumerate(zip(ok, finite.tolist())):
+    for j, (k, fin, q) in enumerate(zip(ok, finite.tolist(), end[ok].tolist())):
         if not fin:
             failed[rs[k]] = IntegrationError("flow step gave a non-finite value")
             continue
-        P[rs[k]] = end[k].tolist()
+        P[rs[k]] = q
         if V is not None:
             V[rs[k]] = moved[j]
     return failed

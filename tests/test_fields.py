@@ -1,8 +1,10 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -10,6 +12,7 @@ from vfkit import fields
 from vfkit.expr import Expr, const, parse, var
 from vfkit.fields import (
     DomainExitError,
+    DomainPredicate,
     FlowError,
     IntegrationError,
     VectorField,
@@ -116,6 +119,69 @@ def test_module_leibniz_rule():
             for i in range(2)
         )
         assert all((a - b).is_zero() for a, b in zip(lhs.components, rhs_comps))
+
+
+FAR = Fraction(10**400)  # beyond the float range
+DOMAIN_BOUNDS = [Fraction(1, 3), Fraction(-2, 7), Fraction(1, 10), Fraction(0), FAR]
+
+
+def _float_candidates(bound):
+    """The bound's nearest float, both its neighbours, and the special floats."""
+    f = math.inf if bound == FAR else float(bound)
+    return [math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf), 0.0, -0.0,
+            math.inf, -math.inf, math.nan, sys.float_info.max]
+
+
+def _exact_side(v, rel, bound):
+    """Whether v < bound (rel "<") or v > bound, in exact arithmetic, with
+    the infinities as limits and nan on neither side."""
+    if isinstance(v, float):
+        if math.isnan(v):
+            return False
+        if math.isinf(v):
+            return (v < 0) == (rel == "<")
+        v = Fraction(v)
+    return v < bound if rel == "<" else v > bound
+
+
+@st.composite
+def _bounded_points(draw):
+    constraints, point = [], []
+    for index in (1, 2):
+        rel, bound = draw(st.sampled_from("<>")), draw(st.sampled_from(DOMAIN_BOUNDS))
+        v = draw(st.one_of(st.sampled_from(_float_candidates(bound)), st.floats()))
+        kind = draw(st.sampled_from(["float", "float64", "Fraction", "int", "bound"]))
+        if kind == "float64":
+            v = np.float64(v)
+        elif kind == "bound":
+            v = bound
+        elif kind != "float" and math.isfinite(v):
+            v = Fraction(v) if kind == "Fraction" else int(v)
+        constraints.append((index, rel, bound))
+        point.append(v)
+    return constraints, point
+
+
+class TestDomainFloatForm:
+    @settings(max_examples=400, derandomize=True)
+    @given(_bounded_points())
+    def test_contains_matches_exact_comparison(self, case):
+        constraints, point = case
+        want = all(_exact_side(v, rel, b) for (_, rel, b), v in zip(constraints, point))
+        assert DomainPredicate(tuple(constraints)).contains(point) == want
+        for c, v in zip(constraints, point):
+            assert DomainPredicate((c,)).contains([v, v]) == _exact_side(v, *c[1:])
+
+    def test_bound_beyond_float_range_flows_as_unbounded(self, vf):
+        far = [vf("X1", ["1", "0"], 2), vf("X2", ["0", "x2^2"], 2, [(1, "<", FAR)])]
+        free = [vf("X1", ["1", "0"], 2), vf("X2", ["0", "x2^2"], 2)]
+        words = WordSampler(seed=2, count=6, max_len=3).words(2)
+        point = (0.0, 0.1)
+        for a, b in zip(apply_words(far, words, point), apply_words(free, words, point)):
+            assert np.array_equal(a, b)
+        for a, b in zip(pushforward_along_words(far, words, far, point),
+                        pushforward_along_words(free, words, free, point)):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestFlows:
@@ -418,7 +484,7 @@ class TestStackedWalk:
 
 
     @pytest.mark.parametrize("name", ["diagonal", "diagonal-restricted", "non-diagonal",
-                                      "non-diagonal-restricted"])
+                                      "non-diagonal-restricted", "scaling-3d"])
     def test_affine_step_matches_one_point_arithmetic(self, vf, name):
         half = Fraction(1, 2)
         family = {
@@ -428,11 +494,15 @@ class TestStackedWalk:
             "non-diagonal": [vf("X1", ["x2", "1"], 2), vf("H", ["x2", "x1"], 2)],
             "non-diagonal-restricted": [vf("R", ["-x2", "x1"], 2, [(1, "<", half)]),
                                         vf("X1", ["x2", "1"], 2, [(2, ">", -half)])],
+            # pure scalings take the closed-form exponential, not expm
+            "scaling-3d": [vf("S1", ["x1", "0", "-x3"], 3), vf("S2", ["0", "-2*x2", "0"], 3),
+                           vf("S3", ["3*x1", "x2", "0"], 3)],
         }[name]
         assert all(fields._flow_kind(X).kind == "affine" for X in family)
-        words = WordSampler(seed=3, count=60, max_len=5, max_time=2.0).words(2)
+        # WordSampler times are uniform on [-2, 2], so half the steps run backwards
+        words = WordSampler(seed=3, count=60, max_len=5, max_time=2.0).words(len(family))
         words += ZERO_TIME_WORDS
-        point = (0.3, 0.7)
+        point = (0.3, -0.0, -0.7) if name == "scaling-3d" else (0.3, 0.7)
         V0 = np.column_stack([X.value_float(point) for X in family])
         P, V, errors = fields._walk(family, words, [point] * len(words), [V0] * len(words))
         seen = set()
@@ -446,6 +516,7 @@ class TestStackedWalk:
                 continue
             assert err is None, w
             assert np.array_equal(p, want[0]) and np.array_equal(Vw, want[1]), w
+            assert np.array_equal(np.signbit(p), np.signbit(want[0])), w
             seen.add("moved")
         assert "moved" in seen
         assert ("exit" in seen) == name.endswith("restricted")
@@ -462,6 +533,19 @@ class TestStackedWalk:
         assert fields._step_group(R, [0.1, 0.2, 0.3, -0.4, 0.5], range(5), P, V) == {}
         assert len(made) == calls
         assert made[0] == (5, 3, 3)
+
+    @pytest.mark.parametrize("comps, calls", [(["x1", "-2*x2"], 0), (["x1", "-x2+1"], 1),
+                                              (["x1", "x1+x2"], 1)],
+                             ids=["scaling", "offset", "off-diagonal"])
+    def test_only_non_scaling_groups_call_expm(self, vf, monkeypatch, comps, calls):
+        X = vf("X", comps, 2)
+        made = []
+        real = fields.expm
+        monkeypatch.setattr(fields, "expm", lambda A: made.append(A.shape) or real(A))
+        P = [[0.3, 0.1 * k] for k in range(5)]
+        V = [np.eye(2)] * 5
+        assert fields._step_group(X, [0.1, 0.2, 0.3, -0.4, 0.5], range(5), P, V) == {}
+        assert made == [(5, 3, 3)] * calls
 
     def test_non_finite_step_fails(self, vf):
         # X2's value is exp(800) - exp(900) = inf - inf at x1 = 1
@@ -482,6 +566,7 @@ def _affine_steps(family, word, point, V0):
     at the probe times of a non-diagonal field on a restricted domain):
     the end point and matrix, or the FlowError that stops the word."""
     q, U = np.array(point, dtype=float), V0
+    n = len(q)
     for step, (i, t) in enumerate(word):
         X = family[i]
         kind = fields._flow_kind(X)
@@ -490,16 +575,16 @@ def _affine_steps(family, word, point, V0):
             err = DomainExitError(f"start point outside the domain of {X.name}", 0.0)
         elif t != 0.0:
             probes = [t]
-            if not kind.diagonal and not X.domain.is_full:
+            if kind.diagonal is None and not X.domain.is_full:
                 probes = [t * k / 16.0 for k in range(1, 17)]
             for s in probes:
                 F = expm(kind.M * s)
-                if not X.domain.contains((F[:2, :2] @ q + F[:2, 2]).tolist()):
+                if not X.domain.contains((F[:n, :n] @ q + F[:n, n]).tolist()):
                     err = DomainExitError(f"trajectory of {X.name} left its domain", s)
                     break
             else:
                 F = expm(kind.M * t)
-                q, U = F[:2, :2] @ q + F[:2, 2], F[:2, :2] @ U
+                q, U = F[:n, :n] @ q + F[:n, n], F[:n, :n] @ U
                 if np.abs(q).max() > fields.DEFAULT_BOX:
                     err = IntegrationError("trajectory escaped the bounding box")
         if err is not None:

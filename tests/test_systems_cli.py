@@ -233,6 +233,20 @@ class TestCli:
         assert (res["dimension"], res["certificate"], res["certified_exact"]) == (
             1, "sampled", False)
 
+    def test_orbit_bound_beyond_float_range(self, capsys, tmp_path):
+        # an ODE flow on x1 < 10^400 flows as on the whole plane
+        reports = []
+        for on in (" on x1 < 1" + "0" * 400, ""):
+            path = tmp_path / "far.vf"
+            path.write_text(f"system far dim 2\nfield X1 = (1, 0)\nfield X2 = (0, x2^2){on}\n")
+            code, out = run_cli(capsys, "orbit", "--system", str(path), "--point",
+                                "0,1/10", "--words", "20", "--format", "json")
+            assert code == 0
+            reports.append(json.loads(out)["results"])
+        far, free = reports
+        for key in ("dimension", "vectors", "words_used"):
+            assert far[key] == free[key]
+
     def test_frobenius_command(self, capsys, isolated_file):
         code, out = run_cli(capsys, "frobenius", "--system", isolated_file,
                             "--format", "json")
