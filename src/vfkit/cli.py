@@ -147,8 +147,21 @@ def _time(text):
     """A flow time given as a decimal or a rational such as 1/2."""
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise argparse.ArgumentTypeError(f"invalid time {text!r}") from None
+
+
+def _flow_point(text, dim, flag):
+    """A point that flows start from: parsed as any point is, with every
+    coordinate inside the float range that flows are integrated in."""
+    p = parse_point(text, dim)
+    for i, c in enumerate(p):
+        try:
+            float(c)
+        except OverflowError:
+            raise UsageError(f"{flag} coordinate x{i + 1} lies beyond the float "
+                             "range that flows are integrated in") from None
+    return p
 
 
 def _add_common(p, system_required=True):
@@ -360,7 +373,7 @@ def _cmd_orbit(args, seed):
         if not 1 <= value <= cap:
             raise UsageError(f"{flag} must lie in [1, {cap}], got {value}")
     system = _load_system(args.system)
-    p = parse_point(args.point, system.dim)
+    p = _flow_point(args.point, system.dim, "--point")
     sampler = WordSampler(seed=seed, max_len=args.max_len,
                           max_time=args.max_time, count=args.words)
     family = list(system.fields)
@@ -394,6 +407,7 @@ def _cmd_orbit(args, seed):
             "max_displacement": rep.max_displacement,
             "words_used": rep.words_used,
             "words_skipped": rep.words_skipped,
+            "certificate": rep.certificate,
         }
     return _report("orbit", seed, results, system=system.name,
                    tolerances={"rank_tol": FLOW_REL_TOL}), EXIT_OK
@@ -408,6 +422,8 @@ def _cmd_frobenius(args, seed):
         vals = [Fraction(-1), Fraction(0), Fraction(1)]
         axes = {i + 1: vals for i in range(system.dim)}
     samples = grid_points(axes, system.dim)
+    cp = (_flow_point(args.chart_point, system.dim, "--chart-point")
+          if args.chart_point else None)
     sampler = WordSampler(seed=seed, count=300, max_len=8, max_time=1.0)
     v = frobenius_verdict(D, samples, args.module_degree, sampler)
     results = {
@@ -421,8 +437,7 @@ def _cmd_frobenius(args, seed):
         "witnesses": [list(map(str, w)) for w in v.witnesses],
         "invariant_slice_samples": [list(map(str, w)) for w in v.invariant_slice_samples],
     }
-    if args.chart_point:
-        cp = parse_point(args.chart_point, system.dim)
+    if cp is not None:
         chart = flow_box_chart(D, cp, orbit_sampler=sampler)
         results["chart"] = {
             "base": [str(c) for c in chart.base],

@@ -328,11 +328,12 @@ def _flow_step_ode(X, kind, t, p, v):
             raise IntegrationError(
                 "integration budget exceeded (likely finite-time blow-up)"
             )
+        if not transport:
+            return value(y)
         x = y[:n]
         out = np.empty_like(y)
         out[:n] = value(x)
-        if transport:
-            out[n:] = (jacobian(x) @ y[n:].reshape(v.shape)).ravel()
+        out[n:] = (jacobian(x) @ y[n:].reshape(v.shape)).ravel()
         return out
 
     def domain_event(index, bound):

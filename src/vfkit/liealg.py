@@ -2,18 +2,21 @@
 
 Left-nested bracket words [X_ik, [..., [X_i2, X_i1]...]] span the whole
 generated Lie algebra, so the filtration enumerates only those, pruning
-symbolic zeros and rational multiples of words already kept.  For
-polynomial families a stabilization certificate is attempted: once every
+symbolic zeros and rational multiples of words already kept.  A pruned
+bracket that is a multiple of a generator is still recorded, apart from
+the levels, since the derived algebra [L, L] needs it.  For polynomial
+families a stabilization certificate is attempted: once every
 depth-(k+1) word is a degree-bounded member of the module spanned by the
 words of depth <= k, no deeper word can leave that module, and pointwise
 ranks are final.  Ranks at a point and depth are read from the filtration
-with ``LieFiltration.rank_at``.
+with ``LieFiltration.rank_at``; ``derived_certificate`` certifies the same
+way that the derived words span [L, L] at every point.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -28,6 +31,7 @@ __all__ = [
     "InvolutivityReport",
     "FixedTimeRankReport",
     "filtration",
+    "derived_certificate",
     "involutive",
     "fixed_time_ideal_rank",
 ]
@@ -82,6 +86,10 @@ class LieFiltration:
     stabilized_at: Optional[int]  # certified depth; None = capped at depth_cap
     certificate: Optional[str]  # "symbolic-closure" | "module-degree-D"
     note: Optional[str] = None  # why the module search stopped short of the cap
+    # pruned brackets of depth >= 2 that are rational multiples of a
+    # generator, the first one per generator
+    generator_duplicates: List[Tuple[BracketWord, VectorField]] = field(
+        default_factory=list)
 
     def rank_at(self, point, depth=None):
         """Rank at the point of the words of depth <= depth (default: the cap)."""
@@ -93,6 +101,13 @@ class LieFiltration:
             if f.domain.contains(point)
         ]
         return span_rank(vectors)
+
+    def derived_words(self):
+        """The words of depth >= 2 and the generator duplicates.  At every
+        point they span the values of all brackets of depth >= 2 up to the
+        cap: each is zero or a rational multiple of one of them."""
+        return [f for level in self.levels[1:] for _, f in level] + [
+            f for _, f in self.generator_duplicates]
 
 
 def filtration(family, depth_cap=DEFAULT_DEPTH_CAP, module_degree=DEFAULT_MODULE_DEGREE):
@@ -116,6 +131,8 @@ def filtration(family, depth_cap=DEFAULT_DEPTH_CAP, module_degree=DEFAULT_MODULE
         seen.add(key)
         current.append((BracketWord((i,)), g))
     levels.append(current)
+    generator_keys = set(seen)
+    duplicates = {}  # generator key -> the first bracket that is its multiple
 
     stabilized_at = None
     certificate = None
@@ -130,6 +147,8 @@ def filtration(family, depth_cap=DEFAULT_DEPTH_CAP, module_degree=DEFAULT_MODULE
                     continue
                 key = _normal_key(b)
                 if key in seen:
+                    if key in generator_keys and key not in duplicates:
+                        duplicates[key] = (w, VectorField(str(w), b.components, b.domain))
                     continue
                 seen.add(key)
                 new_level.append((w, VectorField(str(w), b.components, b.domain)))
@@ -152,7 +171,36 @@ def filtration(family, depth_cap=DEFAULT_DEPTH_CAP, module_degree=DEFAULT_MODULE
                 certificate = f"module-degree-{module_degree}"
                 break
 
-    return LieFiltration(family, depth_cap, levels, stabilized_at, certificate, note)
+    return LieFiltration(family, depth_cap, levels, stabilized_at, certificate, note,
+                         list(duplicates.values()))
+
+
+def derived_certificate(filt):
+    """Why ``filt.derived_words()`` span [L, L] at every point, or None.
+
+    Under "symbolic-closure" every bracket of depth >= 2 is zero or a
+    rational multiple of a derived word, and that certificate is returned.
+    Under a module certificate, d = 2, 3, ... are tried below the cap: once
+    every depth-(d+1) word is a member, with multipliers of degree <=
+    ``DEFAULT_MODULE_DEGREE``, of the module generated by the words of
+    depths 2..d and the generator duplicates, the product rule
+    [X_i, a Y] = X_i(a) Y + a [X_i, Y] closes that module under every
+    ad X_i, so it holds every bracket of depth >= 2, and
+    "derived-module-degree-D" is returned.  One membership system per depth
+    tried; the search stops uncertified at the first system that
+    ``membership.oversize`` rejects."""
+    if filt.certificate is None or filt.certificate == "symbolic-closure":
+        return filt.certificate
+    kept = [[f for _, f in level] for level in filt.levels]
+    duplicates = [f for _, f in filt.generator_duplicates]
+    for depth in range(2, filt.depth_cap):
+        basis = [f for lv in kept[1:depth] for f in lv] + duplicates
+        if oversize(kept[depth], basis, DEFAULT_MODULE_DEGREE):
+            return None
+        if all(c.member for c in
+               members_bounded(kept[depth], basis, DEFAULT_MODULE_DEGREE)):
+            return f"derived-module-degree-{DEFAULT_MODULE_DEGREE}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -215,7 +263,7 @@ class FixedTimeRankReport:
 def fixed_time_ideal_rank(filt, point):
     """Rank of the fixed-time ideal: zero-sum combinations of generators
     (the linear part of their affine hull at the point) plus the derived
-    algebra of the filtration ``filt``; also the full Lie-algebra rank and
+    words of the filtration ``filt``; also the full Lie-algebra rank and
     the codimension."""
     defined = [g for g in filt.family if g.domain.contains(point)]
     if not defined:
@@ -224,11 +272,8 @@ def fixed_time_ideal_rank(filt, point):
     diffs = [
         [a - b for a, b in zip(v, values[0])] for v in values[1:]
     ]
-    derived_vals = []
-    for level in filt.levels[1:]:
-        for _, f in level:
-            if f.domain.contains(point):
-                derived_vals.append(f.value(point))
+    derived_vals = [f.value(point) for f in filt.derived_words()
+                    if f.domain.contains(point)]
     ideal_vectors = diffs + derived_vals
     lie_vectors = values + derived_vals
     i_rank = span_rank(ideal_vectors)

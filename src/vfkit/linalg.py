@@ -12,6 +12,11 @@ too, each relative to the largest singular value:
   (pushforwards along words) and bounds their orthogonal residuals.  They
   carry the integrator's error (rtol 1e-10, grown along the word), so the
   threshold sits three orders above it.
+
+``affine_rank``, the dimension of an affine hull, ranks the differences
+of the vectors against the scale of the vectors themselves: nearly equal
+flow vectors differ only by integration noise, and a threshold relative to
+the largest difference would count that noise as rank.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "exact_nullspace",
     "exact_pivot_columns",
     "svd_rank",
+    "affine_rank",
     "span_rank",
     "in_span",
     "all_exact",
@@ -193,6 +199,23 @@ def svd_rank(matrix, rel_tol):
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > rel_tol * sv[0]))
+
+
+def affine_rank(vectors, rel_tol):
+    """Dimension of the affine hull of the vectors: the rank of their
+    differences from the first, counting singular values above rel_tol
+    times the largest singular value of the vectors or of the differences,
+    whichever is larger.  So it is never above ``svd_rank`` of the
+    differences, and noise between nearly equal vectors is not rank."""
+    m = np.asarray(vectors, dtype=float)
+    if len(m) < 2:
+        return 0
+    diffs = m[1:] - m[0]
+    sv = np.linalg.svd(diffs, compute_uv=False)
+    scale = max(np.linalg.norm(m, 2), sv[0])
+    if scale == 0.0:
+        return 0
+    return int(np.sum(sv > rel_tol * scale))
 
 
 def all_exact(vectors):

@@ -12,10 +12,13 @@ immersed submanifold of R^n (Sussmann 1973), so a sampled rank that reaches
 n is the orbit dimension and no further word can change it: callers that
 need only the dimension (``sampled_orbit_dimension``) walk the first
 ``FIRST_WORDS`` words and draw the rest only when their rank stays below n.
-Fixed-time orbits sample zero-sum words and take the linear part of the
-affine hull of the collected vectors.  Flow ranks are read at
-``linalg.FLOW_REL_TOL``, and filtrations go to ``liealg.DEFAULT_DEPTH_CAP``
-unless a cap is given.
+Fixed-time orbits of a Nagano-certified family whose derived words are
+certified to span [L, L] (``liealg.derived_certificate``) take the exact
+rank of the zero-time ideal (``certificate="zero-time-ideal"``); every
+other family samples zero-sum words and takes the linear part of the
+affine hull of the collected vectors, a lower bound.  Flow ranks are read
+at ``linalg.FLOW_REL_TOL``, and filtrations go to
+``liealg.DEFAULT_DEPTH_CAP`` unless a cap is given.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from .fields import (
     apply_words,
     pushforward_along_words,
 )
-from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, filtration,
-                     fixed_time_ideal_rank)
-from .linalg import FLOW_REL_TOL, svd_rank
+from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, derived_certificate,
+                     filtration, fixed_time_ideal_rank)
+from .linalg import FLOW_REL_TOL, affine_rank, svd_rank
 from .membership import members_bounded
 
 __all__ = [
@@ -48,6 +51,7 @@ __all__ = [
     "SampledOrbit",
     "sampled_orbit",
     "sampled_orbit_dimension",
+    "sampled_fixed_time",
     "FIRST_WORDS",
     "nagano_certified",
     "orbit_dimension",
@@ -132,7 +136,7 @@ def _pushforwards(family, words, point):
 
 
 class SampledOrbit(NamedTuple):
-    dimension: int  # rank of the vectors: a certified lower bound
+    dimension: int  # rank of the vectors (affine rank for fixed time): a lower bound
     vectors: list  # generator values at the point and their pushforwards
     words_used: int
     words_skipped: int
@@ -205,13 +209,14 @@ class FixedTimeReport:
     start: tuple
     reached: tuple
     net_time: float
-    dimension: int  # rank of the affine-hull linear part
-    orbit_dimension_at_reached: int  # as orbit_dimension decides it
+    dimension: int  # rank of L0 (exact) or of the sampled affine-hull linear part
+    orbit_dimension_at_reached: int  # exact where certified or of bracket rank n
     ideal_rank: int  # I(X) rank at the reached point
     max_displacement: float  # max |word(x) - x| over the zero-sum words
     invariant_max_deviation: Optional[float]
     words_used: int
     words_skipped: int
+    certificate: str  # "zero-time-ideal" (exact) | "sampled" (a lower bound)
 
     @property
     def dimension_gap(self):
@@ -236,6 +241,27 @@ def _seed_point(family, point, T):
     raise DomainExitError(f"no net-time-{T} seed word succeeds from {point}")
 
 
+def _zero_sum_words(family, sampler):
+    return replace(sampler, constraint="zero-sum").words(len(family))
+
+
+def _sample_fixed_time(family, words, point):
+    pushed, used, skipped = _pushforwards(family, words, point)
+    vectors = _generator_values(family, point) + pushed
+    if not vectors:
+        raise DomainExitError("all zero-sum words exited the domains")
+    return SampledOrbit(affine_rank(vectors, FLOW_REL_TOL), vectors, used, skipped)
+
+
+def sampled_fixed_time(family, point, sampler):
+    """Sampled tangent dimension of the fixed-time orbit through the point:
+    the generator values there and their pushforwards along the sampler's
+    words, made zero-sum, ranked as the linear part of their affine hull
+    (``linalg.affine_rank``), a lower bound.  No filtration is built."""
+    family = tuple(family)
+    return _sample_fixed_time(family, _zero_sum_words(family, sampler), point)
+
+
 def fixed_time_dimension(
     family,
     point,
@@ -244,46 +270,63 @@ def fixed_time_dimension(
     invariant: Optional[Expr] = None,
     depth_cap=DEFAULT_DEPTH_CAP,
 ):
-    """Sampled tangent dimension of the fixed-time orbit through the point.
+    """Tangent dimension of the fixed-time orbit through the point.
 
-    Reaches x by one net-time-T word, then samples zero-sum words at x;
-    the tangent estimate is the rank of the differences of the collected
-    pushforward vectors (the linear part of their affine hull).  The orbit
-    dimension at x is read from the same filtration as the ideal rank when
-    the family is Nagano-certified, and sampled otherwise.
+    Reaches x by one net-time-T word.  For real analytic generators the
+    fixed-time orbit through x has tangent L0(x), where the zero-time ideal
+    is L0 = {sum c_i X_i : sum c_i = 0} + [L, L] (Sussmann and Jurdjevic
+    1972, "Controllability of nonlinear systems"; Jurdjevic, *Geometric
+    Control Theory*, 1997, ch. 3).  So the dimension is the exact
+    rank of L0 at x (``certificate="zero-time-ideal"``) when two hypotheses
+    hold: every generator is real analytic on all of R^n with a certified
+    filtration (``nagano_certified``), and the derived words are certified
+    to span [L, L] (``liealg.derived_certificate``).  No pushforward is
+    walked then.  Otherwise the pushforwards along the sampler's zero-sum
+    words give the sampled lower bound of ``sampled_fixed_time``.
+
+    The zero-sum words are applied to x in either case, for the largest
+    displacement and the invariant's deviation; on the exact path they also
+    give ``words_used`` and ``words_skipped``.  The orbit dimension at x is
+    the filtration's rank there when the family is Nagano-certified or that
+    rank is n, and sampled otherwise.
     """
     family = tuple(family)
     reached = _seed_point(family, point, T)
-    words = replace(sampler, constraint="zero-sum").words(len(family))
-    pushed, used, skipped = _pushforwards(family, words, reached)
-    vectors = _generator_values(family, reached) + pushed
-    if not vectors:
-        raise DomainExitError("all zero-sum words exited the domains")
-    base = np.array(vectors[0], dtype=float)
-    diffs = np.array([np.array(v) - base for v in vectors[1:]], dtype=float)
-    dim = svd_rank(diffs, FLOW_REL_TOL) if len(diffs) else 0
+    at = tuple(reached)
+    words = _zero_sum_words(family, sampler)
+    filt = filtration(family, depth_cap)
+    ideal = fixed_time_ideal_rank(filt, at)
+    certified = nagano_certified(filt)
+    if certified and derived_certificate(filt) is not None:
+        certificate, dim = "zero-time-ideal", ideal.ideal_rank
+    else:
+        certificate = "sampled"
+        dim, _, used, skipped = _sample_fixed_time(family, words, reached)
 
     max_disp = 0.0
     inv_dev = None
     if invariant is not None:
         inv_dev = 0.0
         inv_ref = invariant.eval_float(reached)
+    landed_ok = 0
     for landed in apply_words(family, words, reached):
         if isinstance(landed, FlowError):
             continue
+        landed_ok += 1
         max_disp = max(max_disp, float(np.max(np.abs(landed - reached))))
         if invariant is not None:
             inv_dev = max(inv_dev, abs(invariant.eval_float(landed) - inv_ref))
+    if certificate == "zero-time-ideal":
+        used, skipped = landed_ok, len(words) - landed_ok
 
-    filt = filtration(family, depth_cap)
-    if nagano_certified(filt):
-        orbit_dim = filt.rank_at(tuple(reached))
+    linf = filt.rank_at(at)
+    if certified or linf == len(at):
+        orbit_dim = linf
     else:
-        orbit_dim = sampled_orbit_dimension(family, tuple(reached), sampler)
-    ideal = fixed_time_ideal_rank(filt, tuple(reached))
+        orbit_dim = sampled_orbit_dimension(family, at, sampler)
     return FixedTimeReport(
         start=tuple(point),
-        reached=tuple(reached),
+        reached=at,
         net_time=float(T),
         dimension=dim,
         orbit_dimension_at_reached=orbit_dim,
@@ -292,6 +335,7 @@ def fixed_time_dimension(
         invariant_max_deviation=inv_dev,
         words_used=used,
         words_skipped=skipped,
+        certificate=certificate,
     )
 
 

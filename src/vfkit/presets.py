@@ -195,9 +195,9 @@ def _axis_singleton(ctx):
         ok,
         "every zero-sum word fixes the reached axis point within 1e-9 "
         "(stated singleton fixed-time orbit)",
-        f"max displacement {rep.max_displacement:.3e} (sampled fixed-time "
-        f"dimension {rep.dimension}); zero-sum words that idle on the axis "
-        "move the point, so the sampled fixed-time orbit is one-dimensional",
+        f"max displacement {rep.max_displacement:.3e} (fixed-time dimension "
+        f"{rep.dimension}, {rep.certificate}); zero-sum words that idle on the "
+        "axis move the point, so the fixed-time orbit is one-dimensional",
     )
 
 

@@ -5,13 +5,16 @@ import pytest
 
 from vfkit.expr import const, parse
 from vfkit.fields import lie_bracket, multiply_field
-from vfkit import membership
+from vfkit import liealg, membership
 from vfkit.liealg import (
     LieAlgebraError,
+    derived_certificate,
     filtration,
     fixed_time_ideal_rank,
     involutive,
 )
+from vfkit.presets import PRESETS
+from vfkit.systems import parse_system
 
 
 
@@ -189,6 +192,70 @@ class TestFixedTimeIdeal:
             for p in pts:
                 rep = fixed_time_ideal_rank(filt, p)  # raises if codim not in {0,1}
                 assert rep.codim in (0, 1)
+
+
+def preset_family(name):
+    return list(parse_system(PRESETS[name].system_text).fields)
+
+
+class TestGeneratorDuplicates:
+    """A bracket of depth >= 2 that is a rational multiple of a generator
+    is pruned from the levels but still belongs to the derived algebra."""
+
+    def test_bracket_equal_to_a_generator(self, vf):
+        # [X2, X1] = -X1 for X1 = d/dx1, X2 = x1 d/dx1
+        f = filtration([vf("X1", ["1"], 1), vf("X2", ["x1"], 1)])
+        assert [[str(w) for w, _ in level] for level in f.levels] == [
+            ["X1", "X2"], [], [], [], [], []]
+        assert (f.stabilized_at, f.certificate) == (1, "symbolic-closure")
+        assert [str(w) for w, _ in f.generator_duplicates] == ["[X2,X1]"]
+        assert [str(c) for g in f.derived_words() for c in g.components] == ["-1"]
+        # X2 - X1 vanishes at 1, so the bracket alone makes the ideal rank 1
+        rep = fixed_time_ideal_rank(f, (1,))
+        assert (rep.ideal_rank, rep.lie_rank, rep.codim) == (1, 1, 0)
+        assert ranks_by_depth(f, (1,)) == [1] * 6
+
+    def test_flat_generator_module_ideal(self):
+        f = filtration(preset_family("flat-generator-module"))
+        assert [str(w) for w, _ in f.generator_duplicates] == ["[X2,X1]"]
+        rep = fixed_time_ideal_rank(f, (1,))
+        assert (rep.ideal_rank, rep.codim) == (1, 0)
+
+    @pytest.mark.parametrize("name", ["linear-shear", "vanishing-pair",
+                                      "mixed-degree-pair", "umbrella-ideal"])
+    def test_golden_ideal_systems_have_none(self, name):
+        # so the eight *-lie*-ideal.json goldens keep their bytes
+        for degree in (2, 6):
+            assert filtration(preset_family(name), 6, degree).generator_duplicates == []
+
+
+class TestDerivedCertificate:
+    def test_closure_and_uncertified_pass_through(self, diag, vf):
+        assert derived_certificate(filtration(diag)) == "symbolic-closure"
+        mixed = filtration(preset_family("mixed-degree-pair"))
+        assert mixed.certificate is None and derived_certificate(mixed) is None
+
+    def test_module_certificate_one_system_per_depth(self, monkeypatch):
+        solved = []
+
+        def counting(targets, basis, degree):
+            solved.append((len(targets), len(basis)))
+            return members_bounded(targets, basis, degree)
+
+        members_bounded = liealg.members_bounded
+        f = filtration(preset_family("vanishing-pair"))
+        assert f.certificate == "module-degree-6"
+        monkeypatch.setattr(liealg, "members_bounded", counting)
+        assert derived_certificate(f) == "derived-module-degree-6"
+        # depth 3 is not in the module of depth 2, depth 4 is in that of 2..3
+        kept = [len(level) for level in f.levels]
+        assert solved == [(kept[2], kept[1]), (kept[3], kept[1] + kept[2])]
+
+    def test_oversize_stops_uncertified(self, monkeypatch):
+        f = filtration(preset_family("vanishing-pair"))
+        monkeypatch.setattr(membership, "UNKNOWNS_CAP", 10)
+        monkeypatch.setattr(liealg, "members_bounded", None)  # never reached
+        assert derived_certificate(f) is None
 
 
 class TestGeneratorRobustness:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfkit.linalg import (
+    affine_rank,
     exact_nullspace,
     exact_pivot_columns,
     exact_rank,
@@ -70,6 +71,27 @@ def test_svd_rank_threshold():
     assert svd_rank(m, 1e-9) == 1
     assert svd_rank(m, 1e-14) == 2
     assert svd_rank([[0.0, 0.0]], 1e-9) == 0
+
+
+def test_affine_rank_scale():
+    assert affine_rank([[1.0, 2.0]], 1e-7) == 0
+    assert affine_rank([[0.0, 0.0], [0.0, 0.0]], 1e-7) == 0
+    assert affine_rank([[1.0, 0.0], [0.0, 1.0], [2.0, -1.0]], 1e-7) == 1
+    assert affine_rank([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], 1e-7) == 2
+    # differences of 1e-11 against vectors of size 0.16 are noise, although
+    # they are all the differences there are
+    noisy = [[0.163, 0.0, 0.0], [0.163 + 3e-11, 0.0, 0.0], [0.163 - 2e-11, 1e-11, 0.0]]
+    assert affine_rank(noisy, 1e-7) == 0
+    d = np.array(noisy[1:]) - noisy[0]
+    assert svd_rank(d, 1e-7) == 2
+
+
+@given(st.lists(st.lists(st.floats(-10, 10), min_size=3, max_size=3),
+                min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_affine_rank_never_above_the_rank_of_the_differences(rows):
+    m = np.array(rows)
+    assert affine_rank(rows, 1e-7) <= svd_rank(m[1:] - m[0], 1e-7)
 
 
 def test_span_rank_dispatch():

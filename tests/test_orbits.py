@@ -17,10 +17,12 @@ from vfkit.orbits import (
     fixed_time_dimension,
     nagano_certified,
     orbit_dimension,
+    sampled_fixed_time,
     sampled_orbit,
     sampled_orbit_dimension,
     steer_linear,
 )
+from vfkit.linalg import FLOW_REL_TOL, svd_rank
 
 
 
@@ -350,6 +352,80 @@ class TestFixedTime:
         rep = orbits.chow_verdict(flat, [(-1, 0), (-2, 1), (1, 0)], 2, sampler)
         assert len(rep.sampled_orbit_dims) == 2  # (-1, 0) and (-2, 1) fail
         assert len(calls) == 3  # chow_verdict's own
+
+
+def zero_time_certified_families(vf):
+    """The Nagano-certified families whose derived words certifiably span
+    [L, L]: their fixed-time dimension is the exact rank of L0."""
+    return [(fam, filt) for fam, filt in analytic_certified_families(vf)
+            if liealg.derived_certificate(filt) is not None]
+
+
+def preset_family(name):
+    return list(parse_system(PRESETS[name].system_text).fields)
+
+
+class TestZeroTimeIdeal:
+    def test_generator_duplicate_gives_the_exact_rank(self, vf):
+        # [X2, X1] = -X1 while X2 - X1 vanishes at 1
+        rep = fixed_time_dimension([vf("X1", ["1"], 1), vf("X2", ["x1"], 1)], (1,), 0.0,
+                                   WordSampler(seed=0, count=20))
+        assert rep.reached == (1.0,)
+        assert (rep.dimension, rep.ideal_rank, rep.certificate) == (1, 1, "zero-time-ideal")
+
+    @pytest.mark.parametrize("name,dim", [("vanishing-pair", 2), ("umbrella-ideal", 0),
+                                          ("isolated-leaf", 2)])
+    def test_certified_presets_walk_no_pushforward(self, name, dim, walked):
+        family = preset_family(name)
+        p = tuple(Fraction(1, 2) for _ in range(family[0].dim))
+        rep = fixed_time_dimension(family, p, 0.5, WordSampler(seed=0, count=12, max_len=3))
+        assert walked == []
+        assert (rep.dimension, rep.ideal_rank, rep.certificate) == (dim, dim,
+                                                                     "zero-time-ideal")
+        # the displacement walk counts the words
+        assert rep.words_used + rep.words_skipped == 12 and rep.words_used > 0
+
+    def test_uncertified_single_field_samples_zero(self, vf):
+        # one field: every zero-sum word is the identity, so the pushforwards
+        # differ from U only by integration noise (U is not certified on
+        # x1 < 2, so it is sampled)
+        U = vf("U", ["x3*(x1^2+x2^2) - x2^3", "0", "0"], 3, [(1, "<", Fraction(2))])
+        p = (Fraction(1, 2),) * 3
+        sampler = WordSampler(seed=0, count=30)
+        rep = fixed_time_dimension([U], p, 0.5, sampler)
+        assert (rep.dimension, rep.ideal_rank, rep.certificate) == (0, 0, "sampled")
+        s = sampled_fixed_time([U], rep.reached, sampler)
+        diffs = np.array(s.vectors[1:]) - np.array(s.vectors[0])
+        assert 0 < np.abs(diffs).max() < 1e-9
+        # ranked against the largest difference, the noise would count
+        assert s.dimension == 0 and svd_rank(diffs, FLOW_REL_TOL) == 1
+
+    def test_sampled_never_above_zero_time_rank(self, vf):
+        # L0(p) is the fixed-time orbit's tangent, so a larger sampled rank is a bug
+        families = zero_time_certified_families(vf)
+        assert len(families) >= 14
+        sampler = WordSampler(seed=21, count=12, max_len=3, max_time=0.4)
+        for fam, filt in families:
+            for p in itertools.product((-1, 0, 1), repeat=fam[0].dim):
+                sampled = sampled_fixed_time(fam, p, sampler).dimension
+                assert sampled <= liealg.fixed_time_ideal_rank(filt, p).ideal_rank, (fam, p)
+
+    def test_uncertified_families_sample(self, walked):
+        rep = fixed_time_dimension(preset_family("half-plane-translations"), (0, 0), 0.0,
+                                   WordSampler(seed=8, count=30, max_time=0.3))
+        assert rep.certificate == "sampled" and walked == [30]
+
+    def test_bracket_rank_n_is_the_orbit_dimension(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(orbits, "sampled_orbit_dimension",
+                            lambda *a: calls.append(a) or 1)
+        family = preset_family("half-plane-translations")
+        sampler = WordSampler(seed=8, count=30, max_time=0.3)
+        rep = fixed_time_dimension(family, (0, 0), 0.0, sampler)
+        assert rep.orbit_dimension_at_reached == 2 and calls == []
+        # only X2 is defined at (3, 4): rank 1, so the orbit is sampled
+        rep = fixed_time_dimension(family, (3, 4), 0.0, sampler)
+        assert rep.orbit_dimension_at_reached == 1 and len(calls) == 1
 
 
 class TestChow:

@@ -44,6 +44,12 @@ field X1 = (x1*x3, 1, 0)
 field X2 = (0, 0, 1)
 """
 
+STEP = """\
+system step dim 1
+field X1 = (1)
+field X2 = (x1)
+"""
+
 VANISHING = """\
 system vanishing-pair dim 2
 field X1 = (x1^2+x2^2, 0)
@@ -246,6 +252,47 @@ class TestCli:
         far, free = reports
         for key in ("dimension", "vectors", "words_used"):
             assert far[key] == free[key]
+
+    def test_generator_duplicate_in_the_fixed_time_ideal(self, capsys, tmp_path):
+        # [X2, X1] = -X1, so the ideal at x1 = 1, where X2 - X1 vanishes, is R
+        path = tmp_path / "step.vf"
+        path.write_text(STEP)
+        code, out = run_cli(capsys, "lie", "--system", str(path), "--point", "1",
+                            "--fixed-time-ideal", "--format", "json")
+        res = json.loads(out)["results"]
+        assert code == 0
+        assert res["fixed_time_ideal"] == {"ideal_rank": 1, "lie_rank": 1, "codim": 0}
+        assert [w["word"] for w in res["words"]] == ["X1", "X2"]
+        code, out = run_cli(capsys, "orbit", "--system", str(path), "--point", "1",
+                            "--words", "20", "--fixed-time", "1/2", "--format", "json")
+        res = json.loads(out)["results"]
+        assert code == 0
+        assert (res["dimension"], res["ideal_rank"], res["certificate"]) == (
+            1, 1, "zero-time-ideal")
+
+    def test_orbit_times_beyond_float_range(self, capsys, shear_file):
+        for flag in ("--max-time", "--fixed-time"):
+            code = main(["orbit", "--system", shear_file, "--point", "0,0",
+                         flag, "1e400"])
+            assert code == cli.EXIT_USAGE
+            assert "invalid time '1e400'" in capsys.readouterr().err
+
+    def test_flow_points_beyond_float_range(self, capsys, shear_file, flow_steps):
+        code, out = run_cli(capsys, "orbit", "--system", shear_file, "--point",
+                            "1e400,0", "--words", "5", "--format", "json")
+        report = json.loads(out)
+        assert (code, report["status"]) == (cli.EXIT_USAGE, "usage-error")
+        assert "coordinate x1 lies beyond the float range" in report["error"]
+        assert flow_steps == []
+        code, out = run_cli(capsys, "frobenius", "--system", shear_file,
+                            "--chart-point", "0,-1e400", "--format", "json")
+        report = json.loads(out)
+        assert (code, report["status"]) == (cli.EXIT_USAGE, "usage-error")
+        assert "--chart-point coordinate x2 lies beyond" in report["error"]
+        assert flow_steps == []
+        code, out = run_cli(capsys, "rank", "--system", shear_file, "--point",
+                            "1e400,0", "--format", "json")
+        assert code == 0 and json.loads(out)["results"]["rank"] == 2
 
     def test_frobenius_command(self, capsys, isolated_file):
         code, out = run_cli(capsys, "frobenius", "--system", isolated_file,
