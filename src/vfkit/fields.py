@@ -5,21 +5,20 @@ Flows take a closed-form fast path whenever the field allows it:
 * fields constant along their own integral curves (L_X X = 0 symbolically)
   flow in straight lines,
 * affine fields x' = A x + b flow by a matrix exponential,
-* everything else goes through an adaptive Runge-Kutta integration at
-  relative tolerance 1e-10.
+* everything else goes through ``solve_ivp``, this module's Dormand-Prince
+  5(4) integrator, at relative tolerance 1e-10.
 
 Tangent vectors are pushed forward along flow words by transporting them
 with the exact Jacobian of each step (closed form where the flow is closed
 form, otherwise the variational equation dV/dt = DX(x(t)) V integrated
 jointly with the trajectory).  Several fields are pushed forward along one
 word together: the word is walked once and their values, stacked as the
-columns of an n x k matrix V, are transported in that single walk.  A
-k-column variational solve scales rtol and atol by sqrt(2 / (k + 1)), so
-each component keeps the error bound of a one-column solve.
+columns of an n x k matrix V, are transported in that single walk.
 
 A field's flow kind is detected once, and its value and Jacobian are
 compiled once (``expr.compile_float``, same log-space semantics) in the
-same ``_flow_kind`` entry; flow steps and ODE right-hand sides call them.
+same ``_flow_kind`` entry, with an ODE field's array evaluator of X and DX:
+its monomials if it is polynomial, else those closures row by row.
 
 Many words are walked in one place, ``_walk``, position by position.  At
 each position the words still going are grouped by field index (and by
@@ -30,8 +29,11 @@ and E, c from one stacked matrix exponential for an affine one, so each
 row has the bits of a one-word walk.  A scaling field (A diagonal, b = 0)
 has a diagonal t M, whose exponential is one vectorised ``np.exp`` of its
 diagonal, as in scipy's own diagonal case; every other affine field takes
-one stacked ``expm``.  ODE groups step row by row, each row with its own
-solve (a stacked solve would share one error norm).
+one stacked ``expm``.  An ODE group takes one ``solve_ivp`` over its rows
+[x, V]: each row has its own time, step, acceptance by a max-norm error per
+component, right-hand-side budget, box check at every accepted step and
+domain exit located on the step's dense output.  All arithmetic on the rows
+is elementwise (no matmul or dot), so no row's bits depend on another.
 ``apply_words`` and ``pushforward_along_words`` return, per word, its
 result or the FlowError that stopped it; ``apply_word``,
 ``pushforward_along_word`` and ``flow`` are their one-word cases and raise
@@ -53,7 +55,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .expr import Expr, ZERO, compile_float, poly_coeff_dict
@@ -251,6 +252,7 @@ class _Flow(NamedTuple):
     eye: np.ndarray  # n x n identity, for the straight step's Jacobian
     M: Optional[np.ndarray] = None  # affine x' = Ax + b: [[A, b], [0, 0]]
     diagonal: Optional[np.ndarray] = None  # affine with A diagonal: M's diagonal
+    batch: Optional[Callable] = None  # ODE: (m, n), c -> (m, c): X, then DX row-major
 
 
 def _floats(point):
@@ -303,73 +305,163 @@ def _flow_kind(X):
         if all(A[i][j] == 0 for i in range(n) for j in range(n) if i != j):
             diagonal = np.diagonal(M)
         return _Flow("affine", value, jacobian, comps, rows, eye, M, diagonal)
-    return _Flow("ode", value, jacobian, comps, rows, eye)
+    if X.is_polynomial():
+        batch = _poly_batch(X.components + tuple(e for row in J for e in row), n)
+    else:
+        closures = comps + tuple(f for row in rows for f in row)
+
+        def batch(x, count):
+            return np.array([[f(p) for f in closures[:count]] for p in x.tolist()],
+                            dtype=float).reshape(len(x), count)
+    return _Flow("ode", value, jacobian, comps, rows, eye, batch=batch)
+
+
+def _poly_batch(exprs, n):
+    """Evaluator of the first c polynomial Exprs on the rows of an (m, n) array:
+    x_j^k a running product, a term c * x_j^k * ... (c if not 1), summed in order."""
+    polys = [[(None if c == 1 and any(mono) else float(c),
+               [(j, k) for j, k in enumerate(mono) if k])
+              for mono, c in poly_coeff_dict(e, n).items()] for e in exprs]
+
+    def batch(x, count):
+        out = np.zeros((len(x), count))
+        powers = [[1.0, x[:, j]] for j in range(n)]
+        for i, terms in enumerate(polys[:count]):
+            acc = None
+            for term, factors in terms:  # term None: coefficient 1
+                for j, k in factors:
+                    while len(powers[j]) <= k:
+                        powers[j].append(powers[j][-1] * powers[j][1])
+                    term = powers[j][k] if term is None else term * powers[j][k]
+                acc = term if acc is None else acc + term
+            if acc is not None:
+                out[:, i] = acc
+        return out
+
+    return batch
 
 
 MAX_RHS_EVALS = 50_000
 
+# Dormand-Prince 5(4) (Dormand and Prince 1980) as in DOPRI5 (Hairer, Norsett and
+# Wanner, Solving ODEs I, II.4-5): A (its last row the end point, whose value is
+# the 7th stage), the error weights (5th minus 4th order), the dense-output ones
+_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_DP_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+         -10690763975 / 1880347072, 701980252875 / 199316789632,
+         -1453857185 / 822651844, 69997945 / 29380423)
 
-def _flow_step_ode(X, kind, t, p, v):
-    n = X.dim
-    value, jacobian = kind.value, kind.jacobian
-    transport = v is not None
+
+def _combo(K, weights):
+    """The sum of w * K[i] over the nonzero weights, one term at a time."""
+    terms = [k * w for k, w in zip(K, weights) if w]
+    for term in terms[1:]:
+        terms[0] += term
+    return terms[0]
+
+
+def solve_ivp(fun, t_end, y0, n, events, name):
+    """Dormand-Prince 5(4) for all rows of the (m, d) array y0 at once, row j
+    from time 0 to t_end[j] != 0; fun(t, Y) gives the live rows' derivatives
+    (t is their times at the step start: fields are autonomous).  A row
+    accepts a step when max_i |err_i| / (1e-12 + rtol max(|y_i|, |y_new_i|))
+    < 1, rtol ``DEFAULT_RTOL``.  It fails if its start value is not finite,
+    its step underflows or it uses up ``MAX_RHS_EVALS``, and after an
+    accepted step, in this order, if coordinate c crossed b for a (c, b) in
+    events (exit time from the dense output), if its first n columns left
+    ``DEFAULT_BOX`` or if it is not finite.  Returns the end rows and
+    {row: FlowError}."""
     rtol, atol = DEFAULT_RTOL, 1e-12
-    if transport:
-        # RK45 bounds the RMS of the scaled errors over all n (k + 1) state
-        # components; shrink both tolerances so that each component keeps
-        # the worst case it has in a one-column (2n-component) solve.
-        scale = np.sqrt(2.0 / (v.shape[1] + 1))
-        rtol, atol = rtol * scale, atol * scale
-    evals = [0]
+    out, T = y0.copy(), np.asarray(t_end, dtype=float)
+    with np.errstate(all="ignore"):
+        f = fun(np.zeros(len(y0)), y0)
+        fin = np.isfinite(f).all(axis=1)
+        failed = {j: IntegrationError("flow step gave a non-finite value")
+                  for j in np.flatnonzero(~fin).tolist()}
+        live, T, y, f = np.flatnonzero(fin), T[fin], y0[fin], f[fin]
+        t, absT, sign = np.zeros(len(live)), np.abs(T), np.sign(T)
+        # the initial step of Hairer, Norsett and Wanner, II.4, in the max norm
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = (np.abs(y) / scale).max(axis=1), (np.abs(f) / scale).max(axis=1)
+        h0 = np.fmin(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), absT)
+        d2 = (np.abs(fun(t, y + (h0 * sign)[:, None] * f) - f) / scale).max(axis=1) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.fmax(d1, d2)) ** 0.2)
+        h = np.fmin(np.fmin(100 * h0, h1), absT) * sign
+        nfev, rejected, retry = 2, np.zeros(len(live), dtype=bool), False
+        while live.size:
+            if nfev + 6 > MAX_RHS_EVALS:
+                msg = "integration budget exceeded (likely finite-time blow-up)"
+                failed.update((r, IntegrationError(msg)) for r in live.tolist())
+                break
+            t_new = np.minimum(np.abs(t + h), absT) * sign  # T once the step reaches it
+            h, K, Y = t_new - t, [f], y
+            for a in _DP_A:  # elementwise sums, so no row's bits depend on another
+                Y = y + h[:, None] * _combo(K, a)
+                K.append(fun(t, Y))
+            nfev += 6
+            err = np.abs(h[:, None] * _combo(K, _DP_E))
+            err = (err / (atol + rtol * np.maximum(np.abs(y), np.abs(Y)))).max(axis=1)
+            ok, raw, ends = err < 1, 0.9 * err ** -0.2, {}
+            for c, b in events:  # bisect the dense output for the crossing
+                g0, g1 = y[:, c] - b, Y[:, c] - b
+                for j in np.flatnonzero(ok & ((g0 <= 0) & (g1 >= 0) | (g0 >= 0) & (g1 <= 0))):
+                    u, du, hj, lo, hi = y[j, c], Y[j, c] - y[j, c], h[j], 0.0, float(g0[j] != 0)
+                    p = hj * K[0][j, c] - du
+                    q = du - hj * K[6][j, c] - p
+                    r = hj * sum(d * k[j, c] for d, k in zip(_DP_D, K))
+                    while lo < (s := 0.5 * (lo + hi)) < hi:
+                        at = u + s * (du + (1 - s) * (p + s * (q + (1 - s) * r)))
+                        lo, hi = (s, hi) if (at > b) == (u > b) else (lo, s)
+                    s = float(t[j] + hi * hj)
+                    if j not in ends or abs(s) < abs(ends[j].exit_time):
+                        ends[j] = DomainExitError(f"trajectory of {name} left its domain", s)
+            if not (np.abs(Y[:, :n]).max() <= DEFAULT_BOX and np.isfinite(Y).all()):
+                for j in np.flatnonzero(ok & (np.abs(Y[:, :n]).max(axis=1) > DEFAULT_BOX)):
+                    ends.setdefault(j, IntegrationError("trajectory escaped the bounding box"))
+                for j in np.flatnonzero(ok & ~np.isfinite(Y).all(axis=1)):
+                    ends.setdefault(j, IntegrationError("flow step gave a non-finite value"))
+            cap = np.where(rejected, 1.0, 10.0) if retry else 10.0
+            retry = not ok.all()
+            if not retry:
+                h, t, y, f = h * np.fmin(cap, raw), t_new, Y, K[6]
+            else:
+                h = h * np.where(ok, np.fmin(cap, raw), np.fmax(0.2, raw))
+                tiny = ~ok & (np.abs(h) < 10 * np.abs(np.nextafter(t, T) - t))
+                for j in np.flatnonzero(tiny):
+                    ends[j] = IntegrationError("integrator failed: Required step size "
+                                               "is less than spacing between numbers.")
+                t, y, f = (np.where(ok, t_new, t), np.where(ok[:, None], Y, y),
+                           np.where(ok[:, None], K[6], f))
+            rejected, done = ~ok, t == T
+            if ends or done.any():
+                out[live[done]] = y[done]
+                failed.update((int(live[j]), e) for j, e in ends.items())
+                keep = ~done
+                keep[list(ends)] = False
+                live, T, absT, sign, t, y, f, h, rejected = (
+                    a[keep] for a in (live, T, absT, sign, t, y, f, h, rejected))
+    return out, failed
 
-    def rhs(_, y):
-        evals[0] += 1
-        if evals[0] > MAX_RHS_EVALS:
-            raise IntegrationError(
-                "integration budget exceeded (likely finite-time blow-up)"
-            )
-        if not transport:
-            return value(y)
-        x = y[:n]
-        out = np.empty_like(y)
-        out[:n] = value(x)
-        out[n:] = (jacobian(x) @ y[n:].reshape(v.shape)).ravel()
-        return out
 
-    def domain_event(index, bound):
-        def ev(_, y):
-            return y[index] - bound
+def _ode_rhs(batch, n, k):
+    """``solve_ivp``'s fun for rows Y = [x, V flattened], V an n x k matrix
+    (none when k = 0): X(x) and DX(x) V, by elementwise products and sums."""
+    if not k:
+        return lambda _, Y: batch(Y, n)
 
-        ev.terminal = True
-        return ev
+    def fun(_, Y):
+        m = len(Y)
+        vals = batch(Y[:, :n], n + n * n)
+        J, V = vals[:, n:].reshape(m, n, n), Y[:, n:].reshape(m, n, k)
+        dV = sum(J[:, :, j, None] * V[:, None, j] for j in range(n))
+        return np.concatenate([vals[:, :n], dV.reshape(m, n * k)], axis=1)
 
-    events = [domain_event(i, f) for i, _, _, f, _ in X.domain._float_form]
-    y0 = np.concatenate([p, v.ravel()]) if transport else p.copy()
-    sol = solve_ivp(
-        rhs,
-        (0.0, t),
-        y0,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        events=events or None,
-        dense_output=False,
-    )
-    if sol.status == 1:
-        hit = min(
-            (te[0] for te in sol.t_events if len(te)), default=None, key=abs
-        )
-        raise DomainExitError(f"trajectory of {X.name} left its domain", exit_time=hit)
-    if sol.status != 0:
-        raise IntegrationError(f"integrator failed: {sol.message}")
-    if np.abs(sol.y[:n]).max() > DEFAULT_BOX:
-        raise IntegrationError("trajectory escaped the bounding box")
-    yT = sol.y[:, -1]
-    if not np.isfinite(yT).all():
-        raise IntegrationError("flow step gave a non-finite value")
-    if transport:
-        return yT[:n], yT[n:].reshape(v.shape)
-    return yT, None
+    return fun
 
 
 def _step_group(X, ts, rows, P, V):
@@ -385,8 +477,8 @@ def _step_group(X, ts, rows, P, V):
     X and DX evaluated row by row by the compiled closures; an affine flow
     takes E and c from one stacked ``expm(t M)`` (``exp`` of the diagonal
     of t M for a scaling field) and, when A is non-diagonal on a restricted
-    domain, its exit time from one more at 16 equally spaced times.  An ODE
-    flow takes ``_flow_step_ode`` row by row.
+    domain, its exit time from one more at 16 equally spaced times.  ODE
+    rows take one stacked ``solve_ivp``.
     """
     kind = _flow_kind(X)
     failed = {}
@@ -397,21 +489,21 @@ def _step_group(X, ts, rows, P, V):
                 f"start point outside the domain of {X.name}", exit_time=0.0)
         elif t != 0.0:
             moving.append((r, t))
-    if kind.kind == "ode":
-        for r, t in moving:
-            try:
-                end, v = _flow_step_ode(X, kind, t, np.array(P[r]),
-                                        None if V is None else V[r])
-            except FlowError as err:
-                failed[r] = err
-                continue
-            P[r] = end.tolist()
-            if V is not None:
-                V[r] = v
-        return failed
-    if not moving:
-        return failed
     n = X.dim
+    if kind.kind == "ode" and moving:
+        rs, times = zip(*moving)
+        k = 0 if V is None else V[rs[0]].shape[1]
+        y0 = np.array([P[r] + ([] if V is None else V[r].ravel().tolist()) for r in rs])
+        ends, errors = solve_ivp(_ode_rhs(kind.batch, n, k), times, y0, n,
+                                 [(i, f) for i, _, _, f, _ in X.domain._float_form], X.name)
+        failed.update((rs[j], err) for j, err in errors.items())
+        for j, r in enumerate(rs):
+            if j not in errors:
+                P[r] = ends[j, :n].tolist()
+                if V is not None:
+                    V[r] = ends[j, n:].reshape(n, k)
+    if kind.kind == "ode" or not moving:
+        return failed
     rs, times = zip(*moving)
     base = [P[r] for r in rs]
     p, t = np.array(base), np.array(times)

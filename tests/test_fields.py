@@ -388,7 +388,7 @@ def _stacked_families(vf):
                             vf("X2", ["0", "x2"], 2, [(2, ">", -half)])],
         "rotation": [vf("R", ["-x2", "x1"], 2, [(1, "<", half)]), vf("X", ["1", "0"], 2)],
         "double-integrator": [vf("X0", ["x2", "0"], 2), vf("X1", ["x2", "1"], 2)],
-        # A and C blow up in finite time, C too fast for the integrator
+        # A and C blow up in finite time and leave the bounding box
         "blow-up": [vf("A", ["x1^2", "0"], 2), vf("B", ["0", "1"], 2, [(1, ">", -half)]),
                     vf("C", ["0", "x2^3"], 2)],
         # X1 is undefined at many pulled-back points, so rows carry fewer columns
@@ -403,7 +403,7 @@ STACKED_OUTCOMES = {
     "half-plane-translations": {"start point outside the domain", "left its domain"},
     "diagonal-affine": {"left its domain"},
     "rotation": {"left its domain"},
-    "blow-up": {"integrator failed"},
+    "blow-up": {"escaped the bounding box"},
     "half-plane": {"undefined at the pulled-back point", "None column"},
     "box-escape": {"escaped the bounding box"},
 }
@@ -591,6 +591,111 @@ def _affine_steps(family, word, point, V0):
             err.step = step
             return err
     return q, U
+
+
+DUFFING = ["x2", "-x1-x1^3"]  # polynomial ODE field with bounded orbits
+DAMPED = ["x2*exp(-x1^2)", "-x1+1/10*exp(x1)"]  # non-polynomial ODE field
+
+
+def _ode_group(X, points, times, V=None):
+    """One stacked ODE step of X for the given rows: per row (end point,
+    transported matrix) or its FlowError."""
+    P = [list(map(float, q)) for q in points]
+    V = None if V is None else list(V)
+    failed = fields._step_group(X, list(times), range(len(P)), P, V)
+    return [failed[r] if r in failed else (np.array(P[r]), None if V is None else V[r])
+            for r in range(len(P))]
+
+
+def _same_row(a, b):
+    if isinstance(a, FlowError):
+        return (type(a), str(a), getattr(a, "exit_time", None)) == (
+            type(b), str(b), getattr(b, "exit_time", None))
+    return (not isinstance(b, FlowError) and np.array_equal(a[0], b[0])
+            and (a[1] is b[1] is None or np.array_equal(a[1], b[1])))
+
+
+class TestIntegrator:
+    """``fields.solve_ivp``, the stacked Dormand-Prince 5(4) of ODE groups."""
+
+    def test_riccati_closed_form_and_jacobian(self, vf):
+        # x' = x^2 flows x to x / (1 - t x), with Jacobian 1 / (1 - t x)^2
+        X = vf("Q", ["x1^2"], 1)
+        starts = [(a,) for a in np.linspace(-2.0, 1.2, 9) for _ in range(4)]
+        times = [t for _ in range(9) for t in (-0.4, -0.2, 0.3, 0.55)]
+        rows = _ode_group(X, starts, times, [np.eye(1)] * len(starts))
+        for (a,), t, row in zip(starts, times, rows):
+            assert not isinstance(row, FlowError)
+            end, jac = row
+            assert end[0] == pytest.approx(a / (1 - t * a), rel=1e-9, abs=1e-12)
+            assert jac[0, 0] == pytest.approx(1 / (1 - t * a) ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("comps", [DUFFING, DAMPED], ids=["polynomial", "non-polynomial"])
+    def test_matches_scipy_at_tight_tolerance(self, vf, comps):
+        X = vf("X", comps, 2)
+        kind = fields._flow_kind(X)
+        rng = np.random.default_rng(3)
+        starts = rng.uniform(-0.8, 0.8, size=(12, 2))
+        times = rng.uniform(-1.0, 1.0, size=12)
+        V0 = [rng.uniform(-1, 1, size=(2, 2)) for _ in range(12)]
+
+        def rhs(_, y):
+            jac = kind.jacobian(y[:2])
+            return np.concatenate([kind.value(y[:2]), (jac @ y[2:].reshape(2, 2)).ravel()])
+
+        for p, t, v, row in zip(starts, times, V0, _ode_group(X, starts, times, V0)):
+            sol = solve_ivp(rhs, (0.0, t), np.concatenate([p, v.ravel()]), method="RK45",
+                            rtol=1e-13, atol=1e-15)
+            want = sol.y[:, -1]
+            got = np.concatenate([row[0], row[1].ravel()])
+            assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("comps,domain", [(["x1^2+x2^2", "0"], []),
+                                              (DAMPED, [(1, "<", Fraction(4, 5))])],
+                             ids=["polynomial", "non-polynomial"])
+    def test_row_bits_do_not_depend_on_batch(self, vf, comps, domain):
+        X = vf("X", comps, 2, domain)
+        rng = np.random.default_rng(17)
+        starts = rng.uniform(-1.0, 1.0, size=(300, 2))
+        times = rng.uniform(-3.0, 3.0, size=300)
+        V0 = [rng.uniform(-1, 1, size=(2, 2)) for _ in range(300)]
+        for V in (None, V0):
+            batch = _ode_group(X, starts, times, V)
+            kinds = set()
+            for r in range(0, 300, 12):
+                alone = _ode_group(X, starts[r:r + 1], times[r:r + 1],
+                                   None if V is None else V[r:r + 1])
+                assert _same_row(alone[0], batch[r]), r
+                kinds.add(type(batch[r]).__name__)
+            assert "tuple" in kinds and len(kinds) > 1  # rows that end and rows that fail
+
+    def test_domain_exit_time_matches_closed_form(self, vf):
+        # from x = 1, x' = x^2 reaches 2 at t = 1/2 and 1/2 at t = -1
+        for bound, t, exit_time in (((1, "<", Fraction(2)), 1.0, 0.5),
+                                    ((1, ">", Fraction(1, 2)), -2.0, -1.0)):
+            X = vf("Q", ["x1^2"], 1, [bound])
+            with pytest.raises(DomainExitError) as err:
+                flow(X, t, (1.0,))
+            assert err.value.exit_time == pytest.approx(exit_time, abs=1e-9)
+
+    def test_budget_fails_only_its_own_row(self, vf, monkeypatch):
+        monkeypatch.setattr(fields, "MAX_RHS_EVALS", 400)
+        X = vf("D", DUFFING, 2)
+        starts, times = [(1.0, 0.0)] * 4, [0.1, -0.3, 50.0, 0.7]
+        rows = _ode_group(X, starts, times)
+        assert isinstance(rows[2], IntegrationError)
+        assert "integration budget exceeded" in str(rows[2])
+        for r in (0, 1, 3):
+            assert _same_row(_ode_group(X, starts[r:r + 1], times[r:r + 1])[0], rows[r])
+
+    def test_non_finite_row_fails_alone(self, vf):
+        # at x1 = 1 the first component is exp(800) - exp(900) = inf - inf
+        X = vf("N", ["exp(800*x1)-exp(900*x1)", "x2"], 2)
+        rows = _ode_group(X, [(1.0, 0.5), (-0.5, 0.5)], [0.2, 0.2])
+        assert isinstance(rows[0], IntegrationError) and "non-finite" in str(rows[0])
+        assert not isinstance(rows[1], FlowError)
+        with pytest.raises(IntegrationError, match="non-finite"):
+            flow(X, 0.2, (1.0, 0.5))
 
 
 class TestCompiledEvaluation:

@@ -1,7 +1,10 @@
 """Modules of vfkit use each other only through public names."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import vfkit
 
@@ -56,3 +59,14 @@ def test_no_parameter_defaults_to_a_module_constant():
                 if name in MODULE_CONSTANTS:
                     offences.append(f"{path.name}:{default.lineno} defaults to {name}")
     assert offences == []
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # flows integrate with vfkit's own solver; scipy.integrate would add
+    # about 0.3 s and 23 MB to every process
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    check = "import sys, vfkit.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
