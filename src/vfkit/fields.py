@@ -28,12 +28,13 @@ straight field (X and DX evaluated row by row by the compiled closures),
 and E, c from one stacked matrix exponential for an affine one, so each
 row has the bits of a one-word walk.  A scaling field (A diagonal, b = 0)
 has a diagonal t M, whose exponential is one vectorised ``np.exp`` of its
-diagonal, as in scipy's own diagonal case; every other affine field takes
-one stacked ``expm``.  An ODE group takes one ``solve_ivp`` over its rows
-[x, V]: each row has its own time, step, acceptance by a max-norm error per
-component, right-hand-side budget, box check at every accepted step and
-domain exit located on the step's dense output.  All arithmetic on the rows
-is elementwise (no matmul or dot), so no row's bits depend on another.
+diagonal; every other affine field takes one stacked ``expm``, this
+module's own matrix exponential (Higham 2005).  An ODE group takes one
+``solve_ivp`` over its rows [x, V]: each row has its own time, step,
+acceptance by a max-norm error per component, right-hand-side budget, box
+check at every accepted step and domain exit located on the step's dense
+output.  All arithmetic on the ODE rows is elementwise (no matmul or dot),
+so no row's bits depend on another.
 ``apply_words`` and ``pushforward_along_words`` return, per word, its
 result or the FlowError that stopped it; ``apply_word``,
 ``pushforward_along_word`` and ``flow`` are their one-word cases and raise
@@ -55,7 +56,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .expr import Expr, ZERO, compile_float, poly_coeff_dict
 
@@ -341,6 +341,55 @@ def _poly_batch(exprs, n):
     return batch
 
 
+# degree-13 Pade coefficients b_k = (26 - k)! / ((13 - k)! k!) and theta_13: Higham, "The
+# scaling and squaring method for the matrix exponential revisited", SIMAX 26(4), 2005
+_PADE13 = tuple(float(math.factorial(26 - k) // (math.factorial(13 - k) * math.factorial(k)))
+                for k in range(14))
+_THETA13 = 5.371920351148152
+
+
+def expm(A):
+    """The exponential of every n x n matrix in A (any leading shape), each on
+    its own: the finite Taylor sum, over k < n of A^k / k!, of a strictly
+    triangular (so nilpotent) A; ``np.exp`` of the diagonal of a diagonal A;
+    else the degree-13 Pade approximant of A / 2^s squared s times, s the
+    least that takes the 1-norm of A / 2^s to theta_13 (scaling and squaring,
+    Higham 2005).  A matrix with a non-finite entry gives NaNs."""
+    shape, n = np.shape(A), np.shape(A)[-1]
+    A = np.asarray(A, dtype=float).reshape(-1, n, n)
+    out, eye = np.full(A.shape, np.nan), np.eye(n)
+    finite = np.isfinite(A).all(axis=(1, 2))
+    nil = finite & (~np.tril(A).any(axis=(1, 2)) | ~np.triu(A).any(axis=(1, 2)))
+    if nil.any():
+        N = A[nil]
+        term, total = N, eye + N
+        for k in range(2, n):
+            term = term @ N / k
+            total = total + term
+        out[nil] = total
+    diag = finite & ~nil & ~A[:, eye == 0].any(axis=1)
+    out[diag] = np.where(eye == 1, np.exp(A[diag]), 0.0)
+    pade = finite & ~nil & ~diag
+    if pade.any():
+        mant, e = np.frexp(np.abs(A[pade]).sum(axis=1).max(axis=1) / _THETA13)
+        s = np.maximum(e - (mant == 0.5), 0)
+        B = np.ldexp(A[pade], -s[:, None, None])
+        B2 = B @ B
+        B4 = B2 @ B2
+        B6 = B4 @ B2
+        b = _PADE13
+        U = B @ (B6 @ (b[13] * B6 + b[11] * B4 + b[9] * B2)
+                 + b[7] * B6 + b[5] * B4 + b[3] * B2 + b[1] * eye)
+        V = (B6 @ (b[12] * B6 + b[10] * B4 + b[8] * B2)
+             + b[6] * B6 + b[4] * B4 + b[2] * B2 + b[0] * eye)
+        R = np.linalg.solve(V - U, V + U)
+        for i in range(s.max()):  # row j is squared s_j times
+            sq = s > i
+            R[sq] = R[sq] @ R[sq]
+        out[pade] = R
+    return out.reshape(shape)
+
+
 MAX_RHS_EVALS = 50_000
 
 # Dormand-Prince 5(4) (Dormand and Prince 1980) as in DOPRI5 (Hairer, Norsett and
@@ -464,6 +513,7 @@ def _ode_rhs(batch, n, k):
     return fun
 
 
+@np.errstate(all="ignore")  # a non-finite step is an IntegrationError, not a warning
 def _step_group(X, ts, rows, P, V):
     """One flow step along X for the given rows of P, row rows[j] for time
     ts[j], transporting the rows' matrices in V unless V is None; the
@@ -510,7 +560,7 @@ def _step_group(X, ts, rows, P, V):
     if kind.kind == "affine":
         if (kind.diagonal is not None and not kind.M[:n, n].any()
                 and math.isfinite(sum(times))):
-            # every t M is diagonal, and scipy's expm exponentiates its diagonal
+            # every t M is diagonal, so its exponential is exp of its diagonal
             F = np.zeros((len(t), n + 1, n + 1))
             F[:, range(n + 1), range(n + 1)] = np.exp(kind.diagonal * t[:, None])
         else:

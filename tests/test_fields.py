@@ -1,12 +1,14 @@
 import math
+import os
+import pathlib
+import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from vfkit import fields
 from vfkit.expr import Expr, const, parse, var
@@ -197,6 +199,7 @@ class TestFlows:
     def test_affine_matches_rk(self, vf):
         # double integrator with unit input: closed form vs the analytic
         # flow and vs an independent RK45 solve
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         X = vf("X", ["x2", "1"], 2)
         x1, x2 = 0.2, -0.4
         for t in (0.3, 1.0, -0.7):
@@ -562,9 +565,10 @@ class TestStackedWalk:
 
 
 def _affine_steps(family, word, point, V0):
-    """A word walked step by step with one ``expm(t M)`` per step (16 more
-    at the probe times of a non-diagonal field on a restricted domain):
-    the end point and matrix, or the FlowError that stops the word."""
+    """A word walked step by step with one one-matrix ``fields.expm(t M)``
+    per step (16 more at the probe times of a non-diagonal field on a
+    restricted domain): the end point and matrix, or the FlowError that
+    stops the word."""
     q, U = np.array(point, dtype=float), V0
     n = len(q)
     for step, (i, t) in enumerate(word):
@@ -578,12 +582,12 @@ def _affine_steps(family, word, point, V0):
             if kind.diagonal is None and not X.domain.is_full:
                 probes = [t * k / 16.0 for k in range(1, 17)]
             for s in probes:
-                F = expm(kind.M * s)
+                F = fields.expm(kind.M * s)
                 if not X.domain.contains((F[:n, :n] @ q + F[:n, n]).tolist()):
                     err = DomainExitError(f"trajectory of {X.name} left its domain", s)
                     break
             else:
-                F = expm(kind.M * t)
+                F = fields.expm(kind.M * t)
                 q, U = F[:n, :n] @ q + F[:n, n], F[:n, :n] @ U
                 if np.abs(q).max() > fields.DEFAULT_BOX:
                     err = IntegrationError("trajectory escaped the bounding box")
@@ -591,6 +595,130 @@ def _affine_steps(family, word, point, V0):
             err.step = step
             return err
     return q, U
+
+
+# the affine field (x2, 1) of the double-integrator preset: x' = A x + b as
+# M = [[A, b], [0, 0]], strictly upper triangular
+DOUBLE_INTEGRATOR_M = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+
+
+def _scaling_exponent(A):
+    """s of ``fields.expm``'s scaling and squaring: the least s >= 0 with
+    ||A / 2^s||_1 <= theta_13."""
+    return max(0, math.ceil(math.log2(np.abs(A).sum(axis=0).max() / fields._THETA13)))
+
+
+class TestExpm:
+    """``fields.expm``, the stacked matrix exponential of affine flows."""
+
+    def test_double_integrator_is_its_exact_taylor_sum(self, vf):
+        assert np.array_equal(fields._flow_kind(vf("X1", ["x2", "1"], 2)).M, DOUBLE_INTEGRATOR_M)
+        t = np.random.default_rng(1).uniform(-3.0, 3.0, size=200)
+        F = fields.expm(DOUBLE_INTEGRATOR_M * t[:, None, None])
+        for s, Fs in zip(t.tolist(), F):
+            assert np.array_equal(Fs, [[1.0, s, s * s / 2], [0.0, 1.0, s], [0.0, 0.0, 1.0]]), s
+        # strictly lower triangular matrices are nilpotent too
+        assert np.array_equal(fields.expm(DOUBLE_INTEGRATOR_M.T * t[:, None, None]),
+                              F.transpose(0, 2, 1))
+
+    def test_rotations_match_cos_and_sin(self):
+        theta = np.random.default_rng(2).uniform(-40.0, 40.0, size=300)
+        F = fields.expm(np.array([[[0.0, -a], [a, 0.0]] for a in theta]))
+        c, s = np.cos(theta), np.sin(theta)
+        want = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+        assert np.max(np.abs(F - want)) < 1e-13
+
+    def test_offset_diagonal_matches_expm1(self):
+        # x_i' = a_i x_i + b_i: M = [[diag(a), b], [0, 0]] has the exponential
+        # [[diag(e^a), b (e^a - 1) / a], [0, 1]]
+        rng = np.random.default_rng(4)
+        a, b = rng.uniform(-6.0, 6.0, size=(300, 2)), rng.uniform(-3.0, 3.0, size=(300, 2))
+        M = np.zeros((300, 3, 3))
+        M[:, [0, 1], [0, 1]], M[:, :2, 2] = a, b
+        want = np.zeros((300, 3, 3))
+        want[:, [0, 1, 2], [0, 1, 2]] = np.exp(np.column_stack([a, np.zeros(300)]))
+        want[:, :2, 2] = b * np.expm1(a) / a
+        np.testing.assert_allclose(fields.expm(M), want, rtol=1e-13, atol=1e-14)
+
+    def test_matches_scipy_on_random_matrices(self):
+        # The bound: scaling and squaring with the degree-13 Pade approximant
+        # has a backward error of at most the unit roundoff (Higham 2005), and
+        # scipy's algorithm likewise.  On these matrices (1-norm 0.01 to 80,
+        # scaling exponents 0 to 4) the two differed by at most 1.2e-11 of the
+        # largest entry, nearly all of it scipy's own error: against a 40-digit
+        # reference vfkit's stayed within 4e-14 and scipy's reached 1.1e-11.
+        # 1e-10 leaves room for other BLAS and LAPACK builds, while one wrong
+        # Pade coefficient (b_13 = 2) moves results by 2e-7.
+        expm = pytest.importorskip("scipy.linalg").expm
+        rng = np.random.default_rng(23)
+        exponents = set()
+        for _ in range(1500):
+            n = int(rng.integers(2, 5))
+            A = rng.normal(size=(n, n))
+            A *= 10 ** rng.uniform(-2.0, 1.9) / np.abs(A).sum(axis=0).max()
+            want = expm(A)
+            assert np.max(np.abs(fields.expm(A) - want)) <= 1e-10 * np.max(np.abs(want))
+            exponents.add(_scaling_exponent(A))
+        assert exponents == {0, 1, 2, 3, 4}
+
+    def test_row_bits_do_not_depend_on_batch(self):
+        rng = np.random.default_rng(29)
+        A = rng.normal(size=(300, 3, 3)) * 10 ** rng.uniform(-2.0, 1.9, size=(300, 1, 1))
+        A[::7] = DOUBLE_INTEGRATOR_M * rng.uniform(-3.0, 3.0, size=(43, 1, 1))
+        A[3::11] = np.eye(3) * rng.uniform(-5.0, 5.0, size=(27, 1, 3))
+        A[5, 1, 2] = math.nan
+        F = fields.expm(A)
+        assert len({_scaling_exponent(a) for a in A[np.isfinite(A).all(axis=(1, 2))]}) > 3
+        for r in range(300):
+            assert np.array_equal(fields.expm(A[r]), F[r], equal_nan=True), r
+            assert np.array_equal(fields.expm(A[r:r + 1]), F[r:r + 1], equal_nan=True), r
+        assert np.isfinite(np.delete(F, 5, axis=0)).all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_gives_non_finite_result(self, bad):
+        rotation = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for M in (DOUBLE_INTEGRATOR_M, np.diag([1.0, -2.0, 0.0]), rotation):
+                for i, j in ((0, 1), (1, 1), (2, 0)):
+                    A = M.copy()
+                    A[i, j] = bad
+                    assert not np.isfinite(fields.expm(A)).any(), (M, i, j)
+
+    def test_probe_stack_keeps_its_shape_and_bits(self, vf):
+        M = fields._flow_kind(vf("R", ["-x2", "x1+1"], 2)).M
+        probe_t = np.random.default_rng(31).uniform(-2.0, 2.0, size=(5, 1)) * np.arange(1, 17) / 16
+        F = fields.expm(M * probe_t[:, :, None, None])
+        assert F.shape == (5, 16, 3, 3)
+        for i in range(5):
+            for j in range(16):
+                assert np.array_equal(F[i, j], fields.expm(M * probe_t[i, j])), (i, j)
+
+
+class TestNonFiniteStepsAreQuiet:
+    """A flow step that overflows fails with an IntegrationError and prints
+    no numpy warning."""
+
+    @pytest.mark.parametrize("comps", [["x1", "0"], ["x2", "1"], ["-x2", "x1"], ["1", "0"]],
+                             ids=["scaling", "nilpotent", "rotation", "straight"])
+    def test_infinite_time_raises_without_warning(self, vf, comps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError) as err:
+                flow(vf("X", comps, 2), math.inf, (0.5, 0.25))
+        assert str(err.value) == "flow step gave a non-finite value"
+
+    def test_overflowing_orbit_writes_nothing_to_stderr(self, tmp_path):
+        system = tmp_path / "big.vf"
+        system.write_text("system big dim 2\nfield X1 = (x1, 0)\nfield X2 = (x2, 1)\n")
+        src = str(pathlib.Path(fields.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run(
+            [sys.executable, "-m", "vfkit.cli", "orbit", "--system", str(system), "--point",
+             "1/2,1/4", "--max-time", "1e300", "--words", "20"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stderr) == (0, "")
 
 
 DUFFING = ["x2", "-x1-x1^3"]  # polynomial ODE field with bounded orbits
@@ -632,6 +760,7 @@ class TestIntegrator:
 
     @pytest.mark.parametrize("comps", [DUFFING, DAMPED], ids=["polynomial", "non-polynomial"])
     def test_matches_scipy_at_tight_tolerance(self, vf, comps):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         X = vf("X", comps, 2)
         kind = fields._flow_kind(X)
         rng = np.random.default_rng(3)

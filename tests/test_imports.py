@@ -62,11 +62,15 @@ def test_no_parameter_defaults_to_a_module_constant():
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    # flows integrate with vfkit's own solver; scipy.integrate would add
-    # about 0.3 s and 23 MB to every process
+    # flows integrate with vfkit's own solver and matrix exponential, so no
+    # scipy module is loaded, not even once the double integrator's preset
+    # has taken affine steps; scipy.linalg would add about 0.35 s and 28 MB
+    # to every process
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    check = "import sys, vfkit.cli; print('scipy.integrate' in sys.modules)"
+    check = ("import sys, vfkit.cli, vfkit.presets; "
+             "vfkit.presets.run_preset('double-integrator'); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
