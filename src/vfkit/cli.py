@@ -29,12 +29,13 @@ from .frobenius import DEFAULT_INVOLUTIVITY_DEGREE, flow_box_chart, frobenius_ve
 from .liealg import (
     DEFAULT_DEPTH_CAP,
     DEFAULT_MODULE_DEGREE,
+    DEPTH_CAP_LIMIT,
     LieAlgebraError,
     filtration,
     fixed_time_ideal_rank,
 )
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL
-from .membership import MembershipError, member_bounded
+from .membership import DEGREE_CAP, MembershipError, member_bounded
 from .orbits import WordSampler, fixed_time_dimension, orbit_dimension, sampled_orbit
 from .presets import PRESETS, run_preset
 from .systems import (
@@ -164,6 +165,18 @@ def _flow_point(text, dim, flag):
     return p
 
 
+def _check_ranges(args):
+    """Usage errors for integer options outside the ranges the library
+    accepts, raised before any system is read."""
+    for name, lo, hi in (("depth", 1, DEPTH_CAP_LIMIT), ("degree", 0, DEGREE_CAP),
+                         ("module_degree", 0, DEGREE_CAP), ("words", 1, WORDS_CAP),
+                         ("max_len", 1, MAX_LEN_CAP)):
+        value = getattr(args, name, None)
+        if value is not None and not lo <= value <= hi:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must lie in [{lo}, {hi}], got {value}")
+
+
 def _add_common(p, system_required=True):
     p.add_argument("--system", required=system_required, help="system file path")
     p.add_argument("--format", default="text", choices=["json", "csv", "text"])
@@ -248,6 +261,7 @@ def main(argv=None):
         "examples": _cmd_examples,
     }[args.cmd]
     try:
+        _check_ranges(args)
         report, code = handler(args, seed)
     except UsageError as err:
         report = _report(args.cmd, seed, {}, status="usage-error", error=str(err))
@@ -368,10 +382,6 @@ def _cmd_member(args, seed):
 
 
 def _cmd_orbit(args, seed):
-    for flag, value, cap in (("--words", args.words, WORDS_CAP),
-                             ("--max-len", args.max_len, MAX_LEN_CAP)):
-        if not 1 <= value <= cap:
-            raise UsageError(f"{flag} must lie in [1, {cap}], got {value}")
     system = _load_system(args.system)
     p = _flow_point(args.point, system.dim, "--point")
     sampler = WordSampler(seed=seed, max_len=args.max_len,
@@ -386,7 +396,7 @@ def _cmd_orbit(args, seed):
             "dimension": rep.dimension,
             "certificate": rep.certificate,
             "lie_rank": rep.linf_rank,
-            "certified_exact": rep.certified_exact,
+            "certified_exact": rep.certificate == "nagano" or rep.dimension == system.dim,
             "words_used": s.words_used,
             "words_skipped": s.words_skipped,
             "vectors": [list(v) for v in s.vectors],

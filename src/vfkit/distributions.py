@@ -11,34 +11,24 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .expr import Expr, ZERO, const
-from .fields import FlowError, VectorField, lie_bracket, pushforward_along_words
-from .linalg import (
-    FLOW_REL_TOL,
-    all_exact,
-    exact_nullspace,
-    exact_pivot_columns,
-    in_span,
-    orthogonal_residual,
-    span_rank,
-)
+from .fields import VectorField
+from .linalg import all_exact, exact_nullspace, exact_pivot_columns, span_rank
 
 __all__ = [
     "Distribution",
     "RankReport",
     "GridClassification",
     "SingularLocus",
-    "InvarianceReport",
     "rank_at",
     "classify_grid",
     "grid_points",
     "singular_locus_minors",
     "adapt_generators",
-    "invariance_check",
 ]
 
 
@@ -275,64 +265,3 @@ def adapt_generators(D, point):
         if any(v != 0 for v in value):
             raise AssertionError("adapted generator fails to vanish at the point")
     return out
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    bracket_invariant: bool
-    bracket_witness: Optional[tuple]  # (generator index, point, bracket value)
-    flow_invariant_sampled: bool
-    flow_witness: Optional[tuple]  # (generator index, point, time, residual)
-    flow_samples_skipped: int  # (generator, point, time) samples with no pushforward
-
-
-def invariance_check(D, X, sample_points, flow_times):
-    """Bracket-invariance ([X, g] stays in the fibre) and sampled
-    flow-invariance (pushforwards by the flow of X stay in the fibre).
-
-    At each sample point every generator is pushed forward through the
-    one-step words of all the times in one walk.  A sample whose flow
-    fails, or whose generator is undefined at the pulled-back point, is
-    skipped and counted in ``flow_samples_skipped``."""
-    bracket_ok = True
-    bracket_witness = None
-    for gi, g in enumerate(D.generators):
-        B = lie_bracket(X, g)
-        for p in sample_points:
-            if not B.domain.contains(p):
-                continue
-            fibre = [v for _, v in D.defined_values(p)]
-            bval = B.value(p)
-            if not in_span(fibre, bval):
-                bracket_ok = False
-                if bracket_witness is None:
-                    bracket_witness = (gi, tuple(p), tuple(bval))
-    # the witness is the first failure in (generator, point, time) order
-    flow_failures = []
-    skipped = 0
-    words = [[(0, t)] for t in flow_times]
-    for pi, p in enumerate(sample_points):
-        at_p = pushforward_along_words([X], words, D.generators, p)
-        fibre = None  # evaluated at the first pushforward that succeeds
-        for ti, (t, pushed) in enumerate(zip(flow_times, at_p)):
-            if isinstance(pushed, FlowError):
-                skipped += len(D.generators)
-                continue
-            if fibre is None:
-                fibre = [vv for _, vv in D.defined_values(p)]
-            for gi, v in enumerate(pushed):
-                if v is None:
-                    skipped += 1
-                    continue
-                residual = orthogonal_residual(fibre, v)
-                if residual > FLOW_REL_TOL:
-                    flow_failures.append(((gi, pi, ti), (gi, tuple(p), t, residual)))
-    flow_witness = min(flow_failures)[1] if flow_failures else None
-    return InvarianceReport(
-        bracket_invariant=bracket_ok,
-        bracket_witness=bracket_witness,
-        flow_invariant_sampled=not flow_failures,
-        flow_witness=flow_witness,
-        flow_samples_skipped=skipped,
-    )
-

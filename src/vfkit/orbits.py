@@ -47,7 +47,6 @@ __all__ = [
     "OrbitTangentReport",
     "FixedTimeReport",
     "ChowReport",
-    "SteeringReport",
     "SampledOrbit",
     "sampled_orbit",
     "sampled_orbit_dimension",
@@ -57,7 +56,6 @@ __all__ = [
     "orbit_dimension",
     "fixed_time_dimension",
     "chow_verdict",
-    "steer_linear",
 ]
 
 # Words walked before a dimension-only sample checks for full rank.
@@ -106,10 +104,6 @@ class OrbitTangentReport:
     words_used: int
     words_skipped: int
     certificate: str  # "nagano" (exact) | "sampled" (a lower bound)
-
-    @property
-    def certified_exact(self):
-        return self.certificate == "nagano" or self.dimension == len(self.point)
 
 
 def _generator_values(family, point):
@@ -385,38 +379,3 @@ def chow_verdict(family, samples, depth_cap=DEFAULT_DEPTH_CAP, orbit_sampler=Non
             "family may still be controllable (the test is one-sided)"
         )
     return ChowReport(False, depth_cap, note, tuple(failing), tuple(dims))
-
-
-@dataclass(frozen=True)
-class SteeringReport:
-    u1: float
-    u2: float
-    trajectory: Tuple[tuple, ...]
-    landing_error: float
-
-
-def steer_linear(start, target, T):
-    """Two-piece steering for the planar double integrator x1' = x2,
-    x2' = u: closed-form u1, u2 drive start to target in time T (first
-    input on [0, T/2], second on [T/2, T])."""
-    if T == 0:
-        raise ValueError("steering time T must be nonzero")
-    x11, x12 = (float(v) for v in start)
-    x21, x22 = (float(v) for v in target)
-    T = float(T)
-    u1 = (-3 * T * x12 - T * x22 - 4 * x11 + 4 * x21) / T**2
-    u2 = (T * x12 + 3 * T * x22 + 4 * x11 - 4 * x21) / T**2
-
-    def step(x, u, t):
-        # exact flow of the double integrator: x1 += t x2 + u t^2/2, x2 += u t
-        return np.array([x[0] + t * x[1] + u * t * t / 2.0, x[1] + u * t], dtype=float)
-
-    samples = 8
-    xs = [np.array([x11, x12])]
-    for u in (u1, u2):
-        base = xs[-1]
-        for k in range(1, samples + 1):
-            xs.append(step(base, u, (T / 2.0) * k / samples))
-    landing = xs[-1]
-    err = float(np.max(np.abs(landing - np.array([x21, x22]))))
-    return SteeringReport(u1, u2, tuple(tuple(p) for p in xs), err)

@@ -7,11 +7,10 @@ from vfkit.distributions import (
     Distribution,
     adapt_generators,
     classify_grid,
-    invariance_check,
     rank_at,
     singular_locus_minors,
 )
-from vfkit.expr import EvalError, parse
+from vfkit.expr import parse
 from vfkit.fields import multiply_field
 
 from conftest import frac_grid
@@ -162,76 +161,6 @@ class TestAdapt:
         values = [g.value((1, 1)) for g in out]
         assert values[0] == [1, 0] and values[1] == [0, 1]
         assert values[2] == [0, 0]
-
-
-class TestInvariance:
-    def test_commuting_translations(self, vf):
-        D = Distribution((vf("d2", ["0", "1"], 2),))
-        rep = invariance_check(D, vf("d1", ["1", "0"], 2), [(0, 0), (2, -1)], [0.1, -0.2])
-        assert rep.bracket_invariant and rep.flow_invariant_sampled
-
-    def test_shear_not_invariant(self, vf):
-        D = Distribution((vf("d2", ["0", "1"], 2),))
-        X = vf("X", ["x2", "0"], 2)
-        rep = invariance_check(D, X, [(0, 0), (1, 2)], [0.1, -0.1])
-        assert not rep.bracket_invariant
-        gi, point, value = rep.bracket_witness
-        assert tuple(value) == (-1, 0)
-        assert not rep.flow_invariant_sampled
-
-    def test_scalings_invariant(self, diag, vf):
-        rep = invariance_check(diag, vf("X", ["x1", "0"], 2), [(1, 1), (2, 3)], [0.1])
-        assert rep.bracket_invariant and rep.flow_invariant_sampled
-
-    def test_flow_invariance_implies_bracket_invariance(self, vf):
-        # the always-true direction, checked on several distributions
-        cases = [
-            (Distribution((vf("d2", ["0", "1"], 2),)), vf("X", ["1", "0"], 2)),
-            (Distribution((vf("d2", ["0", "1"], 2),)), vf("X", ["x2", "0"], 2)),
-            (
-                Distribution((vf("a", ["x1", "0"], 2), vf("b", ["0", "x2"], 2))),
-                vf("X", ["x1", "0"], 2),
-            ),
-            (
-                Distribution((vf("a", ["1", "0"], 2), vf("b", ["0", "x1"], 2))),
-                vf("X", ["0", "1"], 2),
-            ),
-        ]
-        pts = [(0, 0), (1, 1), (Fraction(-1, 2), 2)]
-        for D, X in cases:
-            rep = invariance_check(D, X, pts, [0.1, -0.1, 0.2, -0.2])
-            if rep.flow_invariant_sampled:
-                assert rep.bracket_invariant
-
-    def test_flow_skips_counted(self, vf):
-        X = vf("X", ["1", "0"], 2, [(1, "<", Fraction(1, 2))])
-        g1 = vf("g1", ["0", "1"], 2, [(1, ">", Fraction(-1, 2))])
-        D = Distribution((g1, vf("g2", ["0", "1"], 2)))
-        # t = -0.75 leaves X's domain (both generators skipped); t = 0.75
-        # pulls back outside g1's domain (g1 skipped)
-        rep = invariance_check(D, X, [(0, 0)], [0.25, -0.75, 0.75])
-        assert rep.flow_invariant_sampled
-        assert rep.flow_samples_skipped == 3
-
-    def test_fibre_evaluated_once_per_flowed_point(self, vf, monkeypatch):
-        calls = []
-        real = Distribution.defined_values
-        monkeypatch.setattr(Distribution, "defined_values",
-                            lambda D, p: calls.append(tuple(p)) or real(D, p))
-        X = vf("X", ["1", "0"], 2, [(1, "<", Fraction(1, 2))])
-        D = Distribution((vf("d2", ["0", "1"], 2),))
-        # every flow fails at (1, 0), outside X's domain, where the bracket
-        # is undefined too: only (0, 0) needs its fibre, once for the bracket
-        # and once for all three flow times
-        rep = invariance_check(D, X, [(0, 0), (1, 0)], [0.1, -0.1, 0.2])
-        assert rep.flow_invariant_sampled and rep.flow_samples_skipped == 3
-        assert calls == [(0, 0), (0, 0)]
-
-    def test_non_flow_error_propagates(self, vf):
-        # g has a pole at the pulled-back point (-1, 0) but not at (0, 0)
-        D = Distribution((vf("g", ["(x1+1)^-1", "0"], 2),))
-        with pytest.raises(EvalError):
-            invariance_check(D, vf("X", ["1", "0"], 2), [(0, 0)], [1.0])
 
 
 class TestRobustness:

@@ -1,6 +1,7 @@
 """Modules of vfkit use each other only through public names."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -22,6 +23,16 @@ def test_no_private_cross_module_imports():
                 if internal and alias.name.startswith("_"):
                     offences.append(f"{path.name}:{node.lineno} imports {alias.name}")
     assert offences == []
+
+
+def test_every_public_name_resolves():
+    stale = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "vfkit" if path.stem == "__init__" else f"vfkit.{path.stem}"
+        module = importlib.import_module(name)
+        stale += [f"{name}.{entry}" for entry in getattr(module, "__all__", ())
+                  if not hasattr(module, entry)]
+    assert stale == []
 
 
 # Thresholds, caps and sample settings are module constants: a parameter

@@ -39,3 +39,10 @@ def test_deterministic_runs():
     assert [(f.fact_id, r) for f, r in a.results] == [
         (f.fact_id, r) for f, r in b.results
     ]
+
+
+def test_steering_facts_measure_exact_text():
+    run = run_preset("double-integrator")
+    measured = {fact.fact_id: result.measured for fact, result in run.results}
+    assert measured["steer-corner"] == "u1=3.0, u2=-1.0, error=0.00e+00"
+    assert measured["steer-loop"] == "u1=-4.0, u2=4.0, error=0.00e+00"

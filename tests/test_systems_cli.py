@@ -56,6 +56,18 @@ field X1 = (x1^2+x2^2, 0)
 field X2 = (0, x1^2+x2^2)
 """
 
+FLAT = """\
+system flat dim 2
+field X1 = (1, 0)
+field X2 = (0, bumpp(x1))
+"""
+
+CUBIC = """\
+system cubic dim 2
+field X1 = (1, 0)
+field X2 = (0, x1^2*x2+x2^3)
+"""
+
 
 class TestSystemFormat:
     def test_parse_basic(self):
@@ -239,6 +251,22 @@ class TestCli:
         assert (res["dimension"], res["certificate"], res["certified_exact"]) == (
             1, "sampled", False)
 
+    def test_certified_exact_below_full_dimension_only_under_nagano(self, capsys, tmp_path):
+        def orbit(text, point, *opts):
+            path = tmp_path / "family.vf"
+            path.write_text(text)
+            code, out = run_cli(capsys, "orbit", "--system", str(path), f"--point={point}",
+                                *opts, "--format", "json")
+            assert code == 0
+            res = json.loads(out)["results"]
+            return res["dimension"], res["certificate"], res["certified_exact"]
+
+        # words of total time <= 3 never leave x1 <= 0, where bumpp(x1) and
+        # every bracket vanish; longer words show the orbit is R^2
+        assert orbit(FLAT, "-3,0") == (1, "sampled", False)
+        assert orbit(FLAT, "-3,0", "--max-time", "2") == (2, "sampled", True)
+        assert orbit(CUBIC, "1/2,0") == (1, "nagano", True)
+
     def test_orbit_bound_beyond_float_range(self, capsys, tmp_path):
         # an ODE flow on x1 < 10^400 flows as on the whole plane
         reports = []
@@ -310,14 +338,14 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["results"]["certificate"] == "module-degree-4"
         code, out = lie("13")
-        assert code == 3
-        assert json.loads(out)["error"] == "degree bound 13 outside [0, 12]"
+        assert code == cli.EXIT_USAGE
+        assert json.loads(out)["error"] == "--module-degree must lie in [0, 12], got 13"
 
     def test_module_degree_cap_reaches_frobenius(self, capsys, vanishing_file):
         code, out = run_cli(capsys, "frobenius", "--system", vanishing_file,
                             "--module-degree", "13", "--format", "json")
-        assert code == 3
-        assert json.loads(out)["error"] == "degree bound 13 outside [0, 12]"
+        assert code == cli.EXIT_USAGE
+        assert json.loads(out)["error"] == "--module-degree must lie in [0, 12], got 13"
 
     def test_lie_fixed_time_ideal_builds_one_filtration(self, capsys, vanishing_file,
                                                         monkeypatch):
@@ -374,6 +402,33 @@ class TestCli:
                                 "1,1", flag, bad, "--format", "json")
             assert code == 1
             assert json.loads(out)["error"] == f"{flag} must lie in [1, {cap}], got {bad}"
+
+    @pytest.mark.parametrize("text", [SHEAR, VANISHING], ids=["linear-shear", "vanishing-pair"])
+    @pytest.mark.parametrize("command,flag,lo,hi", [
+        (["lie", "--point", "1/2,3/4"], "--depth", 1, liealg.DEPTH_CAP_LIMIT),
+        (["orbit", "--point", "1/2,3/4"], "--depth", 1, liealg.DEPTH_CAP_LIMIT),
+        (["lie", "--point", "1/2,3/4"], "--module-degree", 0, membership.DEGREE_CAP),
+        (["frobenius"], "--module-degree", 0, membership.DEGREE_CAP),
+        (["member", "--target", "(0,x1)", "--gens", "X2"], "--degree", 0,
+         membership.DEGREE_CAP),
+    ], ids=["lie-depth", "orbit-depth", "lie-module-degree", "frobenius-module-degree",
+            "member-degree"])
+    def test_depth_and_degree_caps_are_usage_errors(self, capsys, tmp_path, monkeypatch,
+                                                    text, command, flag, lo, hi):
+        # rejected for every system, before the system file is read
+        assert (liealg.DEPTH_CAP_LIMIT, membership.DEGREE_CAP) == (10, 12)
+        path = tmp_path / "system.vf"
+        path.write_text(text)
+        loads = []
+        real = cli._load_system
+        monkeypatch.setattr(cli, "_load_system", lambda p: loads.append(p) or real(p))
+        for bad in (lo - 1, hi + 1):
+            code, out = run_cli(capsys, command[0], "--system", str(path), *command[1:],
+                                flag, str(bad), "--format", "json")
+            report = json.loads(out)
+            assert (code, report["status"]) == (cli.EXIT_USAGE, "usage-error")
+            assert report["error"] == f"{flag} must lie in [{lo}, {hi}], got {bad}"
+        assert loads == []
 
     def test_examples_list(self, capsys):
         code, out = run_cli(capsys, "examples", "--list", "--format", "json")
