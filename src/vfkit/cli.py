@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from .liealg import (
 )
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL
 from .membership import DEGREE_CAP, MembershipError, member_bounded
-from .orbits import WordSampler, fixed_time_dimension, orbit_dimension, sampled_orbit
+from .orbits import WordSampler, fixed_time_dimension, orbit_dimension
 from .presets import PRESETS, run_preset
 from .systems import (
     SystemParseError,
@@ -239,11 +240,23 @@ def build_parser():
     return ap
 
 
+def _join_signed_values(argv):
+    """Each ``--flag -3,0`` pair as ``--flag=-3,0``: argparse reads a value
+    such as -3,0 or -1/2 as an option."""
+    out = []
+    for arg in argv:
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_signed_values(argv))
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
@@ -389,19 +402,16 @@ def _cmd_orbit(args, seed):
     family = list(system.fields)
     if args.fixed_time is None:
         rep = orbit_dimension(family, p, sampler, args.depth)
-        # the report keeps the sampled vectors even where Nagano decides
-        s = sampled_orbit(family, p, sampler) if rep.certificate == "nagano" else rep
         results = {
             "point": list(p),
             "dimension": rep.dimension,
             "certificate": rep.certificate,
             "lie_rank": rep.linf_rank,
-            "certified_exact": rep.certificate == "nagano" or rep.dimension == system.dim,
-            "words_used": s.words_used,
-            "words_skipped": s.words_skipped,
-            "vectors": [list(v) for v in s.vectors],
-            "csv_rows": [tuple(f"v{i}" for i in range(system.dim))]
-            + [tuple(v) for v in s.vectors],
+            "certified_exact": rep.certificate != "sampled" or rep.dimension == system.dim,
+            "words_used": rep.words_used,
+            "words_skipped": rep.words_skipped,
+            "vectors": [list(v) for v in rep.vectors],
+            "csv_rows": [tuple(f"v{i}" for i in range(system.dim)), *map(tuple, rep.vectors)],
         }
     else:
         rep = fixed_time_dimension(family, p, args.fixed_time, sampler,

@@ -174,9 +174,9 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
     Accepted only when the chart behaves like an integral-manifold chart on
     the sample: every coordinate tangent stays in the fibre, the fibre rank
     matches the chart rank over the sampled image, and the orbit dimension
-    at the base (``orbits.orbit_dimension``: the Nagano rank, or a sampled
-    lower bound) does not outrun the chart (generator flows cannot leave an
-    integral manifold, so a larger orbit refutes it)."""
+    at the base (``orbits.orbit_dimension``: an exact bracket rank, or a
+    sampled lower bound) does not outrun the chart (generator flows cannot
+    leave an integral manifold, so a larger orbit refutes it)."""
     base = tuple(base)
     base_report = rank_at(D, base)
     m = base_report.rank

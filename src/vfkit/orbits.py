@@ -1,23 +1,22 @@
 """Orbit and fixed-time-orbit tangent spaces.
 
-A family is *Nagano-certified* when every generator is real analytic on
-all of R^n (no ``bump``, ``bumpp`` or division atom, every domain full)
-and its bracket filtration carries a stabilization certificate.  Then the
-orbit tangent at p is Lie(F)(p) (Nagano 1966; Sussmann 1973): the orbit
-dimension is the filtration's exact rank at p (``certificate="nagano"``)
-and no flow is integrated.  Every other family is sampled: flow words push
-the generators forward to the point, and the rank of the collected vectors
-is a certified lower bound (``certificate="sampled"``).  Every orbit is an
-immersed submanifold of R^n (Sussmann 1973), so a sampled rank that reaches
-n is the orbit dimension and no further word can change it: callers that
-need only the dimension (``sampled_orbit_dimension``) walk the first
-``FIRST_WORDS`` words and draw the rest only when their rank stays below n.
-Fixed-time orbits of a Nagano-certified family whose derived words are
-certified to span [L, L] (``liealg.derived_certificate``) take the exact
-rank of the zero-time ideal (``certificate="zero-time-ideal"``); every
-other family samples zero-sum words and takes the linear part of the
-affine hull of the collected vectors, a lower bound.  Flow ranks are read
-at ``linalg.FLOW_REL_TOL``, and filtrations go to
+One rule, ``_exact_certificate``, says when an exact bracket rank at p is the
+dimension, so that no flow is integrated.  For any smooth family Lie(F)(p)
+lies in the orbit tangent (Sussmann 1973), so a rank of n is the dimension
+(``certificate="bracket-rank"``).  When every generator is real analytic on
+all of R^n (no ``bump``, ``bumpp`` or division atom, every domain full) and
+the bracket filtration carries a stabilization certificate, the family is
+*Nagano-certified*: the tangent is Lie(F)(p) (Nagano 1966) and its rank is
+the dimension (``certificate="nagano"``).  Fixed-time orbits take the rank of
+the zero-time ideal at the float point that the seed word reaches, exact by
+the same rule (``"zero-time-ideal"`` also needs ``liealg.derived_certificate``).
+Every other case samples flow words that push the generators forward to the
+point: the rank of the collected vectors (for fixed time, of the linear part
+of their affine hull) is a lower bound (``certificate="sampled"``).  Every
+orbit is an immersed submanifold of R^n (Sussmann 1973), so a sampled rank of
+n is the orbit dimension: ``sampled_orbit_dimension`` walks the first
+``FIRST_WORDS`` words and draws the rest only when their rank stays below n.
+Flow ranks are read at ``linalg.FLOW_REL_TOL``, and filtrations go to
 ``liealg.DEFAULT_DEPTH_CAP`` unless a cap is given.
 """
 
@@ -99,11 +98,11 @@ class WordSampler:
 class OrbitTangentReport:
     point: tuple
     dimension: int
-    vectors: Tuple[tuple, ...]  # sampled pushforwards; empty under "nagano"
+    vectors: Tuple[tuple, ...]  # sampled pushforwards; empty when exact
     linf_rank: int  # bracket-filtration rank at the same point
-    words_used: int
+    words_used: int  # 0 when exact, as is words_skipped
     words_skipped: int
-    certificate: str  # "nagano" (exact) | "sampled" (a lower bound)
+    certificate: str  # "nagano" | "bracket-rank" (exact) | "sampled" (a lower bound)
 
 
 def _generator_values(family, point):
@@ -116,17 +115,13 @@ def _pushforwards(family, words, point):
     forward and the number that pushed none."""
     vectors = []
     used = 0
-    skipped = 0
     for pushed in pushforward_along_words(family, words, family, point):
         if isinstance(pushed, FlowError):
-            pushed = ()
+            continue
         got = [tuple(float(x) for x in v) for v in pushed if v is not None]
         vectors.extend(got)
-        if got:
-            used += 1
-        else:
-            skipped += 1
-    return vectors, used, skipped
+        used += bool(got)
+    return vectors, used, len(words) - used
 
 
 class SampledOrbit(NamedTuple):
@@ -181,21 +176,27 @@ def nagano_certified(filt):
     )
 
 
+def _exact_certificate(filt, rank, n, fixed_time=False):
+    """Why the exact rank of Lie(F) at a point (of the zero-time ideal, for
+    ``fixed_time``) is the tangent dimension there, or None: sample it."""
+    if nagano_certified(filt) and not (fixed_time and derived_certificate(filt) is None):
+        return "zero-time-ideal" if fixed_time else "nagano"
+    return "bracket-rank" if rank == n else None
+
+
 def orbit_dimension(family, point, sampler, depth_cap=DEFAULT_DEPTH_CAP):
     """Orbit dimension at the point, with the bracket-filtration rank there:
-    that rank itself when the family is Nagano-certified (no word is
-    walked; its generators are defined everywhere), else the sampled
+    that rank where ``_exact_certificate`` finds it exact, else the sampled
     dimension (a certified lower bound)."""
     family = tuple(family)
     filt = filtration(family, depth_cap)
     linf = filt.rank_at(point)
-    if nagano_certified(filt):
-        return OrbitTangentReport(tuple(point), linf, (), linf, 0, 0, "nagano")
+    exact = _exact_certificate(filt, linf, len(point))
+    if exact:  # no flow word is walked
+        return OrbitTangentReport(tuple(point), linf, (), linf, 0, 0, exact)
     s = sampled_orbit(family, point, sampler)
-    return OrbitTangentReport(
-        tuple(point), s.dimension, tuple(s.vectors), linf, s.words_used,
-        s.words_skipped, "sampled",
-    )
+    return OrbitTangentReport(tuple(point), s.dimension, tuple(s.vectors), linf,
+                              s.words_used, s.words_skipped, "sampled")
 
 
 @dataclass(frozen=True)
@@ -204,13 +205,13 @@ class FixedTimeReport:
     reached: tuple
     net_time: float
     dimension: int  # rank of L0 (exact) or of the sampled affine-hull linear part
-    orbit_dimension_at_reached: int  # exact where certified or of bracket rank n
+    orbit_dimension_at_reached: int  # orbit_dimension's rule at the reached point
     ideal_rank: int  # I(X) rank at the reached point
     max_displacement: float  # max |word(x) - x| over the zero-sum words
     invariant_max_deviation: Optional[float]
-    words_used: int
+    words_used: int  # of the displacement walk when exact, else of the sample
     words_skipped: int
-    certificate: str  # "zero-time-ideal" (exact) | "sampled" (a lower bound)
+    certificate: str  # "zero-time-ideal" | "bracket-rank" (exact) | "sampled" (a lower bound)
 
     @property
     def dimension_gap(self):
@@ -270,19 +271,17 @@ def fixed_time_dimension(
     fixed-time orbit through x has tangent L0(x), where the zero-time ideal
     is L0 = {sum c_i X_i : sum c_i = 0} + [L, L] (Sussmann and Jurdjevic
     1972, "Controllability of nonlinear systems"; Jurdjevic, *Geometric
-    Control Theory*, 1997, ch. 3).  So the dimension is the exact
-    rank of L0 at x (``certificate="zero-time-ideal"``) when two hypotheses
-    hold: every generator is real analytic on all of R^n with a certified
-    filtration (``nagano_certified``), and the derived words are certified
-    to span [L, L] (``liealg.derived_certificate``).  No pushforward is
-    walked then.  Otherwise the pushforwards along the sampler's zero-sum
-    words give the sampled lower bound of ``sampled_fixed_time``.
+    Control Theory*, 1997, ch. 3); for any smooth family L0(x) lies in it,
+    as that orbit holds the curves e^{tX_i} e^{-tX_j} x and every flow of F
+    preserves it.  Where ``_exact_certificate`` finds the rank of L0 at x
+    exact ("zero-time-ideal" or "bracket-rank"), no pushforward is walked;
+    otherwise the pushforwards along the sampler's zero-sum words give the
+    sampled lower bound of ``sampled_fixed_time``.
 
     The zero-sum words are applied to x in either case, for the largest
     displacement and the invariant's deviation; on the exact path they also
     give ``words_used`` and ``words_skipped``.  The orbit dimension at x is
-    the filtration's rank there when the family is Nagano-certified or that
-    rank is n, and sampled otherwise.
+    ``orbit_dimension``'s, by the same rule and sampler.
     """
     family = tuple(family)
     reached = _seed_point(family, point, T)
@@ -290,34 +289,28 @@ def fixed_time_dimension(
     words = _zero_sum_words(family, sampler)
     filt = filtration(family, depth_cap)
     ideal = fixed_time_ideal_rank(filt, at)
-    certified = nagano_certified(filt)
-    if certified and derived_certificate(filt) is not None:
-        certificate, dim = "zero-time-ideal", ideal.ideal_rank
-    else:
-        certificate = "sampled"
-        dim, _, used, skipped = _sample_fixed_time(family, words, reached)
+    certificate = _exact_certificate(filt, ideal.ideal_rank, len(at), True) or "sampled"
 
     max_disp = 0.0
     inv_dev = None
     if invariant is not None:
         inv_dev = 0.0
         inv_ref = invariant.eval_float(reached)
-    landed_ok = 0
+    used = 0
     for landed in apply_words(family, words, reached):
         if isinstance(landed, FlowError):
             continue
-        landed_ok += 1
+        used += 1
         max_disp = max(max_disp, float(np.max(np.abs(landed - reached))))
         if invariant is not None:
             inv_dev = max(inv_dev, abs(invariant.eval_float(landed) - inv_ref))
-    if certificate == "zero-time-ideal":
-        used, skipped = landed_ok, len(words) - landed_ok
+    dim, skipped = ideal.ideal_rank, len(words) - used
+    if certificate == "sampled":
+        dim, _, used, skipped = _sample_fixed_time(family, words, reached)
 
     linf = filt.rank_at(at)
-    if certified or linf == len(at):
-        orbit_dim = linf
-    else:
-        orbit_dim = sampled_orbit_dimension(family, at, sampler)
+    exact = _exact_certificate(filt, linf, len(at))
+    orbit_dim = linf if exact else sampled_orbit_dimension(family, at, sampler)
     return FixedTimeReport(
         start=tuple(point),
         reached=at,

@@ -259,8 +259,13 @@ class TestNagano:
         assert filt.certificate is None and not nagano_certified(filt)
         assert filt.note == ("module search stopped at depth 1: membership system "
                              "has 56 unknowns, more than 10")
+        # below rank n the uncertified family samples; at (1, 1) its bracket
+        # rank is n, which is the orbit dimension for any smooth family
+        rep = orbit_dimension(quadratic, (0, 0), WordSampler(seed=0, count=10))
+        assert (rep.certificate, rep.linf_rank, rep.words_used + rep.words_skipped) == (
+            "sampled", 0, 10)
         rep = orbit_dimension(quadratic, (1, 1), WordSampler(seed=0, count=10))
-        assert rep.certificate == "sampled"
+        assert (rep.certificate, rep.dimension, rep.vectors) == ("bracket-rank", 2, ())
 
 
 class TestFixedTime:
@@ -424,6 +429,20 @@ class TestZeroTimeIdeal:
         # only X2 is defined at (3, 4): rank 1, so the orbit is sampled
         rep = fixed_time_dimension(family, (3, 4), 0.0, sampler)
         assert rep.orbit_dimension_at_reached == 1 and len(calls) == 1
+
+
+class TestOneRule:
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_fixed_time_reads_the_orbit_as_orbit_dimension_does(self, name):
+        # the same rule and sampler: the orbit dimension at the reached point
+        # is orbit_dimension's, and the fixed-time orbit lies inside the orbit
+        family = preset_family(name)
+        sampler = WordSampler(seed=3, count=16, max_len=3, max_time=0.4)
+        for p in itertools.product((Fraction(-1, 2), Fraction(1)), repeat=family[0].dim):
+            rep = fixed_time_dimension(family, p, 0.5, sampler)
+            orbit = orbit_dimension(family, rep.reached, sampler)
+            assert orbit.dimension == rep.orbit_dimension_at_reached, p
+            assert rep.dimension <= orbit.dimension, p
 
 
 class TestChow:

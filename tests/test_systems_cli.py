@@ -6,9 +6,10 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from vfkit import cli, liealg, membership
+from vfkit import cli, fields, liealg, membership, orbits
 from vfkit.cli import MAX_LEN_CAP, WORDS_CAP, main
 from vfkit.linalg import FLOW_REL_TOL, VALUE_REL_TOL
+from vfkit.presets import PRESETS
 from vfkit.systems import (
     GRID_POINTS_CAP,
     SystemParseError,
@@ -235,14 +236,14 @@ class TestCli:
             assert orbit("--max-time", bad)[0] == 1
 
     def test_orbit_certificate(self, capsys, shear_file, tmp_path):
-        # Nagano decides the dimension; the sampled vectors stay in the report
+        # Nagano decides the dimension, so no word is walked and no vector sampled
         code, out = run_cli(capsys, "orbit", "--system", shear_file, "--point", "0,0",
                             "--words", "30", "--format", "json")
         res = json.loads(out)["results"]
         assert code == 0
         assert (res["dimension"], res["certificate"], res["certified_exact"]) == (
             2, "nagano", True)
-        assert res["words_used"] + res["words_skipped"] == 30 and len(res["vectors"]) > 2
+        assert (res["words_used"], res["words_skipped"], res["vectors"]) == (0, 0, [])
         partial = tmp_path / "partial.vf"
         partial.write_text(PARTIAL)
         _, out = run_cli(capsys, "orbit", "--system", str(partial), "--point", "2,0",
@@ -266,6 +267,26 @@ class TestCli:
         assert orbit(FLAT, "-3,0") == (1, "sampled", False)
         assert orbit(FLAT, "-3,0", "--max-time", "2") == (2, "sampled", True)
         assert orbit(CUBIC, "1/2,0") == (1, "nagano", True)
+        # bumpp(x1) > 0 at x1 = 1, so X1 and X2 span: bracket rank n is exact
+        assert orbit(FLAT, "1,0") == (2, "bracket-rank", True)
+
+    @pytest.mark.parametrize("cmd,flag,value", [("orbit", "--point", "-3,0"),
+                                                ("frobenius", "--chart-point", "-3,0"),
+                                                ("orbit", "--fixed-time", "-1/2")])
+    def test_negative_value_after_its_flag(self, capsys, shear_file, cmd, flag, value):
+        # read as the value of the flag, as --flag=value is
+        opts = ["--words", "10"] + (["--point", "1,1"] if flag == "--fixed-time" else [])
+        given = [cmd, "--system", shear_file, "--format", "json", flag, value]
+        if cmd == "orbit":
+            given += opts
+        code, out = run_cli(capsys, *given)
+        joined = [f"{flag}={value}" if a == flag else a for a in given]
+        joined.remove(value)
+        code_joined, out_joined = run_cli(capsys, *joined)
+        assert code == code_joined == 0
+        report = json.loads(out)
+        assert report["argv"] == given
+        assert report["results"] == json.loads(out_joined)["results"]
 
     def test_orbit_bound_beyond_float_range(self, capsys, tmp_path):
         # an ODE flow on x1 < 10^400 flows as on the whole plane
@@ -521,3 +542,53 @@ class TestReports:
                             "--point", "1,1", "--words", "10", "--format", "json")
         assert code == 0
         assert json.loads(out)["seed"] == 99
+
+
+def preset_orbit(capsys, tmp_path, name, *opts):
+    """``vfkit orbit`` on the preset at (1/2, ..., 1/2): its results."""
+    path = tmp_path / f"{name}.vf"
+    path.write_text(PRESETS[name].system_text)
+    point = ",".join(["1/2"] * parse_system(PRESETS[name].system_text).dim)
+    code, out = run_cli(capsys, "orbit", "--system", str(path), "--point", point, *opts,
+                        "--format", "json")
+    assert code == 0
+    return json.loads(out)["results"]
+
+
+def spy(monkeypatch, module, name):
+    """The argument tuples of every call to module.name while the test runs."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+class TestExactOrbitsWalkNoFlow:
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_orbit_walks_no_word(self, capsys, tmp_path, monkeypatch, name):
+        walks = spy(monkeypatch, fields, "_walk")
+        res = preset_orbit(capsys, tmp_path, name)
+        assert res["certificate"] in ("nagano", "bracket-rank") and res["certified_exact"]
+        assert (res["vectors"], res["words_used"], res["words_skipped"]) == ([], 0, 0)
+        assert walks == []
+
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_exact_fixed_time_walks_no_pushforward(self, capsys, tmp_path, monkeypatch,
+                                                    name):
+        pushed = spy(monkeypatch, orbits, "pushforward_along_words")
+        applied = spy(monkeypatch, orbits, "apply_words")
+        res = preset_orbit(capsys, tmp_path, name, "--fixed-time", "1/2", "--words", "12")
+        if name == "half-plane-translations":
+            # restricted domains, and X1 - X2 alone spans the zero-time ideal
+            assert res["certificate"] == "sampled" and pushed
+        else:
+            assert res["certificate"] in ("zero-time-ideal", "bracket-rank")
+            assert res["dimension"] == res["ideal_rank"]
+            # the seed word and the displacement walk, and nothing else
+            assert pushed == [] and len(applied) == 1
+            assert res["words_used"] + res["words_skipped"] == 12
+
+    def test_mixed_degree_pair_is_bracket_rank_in_both_modes(self, capsys, tmp_path):
+        for opts in ((), ("--fixed-time", "1/2", "--words", "12")):
+            res = preset_orbit(capsys, tmp_path, "mixed-degree-pair", *opts)
+            assert (res["certificate"], res["dimension"]) == ("bracket-rank", 2)
