@@ -167,8 +167,8 @@ def _flow_point(text, dim, flag):
 
 
 def _check_ranges(args):
-    """Usage errors for integer options outside the ranges the library
-    accepts, raised before any system is read."""
+    """Usage errors for options outside the ranges the library accepts,
+    raised before any system is read."""
     for name, lo, hi in (("depth", 1, DEPTH_CAP_LIMIT), ("degree", 0, DEGREE_CAP),
                          ("module_degree", 0, DEGREE_CAP), ("words", 1, WORDS_CAP),
                          ("max_len", 1, MAX_LEN_CAP)):
@@ -176,6 +176,8 @@ def _check_ranges(args):
         if value is not None and not lo <= value <= hi:
             flag = "--" + name.replace("_", "-")
             raise UsageError(f"{flag} must lie in [{lo}, {hi}], got {value}")
+    if getattr(args, "max_time", 0.0) < 0:
+        raise UsageError(f"--max-time must not be negative, got {args.max_time}")
 
 
 def _add_common(p, system_required=True):

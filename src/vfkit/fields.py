@@ -8,12 +8,11 @@ Flows take a closed-form fast path whenever the field allows it:
 * everything else goes through ``solve_ivp``, this module's Dormand-Prince
   5(4) integrator, at relative tolerance 1e-10.
 
-Tangent vectors are pushed forward along flow words by transporting them
-with the exact Jacobian of each step (closed form where the flow is closed
-form, otherwise the variational equation dV/dt = DX(x(t)) V integrated
-jointly with the trajectory).  Several fields are pushed forward along one
-word together: the word is walked once and their values, stacked as the
-columns of an n x k matrix V, are transported in that single walk.
+Tangent vectors are pushed forward along a flow word in one walk: its
+inverse is walked back from x to y, carrying the n x n identity through the
+exact Jacobian of each step (closed form where the flow is, otherwise the
+variational equation dV/dt = DX(x(t)) V) to J = D(Phi^{-1})(x).  The
+pushforward of X is J^{-1} X(y) = DPhi(y) X(y), one stacked linear solve.
 
 A field's flow kind is detected once, and its value and Jacobian are
 compiled once (``expr.compile_float``, same log-space semantics) in the
@@ -21,20 +20,20 @@ same ``_flow_kind`` entry, with an ODE field's array evaluator of X and DX:
 its monomials if it is polynomial, else those closures row by row.
 
 Many words are walked in one place, ``_walk``, position by position.  At
-each position the words still going are grouped by field index (and by
-the column count of their V).  A closed-form group takes one stacked
-step, end = E p + c and V <- E V over all its rows: E = I + t DX(p) for a
-straight field (X and DX evaluated row by row by the compiled closures),
-and E, c from one stacked matrix exponential for an affine one, so each
-row has the bits of a one-word walk.  A scaling field (A diagonal, b = 0)
-has a diagonal t M, whose exponential is one vectorised ``np.exp`` of its
-diagonal; every other affine field takes one stacked ``expm``, this
-module's own matrix exponential (Higham 2005).  An ODE group takes one
-``solve_ivp`` over its rows [x, V]: each row has its own time, step,
-acceptance by a max-norm error per component, right-hand-side budget, box
-check at every accepted step and domain exit located on the step's dense
-output.  All arithmetic on the ODE rows is elementwise (no matmul or dot),
-so no row's bits depend on another.
+each position the words still going are grouped by field index.  A
+closed-form group takes one stacked step, end = E p + c and V <- E V over
+all its rows: E = I + t DX(p) for a straight field (X and DX evaluated row
+by row by the compiled closures), and E, c from one stacked matrix
+exponential for an affine one, so each row has the bits of a one-word
+walk.  A scaling field (A diagonal, b = 0) has a diagonal t M, whose
+exponential is one vectorised ``np.exp`` of its diagonal; every other
+affine field takes one stacked ``expm``, this module's own matrix
+exponential (Higham 2005).  An ODE group takes one ``solve_ivp`` over its
+rows [x, V]: each row has its own time, step, acceptance by a max-norm
+error per component, right-hand-side budget, box check of the whole row
+(point and matrix) at every accepted step and domain exit located on the
+step's dense output.  All arithmetic on the ODE rows is elementwise (no
+matmul or dot), so no row's bits depend on another.
 ``apply_words`` and ``pushforward_along_words`` return, per word, its
 result or the FlowError that stopped it; ``apply_word``,
 ``pushforward_along_word`` and ``flow`` are their one-word cases and raise
@@ -44,7 +43,7 @@ The relative tolerance ``DEFAULT_RTOL`` and the bounding box ``DEFAULT_BOX``
 (every coordinate stays within 1e6 in absolute value) are module constants,
 not per-call options; a step that reaches a non-finite point or tangent
 fails.  The walk sets ``.step`` on the error of a failing step to that
-step's index in its word.
+step's index in the word it walks: for a pushforward, the walk back.
 """
 
 from __future__ import annotations
@@ -413,7 +412,7 @@ def _combo(K, weights):
     return terms[0]
 
 
-def solve_ivp(fun, t_end, y0, n, events, name):
+def solve_ivp(fun, t_end, y0, events, name):
     """Dormand-Prince 5(4) for all rows of the (m, d) array y0 at once, row j
     from time 0 to t_end[j] != 0; fun(t, Y) gives the live rows' derivatives
     (t is their times at the step start: fields are autonomous).  A row
@@ -421,9 +420,9 @@ def solve_ivp(fun, t_end, y0, n, events, name):
     < 1, rtol ``DEFAULT_RTOL``.  It fails if its start value is not finite,
     its step underflows or it uses up ``MAX_RHS_EVALS``, and after an
     accepted step, in this order, if coordinate c crossed b for a (c, b) in
-    events (exit time from the dense output), if its first n columns left
-    ``DEFAULT_BOX`` or if it is not finite.  Returns the end rows and
-    {row: FlowError}."""
+    events (exit time from the dense output), if any of its columns (the
+    point and any transported matrix) left ``DEFAULT_BOX`` or if it is not
+    finite.  Returns the end rows and {row: FlowError}."""
     rtol, atol = DEFAULT_RTOL, 1e-12
     out, T = y0.copy(), np.asarray(t_end, dtype=float)
     with np.errstate(all="ignore"):
@@ -469,8 +468,8 @@ def solve_ivp(fun, t_end, y0, n, events, name):
                     s = float(t[j] + hi * hj)
                     if j not in ends or abs(s) < abs(ends[j].exit_time):
                         ends[j] = DomainExitError(f"trajectory of {name} left its domain", s)
-            if not (np.abs(Y[:, :n]).max() <= DEFAULT_BOX and np.isfinite(Y).all()):
-                for j in np.flatnonzero(ok & (np.abs(Y[:, :n]).max(axis=1) > DEFAULT_BOX)):
+            if not np.abs(Y).max() <= DEFAULT_BOX:  # False also when Y has a NaN
+                for j in np.flatnonzero(ok & (np.abs(Y).max(axis=1) > DEFAULT_BOX)):
                     ends.setdefault(j, IntegrationError("trajectory escaped the bounding box"))
                 for j in np.flatnonzero(ok & ~np.isfinite(Y).all(axis=1)):
                     ends.setdefault(j, IntegrationError("flow step gave a non-finite value"))
@@ -544,7 +543,7 @@ def _step_group(X, ts, rows, P, V):
         rs, times = zip(*moving)
         k = 0 if V is None else V[rs[0]].shape[1]
         y0 = np.array([P[r] + ([] if V is None else V[r].ravel().tolist()) for r in rs])
-        ends, errors = solve_ivp(_ode_rhs(kind.batch, n, k), times, y0, n,
+        ends, errors = solve_ivp(_ode_rhs(kind.batch, n, k), times, y0,
                                  [(i, f) for i, _, _, f, _ in X.domain._float_form], X.name)
         failed.update((rs[j], err) for j, err in errors.items())
         for j, r in enumerate(rs):
@@ -614,10 +613,10 @@ def _walk(family, words, P, V=None):
     None.
 
     All rows advance position by position: at each position the live rows
-    are grouped by field index and column count, and each group takes one
-    ``_step_group``.  Returns the end rows, the transported matrices and,
-    per row, the FlowError that stopped it (``step`` set to the index of
-    the failing step) or None.  Any other exception propagates at once.
+    are grouped by field index, and each group takes one ``_step_group``.
+    Returns the end rows, the transported matrices and, per row, the
+    FlowError that stopped it (``step`` set to the index of the failing
+    step) or None.  Any other exception propagates at once.
     """
     P = list(P)
     V = None if V is None else list(V)
@@ -626,9 +625,8 @@ def _walk(family, words, P, V=None):
         groups = {}
         for r, w in enumerate(words):
             if pos < len(w) and errors[r] is None:
-                key = (w[pos][0], 0 if V is None else V[r].shape[1])
-                groups.setdefault(key, []).append(r)
-        for (i, _), rows in groups.items():
+                groups.setdefault(w[pos][0], []).append(r)
+        for i, rows in groups.items():
             ts = [words[r][pos][1] for r in rows]
             for r, err in _step_group(family[i], ts, rows, P, V).items():
                 err.step = pos
@@ -662,57 +660,56 @@ def apply_word(family, word, point):
 
 
 def pushforward_along_words(family, words, X, point):
-    """``pushforward_along_word`` for every word in one pair of walks: per
-    word, its result, or the FlowError that it would raise."""
+    """``pushforward_along_word`` for every word in one walk: per word, its
+    result, or the FlowError that it would raise."""
     single = isinstance(X, VectorField)
     fields = (X,) if single else tuple(X)
-    steps = [_as_steps(w) for w in words]
-    inverse = [tuple((i, -t) for i, t in reversed(s)) for s in steps]
+    inverse = [tuple((i, -t) for i, t in reversed(_as_steps(w))) for w in words]
     start = _floats(point)
-    Y, _, out = _walk(family, inverse, [start] * len(steps))
-    walked, defined, V = [], [], []
+    Y, J, out = _walk(family, inverse, [start] * len(words), [np.eye(len(start))] * len(words))
+    pairs = []  # (row, field index) of every pushforward to solve for
     for r, y in enumerate(Y):
         if out[r] is not None:
             continue
-        ok = [F.domain.contains(y) for F in fields]
-        if single and not ok[0]:
+        defined = [j for j, F in enumerate(fields) if F.domain.contains(y)]
+        if single and not defined:
             out[r] = DomainExitError(f"{X.name} is undefined at the pulled-back point")
-        elif not any(ok):
-            out[r] = [None] * len(fields)
         else:
-            walked.append(r)
-            defined.append(ok)
-            V.append(np.column_stack(
-                [F.value_float(y) for F, d in zip(fields, ok) if d]))
-    P, V, errors = _walk(family, [steps[r] for r in walked], [Y[r] for r in walked], V)
-    tol = 1e-6 * (1.0 + np.max(np.abs(point)))
-    ends = np.array(P, dtype=float).reshape(len(P), len(start))
-    drifts = np.abs(ends - start).max(axis=1)
-    for r, drift, Vr, ok, err in zip(walked, drifts, V, defined, errors):
-        if err is None and drift > tol:
-            err = IntegrationError(f"round-trip drift {drift:.2e} exceeds tolerance")
-        if err is not None:
-            out[r] = err
-            continue
-        columns = iter(Vr.T)
-        pushed = [next(columns) if d else None for d in ok]
-        out[r] = pushed[0] if single else pushed
-    return out
+            out[r] = [None] * len(fields)
+            pairs += [(r, j) for j in defined]
+    if pairs:
+        # one right-hand side per matrix: a vector's bits do not depend on the other fields
+        b = np.array([fields[j].value_float(Y[r]) for r, j in pairs])[:, :, None]
+        for (r, j), u in zip(pairs, _solve(np.array([J[r] for r, _ in pairs]), b)[:, :, 0]):
+            if not np.isfinite(u).all():
+                out[r] = IntegrationError("pushforward is not finite")
+            elif isinstance(out[r], list):
+                out[r][j] = u
+    return [v[0] if single and isinstance(v, list) else v for v in out]
+
+
+def _solve(A, B):
+    """A^-1 B for each pair of the stacks A and B, NaN where A is singular."""
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:  # one singular matrix fails the whole stack
+        if len(A) == 1:
+            return np.full(B.shape, np.nan)
+        return np.concatenate([_solve(A[j:j + 1], B[j:j + 1]) for j in range(len(A))])
 
 
 def pushforward_along_word(family, word, X, point):
     """Pushforward of X under the word's composite diffeomorphism, at point.
 
-    Walks back to y = Phi^{-1}(point), stacks the values at y of the
-    requested fields as the columns of an n x k matrix V, and transports V
-    forward through every step with the step's exact flow Jacobian, so the
-    word is walked once whatever k is.
+    Walks the inverse word once, from point back to y = Phi^{-1}(point),
+    carrying the identity to J = D(Phi^{-1})(point); the pushforward of X
+    is J^{-1} X(y), one linear solve whatever the number of fields.
 
     X is one field, giving one vector (DomainExitError when X is undefined
     at y), or a sequence of fields, giving one vector per field, with None
     for a field undefined at y.  A failing step raises FlowError with
-    ``step`` set, whatever the number of fields; a failure of the walk back
-    carries its index in that walk.
+    ``step`` set to its index in the walk back; a singular J or a
+    non-finite pushforward raises IntegrationError.
     """
     (pushed,) = pushforward_along_words(family, [word], X, point)
     if isinstance(pushed, FlowError):

@@ -347,11 +347,36 @@ class TestBatchedTransport:
             compared += 1
         assert compared >= 8
 
-    def test_word_walked_once(self, vf, flow_steps):
+    def test_word_walked_once(self, vf, flow_steps, monkeypatch):
+        # one walk back carries the tangent map; no forward walk follows
         family = [vf(f"X{j + 1}", c, 2) for j, c in enumerate(FLAT_PAIR)]
         word = [(0, 0.2), (1, -0.3), (0, 0.1)]
+        walks = []
+        real = fields._walk
+        monkeypatch.setattr(fields, "_walk", lambda *a: walks.append(1) or real(*a))
         pushforward_along_word(family, word, family, (0.3, 0.7))
-        assert len(flow_steps) == 2 * len(word)
+        assert len(walks) == 1
+        assert flow_steps == [(family[i], -t) for i, t in reversed(word)]
+
+    def test_tangent_leaving_the_box_fails_ode_row(self, vf):
+        # x' = x^2 walks back from 1 to 1 / (1 - 0.9995) = 2000 with tangent
+        # 1 / (1 - 0.9995)^2 = 4e6: the point stays inside the box, its
+        # tangent leaves it
+        X = vf("X", ["x1^2"], 1)
+        with pytest.raises(IntegrationError, match="escaped the bounding box"):
+            pushforward_along_word([X], [(0, -0.9995)], X, (1.0,))
+        assert pushforward_along_word([X], [(0, -0.99)], X, (1.0,)) == pytest.approx([1.0])
+
+    def test_singular_tangent_map_fails_only_its_word(self, vf):
+        # walking back along S = (x1, x2) for time -800 underflows the point
+        # and its tangent map to zero; one singular matrix must not fail the
+        # stacked solve of the other words
+        S = vf("S", ["x1", "x2"], 2)
+        singular, ordinary = pushforward_along_words([S], [[(0, 800.0)], [(0, 0.5)]], S,
+                                                     (0.3, 0.7))
+        assert isinstance(singular, IntegrationError)
+        assert str(singular) == "pushforward is not finite"
+        assert np.array_equal(ordinary, pushforward_along_word([S], [(0, 0.5)], S, (0.3, 0.7)))
 
     def test_undefined_field_gives_none(self, vf):
         family = [vf("X", ["1", "0"], 2)]

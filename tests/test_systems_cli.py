@@ -424,6 +424,21 @@ class TestCli:
             assert code == 1
             assert json.loads(out)["error"] == f"{flag} must lie in [1, {cap}], got {bad}"
 
+    def test_negative_max_time_is_a_usage_error(self, capsys, shear_file, monkeypatch):
+        # rejected before the system file is read; a zero time stays valid
+        loads = []
+        real = cli._load_system
+        monkeypatch.setattr(cli, "_load_system", lambda p: loads.append(p) or real(p))
+        code, out = run_cli(capsys, "orbit", "--system", shear_file, "--point", "0,0",
+                            "--max-time", "-1", "--format", "json")
+        report = json.loads(out)
+        assert (code, report["status"]) == (cli.EXIT_USAGE, "usage-error")
+        assert report["error"] == "--max-time must not be negative, got -1.0"
+        assert loads == []
+        code, out = run_cli(capsys, "orbit", "--system", shear_file, "--point", "0,0",
+                            "--max-time", "0", "--words", "5", "--format", "json")
+        assert (code, json.loads(out)["status"]) == (0, "ok")
+
     @pytest.mark.parametrize("text", [SHEAR, VANISHING], ids=["linear-shear", "vanishing-pair"])
     @pytest.mark.parametrize("command,flag,lo,hi", [
         (["lie", "--point", "1/2,3/4"], "--depth", 1, liealg.DEPTH_CAP_LIMIT),
