@@ -216,7 +216,7 @@ def build_parser():
     p.add_argument("--gens", required=True, help="comma-separated generator names")
     p.add_argument("--degree", type=int, required=True)
 
-    p = sub.add_parser("orbit", help="sampled orbit (or fixed-time) dimension")
+    p = sub.add_parser("orbit", help="orbit (or fixed-time) dimension, exact or sampled")
     _add_common(p)
     p.add_argument("--point", required=True)
     p.add_argument("--words", type=int, default=WordSampler.count)
@@ -426,7 +426,6 @@ def _cmd_orbit(args, seed):
             "orbit_dimension": rep.orbit_dimension_at_reached,
             "dimension_gap": rep.dimension_gap,
             "ideal_rank": rep.ideal_rank,
-            "max_displacement": rep.max_displacement,
             "words_used": rep.words_used,
             "words_skipped": rep.words_skipped,
             "certificate": rep.certificate,

@@ -5,10 +5,11 @@ The verdict combines three independent detectors:
 * a pointwise bracket escaping the fibre at a sample rules integrability
   out near that sample (integrable implies involutive);
 * a degree-bounded module-involutivity certificate rules it in: the module
-  of sections generated by a real-analytic family is involutive, so the
-  distribution is integrable (Hermann 1962; Nagano 1966).  It is the only
-  "yes": rank that looks constant on the samples is no certificate, since
-  the rank may drop between them;
+  of sections generated by a real-analytic family on all of R^n is
+  involutive, so the distribution is integrable (Hermann 1962; Nagano
+  1966).  It is tried only for polynomial generators on full domains.  It
+  is the only "yes": rank that looks constant on the samples is no
+  certificate, since the rank may drop between them;
 * otherwise the orbit, which an integral manifold would hold to the
   fibre, is compared to the fibre in three steps: (a) bracket words of
   rank above the fibre rank at a sample rule integrability out for any
@@ -84,10 +85,11 @@ def frobenius_verdict(
             if first_witness is None:
                 first_witness = rep.witness
 
-    # the module certificate runs only when every sample passes, and the
-    # orbit comparison only when it does not certify
+    # the module certificate runs only when every sample passes and every
+    # generator is a polynomial on all of R^n, and the orbit comparison
+    # only when it does not certify
     module_ok: Optional[bool] = None
-    if not failing and D.is_polynomial():
+    if not failing and D.minors_obstacle() is None:
         module_ok = bool(involutive(family, "module", degree=module_degree))
     witnesses = list(failing)
     bracket_rank_gap = False

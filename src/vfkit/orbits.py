@@ -24,18 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .expr import ONE, ZERO, Expr
-from .fields import (
-    DomainExitError,
-    FlowError,
-    apply_word,
-    apply_words,
-    pushforward_along_words,
-)
+from .expr import ONE, ZERO
+from .fields import DomainExitError, FlowError, apply_word, pushforward_along_words
 from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, derived_certificate,
                      filtration, fixed_time_ideal_rank)
 from .linalg import FLOW_REL_TOL, affine_rank, svd_rank
@@ -207,9 +201,7 @@ class FixedTimeReport:
     dimension: int  # rank of L0 (exact) or of the sampled affine-hull linear part
     orbit_dimension_at_reached: int  # orbit_dimension's rule at the reached point
     ideal_rank: int  # I(X) rank at the reached point
-    max_displacement: float  # max |word(x) - x| over the zero-sum words
-    invariant_max_deviation: Optional[float]
-    words_used: int  # of the displacement walk when exact, else of the sample
+    words_used: int  # 0 when exact, as is words_skipped
     words_skipped: int
     certificate: str  # "zero-time-ideal" | "bracket-rank" (exact) | "sampled" (a lower bound)
 
@@ -257,14 +249,7 @@ def sampled_fixed_time(family, point, sampler):
     return _sample_fixed_time(family, _zero_sum_words(family, sampler), point)
 
 
-def fixed_time_dimension(
-    family,
-    point,
-    T,
-    sampler,
-    invariant: Optional[Expr] = None,
-    depth_cap=DEFAULT_DEPTH_CAP,
-):
+def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP):
     """Tangent dimension of the fixed-time orbit through the point.
 
     Reaches x by one net-time-T word.  For real analytic generators the
@@ -274,39 +259,21 @@ def fixed_time_dimension(
     Control Theory*, 1997, ch. 3); for any smooth family L0(x) lies in it,
     as that orbit holds the curves e^{tX_i} e^{-tX_j} x and every flow of F
     preserves it.  Where ``_exact_certificate`` finds the rank of L0 at x
-    exact ("zero-time-ideal" or "bracket-rank"), no pushforward is walked;
-    otherwise the pushforwards along the sampler's zero-sum words give the
-    sampled lower bound of ``sampled_fixed_time``.
-
-    The zero-sum words are applied to x in either case, for the largest
-    displacement and the invariant's deviation; on the exact path they also
-    give ``words_used`` and ``words_skipped``.  The orbit dimension at x is
-    ``orbit_dimension``'s, by the same rule and sampler.
+    exact ("zero-time-ideal" or "bracket-rank"), no word but the seed is
+    walked; otherwise the pushforwards along the sampler's zero-sum words
+    give the sampled lower bound of ``sampled_fixed_time``.  The orbit
+    dimension at x is ``orbit_dimension``'s, by the same rule and sampler.
     """
     family = tuple(family)
     reached = _seed_point(family, point, T)
     at = tuple(reached)
-    words = _zero_sum_words(family, sampler)
     filt = filtration(family, depth_cap)
     ideal = fixed_time_ideal_rank(filt, at)
     certificate = _exact_certificate(filt, ideal.ideal_rank, len(at), True) or "sampled"
-
-    max_disp = 0.0
-    inv_dev = None
-    if invariant is not None:
-        inv_dev = 0.0
-        inv_ref = invariant.eval_float(reached)
-    used = 0
-    for landed in apply_words(family, words, reached):
-        if isinstance(landed, FlowError):
-            continue
-        used += 1
-        max_disp = max(max_disp, float(np.max(np.abs(landed - reached))))
-        if invariant is not None:
-            inv_dev = max(inv_dev, abs(invariant.eval_float(landed) - inv_ref))
-    dim, skipped = ideal.ideal_rank, len(words) - used
+    dim, used, skipped = ideal.ideal_rank, 0, 0
     if certificate == "sampled":
-        dim, _, used, skipped = _sample_fixed_time(family, words, reached)
+        dim, _, used, skipped = _sample_fixed_time(family, _zero_sum_words(family, sampler),
+                                                   reached)
 
     linf = filt.rank_at(at)
     exact = _exact_certificate(filt, linf, len(at))
@@ -318,8 +285,6 @@ def fixed_time_dimension(
         dimension=dim,
         orbit_dimension_at_reached=orbit_dim,
         ideal_rank=ideal.ideal_rank,
-        max_displacement=max_disp,
-        invariant_max_deviation=inv_dev,
         words_used=used,
         words_skipped=skipped,
         certificate=certificate,

@@ -160,6 +160,16 @@ class TestYesOnlyFromModule:
         assert len(v.witnesses) == 27
         assert flow_steps == []
 
+    def test_restricted_domains_get_no_module_yes(self):
+        # Hermann's and Nagano's theorem needs sections on all of R^n.  The
+        # constant fields' module is involutive, but X1 lives on x1 < 1 and
+        # X2 on x1 > -1: at x1 = -1 the fibre has rank 1 and the orbit 2
+        system = parse_system(PRESETS["half-plane-translations"].system_text)
+        v = frobenius_verdict(Distribution(system.fields), grid2(1))
+        assert v.module_involutive is None and v.module_degree is None
+        assert v.integrable == "no" and v.clause.startswith(SAMPLED_CLAUSE)
+        assert v.witnesses == ((-1, -1), (-1, 0), (-1, 1))
+
     @pytest.mark.parametrize("name", ["coordinate-plane", "vanishing-pair", "umbrella-ideal"])
     def test_preset_yes_from_module(self, name):
         system = parse_system(PRESETS[name].system_text)

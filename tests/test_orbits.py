@@ -7,7 +7,7 @@ import pytest
 from vfkit import frobenius, liealg, orbits
 from vfkit.distributions import Distribution
 from vfkit.expr import parse
-from vfkit.fields import DomainExitError, apply_word
+from vfkit.fields import DomainExitError, apply_word, apply_words
 from vfkit.presets import PRESETS, steer_linear
 from vfkit.systems import parse_system
 from vfkit.orbits import (
@@ -270,13 +270,13 @@ class TestNagano:
 
 class TestFixedTime:
     def test_hyperbola_dimension_and_invariant(self, diag):
-        rep = fixed_time_dimension(
-            diag, (1, 1), 0.0, WordSampler(seed=3, count=200),
-            invariant=parse("x1*x2", 2),
-        )
+        rep = fixed_time_dimension(diag, (1, 1), 0.0, WordSampler(seed=3, count=200))
         assert rep.dimension == 1
-        assert rep.invariant_max_deviation < 1e-8
         assert rep.orbit_dimension_at_reached - rep.dimension == 1
+        product = parse("x1*x2", 2)
+        words = WordSampler(seed=3, count=200, constraint="zero-sum").words(2)
+        for q in apply_words(diag, words, rep.reached):
+            assert abs(product.eval_float(q) - product.eval_float(rep.reached)) < 1e-8
 
     def test_axis_point_reaches_scaled_point(self, diag):
         rep = fixed_time_dimension(diag, (1, 0), 1.0, WordSampler(seed=5, count=100))
@@ -304,8 +304,13 @@ class TestFixedTime:
 
     def test_true_singleton_for_frozen_point(self, partial):
         rep = fixed_time_dimension(partial, (3, 4), 0.0, WordSampler(seed=2, count=150))
-        assert rep.dimension == 0
-        assert rep.max_displacement < 1e-12
+        assert (rep.dimension, rep.certificate) == (0, "sampled")
+        assert rep.words_used + rep.words_skipped == 150
+        # only X2 is defined right of x1 = 1, and a zero-sum word of it is the identity
+        words = WordSampler(seed=2, count=150, constraint="zero-sum").words(2)
+        landed = [q for q in apply_words(partial, words, rep.reached)
+                  if isinstance(q, np.ndarray)]
+        assert landed and all(np.max(np.abs(q - rep.reached)) < 1e-12 for q in landed)
 
     def test_integrator_fixed_time_full(self, vf):
         integrator = [vf("X0", ["x2", "0"], 2), vf("X1", ["x2", "1"], 2)]
@@ -378,15 +383,16 @@ class TestZeroTimeIdeal:
 
     @pytest.mark.parametrize("name,dim", [("vanishing-pair", 2), ("umbrella-ideal", 0),
                                           ("isolated-leaf", 2)])
-    def test_certified_presets_walk_no_pushforward(self, name, dim, walked):
+    def test_certified_presets_walk_no_pushforward(self, name, dim, walked, flow_steps):
         family = preset_family(name)
         p = tuple(Fraction(1, 2) for _ in range(family[0].dim))
         rep = fixed_time_dimension(family, p, 0.5, WordSampler(seed=0, count=12, max_len=3))
         assert walked == []
         assert (rep.dimension, rep.ideal_rank, rep.certificate) == (dim, dim,
                                                                      "zero-time-ideal")
-        # the displacement walk counts the words
-        assert rep.words_used + rep.words_skipped == 12 and rep.words_used > 0
+        # the seed word's one step is the only flow, and no zero-sum word is walked
+        assert [t for _, t in flow_steps] == [0.5]
+        assert (rep.words_used, rep.words_skipped) == (0, 0)
 
     def test_uncertified_single_field_samples_zero(self, vf):
         # one field: every zero-sum word is the identity, so the pushforwards

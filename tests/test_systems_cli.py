@@ -6,7 +6,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from vfkit import cli, fields, liealg, membership, orbits
+from vfkit import cli, fields, liealg, membership
 from vfkit.cli import MAX_LEN_CAP, WORDS_CAP, main
 from vfkit.linalg import FLOW_REL_TOL, VALUE_REL_TOL
 from vfkit.presets import PRESETS
@@ -590,18 +590,27 @@ class TestExactOrbitsWalkNoFlow:
     @pytest.mark.parametrize("name", list(PRESETS))
     def test_exact_fixed_time_walks_no_pushforward(self, capsys, tmp_path, monkeypatch,
                                                     name):
-        pushed = spy(monkeypatch, orbits, "pushforward_along_words")
-        applied = spy(monkeypatch, orbits, "apply_words")
+        walks = spy(monkeypatch, fields, "_walk")
         res = preset_orbit(capsys, tmp_path, name, "--fixed-time", "1/2", "--words", "12")
+        assert "max_displacement" not in res
+        # a seed attempt walks one word of net time 1/2 in one or two steps
+        seeds = [w for _, w, *_ in walks
+                 if len(w) == 1 and len(w[0]) <= 2 and sum(t for _, t in w[0]) == 0.5]
+        others = [a for a in walks if a[1] not in seeds]
+        assert seeds
         if name == "half-plane-translations":
-            # restricted domains, and X1 - X2 alone spans the zero-time ideal
-            assert res["certificate"] == "sampled" and pushed
+            # restricted domains, and X1 - X2 alone spans the zero-time ideal:
+            # the one other walk pushes the generators along the 12 zero-sum words
+            assert res["certificate"] == "sampled"
+            ((_, words, _, tangents),) = others
+            assert len(words) == 12 and tangents is not None
+            assert all(abs(sum(t for _, t in w)) < 1e-12 for w in words)
+            assert res["words_used"] + res["words_skipped"] == 12
         else:
             assert res["certificate"] in ("zero-time-ideal", "bracket-rank")
             assert res["dimension"] == res["ideal_rank"]
-            # the seed word and the displacement walk, and nothing else
-            assert pushed == [] and len(applied) == 1
-            assert res["words_used"] + res["words_skipped"] == 12
+            assert others == []
+            assert (res["words_used"], res["words_skipped"]) == (0, 0)
 
     def test_mixed_degree_pair_is_bracket_rank_in_both_modes(self, capsys, tmp_path):
         for opts in ((), ("--fixed-time", "1/2", "--words", "12")):
