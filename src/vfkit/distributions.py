@@ -200,11 +200,8 @@ def singular_locus_minors(D):
         tuple(Fraction(int(rng.integers(-32, 33)), 8) for _ in range(n))
         for _ in range(MINOR_SAMPLES)
     ]
-    m = 0
-    for p in pts:
-        m = max(m, rank_at(D, p).rank)
-        if m == min(n, k):
-            break
+    ranks = [rank_at(D, p).rank for p in pts]
+    m = max(ranks)
     # component matrix: n rows (coordinates), k columns (generators)
     matrix = [[D.generators[j].components[i] for j in range(k)] for i in range(n)]
     minors = []
@@ -214,8 +211,8 @@ def singular_locus_minors(D):
                 minor = _symbolic_minor(matrix, rows, cols)
                 if not minor.is_zero():
                     minors.append(minor)
-    for p in pts:
-        drop = rank_at(D, p).rank < m
+    for p, rank in zip(pts, ranks):
+        drop = rank < m
         all_zero = all(mi.eval(p) == 0 for mi in minors)
         if drop != all_zero:
             raise AssertionError(

@@ -14,12 +14,11 @@ The verdict combines three independent detectors:
   fibre, is compared to the fibre in three steps: (a) bracket words of
   rank above the fibre rank at a sample rule integrability out for any
   smooth family, since Lie(F)(p) lies in the orbit tangent (a bracket-rank
-  witness); (b) if the family is Nagano-certified (``orbits``) the words
-  span the orbit tangent, so no flow can find more and the verdict stays
-  undetermined; (c) else a sampled orbit dimension above the fibre rank
-  rules it out.  Step (c) samples only where that can happen: not at full
-  rank, and not where every generator is defined and exactly zero (the
-  orbit is the point, of dimension 0).
+  witness); (b) where ``orbits.exact_certificate`` finds the bracket rank
+  at a sample to be the orbit dimension (Nagano-certified families, full
+  rank, or every generator defined and exactly zero there), no flow can
+  find more; (c) else a sampled orbit dimension above the fibre rank rules
+  it out.
 
 Flow-box charts sample a ``CHART_GRID_POINTS``-per-axis grid of flow times
 in [-CHART_RADIUS, CHART_RADIUS].
@@ -34,10 +33,11 @@ import numpy as np
 
 from .distributions import Distribution, rank_at
 from .fields import FlowError, apply_words, pushforward_along_word
-from .liealg import filtration, involutive
-from .orbits import (WordSampler, nagano_certified, orbit_dimension,
-                     sampled_orbit_dimension)
+from .liealg import filtration, pairwise_brackets, pointwise_witness
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
+from .membership import members_bounded
+from .orbits import (WordSampler, exact_certificate, orbit_dimension,
+                     sampled_orbit_dimension)
 
 __all__ = ["FrobeniusVerdict", "FlowBoxChart", "frobenius_verdict", "flow_box_chart"]
 
@@ -69,50 +69,46 @@ def frobenius_verdict(
 ):
     samples = [tuple(p) for p in samples]
     family = list(D.generators)
-    reports = [rank_at(D, p) for p in samples]
-    ranks = tuple(rep.rank for rep in reports)
+    ranks = tuple(rank_at(D, p).rank for p in samples)
 
-    # pointwise involutivity, sample by sample so mixed outcomes are visible
+    # pointwise involutivity, sample by sample so mixed outcomes are visible,
+    # from one set of pairwise brackets
+    brackets = pairwise_brackets(family)
     failing: List[tuple] = []
     holding: List[tuple] = []
     first_witness = None
     for p in samples:
-        rep = involutive(family, "pointwise", samples=[p])
-        if rep.involutive:
-            holding.append(p)
-        else:
-            failing.append(p)
-            if first_witness is None:
-                first_witness = rep.witness
+        witness = pointwise_witness(family, brackets, p)
+        (holding if witness is None else failing).append(p)
+        first_witness = first_witness or witness
 
     # the module certificate runs only when every sample passes and every
     # generator is a polynomial on all of R^n, and the orbit comparison
     # only when it does not certify
     module_ok: Optional[bool] = None
     if not failing and D.minors_obstacle() is None:
-        module_ok = bool(involutive(family, "module", degree=module_degree))
+        module_ok = not brackets or all(
+            c.member for c in members_bounded(brackets.values(), family, module_degree))
     witnesses = list(failing)
     bracket_rank_gap = False
     if not failing and not module_ok:
-        # (a) bracket-rank witnesses; (b) under Nagano the words span the
-        # orbit tangent, so no flow can find more; (c) else sample orbits
+        # (a) bracket-rank witnesses; (b) where ``orbits.exact_certificate``
+        # finds the bracket rank exact, no flow can find more; (c) else
+        # sample orbits
         filt = filtration(family)
-        witnesses = [p for p, r in zip(samples, ranks) if filt.rank_at(p) > r]
+        lie_ranks = [filt.rank_at(p) for p in samples]
+        witnesses = [p for p, lie, r in zip(samples, lie_ranks, ranks) if lie > r]
         bracket_rank_gap = bool(witnesses)
-        if not witnesses and not nagano_certified(filt):
+        if not witnesses:
             sampler = orbit_sampler or ORBIT_SAMPLER
-            for p, rep in zip(samples, reports):
-                # no orbit outruns a full-rank fibre, and where every
-                # generator is defined and exactly zero the orbit is {p}
-                vanishing = (rep.rank == 0 and rep.method == "exact-rational"
-                             and not rep.excluded)
-                if rep.rank == D.dim or vanishing:
+            for p, lie, r in zip(samples, lie_ranks, ranks):
+                if exact_certificate(filt, lie, p):
                     continue
                 try:
                     dim = sampled_orbit_dimension(family, p, sampler)
                 except FlowError:
                     continue
-                if dim > rep.rank:
+                if dim > r:
                     witnesses.append(p)
 
     if failing:

@@ -10,7 +10,8 @@ depth-(k+1) word is a degree-bounded member of the module spanned by the
 words of depth <= k, no deeper word can leave that module, and pointwise
 ranks are final.  Ranks at a point and depth are read from the filtration
 with ``LieFiltration.rank_at``; ``derived_certificate`` certifies the same
-way that the derived words span [L, L] at every point.
+way that the derived words span [L, L] at every point.  Involutivity reads
+the nonzero pairwise brackets, built once by ``pairwise_brackets``.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from .membership import members_bounded, oversize
 __all__ = [
     "BracketWord",
     "LieFiltration",
-    "InvolutivityReport",
     "FixedTimeRankReport",
     "filtration",
     "derived_certificate",
-    "involutive",
+    "pairwise_brackets",
+    "pointwise_witness",
     "fixed_time_ideal_rank",
 ]
 
@@ -160,19 +161,28 @@ def filtration(family, depth_cap=DEFAULT_DEPTH_CAP, module_degree=DEFAULT_MODULE
     if polynomial and stabilized_at is None:
         # module containment certificate, cheapest depth first
         kept = [[f for _, f in level] for level in levels]
-        for depth in range(1, depth_cap):
-            basis = [f for lv in kept[:depth] for f in lv]
-            too_large = oversize(kept[depth], basis, module_degree)
-            if too_large:
-                note = f"module search stopped at depth {depth}: {too_large}"
-                break
-            if all(c.member for c in members_bounded(kept[depth], basis, module_degree)):
-                stabilized_at = depth
-                certificate = f"module-degree-{module_degree}"
-                break
+        stabilized_at, note = _module_closure(kept, 0, [], module_degree)
+        if stabilized_at is not None:
+            certificate = f"module-degree-{module_degree}"
 
     return LieFiltration(family, depth_cap, levels, stabilized_at, certificate, note,
                          list(duplicates.values()))
+
+
+def _module_closure(levels, low, extra, degree):
+    """The first depth d > low whose words are members, with multipliers
+    of degree <= degree, of the module generated by the words of
+    ``levels[low:d]`` and ``extra``: (d, None).  (None, why) when
+    ``membership.oversize`` rejects a system first; (None, None) when no
+    depth below the cap closes."""
+    for depth in range(low + 1, len(levels)):
+        basis = [f for lv in levels[low:depth] for f in lv] + extra
+        too_large = oversize(levels[depth], basis, degree)
+        if too_large:
+            return None, f"module search stopped at depth {depth}: {too_large}"
+        if all(c.member for c in members_bounded(levels[depth], basis, degree)):
+            return depth, None
+    return None, None
 
 
 def derived_certificate(filt):
@@ -193,57 +203,31 @@ def derived_certificate(filt):
         return filt.certificate
     kept = [[f for _, f in level] for level in filt.levels]
     duplicates = [f for _, f in filt.generator_duplicates]
-    for depth in range(2, filt.depth_cap):
-        basis = [f for lv in kept[1:depth] for f in lv] + duplicates
-        if oversize(kept[depth], basis, DEFAULT_MODULE_DEGREE):
-            return None
-        if all(c.member for c in
-               members_bounded(kept[depth], basis, DEFAULT_MODULE_DEGREE)):
-            return f"derived-module-degree-{DEFAULT_MODULE_DEGREE}"
-    return None
+    depth, _ = _module_closure(kept, 1, duplicates, DEFAULT_MODULE_DEGREE)
+    return None if depth is None else f"derived-module-degree-{DEFAULT_MODULE_DEGREE}"
 
 
-@dataclass(frozen=True)
-class InvolutivityReport:
-    mode: str  # "pointwise" | "module"
-    involutive: bool
-    witness: Optional[tuple]  # (i, j, point) or (i, j) for module refutations
-    degree: Optional[int] = None
-
-    def __bool__(self):
-        return self.involutive
+def pairwise_brackets(family):
+    """The nonzero brackets [X_i, X_j], i < j, keyed by (i, j) in
+    ``itertools.combinations`` order."""
+    brackets = {(i, j): lie_bracket(family[i], family[j])
+                for i, j in itertools.combinations(range(len(family)), 2)}
+    return {ij: b for ij, b in brackets.items() if not b.is_zero()}
 
 
-def involutive(family, mode="pointwise", samples=(), degree=2):
-    """Pairwise-bracket involutivity of the family.
-
-    pointwise: every bracket value lies in the span of the generator values
-    at each sample.  module: every bracket is a degree-bounded member of
-    the generated module (polynomial families only).
-    """
-    family = tuple(family)
-    pairs = list(itertools.combinations(range(len(family)), 2))
-    if mode == "module":
-        brackets = {(i, j): lie_bracket(family[i], family[j]) for i, j in pairs}
-        brackets = {ij: b for ij, b in brackets.items() if not b.is_zero()}
-        certs = members_bounded(brackets.values(), family, degree) if brackets else []
-        witness = next((ij for ij, c in zip(brackets, certs) if not c.member), None)
-        return InvolutivityReport("module", witness is None, witness, degree)
-    if mode != "pointwise":
-        raise LieAlgebraError(f"unknown involutivity mode {mode!r}")
-    if not samples:
-        raise LieAlgebraError("pointwise involutivity needs sample points")
-    for i, j in pairs:
-        b = lie_bracket(family[i], family[j])
-        if b.is_zero():
+def pointwise_witness(family, brackets, point):
+    """(i, j, point) for the first of the ``pairwise_brackets`` whose value
+    at the point leaves the span of the generators defined there, or None:
+    the family is involutive at the point."""
+    fibre = None
+    for (i, j), b in brackets.items():
+        if not b.domain.contains(point):
             continue
-        for p in samples:
-            if not b.domain.contains(p):
-                continue
-            fibre = [g.value(p) for g in family if g.domain.contains(p)]
-            if not in_span(fibre, b.value(p)):
-                return InvolutivityReport("pointwise", False, (i, j, tuple(p)))
-    return InvolutivityReport("pointwise", True, None)
+        if fibre is None:
+            fibre = [g.value(point) for g in family if g.domain.contains(point)]
+        if not in_span(fibre, b.value(point)):
+            return (i, j, tuple(point))
+    return None
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,17 @@
 """Orbit and fixed-time-orbit tangent spaces.
 
-One rule, ``_exact_certificate``, says when an exact bracket rank at p is the
+One rule, ``exact_certificate``, says when an exact bracket rank at p is the
 dimension, so that no flow is integrated.  For any smooth family Lie(F)(p)
 lies in the orbit tangent (Sussmann 1973), so a rank of n is the dimension
-(``certificate="bracket-rank"``).  When every generator is real analytic on
-all of R^n (no ``bump``, ``bumpp`` or division atom, every domain full) and
-the bracket filtration carries a stabilization certificate, the family is
-*Nagano-certified*: the tangent is Lie(F)(p) (Nagano 1966) and its rank is
-the dimension (``certificate="nagano"``).  Fixed-time orbits take the rank of
-the zero-time ideal at the float point that the seed word reaches, exact by
-the same rule (``"zero-time-ideal"`` also needs ``liealg.derived_certificate``).
+(``certificate="bracket-rank"``); so is a rank of 0 where every generator
+is defined and exactly zero, since every flow fixes p.  When every generator
+is real analytic on all of R^n (no ``bump``, ``bumpp`` or division atom,
+every domain full) and the bracket filtration carries a stabilization
+certificate, the family is *Nagano-certified*: the tangent is Lie(F)(p)
+(Nagano 1966) and its rank is the dimension (``certificate="nagano"``).
+Fixed-time orbits take the rank of the zero-time ideal at the float point
+that the seed word reaches, exact by the same rule (``"zero-time-ideal"``
+also needs ``liealg.derived_certificate``).
 Every other case samples flow words that push the generators forward to the
 point: the rank of the collected vectors (for fixed time, of the linear part
 of their affine hull) is a lower bound (``certificate="sampled"``).  Every
@@ -32,7 +34,7 @@ from .expr import ONE, ZERO
 from .fields import DomainExitError, FlowError, apply_word, pushforward_along_words
 from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, derived_certificate,
                      filtration, fixed_time_ideal_rank)
-from .linalg import FLOW_REL_TOL, affine_rank, svd_rank
+from .linalg import FLOW_REL_TOL, affine_rank, all_exact, svd_rank
 from .membership import members_bounded
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
     "sampled_fixed_time",
     "FIRST_WORDS",
     "nagano_certified",
+    "exact_certificate",
     "orbit_dimension",
     "fixed_time_dimension",
     "chow_verdict",
@@ -170,22 +173,34 @@ def nagano_certified(filt):
     )
 
 
-def _exact_certificate(filt, rank, n, fixed_time=False):
-    """Why the exact rank of Lie(F) at a point (of the zero-time ideal, for
+def _fixed_by_every_flow(family, point):
+    """Every generator is defined at the point and exactly zero there (a
+    flat factor that float evaluation pins to 0 does not count; at a float
+    point no value is exact)."""
+    if not all_exact([point]):
+        return False
+    values = [X.value(point) for X in family if X.domain.contains(point)]
+    return len(values) == len(family) and all_exact(values) and not any(map(any, values))
+
+
+def exact_certificate(filt, rank, point, fixed_time=False):
+    """Why the exact rank of Lie(F) at the point (of the zero-time ideal, for
     ``fixed_time``) is the tangent dimension there, or None: sample it."""
     if nagano_certified(filt) and not (fixed_time and derived_certificate(filt) is None):
         return "zero-time-ideal" if fixed_time else "nagano"
-    return "bracket-rank" if rank == n else None
+    if rank == len(point) or (rank == 0 and _fixed_by_every_flow(filt.family, point)):
+        return "bracket-rank"
+    return None
 
 
 def orbit_dimension(family, point, sampler, depth_cap=DEFAULT_DEPTH_CAP):
     """Orbit dimension at the point, with the bracket-filtration rank there:
-    that rank where ``_exact_certificate`` finds it exact, else the sampled
+    that rank where ``exact_certificate`` finds it exact, else the sampled
     dimension (a certified lower bound)."""
     family = tuple(family)
     filt = filtration(family, depth_cap)
     linf = filt.rank_at(point)
-    exact = _exact_certificate(filt, linf, len(point))
+    exact = exact_certificate(filt, linf, point)
     if exact:  # no flow word is walked
         return OrbitTangentReport(tuple(point), linf, (), linf, 0, 0, exact)
     s = sampled_orbit(family, point, sampler)
@@ -258,7 +273,7 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     1972, "Controllability of nonlinear systems"; Jurdjevic, *Geometric
     Control Theory*, 1997, ch. 3); for any smooth family L0(x) lies in it,
     as that orbit holds the curves e^{tX_i} e^{-tX_j} x and every flow of F
-    preserves it.  Where ``_exact_certificate`` finds the rank of L0 at x
+    preserves it.  Where ``exact_certificate`` finds the rank of L0 at x
     exact ("zero-time-ideal" or "bracket-rank"), no word but the seed is
     walked; otherwise the pushforwards along the sampler's zero-sum words
     give the sampled lower bound of ``sampled_fixed_time``.  The orbit
@@ -269,14 +284,14 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     at = tuple(reached)
     filt = filtration(family, depth_cap)
     ideal = fixed_time_ideal_rank(filt, at)
-    certificate = _exact_certificate(filt, ideal.ideal_rank, len(at), True) or "sampled"
+    certificate = exact_certificate(filt, ideal.ideal_rank, at, True) or "sampled"
     dim, used, skipped = ideal.ideal_rank, 0, 0
     if certificate == "sampled":
         dim, _, used, skipped = _sample_fixed_time(family, _zero_sum_words(family, sampler),
                                                    reached)
 
     linf = filt.rank_at(at)
-    exact = _exact_certificate(filt, linf, len(at))
+    exact = exact_certificate(filt, linf, at)
     orbit_dim = linf if exact else sampled_orbit_dimension(family, at, sampler)
     return FixedTimeReport(
         start=tuple(point),

@@ -20,7 +20,7 @@ from .distributions import Distribution, rank_at, singular_locus_minors
 from .expr import parse
 from .fields import FlowError, apply_word, apply_words, lie_bracket
 from .frobenius import flow_box_chart, frobenius_verdict
-from .liealg import filtration, involutive
+from .liealg import filtration, pairwise_brackets, pointwise_witness
 from .membership import ideal_member_bounded, member_bounded
 from .orbits import (WordSampler, chow_verdict, fixed_time_dimension, sampled_orbit,
                      sampled_orbit_dimension)
@@ -301,10 +301,11 @@ def _flat_chow(ctx):
 
 
 def _flat_involutive(ctx):
-    rep = involutive(ctx.family, "pointwise",
-                     samples=_FLAT_POINTS + [(0.5, 0.5), (-0.5, 2.0)])
-    return _result(rep.involutive, "pointwise involutive at all samples",
-                   f"involutive={rep.involutive}, witness={rep.witness}")
+    brackets = pairwise_brackets(ctx.family)
+    witness = next(filter(None, (pointwise_witness(ctx.family, brackets, p)
+                                 for p in _FLAT_POINTS + [(0.5, 0.5), (-0.5, 2.0)])), None)
+    return _result(witness is None, "pointwise involutive at all samples",
+                   f"involutive={witness is None}, witness={witness}")
 
 
 def _flat_frobenius(ctx):

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from vfkit import frobenius
+from vfkit import frobenius, liealg
+from vfkit.cli import main
 from vfkit.distributions import Distribution
 from vfkit.frobenius import flow_box_chart, frobenius_verdict
 from vfkit.orbits import WordSampler, orbit_dimension
@@ -100,7 +101,9 @@ SAMPLED_CLAUSE = "sampled orbit dimension exceeds the fibre rank at a witness po
 
 class TestOrbitSamplesSkipped:
     """The orbit clause samples only where an orbit could outrun the fibre:
-    not at full rank, and not where every generator is exactly zero."""
+    where ``orbits.exact_certificate`` finds no exact bracket rank (not
+    under Nagano, not at full rank, and not where every generator is
+    exactly zero)."""
 
     @pytest.mark.parametrize("name,grid,sampler,sampled,verdict,witness_x1", [
         ("one-sided-flat", grid2(), WordSampler(seed=30, count=400, max_len=8, max_time=1.5),
@@ -127,6 +130,50 @@ class TestOrbitSamplesSkipped:
         assert tuple(calls) == v.witnesses
         if verdict == "no":
             assert v.clause.startswith(SAMPLED_CLAUSE)
+
+
+    # sampled orbit dimensions in ``vfkit frobenius`` on the default grid
+    CLI_SAMPLED = {"one-sided-flat": 6, "two-sided-flat": 3, "half-plane-translations": 6}
+
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_cli_samples_per_preset(self, monkeypatch, capsys, tmp_path, name):
+        calls = []
+        real = frobenius.sampled_orbit_dimension
+        monkeypatch.setattr(frobenius, "sampled_orbit_dimension",
+                            lambda *a: calls.append(a) or real(*a))
+        path = tmp_path / f"{name}.vf"
+        path.write_text(PRESETS[name].system_text)
+        assert main(["frobenius", "--system", str(path), "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(calls) == self.CLI_SAMPLED.get(name, 0)
+
+
+class TestBracketsBuiltOnce:
+    def test_one_bracket_per_pair_outside_the_filtration(self, monkeypatch):
+        # one-sided-flat's 25-point grid reaches the orbit comparison, which
+        # builds its own filtration; the pointwise checks and the module
+        # certificate share one bracket per pair
+        inside = []
+        outside = []
+        real_bracket, real_filtration = liealg.lie_bracket, frobenius.filtration
+
+        def bracket(*a):
+            (inside if inside and inside[-1] else outside).append(a)
+            return real_bracket(*a)
+
+        def filtration(*a, **kw):
+            inside.append(True)
+            try:
+                return real_filtration(*a, **kw)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(liealg, "lie_bracket", bracket)
+        monkeypatch.setattr(frobenius, "filtration", filtration)
+        D = Distribution(parse_system(PRESETS["one-sided-flat"].system_text).fields)
+        v = frobenius_verdict(D, grid2(), orbit_sampler=WordSampler(seed=0, count=10))
+        assert len(v.ranks) == 25 and v.involutive_pointwise
+        assert len(outside) == 1
 
 
 class TestYesOnlyFromModule:
@@ -225,12 +272,12 @@ class TestCoherence:
         # accepted chart <=> neither verdict detector (involutivity failure,
         # orbit-rank gap) flags the base point
         from vfkit.distributions import rank_at
-        from vfkit.liealg import involutive
+        from vfkit.liealg import pairwise_brackets, pointwise_witness
         from vfkit.orbits import orbit_dimension
 
         def point_flagged(D, base, sampler):
             fam = list(D.generators)
-            if not involutive(fam, "pointwise", samples=[base]).involutive:
+            if pointwise_witness(fam, pairwise_brackets(fam), base) is not None:
                 return True
             rep = orbit_dimension(fam, base, sampler or WordSampler(seed=0, count=200, max_len=8, max_time=1.0))
             return rep.dimension > rank_at(D, base).rank

@@ -11,7 +11,8 @@ from vfkit.liealg import (
     derived_certificate,
     filtration,
     fixed_time_ideal_rank,
-    involutive,
+    pairwise_brackets,
+    pointwise_witness,
 )
 from vfkit.presets import PRESETS
 from vfkit.systems import parse_system
@@ -110,22 +111,55 @@ class TestFiltration:
         assert ranks_by_depth(f, (1, 1)) == [2, 2, 2, 2]
 
 
+def module_witness(family, degree):
+    """The first pairwise bracket that is no member of the generators'
+    module with multipliers of degree <= degree, or None."""
+    brackets = pairwise_brackets(family)
+    certs = membership.members_bounded(brackets.values(), family, degree)
+    return next((ij for ij, c in zip(brackets, certs) if not c.member), None)
+
+
 class TestInvolutivity:
+    def test_pairwise_brackets_keep_the_nonzero_pairs_in_order(self, vf):
+        fam = [vf("X1", ["1", "0"], 2), vf("X2", ["0", "1"], 2), vf("X3", ["0", "x1"], 2),
+               vf("X4", ["x2", "0"], 2)]
+        brackets = pairwise_brackets(fam)
+        # [X1, X2], [X1, X4] and [X2, X3] vanish
+        assert list(brackets) == [(0, 2), (1, 3), (2, 3)]
+        for (i, j), b in brackets.items():
+            assert b == lie_bracket(fam[i], fam[j])
+
     def test_shear3_not_involutive(self, vf):
         fam = [vf("X1", ["0", "1", "0"], 3), vf("X2", ["1", "0", "x2"], 3)]
-        rep = involutive(fam, "pointwise", samples=[(0, 0, 0), (1, 1, 1)])
-        assert not rep.involutive
-        assert rep.witness[:2] == (0, 1)
+        brackets = pairwise_brackets(fam)
+        assert pointwise_witness(fam, brackets, (0, 0, 0)) == (0, 1, (0, 0, 0))
+        assert pointwise_witness(fam, brackets, (1, 1, 1)) == (0, 1, (1, 1, 1))
+
+    def test_fibre_evaluated_once_and_only_under_a_bracket(self, vf, monkeypatch):
+        from vfkit.fields import VectorField
+
+        # two brackets, each defined only on x1 > 0; at (1, 0, 0) X2 and X3
+        # vanish and [X1, X2] leaves the fibre
+        fam = [vf("X1", ["1", "0", "0"], 3, [(1, ">", 0)]), vf("X2", ["0", "x1-1", "0"], 3),
+               vf("X3", ["0", "0", "x1-1"], 3)]
+        brackets = pairwise_brackets(fam)
+        assert len(brackets) == 2
+        values = []
+        real = VectorField.value
+        monkeypatch.setattr(VectorField, "value",
+                            lambda self, p: values.append(self.name) or real(self, p))
+        assert pointwise_witness(fam, brackets, (-1, 0, 0)) is None
+        assert values == []
+        assert pointwise_witness(fam, brackets, (1, 0, 0)) == (0, 1, (1, 0, 0))
+        assert values == ["X1", "X2", "X3", brackets[(0, 1)].name]
 
     def test_radial_pair_module_involutive(self, vf):
         fam = [vf("X1", ["x1^2+x2^2", "0"], 2), vf("X2", ["0", "x1^2+x2^2"], 2)]
-        assert involutive(fam, "module", degree=1).involutive
+        assert module_witness(fam, 1) is None
 
     def test_mixed_pair_not_module_involutive(self, vf):
         fam = [vf("X1", ["x1^2+x2^2", "0"], 2), vf("X2", ["0", "x1^4+x2^4"], 2)]
-        rep = involutive(fam, "module", degree=8)
-        assert not rep.involutive
-        assert (rep.witness, rep.degree) == ((0, 1), 8)
+        assert module_witness(fam, 8) == (0, 1)
 
     def test_module_witness_is_first_non_member_pair(self, vf):
         radial = ["x1^2+x2^2", "0"], ["0", "x1^2+x2^2"]
@@ -136,11 +170,12 @@ class TestInvolutivity:
         }
         first = next(ij for ij, member in singles.items() if not member)
         assert singles[(0, 1)] and first != (0, 1)
-        assert involutive(fam, "module", degree=2).witness == first
+        assert module_witness(fam, 2) == first
 
     def test_flat_pair_pointwise_involutive(self, flat):
+        brackets = pairwise_brackets(flat)
         samples = [(-1, 0), (0, 0), (1, 0), (0.5, 0.5), (-2, 1)]
-        assert involutive(flat, "pointwise", samples=samples).involutive
+        assert all(pointwise_witness(flat, brackets, p) is None for p in samples)
 
 
 def derived(family, depth_cap):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vfkit import frobenius, liealg, orbits
+from vfkit import fields, frobenius, liealg, orbits
 from vfkit.distributions import Distribution
 from vfkit.expr import parse
 from vfkit.fields import DomainExitError, apply_word, apply_words
@@ -259,13 +259,16 @@ class TestNagano:
         assert filt.certificate is None and not nagano_certified(filt)
         assert filt.note == ("module search stopped at depth 1: membership system "
                              "has 56 unknowns, more than 10")
-        # below rank n the uncertified family samples; at (1, 1) its bracket
-        # rank is n, which is the orbit dimension for any smooth family
-        rep = orbit_dimension(quadratic, (0, 0), WordSampler(seed=0, count=10))
-        assert (rep.certificate, rep.linf_rank, rep.words_used + rep.words_skipped) == (
-            "sampled", 0, 10)
+        # at (1, 1) its bracket rank is n, which is the orbit dimension for
+        # any smooth family
         rep = orbit_dimension(quadratic, (1, 1), WordSampler(seed=0, count=10))
         assert (rep.certificate, rep.dimension, rep.vectors) == ("bracket-rank", 2, ())
+        # below rank n, with a generator nonzero, the uncertified family samples
+        spatial = [vf("X1", ["x2", "0", "0"], 3), vf("X2", ["0", "x1^2", "0"], 3)]
+        assert liealg.filtration(spatial, 4).certificate is None
+        rep = orbit_dimension(spatial, (1, 1, 0), WordSampler(seed=0, count=10))
+        assert (rep.certificate, rep.linf_rank, rep.words_used + rep.words_skipped) == (
+            "sampled", 2, 10)
 
 
 class TestFixedTime:
@@ -449,6 +452,33 @@ class TestOneRule:
             orbit = orbit_dimension(family, rep.reached, sampler)
             assert orbit.dimension == rep.orbit_dimension_at_reached, p
             assert rep.dimension <= orbit.dimension, p
+
+
+class TestFixedPoint:
+    """Where every generator is defined and exactly zero, every flow fixes
+    the point: rank 0 is exact for any smooth family."""
+
+    def test_vanishing_generators_walk_no_flow(self, monkeypatch):
+        walks = []
+        real = fields._walk
+        monkeypatch.setattr(fields, "_walk", lambda *a: walks.append(a) or real(*a))
+        family = preset_family("mixed-degree-pair")
+        assert not nagano_certified(liealg.filtration(family))
+        rep = orbit_dimension(family, (0, 0), WordSampler(seed=0))
+        assert (rep.certificate, rep.dimension, rep.linf_rank) == ("bracket-rank", 0, 0)
+        assert (rep.vectors, rep.words_used, rep.words_skipped) == ((), 0, 0)
+        assert walks == []
+
+    def test_float_pinned_zero_still_samples(self, vf):
+        # bump(1/10^13) is positive, so the point is not fixed, but float
+        # evaluation pins both values to 0
+        family = [vf("X1", ["bump(x1)", "0"], 2), vf("X2", ["0", "bump(x1)"], 2)]
+        p = (Fraction(1, 10**13), 0)
+        assert all(X.value(p) == [0.0, 0.0] for X in family)
+        rep = orbit_dimension(family, p, WordSampler(seed=0, count=10))
+        assert (rep.certificate, rep.linf_rank) == ("sampled", 0)
+        assert rep.words_used + rep.words_skipped == 10
+        assert orbits.exact_certificate(liealg.filtration(family), 0, p) is None
 
 
 class TestChow:

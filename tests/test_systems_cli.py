@@ -612,6 +612,21 @@ class TestExactOrbitsWalkNoFlow:
             assert others == []
             assert (res["words_used"], res["words_skipped"]) == (0, 0)
 
+    def test_vanishing_generators_give_bracket_rank_zero(self, capsys, tmp_path,
+                                                         monkeypatch):
+        # both generators of mixed-degree-pair vanish at the origin, so every
+        # flow fixes it, though the family is not Nagano-certified
+        walks = spy(monkeypatch, fields, "_walk")
+        path = tmp_path / "mixed-degree-pair.vf"
+        path.write_text(PRESETS["mixed-degree-pair"].system_text)
+        code, out = run_cli(capsys, "orbit", "--system", str(path), "--point", "0,0",
+                            "--format", "json")
+        res = json.loads(out)["results"]
+        assert code == 0 and walks == []
+        assert (res["certificate"], res["dimension"], res["certified_exact"]) == (
+            "bracket-rank", 0, True)
+        assert (res["vectors"], res["words_used"], res["words_skipped"]) == ([], 0, 0)
+
     def test_mixed_degree_pair_is_bracket_rank_in_both_modes(self, capsys, tmp_path):
         for opts in ((), ("--fixed-time", "1/2", "--words", "12")):
             res = preset_orbit(capsys, tmp_path, "mixed-degree-pair", *opts)
