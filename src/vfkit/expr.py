@@ -620,21 +620,22 @@ def poly_coeff_dict(e, n):
             if atom.index > n:
                 raise ExprError(f"variable x{atom.index} exceeds dimension {n}")
             exps[atom.index - 1] = k
-        out[tuple(exps)] = Fraction(c)
+        out[tuple(exps)] = c if type(c) is Fraction else Fraction(c)
     return out
 
 
 def poly_from_coeff_dict(d, n):
-    e = ZERO
-    for mono, c in d.items():
-        if c == 0:
-            continue
-        term = const(c)
-        for j, k in enumerate(mono):
-            if k:
-                term = term * var(j + 1).int_pow(k)
-        e = e + term
-    return e
+    """The canonical Expr of an exponent-tuple -> coefficient map: one term
+    per nonzero entry, its factors in variable order, sorted once."""
+    atoms = [Atom("var", index=j + 1) for j in range(n)]
+    terms = [
+        (c if type(c) is Fraction else Fraction(c),
+         tuple((atoms[j], k) for j, k in enumerate(mono) if k))
+        for mono, c in d.items()
+        if c != 0
+    ]
+    terms.sort(key=lambda t: _factors_key(t[1]))
+    return Expr(terms)
 
 
 # -- parser ---------------------------------------------------------------------------

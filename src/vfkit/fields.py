@@ -49,6 +49,7 @@ step's index in the word it walks: for a pushforward, the walk back.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -56,7 +57,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .expr import Expr, ZERO, compile_float, poly_coeff_dict
+from .expr import Expr, ZERO, compile_float, poly_coeff_dict, poly_from_coeff_dict
 
 __all__ = [
     "DomainPredicate",
@@ -205,22 +206,70 @@ def _as_steps(word):
 
 
 def lie_bracket(X, Y, name=None):
-    """[X, Y] in coordinates, with the intersected domain."""
+    """[X, Y] in coordinates, with the intersected domain:
+    [X, Y]_i = sum_j X_j d_j Y_i - Y_j d_j X_i.  When both fields are
+    polynomial this sum runs on exponent-tuple -> coefficient views
+    (``poly_coeff_dict``) and each component becomes one canonical Expr at
+    the end; otherwise it runs on Expr arithmetic.  Both give the same
+    canonical components."""
     if X.dim != Y.dim:
         raise ValueError("bracket of fields of different dimensions")
     n = X.dim
-    comps = []
-    for i in range(n):
-        acc = ZERO
-        for j in range(n):
-            acc = acc + X.components[j] * Y.components[i].diff(j + 1)
-            acc = acc - Y.components[j] * X.components[i].diff(j + 1)
-        comps.append(acc)
+    if X.is_polynomial() and Y.is_polynomial():
+        comps = _poly_bracket(X.components, Y.components, n)
+    else:
+        comps = []
+        for i in range(n):
+            acc = ZERO
+            for j in range(n):
+                acc = acc + X.components[j] * Y.components[i].diff(j + 1)
+                acc = acc - Y.components[j] * X.components[i].diff(j + 1)
+            comps.append(acc)
     return VectorField(
         name or f"[{X.name},{Y.name}]",
         tuple(comps),
         X.domain.intersect(Y.domain),
     )
+
+
+def _poly_bracket(xs, ys, n):
+    """The components of [X, Y] for polynomial components xs and ys."""
+    nv = max([n] + [c.max_var() for c in xs + ys])
+    X = [_int_view(c, nv) for c in xs]
+    Y = [_int_view(c, nv) for c in ys]
+    comps = []
+    for i in range(n):
+        acc = {}
+        for j in range(n):
+            _add_product(acc, X[j], _partial(Y[i], j, 1))
+            _add_product(acc, Y[j], _partial(X[i], j, -1))
+        comps.append(poly_from_coeff_dict(acc, nv))
+    return tuple(comps)
+
+
+def _int_view(e, n):
+    """``poly_coeff_dict`` with integral coefficients as ints, whose
+    products cost far less than Fraction products."""
+    return {m: c.numerator if c.denominator == 1 else c
+            for m, c in poly_coeff_dict(e, n).items()}
+
+
+def _partial(d, j, sign):
+    """sign * d/dx_(j+1) of an exponent-tuple -> coefficient map."""
+    out = {}
+    for mono, c in d.items():
+        k = mono[j]
+        if k:
+            out[mono[:j] + (k - 1,) + mono[j + 1:]] = c * (sign * k)
+    return out
+
+
+def _add_product(acc, a, b):
+    """acc += a * b, all exponent-tuple -> coefficient maps."""
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(map(operator.add, ma, mb))
+            acc[m] = acc.get(m, 0) + ca * cb
 
 
 def multiply_field(f, X, name=None):

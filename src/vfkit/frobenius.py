@@ -35,7 +35,7 @@ from .distributions import Distribution, rank_at
 from .fields import FlowError, apply_words, pushforward_along_word
 from .liealg import filtration, pairwise_brackets, pointwise_witness
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
-from .membership import members_bounded
+from .membership import module_contains
 from .orbits import (WordSampler, exact_certificate, orbit_dimension,
                      sampled_orbit_dimension)
 
@@ -87,8 +87,7 @@ def frobenius_verdict(
     # only when it does not certify
     module_ok: Optional[bool] = None
     if not failing and D.minors_obstacle() is None:
-        module_ok = not brackets or all(
-            c.member for c in members_bounded(brackets.values(), family, module_degree))
+        module_ok = not brackets or module_contains(brackets.values(), family, module_degree)
     witnesses = list(failing)
     bracket_rank_gap = False
     if not failing and not module_ok:

@@ -8,10 +8,14 @@ the levels, since the derived algebra [L, L] needs it.  For polynomial
 families a stabilization certificate is attempted: once every
 depth-(k+1) word is a degree-bounded member of the module spanned by the
 words of depth <= k, no deeper word can leave that module, and pointwise
-ranks are final.  Ranks at a point and depth are read from the filtration
-with ``LieFiltration.rank_at``; ``derived_certificate`` certifies the same
-way that the derived words span [L, L] at every point.  Involutivity reads
-the nonzero pairwise brackets, built once by ``pairwise_brackets``.
+ranks are final.  Each depth tried is one ``membership.module_contains``
+system, whose "no" builds no multipliers and whose "yes" is re-verified.
+Brackets of polynomial fields are computed on exponent dicts
+(``fields.lie_bracket``).  Ranks at a point and depth are read from the
+filtration with ``LieFiltration.rank_at``; ``derived_certificate``
+certifies the same way that the derived words span [L, L] at every point.
+Involutivity reads the nonzero pairwise brackets, built once by
+``pairwise_brackets``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import List, Optional, Tuple
 from .expr import Expr
 from .fields import VectorField, lie_bracket
 from .linalg import in_span, span_rank
-from .membership import members_bounded, oversize
+from .membership import module_contains, oversize
 
 __all__ = [
     "BracketWord",
@@ -68,12 +72,12 @@ def _normal_key(field_):
     """Key invariant under nonzero rational rescaling, for duplicate pruning."""
     for comp in field_.components:
         if comp.terms:
-            lead = comp.terms[0][0]
+            inverse = Fraction(1) / comp.terms[0][0]
             break
     else:
         return None
     scaled = tuple(
-        (comp * Expr(((Fraction(1) / lead, ()),))).sort_key()
+        Expr(tuple((c * inverse, f) for c, f in comp.terms)).sort_key()
         for comp in field_.components
     )
     return (scaled, field_.domain.constraints)
@@ -180,7 +184,7 @@ def _module_closure(levels, low, extra, degree):
         too_large = oversize(levels[depth], basis, degree)
         if too_large:
             return None, f"module search stopped at depth {depth}: {too_large}"
-        if all(c.member for c in members_bounded(levels[depth], basis, degree)):
+        if module_contains(levels[depth], basis, degree):
             return depth, None
     return None, None
 

@@ -53,6 +53,8 @@ def _sparse_rows(matrix, rhs=()):
     rows is one past their largest column.  ``rhs`` lists right-hand sides,
     one entry per row each; the k-th joins the rows in column width + k.
     Every row is scaled to a primitive integer vector, which keeps its span.
+    ``int`` and ``Fraction`` cells are read through their numerator and
+    denominator as they are; only other cells go through ``Fraction(x)``.
     """
     rows = []
     ncols = 0
@@ -63,11 +65,12 @@ def _sparse_rows(matrix, rhs=()):
         else:
             ncols = max(ncols, len(row))
             items = enumerate(row)
-        rows.append({c: Fraction(x) for c, x in items if x != 0})
+        rows.append({c: x if isinstance(x, (int, Fraction)) else Fraction(x)
+                     for c, x in items if x != 0})
     for k, side in enumerate(rhs):
         for row, v in zip(rows, side):
             if v != 0:
-                row[ncols + k] = Fraction(v)
+                row[ncols + k] = v if isinstance(v, (int, Fraction)) else Fraction(v)
     for i, row in enumerate(rows):
         scale = math.lcm(*(x.denominator for x in row.values()))
         rows[i] = _primitive(

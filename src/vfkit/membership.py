@@ -5,12 +5,19 @@ sum_i m_i * g_i = target exist.  We search multipliers of total degree <= d
 by solving the exact linear system over the rationals that matching
 monomial coefficients produces.  A refutation is only "up to degree d":
 it never claims non-membership at all degrees.
+
+Many targets against one generator set are one solve, read two ways:
+``members_bounded`` gives a certificate per target, with every member's
+multipliers built and re-verified symbolically; ``module_contains`` only
+says whether every target is a member, builds no multipliers for a "no"
+and re-verifies every target's multipliers before a "yes".
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -23,6 +30,7 @@ __all__ = [
     "MembershipCertificate",
     "member_bounded",
     "members_bounded",
+    "module_contains",
     "oversize",
     "ideal_member_bounded",
 ]
@@ -108,15 +116,11 @@ def oversize(targets, generators, degree):
     return None
 
 
-def members_bounded(targets, generators, degree):
-    """Search multipliers of total degree <= degree for each target; one
-    exact verdict per target, in order.
-
-    Every target and generator may be a VectorField or a plain tuple of
-    expressions of equal length (scalars count as length one).  The
-    generators' system is built, and its size checked, once: each target
-    is one more right-hand side of a single elimination.
-    """
+def _solve(targets, generators, degree):
+    """The one exact solve behind ``members_bounded`` and
+    ``module_contains``: (target components, generator components, the
+    solutions, one per target or None, and the multiplier monomials and
+    variable count that ``_multipliers`` reads a solution with)."""
     _check_degree(degree)
     tgts = [_components(t) for t in targets]
     gens = [_components(g) for g in generators]
@@ -132,7 +136,7 @@ def members_bounded(targets, generators, degree):
 
     n = _num_vars(tgts + gens)
     if all(c.is_zero() for t in tgts for c in t):
-        return [MembershipCertificate(True, degree, tuple(ZERO for _ in gens)) for _ in tgts]
+        return tgts, gens, [{} for _ in tgts], [], n
 
     too_large = oversize(tgts, gens, degree)
     if too_large:
@@ -146,8 +150,10 @@ def members_bounded(targets, generators, degree):
     for gi, g in enumerate(gens):
         for comp in range(ncomp):
             for gmono, gc in poly_coeff_dict(g[comp], n).items():
+                if gc.denominator == 1:
+                    gc = gc.numerator  # an int cell costs less to read
                 for k, mmono in enumerate(monos, gi * len(monos)):
-                    prod = tuple(a + b for a, b in zip(gmono, mmono))
+                    prod = tuple(map(operator.add, gmono, mmono))
                     rows.setdefault((comp, prod), {})[k] = gc
     sides = [
         {
@@ -163,21 +169,52 @@ def members_bounded(targets, generators, degree):
     solutions = exact_solve(
         list(rows.values()), [[side.get(key, 0) for key in rows] for side in sides]
     )
+    return tgts, gens, solutions, monos, n
 
+
+def _multipliers(x, monos, n, ngens):
+    """The generators' multipliers of a solution {unknown: value}."""
+    return tuple(
+        poly_from_coeff_dict(
+            {m: x[k] for k, m in enumerate(monos, gi * len(monos)) if k in x}, n
+        )
+        for gi in range(ngens)
+    )
+
+
+def members_bounded(targets, generators, degree):
+    """Search multipliers of total degree <= degree for each target; one
+    exact verdict per target, in order.
+
+    Every target and generator may be a VectorField or a plain tuple of
+    expressions of equal length (scalars count as length one).  The
+    generators' system is built, and its size checked, once: each target
+    is one more right-hand side of a single elimination.  Every member's
+    multipliers are built and re-verified symbolically.
+    """
+    tgts, gens, solutions, monos, n = _solve(targets, generators, degree)
     certs = []
     for tgt, x in zip(tgts, solutions):
         if x is None:
             certs.append(MembershipCertificate(False, degree))
             continue
-        multipliers = tuple(
-            poly_from_coeff_dict(
-                {m: x[k] for k, m in enumerate(monos, gi * len(monos)) if k in x}, n
-            )
-            for gi in range(len(gens))
-        )
+        multipliers = _multipliers(x, monos, n, len(gens))
+        _verify(multipliers, tgt, gens)
         certs.append(MembershipCertificate(True, degree, multipliers))
-        _verify(certs[-1], tgt, gens)
     return certs
+
+
+def module_contains(targets, generators, degree):
+    """Whether every target is a member, with multipliers of total degree
+    <= degree: the same one solve as ``members_bounded``.  A "no" returns
+    False as soon as one target has no solution and builds no multipliers;
+    a "yes" builds and re-verifies every target's multipliers first."""
+    tgts, gens, solutions, monos, n = _solve(targets, generators, degree)
+    if any(x is None for x in solutions):
+        return False
+    for tgt, x in zip(tgts, solutions):
+        _verify(_multipliers(x, monos, n, len(gens)), tgt, gens)
+    return True
 
 
 def member_bounded(target, generators, degree):
@@ -185,10 +222,10 @@ def member_bounded(target, generators, degree):
     return members_bounded([target], generators, degree)[0]
 
 
-def _verify(cert, tgt, gens):
+def _verify(multipliers, tgt, gens):
     for comp in range(len(tgt)):
         acc = ZERO
-        for m, g in zip(cert.multipliers, gens):
+        for m, g in zip(multipliers, gens):
             acc = acc + m * g[comp]
         if acc != tgt[comp]:
             raise MembershipError("certificate failed symbolic re-verification")

@@ -35,7 +35,7 @@ from .fields import DomainExitError, FlowError, apply_word, pushforward_along_wo
 from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, derived_certificate,
                      filtration, fixed_time_ideal_rank)
 from .linalg import FLOW_REL_TOL, affine_rank, all_exact, svd_rank
-from .membership import members_bounded
+from .membership import module_contains
 
 __all__ = [
     "WordSampler",
@@ -328,9 +328,8 @@ def chow_verdict(family, samples, depth_cap=DEFAULT_DEPTH_CAP, orbit_sampler=Non
     if not failing:
         words = [f for level in filt.levels for _, f in level]
         axes = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
-        certified = all(g.is_polynomial() and g.domain.is_full for g in family) and all(
-            c.member for c in members_bounded(axes, words, DEFAULT_MODULE_DEGREE)
-        )
+        certified = (all(g.is_polynomial() and g.domain.is_full for g in family)
+                     and module_contains(axes, words, DEFAULT_MODULE_DEGREE))
         verdict = (
             "sufficient condition met: any two points joinable by flows"
             if certified

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from vfkit.expr import (
     FLAT_EVAL_EPS,
+    ZERO,
     EvalError,
     ExprError,
     ParseError,
@@ -16,6 +17,8 @@ from vfkit.expr import (
     const,
     exp_of,
     parse,
+    poly_coeff_dict,
+    poly_from_coeff_dict,
     var,
 )
 from vfkit.fields import VectorField, _flow_kind, jacobian_exprs
@@ -161,6 +164,31 @@ def test_ring_laws(e, f):
     assert e + f == f + e
     assert e * f == f * e
     assert e - e == const(0)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(poly_exprs(max_terms=6))
+def test_coeff_dict_roundtrip(e):
+    d = poly_coeff_dict(e, N)
+    assert poly_from_coeff_dict(d, N) == e
+    # whatever the order of the entries
+    assert poly_from_coeff_dict(dict(reversed(d.items())), N) == e
+    # the same Expr as summing const * x^k products one operation at a time
+    summed = const(0)
+    for mono, c in d.items():
+        term = const(c)
+        for j, k in enumerate(mono):
+            term = term * var(j + 1).int_pow(k) if k else term
+        summed = summed + term
+    assert poly_from_coeff_dict(d, N).terms == summed.terms
+
+
+def test_coeff_dict_of_zero():
+    assert poly_coeff_dict(ZERO, N) == {}
+    assert poly_from_coeff_dict({}, N) == ZERO
+    assert poly_from_coeff_dict({(1, 0, 2): 0, (0, 0, 0): Fraction(0)}, N) == ZERO
+    (c, factors), = poly_from_coeff_dict({(0, 2, 0): 3}, N).terms
+    assert type(c) is Fraction and (c, factors) == (3, var(2).int_pow(2).terms[0][1])
 
 
 class TestEval:

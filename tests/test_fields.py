@@ -26,7 +26,10 @@ from vfkit.fields import (
     pushforward_along_word,
     pushforward_along_words,
 )
+from vfkit.liealg import filtration
 from vfkit.orbits import WordSampler, sampled_orbit
+from vfkit.presets import PRESETS
+from vfkit.systems import parse_system
 
 from conftest import make_field
 
@@ -121,6 +124,69 @@ def test_module_leibniz_rule():
             for i in range(2)
         )
         assert all((a - b).is_zero() for a, b in zip(lhs.components, rhs_comps))
+
+
+def oracle_bracket(X, Y):
+    """[X, Y]_i = sum_j X_j d_j Y_i - Y_j d_j X_i on Expr arithmetic and
+    ``Expr.diff``, the components only."""
+    n = X.dim
+    return tuple(
+        sum((X.components[j] * Y.components[i].diff(j + 1)
+             - Y.components[j] * X.components[i].diff(j + 1) for j in range(n)), const(0))
+        for i in range(n)
+    )
+
+
+@st.composite
+def polynomial_field_pairs(draw):
+    """Two polynomial fields on R^n, n <= 3, of degree <= 3 with small
+    rational coefficients, each with or without a one-variable domain bound."""
+    n = draw(st.integers(1, 3))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    monomial = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
+        lambda m: sum(m) <= 3)
+
+    def field(name):
+        comps = []
+        for _ in range(n):
+            e = const(0)
+            for c, mono in draw(st.lists(st.tuples(coeff, monomial), max_size=4)):
+                t = const(c)
+                for j, k in enumerate(mono):
+                    t = t * var(j + 1).int_pow(k) if k else t
+                e = e + t
+            comps.append(e)
+        bounds = draw(st.lists(
+            st.tuples(st.integers(1, n), st.sampled_from("<>"), coeff), max_size=1))
+        return VectorField(name, tuple(comps), DomainPredicate(tuple(bounds)))
+
+    return field("X"), field("Y")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(polynomial_field_pairs())
+def test_polynomial_bracket_matches_expr_oracle(pair):
+    X, Y = pair
+    b = lie_bracket(X, Y)
+    assert b.name == "[X,Y]"
+    assert b.domain == X.domain.intersect(Y.domain)
+    assert b.components == oracle_bracket(X, Y)
+    # canonical terms keep Fraction coefficients, so they print as before
+    assert all(type(c) is Fraction for comp in b.components for c, _ in comp.terms)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_expr_oracle_reproduces_every_filtration_word(name):
+    family = list(parse_system(PRESETS[name].system_text).fields)
+    filt = filtration(family, 6)
+    words = [wf for level in filt.levels[1:] for wf in level] + filt.generator_duplicates
+    for word, f in words:
+        g = family[word.indices[0]]
+        comps, domain = g.components, g.domain
+        for i in word.indices[1:]:
+            comps = oracle_bracket(family[i], VectorField("f", comps, domain))
+            domain = family[i].domain.intersect(domain)
+        assert (f.components, f.domain) == (comps, domain), str(word)
 
 
 FAR = Fraction(10**400)  # beyond the float range

@@ -72,6 +72,51 @@ def test_no_parameter_defaults_to_a_module_constant():
     assert offences == []
 
 
+# The only process-wide caches: ``perfbench/run.py`` empties exactly these
+# before every pass, as a CLI user pays for them on every invocation.  Any
+# other cache would let later passes reuse the first one's work.
+CLEARED_CACHES = {("fields.py", "_flow_kind"), ("fields.py", "jacobian_exprs")}
+CACHE_NAMES = {"lru_cache", "cache"}
+RUN_PY = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+def _called_name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    return _default_name(node)
+
+
+def test_only_caches_the_benchmark_clears():
+    cached, calls = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for dec in node.decorator_list:
+                    decorators.add(id(dec))
+                    if _called_name(dec) in CACHE_NAMES:
+                        cached.add((path.name, node.name))
+        for node in ast.walk(tree):  # a cache built by a plain call, not a decorator
+            if (isinstance(node, ast.Call) and id(node) not in decorators
+                    and _called_name(node) in CACHE_NAMES):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert cached == CLEARED_CACHES
+    assert calls == []
+
+
+def test_benchmark_clears_every_cache():
+    tree = ast.parse(RUN_PY.read_text(encoding="utf-8"))
+    clear = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "clear_lazy_caches")
+    cleared = {
+        node.value.attr for node in ast.walk(clear)
+        if isinstance(node, ast.Attribute) and node.attr == "cache_clear"
+        and isinstance(node.value, ast.Attribute)
+    }
+    assert cleared == {name for _, name in CLEARED_CACHES}
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # flows integrate with vfkit's own solver and matrix exponential, so no
     # scipy module is loaded, not even once the double integrator's preset

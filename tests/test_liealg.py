@@ -275,12 +275,12 @@ class TestDerivedCertificate:
 
         def counting(targets, basis, degree):
             solved.append((len(targets), len(basis)))
-            return members_bounded(targets, basis, degree)
+            return module_contains(targets, basis, degree)
 
-        members_bounded = liealg.members_bounded
+        module_contains = liealg.module_contains
         f = filtration(preset_family("vanishing-pair"))
         assert f.certificate == "module-degree-6"
-        monkeypatch.setattr(liealg, "members_bounded", counting)
+        monkeypatch.setattr(liealg, "module_contains", counting)
         assert derived_certificate(f) == "derived-module-degree-6"
         # depth 3 is not in the module of depth 2, depth 4 is in that of 2..3
         kept = [len(level) for level in f.levels]
@@ -289,7 +289,7 @@ class TestDerivedCertificate:
     def test_oversize_stops_uncertified(self, monkeypatch):
         f = filtration(preset_family("vanishing-pair"))
         monkeypatch.setattr(membership, "UNKNOWNS_CAP", 10)
-        monkeypatch.setattr(liealg, "members_bounded", None)  # never reached
+        monkeypatch.setattr(liealg, "module_contains", None)  # never reached
         assert derived_certificate(f) is None
 
 

@@ -251,3 +251,21 @@ def test_solve_edge_shapes():
     assert exact_solve([], [[]]) == [[]]
     assert exact_solve([[1, 2]], []) == []
     assert exact_rank([]) == 0 and exact_nullspace([]) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_solve_reads_every_rational_cell_type_alike(system):
+    # int cells, Fractions with denominator 1 and numpy integers are the
+    # same rationals, and so are the floats that hold them exactly
+    A, sides = system
+    want = exact_solve(A, sides)
+
+    def recast(x, k):
+        if x.denominator != 1:
+            return float(x) if x.denominator in (2, 4) and k % 2 else x
+        return (int(x), np.int64(x), x)[k % 3]
+
+    mixed = [[recast(x, i + j) for j, x in enumerate(row)] for i, row in enumerate(A)]
+    mixed_sides = [[recast(v, i) for i, v in enumerate(b)] for b in sides]
+    assert exact_solve(mixed, mixed_sides) == want

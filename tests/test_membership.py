@@ -6,6 +6,7 @@ import pytest
 
 from vfkit.expr import ZERO, const, parse, var
 from vfkit.fields import lie_bracket, multiply_field
+from vfkit.liealg import filtration
 from vfkit.linalg import in_span
 from vfkit import membership
 from vfkit.membership import (
@@ -251,3 +252,86 @@ def test_batched_checks_keep_their_order(vf):
     x = ["x%d" % i for i in range(1, 11)]
     with pytest.raises(MembershipError, match="646646 unknowns"):
         members_bounded([vf("t", ["0"], 10), vf("u", [x[0]], 10)], [vf("g", [x[9]], 10)], 12)
+
+
+# ``module_contains`` answers "is every target a member?" from the same one
+# solve; only a "yes" builds and re-verifies multipliers.
+
+
+def _cubic_family(vf):
+    return [vf("X1", ["1", "0"], 2), vf("X2", ["0", "x1^2*x2+x2^3"], 2)]
+
+
+def _module_search_levels(family):
+    """(targets, basis) of every system that the filtration's module search
+    and ``derived_certificate`` may solve, up to depth 6."""
+    filt = filtration(family, 6)
+    kept = [[f for _, f in level] for level in filt.levels]
+    extra = {0: [], 1: [f for _, f in filt.generator_duplicates]}
+    return [
+        (kept[depth], [f for lv in kept[low:depth] for f in lv] + extra[low])
+        for low in (0, 1)
+        for depth in range(low + 1, len(kept))
+        if kept[depth]
+    ]
+
+
+@pytest.mark.parametrize("name", ["vanishing-pair", "mixed-degree-pair", "cubic"])
+def test_module_contains_agrees_with_members_bounded(name, vf):
+    family = (_cubic_family(vf) if name == "cubic"
+              else list(parse_system(PRESETS[name].system_text).fields))
+    answers = []
+    for targets, basis in _module_search_levels(family):
+        got = membership.module_contains(targets, basis, 6)
+        assert got == all(c.member for c in members_bounded(targets, basis, 6))
+        answers.append(got)
+    if name != "mixed-degree-pair":
+        assert True in answers and False in answers  # both readers are exercised
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """Calls of ``_multipliers`` and ``_verify`` while the test runs."""
+    calls = {"built": 0, "verified": []}
+    build, verify = membership._multipliers, membership._verify
+
+    def counted_build(*args):
+        calls["built"] += 1
+        return build(*args)
+
+    def counted_verify(multipliers, tgt, gens):
+        calls["verified"].append(tgt)
+        return verify(multipliers, tgt, gens)
+
+    monkeypatch.setattr(membership, "_multipliers", counted_build)
+    monkeypatch.setattr(membership, "_verify", counted_verify)
+    return calls
+
+
+def test_module_contains_no_builds_no_multiplier(spied, mixed_pair, vf):
+    member = vf("t", ["x1^2*(x1^2+x2^2)", "x2*(x1^4+x2^4)"], 2)
+    assert not membership.module_contains(
+        [member, lie_bracket(*mixed_pair), member], mixed_pair, 2)
+    assert spied == {"built": 0, "verified": []}
+
+
+def test_module_contains_yes_verifies_every_target(spied, mixed_pair, vf):
+    targets = [
+        vf("t", ["x1^2*(x1^2+x2^2)", "x2*(x1^4+x2^4)"], 2),
+        vf("z", ["0", "0"], 2),
+        mixed_pair[1],
+    ]
+    assert membership.module_contains(targets, mixed_pair, 2)
+    assert spied["built"] == 3
+    assert spied["verified"] == [t.components for t in targets]
+
+
+def test_module_contains_raises_when_verification_fails(monkeypatch, mixed_pair):
+    def failing(multipliers, tgt, gens):
+        raise MembershipError("certificate failed symbolic re-verification")
+
+    monkeypatch.setattr(membership, "_verify", failing)
+    with pytest.raises(MembershipError, match="re-verification"):
+        membership.module_contains([mixed_pair[0]], mixed_pair, 2)
+    # a "no" verifies nothing, so it cannot fail verification
+    assert not membership.module_contains([lie_bracket(*mixed_pair)], mixed_pair, 2)
