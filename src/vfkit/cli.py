@@ -32,6 +32,7 @@ from .liealg import (
     DEFAULT_MODULE_DEGREE,
     DEPTH_CAP_LIMIT,
     LieAlgebraError,
+    certify,
     filtration,
     fixed_time_ideal_rank,
 )
@@ -349,7 +350,7 @@ def _cmd_rank(args, seed):
 def _cmd_lie(args, seed):
     system = _load_system(args.system)
     p = parse_point(args.point, system.dim)
-    filt = filtration(list(system.fields), args.depth, args.module_degree)
+    filt = certify(filtration(list(system.fields), args.depth), args.module_degree)
     results = {
         "point": list(p),
         "depth_cap": args.depth,

@@ -15,10 +15,11 @@ The verdict combines three independent detectors:
   rank above the fibre rank at a sample rule integrability out for any
   smooth family, since Lie(F)(p) lies in the orbit tangent (a bracket-rank
   witness); (b) where ``orbits.exact_certificate`` finds the bracket rank
-  at a sample to be the orbit dimension (Nagano-certified families, full
-  rank, or every generator defined and exactly zero there), no flow can
-  find more; (c) else a sampled orbit dimension above the fibre rank rules
-  it out.
+  at a sample to be the orbit dimension (full rank, every generator
+  defined and exactly zero there, or, below full rank, a Nagano-certified
+  family, whose module search runs once, at the first such sample), no
+  flow can find more; (c) else a sampled orbit dimension above the fibre
+  rank rules it out.
 
 Flow-box charts sample a ``CHART_GRID_POINTS``-per-axis grid of flow times
 in [-CHART_RADIUS, CHART_RADIUS].
@@ -33,7 +34,7 @@ import numpy as np
 
 from .distributions import Distribution, rank_at
 from .fields import FlowError, apply_words, pushforward_along_word
-from .liealg import filtration, pairwise_brackets, pointwise_witness
+from .liealg import certify, filtration, pairwise_brackets, pointwise_witness
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 from .membership import module_contains
 from .orbits import (WordSampler, exact_certificate, orbit_dimension,
@@ -100,8 +101,12 @@ def frobenius_verdict(
         bracket_rank_gap = bool(witnesses)
         if not witnesses:
             sampler = orbit_sampler or ORBIT_SAMPLER
+            certified = None  # the module search, at the first sample below rank n
             for p, lie, r in zip(samples, lie_ranks, ranks):
                 if exact_certificate(filt, lie, p):
+                    continue
+                certified = certified or certify(filt)
+                if exact_certificate(certified, lie, p):
                     continue
                 try:
                     dim = sampled_orbit_dimension(family, p, sampler)

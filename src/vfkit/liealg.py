@@ -4,12 +4,17 @@ Left-nested bracket words [X_ik, [..., [X_i2, X_i1]...]] span the whole
 generated Lie algebra, so the filtration enumerates only those, pruning
 symbolic zeros and rational multiples of words already kept.  A pruned
 bracket that is a multiple of a generator is still recorded, apart from
-the levels, since the derived algebra [L, L] needs it.  For polynomial
-families a stabilization certificate is attempted: once every
-depth-(k+1) word is a degree-bounded member of the module spanned by the
-words of depth <= k, no deeper word can leave that module, and pointwise
-ranks are final.  Each depth tried is one ``membership.module_contains``
-system, whose "no" builds no multipliers and whose "yes" is re-verified.
+the levels, since the derived algebra [L, L] needs it.  The words are built
+one depth at a time (``filtration_by_depth``), so a caller that needs only a
+rank at a point can stop at the first depth that gives it; ``filtration``
+builds them all, with the free symbolic-closure certificate and nothing
+else.  For polynomial families ``certify`` then attempts a stabilization
+certificate: once every depth-(k+1) word is a degree-bounded member of the
+module spanned by the words of depth <= k, no deeper word can leave that
+module, and pointwise ranks are final.  Each depth tried is one
+``membership.module_contains`` system, whose "no" builds no multipliers and
+whose "yes" is re-verified.  ``vfkit lie`` always certifies; the orbit
+functions only below full rank.
 Brackets of polynomial fields are computed on exponent dicts
 (``fields.lie_bracket``).  Ranks at a point and depth are read from the
 filtration with ``LieFiltration.rank_at``; ``derived_certificate``
@@ -21,7 +26,7 @@ Involutivity reads the nonzero pairwise brackets, built once by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -35,6 +40,8 @@ __all__ = [
     "LieFiltration",
     "FixedTimeRankReport",
     "filtration",
+    "filtration_by_depth",
+    "certify",
     "derived_certificate",
     "pairwise_brackets",
     "pointwise_witness",
@@ -115,16 +122,16 @@ class LieFiltration:
             f for _, f in self.generator_duplicates]
 
 
-def filtration(family, depth_cap=DEFAULT_DEPTH_CAP, module_degree=DEFAULT_MODULE_DEGREE):
-    """Generate bracket words up to the cap and try to certify stabilization
-    for polynomial families, with multipliers of degree <= module_degree:
-    one membership system per depth tried.  The search stops, uncertified
-    and with a note, at the first depth whose system ``membership.oversize``
-    rejects; a degree outside ``DEGREE_CAP`` raises MembershipError."""
+def filtration_by_depth(family, depth_cap=DEFAULT_DEPTH_CAP):
+    """The filtration to depth 1, 2, ..., depth_cap, one depth at a time:
+    each ``LieFiltration`` yielded holds the words of depth <= d (its
+    ``depth_cap`` is d), and the brackets of depth d + 1 are built only when
+    the next one is asked for, so a caller that stops early pays for no
+    deeper word.  The symbolic-closure certificate is the only one set; a
+    cap outside [1, DEPTH_CAP_LIMIT] raises before any word is built."""
     family = tuple(family)
     if depth_cap < 1 or depth_cap > DEPTH_CAP_LIMIT:
         raise LieAlgebraError(f"depth cap must lie in [1, {DEPTH_CAP_LIMIT}]")
-    polynomial = all(g.is_polynomial() for g in family)
 
     seen = set()
     levels: List[List[Tuple[BracketWord, VectorField]]] = []
@@ -140,37 +147,55 @@ def filtration(family, depth_cap=DEFAULT_DEPTH_CAP, module_degree=DEFAULT_MODULE
     duplicates = {}  # generator key -> the first bracket that is its multiple
 
     stabilized_at = None
-    certificate = None
-    note = None
-    for depth in range(2, depth_cap + 1):
-        new_level = []
-        for word, f in levels[-1]:
-            for i, g in enumerate(family):
-                b = lie_bracket(g, f)
-                w = BracketWord(word.indices + (i,))
-                if b.is_zero():
-                    continue
-                key = _normal_key(b)
-                if key in seen:
-                    if key in generator_keys and key not in duplicates:
-                        duplicates[key] = (w, VectorField(str(w), b.components, b.domain))
-                    continue
-                seen.add(key)
-                new_level.append((w, VectorField(str(w), b.components, b.domain)))
-        levels.append(new_level)
-        if not new_level and stabilized_at is None:
-            # every deeper word is zero or a rational multiple of a kept one
-            stabilized_at = depth - 1
-            certificate = "symbolic-closure"
-    if polynomial and stabilized_at is None:
-        # module containment certificate, cheapest depth first
-        kept = [[f for _, f in level] for level in levels]
-        stabilized_at, note = _module_closure(kept, 0, [], module_degree)
-        if stabilized_at is not None:
-            certificate = f"module-degree-{module_degree}"
+    for depth in range(1, depth_cap + 1):
+        if depth > 1:
+            new_level = []
+            for word, f in levels[-1]:
+                for i, g in enumerate(family):
+                    b = lie_bracket(g, f)
+                    w = BracketWord(word.indices + (i,))
+                    if b.is_zero():
+                        continue
+                    key = _normal_key(b)
+                    if key in seen:
+                        if key in generator_keys and key not in duplicates:
+                            duplicates[key] = (w, VectorField(str(w), b.components,
+                                                              b.domain))
+                        continue
+                    seen.add(key)
+                    new_level.append((w, VectorField(str(w), b.components, b.domain)))
+            levels.append(new_level)
+            if not new_level and stabilized_at is None:
+                # every deeper word is zero or a rational multiple of a kept one
+                stabilized_at = depth - 1
+        certificate = None if stabilized_at is None else "symbolic-closure"
+        yield LieFiltration(family, depth, list(levels), stabilized_at, certificate, None,
+                            list(duplicates.values()))
 
-    return LieFiltration(family, depth_cap, levels, stabilized_at, certificate, note,
-                         list(duplicates.values()))
+
+def filtration(family, depth_cap=DEFAULT_DEPTH_CAP):
+    """The bracket words up to the cap, with the symbolic-closure
+    certificate when some depth adds no word: the last of
+    ``filtration_by_depth``.  No module search is run; ``certify`` runs it."""
+    *_, filt = filtration_by_depth(family, depth_cap)
+    return filt
+
+
+def certify(filt, module_degree=DEFAULT_MODULE_DEGREE):
+    """``filt`` with a stabilization certificate where the module search
+    finds one: for a polynomial family that symbolic closure did not
+    certify, the first depth whose words are members, with multipliers of
+    degree <= module_degree, of the module of the shallower words
+    ("module-degree-D"), one membership system per depth tried.  The search
+    stops, uncertified and with a note, at the first system that
+    ``membership.oversize`` rejects; a degree outside ``DEGREE_CAP`` raises
+    MembershipError.  Any other filtration is returned as it is."""
+    if filt.certificate is not None or not all(g.is_polynomial() for g in filt.family):
+        return filt
+    kept = [[f for _, f in level] for level in filt.levels]
+    stabilized_at, note = _module_closure(kept, 0, [], module_degree)
+    certificate = None if stabilized_at is None else f"module-degree-{module_degree}"
+    return replace(filt, stabilized_at=stabilized_at, certificate=certificate, note=note)
 
 
 def _module_closure(levels, low, extra, degree):

@@ -1,14 +1,19 @@
 """Orbit and fixed-time-orbit tangent spaces.
 
 One rule, ``exact_certificate``, says when an exact bracket rank at p is the
-dimension, so that no flow is integrated.  For any smooth family Lie(F)(p)
-lies in the orbit tangent (Sussmann 1973), so a rank of n is the dimension
+dimension, so that no flow is integrated, and it tries the cheapest
+sufficient reason first.  For any smooth family Lie(F)(p) lies in the orbit
+tangent (Sussmann 1973), so a rank of n is the dimension
 (``certificate="bracket-rank"``); so is a rank of 0 where every generator
-is defined and exactly zero, since every flow fixes p.  When every generator
-is real analytic on all of R^n (no ``bump``, ``bumpp`` or division atom,
-every domain full) and the bracket filtration carries a stabilization
-certificate, the family is *Nagano-certified*: the tangent is Lie(F)(p)
-(Nagano 1966) and its rank is the dimension (``certificate="nagano"``).
+is defined and exactly zero, since every flow fixes p.  Only below that does
+Nagano decide: when every generator is real analytic on all of R^n (no
+``bump``, ``bumpp`` or division atom, every domain full) and the bracket
+filtration carries a stabilization certificate, the family is
+*Nagano-certified*: the tangent is Lie(F)(p) (Nagano 1966) and its rank is
+the dimension (``certificate="nagano"``).  Words are built one depth at a
+time (``liealg.filtration_by_depth``) and stop at the first depth whose rank
+is n; the module search (``liealg.certify``) runs only when the rank stays
+below n at the cap, once per filtration.
 Fixed-time orbits take the rank of the zero-time ideal at the float point
 that the seed word reaches, exact by the same rule (``"zero-time-ideal"``
 also needs ``liealg.derived_certificate``).
@@ -32,8 +37,8 @@ import numpy as np
 
 from .expr import ONE, ZERO
 from .fields import DomainExitError, FlowError, apply_word, pushforward_along_words
-from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, derived_certificate,
-                     filtration, fixed_time_ideal_rank)
+from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, derived_certificate,
+                     filtration, filtration_by_depth, fixed_time_ideal_rank)
 from .linalg import FLOW_REL_TOL, affine_rank, all_exact, svd_rank
 from .membership import module_contains
 
@@ -185,22 +190,42 @@ def _fixed_by_every_flow(family, point):
 
 def exact_certificate(filt, rank, point, fixed_time=False):
     """Why the exact rank of Lie(F) at the point (of the zero-time ideal, for
-    ``fixed_time``) is the tangent dimension there, or None: sample it."""
-    if nagano_certified(filt) and not (fixed_time and derived_certificate(filt) is None):
-        return "zero-time-ideal" if fixed_time else "nagano"
+    ``fixed_time``) is the tangent dimension there, or None: sample it.
+
+    The cheapest sufficient reason first: a rank of n, or of 0 where every
+    flow fixes the point, is "bracket-rank" for any smooth family.  Only
+    below that does Nagano decide, from the stabilization certificate that
+    ``filt`` carries (and, for fixed time, ``derived_certificate``): callers
+    pass ``liealg.certify(filt)`` once their rank stays below n at the cap,
+    so the module search runs only there and at most once per filtration."""
     if rank == len(point) or (rank == 0 and _fixed_by_every_flow(filt.family, point)):
         return "bracket-rank"
+    if nagano_certified(filt) and not (fixed_time and derived_certificate(filt) is None):
+        return "zero-time-ideal" if fixed_time else "nagano"
     return None
+
+
+def _rank_first(family, depth_cap, point, rank_of, fixed_time=False):
+    """(filtration, rank, certificate) at the first depth whose rank
+    ``rank_of(filt)`` at the point ``exact_certificate`` finds exact; else,
+    at the cap, the certified filtration with its rank and certificate
+    (None: sample it)."""
+    for filt in filtration_by_depth(family, depth_cap):
+        rank = rank_of(filt)
+        exact = exact_certificate(filt, rank, point, fixed_time)
+        if exact:  # no deeper word and no module search
+            return filt, rank, exact
+    filt = certify(filt)
+    return filt, rank, exact_certificate(filt, rank, point, fixed_time)
 
 
 def orbit_dimension(family, point, sampler, depth_cap=DEFAULT_DEPTH_CAP):
     """Orbit dimension at the point, with the bracket-filtration rank there:
     that rank where ``exact_certificate`` finds it exact, else the sampled
-    dimension (a certified lower bound)."""
+    dimension (a certified lower bound).  Bracket words stop at the first
+    depth whose rank is n, which is then also the rank at the cap."""
     family = tuple(family)
-    filt = filtration(family, depth_cap)
-    linf = filt.rank_at(point)
-    exact = exact_certificate(filt, linf, point)
+    _, linf, exact = _rank_first(family, depth_cap, point, lambda f: f.rank_at(point))
     if exact:  # no flow word is walked
         return OrbitTangentReport(tuple(point), linf, (), linf, 0, 0, exact)
     s = sampled_orbit(family, point, sampler)
@@ -282,14 +307,16 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     family = tuple(family)
     reached = _seed_point(family, point, T)
     at = tuple(reached)
-    filt = filtration(family, depth_cap)
-    ideal = fixed_time_ideal_rank(filt, at)
-    certificate = exact_certificate(filt, ideal.ideal_rank, at, True) or "sampled"
-    dim, used, skipped = ideal.ideal_rank, 0, 0
-    if certificate == "sampled":
+    filt, ideal_rank, certificate = _rank_first(
+        family, depth_cap, at, lambda f: fixed_time_ideal_rank(f, at).ideal_rank, True)
+    dim, used, skipped = ideal_rank, 0, 0
+    if certificate is None:
+        certificate = "sampled"
         dim, _, used, skipped = _sample_fixed_time(family, _zero_sum_words(family, sampler),
                                                    reached)
 
+    # the ideal lies in Lie(F): a stop at full ideal rank is a full Lie rank,
+    # and any other filtration here is final and certified
     linf = filt.rank_at(at)
     exact = exact_certificate(filt, linf, at)
     orbit_dim = linf if exact else sampled_orbit_dimension(family, at, sampler)
@@ -299,7 +326,7 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
         net_time=float(T),
         dimension=dim,
         orbit_dimension_at_reached=orbit_dim,
-        ideal_rank=ideal.ideal_rank,
+        ideal_rank=ideal_rank,
         words_used=used,
         words_skipped=skipped,
         certificate=certificate,

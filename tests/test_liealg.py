@@ -8,8 +8,10 @@ from vfkit.fields import lie_bracket, multiply_field
 from vfkit import liealg, membership
 from vfkit.liealg import (
     LieAlgebraError,
+    certify,
     derived_certificate,
     filtration,
+    filtration_by_depth,
     fixed_time_ideal_rank,
     pairwise_brackets,
     pointwise_witness,
@@ -62,7 +64,7 @@ class TestFiltration:
     def test_module_certificate(self, vf):
         # brackets reproduce a generator up to a polynomial multiplier
         fam = [vf("X1", ["1", "0"], 2), vf("X2", ["0", "x1^2+1"], 2)]
-        f = filtration(fam, 5, module_degree=3)
+        f = certify(filtration(fam, 5), 3)
         assert f.stabilized_at is not None
         assert f.certificate is not None
 
@@ -93,12 +95,25 @@ class TestFiltration:
         exact_solve = membership.exact_solve
         monkeypatch.setattr(membership, "exact_solve", counting)
         fam = [vf("X1", ["x1^2+x2^2", "0"], 2), vf("X2", ["0", "x1^4+x2^4"], 2)]
-        f = filtration(fam, 6, 6)
+        f = certify(filtration(fam, 6), 6)
         # no certificate: depths 1..5 are tried, each against its next level
         # as one system (one system per word of those levels before: 22)
         assert f.stabilized_at is None
         assert solved == [len(level) for level in f.levels[1:]]
         assert len(solved) == 5
+
+    def test_by_depth_is_the_filtration_cut_at_each_depth(self, diag, shear):
+        # one builder: the depth-d filtration holds the first d levels of the
+        # full one, and its ranks are the full one's ranks to depth d
+        for fam, p in [(diag, (1, 0)), (shear, (0, 0)),
+                       (preset_family("vanishing-pair"), (0, 1))]:
+            full = filtration(fam, 5)
+            cut = list(filtration_by_depth(fam, 5))
+            assert [f.depth_cap for f in cut] == [1, 2, 3, 4, 5]
+            assert [f.levels for f in cut] == [full.levels[:d] for d in range(1, 6)]
+            assert [f.rank_at(p) for f in cut] == ranks_by_depth(full, p)
+            assert (cut[-1].stabilized_at, cut[-1].certificate) == (
+                full.stabilized_at, full.certificate)
 
     def test_duplicate_generators_ignored(self, vf):
         fam = [
@@ -261,7 +276,8 @@ class TestGeneratorDuplicates:
     def test_golden_ideal_systems_have_none(self, name):
         # so the eight *-lie*-ideal.json goldens keep their bytes
         for degree in (2, 6):
-            assert filtration(preset_family(name), 6, degree).generator_duplicates == []
+            assert certify(filtration(preset_family(name), 6),
+                           degree).generator_duplicates == []
 
 
 class TestDerivedCertificate:
@@ -278,7 +294,7 @@ class TestDerivedCertificate:
             return module_contains(targets, basis, degree)
 
         module_contains = liealg.module_contains
-        f = filtration(preset_family("vanishing-pair"))
+        f = certify(filtration(preset_family("vanishing-pair")))
         assert f.certificate == "module-degree-6"
         monkeypatch.setattr(liealg, "module_contains", counting)
         assert derived_certificate(f) == "derived-module-degree-6"
@@ -287,7 +303,7 @@ class TestDerivedCertificate:
         assert solved == [(kept[2], kept[1]), (kept[3], kept[1] + kept[2])]
 
     def test_oversize_stops_uncertified(self, monkeypatch):
-        f = filtration(preset_family("vanishing-pair"))
+        f = certify(filtration(preset_family("vanishing-pair")))
         monkeypatch.setattr(membership, "UNKNOWNS_CAP", 10)
         monkeypatch.setattr(liealg, "module_contains", None)  # never reached
         assert derived_certificate(f) is None

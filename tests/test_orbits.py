@@ -144,7 +144,7 @@ def analytic_certified_families(vf):
     ]
     unique = {tuple(X.components for X in fam): fam for fam in fams}
     return [(fam, filt) for fam in unique.values()
-            for filt in [liealg.filtration(fam)] if nagano_certified(filt)]
+            for filt in [liealg.certify(liealg.filtration(fam))] if nagano_certified(filt)]
 
 
 # the 2-D presets with closed-form flows; the ODE flows of vanishing-pair
@@ -212,9 +212,11 @@ class TestDimensionOnly:
 
 class TestNagano:
     def test_cubic_orbit_walks_no_word(self, cubic, flow_steps):
+        # rank n off the axis is the dimension before Nagano is asked; on the
+        # axis the rank is 1 and Nagano decides
         sampler = WordSampler(seed=0)
         rep = orbit_dimension(cubic, (Fraction(3, 10), Fraction(7, 10)), sampler)
-        assert (rep.dimension, rep.linf_rank, rep.certificate) == (2, 2, "nagano")
+        assert (rep.dimension, rep.linf_rank, rep.certificate) == (2, 2, "bracket-rank")
         assert (rep.vectors, rep.words_used, rep.words_skipped) == ((), 0, 0)
         axis = orbit_dimension(cubic, (Fraction(1, 2), 0), sampler)
         assert (axis.dimension, axis.certificate) == (1, "nagano")
@@ -255,7 +257,7 @@ class TestNagano:
 
         monkeypatch.setattr(membership, "UNKNOWNS_CAP", 10)
         quadratic = [vf("X1", ["x2", "0"], 2), vf("X2", ["0", "x1^2"], 2)]
-        filt = liealg.filtration(quadratic, 4)
+        filt = liealg.certify(liealg.filtration(quadratic, 4))
         assert filt.certificate is None and not nagano_certified(filt)
         assert filt.note == ("module search stopped at depth 1: membership system "
                              "has 56 unknowns, more than 10")
@@ -265,7 +267,7 @@ class TestNagano:
         assert (rep.certificate, rep.dimension, rep.vectors) == ("bracket-rank", 2, ())
         # below rank n, with a generator nonzero, the uncertified family samples
         spatial = [vf("X1", ["x2", "0", "0"], 3), vf("X2", ["0", "x1^2", "0"], 3)]
-        assert liealg.filtration(spatial, 4).certificate is None
+        assert liealg.certify(liealg.filtration(spatial, 4)).certificate is None
         rep = orbit_dimension(spatial, (1, 1, 0), WordSampler(seed=0, count=10))
         assert (rep.certificate, rep.linf_rank, rep.words_used + rep.words_skipped) == (
             "sampled", 2, 10)
@@ -322,32 +324,32 @@ class TestFixedTime:
 
     def test_one_filtration_per_call(self, diag, monkeypatch):
         calls = []
-        original = liealg.filtration
+        original = liealg.filtration_by_depth
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
         # the name is bound both in liealg and, by import, in orbits
-        monkeypatch.setattr(liealg, "filtration", counted)
-        monkeypatch.setattr(orbits, "filtration", counted)
+        monkeypatch.setattr(liealg, "filtration_by_depth", counted)
+        monkeypatch.setattr(orbits, "filtration_by_depth", counted)
         rep = fixed_time_dimension(diag, (1, 1), 0.0, WordSampler(seed=3, count=40))
         assert rep.orbit_dimension_at_reached == 2
         assert len(calls) == 1
 
     def test_sampled_dimension_callers_build_no_extra_filtration(self, flat, monkeypatch):
         calls = []
-        original = liealg.filtration
+        original = liealg.filtration_by_depth
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
         # each caller builds the one filtration whose words it reads (the
-        # bracket-rank and Nagano tests), and no other
-        monkeypatch.setattr(liealg, "filtration", counted)
-        monkeypatch.setattr(orbits, "filtration", counted)
-        monkeypatch.setattr(frobenius, "filtration", counted)
+        # bracket-rank and Nagano tests), and no other; ``filtration`` builds
+        # through the name in liealg, the orbit functions through their own
+        monkeypatch.setattr(liealg, "filtration_by_depth", counted)
+        monkeypatch.setattr(orbits, "filtration_by_depth", counted)
         sampler = WordSampler(seed=1, count=30, max_len=4, max_time=1.0)
         # the rank drops to 1 on x1 <= 0, so the verdict samples orbits there
         grid = [(Fraction(i, 2), Fraction(j, 2)) for i in (-1, 0, 1) for j in (-1, 1)]
@@ -378,11 +380,12 @@ def preset_family(name):
 
 class TestZeroTimeIdeal:
     def test_generator_duplicate_gives_the_exact_rank(self, vf):
-        # [X2, X1] = -X1 while X2 - X1 vanishes at 1
+        # [X2, X1] = -X1 while X2 - X1 vanishes at 1: the duplicate alone
+        # makes the rank n, which is the dimension for any smooth family
         rep = fixed_time_dimension([vf("X1", ["1"], 1), vf("X2", ["x1"], 1)], (1,), 0.0,
                                    WordSampler(seed=0, count=20))
         assert rep.reached == (1.0,)
-        assert (rep.dimension, rep.ideal_rank, rep.certificate) == (1, 1, "zero-time-ideal")
+        assert (rep.dimension, rep.ideal_rank, rep.certificate) == (1, 1, "bracket-rank")
 
     @pytest.mark.parametrize("name,dim", [("vanishing-pair", 2), ("umbrella-ideal", 0),
                                           ("isolated-leaf", 2)])
@@ -391,8 +394,9 @@ class TestZeroTimeIdeal:
         p = tuple(Fraction(1, 2) for _ in range(family[0].dim))
         rep = fixed_time_dimension(family, p, 0.5, WordSampler(seed=0, count=12, max_len=3))
         assert walked == []
-        assert (rep.dimension, rep.ideal_rank, rep.certificate) == (dim, dim,
-                                                                     "zero-time-ideal")
+        # a rank of n needs no certificate; below it Nagano decides
+        certificate = "bracket-rank" if dim == len(p) else "zero-time-ideal"
+        assert (rep.dimension, rep.ideal_rank, rep.certificate) == (dim, dim, certificate)
         # the seed word's one step is the only flow, and no zero-sum word is walked
         assert [t for _, t in flow_steps] == [0.5]
         assert (rep.words_used, rep.words_skipped) == (0, 0)
@@ -452,6 +456,95 @@ class TestOneRule:
             orbit = orbit_dimension(family, rep.reached, sampler)
             assert orbit.dimension == rep.orbit_dimension_at_reached, p
             assert rep.dimension <= orbit.dimension, p
+
+
+class TestRankFirst:
+    """A bracket rank of n is the dimension for any smooth family, so words
+    stop at the first depth that reaches it and no module search runs;
+    below n the search runs once per filtration."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The module searches run: ("closure", depth cap) per stabilization
+        or derived search, ("derived",) per ``derived_certificate`` asked."""
+        runs = []
+        closure, derived = liealg._module_closure, orbits.derived_certificate
+        monkeypatch.setattr(liealg, "_module_closure",
+                            lambda levels, *a: runs.append(("closure", len(levels)))
+                            or closure(levels, *a))
+        monkeypatch.setattr(orbits, "derived_certificate",
+                            lambda filt: runs.append(("derived",)) or derived(filt))
+        return runs
+
+    @pytest.fixture
+    def brackets(self, monkeypatch):
+        """The name of the inner word of every bracket the filtration builds."""
+        inner = []
+        real = liealg.lie_bracket
+        monkeypatch.setattr(liealg, "lie_bracket",
+                            lambda g, f: inner.append(f.name) or real(g, f))
+        return inner
+
+    def test_full_rank_runs_no_module_search(self, searches, brackets):
+        # vanishing-pair is certified only by the module search, which its
+        # full-rank points no longer need
+        family = preset_family("vanishing-pair")
+        p = (Fraction(1, 2), Fraction(1, 2))
+        sampler = WordSampler(seed=0, count=12, max_len=3)
+        rep = orbit_dimension(family, p, sampler)
+        assert (rep.dimension, rep.linf_rank, rep.certificate) == (2, 2, "bracket-rank")
+        rep = fixed_time_dimension(family, p, 0.5, sampler)
+        assert (rep.dimension, rep.orbit_dimension_at_reached, rep.certificate) == (
+            2, 2, "bracket-rank")
+        assert searches == []
+
+    def test_cubic_builds_no_bracket(self, cubic, searches, brackets):
+        # X1 and X2 span at the point: depth 1 already has rank n
+        rep = orbit_dimension(cubic, (Fraction(5, 16), Fraction(6, 16)), WordSampler(seed=0))
+        assert (rep.dimension, rep.linf_rank, rep.certificate) == (2, 2, "bracket-rank")
+        assert brackets == [] and searches == []
+
+    def test_isolated_leaf_builds_depth_two_only(self, searches, brackets):
+        family = preset_family("isolated-leaf")
+        p = (Fraction(1, 2), Fraction(3, 16), Fraction(1, 8))
+        rep = orbit_dimension(family, p, WordSampler(seed=0))
+        assert (rep.dimension, rep.linf_rank, rep.certificate) == (3, 3, "bracket-rank")
+        # every bracket has a generator inside: [X_i, X_j], depth 2
+        assert sorted(brackets) == ["X1", "X1", "X2", "X2"] and searches == []
+
+    def test_isolated_leaf_slice_is_nagano(self):
+        # on x1 = 0 the rank is 2 < n, and symbolic closure certifies it
+        family = preset_family("isolated-leaf")
+        rep = orbit_dimension(family, (0, Fraction(3, 16), Fraction(1, 8)), WordSampler(seed=0))
+        assert (rep.dimension, rep.linf_rank, rep.certificate) == (2, 2, "nagano")
+        assert (rep.vectors, rep.words_used, rep.words_skipped) == ((), 0, 0)
+
+    def test_fixed_time_searches_once_below_full_rank(self, cubic, searches):
+        # on the axis both the ideal and the Lie algebra have rank 1 < n:
+        # one stabilization search serves both, and one derived search the ideal
+        rep = fixed_time_dimension(cubic, (Fraction(1, 2), 0), 0.3,
+                                   WordSampler(seed=0, count=10))
+        assert (rep.dimension, rep.orbit_dimension_at_reached, rep.certificate) == (
+            1, 1, "zero-time-ideal")
+        assert searches == [("closure", 6), ("derived",), ("closure", 6)]
+
+    def test_frobenius_searches_once_across_samples(self, cubic, searches):
+        # rank 1 < n at the three samples on the axis, each decided by Nagano
+        grid = list(itertools.product((-1, 0, 1), repeat=2))
+        verdict = frobenius.frobenius_verdict(Distribution(tuple(cubic)), grid)
+        assert verdict.ranks == (2, 1, 2, 2, 1, 2, 2, 1, 2)
+        assert (verdict.module_involutive, verdict.integrable) == (False, "undetermined")
+        assert searches == [("closure", 6)]
+
+    def test_depth_cap_checked_before_full_rank(self, cubic, brackets):
+        p = (Fraction(5, 16), Fraction(6, 16))
+        sampler = WordSampler(seed=0, count=10)
+        for cap in (0, 11):
+            with pytest.raises(liealg.LieAlgebraError):
+                orbit_dimension(cubic, p, sampler, cap)
+            with pytest.raises(liealg.LieAlgebraError):
+                fixed_time_dimension(cubic, p, 0.3, sampler, cap)
+        assert brackets == []
 
 
 class TestFixedPoint:

@@ -236,13 +236,14 @@ class TestCli:
             assert orbit("--max-time", bad)[0] == 1
 
     def test_orbit_certificate(self, capsys, shear_file, tmp_path):
-        # Nagano decides the dimension, so no word is walked and no vector sampled
+        # the bracket rank n decides the dimension, so no word is walked and
+        # no vector sampled
         code, out = run_cli(capsys, "orbit", "--system", shear_file, "--point", "0,0",
                             "--words", "30", "--format", "json")
         res = json.loads(out)["results"]
         assert code == 0
         assert (res["dimension"], res["certificate"], res["certified_exact"]) == (
-            2, "nagano", True)
+            2, "bracket-rank", True)
         assert (res["words_used"], res["words_skipped"], res["vectors"]) == (0, 0, [])
         partial = tmp_path / "partial.vf"
         partial.write_text(PARTIAL)
@@ -317,7 +318,7 @@ class TestCli:
         res = json.loads(out)["results"]
         assert code == 0
         assert (res["dimension"], res["ideal_rank"], res["certificate"]) == (
-            1, 1, "zero-time-ideal")
+            1, 1, "bracket-rank")
 
     def test_orbit_times_beyond_float_range(self, capsys, shear_file):
         for flag in ("--max-time", "--fixed-time"):
@@ -631,3 +632,27 @@ class TestExactOrbitsWalkNoFlow:
         for opts in ((), ("--fixed-time", "1/2", "--words", "12")):
             res = preset_orbit(capsys, tmp_path, "mixed-degree-pair", *opts)
             assert (res["certificate"], res["dimension"]) == ("bracket-rank", 2)
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+class TestGenericFamilies:
+    """Seeded random families whose module search took minutes before the
+    bracket rank was read first; at these points the rank is n."""
+
+    @pytest.mark.parametrize("name,opts,dim", [
+        ("c1", ("--point", "1/2,1/2,0"), 3),
+        ("c3", ("--point=-1,-1/2,1/2",), 3),
+        ("c2", ("--point=0,-1", "--fixed-time", "1/2"), 2),
+    ])
+    def test_full_rank_answers_without_module_search(self, capsys, monkeypatch, name,
+                                                     opts, dim):
+        searches = spy(monkeypatch, liealg, "_module_closure")
+        code, out = run_cli(capsys, "orbit", "--system", os.path.join(DATA, f"{name}.vf"),
+                            *opts, "--format", "json")
+        res = json.loads(out)["results"]
+        assert code == 0
+        assert (res["dimension"], res["certificate"]) == (dim, "bracket-rank")
+        assert (res["words_used"], res["words_skipped"]) == (0, 0)
+        assert searches == []
