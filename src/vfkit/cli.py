@@ -354,7 +354,7 @@ def _cmd_lie(args, seed):
     results = {
         "point": list(p),
         "depth_cap": args.depth,
-        "ranks_by_depth": [filt.rank_at(p, d) for d in range(1, args.depth + 1)],
+        "ranks_by_depth": filt.ranks_by_depth(p),
         "stabilized_at": filt.stabilized_at,
         "certificate": filt.certificate,
         "words": [

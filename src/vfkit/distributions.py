@@ -15,8 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .expr import Expr, ZERO, const
-from .fields import VectorField
+from .expr import Expr, ZERO, compile_exact, const
+from .fields import VectorField, field_values
 from .linalg import all_exact, exact_nullspace, exact_pivot_columns, span_rank
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "GridClassification",
     "SingularLocus",
     "rank_at",
+    "fibre_rank",
     "classify_grid",
     "grid_points",
     "singular_locus_minors",
@@ -61,14 +62,6 @@ class Distribution:
             return "singular locus minors need generators defined on all of R^n"
         return None
 
-    def defined_values(self, point):
-        """(index, value) for every generator whose domain contains point."""
-        out = []
-        for i, g in enumerate(self.generators):
-            if g.domain.contains(point):
-                out.append((i, g.value(point)))
-        return out
-
 
 @dataclass(frozen=True)
 class RankReport:
@@ -80,12 +73,16 @@ class RankReport:
 
 
 def rank_at(D, point):
-    defined = D.defined_values(point)
+    return fibre_rank(point, field_values(D.generators, [point])[0])
+
+
+def fibre_rank(point, values):
+    """The ``RankReport`` at a point from the generators' values there
+    (``fields.field_values``)."""
+    defined = [(i, v) for i, v in enumerate(values) if v is not None]
     if not defined:
         raise ValueError(f"no generator of the distribution is defined at {point}")
-    excluded = tuple(
-        i for i in range(len(D.generators)) if i not in {j for j, _ in defined}
-    )
+    excluded = tuple(i for i, v in enumerate(values) if v is None)
     idxs = [i for i, _ in defined]
     vals = [v for _, v in defined]
     if all_exact(vals):
@@ -140,7 +137,9 @@ def classify_grid(D, axes):
     shape = [len(axes.get(i + 1, [0])) for i in range(n)]
     index_grid = list(itertools.product(*[range(s) for s in shape]))
     points = grid_points(axes, n)
-    ranks = {multi: rank_at(D, p).rank for multi, p in zip(index_grid, points)}
+    values = field_values(D.generators, points)
+    ranks = {multi: fibre_rank(p, vals).rank
+             for multi, p, vals in zip(index_grid, points, values)}
     regular = []
     for multi in index_grid:
         r = ranks[multi]
@@ -200,7 +199,7 @@ def singular_locus_minors(D):
         tuple(Fraction(int(rng.integers(-32, 33)), 8) for _ in range(n))
         for _ in range(MINOR_SAMPLES)
     ]
-    ranks = [rank_at(D, p).rank for p in pts]
+    ranks = [fibre_rank(p, vals).rank for p, vals in zip(pts, field_values(D.generators, pts))]
     m = max(ranks)
     # component matrix: n rows (coordinates), k columns (generators)
     matrix = [[D.generators[j].components[i] for j in range(k)] for i in range(n)]
@@ -211,9 +210,10 @@ def singular_locus_minors(D):
                 minor = _symbolic_minor(matrix, rows, cols)
                 if not minor.is_zero():
                     minors.append(minor)
+    zeros = [compile_exact(mi) for mi in minors]
     for p, rank in zip(pts, ranks):
         drop = rank < m
-        all_zero = all(mi.eval(p) == 0 for mi in minors)
+        all_zero = all(z(p) == 0 for z in zeros)
         if drop != all_zero:
             raise AssertionError(
                 f"minor soundness failed at {p}: rank drop {drop}, minors zero {all_zero}"
@@ -227,9 +227,9 @@ def adapt_generators(D, point):
 
     Requires every generator value at the point to be exactly evaluable.
     """
-    defined = D.defined_values(point)
-    idxs = [i for i, _ in defined]
-    vals = [v for _, v in defined]
+    values = field_values(D.generators, [point])[0]
+    idxs = [i for i, v in enumerate(values) if v is not None]
+    vals = [values[i] for i in idxs]
     if not all_exact(vals):
         raise ValueError("adapt_generators needs exactly evaluable generator values")
     k = len(vals)

@@ -17,11 +17,12 @@ bump/bumpp factor in the same argument (that is how differentiation closes
 over the flat functions); such a product extends by zero at the argument's
 zero and floating evaluation honours that.
 
-Float evaluation has one implementation, ``compile_float``, which turns an
-expression once into a function of a list of floats (log-space terms, the
-same float operations in the same order at every call).
-``Expr.eval_float`` compiles and calls; the flows in ``fields`` keep the
-compiled functions.
+Exact evaluation has one implementation, ``compile_exact`` (a rational
+point to a Fraction, or None), and float evaluation one, ``compile_float``
+(a list of floats to a float: log-space terms, the same float operations in
+the same order at every call); each turns an expression once into a
+function of the point.  ``Expr.eval`` and ``Expr.eval_float`` compile and
+call; loops over many points compile once, as the flows in ``fields`` do.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Optional, Union
 __all__ = [
     "Expr",
     "ExprError",
+    "compile_exact",
     "compile_float",
     "ParseError",
     "EvalError",
@@ -312,53 +314,11 @@ class Expr:
         every non-polynomial term sits exactly on its flat extension) and
         the point entries are int/Fraction; otherwise returns a float.
         """
-        exact_pt = all(isinstance(v, (int, Fraction)) for v in point)
-        if exact_pt:
-            got = self._eval_exact(tuple(Fraction(v) for v in point))
+        if all(isinstance(v, (int, Fraction)) for v in point):
+            got = compile_exact(self)(point)
             if got is not None:
                 return got
         return self.eval_float(point)
-
-    def _eval_exact(self, point):
-        total = Fraction(0)
-        for c, factors in self.terms:
-            term = Fraction(c)
-            flat_zero_args = set()
-            poles = []
-            plain = []
-            for atom, k in factors:
-                if atom.kind in ("bump", "bumpp") and k > 0:
-                    u = atom.arg._eval_exact(point)
-                    if u is None:
-                        return None
-                    if (atom.kind == "bump" and u == 0) or (
-                        atom.kind == "bumpp" and u <= 0
-                    ):
-                        flat_zero_args.add(atom.arg)
-                    else:
-                        return None  # genuinely transcendental value
-                elif atom.kind == "var":
-                    if k < 0:
-                        poles.append((atom, k))
-                    else:
-                        plain.append((atom, k))
-                else:
-                    return None
-            if flat_zero_args:
-                for atom, _ in poles:
-                    if var(atom.index) not in flat_zero_args:
-                        if point[atom.index - 1] == 0:
-                            raise EvalError("division by zero at a pole")
-                continue  # the flat factor pins this term to exactly 0
-            for atom, k in poles:
-                v = point[atom.index - 1]
-                if v == 0:
-                    raise EvalError("division by zero at a pole")
-                term *= v**k
-            for atom, k in plain:
-                term *= point[atom.index - 1] ** k
-            total += term
-        return total
 
     def eval_float(self, point):
         return compile_float(self)([float(v) for v in point])
@@ -407,6 +367,84 @@ def _atom_power_diff(atom, k, i):
             head = Expr(((Fraction(k), ()),))
         return head * darg
     raise ExprError(f"unknown atom kind {atom.kind}")
+
+
+# -- exact evaluation ----------------------------------------------------------------
+
+
+def compile_exact(e):
+    """e as a function of a rational point (ints and Fractions, x_i at index
+    i-1) to its Fraction value, or None where a term has no exact value.
+    With L the lcm of the monomials' coefficient denominators, d that of the
+    point's and D their top degree, c*x^a of degree k adds the integer
+    L*c * prod (d*x_i)^a_i * d^(D-k); one Fraction of the sum over L*d^D is
+    built at the end, and each other term adds ``_compile_exact_term``'s."""
+    monos, others = [], []
+    for c, factors in e.terms:
+        if all(a.kind == "var" and k > 0 for a, k in factors):
+            degree = sum(k for _, k in factors)
+            monos.append((c, degree, [(a.index - 1, k) for a, k in factors]))
+        else:
+            others.append(_compile_exact_term(c, factors))
+    scale = math.lcm(*(c.denominator for c, _, _ in monos))
+    top = max((k for _, k, _ in monos), default=0)
+    monos = tuple((c.numerator * (scale // c.denominator), top - k, f) for c, k, f in monos)
+    used = sorted({i for _, _, f in monos for i, _ in f})
+
+    def evaluate(pt):
+        d = math.lcm(*(pt[i].denominator for i in used))
+        x = {i: pt[i].numerator * (d // pt[i].denominator) for i in used}
+        total = 0
+        for c, lift, f in monos:
+            for i, k in f:
+                c *= x[i] ** k
+            total += c * d**lift
+        value = Fraction(total, scale * d**top)
+        for term in others:
+            got = term(pt)
+            if got is None:
+                return None
+            value += got
+        return value
+
+    return evaluate
+
+
+def _compile_exact_term(coeff, factors):
+    """A term that is not a monomial, factor by factor: the first exp,
+    inverse base or negative flat power gives None, as does each bump^k or
+    bumpp^k (k > 0) before it whose argument is off the extension set
+    (u = 0, or u <= 0 for bumpp).  On it the term is 0, and only a pole that
+    no flat factor of its variable cancels raises EvalError at 0."""
+    flats, args, poles, plain, opaque = [], set(), [], [], False
+    for atom, k in factors:
+        if atom.kind in ("bump", "bumpp") and k > 0:
+            flats.append((atom.kind == "bump", compile_exact(atom.arg)))
+            args.add(atom.arg)
+        elif atom.kind == "var":
+            (poles if k < 0 else plain).append((atom.index - 1, k))
+        else:
+            opaque = True
+            break
+    raising = [i for i, _ in poles if not flats or var(i + 1) not in args]
+
+    def term(pt):
+        for two_sided, arg in flats:
+            u = arg(pt)
+            if u is None or (u != 0 if two_sided else u > 0):
+                return None
+        if opaque:
+            return None
+        if any(pt[i] == 0 for i in raising):
+            raise EvalError("division by zero at a pole")
+        if flats:
+            return 0
+        value = coeff
+        for i, k in poles + plain:
+            value *= Fraction(pt[i]) ** k
+        return value
+
+    return term
 
 
 # -- float evaluation ----------------------------------------------------------------

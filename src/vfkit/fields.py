@@ -57,7 +57,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .expr import Expr, ZERO, compile_float, poly_coeff_dict, poly_from_coeff_dict
+from .expr import (Expr, ZERO, compile_exact, compile_float, poly_coeff_dict,
+                   poly_from_coeff_dict)
 
 __all__ = [
     "DomainPredicate",
@@ -72,6 +73,7 @@ __all__ = [
     "pushforward_along_word",
     "pushforward_along_words",
     "multiply_field",
+    "field_values",
     "jacobian_exprs",
 ]
 
@@ -182,10 +184,7 @@ class VectorField:
 
     def value(self, point):
         """Value at a point: Fractions when exactly evaluable, else floats."""
-        vals = [c.eval(point) for c in self.components]
-        if all(isinstance(v, (int, Fraction)) for v in vals):
-            return vals
-        return [float(v) for v in vals]
+        return _compile_value(self)(point)
 
     def value_float(self, point):
         return _flow_kind(self).value(point)
@@ -270,6 +269,33 @@ def _add_product(acc, a, b):
         for mb, cb in b.items():
             m = tuple(map(operator.add, ma, mb))
             acc[m] = acc.get(m, 0) + ca * cb
+
+
+def _compile_value(X):
+    """``X.value``: Fractions when every component is exact at the point,
+    else floats (the others from ``eval_float``).  The components are
+    compiled once, at the first rational point."""
+    exact = []
+
+    def value(point):
+        vals = [None] * X.dim
+        if all(isinstance(v, (int, Fraction)) for v in point):
+            if not exact:
+                exact.extend(compile_exact(c) for c in X.components)
+            vals = [f(point) for f in exact]
+            if None not in vals:
+                return vals
+        return [c.eval_float(point) if v is None else float(v)
+                for c, v in zip(X.components, vals)]
+
+    return value
+
+
+def field_values(fields, points):
+    """Per point, each field's ``value`` there (None outside its domain),
+    each field compiled once whatever the number of points."""
+    compiled = [(X.domain.contains, _compile_value(X)) for X in fields]
+    return [[value(p) if inside(p) else None for inside, value in compiled] for p in points]
 
 
 def multiply_field(f, X, name=None):

@@ -32,8 +32,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .distributions import Distribution, rank_at
-from .fields import FlowError, apply_words, pushforward_along_word
+from .distributions import Distribution, fibre_rank, rank_at
+from .fields import FlowError, apply_words, field_values, pushforward_along_word
 from .liealg import certify, filtration, pairwise_brackets, pointwise_witness
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 from .membership import module_contains
@@ -70,7 +70,9 @@ def frobenius_verdict(
 ):
     samples = [tuple(p) for p in samples]
     family = list(D.generators)
-    ranks = tuple(rank_at(D, p).rank for p in samples)
+    # each generator evaluated once per sample, for every test below
+    values = field_values(family, samples)
+    ranks = tuple(fibre_rank(p, vals).rank for p, vals in zip(samples, values))
 
     # pointwise involutivity, sample by sample so mixed outcomes are visible,
     # from one set of pairwise brackets
@@ -78,8 +80,8 @@ def frobenius_verdict(
     failing: List[tuple] = []
     holding: List[tuple] = []
     first_witness = None
-    for p in samples:
-        witness = pointwise_witness(family, brackets, p)
+    for p, vals in zip(samples, values):
+        witness = pointwise_witness(vals, brackets, p)
         (holding if witness is None else failing).append(p)
         first_witness = first_witness or witness
 
@@ -96,17 +98,17 @@ def frobenius_verdict(
         # finds the bracket rank exact, no flow can find more; (c) else
         # sample orbits
         filt = filtration(family)
-        lie_ranks = [filt.rank_at(p) for p in samples]
+        lie_ranks = [filt.rank_over(vals, p) for p, vals in zip(samples, values)]
         witnesses = [p for p, lie, r in zip(samples, lie_ranks, ranks) if lie > r]
         bracket_rank_gap = bool(witnesses)
         if not witnesses:
             sampler = orbit_sampler or ORBIT_SAMPLER
             certified = None  # the module search, at the first sample below rank n
-            for p, lie, r in zip(samples, lie_ranks, ranks):
-                if exact_certificate(filt, lie, p):
+            for p, vals, lie, r in zip(samples, values, lie_ranks, ranks):
+                if exact_certificate(filt, lie, vals):
                     continue
                 certified = certified or certify(filt)
-                if exact_certificate(certified, lie, p):
+                if exact_certificate(certified, lie, vals):
                     continue
                 try:
                     dim = sampled_orbit_dimension(family, p, sampler)
@@ -216,8 +218,9 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
         for word, image_pt in zip(words, apply_words(frame, words, base)):
             if isinstance(image_pt, FlowError):
                 raise image_pt
-            fibre_vals = [v for _, v in D.defined_values(image_pt)]
-            if rank_at(D, tuple(image_pt)).rank != m:
+            vals = field_values(D.generators, [image_pt])[0]
+            fibre_vals = [v for v in vals if v is not None]
+            if fibre_rank(tuple(image_pt), vals).rank != m:
                 fibre_ok = False
             for j in range(m):
                 tail = word[j + 1 :]

@@ -16,8 +16,9 @@ module, and pointwise ranks are final.  Each depth tried is one
 whose "yes" is re-verified.  ``vfkit lie`` always certifies; the orbit
 functions only below full rank.
 Brackets of polynomial fields are computed on exponent dicts
-(``fields.lie_bracket``).  Ranks at a point and depth are read from the
-filtration with ``LieFiltration.rank_at``; ``derived_certificate``
+(``fields.lie_bracket``).  A rank at a point is read with
+``LieFiltration.rank_at`` (``rank_over`` takes the generators' values), the
+ranks at every depth with ``ranks_by_depth``; ``derived_certificate``
 certifies the same way that the derived words span [L, L] at every point.
 Involutivity reads the nonzero pairwise brackets, built once by
 ``pairwise_brackets``.
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .expr import Expr
-from .fields import VectorField, lie_bracket
+from .fields import VectorField, field_values, lie_bracket
 from .linalg import in_span, span_rank
 from .membership import module_contains, oversize
 
@@ -103,16 +104,26 @@ class LieFiltration:
     generator_duplicates: List[Tuple[BracketWord, VectorField]] = field(
         default_factory=list)
 
-    def rank_at(self, point, depth=None):
-        """Rank at the point of the words of depth <= depth (default: the cap)."""
-        depth = depth or self.depth_cap
-        vectors = [
-            f.value(point)
-            for level in self.levels[:depth]
-            for _, f in level
-            if f.domain.contains(point)
-        ]
-        return span_rank(vectors)
+    def rank_at(self, point):
+        """Rank at the point of every word."""
+        return self.rank_over(field_values(self.family, [point])[0], point)
+
+    def ranks_by_depth(self, point):
+        """The rank at the point of the words of depth <= d, for d = 1, ...,
+        depth_cap, each word evaluated once."""
+        vectors, ranks = [], []
+        for level in self.levels:
+            vectors += [f.value(point) for _, f in level if f.domain.contains(point)]
+            ranks.append(span_rank(vectors))
+        return ranks
+
+    def rank_over(self, values, point):
+        """``rank_at(point)`` from the family's ``fields.field_values`` there:
+        only the words of depth >= 2 are evaluated."""
+        vectors = [values[w.indices[0]] for w, _ in self.levels[0]
+                   if values[w.indices[0]] is not None]
+        return span_rank(vectors + [f.value(point) for level in self.levels[1:]
+                                    for _, f in level if f.domain.contains(point)])
 
     def derived_words(self):
         """The words of depth >= 2 and the generator duplicates.  At every
@@ -244,17 +255,13 @@ def pairwise_brackets(family):
     return {ij: b for ij, b in brackets.items() if not b.is_zero()}
 
 
-def pointwise_witness(family, brackets, point):
+def pointwise_witness(values, brackets, point):
     """(i, j, point) for the first of the ``pairwise_brackets`` whose value
-    at the point leaves the span of the generators defined there, or None:
-    the family is involutive at the point."""
-    fibre = None
+    at the point leaves the span of the generators' ``fields.field_values``
+    there, or None: the family is involutive at the point."""
+    fibre = [v for v in values if v is not None]
     for (i, j), b in brackets.items():
-        if not b.domain.contains(point):
-            continue
-        if fibre is None:
-            fibre = [g.value(point) for g in family if g.domain.contains(point)]
-        if not in_span(fibre, b.value(point)):
+        if b.domain.contains(point) and not in_span(fibre, b.value(point)):
             return (i, j, tuple(point))
     return None
 

@@ -36,7 +36,8 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .expr import ONE, ZERO
-from .fields import DomainExitError, FlowError, apply_word, pushforward_along_words
+from .fields import (DomainExitError, FlowError, apply_word, field_values,
+                     pushforward_along_words)
 from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, derived_certificate,
                      filtration, filtration_by_depth, fixed_time_ideal_rank)
 from .linalg import FLOW_REL_TOL, affine_rank, all_exact, svd_rank
@@ -178,45 +179,38 @@ def nagano_certified(filt):
     )
 
 
-def _fixed_by_every_flow(family, point):
-    """Every generator is defined at the point and exactly zero there (a
-    flat factor that float evaluation pins to 0 does not count; at a float
-    point no value is exact)."""
-    if not all_exact([point]):
-        return False
-    values = [X.value(point) for X in family if X.domain.contains(point)]
-    return len(values) == len(family) and all_exact(values) and not any(map(any, values))
-
-
-def exact_certificate(filt, rank, point, fixed_time=False):
-    """Why the exact rank of Lie(F) at the point (of the zero-time ideal, for
+def exact_certificate(filt, rank, values, fixed_time=False):
+    """Why the exact rank of Lie(F) at a point (of the zero-time ideal, for
     ``fixed_time``) is the tangent dimension there, or None: sample it.
+    ``values`` are the generators' values there (``fields.field_values``).
 
     The cheapest sufficient reason first: a rank of n, or of 0 where every
-    flow fixes the point, is "bracket-rank" for any smooth family.  Only
+    flow fixes the point (every value exact and zero: a float pinned to 0
+    does not count), is "bracket-rank" for any smooth family.  Only
     below that does Nagano decide, from the stabilization certificate that
     ``filt`` carries (and, for fixed time, ``derived_certificate``): callers
     pass ``liealg.certify(filt)`` once their rank stays below n at the cap,
     so the module search runs only there and at most once per filtration."""
-    if rank == len(point) or (rank == 0 and _fixed_by_every_flow(filt.family, point)):
+    fixed = None not in values and all_exact(values) and not any(map(any, values))
+    if rank == filt.family[0].dim or (rank == 0 and fixed):
         return "bracket-rank"
     if nagano_certified(filt) and not (fixed_time and derived_certificate(filt) is None):
         return "zero-time-ideal" if fixed_time else "nagano"
     return None
 
 
-def _rank_first(family, depth_cap, point, rank_of, fixed_time=False):
+def _rank_first(family, depth_cap, values, rank_of, fixed_time=False):
     """(filtration, rank, certificate) at the first depth whose rank
-    ``rank_of(filt)`` at the point ``exact_certificate`` finds exact; else,
-    at the cap, the certified filtration with its rank and certificate
-    (None: sample it)."""
+    ``rank_of(filt)`` at a point ``exact_certificate`` finds exact, given
+    the generators' ``values`` there; else, at the cap, the certified
+    filtration with its rank and certificate (None: sample it)."""
     for filt in filtration_by_depth(family, depth_cap):
         rank = rank_of(filt)
-        exact = exact_certificate(filt, rank, point, fixed_time)
+        exact = exact_certificate(filt, rank, values, fixed_time)
         if exact:  # no deeper word and no module search
             return filt, rank, exact
     filt = certify(filt)
-    return filt, rank, exact_certificate(filt, rank, point, fixed_time)
+    return filt, rank, exact_certificate(filt, rank, values, fixed_time)
 
 
 def orbit_dimension(family, point, sampler, depth_cap=DEFAULT_DEPTH_CAP):
@@ -225,7 +219,9 @@ def orbit_dimension(family, point, sampler, depth_cap=DEFAULT_DEPTH_CAP):
     dimension (a certified lower bound).  Bracket words stop at the first
     depth whose rank is n, which is then also the rank at the cap."""
     family = tuple(family)
-    _, linf, exact = _rank_first(family, depth_cap, point, lambda f: f.rank_at(point))
+    values = field_values(family, [point])[0]
+    _, linf, exact = _rank_first(family, depth_cap, values,
+                                 lambda f: f.rank_over(values, point))
     if exact:  # no flow word is walked
         return OrbitTangentReport(tuple(point), linf, (), linf, 0, 0, exact)
     s = sampled_orbit(family, point, sampler)
@@ -307,8 +303,9 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     family = tuple(family)
     reached = _seed_point(family, point, T)
     at = tuple(reached)
+    values = field_values(family, [at])[0]
     filt, ideal_rank, certificate = _rank_first(
-        family, depth_cap, at, lambda f: fixed_time_ideal_rank(f, at).ideal_rank, True)
+        family, depth_cap, values, lambda f: fixed_time_ideal_rank(f, at).ideal_rank, True)
     dim, used, skipped = ideal_rank, 0, 0
     if certificate is None:
         certificate = "sampled"
@@ -317,8 +314,8 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
 
     # the ideal lies in Lie(F): a stop at full ideal rank is a full Lie rank,
     # and any other filtration here is final and certified
-    linf = filt.rank_at(at)
-    exact = exact_certificate(filt, linf, at)
+    linf = filt.rank_over(values, at)
+    exact = exact_certificate(filt, linf, values)
     orbit_dim = linf if exact else sampled_orbit_dimension(family, at, sampler)
     return FixedTimeReport(
         start=tuple(point),

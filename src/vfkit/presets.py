@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import Distribution, rank_at, singular_locus_minors
 from .expr import parse
-from .fields import FlowError, apply_word, apply_words, lie_bracket
+from .fields import FlowError, apply_word, apply_words, field_values, lie_bracket
 from .frobenius import flow_box_chart, frobenius_verdict
 from .liealg import filtration, pairwise_brackets, pointwise_witness
 from .membership import ideal_member_bounded, member_bounded
@@ -302,8 +302,9 @@ def _flat_chow(ctx):
 
 def _flat_involutive(ctx):
     brackets = pairwise_brackets(ctx.family)
-    witness = next(filter(None, (pointwise_witness(ctx.family, brackets, p)
-                                 for p in _FLAT_POINTS + [(0.5, 0.5), (-0.5, 2.0)])), None)
+    points = _FLAT_POINTS + [(0.5, 0.5), (-0.5, 2.0)]
+    witness = next(filter(None, (pointwise_witness(vals, brackets, p) for p, vals in
+                                 zip(points, field_values(ctx.family, points)))), None)
     return _result(witness is None, "pointwise involutive at all samples",
                    f"involutive={witness is None}, witness={witness}")
 
@@ -375,7 +376,7 @@ field X2 = (0, x1)
 
 def _linear_shear_rank(ctx):
     filt = filtration(ctx.family)
-    ranks = [filt.rank_at((0, 0), d) for d in range(1, filt.depth_cap + 1)]
+    ranks = filt.ranks_by_depth((0, 0))
     ok = ranks[-1] == 2 and filt.stabilized_at == 2
     return _result(ok, "rank 2 at the origin, stable at depth 2",
                    f"ranks={ranks}, stabilized_at={filt.stabilized_at}")

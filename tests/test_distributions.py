@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from vfkit import distributions, expr, fields
 from vfkit.distributions import (
     Distribution,
     adapt_generators,
@@ -192,3 +193,43 @@ class TestRobustness:
             for _ in range(20):
                 q = tuple(c + rng.uniform(-1e-3, 1e-3) for c in p)
                 assert rank_at(D, q).rank == want
+
+
+class TestCompileOnce:
+    """The loops over many points compile each expression once per call."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        # every expression handed to the exact evaluator while a test runs
+        seen = []
+        real = expr.compile_exact
+
+        def spy(e):
+            seen.append(e)
+            return real(e)
+
+        for module in (expr, fields, distributions):
+            monkeypatch.setattr(module, "compile_exact", spy)
+        return seen
+
+    @pytest.fixture
+    def mixed(self, vf):
+        return Distribution((vf("X1", ["x1^2+x2^2", "0"], 2), vf("X2", ["0", "x1^4+x2^4"], 2)))
+
+    def test_grid_compiles_each_component_once(self, mixed, compiled):
+        components = [c for g in mixed.generators for c in g.components]
+        for step in (1, 4):  # 9 and 81 points
+            compiled.clear()
+            axes = {1: frac_grid(-1, 1, step), 2: frac_grid(-1, 1, step)}
+            assert len(classify_grid(mixed, axes).points) == (2 * step + 1) ** 2
+            assert compiled == components
+
+    def test_minors_compile_each_component_and_minor_once(self, mixed, compiled,
+                                                         monkeypatch):
+        components = [c for g in mixed.generators for c in g.components]
+        for samples in (20, 200):
+            compiled.clear()
+            monkeypatch.setattr(distributions, "MINOR_SAMPLES", samples)
+            locus = singular_locus_minors(mixed)
+            assert locus.generic_rank == 2 and len(locus.minors) == 1
+            assert compiled == components + list(locus.minors)

@@ -13,6 +13,7 @@ from vfkit.expr import (
     ParseError,
     bump,
     bumpp,
+    compile_exact,
     compile_float,
     const,
     exp_of,
@@ -226,6 +227,68 @@ class TestEval:
 
     def test_bump_small_argument_threshold(self):
         assert parse("bump(x1)", 1).eval_float((1e-13,)) == 0.0
+
+
+# -- the exact evaluator against a per-term Fraction sum -------------------------------
+
+
+def fraction_sum(e, pt):
+    """A polynomial's value at a rational point, term by term in Fractions."""
+    total = Fraction(0)
+    for c, factors in e.terms:
+        term = Fraction(c)
+        for atom, k in factors:
+            term *= Fraction(pt[atom.index - 1]) ** k
+        total += term
+    return total
+
+
+def rational_polys(nvars=N):
+    """Polynomials in up to nvars variables of degree <= 6, with rational
+    coefficients of assorted denominators."""
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool)
+    mono = st.lists(st.tuples(st.integers(1, nvars), st.integers(1, 3)), max_size=2)
+    return st.lists(st.tuples(coeff, mono), max_size=6).map(
+        lambda terms: sum((math.prod((var(i) ** k for i, k in f), start=const(c))
+                           for c, f in terms), const(0)))
+
+
+# ints (0 and negatives among them) and Fractions of different denominators
+rational_coordinates = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-4, max_value=4, max_denominator=16))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rational_polys(), st.lists(rational_coordinates, min_size=N, max_size=N))
+def test_compiled_exact_matches_fraction_sum(e, pt):
+    got = compile_exact(e)(pt)
+    assert type(got) is Fraction and got == fraction_sum(e, pt)
+    assert e.eval(pt) == got
+
+
+class TestExactEvaluator:
+    def test_flat_factors_on_their_extension_set_give_zero(self):
+        x = var(1)
+        assert compile_exact(bump(x))((0,)) == 0
+        for v in (0, -1, Fraction(-1, 3)):
+            assert compile_exact(bumpp(x))((v,)) == 0
+        assert compile_exact(x ** -3 * bump(x))((0,)) == 0
+        assert compile_exact(parse("x1^-3*bumpp(x1) + x2/3", 2))((0, 1)) == Fraction(1, 3)
+
+    def test_bare_pole_raises(self):
+        with pytest.raises(EvalError):
+            compile_exact(parse("x1^-1", 1))((0,))
+        with pytest.raises(EvalError):  # a flat factor of another argument
+            compile_exact(parse("x2^-1*bump(x1)", 2))((0, 0))
+
+    def test_pole_away_from_zero_is_exact(self):
+        assert compile_exact(parse("x1^-2*x2 - 1/2", 2))((Fraction(1, 2), 3)) == Fraction(23, 2)
+
+    def test_flat_factor_off_its_zero_set_falls_back_to_floats(self):
+        e = bump(var(1))
+        assert compile_exact(e)((1,)) is None
+        got = e.eval((1,))
+        assert type(got) is float and got == math.exp(-1.0)
 
 
 # -- the compiled evaluator against a tree-walking oracle -------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from vfkit import frobenius, liealg
+from vfkit import fields, frobenius, liealg
 from vfkit.cli import main
 from vfkit.distributions import Distribution
 from vfkit.frobenius import flow_box_chart, frobenius_verdict
@@ -272,12 +272,14 @@ class TestCoherence:
         # accepted chart <=> neither verdict detector (involutivity failure,
         # orbit-rank gap) flags the base point
         from vfkit.distributions import rank_at
+        from vfkit.fields import field_values
         from vfkit.liealg import pairwise_brackets, pointwise_witness
         from vfkit.orbits import orbit_dimension
 
         def point_flagged(D, base, sampler):
             fam = list(D.generators)
-            if pointwise_witness(fam, pairwise_brackets(fam), base) is not None:
+            values = field_values(fam, [base])[0]
+            if pointwise_witness(values, pairwise_brackets(fam), base) is not None:
                 return True
             rep = orbit_dimension(fam, base, sampler or WordSampler(seed=0, count=200, max_len=8, max_time=1.0))
             return rep.dimension > rank_at(D, base).rank
@@ -318,3 +320,23 @@ class TestCoherence:
         ]:
             for p in pts:
                 assert not flow_box_chart(D, p, orbit_sampler=LIGHT).accepted
+
+
+@pytest.mark.parametrize("name", ["one-sided-flat", "mixed-degree-pair"])
+def test_verdict_evaluates_each_generator_once_per_sample(name, monkeypatch):
+    # the fibre rank, the pointwise witness, the bracket rank and the
+    # fixed-point test all read one evaluation per (generator, sample)
+    D = Distribution(parse_system(PRESETS[name].system_text).fields)
+    calls = []
+    real = fields._compile_value
+
+    def spy(X):
+        value = real(X)
+        return lambda p: calls.append((X, tuple(p))) or value(p)
+
+    monkeypatch.setattr(fields, "_compile_value", spy)
+    grid = [(Fraction(i), Fraction(j)) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    v = frobenius_verdict(D, grid)
+    assert v.integrable == ("no" if name == "one-sided-flat" else "undetermined")
+    generator_calls = [c for c in calls if c[0] in D.generators]
+    assert len(generator_calls) == len(set(generator_calls)) == 18

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vfkit.expr import const, parse
-from vfkit.fields import lie_bracket, multiply_field
+from vfkit.fields import field_values, lie_bracket, multiply_field
 from vfkit import liealg, membership
 from vfkit.liealg import (
     LieAlgebraError,
@@ -19,10 +19,6 @@ from vfkit.liealg import (
 from vfkit.presets import PRESETS
 from vfkit.systems import parse_system
 
-
-
-def ranks_by_depth(filt, point):
-    return [filt.rank_at(point, d) for d in range(1, filt.depth_cap + 1)]
 
 
 @pytest.fixture
@@ -45,14 +41,14 @@ class TestFiltration:
         f = filtration(diag, 6)
         assert f.stabilized_at == 1
         assert all(not level for level in f.levels[1:])
-        assert ranks_by_depth(f, (0, 0)) == [0] * 6
-        assert ranks_by_depth(f, (1, 0)) == [1] * 6
-        assert ranks_by_depth(f, (1, 1)) == [2] * 6
+        assert f.ranks_by_depth((0, 0)) == [0] * 6
+        assert f.ranks_by_depth((1, 0)) == [1] * 6
+        assert f.ranks_by_depth((1, 1)) == [2] * 6
 
     def test_shear_gains_rank_at_depth_two(self, shear):
         f = filtration(shear, 6)
         assert f.stabilized_at == 2
-        assert ranks_by_depth(f, (0, 0)) == [1, 2, 2, 2, 2, 2]
+        assert f.ranks_by_depth((0, 0)) == [1, 2, 2, 2, 2, 2]
 
     def test_flat_family_is_capped(self, flat):
         f = filtration(flat, 8)
@@ -61,12 +57,13 @@ class TestFiltration:
         assert f.rank_at((0, 0)) == 1
         assert f.rank_at((1, 0)) == 2
 
-    def test_module_certificate(self, vf):
-        # brackets reproduce a generator up to a polynomial multiplier
-        fam = [vf("X1", ["1", "0"], 2), vf("X2", ["0", "x1^2+1"], 2)]
-        f = certify(filtration(fam, 5), 3)
-        assert f.stabilized_at is not None
-        assert f.certificate is not None
+    def test_module_certificate(self):
+        # [X1, X2] = -2 x2 X1 + 2 x1 X2: no symbolic closure, so only the
+        # module search certifies, with multipliers of degree 1
+        f = filtration(preset_family("vanishing-pair"), 5)
+        assert (f.stabilized_at, f.certificate) == (None, None)
+        f = certify(f, 3)
+        assert (f.stabilized_at, f.certificate) == (1, "module-degree-3")
 
     def test_rank_sequence_nondecreasing(self, vf):
         rng = np.random.default_rng(12)
@@ -78,7 +75,7 @@ class TestFiltration:
         for fam in fams:
             pts = [tuple(rng.uniform(-1, 1, size=fam[0].dim)) for _ in range(5)]
             f = filtration(fam, 5)
-            for seq in (ranks_by_depth(f, p) for p in pts):
+            for seq in (f.ranks_by_depth(p) for p in pts):
                 assert all(a <= b for a, b in zip(seq, seq[1:]))
 
     def test_depth_cap_bounds(self, diag):
@@ -111,7 +108,7 @@ class TestFiltration:
             cut = list(filtration_by_depth(fam, 5))
             assert [f.depth_cap for f in cut] == [1, 2, 3, 4, 5]
             assert [f.levels for f in cut] == [full.levels[:d] for d in range(1, 6)]
-            assert [f.rank_at(p) for f in cut] == ranks_by_depth(full, p)
+            assert [f.rank_at(p) for f in cut] == full.ranks_by_depth(p)
             assert (cut[-1].stabilized_at, cut[-1].certificate) == (
                 full.stabilized_at, full.certificate)
 
@@ -123,7 +120,7 @@ class TestFiltration:
         ]
         f = filtration(fam, 4)
         assert len(f.levels[0]) == 2  # the rescaled copy is pruned
-        assert ranks_by_depth(f, (1, 1)) == [2, 2, 2, 2]
+        assert f.ranks_by_depth((1, 1)) == [2, 2, 2, 2]
 
 
 def module_witness(family, degree):
@@ -147,8 +144,8 @@ class TestInvolutivity:
     def test_shear3_not_involutive(self, vf):
         fam = [vf("X1", ["0", "1", "0"], 3), vf("X2", ["1", "0", "x2"], 3)]
         brackets = pairwise_brackets(fam)
-        assert pointwise_witness(fam, brackets, (0, 0, 0)) == (0, 1, (0, 0, 0))
-        assert pointwise_witness(fam, brackets, (1, 1, 1)) == (0, 1, (1, 1, 1))
+        for p in [(0, 0, 0), (1, 1, 1)]:
+            assert pointwise_witness(field_values(fam, [p])[0], brackets, p) == (0, 1, p)
 
     def test_fibre_evaluated_once_and_only_under_a_bracket(self, vf, monkeypatch):
         from vfkit.fields import VectorField
@@ -159,14 +156,17 @@ class TestInvolutivity:
                vf("X3", ["0", "0", "x1-1"], 3)]
         brackets = pairwise_brackets(fam)
         assert len(brackets) == 2
+        given = field_values(fam, [(-1, 0, 0), (1, 0, 0)])
         values = []
         real = VectorField.value
         monkeypatch.setattr(VectorField, "value",
                             lambda self, p: values.append(self.name) or real(self, p))
-        assert pointwise_witness(fam, brackets, (-1, 0, 0)) is None
+        # the caller evaluates the fibre once; a bracket is evaluated only
+        # where it is defined, and the first one to leave the fibre stops
+        assert pointwise_witness(given[0], brackets, (-1, 0, 0)) is None
         assert values == []
-        assert pointwise_witness(fam, brackets, (1, 0, 0)) == (0, 1, (1, 0, 0))
-        assert values == ["X1", "X2", "X3", brackets[(0, 1)].name]
+        assert pointwise_witness(given[1], brackets, (1, 0, 0)) == (0, 1, (1, 0, 0))
+        assert values == [brackets[(0, 1)].name]
 
     def test_radial_pair_module_involutive(self, vf):
         fam = [vf("X1", ["x1^2+x2^2", "0"], 2), vf("X2", ["0", "x1^2+x2^2"], 2)]
@@ -190,7 +190,8 @@ class TestInvolutivity:
     def test_flat_pair_pointwise_involutive(self, flat):
         brackets = pairwise_brackets(flat)
         samples = [(-1, 0), (0, 0), (1, 0), (0.5, 0.5), (-2, 1)]
-        assert all(pointwise_witness(flat, brackets, p) is None for p in samples)
+        assert all(pointwise_witness(vals, brackets, p) is None
+                   for p, vals in zip(samples, field_values(flat, samples)))
 
 
 def derived(family, depth_cap):
@@ -263,7 +264,7 @@ class TestGeneratorDuplicates:
         # X2 - X1 vanishes at 1, so the bracket alone makes the ideal rank 1
         rep = fixed_time_ideal_rank(f, (1,))
         assert (rep.ideal_rank, rep.lie_rank, rep.codim) == (1, 1, 0)
-        assert ranks_by_depth(f, (1,)) == [1] * 6
+        assert f.ranks_by_depth((1,)) == [1] * 6
 
     def test_flat_generator_module_ideal(self):
         f = filtration(preset_family("flat-generator-module"))

@@ -571,7 +571,8 @@ class TestFixedPoint:
         rep = orbit_dimension(family, p, WordSampler(seed=0, count=10))
         assert (rep.certificate, rep.linf_rank) == ("sampled", 0)
         assert rep.words_used + rep.words_skipped == 10
-        assert orbits.exact_certificate(liealg.filtration(family), 0, p) is None
+        values = [X.value(p) for X in family]
+        assert orbits.exact_certificate(liealg.filtration(family), 0, values) is None
 
 
 class TestChow:
