@@ -39,6 +39,10 @@ result or the FlowError that stopped it; ``apply_word``,
 ``pushforward_along_word`` and ``flow`` are their one-word cases and raise
 that error.
 
+``field_values`` and ``field_evaluators`` give each field's ``value`` (exact
+where it can be) at many points, the field compiled once per call, exactly
+and to floats, however many points it is read at.
+
 The relative tolerance ``DEFAULT_RTOL`` and the bounding box ``DEFAULT_BOX``
 (every coordinate stays within 1e6 in absolute value) are module constants,
 not per-call options; a step that reaches a non-finite point or tangent
@@ -74,6 +78,7 @@ __all__ = [
     "pushforward_along_words",
     "multiply_field",
     "field_values",
+    "field_evaluators",
     "jacobian_exprs",
 ]
 
@@ -273,9 +278,9 @@ def _add_product(acc, a, b):
 
 def _compile_value(X):
     """``X.value``: Fractions when every component is exact at the point,
-    else floats (the others from ``eval_float``).  The components are
-    compiled once, at the first rational point."""
-    exact = []
+    else floats.  The components are compiled once: exactly at the first
+    rational point, to floats at the first point that needs them."""
+    exact, floats = [], []
 
     def value(point):
         vals = [None] * X.dim
@@ -285,17 +290,30 @@ def _compile_value(X):
             vals = [f(point) for f in exact]
             if None not in vals:
                 return vals
-        return [c.eval_float(point) if v is None else float(v)
-                for c, v in zip(X.components, vals)]
+        if not floats:
+            floats.extend(compile_float(c) for c in X.components)
+        pt = [float(v) for v in point]
+        return [f(pt) if v is None else float(v) for f, v in zip(floats, vals)]
 
     return value
+
+
+def field_evaluators(fields):
+    """Per field, a function from a point to the field's ``value`` there
+    (None outside its domain), the field compiled once however many points
+    it is called at."""
+    def evaluator(X):
+        inside, value = X.domain.contains, _compile_value(X)
+        return lambda p: value(p) if inside(p) else None
+
+    return [evaluator(X) for X in fields]
 
 
 def field_values(fields, points):
     """Per point, each field's ``value`` there (None outside its domain),
     each field compiled once whatever the number of points."""
-    compiled = [(X.domain.contains, _compile_value(X)) for X in fields]
-    return [[value(p) if inside(p) else None for inside, value in compiled] for p in points]
+    evaluators = field_evaluators(fields)
+    return [[f(p) for f in evaluators] for p in points]
 
 
 def multiply_field(f, X, name=None):

@@ -33,8 +33,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .distributions import Distribution, fibre_rank, rank_at
-from .fields import FlowError, apply_words, field_values, pushforward_along_word
-from .liealg import certify, filtration, pairwise_brackets, pointwise_witness
+from .fields import (FlowError, apply_words, field_evaluators, field_values,
+                     pushforward_along_word)
+from .liealg import certify, filtration, pairwise_brackets, pointwise_witnesses
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 from .membership import module_contains
 from .orbits import (WordSampler, exact_certificate, orbit_dimension,
@@ -75,13 +76,12 @@ def frobenius_verdict(
     ranks = tuple(fibre_rank(p, vals).rank for p, vals in zip(samples, values))
 
     # pointwise involutivity, sample by sample so mixed outcomes are visible,
-    # from one set of pairwise brackets
+    # from one set of pairwise brackets, each compiled once
     brackets = pairwise_brackets(family)
     failing: List[tuple] = []
     holding: List[tuple] = []
     first_witness = None
-    for p, vals in zip(samples, values):
-        witness = pointwise_witness(vals, brackets, p)
+    for p, witness in zip(samples, pointwise_witnesses(values, brackets, samples)):
         (holding if witness is None else failing).append(p)
         first_witness = first_witness or witness
 
@@ -98,7 +98,7 @@ def frobenius_verdict(
         # finds the bracket rank exact, no flow can find more; (c) else
         # sample orbits
         filt = filtration(family)
-        lie_ranks = [filt.rank_over(vals, p) for p, vals in zip(samples, values)]
+        lie_ranks = filt.ranks_over(values, samples)
         witnesses = [p for p, lie, r in zip(samples, lie_ranks, ranks) if lie > r]
         bracket_rank_gap = bool(witnesses)
         if not witnesses:
@@ -213,12 +213,13 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
     tangents = []
     reason = None
     words = [[(j, float(t[j])) for j in range(m)] for t in t_list]
+    evaluators = field_evaluators(D.generators)
     try:
         # the images in one walk, checked in grid order
         for word, image_pt in zip(words, apply_words(frame, words, base)):
             if isinstance(image_pt, FlowError):
                 raise image_pt
-            vals = field_values(D.generators, [image_pt])[0]
+            vals = [f(image_pt) for f in evaluators]
             fibre_vals = [v for v in vals if v is not None]
             if fibre_rank(tuple(image_pt), vals).rank != m:
                 fibre_ok = False

@@ -17,11 +17,12 @@ whose "yes" is re-verified.  ``vfkit lie`` always certifies; the orbit
 functions only below full rank.
 Brackets of polynomial fields are computed on exponent dicts
 (``fields.lie_bracket``).  A rank at a point is read with
-``LieFiltration.rank_at`` (``rank_over`` takes the generators' values), the
-ranks at every depth with ``ranks_by_depth``; ``derived_certificate``
-certifies the same way that the derived words span [L, L] at every point.
+``LieFiltration.rank_at`` (``ranks_over`` takes the generators' values at
+many points), the ranks at every depth with ``ranks_by_depth``;
+``derived_certificate`` certifies the same way that the derived words span
+[L, L] at every point.
 Involutivity reads the nonzero pairwise brackets, built once by
-``pairwise_brackets``.
+``pairwise_brackets`` and compiled once by ``pointwise_witnesses``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .expr import Expr
-from .fields import VectorField, field_values, lie_bracket
+from .fields import VectorField, field_evaluators, field_values, lie_bracket
 from .linalg import in_span, span_rank
 from .membership import module_contains, oversize
 
@@ -46,7 +47,9 @@ __all__ = [
     "derived_certificate",
     "pairwise_brackets",
     "pointwise_witness",
+    "pointwise_witnesses",
     "fixed_time_ideal_rank",
+    "zero_time_vectors",
 ]
 
 DEPTH_CAP_LIMIT = 10
@@ -106,7 +109,7 @@ class LieFiltration:
 
     def rank_at(self, point):
         """Rank at the point of every word."""
-        return self.rank_over(field_values(self.family, [point])[0], point)
+        return self.ranks_over(field_values(self.family, [point]), [point])[0]
 
     def ranks_by_depth(self, point):
         """The rank at the point of the words of depth <= d, for d = 1, ...,
@@ -117,13 +120,15 @@ class LieFiltration:
             ranks.append(span_rank(vectors))
         return ranks
 
-    def rank_over(self, values, point):
-        """``rank_at(point)`` from the family's ``fields.field_values`` there:
-        only the words of depth >= 2 are evaluated."""
-        vectors = [values[w.indices[0]] for w, _ in self.levels[0]
-                   if values[w.indices[0]] is not None]
-        return span_rank(vectors + [f.value(point) for level in self.levels[1:]
-                                    for _, f in level if f.domain.contains(point)])
+    def ranks_over(self, values, points):
+        """``rank_at`` at each point from the family's ``fields.field_values``
+        there: only the words of depth >= 2 are evaluated, each compiled
+        once for all the points."""
+        generators = [w.indices[0] for w, _ in self.levels[0]]
+        deeper = field_values([f for level in self.levels[1:] for _, f in level], points)
+        return [span_rank([vals[i] for i in generators if vals[i] is not None]
+                          + [v for v in words if v is not None])
+                for vals, words in zip(values, deeper)]
 
     def derived_words(self):
         """The words of depth >= 2 and the generator duplicates.  At every
@@ -255,15 +260,27 @@ def pairwise_brackets(family):
     return {ij: b for ij, b in brackets.items() if not b.is_zero()}
 
 
+def pointwise_witnesses(values, brackets, points):
+    """Per point, drawn lazily: (i, j, point) for the first of the
+    ``pairwise_brackets`` whose value there leaves the span of the
+    generators' ``fields.field_values`` ``values`` there, or None: the
+    family is involutive at the point.  Each bracket is compiled once for
+    all the points and evaluated only until the first witness."""
+    evaluators = list(zip(brackets, field_evaluators(brackets.values())))
+    for vals, point in zip(values, points):
+        fibre = [v for v in vals if v is not None]
+        witness = None
+        for (i, j), value in evaluators:
+            b = value(point)
+            if b is not None and not in_span(fibre, b):
+                witness = (i, j, tuple(point))
+                break
+        yield witness
+
+
 def pointwise_witness(values, brackets, point):
-    """(i, j, point) for the first of the ``pairwise_brackets`` whose value
-    at the point leaves the span of the generators' ``fields.field_values``
-    there, or None: the family is involutive at the point."""
-    fibre = [v for v in values if v is not None]
-    for (i, j), b in brackets.items():
-        if b.domain.contains(point) and not in_span(fibre, b.value(point)):
-            return (i, j, tuple(point))
-    return None
+    """``pointwise_witnesses`` at one point."""
+    return next(pointwise_witnesses([values], brackets, [point]))
 
 
 @dataclass(frozen=True)
@@ -285,17 +302,21 @@ def fixed_time_ideal_rank(filt, point):
     (the linear part of their affine hull at the point) plus the derived
     words of the filtration ``filt``; also the full Lie-algebra rank and
     the codimension."""
-    defined = [g for g in filt.family if g.domain.contains(point)]
-    if not defined:
-        raise LieAlgebraError(f"no generator defined at {point}")
-    values = [g.value(point) for g in defined]
-    diffs = [
-        [a - b for a, b in zip(v, values[0])] for v in values[1:]
-    ]
-    derived_vals = [f.value(point) for f in filt.derived_words()
-                    if f.domain.contains(point)]
-    ideal_vectors = diffs + derived_vals
-    lie_vectors = values + derived_vals
+    values = field_values(filt.family, [point])[0]
+    derived = [v for v in field_values(filt.derived_words(), [point])[0] if v is not None]
+    ideal_vectors = zero_time_vectors(values, derived, point)
+    lie_vectors = [v for v in values if v is not None] + derived
     i_rank = span_rank(ideal_vectors)
     l_rank = span_rank(lie_vectors)
     return FixedTimeRankReport(tuple(point), i_rank, l_rank, l_rank - i_rank)
+
+
+def zero_time_vectors(values, derived, point):
+    """Vectors spanning the fixed-time ideal at the point: the differences
+    of the generators' values there (``fields.field_values``, None outside
+    a domain) from the first defined one, then the derived words' values
+    ``derived``."""
+    defined = [v for v in values if v is not None]
+    if not defined:
+        raise LieAlgebraError(f"no generator defined at {point}")
+    return [[a - b for a, b in zip(v, defined[0])] for v in defined[1:]] + derived

@@ -12,8 +12,8 @@ filtration carries a stabilization certificate, the family is
 *Nagano-certified*: the tangent is Lie(F)(p) (Nagano 1966) and its rank is
 the dimension (``certificate="nagano"``).  Words are built one depth at a
 time (``liealg.filtration_by_depth``) and stop at the first depth whose rank
-is n; the module search (``liealg.certify``) runs only when the rank stays
-below n at the cap, once per filtration.
+is n, each word evaluated once; the module search (``liealg.certify``)
+runs only when the rank stays below n at the cap, once per filtration.
 Fixed-time orbits take the rank of the zero-time ideal at the float point
 that the seed word reaches, exact by the same rule (``"zero-time-ideal"``
 also needs ``liealg.derived_certificate``).
@@ -23,14 +23,18 @@ of their affine hull) is a lower bound (``certificate="sampled"``).  Every
 orbit is an immersed submanifold of R^n (Sussmann 1973), so a sampled rank of
 n is the orbit dimension: ``sampled_orbit_dimension`` walks the first
 ``FIRST_WORDS`` words and draws the rest only when their rank stays below n.
+``WordSampler`` reads its words from one raw PCG64 stream with the bits of
+numpy's ``Generator.integers`` and ``uniform``, so a seed gives the same
+words whatever numpy release draws them.
 Flow ranks are read at ``linalg.FLOW_REL_TOL``, and filtrations go to
 ``liealg.DEFAULT_DEPTH_CAP`` unless a cap is given.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import islice, repeat
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -39,8 +43,8 @@ from .expr import ONE, ZERO
 from .fields import (DomainExitError, FlowError, apply_word, field_values,
                      pushforward_along_words)
 from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, derived_certificate,
-                     filtration, filtration_by_depth, fixed_time_ideal_rank)
-from .linalg import FLOW_REL_TOL, affine_rank, all_exact, svd_rank
+                     filtration, filtration_by_depth, zero_time_vectors)
+from .linalg import FLOW_REL_TOL, affine_rank, all_exact, span_rank, svd_rank
 from .membership import module_contains
 
 __all__ = [
@@ -64,6 +68,38 @@ __all__ = [
 FIRST_WORDS = 32
 
 
+# Raw PCG64 outputs fetched per call to the bit generator.
+_RAW_CHUNK = 256
+_LOW32 = 0xFFFFFFFF
+
+
+def _raw_outputs(bits):
+    """The bit generator's raw 64-bit outputs as ints, in order."""
+    while True:
+        yield from bits.random_raw(_RAW_CHUNK).tolist()
+
+
+def _raw_halves(raw):
+    """The 32-bit draws of PCG64's ``next_uint32``: the low half of a fresh
+    raw output, then its stored high half.  Pulls from ``raw`` only when a
+    low half is asked for, so the doubles drawn in between keep their order."""
+    for r in raw:
+        yield r & _LOW32
+        yield r >> 32
+
+
+def _bounded(halves, s):
+    """Lemire's bounded integers in [0, s) from the 32-bit draws: m = u * s,
+    redrawn while m mod 2^32 < (2^32 - s) mod s, then m >> 32.  For s = 1
+    no draw is taken."""
+    if not 1 <= s < 1 << 32:
+        raise ValueError(f"bounded draw range {s} outside [1, 2^32)")
+    if s == 1:
+        return repeat(0)
+    cut = ((1 << 32) - s) % s
+    return (m >> 32 for m in (u * s for u in halves) if m & _LOW32 >= cut)
+
+
 @dataclass(frozen=True)
 class WordSampler:
     """Seeded sampler of flow words: tuples of (field index, time) steps.
@@ -72,6 +108,20 @@ class WordSampler:
     uniform on [-max_time, max_time].  The zero-sum constraint replaces
     the final time by minus the partial sum, so the word's net time is
     exactly zero.
+
+    The words are read from one stream, ``np.random.PCG64(seed).random_raw``,
+    with the bits that ``Generator.integers`` and ``Generator.uniform`` give
+    on that bit generator: per word its length, its field indices, then its
+    times.  A draw in [0, s) is Lemire's bounded integer (Lemire 2019, "Fast
+    random integer generation in an interval") on 32 bits u: the low half of
+    a fresh raw output, the next such draw its stored high half (PCG64's
+    ``next_uint32``), and no draw at all when s = 1; m = u * s is redrawn
+    while m mod 2^32 < (2^32 - s) mod s, and the value is m >> 32.  A time
+    takes a fresh raw output r and is lo + (hi - lo) * ((r >> 11) * 2^-53).
+    A zero-sum word's last time is ``-np.sum`` of the others, numpy's
+    pairwise sum.  So the words depend only on the seed and PCG64's raw
+    output, which numpy keeps fixed (a new algorithm is a new bit
+    generator), not on how a numpy release draws from it.
     """
 
     seed: int
@@ -81,17 +131,32 @@ class WordSampler:
     constraint: str = "free"  # "free" | "zero-sum"
 
     def draw(self, n_fields):
-        """The words one at a time, each drawn only when asked for."""
-        rng = np.random.default_rng(self.seed)
+        """The words one at a time, each drawn only when asked for.  A range
+        of lengths or fields of 2^32 or more raises ValueError, a non-finite
+        time range OverflowError and an unknown constraint ValueError, all
+        at the first word."""
+        bits = np.random.PCG64(self.seed)
+        if self.count <= 0:
+            return
+        raw = _raw_outputs(bits)
+        halves = _raw_halves(raw)
+        lengths, indices = _bounded(halves, self.max_len), _bounded(halves, n_fields)
+        lo, hi = float(-self.max_time), float(self.max_time)
+        span = hi - lo
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        if span < 0:
+            raise ValueError("high - low < 0")
+        if self.constraint not in ("free", "zero-sum"):
+            raise ValueError(f"unknown constraint {self.constraint!r}")
+        zero_sum = self.constraint == "zero-sum"
         for _ in range(self.count):
-            k = int(rng.integers(1, self.max_len + 1))
-            idx = rng.integers(0, n_fields, size=k)
-            times = rng.uniform(-self.max_time, self.max_time, size=k)
-            if self.constraint == "zero-sum":
+            k = 1 + next(lengths)
+            idx = list(islice(indices, k))
+            times = [lo + span * ((r >> 11) * 2.0**-53) for r in islice(raw, k)]
+            if zero_sum:
                 times[-1] = -float(np.sum(times[:-1]))
-            elif self.constraint != "free":
-                raise ValueError(f"unknown constraint {self.constraint!r}")
-            yield tuple((int(i), float(t)) for i, t in zip(idx, times))
+            yield tuple(zip(idx, times))
 
     def words(self, n_fields):
         return list(self.draw(n_fields))
@@ -199,18 +264,29 @@ def exact_certificate(filt, rank, values, fixed_time=False):
     return None
 
 
-def _rank_first(family, depth_cap, values, rank_of, fixed_time=False):
-    """(filtration, rank, certificate) at the first depth whose rank
-    ``rank_of(filt)`` at a point ``exact_certificate`` finds exact, given
-    the generators' ``values`` there; else, at the cap, the certified
-    filtration with its rank and certificate (None: sample it)."""
+def _rank_first(family, depth_cap, values, point, fixed_time=False):
+    """(filtration, rank, certificate, Lie rank) at the first depth whose
+    rank at the point (of the zero-time ideal, for ``fixed_time``)
+    ``exact_certificate`` finds exact, given the generators' ``values``
+    there; else, at the cap, the certified filtration with its rank,
+    certificate (None: sample it) and Lie rank.  Each word is evaluated
+    once, at the depth that builds it."""
+    deeper, duplicates = [], []  # word values at the point, None outside a domain
     for filt in filtration_by_depth(family, depth_cap):
-        rank = rank_of(filt)
+        if len(filt.levels) > 1:  # evaluate only the depth just built
+            deeper += field_values([f for _, f in filt.levels[-1]], [point])[0]
+        lie_vectors = [values[w.indices[0]] for w, _ in filt.levels[0]] + deeper
+        rank = lie = span_rank([v for v in lie_vectors if v is not None])
+        if fixed_time:
+            new = [f for _, f in filt.generator_duplicates[len(duplicates):]]
+            duplicates += field_values(new, [point])[0]
+            derived = [v for v in deeper + duplicates if v is not None]
+            rank = span_rank(zero_time_vectors(values, derived, point))
         exact = exact_certificate(filt, rank, values, fixed_time)
         if exact:  # no deeper word and no module search
-            return filt, rank, exact
+            return filt, rank, exact, lie
     filt = certify(filt)
-    return filt, rank, exact_certificate(filt, rank, values, fixed_time)
+    return filt, rank, exact_certificate(filt, rank, values, fixed_time), lie
 
 
 def orbit_dimension(family, point, sampler, depth_cap=DEFAULT_DEPTH_CAP):
@@ -220,8 +296,7 @@ def orbit_dimension(family, point, sampler, depth_cap=DEFAULT_DEPTH_CAP):
     depth whose rank is n, which is then also the rank at the cap."""
     family = tuple(family)
     values = field_values(family, [point])[0]
-    _, linf, exact = _rank_first(family, depth_cap, values,
-                                 lambda f: f.rank_over(values, point))
+    _, linf, exact, _ = _rank_first(family, depth_cap, values, point)
     if exact:  # no flow word is walked
         return OrbitTangentReport(tuple(point), linf, (), linf, 0, 0, exact)
     s = sampled_orbit(family, point, sampler)
@@ -304,8 +379,7 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     reached = _seed_point(family, point, T)
     at = tuple(reached)
     values = field_values(family, [at])[0]
-    filt, ideal_rank, certificate = _rank_first(
-        family, depth_cap, values, lambda f: fixed_time_ideal_rank(f, at).ideal_rank, True)
+    filt, ideal_rank, certificate, linf = _rank_first(family, depth_cap, values, at, True)
     dim, used, skipped = ideal_rank, 0, 0
     if certificate is None:
         certificate = "sampled"
@@ -314,7 +388,6 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
 
     # the ideal lies in Lie(F): a stop at full ideal rank is a full Lie rank,
     # and any other filtration here is final and certified
-    linf = filt.rank_over(values, at)
     exact = exact_certificate(filt, linf, values)
     orbit_dim = linf if exact else sampled_orbit_dimension(family, at, sampler)
     return FixedTimeReport(

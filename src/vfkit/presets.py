@@ -17,10 +17,10 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .distributions import Distribution, rank_at, singular_locus_minors
-from .expr import parse
+from .expr import compile_float, parse
 from .fields import FlowError, apply_word, apply_words, field_values, lie_bracket
 from .frobenius import flow_box_chart, frobenius_verdict
-from .liealg import filtration, pairwise_brackets, pointwise_witness
+from .liealg import filtration, pairwise_brackets, pointwise_witnesses
 from .membership import ideal_member_bounded, member_bounded
 from .orbits import (WordSampler, chow_verdict, fixed_time_dimension, sampled_orbit,
                      sampled_orbit_dimension)
@@ -196,12 +196,15 @@ def _zero_sum_walk(ctx, rep, sampler, invariant=None):
     reached = np.array(rep.reached)
     words = replace(sampler, constraint="zero-sum").words(len(ctx.family))
     disp, drift = 0.0, None if invariant is None else 0.0
+    if invariant is not None:
+        level = compile_float(invariant)
+        start = level(reached.tolist())
     for q in apply_words(ctx.family, words, reached):
         if isinstance(q, FlowError):
             continue
         disp = max(disp, float(np.max(np.abs(q - reached))))
         if invariant is not None:
-            drift = max(drift, abs(invariant.eval_float(q) - invariant.eval_float(reached)))
+            drift = max(drift, abs(level(q.tolist()) - start))
     return disp, drift
 
 
@@ -303,8 +306,8 @@ def _flat_chow(ctx):
 def _flat_involutive(ctx):
     brackets = pairwise_brackets(ctx.family)
     points = _FLAT_POINTS + [(0.5, 0.5), (-0.5, 2.0)]
-    witness = next(filter(None, (pointwise_witness(vals, brackets, p) for p, vals in
-                                 zip(points, field_values(ctx.family, points)))), None)
+    values = field_values(ctx.family, points)
+    witness = next(filter(None, pointwise_witnesses(values, brackets, points)), None)
     return _result(witness is None, "pointwise involutive at all samples",
                    f"involutive={witness is None}, witness={witness}")
 

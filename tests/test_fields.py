@@ -20,6 +20,7 @@ from vfkit.fields import (
     VectorField,
     apply_word,
     apply_words,
+    field_evaluators,
     flow,
     lie_bracket,
     multiply_field,
@@ -958,3 +959,21 @@ class TestCompiledEvaluation:
         twin = vf("X", ["1", "x1*x2"], 2, half)
         assert twin == X and hash(twin) == hash(X)
         assert fields._flow_kind(twin) is fields._flow_kind(X)
+
+    def test_value_closure_compiles_each_component_once(self, vf, monkeypatch):
+        # exactly at the first rational point, to floats at the first point
+        # that needs them, however many points follow
+        X = vf("X", ["x1^2", "bumpp(x1)"], 2)
+        compiled = []
+        for name in ("compile_float", "compile_exact"):
+            real = getattr(fields, name)
+            monkeypatch.setattr(fields, name,
+                                lambda e, real=real, name=name: compiled.append(name) or real(e))
+        points = [(0.5, 1.0), (Fraction(1, 2), 1), (Fraction(-1, 2), 0), (0.25, -1.0)]
+        (value,) = field_evaluators([X])
+        got = [value(p) for p in points]
+        assert sorted(compiled) == ["compile_exact"] * 2 + ["compile_float"] * 2
+        assert got == [X.value(p) for p in points]
+        assert got[1][0] == 0.25 and got[2] == [Fraction(1, 4), 0]
+        assert [type(v) for p in got for v in p] == [float] * 4 + [Fraction] * 2 + [float] * 2
+

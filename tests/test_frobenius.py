@@ -340,3 +340,19 @@ def test_verdict_evaluates_each_generator_once_per_sample(name, monkeypatch):
     assert v.integrable == ("no" if name == "one-sided-flat" else "undetermined")
     generator_calls = [c for c in calls if c[0] in D.generators]
     assert len(generator_calls) == len(set(generator_calls)) == 18
+
+
+def test_verdict_compiles_each_field_bracket_and_word_once(monkeypatch):
+    # one-sided-flat passes the pointwise test and samples orbits below the
+    # bracket rank: its generators, pairwise brackets and bracket words are
+    # each compiled once for all nine samples
+    family = parse_system(PRESETS["one-sided-flat"].system_text).fields
+    compiled = []
+    real = fields._compile_value
+    monkeypatch.setattr(fields, "_compile_value", lambda X: compiled.append(X) or real(X))
+    grid = [(Fraction(i), Fraction(j)) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    v = frobenius_verdict(Distribution(family), grid)
+    assert v.integrable == "no" and "sampled" in v.clause
+    names = [X.name for X in compiled]
+    assert len(names) == len(set(names))
+    assert {"X1", "X2", "[X1,X2]", "[X2,X1]"} <= set(names)

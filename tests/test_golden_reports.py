@@ -1,9 +1,12 @@
-"""The exact reports keep their bytes.
+"""The reports keep their bytes.
 
-These invocations report only rationals, strings and fixed tolerance
-constants, so their JSON does not depend on the platform's floats.  Each golden file under ``tests/golden``
-holds the stdout of one invocation; a change that alters any of them must
-say which bytes changed and why.
+The exact invocations report only rationals, strings and fixed tolerance
+constants, so their JSON does not depend on the platform's floats.  The
+sampled ones (``SAMPLED``) pin the seeded flow words as well: their float
+vectors and word counts change if a word, or a flow's arithmetic, does.
+Each golden file under ``tests/golden`` holds the stdout of one
+invocation; a change that alters any of them must say which bytes changed
+and why.
 """
 
 import pathlib
@@ -40,6 +43,19 @@ SYSTEMS = {
 # points, but no float reaches the report)
 FROBENIUS = ["linear-shear", "vanishing-pair", "umbrella-ideal", "coordinate-plane",
              "mixed-degree-pair", "one-sided-flat", "two-sided-flat"]
+# reports of the sampling commands at one seed: (case, preset name, argv
+# after --system); nine-orbits is Nagano-certified, so its 300 words are
+# never drawn
+SAMPLED_SEED = "7"
+SAMPLED = [
+    ("one-sided-flat-orbit", "one-sided-flat", ["orbit", "--point=-1/2,1/2"]),
+    ("half-plane-translations-orbit", "half-plane-translations",
+     ["orbit", "--point=-5/4,0"]),
+    ("nine-orbits-orbit-words300", "nine-orbits", ["orbit", "--point=1,0", "--words", "300"]),
+    ("two-sided-flat-orbit-fixed-time", "two-sided-flat",
+     ["orbit", "--point=-1/2,0", "--fixed-time", "1/2"]),
+    ("one-sided-flat-frobenius-seed7", "one-sided-flat", ["frobenius"]),
+]
 
 
 def _cases():
@@ -59,6 +75,7 @@ def _cases():
                                          "--gens", gens, "--degree", degree]))
         cases.extend((f"{name}-{run}", name, argv) for run, argv in runs)
     cases.extend((f"{name}-frobenius", name, ["frobenius"]) for name in FROBENIUS)
+    cases.extend((case, name, argv + ["--seed", SAMPLED_SEED]) for case, name, argv in SAMPLED)
     return cases
 
 

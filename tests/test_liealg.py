@@ -148,7 +148,7 @@ class TestInvolutivity:
             assert pointwise_witness(field_values(fam, [p])[0], brackets, p) == (0, 1, p)
 
     def test_fibre_evaluated_once_and_only_under_a_bracket(self, vf, monkeypatch):
-        from vfkit.fields import VectorField
+        from vfkit import fields
 
         # two brackets, each defined only on x1 > 0; at (1, 0, 0) X2 and X3
         # vanish and [X1, X2] leaves the fibre
@@ -158,9 +158,13 @@ class TestInvolutivity:
         assert len(brackets) == 2
         given = field_values(fam, [(-1, 0, 0), (1, 0, 0)])
         values = []
-        real = VectorField.value
-        monkeypatch.setattr(VectorField, "value",
-                            lambda self, p: values.append(self.name) or real(self, p))
+        real = fields._compile_value
+
+        def spy(X):
+            value = real(X)
+            return lambda p: values.append(X.name) or value(p)
+
+        monkeypatch.setattr(fields, "_compile_value", spy)
         # the caller evaluates the fibre once; a bracket is evaluated only
         # where it is defined, and the first one to leave the fibre stops
         assert pointwise_witness(given[0], brackets, (-1, 0, 0)) is None

@@ -74,6 +74,107 @@ class TestSampler:
         assert list(itertools.islice(s.draw(3), 10)) == s.words(3)[:10]
 
 
+def _generator_words(sampler, n_fields):
+    """The words as numpy's ``Generator`` draws them: three calls per word."""
+    rng = np.random.default_rng(sampler.seed)
+    words = []
+    for _ in range(sampler.count):
+        k = int(rng.integers(1, sampler.max_len + 1))
+        idx = rng.integers(0, n_fields, size=k)
+        times = rng.uniform(-sampler.max_time, sampler.max_time, size=k)
+        if sampler.constraint == "zero-sum":
+            times[-1] = -float(np.sum(times[:-1]))
+        words.append(tuple((int(i), float(t)) for i, t in zip(idx, times)))
+    return words
+
+
+def _bits(words):
+    """Each step with its types and its time's exact bits (sign of zero
+    included)."""
+    return [[(type(i), i, type(t), t.hex()) for i, t in w] for w in words]
+
+
+class TestRawStream:
+    def test_words_are_numpys_over_a_seeded_sweep(self):
+        rng = np.random.default_rng(2024)
+        long_zero_sum = 0
+        for _ in range(150):
+            sampler = WordSampler(
+                seed=int(rng.integers(0, 2**31)),
+                max_len=int(rng.choice([1, 2, 3, 6, 8, 12])),
+                max_time=[0, 0.0, 0.5, 1.0, 1.5, 7.25, 1e-300][int(rng.integers(0, 7))],
+                count=int(rng.integers(0, 40)),
+                constraint=["free", "zero-sum"][int(rng.integers(0, 2))])
+            n_fields = int(rng.choice([1, 2, 3, 5, 7, 1000003, 2**31 + 3]))
+            words = sampler.words(n_fields)
+            assert _bits(words) == _bits(_generator_words(sampler, n_fields)), sampler
+            if sampler.constraint == "zero-sum":
+                long_zero_sum += sum(len(w) >= 9 for w in words)
+        # sums of 8 or more earlier steps take numpy's pairwise order
+        assert long_zero_sum > 0
+
+    @pytest.mark.parametrize("n_fields,max_len", [(1, 6), (3, 1), (1, 1)])
+    def test_a_range_of_one_draws_nothing(self, n_fields, max_len):
+        sampler = WordSampler(seed=9, count=30, max_len=max_len, max_time=1.0)
+        words = sampler.words(n_fields)
+        assert _bits(words) == _bits(_generator_words(sampler, n_fields))
+        assert all(i < n_fields and 1 <= len(w) <= max_len for w in words for i, _ in w)
+
+    @pytest.mark.parametrize("max_time", [0, 0.0])
+    def test_zero_times_keep_their_sign_bits(self, max_time):
+        for constraint in ("free", "zero-sum"):
+            sampler = WordSampler(seed=4, count=20, max_time=max_time, constraint=constraint)
+            assert _bits(sampler.words(2)) == _bits(_generator_words(sampler, 2))
+
+    def test_pinned_words(self):
+        assert WordSampler(seed=0, count=3, max_len=3, max_time=1.0).words(2) == [
+            ((1, -0.9180529521276106), (1, -0.9669447289429418), (0, 0.6265404784005448)),
+            ((1, 0.4589931219679968), (1, 0.08724998293084574)),
+            ((1, 0.6317071082430643), (1, -0.9945229996597038)),
+        ]
+        zero_sum = WordSampler(seed=0, count=2, max_len=3, max_time=1.0, constraint="zero-sum")
+        assert zero_sum.words(3) == [
+            ((1, -0.9180529521276106), (1, -0.9669447289429418), (0, 1.8849976810705524)),
+            ((2, 0.4589931219679968), (1, -0.4589931219679968)),
+        ]
+
+    def test_errors_come_at_the_first_word(self):
+        cases = [
+            (WordSampler(seed=0, max_time=1e308), 2, OverflowError),
+            (WordSampler(seed=0, max_time=float("inf")), 2, OverflowError),
+            (WordSampler(seed=0, constraint="both"), 2, ValueError),
+            (WordSampler(seed=0), 2**32, ValueError),
+            (WordSampler(seed=0, max_len=0), 2, ValueError),
+        ]
+        for sampler, n_fields, error in cases:
+            words = sampler.draw(n_fields)  # lazy: nothing is drawn yet
+            with pytest.raises(error):
+                next(words)
+        # numpy raises the same for a non-finite range
+        with pytest.raises(OverflowError):
+            _generator_words(WordSampler(seed=0, max_time=1e308), 2)
+        assert WordSampler(seed=0, count=0, constraint="both").words(2) == []
+
+    def test_draw_is_lazy(self, monkeypatch):
+        fetched = []
+        real = np.random.PCG64
+
+        class Counted:
+            def __init__(self, seed):
+                self.bits = real(seed)
+
+            def random_raw(self, size):
+                fetched.append(size)
+                return self.bits.random_raw(size)
+
+        monkeypatch.setattr(np.random, "PCG64", Counted)
+        words = WordSampler(seed=1, count=1000, max_len=8).draw(2)
+        assert fetched == []
+        first = [next(words) for _ in range(3)]
+        assert len(fetched) == 1  # one chunk covers three words
+        assert first == WordSampler(seed=1, count=3, max_len=8).words(2)
+
+
 class TestOrbitDimension:
     def test_nine_orbit_dimensions(self, diag):
         want = [0, 1, 1, 1, 1, 2, 2, 2, 2]
@@ -208,6 +309,41 @@ class TestDimensionOnly:
         assert (full.dimension, full.words_used, full.words_skipped) == (1, 0, 50)
         assert sampled_orbit_dimension(strip, p, s) == 1
         assert walked == [50, FIRST_WORDS, 50 - FIRST_WORDS]
+
+
+class TestWordsEvaluatedOnce:
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The name of the field of every value read through a compiled
+        evaluator while the test runs."""
+        calls = []
+        real = fields._compile_value
+
+        def spy(X):
+            value = real(X)
+            return lambda p: calls.append(X.name) or value(p)
+
+        monkeypatch.setattr(fields, "_compile_value", spy)
+        return calls
+
+    WORDS = ["X1", "X2", "[X2,X1]", "[X1,[X2,X1]]", "[X1,[X1,[X2,X1]]]"]
+
+    def test_orbit_dimension_reads_each_word_once(self, vf, evaluated):
+        # the rank reaches 3 only at depth 4, so three depth cuts read
+        # [X2,X1]; each word is evaluated at the depth that builds it
+        family = [vf("X1", ["1", "0", "0"], 3), vf("X2", ["0", "1", "x1^3"], 3)]
+        rep = orbit_dimension(family, (0, 0, 0), WordSampler(seed=0))
+        assert (rep.certificate, rep.dimension) == ("bracket-rank", 3)
+        assert sorted(evaluated) == sorted(self.WORDS)
+
+    def test_fixed_time_dimension_reads_each_word_once(self, vf, evaluated):
+        # the zero-time ideal's generators, derived words and the Lie rank
+        # at the reached point all read one evaluation per word
+        family = [vf("X1", ["1", "0", "0"], 3), vf("X2", ["0", "1", "x1^3"], 3)]
+        rep = fixed_time_dimension(family, (0, 0, 0), 0.5, WordSampler(seed=0))
+        assert (rep.certificate, rep.dimension, rep.orbit_dimension_at_reached) == (
+            "zero-time-ideal", 2, 3)
+        assert sorted(evaluated) == sorted(self.WORDS)
 
 
 class TestNagano:
