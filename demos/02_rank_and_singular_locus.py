@@ -6,7 +6,6 @@ from fractions import Fraction
 from vfkit import VectorField, parse
 from vfkit.distributions import (
     Distribution,
-    adapt_generators,
     classify_grid,
     rank_at,
     singular_locus_minors,
@@ -34,11 +33,3 @@ print(f"regular density: {gc.regular_density:.3f}")
 locus = singular_locus_minors(D)
 print(f"\ngeneric rank {locus.generic_rank}; "
       f"singular locus = common zeros of {[str(m) for m in locus.minors]}")
-
-# adapted generators at a singular point: a fibre basis first, the rest
-# recombined to vanish there
-shear = Distribution((field("E", ["1", "0"], 2), field("S", ["1", "x1"], 2)))
-adapted = adapt_generators(shear, (0, 0))
-print("\nadapted generators of {d1, d1 + x1*d2} at the origin:")
-for g in adapted:
-    print("  ", [str(c) for c in g.components], "value at 0:", g.value((0, 0)))

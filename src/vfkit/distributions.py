@@ -15,9 +15,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .expr import Expr, ZERO, compile_exact, const
+from .expr import Expr, ZERO, compile_exact
 from .fields import VectorField, field_values
-from .linalg import all_exact, exact_nullspace, exact_pivot_columns, span_rank
+from .linalg import all_exact, exact_pivot_columns, span_rank
 
 __all__ = [
     "Distribution",
@@ -29,7 +29,6 @@ __all__ = [
     "classify_grid",
     "grid_points",
     "singular_locus_minors",
-    "adapt_generators",
 ]
 
 
@@ -219,46 +218,3 @@ def singular_locus_minors(D):
                 f"minor soundness failed at {p}: rank drop {drop}, minors zero {all_zero}"
             )
     return SingularLocus(m, tuple(minors))
-
-
-def adapt_generators(D, point):
-    """Recombine generators so the first ``rank`` of them are a fibre basis
-    at the point and the remaining ones vanish there.
-
-    Requires every generator value at the point to be exactly evaluable.
-    """
-    values = field_values(D.generators, [point])[0]
-    idxs = [i for i, v in enumerate(values) if v is not None]
-    vals = [values[i] for i in idxs]
-    if not all_exact(vals):
-        raise ValueError("adapt_generators needs exactly evaluable generator values")
-    k = len(vals)
-    columns = [list(col) for col in zip(*vals)]  # n x k
-    pivots = exact_pivot_columns(columns)
-    m = len(pivots)
-    order = list(pivots) + [j for j in range(k) if j not in pivots]
-    reordered = [D.generators[idxs[j]] for j in order]
-    reordered_vals = [vals[j] for j in order]
-    kernel = exact_nullspace([list(col) for col in zip(*reordered_vals)])
-    out = list(reordered[:m])
-    for vec in kernel:
-        comps = tuple(
-            sum(
-                (const(vec[l]) * reordered[l].components[c] for l in range(k)),
-                ZERO,
-            )
-            for c in range(D.dim)
-        )
-        name = "+".join(
-            f"({vec[l]})*{reordered[l].name}" for l in range(k) if vec[l] != 0
-        )
-        domain = reordered[0].domain
-        for l in range(1, k):
-            if vec[l] != 0:
-                domain = domain.intersect(reordered[l].domain)
-        out.append(VectorField(name or "0", comps, domain))
-    for extra in out[m:]:
-        value = extra.value(point)
-        if any(v != 0 for v in value):
-            raise AssertionError("adapted generator fails to vanish at the point")
-    return out

@@ -76,7 +76,6 @@ __all__ = [
     "apply_words",
     "pushforward_along_word",
     "pushforward_along_words",
-    "multiply_field",
     "field_values",
     "field_evaluators",
     "jacobian_exprs",
@@ -314,15 +313,6 @@ def field_values(fields, points):
     each field compiled once whatever the number of points."""
     evaluators = field_evaluators(fields)
     return [[f(p) for f in evaluators] for p in points]
-
-
-def multiply_field(f, X, name=None):
-    """Scalar-function multiple f*X (module action)."""
-    return VectorField(
-        name or f"f*{X.name}",
-        tuple(f * comp for comp in X.components),
-        X.domain,
-    )
 
 
 # -- flow kind detection ----------------------------------------------------------

@@ -17,8 +17,10 @@ whose "yes" is re-verified.  ``vfkit lie`` always certifies; the orbit
 functions only below full rank.
 Brackets of polynomial fields are computed on exponent dicts
 (``fields.lie_bracket``).  A rank at a point is read with
-``LieFiltration.rank_at`` (``ranks_over`` takes the generators' values at
-many points), the ranks at every depth with ``ranks_by_depth``;
+``LieFiltration.rank_at``; ``ranks_over`` ranks many points from the
+generators' values there, each word compiled once for all of them
+(``orbits.chow_verdict`` ranks its samples so), and ``ranks_by_depth``
+gives the ranks at every depth;
 ``derived_certificate`` certifies the same way that the derived words span
 [L, L] at every point.
 Involutivity reads the nonzero pairwise brackets, built once by
@@ -46,7 +48,6 @@ __all__ = [
     "certify",
     "derived_certificate",
     "pairwise_brackets",
-    "pointwise_witness",
     "pointwise_witnesses",
     "fixed_time_ideal_rank",
     "zero_time_vectors",
@@ -276,11 +277,6 @@ def pointwise_witnesses(values, brackets, points):
                 witness = (i, j, tuple(point))
                 break
         yield witness
-
-
-def pointwise_witness(values, brackets, point):
-    """``pointwise_witnesses`` at one point."""
-    return next(pointwise_witnesses([values], brackets, [point]))
 
 
 @dataclass(frozen=True)

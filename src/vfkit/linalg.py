@@ -28,9 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "exact_rank",
     "exact_solve",
-    "exact_nullspace",
     "exact_pivot_columns",
     "svd_rank",
     "affine_rank",
@@ -141,10 +139,6 @@ def _rref(rows, ncols):
     return pivots
 
 
-def exact_rank(matrix):
-    return len(_rref(*_sparse_rows(matrix)))
-
-
 def exact_pivot_columns(matrix):
     """Column indices of a maximal independent subset, in elimination order."""
     return [c for _, c in _rref(*_sparse_rows(matrix))]
@@ -175,23 +169,6 @@ def exact_solve(A, rhs):
         None if x is None else [x.get(c, Fraction(0)) for c in range(ncols)]
         for x in solutions
     ]
-
-
-def exact_nullspace(A):
-    """Basis of the kernel of A (rows = equations), as Fraction vectors."""
-    rows, ncols = _sparse_rows(A)
-    pivots = _rref(rows, ncols)
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for row, c in pivots:
-            v[c] = -Fraction(row.get(free, 0), row[c])
-        basis.append(v)
-    return basis
 
 
 def svd_rank(matrix, rel_tol):
@@ -230,7 +207,7 @@ def all_exact(vectors):
 
 
 def _rank(vectors, exact):
-    return exact_rank(vectors) if exact else svd_rank(vectors, VALUE_REL_TOL)
+    return len(exact_pivot_columns(vectors)) if exact else svd_rank(vectors, VALUE_REL_TOL)
 
 
 def span_rank(vectors):

@@ -18,8 +18,9 @@ Fixed-time orbits take the rank of the zero-time ideal at the float point
 that the seed word reaches, exact by the same rule (``"zero-time-ideal"``
 also needs ``liealg.derived_certificate``).
 Every other case samples flow words that push the generators forward to the
-point: the rank of the collected vectors (for fixed time, of the linear part
-of their affine hull) is a lower bound (``certificate="sampled"``).  Every
+point, by one path (``sampled_orbit``) whose fixed-time words have net time
+zero: the rank of the collected vectors (for zero-sum words, of the linear
+part of their affine hull) is a lower bound (``certificate="sampled"``).  Every
 orbit is an immersed submanifold of R^n (Sussmann 1973), so a sampled rank of
 n is the orbit dimension: ``sampled_orbit_dimension`` walks the first
 ``FIRST_WORDS`` words and draws the rest only when their rank stays below n.
@@ -55,7 +56,6 @@ __all__ = [
     "SampledOrbit",
     "sampled_orbit",
     "sampled_orbit_dimension",
-    "sampled_fixed_time",
     "FIRST_WORDS",
     "nagano_certified",
     "exact_certificate",
@@ -173,27 +173,8 @@ class OrbitTangentReport:
     certificate: str  # "nagano" | "bracket-rank" (exact) | "sampled" (a lower bound)
 
 
-def _generator_values(family, point):
-    return [tuple(X.value_float(point)) for X in family if X.domain.contains(point)]
-
-
-def _pushforwards(family, words, point):
-    """The generators' pushforwards to the point along each word (all words
-    walked together), with the number of words that pushed some generator
-    forward and the number that pushed none."""
-    vectors = []
-    used = 0
-    for pushed in pushforward_along_words(family, words, family, point):
-        if isinstance(pushed, FlowError):
-            continue
-        got = [tuple(float(x) for x in v) for v in pushed if v is not None]
-        vectors.extend(got)
-        used += bool(got)
-    return vectors, used, len(words) - used
-
-
 class SampledOrbit(NamedTuple):
-    dimension: int  # rank of the vectors (affine rank for fixed time): a lower bound
+    dimension: int  # rank of the vectors (affine rank for zero-sum words): a lower bound
     vectors: list  # generator values at the point and their pushforwards
     words_used: int
     words_skipped: int
@@ -202,27 +183,35 @@ class SampledOrbit(NamedTuple):
 def _sample_orbit(family, point, sampler, batches):
     """Generator values at the point and their pushforwards along the
     sampler's words, walked in the given batch sizes (None: all the rest)
-    until the rank of the collected vectors is full.  A generator defined
-    at the point gives a vector even when every word exits."""
+    until the rank of the collected vectors is full: of their span for free
+    words, of the linear part of their affine hull (``linalg.affine_rank``)
+    for zero-sum ones.  A generator defined at the point gives a vector even
+    when every word exits."""
     if not any(X.domain.contains(point) for X in family):
         raise DomainExitError(f"no generator is defined at {point}")
+    rank = affine_rank if sampler.constraint == "zero-sum" else svd_rank
     draw = sampler.draw(len(family))
-    vectors = _generator_values(family, point)
-    used = skipped = 0
+    vectors = [tuple(X.value_float(point)) for X in family if X.domain.contains(point)]
+    used = walked = 0
     for size in batches:
-        pushed, u, s = _pushforwards(family, list(islice(draw, size)), point)
-        vectors += pushed
-        used += u
-        skipped += s
-        dim = svd_rank(np.array(vectors, dtype=float), FLOW_REL_TOL)
+        words = list(islice(draw, size))
+        walked += len(words)
+        for pushed in pushforward_along_words(family, words, family, point):
+            if not isinstance(pushed, FlowError):
+                got = [tuple(float(x) for x in v) for v in pushed if v is not None]
+                vectors += got
+                used += bool(got)
+        dim = rank(vectors, FLOW_REL_TOL)
         if dim == len(point):
             break
-    return SampledOrbit(dim, vectors, used, skipped)
+    return SampledOrbit(dim, vectors, used, walked - used)
 
 
 def sampled_orbit(family, point, sampler):
     """Sampled orbit dimension at the point, from the pushforwards that all
-    the sampler's words give there; no bracket filtration is built."""
+    the sampler's words give there; no bracket filtration is built.  With
+    zero-sum words (``constraint="zero-sum"``) it is the sampled dimension
+    of the fixed-time orbit through the point."""
     return _sample_orbit(family, point, sampler, (None,))
 
 
@@ -339,27 +328,6 @@ def _seed_point(family, point, T):
     raise DomainExitError(f"no net-time-{T} seed word succeeds from {point}")
 
 
-def _zero_sum_words(family, sampler):
-    return replace(sampler, constraint="zero-sum").words(len(family))
-
-
-def _sample_fixed_time(family, words, point):
-    pushed, used, skipped = _pushforwards(family, words, point)
-    vectors = _generator_values(family, point) + pushed
-    if not vectors:
-        raise DomainExitError("all zero-sum words exited the domains")
-    return SampledOrbit(affine_rank(vectors, FLOW_REL_TOL), vectors, used, skipped)
-
-
-def sampled_fixed_time(family, point, sampler):
-    """Sampled tangent dimension of the fixed-time orbit through the point:
-    the generator values there and their pushforwards along the sampler's
-    words, made zero-sum, ranked as the linear part of their affine hull
-    (``linalg.affine_rank``), a lower bound.  No filtration is built."""
-    family = tuple(family)
-    return _sample_fixed_time(family, _zero_sum_words(family, sampler), point)
-
-
 def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP):
     """Tangent dimension of the fixed-time orbit through the point.
 
@@ -371,9 +339,9 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     as that orbit holds the curves e^{tX_i} e^{-tX_j} x and every flow of F
     preserves it.  Where ``exact_certificate`` finds the rank of L0 at x
     exact ("zero-time-ideal" or "bracket-rank"), no word but the seed is
-    walked; otherwise the pushforwards along the sampler's zero-sum words
-    give the sampled lower bound of ``sampled_fixed_time``.  The orbit
-    dimension at x is ``orbit_dimension``'s, by the same rule and sampler.
+    walked; otherwise ``sampled_orbit`` along the sampler's words, made
+    zero-sum, gives the sampled lower bound.  The orbit dimension at x is
+    ``orbit_dimension``'s, by the same rule and sampler.
     """
     family = tuple(family)
     reached = _seed_point(family, point, T)
@@ -383,8 +351,8 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     dim, used, skipped = ideal_rank, 0, 0
     if certificate is None:
         certificate = "sampled"
-        dim, _, used, skipped = _sample_fixed_time(family, _zero_sum_words(family, sampler),
-                                                   reached)
+        dim, _, used, skipped = sampled_orbit(family, reached,
+                                              replace(sampler, constraint="zero-sum"))
 
     # the ideal lies in Lie(F): a stop at full ideal rank is a full Lie rank,
     # and any other filtration here is final and certified
@@ -421,7 +389,8 @@ def chow_verdict(family, samples, depth_cap=DEFAULT_DEPTH_CAP, orbit_sampler=Non
     family = tuple(family)
     n = family[0].dim
     filt = filtration(family, depth_cap)
-    failing = [tuple(p) for p in samples if filt.rank_at(p) < n]
+    ranks = filt.ranks_over(field_values(family, samples), samples)
+    failing = [tuple(p) for p, rank in zip(samples, ranks) if rank < n]
     if not failing:
         words = [f for level in filt.levels for _, f in level]
         axes = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]

@@ -26,8 +26,7 @@ from .orbits import (WordSampler, chow_verdict, fixed_time_dimension, sampled_or
                      sampled_orbit_dimension)
 from .systems import parse_system
 
-__all__ = ["Preset", "Fact", "FactResult", "PRESETS", "run_preset", "preset_names",
-           "steer_linear"]
+__all__ = ["Preset", "Fact", "FactResult", "PRESETS", "run_preset", "steer_linear"]
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,27 @@ def _first_bracket_is(expected):
     def check(ctx):
         b = lie_bracket(ctx.family[0], ctx.family[1])
         return _eq_result(expected, f"({', '.join(str(c) for c in b.components)})")
+
+    return check
+
+
+def _bracket_generating_at(samples):
+    """Check that ``chow_verdict`` at depth 2 passes at the samples."""
+
+    def check(ctx):
+        rep = chow_verdict(ctx.family, samples, 2)
+        return _result(rep.bracket_generating, "bracket-generating at depth 2",
+                       rep.verdict)
+
+    return check
+
+
+def _fixed_time_dimension_is(expected, point, T, offset):
+    """Check the fixed-time dimension from the point at time T, seed + offset."""
+
+    def check(ctx):
+        rep = fixed_time_dimension(ctx.family, point, T, ctx.sampler(offset))
+        return _eq_result(expected, rep.dimension)
 
     return check
 
@@ -221,11 +241,6 @@ def _axis_singleton(ctx):
     )
 
 
-def _hyperbola_dim(ctx):
-    rep = fixed_time_dimension(ctx.family, (1, 1), 0.0, ctx.sampler(1))
-    return _eq_result(1, rep.dimension)
-
-
 def _hyperbola_invariant(ctx):
     rep = fixed_time_dimension(ctx.family, (1, 1), 0.0, ctx.sampler(2))
     _, drift = _zero_sum_walk(ctx, rep, ctx.sampler(2), parse("x1*x2", 2))
@@ -247,7 +262,8 @@ FIXED_TIME = Preset(
              "the fixed-time orbit through (1,0) is a sampled singleton",
              _axis_singleton),
         Fact("hyperbola-dim", "published",
-             "sampled fixed-time dimension at (1,1) is 1", _hyperbola_dim),
+             "sampled fixed-time dimension at (1,1) is 1",
+             _fixed_time_dimension_is(1, (1, 1), 0.0, 1)),
         Fact("product-invariant", "derived",
              "zero-sum words preserve x1*x2 (each flow scales one coordinate "
              "by e^t; zero net time cancels)", _hyperbola_invariant),
@@ -277,10 +293,15 @@ def _flat_sampler(ctx, offset):
     return ctx.sampler(offset, count=400, max_len=8, max_time=1.5)
 
 
-def _flat_lie_ranks(ctx):
-    filt = filtration(ctx.family, 8)
-    got = tuple(filt.rank_at(p) for p in _FLAT_POINTS)
-    return _eq_result((1, 1, 2), got)
+def _lie_ranks_are(expected):
+    """Check the bracket-filtration ranks at depth cap 8 at ``_FLAT_POINTS``."""
+
+    def check(ctx):
+        filt = filtration(ctx.family, 8)
+        values = field_values(ctx.family, _FLAT_POINTS)
+        return _eq_result(expected, tuple(filt.ranks_over(values, _FLAT_POINTS)))
+
+    return check
 
 
 def _flat_orbit_dims(ctx):
@@ -346,7 +367,7 @@ ONE_SIDED_FLAT = Preset(
     (
         Fact("lie-ranks", "published",
              "bracket-filtration ranks at depth cap 8 are 1,1,2 at "
-             "(-1,0),(0,0),(1,0)", _flat_lie_ranks),
+             "(-1,0),(0,0),(1,0)", _lie_ranks_are((1, 1, 2))),
         Fact("orbit-dims", "published",
              "sampled orbit dimension is 2 at all three points",
              _flat_orbit_dims),
@@ -385,12 +406,6 @@ def _linear_shear_rank(ctx):
                    f"ranks={ranks}, stabilized_at={filt.stabilized_at}")
 
 
-def _linear_shear_chow(ctx):
-    rep = chow_verdict(ctx.family, [(0, 0), (1, 1), (-2, 3)], 2)
-    return _result(rep.bracket_generating, "bracket-generating at depth 2",
-                   rep.verdict)
-
-
 LINEAR_SHEAR = Preset(
     "linear-shear",
     "the bracket [d1, x1 d2] = d2 spans the missing direction",
@@ -402,7 +417,7 @@ LINEAR_SHEAR = Preset(
              "bracket rank 2 everywhere, certified stable at depth 2",
              _linear_shear_rank),
         Fact("chow", "derived", "the sufficiency test passes at depth 2",
-             _linear_shear_chow),
+             _bracket_generating_at([(0, 0), (1, 1), (-2, 3)])),
     ),
 )
 
@@ -478,17 +493,6 @@ def _steer_loop(ctx):
                    f"u1={u1}, u2={u2}, error={err:.2e}")
 
 
-def _integrator_chow(ctx):
-    rep = chow_verdict(ctx.family, [(0, 0), (2, -1)], 2)
-    return _result(rep.bracket_generating, "bracket-generating at depth 2",
-                   rep.verdict)
-
-
-def _integrator_fixed_time(ctx):
-    rep = fixed_time_dimension(ctx.family, (0, 0), 1.0, ctx.sampler(4))
-    return _eq_result(2, rep.dimension)
-
-
 DOUBLE_INTEGRATOR = Preset(
     "double-integrator",
     "planar double integrator under two constant inputs: closed-form steering",
@@ -501,10 +505,10 @@ DOUBLE_INTEGRATOR = Preset(
              "the same formula produces nonzero loops", _steer_loop),
         Fact("chow", "derived",
              "the input family is bracket-generating at depth 2",
-             _integrator_chow),
+             _bracket_generating_at([(0, 0), (2, -1)])),
         Fact("fixed-time-full", "published",
              "fixed-time orbits are the whole plane: sampled dimension 2",
-             _integrator_fixed_time),
+             _fixed_time_dimension_is(2, (0, 0), 1.0, 4)),
     ),
 )
 
@@ -744,7 +748,7 @@ def _shear3_commutator(ctx):
     err = float(np.max(np.abs(landed - target)))
     return _result(err < 1e-9,
                    "the commutator word reaches (0, 0, t^2)",
-                   f"landed {tuple(np.round(landed, 12))}, error {err:.2e}")
+                   f"landed {tuple(np.round(landed, 12).tolist())}, error {err:.2e}")
 
 
 def _shear3_chart(ctx):
@@ -860,12 +864,6 @@ field X2 = (0, bump(x1))
 """
 
 
-def _two_sided_ranks(ctx):
-    filt = filtration(ctx.family, 8)
-    got = tuple(filt.rank_at(p) for p in _FLAT_POINTS)
-    return _eq_result((2, 1, 2), got)
-
-
 def _two_sided_frobenius(ctx):
     d = Distribution(tuple(ctx.family))
     v = frobenius_verdict(d, _HALF_STEP_GRID, orbit_sampler=_flat_sampler(ctx, 40))
@@ -881,7 +879,7 @@ TWO_SIDED_FLAT = Preset(
     (
         Fact("lie-ranks", "published",
              "bracket ranks 2,1,2 at (-1,0),(0,0),(1,0) at depth cap 8",
-             _two_sided_ranks),
+             _lie_ranks_are((2, 1, 2))),
         Fact("not-integrable", "published",
              "involutive but not integrable", _two_sided_frobenius),
     ),
@@ -908,10 +906,6 @@ PRESETS: Dict[str, Preset] = {
         ISOLATED,
     )
 }
-
-
-def preset_names():
-    return list(PRESETS)
 
 
 def run_preset(name, seed=0):

@@ -17,6 +17,11 @@ def vf():
     return make_field
 
 
+def multiply_field(f, X):
+    """The module action f*X: each component of X times f, on X's domain."""
+    return VectorField(f"f*{X.name}", tuple(f * c for c in X.components), X.domain)
+
+
 def frac_grid(lo, hi, denom):
     return [Fraction(k, denom) for k in range(lo * denom, hi * denom + 1)]
 

@@ -14,7 +14,7 @@ import pytest
 
 from vfkit.distributions import Distribution, rank_at
 from vfkit.expr import parse
-from vfkit.fields import VectorField, apply_word, lie_bracket, multiply_field
+from vfkit.fields import VectorField, apply_word, lie_bracket
 from vfkit.frobenius import flow_box_chart, frobenius_verdict
 from vfkit.liealg import filtration, fixed_time_ideal_rank
 from vfkit.membership import ideal_member_bounded, member_bounded
@@ -26,7 +26,7 @@ from vfkit.orbits import (
 )
 from vfkit.presets import steer_linear
 
-from conftest import make_field
+from conftest import make_field, multiply_field
 
 
 def vf(name, comps, n, constraints=()):

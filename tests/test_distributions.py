@@ -6,15 +6,13 @@ import pytest
 from vfkit import distributions, expr, fields
 from vfkit.distributions import (
     Distribution,
-    adapt_generators,
     classify_grid,
     rank_at,
     singular_locus_minors,
 )
 from vfkit.expr import parse
-from vfkit.fields import multiply_field
 
-from conftest import frac_grid
+from conftest import frac_grid, multiply_field
 
 
 @pytest.fixture
@@ -131,37 +129,6 @@ class TestMinors:
             (vf("a", ["x1", "x2", "0"], 3), vf("b", ["0", "x3", "1"], 3))
         )
         singular_locus_minors(D)  # raises AssertionError on a violation
-
-
-class TestAdapt:
-    def test_recombination_vanishes(self, vf):
-        D = Distribution((vf("e1", ["1", "0"], 2), vf("s", ["1", "x1"], 2)))
-        out = adapt_generators(D, (0, 0))
-        assert [str(c) for c in out[0].components] == ["1", "0"]
-        assert [str(c) for c in out[1].components] == ["0", "x1"]
-
-    def test_full_rank_unchanged(self, vf):
-        gens = (vf("a", ["1", "0"], 2), vf("b", ["0", "1"], 2))
-        out = adapt_generators(Distribution(gens), (3, 4))
-        assert tuple(out) == gens
-
-    def test_scalings_at_axis_point(self, diag):
-        out = adapt_generators(diag, (1, 0))
-        assert out[0].value((1, 0)) == [1, 0]
-        assert out[1].value((1, 0)) == [0, 0]
-
-    def test_basis_then_vanishing(self, vf):
-        D = Distribution(
-            (
-                vf("a", ["x1", "0"], 2),
-                vf("b", ["2*x1", "0"], 2),
-                vf("c", ["0", "1"], 2),
-            )
-        )
-        out = adapt_generators(D, (1, 1))
-        values = [g.value((1, 1)) for g in out]
-        assert values[0] == [1, 0] and values[1] == [0, 1]
-        assert values[2] == [0, 0]
 
 
 class TestRobustness:

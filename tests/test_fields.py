@@ -23,7 +23,6 @@ from vfkit.fields import (
     field_evaluators,
     flow,
     lie_bracket,
-    multiply_field,
     pushforward_along_word,
     pushforward_along_words,
 )
@@ -32,7 +31,7 @@ from vfkit.orbits import WordSampler, sampled_orbit
 from vfkit.presets import PRESETS
 from vfkit.systems import parse_system
 
-from conftest import make_field
+from conftest import make_field, multiply_field
 
 
 def random_poly_field(rng, n, max_degree=3):

@@ -273,13 +273,13 @@ class TestCoherence:
         # orbit-rank gap) flags the base point
         from vfkit.distributions import rank_at
         from vfkit.fields import field_values
-        from vfkit.liealg import pairwise_brackets, pointwise_witness
+        from vfkit.liealg import pairwise_brackets, pointwise_witnesses
         from vfkit.orbits import orbit_dimension
 
         def point_flagged(D, base, sampler):
             fam = list(D.generators)
-            values = field_values(fam, [base])[0]
-            if pointwise_witness(values, pairwise_brackets(fam), base) is not None:
+            values = field_values(fam, [base])
+            if next(pointwise_witnesses(values, pairwise_brackets(fam), [base])) is not None:
                 return True
             rep = orbit_dimension(fam, base, sampler or WordSampler(seed=0, count=200, max_len=8, max_time=1.0))
             return rep.dimension > rank_at(D, base).rank

@@ -45,7 +45,8 @@ FROBENIUS = ["linear-shear", "vanishing-pair", "umbrella-ideal", "coordinate-pla
              "mixed-degree-pair", "one-sided-flat", "two-sided-flat"]
 # reports of the sampling commands at one seed: (case, preset name, argv
 # after --system); nine-orbits is Nagano-certified, so its 300 words are
-# never drawn
+# never drawn; at (3, 4) only X2 of half-plane-translations is defined, so
+# both the zero-sum words and the orbit are sampled
 SAMPLED_SEED = "7"
 SAMPLED = [
     ("one-sided-flat-orbit", "one-sided-flat", ["orbit", "--point=-1/2,1/2"]),
@@ -54,6 +55,8 @@ SAMPLED = [
     ("nine-orbits-orbit-words300", "nine-orbits", ["orbit", "--point=1,0", "--words", "300"]),
     ("two-sided-flat-orbit-fixed-time", "two-sided-flat",
      ["orbit", "--point=-1/2,0", "--fixed-time", "1/2"]),
+    ("half-plane-translations-orbit-fixed-time-0", "half-plane-translations",
+     ["orbit", "--point=3,4", "--fixed-time", "0"]),
     ("one-sided-flat-frobenius-seed7", "one-sided-flat", ["frobenius"]),
 ]
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -33,6 +34,41 @@ def test_every_public_name_resolves():
         stale += [f"{name}.{entry}" for entry in getattr(module, "__all__", ())
                   if not hasattr(module, entry)]
     assert stale == []
+
+
+# Public functions that no other module, demo or benchmark uses, each kept
+# for a reason of its own.
+UNREFERENCED_PUBLIC = {
+    "members_bounded": "the many-target form of member_bounded, one solve for all targets",
+    "nagano_certified": "names the condition under which exact_certificate trusts Nagano",
+    "steer_linear": "the double integrator's closed-form steering, which its facts check",
+}
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+USERS = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+
+
+def _identifiers(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_public_function_is_used_outside_its_module():
+    used = {path: _identifiers(path) for path in USERS}
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(
+            "vfkit" if path.stem == "__init__" else f"vfkit.{path.stem}")
+        unused += [entry for entry in getattr(module, "__all__", ())
+                   if inspect.isfunction(getattr(module, entry))
+                   and not any(entry in names for p, names in used.items() if p != path)]
+    assert sorted(unused) == sorted(UNREFERENCED_PUBLIC)
 
 
 # Thresholds, caps and sample settings are module constants: a parameter

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vfkit.expr import const, parse
-from vfkit.fields import field_values, lie_bracket, multiply_field
+from vfkit.fields import field_values, lie_bracket
 from vfkit import liealg, membership
 from vfkit.liealg import (
     LieAlgebraError,
@@ -14,10 +14,12 @@ from vfkit.liealg import (
     filtration_by_depth,
     fixed_time_ideal_rank,
     pairwise_brackets,
-    pointwise_witness,
+    pointwise_witnesses,
 )
 from vfkit.presets import PRESETS
 from vfkit.systems import parse_system
+
+from conftest import multiply_field
 
 
 
@@ -145,7 +147,7 @@ class TestInvolutivity:
         fam = [vf("X1", ["0", "1", "0"], 3), vf("X2", ["1", "0", "x2"], 3)]
         brackets = pairwise_brackets(fam)
         for p in [(0, 0, 0), (1, 1, 1)]:
-            assert pointwise_witness(field_values(fam, [p])[0], brackets, p) == (0, 1, p)
+            assert next(pointwise_witnesses(field_values(fam, [p]), brackets, [p])) == (0, 1, p)
 
     def test_fibre_evaluated_once_and_only_under_a_bracket(self, vf, monkeypatch):
         from vfkit import fields
@@ -167,9 +169,9 @@ class TestInvolutivity:
         monkeypatch.setattr(fields, "_compile_value", spy)
         # the caller evaluates the fibre once; a bracket is evaluated only
         # where it is defined, and the first one to leave the fibre stops
-        assert pointwise_witness(given[0], brackets, (-1, 0, 0)) is None
+        assert next(pointwise_witnesses(given[:1], brackets, [(-1, 0, 0)])) is None
         assert values == []
-        assert pointwise_witness(given[1], brackets, (1, 0, 0)) == (0, 1, (1, 0, 0))
+        assert next(pointwise_witnesses(given[1:], brackets, [(1, 0, 0)])) == (0, 1, (1, 0, 0))
         assert values == [brackets[(0, 1)].name]
 
     def test_radial_pair_module_involutive(self, vf):
@@ -194,7 +196,7 @@ class TestInvolutivity:
     def test_flat_pair_pointwise_involutive(self, flat):
         brackets = pairwise_brackets(flat)
         samples = [(-1, 0), (0, 0), (1, 0), (0.5, 0.5), (-2, 1)]
-        assert all(pointwise_witness(vals, brackets, p) is None
+        assert all(next(pointwise_witnesses([vals], brackets, [p])) is None
                    for p, vals in zip(samples, field_values(flat, samples)))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vfkit.expr import ZERO, const, parse, var
-from vfkit.fields import lie_bracket, multiply_field
+from vfkit.fields import lie_bracket
 from vfkit.liealg import filtration
 from vfkit.linalg import in_span
 from vfkit import membership
@@ -18,6 +18,8 @@ from vfkit.membership import (
 )
 from vfkit.presets import PRESETS
 from vfkit.systems import parse_system
+
+from conftest import multiply_field
 
 
 

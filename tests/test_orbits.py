@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,6 @@ from vfkit.orbits import (
     fixed_time_dimension,
     nagano_certified,
     orbit_dimension,
-    sampled_fixed_time,
     sampled_orbit,
     sampled_orbit_dimension,
 )
@@ -546,7 +546,7 @@ class TestZeroTimeIdeal:
         sampler = WordSampler(seed=0, count=30)
         rep = fixed_time_dimension([U], p, 0.5, sampler)
         assert (rep.dimension, rep.ideal_rank, rep.certificate) == (0, 0, "sampled")
-        s = sampled_fixed_time([U], rep.reached, sampler)
+        s = sampled_orbit([U], rep.reached, replace(sampler, constraint="zero-sum"))
         diffs = np.array(s.vectors[1:]) - np.array(s.vectors[0])
         assert 0 < np.abs(diffs).max() < 1e-9
         # ranked against the largest difference, the noise would count
@@ -556,10 +556,10 @@ class TestZeroTimeIdeal:
         # L0(p) is the fixed-time orbit's tangent, so a larger sampled rank is a bug
         families = zero_time_certified_families(vf)
         assert len(families) >= 14
-        sampler = WordSampler(seed=21, count=12, max_len=3, max_time=0.4)
+        sampler = WordSampler(seed=21, count=12, max_len=3, max_time=0.4, constraint="zero-sum")
         for fam, filt in families:
             for p in itertools.product((-1, 0, 1), repeat=fam[0].dim):
-                sampled = sampled_fixed_time(fam, p, sampler).dimension
+                sampled = sampled_orbit(fam, p, sampler).dimension
                 assert sampled <= liealg.fixed_time_ideal_rank(filt, p).ideal_rank, (fam, p)
 
     def test_uncertified_families_sample(self, walked):
@@ -726,6 +726,17 @@ class TestChow:
         assert not rep.bracket_generating
         assert rep.failing_samples == ()
         assert "no module certificate" in rep.verdict
+
+    def test_each_word_compiled_once_for_all_samples(self, monkeypatch):
+        # linear-shear at cap 2 has the words X1, X2 and [X2,X1]: one
+        # compile per component of each, however many samples there are
+        compiled = []
+        real = fields.compile_exact
+        monkeypatch.setattr(fields, "compile_exact",
+                            lambda expr: compiled.append(expr) or real(expr))
+        rep = chow_verdict(preset_family("linear-shear"), [(0, 0), (1, 1), (-2, 3)], 2)
+        assert rep.bracket_generating and rep.failing_samples == ()
+        assert len(compiled) == 6
 
     def test_diag_not_established(self, diag):
         rep = chow_verdict(diag, [(0, 0), (1, 1)], 3)

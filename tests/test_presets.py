@@ -1,6 +1,15 @@
+import json
+import pathlib
+import re
+
 import pytest
 
-from vfkit.presets import PRESETS, preset_names, run_preset
+from vfkit.presets import PRESETS, run_preset
+
+# every fact's text at seed 0, one entry per fact in corpus order
+CORPUS_SEED0 = pathlib.Path(__file__).parent / "data" / "corpus-seed0.json"
+# an e-notation number below 1e-12 is float noise, pinned only as being below it
+_NOISE = re.compile(r"[-+]?\d+(?:\.\d+)?e[-+]\d+")
 
 # the corpus keeps one stated fact that honest computation refutes: zero-sum
 # words that spend time on the vanishing field move axis points, so the
@@ -8,7 +17,7 @@ from vfkit.presets import PRESETS, preset_names, run_preset
 KNOWN_REFUTED = {("hyperbola-fixed-time", "axis-singleton")}
 
 
-@pytest.mark.parametrize("name", preset_names())
+@pytest.mark.parametrize("name", list(PRESETS))
 def test_preset_facts(name):
     run = run_preset(name, seed=0)
     for fact, result in run.results:
@@ -46,3 +55,28 @@ def test_steering_facts_measure_exact_text():
     measured = {fact.fact_id: result.measured for fact, result in run.results}
     assert measured["steer-corner"] == "u1=3.0, u2=-1.0, error=0.00e+00"
     assert measured["steer-loop"] == "u1=-4.0, u2=4.0, error=0.00e+00"
+
+
+@pytest.fixture(scope="module")
+def corpus_seed0():
+    return [dict(preset=name, id=fact.fact_id, tag=fact.tag, description=fact.description,
+                 expected=result.expected, ok=result.ok, measured=result.measured)
+            for name in PRESETS for fact, result in run_preset(name, seed=0).results]
+
+
+def test_fact_text_carries_no_numpy_repr(corpus_seed0):
+    # np.float64(...) prints only under numpy >= 2, so such text would
+    # depend on the numpy release
+    assert [(f["preset"], f["id"]) for f in corpus_seed0
+            if "np." in f["expected"] + f["measured"]] == []
+
+
+def _noise_free(text):
+    return _NOISE.sub(lambda m: "<1e-12" if abs(float(m.group())) < 1e-12 else m.group(), text)
+
+
+def test_corpus_text_is_pinned(corpus_seed0):
+    pinned = json.loads(CORPUS_SEED0.read_text())
+    normal = [[dict(f, measured=_noise_free(f["measured"])) for f in facts]
+              for facts in (corpus_seed0, pinned)]
+    assert normal[0] == normal[1]
