@@ -25,7 +25,7 @@ from .distributions import (
     singular_locus_minors,
 )
 from .expr import ExprError
-from .fields import FlowError, lie_bracket
+from .fields import FlowError, field_values, lie_bracket
 from .frobenius import DEFAULT_INVOLUTIVITY_DEGREE, flow_box_chart, frobenius_verdict
 from .liealg import (
     DEFAULT_DEPTH_CAP,
@@ -33,10 +33,10 @@ from .liealg import (
     DEPTH_CAP_LIMIT,
     LieAlgebraError,
     certify,
-    filtration,
-    fixed_time_ideal_rank,
+    word_vectors,
+    zero_time_vectors,
 )
-from .linalg import FLOW_REL_TOL, VALUE_REL_TOL
+from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, span_rank
 from .membership import DEGREE_CAP, MembershipError, member_bounded
 from .orbits import WordSampler, fixed_time_dimension, orbit_dimension
 from .presets import PRESETS, run_preset
@@ -350,11 +350,14 @@ def _cmd_rank(args, seed):
 def _cmd_lie(args, seed):
     system = _load_system(args.system)
     p = parse_point(args.point, system.dim)
-    filt = certify(filtration(list(system.fields), args.depth), args.module_degree)
+    values = field_values(system.fields, [p])
+    walk = list(word_vectors(system.fields, values, [p], args.depth))
+    filt, ((_, derived),) = walk[-1]
+    filt = certify(filt, args.module_degree)
     results = {
         "point": list(p),
         "depth_cap": args.depth,
-        "ranks_by_depth": filt.ranks_by_depth(p),
+        "ranks_by_depth": [span_rank(words) for _, ((words, _),) in walk],
         "stabilized_at": filt.stabilized_at,
         "certificate": filt.certificate,
         "words": [
@@ -368,11 +371,17 @@ def _cmd_lie(args, seed):
             f"no stabilization certificate at depth cap {args.depth}; ranks "
             "are lower bounds", filt.note]))
     if args.fixed_time_ideal:
-        rep = fixed_time_ideal_rank(filt, p)
+        # the kept words span what every generator and derived word spans
+        lie_rank = results["ranks_by_depth"][-1]
+        ideal_rank = span_rank(zero_time_vectors(values[0], derived, p))
+        codim = lie_rank - ideal_rank
+        if codim not in (0, 1):
+            raise LieAlgebraError(
+                f"codimension of the fixed-time ideal must be 0 or 1, got {codim}")
         results["fixed_time_ideal"] = {
-            "ideal_rank": rep.ideal_rank,
-            "lie_rank": rep.lie_rank,
-            "codim": rep.codim,
+            "ideal_rank": ideal_rank,
+            "lie_rank": lie_rank,
+            "codim": codim,
         }
     return _report("lie", seed, results, system=system.name), EXIT_OK
 

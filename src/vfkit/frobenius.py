@@ -14,12 +14,12 @@ The verdict combines three independent detectors:
   fibre, is compared to the fibre in three steps: (a) bracket words of
   rank above the fibre rank at a sample rule integrability out for any
   smooth family, since Lie(F)(p) lies in the orbit tangent (a bracket-rank
-  witness); (b) where ``orbits.exact_certificate`` finds the bracket rank
-  at a sample to be the orbit dimension (full rank, every generator
-  defined and exactly zero there, or, below full rank, a Nagano-certified
-  family, whose module search runs once, at the first such sample), no
+  witness); (b) where ``orbits.exact_ranks`` finds the bracket rank at a
+  sample to be the orbit dimension (full rank, every generator defined and
+  exactly zero there, or, below full rank, a Nagano-certified family), no
   flow can find more; (c) else a sampled orbit dimension above the fibre
-  rank rules it out.
+  rank rules it out.  The bracket words stop at the first depth where every
+  sample's rank is exact.
 
 Flow-box charts sample a ``CHART_GRID_POINTS``-per-axis grid of flow times
 in [-CHART_RADIUS, CHART_RADIUS].
@@ -32,14 +32,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .distributions import Distribution, fibre_rank, rank_at
+from .distributions import Distribution, fibre_rank
 from .fields import (FlowError, apply_words, field_evaluators, field_values,
                      pushforward_along_word)
-from .liealg import certify, filtration, pairwise_brackets, pointwise_witnesses
+from .liealg import pairwise_brackets, pointwise_witnesses
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 from .membership import module_contains
-from .orbits import (WordSampler, exact_certificate, orbit_dimension,
-                     sampled_orbit_dimension)
+from .orbits import WordSampler, exact_ranks, sampled_orbit_dimension
 
 __all__ = ["FrobeniusVerdict", "FlowBoxChart", "frobenius_verdict", "flow_box_chart"]
 
@@ -94,21 +93,15 @@ def frobenius_verdict(
     witnesses = list(failing)
     bracket_rank_gap = False
     if not failing and not module_ok:
-        # (a) bracket-rank witnesses; (b) where ``orbits.exact_certificate``
-        # finds the bracket rank exact, no flow can find more; (c) else
-        # sample orbits
-        filt = filtration(family)
-        lie_ranks = filt.ranks_over(values, samples)
+        # (a) bracket-rank witnesses; (b) where ``orbits.exact_ranks`` finds
+        # the bracket rank exact, no flow can find more; (c) else sample orbits
+        _, lie_ranks, exact, _ = exact_ranks(family, values, samples)
         witnesses = [p for p, lie, r in zip(samples, lie_ranks, ranks) if lie > r]
         bracket_rank_gap = bool(witnesses)
         if not witnesses:
             sampler = orbit_sampler or ORBIT_SAMPLER
-            certified = None  # the module search, at the first sample below rank n
-            for p, vals, lie, r in zip(samples, values, lie_ranks, ranks):
-                if exact_certificate(filt, lie, vals):
-                    continue
-                certified = certified or certify(filt)
-                if exact_certificate(certified, lie, vals):
+            for p, certificate, r in zip(samples, exact, ranks):
+                if certificate:
                     continue
                 try:
                     dim = sampled_orbit_dimension(family, p, sampler)
@@ -166,7 +159,7 @@ class FlowBoxChart:
     max_residual: float  # worst tangency defect of d(phi)/dt_j over the grid
     image_tangent_rank: int
     fibre_rank_constant: bool  # fibre rank stays m over the sampled image
-    orbit_dimension: Optional[int]  # orbits.orbit_dimension at the base
+    orbit_dimension: Optional[int]  # exact or sampled orbit dimension at the base
     accepted: bool
     rejected_reason: Optional[str] = None
 
@@ -178,16 +171,19 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
     Accepted only when the chart behaves like an integral-manifold chart on
     the sample: every coordinate tangent stays in the fibre, the fibre rank
     matches the chart rank over the sampled image, and the orbit dimension
-    at the base (``orbits.orbit_dimension``: an exact bracket rank, or a
-    sampled lower bound) does not outrun the chart (generator flows cannot
-    leave an integral manifold, so a larger orbit refutes it)."""
-    base = tuple(base)
-    base_report = rank_at(D, base)
+    at the base (an exact bracket rank from ``orbits.exact_ranks``, else
+    ``orbits.sampled_orbit_dimension``, a lower bound) does not outrun the
+    chart (generator flows cannot leave an integral manifold, so a larger
+    orbit refutes it)."""
+    base, family = tuple(base), D.generators
+    values = field_values(family, [base])  # each generator evaluated once at the base
+    base_report = fibre_rank(base, values[0])
     m = base_report.rank
     sampler = orbit_sampler or ORBIT_SAMPLER
     try:
-        orbit = orbit_dimension(D.generators, base, sampler)
-        orbit_dim, orbit_kind = orbit.dimension, orbit.certificate
+        _, (orbit_dim,), (orbit_kind,), _ = exact_ranks(family, values, [base])
+        if not orbit_kind:
+            orbit_dim, orbit_kind = sampled_orbit_dimension(family, base, sampler), "sampled"
     except FlowError:
         orbit_dim, orbit_kind = None, "sampled"
     if m == 0:

@@ -4,23 +4,21 @@ Left-nested bracket words [X_ik, [..., [X_i2, X_i1]...]] span the whole
 generated Lie algebra, so the filtration enumerates only those, pruning
 symbolic zeros and rational multiples of words already kept.  A pruned
 bracket that is a multiple of a generator is still recorded, apart from
-the levels, since the derived algebra [L, L] needs it.  The words are built
-one depth at a time (``filtration_by_depth``), so a caller that needs only a
-rank at a point can stop at the first depth that gives it; ``filtration``
-builds them all, with the free symbolic-closure certificate and nothing
-else.  For polynomial families ``certify`` then attempts a stabilization
-certificate: once every depth-(k+1) word is a degree-bounded member of the
-module spanned by the words of depth <= k, no deeper word can leave that
-module, and pointwise ranks are final.  Each depth tried is one
+the levels, since the derived algebra [L, L] needs it.  ``filtration``
+builds the words to the cap, with the free symbolic-closure certificate
+and nothing else.  For polynomial families ``certify`` then attempts a
+stabilization certificate: once every depth-(k+1) word is a degree-bounded
+member of the module spanned by the words of depth <= k, no deeper word can
+leave that module, and pointwise ranks are final.  Each depth tried is one
 ``membership.module_contains`` system, whose "no" builds no multipliers and
 whose "yes" is re-verified.  ``vfkit lie`` always certifies; the orbit
 functions only below full rank.
 Brackets of polynomial fields are computed on exponent dicts
-(``fields.lie_bracket``).  A rank at a point is read with
-``LieFiltration.rank_at``; ``ranks_over`` ranks many points from the
-generators' values there, each word compiled once for all of them
-(``orbits.chow_verdict`` ranks its samples so), and ``ranks_by_depth``
-gives the ranks at every depth;
+(``fields.lie_bracket``).  Every bracket rank at points is read from one
+walk, ``word_vectors``: one depth at a time, the filtration built so far
+and, per point, the values of the words and of the derived words, each word
+evaluated once per point, so a caller that needs only a rank can stop at
+the first depth that gives it (``orbits.exact_ranks``).
 ``derived_certificate`` certifies the same way that the derived words span
 [L, L] at every point.
 Involutivity reads the nonzero pairwise brackets, built once by
@@ -36,20 +34,18 @@ from typing import List, Optional, Tuple
 
 from .expr import Expr
 from .fields import VectorField, field_evaluators, field_values, lie_bracket
-from .linalg import in_span, span_rank
+from .linalg import in_span
 from .membership import module_contains, oversize
 
 __all__ = [
     "BracketWord",
     "LieFiltration",
-    "FixedTimeRankReport",
     "filtration",
-    "filtration_by_depth",
+    "word_vectors",
     "certify",
     "derived_certificate",
     "pairwise_brackets",
     "pointwise_witnesses",
-    "fixed_time_ideal_rank",
     "zero_time_vectors",
 ]
 
@@ -108,44 +104,12 @@ class LieFiltration:
     generator_duplicates: List[Tuple[BracketWord, VectorField]] = field(
         default_factory=list)
 
-    def rank_at(self, point):
-        """Rank at the point of every word."""
-        return self.ranks_over(field_values(self.family, [point]), [point])[0]
 
-    def ranks_by_depth(self, point):
-        """The rank at the point of the words of depth <= d, for d = 1, ...,
-        depth_cap, each word evaluated once."""
-        vectors, ranks = [], []
-        for level in self.levels:
-            vectors += [f.value(point) for _, f in level if f.domain.contains(point)]
-            ranks.append(span_rank(vectors))
-        return ranks
-
-    def ranks_over(self, values, points):
-        """``rank_at`` at each point from the family's ``fields.field_values``
-        there: only the words of depth >= 2 are evaluated, each compiled
-        once for all the points."""
-        generators = [w.indices[0] for w, _ in self.levels[0]]
-        deeper = field_values([f for level in self.levels[1:] for _, f in level], points)
-        return [span_rank([vals[i] for i in generators if vals[i] is not None]
-                          + [v for v in words if v is not None])
-                for vals, words in zip(values, deeper)]
-
-    def derived_words(self):
-        """The words of depth >= 2 and the generator duplicates.  At every
-        point they span the values of all brackets of depth >= 2 up to the
-        cap: each is zero or a rational multiple of one of them."""
-        return [f for level in self.levels[1:] for _, f in level] + [
-            f for _, f in self.generator_duplicates]
-
-
-def filtration_by_depth(family, depth_cap=DEFAULT_DEPTH_CAP):
-    """The filtration to depth 1, 2, ..., depth_cap, one depth at a time:
-    each ``LieFiltration`` yielded holds the words of depth <= d (its
-    ``depth_cap`` is d), and the brackets of depth d + 1 are built only when
-    the next one is asked for, so a caller that stops early pays for no
-    deeper word.  The symbolic-closure certificate is the only one set; a
-    cap outside [1, DEPTH_CAP_LIMIT] raises before any word is built."""
+def _filtration_by_depth(family, depth_cap):
+    """The filtration to depth d = 1, ..., depth_cap (its ``depth_cap``),
+    the brackets of depth d + 1 built only when asked for, with only the
+    symbolic-closure certificate; a cap outside [1, DEPTH_CAP_LIMIT] raises
+    before any word is built."""
     family = tuple(family)
     if depth_cap < 1 or depth_cap > DEPTH_CAP_LIMIT:
         raise LieAlgebraError(f"depth cap must lie in [1, {DEPTH_CAP_LIMIT}]")
@@ -192,10 +156,33 @@ def filtration_by_depth(family, depth_cap=DEFAULT_DEPTH_CAP):
 
 def filtration(family, depth_cap=DEFAULT_DEPTH_CAP):
     """The bracket words up to the cap, with the symbolic-closure
-    certificate when some depth adds no word: the last of
-    ``filtration_by_depth``.  No module search is run; ``certify`` runs it."""
-    *_, filt = filtration_by_depth(family, depth_cap)
+    certificate when some depth adds no word.  No module search is run;
+    ``certify`` runs it."""
+    *_, filt = _filtration_by_depth(family, depth_cap)
     return filt
+
+
+def word_vectors(family, values, points, depth_cap=DEFAULT_DEPTH_CAP):
+    """Per depth d = 1, ..., depth_cap: the filtration to depth d and, per
+    point, (words, derived): the values there of its words and of the
+    derived words (depth >= 2, then the generator duplicates, which with
+    them span every bracket of depth >= 2), each left out outside its
+    domain.  ``values`` are the generators' ``fields.field_values`` there.
+    Each word is compiled once for all the points and evaluated at the depth
+    that builds it; a caller that stops early builds no deeper word."""
+    deeper = [[] for _ in points]  # per point, the words of depth >= 2
+    duplicates = [[] for _ in points]  # and the generator duplicates
+    evaluated = 0  # generator duplicates evaluated so far
+    for filt in _filtration_by_depth(family, depth_cap):
+        level = [f for _, f in filt.levels[-1]] if filt.depth_cap > 1 else []
+        new = level + [f for _, f in filt.generator_duplicates[evaluated:]]
+        evaluated = len(filt.generator_duplicates)
+        for words, dups, vals in zip(deeper, duplicates, field_values(new, points)):
+            words += [v for v in vals[:len(level)] if v is not None]
+            dups += [v for v in vals[len(level):] if v is not None]
+        generators = [w.indices[0] for w, _ in filt.levels[0]]
+        yield filt, [([vals[i] for i in generators if vals[i] is not None] + words,
+                      words + dups) for vals, words, dups in zip(values, deeper, duplicates)]
 
 
 def certify(filt, module_degree=DEFAULT_MODULE_DEGREE):
@@ -232,7 +219,8 @@ def _module_closure(levels, low, extra, degree):
 
 
 def derived_certificate(filt):
-    """Why ``filt.derived_words()`` span [L, L] at every point, or None.
+    """Why the derived words of ``filt`` (``word_vectors``) span [L, L] at
+    every point, or None.
 
     Under "symbolic-closure" every bracket of depth >= 2 is zero or a
     rational multiple of a derived word, and that certificate is returned.
@@ -277,34 +265,6 @@ def pointwise_witnesses(values, brackets, points):
                 witness = (i, j, tuple(point))
                 break
         yield witness
-
-
-@dataclass(frozen=True)
-class FixedTimeRankReport:
-    point: tuple
-    ideal_rank: int  # rank of I(X) at the point
-    lie_rank: int  # rank of L^inf(X) at the point
-    codim: int
-
-    def __post_init__(self):
-        if self.codim not in (0, 1):
-            raise LieAlgebraError(
-                f"codimension of the fixed-time ideal must be 0 or 1, got {self.codim}"
-            )
-
-
-def fixed_time_ideal_rank(filt, point):
-    """Rank of the fixed-time ideal: zero-sum combinations of generators
-    (the linear part of their affine hull at the point) plus the derived
-    words of the filtration ``filt``; also the full Lie-algebra rank and
-    the codimension."""
-    values = field_values(filt.family, [point])[0]
-    derived = [v for v in field_values(filt.derived_words(), [point])[0] if v is not None]
-    ideal_vectors = zero_time_vectors(values, derived, point)
-    lie_vectors = [v for v in values if v is not None] + derived
-    i_rank = span_rank(ideal_vectors)
-    l_rank = span_rank(lie_vectors)
-    return FixedTimeRankReport(tuple(point), i_rank, l_rank, l_rank - i_rank)
 
 
 def zero_time_vectors(values, derived, point):

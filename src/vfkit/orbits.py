@@ -10,10 +10,11 @@ Nagano decide: when every generator is real analytic on all of R^n (no
 ``bump``, ``bumpp`` or division atom, every domain full) and the bracket
 filtration carries a stabilization certificate, the family is
 *Nagano-certified*: the tangent is Lie(F)(p) (Nagano 1966) and its rank is
-the dimension (``certificate="nagano"``).  Words are built one depth at a
-time (``liealg.filtration_by_depth``) and stop at the first depth whose rank
-is n, each word evaluated once; the module search (``liealg.certify``)
-runs only when the rank stays below n at the cap, once per filtration.
+the dimension (``certificate="nagano"``).  One ladder, ``exact_ranks``,
+applies the rule at any number of points: it reads the ranks from the walk
+``liealg.word_vectors`` one depth at a time and stops at the first depth
+where every point's rank is exact, each word evaluated once per point; else
+it runs the module search (``liealg.certify``) once, at the cap.
 Fixed-time orbits take the rank of the zero-time ideal at the float point
 that the seed word reaches, exact by the same rule (``"zero-time-ideal"``
 also needs ``liealg.derived_certificate``).
@@ -44,7 +45,7 @@ from .expr import ONE, ZERO
 from .fields import (DomainExitError, FlowError, apply_word, field_values,
                      pushforward_along_words)
 from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, derived_certificate,
-                     filtration, filtration_by_depth, zero_time_vectors)
+                     word_vectors, zero_time_vectors)
 from .linalg import FLOW_REL_TOL, affine_rank, all_exact, span_rank, svd_rank
 from .membership import module_contains
 
@@ -59,6 +60,7 @@ __all__ = [
     "FIRST_WORDS",
     "nagano_certified",
     "exact_certificate",
+    "exact_ranks",
     "orbit_dimension",
     "fixed_time_dimension",
     "chow_verdict",
@@ -224,9 +226,9 @@ def sampled_orbit_dimension(family, point, sampler):
 
 
 def nagano_certified(filt):
-    """Whether ``filt.rank_at(p)`` is the orbit dimension at every p: every
-    generator is real analytic on all of R^n and a stabilization
-    certificate proves that the words span Lie(F)(p)."""
+    """Whether the rank at p of the words of ``filt`` is the orbit dimension
+    at every p: every generator is real analytic on all of R^n and a
+    stabilization certificate proves that the words span Lie(F)(p)."""
     return filt.certificate is not None and all(
         X.domain.is_full and all(c.is_analytic() for c in X.components)
         for X in filt.family
@@ -242,9 +244,10 @@ def exact_certificate(filt, rank, values, fixed_time=False):
     flow fixes the point (every value exact and zero: a float pinned to 0
     does not count), is "bracket-rank" for any smooth family.  Only
     below that does Nagano decide, from the stabilization certificate that
-    ``filt`` carries (and, for fixed time, ``derived_certificate``): callers
-    pass ``liealg.certify(filt)`` once their rank stays below n at the cap,
-    so the module search runs only there and at most once per filtration."""
+    ``filt`` carries (and, for fixed time, ``derived_certificate``):
+    ``exact_ranks`` passes ``liealg.certify(filt)`` once a rank stays below
+    n at the cap, so the module search runs only there and at most once per
+    filtration."""
     fixed = None not in values and all_exact(values) and not any(map(any, values))
     if rank == filt.family[0].dim or (rank == 0 and fixed):
         return "bracket-rank"
@@ -253,29 +256,29 @@ def exact_certificate(filt, rank, values, fixed_time=False):
     return None
 
 
-def _rank_first(family, depth_cap, values, point, fixed_time=False):
-    """(filtration, rank, certificate, Lie rank) at the first depth whose
-    rank at the point (of the zero-time ideal, for ``fixed_time``)
-    ``exact_certificate`` finds exact, given the generators' ``values``
-    there; else, at the cap, the certified filtration with its rank,
-    certificate (None: sample it) and Lie rank.  Each word is evaluated
-    once, at the depth that builds it."""
-    deeper, duplicates = [], []  # word values at the point, None outside a domain
-    for filt in filtration_by_depth(family, depth_cap):
-        if len(filt.levels) > 1:  # evaluate only the depth just built
-            deeper += field_values([f for _, f in filt.levels[-1]], [point])[0]
-        lie_vectors = [values[w.indices[0]] for w, _ in filt.levels[0]] + deeper
-        rank = lie = span_rank([v for v in lie_vectors if v is not None])
-        if fixed_time:
-            new = [f for _, f in filt.generator_duplicates[len(duplicates):]]
-            duplicates += field_values(new, [point])[0]
-            derived = [v for v in deeper + duplicates if v is not None]
-            rank = span_rank(zero_time_vectors(values, derived, point))
-        exact = exact_certificate(filt, rank, values, fixed_time)
-        if exact:  # no deeper word and no module search
-            return filt, rank, exact, lie
+def exact_ranks(family, values, points, depth_cap=DEFAULT_DEPTH_CAP, fixed_time=False):
+    """(filtration, ranks, certificates, Lie ranks) at the points, given the
+    generators' ``fields.field_values`` there: the rank of Lie(F) at each
+    point (of the zero-time ideal, for ``fixed_time``) and why
+    ``exact_certificate`` finds it exact (None: sample it), read from
+    ``liealg.word_vectors`` at the first depth where every point's rank is
+    exact; else, at the cap, with the module search run once on the
+    filtration (``liealg.certify``).  A rank found exact is the rank at the
+    cap, as no deeper word can raise it."""
+    for filt, vectors in word_vectors(family, values, points, depth_cap):
+        lie, ranks, exact = [], [], []
+        for vals, (words, derived), p in zip(values, vectors, points):
+            lie.append(span_rank(words))
+            ranks.append(span_rank(zero_time_vectors(vals, derived, p)) if fixed_time
+                         else lie[-1])
+            exact.append(exact_certificate(filt, ranks[-1], vals, fixed_time))
+            if not exact[-1] and filt.depth_cap < depth_cap:
+                break  # a deeper word is needed whatever the other points' ranks
+        if all(exact):  # no deeper word and no module search
+            return filt, ranks, exact, lie
     filt = certify(filt)
-    return filt, rank, exact_certificate(filt, rank, values, fixed_time), lie
+    return filt, ranks, [exact_certificate(filt, r, vals, fixed_time)
+                         for r, vals in zip(ranks, values)], lie
 
 
 def orbit_dimension(family, point, sampler, depth_cap=DEFAULT_DEPTH_CAP):
@@ -284,8 +287,8 @@ def orbit_dimension(family, point, sampler, depth_cap=DEFAULT_DEPTH_CAP):
     dimension (a certified lower bound).  Bracket words stop at the first
     depth whose rank is n, which is then also the rank at the cap."""
     family = tuple(family)
-    values = field_values(family, [point])[0]
-    _, linf, exact, _ = _rank_first(family, depth_cap, values, point)
+    _, (linf,), (exact,), _ = exact_ranks(family, field_values(family, [point]), [point],
+                                          depth_cap)
     if exact:  # no flow word is walked
         return OrbitTangentReport(tuple(point), linf, (), linf, 0, 0, exact)
     s = sampled_orbit(family, point, sampler)
@@ -346,8 +349,9 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     family = tuple(family)
     reached = _seed_point(family, point, T)
     at = tuple(reached)
-    values = field_values(family, [at])[0]
-    filt, ideal_rank, certificate, linf = _rank_first(family, depth_cap, values, at, True)
+    values = field_values(family, [at])
+    filt, (ideal_rank,), (certificate,), (linf,) = exact_ranks(family, values, [at],
+                                                               depth_cap, True)
     dim, used, skipped = ideal_rank, 0, 0
     if certificate is None:
         certificate = "sampled"
@@ -356,7 +360,7 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
 
     # the ideal lies in Lie(F): a stop at full ideal rank is a full Lie rank,
     # and any other filtration here is final and certified
-    exact = exact_certificate(filt, linf, values)
+    exact = exact_certificate(filt, linf, values[0])
     orbit_dim = linf if exact else sampled_orbit_dimension(family, at, sampler)
     return FixedTimeReport(
         start=tuple(point),
@@ -388,9 +392,9 @@ def chow_verdict(family, samples, depth_cap=DEFAULT_DEPTH_CAP, orbit_sampler=Non
     rank at the samples alone is no certificate.  Failure decides nothing."""
     family = tuple(family)
     n = family[0].dim
-    filt = filtration(family, depth_cap)
-    ranks = filt.ranks_over(field_values(family, samples), samples)
-    failing = [tuple(p) for p, rank in zip(samples, ranks) if rank < n]
+    *_, (filt, vectors) = word_vectors(family, field_values(family, samples), samples,
+                                       depth_cap)
+    failing = [tuple(p) for p, (words, _) in zip(samples, vectors) if span_rank(words) < n]
     if not failing:
         words = [f for level in filt.levels for _, f in level]
         axes = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]

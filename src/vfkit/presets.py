@@ -20,7 +20,8 @@ from .distributions import Distribution, rank_at, singular_locus_minors
 from .expr import compile_float, parse
 from .fields import FlowError, apply_word, apply_words, field_values, lie_bracket
 from .frobenius import flow_box_chart, frobenius_verdict
-from .liealg import filtration, pairwise_brackets, pointwise_witnesses
+from .liealg import filtration, pairwise_brackets, pointwise_witnesses, word_vectors
+from .linalg import span_rank
 from .membership import ideal_member_bounded, member_bounded
 from .orbits import (WordSampler, chow_verdict, fixed_time_dimension, sampled_orbit,
                      sampled_orbit_dimension)
@@ -293,13 +294,17 @@ def _flat_sampler(ctx, offset):
     return ctx.sampler(offset, count=400, max_len=8, max_time=1.5)
 
 
+def _lie_ranks(family, points, depth_cap):
+    """The bracket-filtration ranks at the points at the depth cap."""
+    *_, (_, vectors) = word_vectors(family, field_values(family, points), points, depth_cap)
+    return tuple(span_rank(words) for words, _ in vectors)
+
+
 def _lie_ranks_are(expected):
     """Check the bracket-filtration ranks at depth cap 8 at ``_FLAT_POINTS``."""
 
     def check(ctx):
-        filt = filtration(ctx.family, 8)
-        values = field_values(ctx.family, _FLAT_POINTS)
-        return _eq_result(expected, tuple(filt.ranks_over(values, _FLAT_POINTS)))
+        return _eq_result(expected, _lie_ranks(ctx.family, _FLAT_POINTS, 8))
 
     return check
 
@@ -350,8 +355,8 @@ def _flat_frobenius(ctx):
 
 def _flat_generator_dependence(ctx):
     smooth = parse_system(_LINEAR_SHEAR)
-    flat_rank = filtration(ctx.family, 8).rank_at((0, 0))
-    poly_rank = filtration(list(smooth.fields), 8).rank_at((0, 0))
+    (flat_rank,) = _lie_ranks(ctx.family, [(0, 0)], 8)
+    (poly_rank,) = _lie_ranks(smooth.fields, [(0, 0)], 8)
     return _result(flat_rank == 1 and poly_rank == 2,
                    "bracket rank at the origin: 1 for the flat generators, "
                    "2 for polynomial generators of a distribution agreeing "
@@ -399,8 +404,9 @@ field X2 = (0, x1)
 
 
 def _linear_shear_rank(ctx):
-    filt = filtration(ctx.family)
-    ranks = filt.ranks_by_depth((0, 0))
+    walk = list(word_vectors(ctx.family, field_values(ctx.family, [(0, 0)]), [(0, 0)]))
+    ranks = [span_rank(words) for _, ((words, _),) in walk]
+    filt = walk[-1][0]
     ok = ranks[-1] == 2 and filt.stabilized_at == 2
     return _result(ok, "rank 2 at the origin, stable at depth 2",
                    f"ranks={ranks}, stabilized_at={filt.stabilized_at}")

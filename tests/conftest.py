@@ -1,10 +1,16 @@
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
 
 from vfkit import fields
+from vfkit.cli import main
 from vfkit.expr import parse
-from vfkit.fields import DomainPredicate, VectorField
+from vfkit.fields import DomainPredicate, VectorField, field_values
+from vfkit.liealg import word_vectors, zero_time_vectors
+from vfkit.linalg import span_rank
 
 
 def make_field(name, components, dim, constraints=()):
@@ -20,6 +26,41 @@ def vf():
 def multiply_field(f, X):
     """The module action f*X: each component of X times f, on X's domain."""
     return VectorField(f"f*{X.name}", tuple(f * c for c in X.components), X.domain)
+
+
+def lie_ranks_by_depth(family, point, depth_cap=6):
+    """The rank at the point of the bracket words of depth <= d, for
+    d = 1, ..., depth_cap, read from the walk ``liealg.word_vectors``."""
+    values = field_values(family, [point])
+    return [span_rank(words)
+            for _, ((words, _),) in word_vectors(family, values, [point], depth_cap)]
+
+
+def lie_rank(family, point, depth_cap=6):
+    """The rank at the point of every bracket word up to the cap."""
+    return lie_ranks_by_depth(family, point, depth_cap)[-1]
+
+
+def fixed_time_ranks(family, point, depth_cap=6):
+    """(rank of the zero-time ideal, rank of the Lie algebra) at the point,
+    from the walk's values of the words and derived words at the cap."""
+    values = field_values(family, [point])
+    *_, (_, ((words, derived),)) = word_vectors(family, values, [point], depth_cap)
+    return span_rank(zero_time_vectors(values[0], derived, point)), span_rank(words)
+
+
+def lie_fixed_time_ideal(family, point, tmp_path):
+    """(exit code, JSON report) of ``vfkit lie --fixed-time-ideal`` on the
+    family at the point; the report's ``fixed_time_ideal`` holds the ideal
+    rank, the Lie rank and the codimension, which the command checks."""
+    path = tmp_path / "family.vf"
+    path.write_text(f"system family dim {family[0].dim}\n"
+                    + "".join(f"field {X}\n" for X in family))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["lie", "--system", str(path), "--point=" + ",".join(map(str, point)),
+                     "--fixed-time-ideal", "--format", "json"])
+    return code, json.loads(out.getvalue())
 
 
 def frac_grid(lo, hi, denom):

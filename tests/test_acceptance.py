@@ -16,7 +16,6 @@ from vfkit.distributions import Distribution, rank_at
 from vfkit.expr import parse
 from vfkit.fields import VectorField, apply_word, lie_bracket
 from vfkit.frobenius import flow_box_chart, frobenius_verdict
-from vfkit.liealg import filtration, fixed_time_ideal_rank
 from vfkit.membership import ideal_member_bounded, member_bounded
 from vfkit.orbits import (
     WordSampler,
@@ -26,7 +25,7 @@ from vfkit.orbits import (
 )
 from vfkit.presets import steer_linear
 
-from conftest import make_field, multiply_field
+from conftest import lie_fixed_time_ideal, lie_rank, make_field, multiply_field
 
 
 def vf(name, comps, n, constraints=()):
@@ -157,10 +156,9 @@ def test_criterion_5_flat_counterexample():
     announce = criterion(5, "flat pair: orbits full, brackets deficient, not integrable")
     ok = False
     try:
-        filt = filtration(FLAT, 8)
-        assert filt.rank_at((-1, 0)) == 1
-        assert filt.rank_at((0, 0)) == 1
-        assert filt.rank_at((1, 0)) == 2
+        assert lie_rank(FLAT, (-1, 0), 8) == 1
+        assert lie_rank(FLAT, (0, 0), 8) == 1
+        assert lie_rank(FLAT, (1, 0), 8) == 2
 
         boost = WordSampler(seed=13, count=400, max_len=8, max_time=1.5)
         for p in [(-1, 0), (0, 0), (1, 0)]:
@@ -180,8 +178,8 @@ def test_criterion_6_generator_dependence():
     announce = criterion(6, "bracket rank at the origin depends on the generators")
     ok = False
     try:
-        assert filtration(SHEAR, 8).rank_at((0, 0)) == 2
-        assert filtration(FLAT, 8).rank_at((0, 0)) == 1
+        assert lie_rank(SHEAR, (0, 0), 8) == 2
+        assert lie_rank(FLAT, (0, 0), 8) == 1
         ok = True
     finally:
         announce(ok)
@@ -241,7 +239,7 @@ def test_criterion_8_frobenius_table():
         announce(ok)
 
 
-def test_criterion_9_property_suites():
+def test_criterion_9_property_suites(tmp_path):
     announce = criterion(9, "seeded property suites")
     ok = False
     try:
@@ -312,12 +310,10 @@ def test_criterion_9_property_suites():
 
         # rank robustness under module augmentation
         for fam in (DIAG, SHEAR):
-            base = filtration(fam, 5)
             for ftext in ("x1", "x2 - 1", "x1*x2 + 2"):
                 aug = list(fam) + [multiply_field(parse(ftext, 2), fam[0])]
-                grown = filtration(aug, 5)
                 for p in [(0, 0), (1, 0), (1, 1), (Fraction(1, 2), Fraction(-1, 3))]:
-                    assert base.rank_at(p) == grown.rank_at(p)
+                    assert lie_rank(fam, p, 5) == lie_rank(aug, p, 5)
                     D0 = Distribution(tuple(fam))
                     D1 = Distribution(tuple(aug))
                     assert rank_at(D0, p).rank == rank_at(D1, p).rank
@@ -325,9 +321,9 @@ def test_criterion_9_property_suites():
         # codim in {0,1} everywhere sampled, all presets
         integrator = [vf("X0", ["x2", "0"], 2), vf("X1", ["x2", "1"], 2)]
         for fam in (DIAG, SHEAR, FLAT, integrator):
-            filt = filtration(fam)
             for p in [(0, 0), (1, 0), (1, 1), (Fraction(-1, 2), Fraction(3, 4))]:
-                assert fixed_time_ideal_rank(filt, p).codim in (0, 1)
+                code, report = lie_fixed_time_ideal(fam, p, tmp_path)
+                assert code == 0 and report["results"]["fixed_time_ideal"]["codim"] in (0, 1)
 
         # sampled orbit dim >= bracket rank; fixed-time dim >= ideal rank
         for i, (fam, p) in enumerate(

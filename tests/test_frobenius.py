@@ -1,8 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from vfkit import fields, frobenius, liealg
+from vfkit import fields, frobenius, liealg, orbits
 from vfkit.cli import main
 from vfkit.distributions import Distribution
 from vfkit.frobenius import flow_box_chart, frobenius_verdict
@@ -150,30 +151,45 @@ class TestOrbitSamplesSkipped:
 
 class TestBracketsBuiltOnce:
     def test_one_bracket_per_pair_outside_the_filtration(self, monkeypatch):
-        # one-sided-flat's 25-point grid reaches the orbit comparison, which
-        # builds its own filtration; the pointwise checks and the module
+        # one-sided-flat's 25-point grid reaches the orbit comparison, whose
+        # ladder builds its own words; the pointwise checks and the module
         # certificate share one bracket per pair
         inside = []
         outside = []
-        real_bracket, real_filtration = liealg.lie_bracket, frobenius.filtration
+        real_bracket, real_ranks = liealg.lie_bracket, frobenius.exact_ranks
 
         def bracket(*a):
             (inside if inside and inside[-1] else outside).append(a)
             return real_bracket(*a)
 
-        def filtration(*a, **kw):
+        def exact_ranks(*a, **kw):
             inside.append(True)
             try:
-                return real_filtration(*a, **kw)
+                return real_ranks(*a, **kw)
             finally:
                 inside.pop()
 
         monkeypatch.setattr(liealg, "lie_bracket", bracket)
-        monkeypatch.setattr(frobenius, "filtration", filtration)
+        monkeypatch.setattr(frobenius, "exact_ranks", exact_ranks)
         D = Distribution(parse_system(PRESETS["one-sided-flat"].system_text).fields)
         v = frobenius_verdict(D, grid2(), orbit_sampler=WordSampler(seed=0, count=10))
         assert len(v.ranks) == 25 and v.involutive_pointwise
         assert len(outside) == 1
+
+
+    def test_no_word_once_every_sample_is_exact(self, monkeypatch, capsys, tmp_path):
+        # on mixed-degree-pair's default grid every sample is "bracket-rank"
+        # at depth 1 (rank 2, or both generators exactly zero at the origin),
+        # so the one pairwise bracket is the only bracket built
+        built = []
+        real = liealg.lie_bracket
+        monkeypatch.setattr(liealg, "lie_bracket", lambda g, f: built.append(f) or real(g, f))
+        path = tmp_path / "mixed-degree-pair.vf"
+        path.write_text(PRESETS["mixed-degree-pair"].system_text)
+        assert main(["frobenius", "--system", str(path), "--format", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert (results["integrable"], results["ranks"]) == ("undetermined", [2] * 4 + [0] + [2] * 4)
+        assert len(built) == 1
 
 
 class TestYesOnlyFromModule:
@@ -340,6 +356,8 @@ def test_verdict_evaluates_each_generator_once_per_sample(name, monkeypatch):
     assert v.integrable == ("no" if name == "one-sided-flat" else "undetermined")
     generator_calls = [c for c in calls if c[0] in D.generators]
     assert len(generator_calls) == len(set(generator_calls)) == 18
+    # and every pairwise bracket and bracket word at most once per sample
+    assert len(calls) == len(set(calls))
 
 
 def test_verdict_compiles_each_field_bracket_and_word_once(monkeypatch):
@@ -356,3 +374,33 @@ def test_verdict_compiles_each_field_bracket_and_word_once(monkeypatch):
     names = [X.name for X in compiled]
     assert len(names) == len(set(names))
     assert {"X1", "X2", "[X1,X2]", "[X2,X1]"} <= set(names)
+
+
+def test_chart_asks_only_for_the_orbit_dimension(monkeypatch):
+    # the base's orbit dimension is an exact rank from the ladder, else a
+    # sampled dimension, and its value and kind are orbit_dimension's; no
+    # chart builds orbit_dimension's full report
+    sampler = WordSampler(seed=0, count=300, max_len=8, max_time=1.0)
+    cases = [("one-sided-flat", (-1, 0)), ("mixed-degree-pair", (0, 0)),
+             ("nine-orbits", (-1, 0)), ("two-sided-flat", (Fraction(1, 2),) * 2)]
+    families = {name: parse_system(PRESETS[name].system_text).fields for name, _ in cases}
+    want = {(name, base): orbit_dimension(families[name], base, sampler)
+            for name, base in cases}
+    assert [rep.certificate for rep in want.values()] == [
+        "sampled", "bracket-rank", "nagano", "bracket-rank"]
+
+    def refuse(*a, **kw):
+        raise AssertionError("a chart called orbit_dimension")
+
+    monkeypatch.setattr(orbits, "orbit_dimension", refuse)
+    monkeypatch.setattr(frobenius, "orbit_dimension", refuse, raising=False)
+    for name, base in cases:
+        chart = flow_box_chart(Distribution(families[name]), base, orbit_sampler=sampler)
+        rep = want[name, base]
+        assert chart.orbit_dimension == rep.dimension
+        assert chart.accepted == (rep.certificate != "sampled")
+    assert chart.rejected_reason is None
+    rejected = flow_box_chart(Distribution(families["one-sided-flat"]), (-1, 0),
+                              orbit_sampler=sampler)
+    assert rejected.rejected_reason == (
+        "sampled orbit dimension 2 at the base exceeds the chart rank 1")

@@ -39,6 +39,8 @@ def test_every_public_name_resolves():
 # Public functions that no other module, demo or benchmark uses, each kept
 # for a reason of its own.
 UNREFERENCED_PUBLIC = {
+    "exact_certificate": "the one exactness rule that ROADMAP's guardrail names; exact_ranks "
+                         "applies it",
     "members_bounded": "the many-target form of member_bounded, one solve for all targets",
     "nagano_certified": "names the condition under which exact_certificate trusts Nagano",
     "steer_linear": "the double integrator's closed-form steering, which its facts check",

@@ -5,21 +5,22 @@ import pytest
 
 from vfkit.expr import const, parse
 from vfkit.fields import field_values, lie_bracket
-from vfkit import liealg, membership
+from vfkit import cli, liealg, membership
 from vfkit.liealg import (
     LieAlgebraError,
     certify,
     derived_certificate,
     filtration,
-    filtration_by_depth,
-    fixed_time_ideal_rank,
     pairwise_brackets,
     pointwise_witnesses,
+    word_vectors,
 )
+from vfkit.linalg import span_rank
 from vfkit.presets import PRESETS
 from vfkit.systems import parse_system
 
-from conftest import multiply_field
+from conftest import (fixed_time_ranks, lie_fixed_time_ideal, lie_rank, lie_ranks_by_depth,
+                      multiply_field)
 
 
 
@@ -43,21 +44,21 @@ class TestFiltration:
         f = filtration(diag, 6)
         assert f.stabilized_at == 1
         assert all(not level for level in f.levels[1:])
-        assert f.ranks_by_depth((0, 0)) == [0] * 6
-        assert f.ranks_by_depth((1, 0)) == [1] * 6
-        assert f.ranks_by_depth((1, 1)) == [2] * 6
+        assert lie_ranks_by_depth(diag, (0, 0)) == [0] * 6
+        assert lie_ranks_by_depth(diag, (1, 0)) == [1] * 6
+        assert lie_ranks_by_depth(diag, (1, 1)) == [2] * 6
 
     def test_shear_gains_rank_at_depth_two(self, shear):
         f = filtration(shear, 6)
         assert f.stabilized_at == 2
-        assert f.ranks_by_depth((0, 0)) == [1, 2, 2, 2, 2, 2]
+        assert lie_ranks_by_depth(shear, (0, 0)) == [1, 2, 2, 2, 2, 2]
 
     def test_flat_family_is_capped(self, flat):
         f = filtration(flat, 8)
         assert f.stabilized_at is None and f.certificate is None
-        assert f.rank_at((-1, 0)) == 1
-        assert f.rank_at((0, 0)) == 1
-        assert f.rank_at((1, 0)) == 2
+        assert lie_rank(flat, (-1, 0), 8) == 1
+        assert lie_rank(flat, (0, 0), 8) == 1
+        assert lie_rank(flat, (1, 0), 8) == 2
 
     def test_module_certificate(self):
         # [X1, X2] = -2 x2 X1 + 2 x1 X2: no symbolic closure, so only the
@@ -76,8 +77,7 @@ class TestFiltration:
         ]
         for fam in fams:
             pts = [tuple(rng.uniform(-1, 1, size=fam[0].dim)) for _ in range(5)]
-            f = filtration(fam, 5)
-            for seq in (f.ranks_by_depth(p) for p in pts):
+            for seq in (lie_ranks_by_depth(fam, p, 5) for p in pts):
                 assert all(a <= b for a, b in zip(seq, seq[1:]))
 
     def test_depth_cap_bounds(self, diag):
@@ -102,15 +102,19 @@ class TestFiltration:
         assert len(solved) == 5
 
     def test_by_depth_is_the_filtration_cut_at_each_depth(self, diag, shear):
-        # one builder: the depth-d filtration holds the first d levels of the
-        # full one, and its ranks are the full one's ranks to depth d
+        # one builder: the walk's depth-d filtration holds the first d levels
+        # of the full one, and its ranks are those of the full one's words of
+        # depth <= d, each evaluated on its own
         for fam, p in [(diag, (1, 0)), (shear, (0, 0)),
                        (preset_family("vanishing-pair"), (0, 1))]:
             full = filtration(fam, 5)
-            cut = list(filtration_by_depth(fam, 5))
+            walk = list(word_vectors(fam, field_values(fam, [p]), [p], 5))
+            cut = [f for f, _ in walk]
             assert [f.depth_cap for f in cut] == [1, 2, 3, 4, 5]
             assert [f.levels for f in cut] == [full.levels[:d] for d in range(1, 6)]
-            assert [f.rank_at(p) for f in cut] == full.ranks_by_depth(p)
+            assert [span_rank(words) for _, ((words, _),) in walk] == [
+                span_rank([f.value(p) for level in full.levels[:d] for _, f in level
+                           if f.domain.contains(p)]) for d in range(1, 6)]
             assert (cut[-1].stabilized_at, cut[-1].certificate) == (
                 full.stabilized_at, full.certificate)
 
@@ -122,7 +126,7 @@ class TestFiltration:
         ]
         f = filtration(fam, 4)
         assert len(f.levels[0]) == 2  # the rescaled copy is pruned
-        assert f.ranks_by_depth((1, 1)) == [2, 2, 2, 2]
+        assert lie_ranks_by_depth(fam, (1, 1), 4) == [2, 2, 2, 2]
 
 
 def module_witness(family, degree):
@@ -223,19 +227,27 @@ class TestDerived:
 
 
 class TestFixedTimeIdeal:
-    def test_diag_codim_one(self, diag):
-        rep = fixed_time_ideal_rank(filtration(diag), (1, 1))
-        assert (rep.ideal_rank, rep.lie_rank, rep.codim) == (1, 2, 1)
+    """``vfkit lie --fixed-time-ideal`` ranks the zero-time ideal from the
+    walk's derived values, and checks that its codimension is 0 or 1."""
 
-    def test_shear_codim_zero(self, shear):
-        rep = fixed_time_ideal_rank(filtration(shear), (0, 0))
-        assert (rep.ideal_rank, rep.lie_rank, rep.codim) == (2, 2, 0)
+    @staticmethod
+    def ranks(family, point, tmp_path):
+        code, report = lie_fixed_time_ideal(family, point, tmp_path)
+        assert code == 0, report["error"]
+        rep = report["results"]["fixed_time_ideal"]
+        return rep["ideal_rank"], rep["lie_rank"], rep["codim"]
 
-    def test_single_field(self, vf):
-        rep = fixed_time_ideal_rank(filtration([vf("X", ["1", "0"], 2)]), (3, -2))
-        assert (rep.ideal_rank, rep.lie_rank, rep.codim) == (0, 1, 1)
+    def test_diag_codim_one(self, diag, tmp_path):
+        assert self.ranks(diag, (1, 1), tmp_path) == (1, 2, 1)
 
-    def test_codim_invariant_across_presets(self, diag, shear, flat, vf):
+    def test_shear_codim_zero(self, shear, tmp_path):
+        assert self.ranks(shear, (0, 0), tmp_path) == (2, 2, 0)
+
+    def test_single_field(self, vf, tmp_path):
+        assert self.ranks([vf("X", ["1", "0"], 2)], (3, -2), tmp_path) == (0, 1, 1)
+
+    def test_codim_invariant_across_presets(self, diag, shear, flat, vf, tmp_path,
+                                            monkeypatch):
         fams = [
             diag,
             shear,
@@ -245,10 +257,15 @@ class TestFixedTimeIdeal:
         ]
         pts = [(0, 0), (1, 0), (1, 1), (Fraction(-1, 2), Fraction(3, 2))]
         for fam in fams:
-            filt = filtration(fam)
             for p in pts:
-                rep = fixed_time_ideal_rank(filt, p)  # raises if codim not in {0,1}
-                assert rep.codim in (0, 1)
+                # the command fails (exit 3) if codim is not in {0,1}
+                assert self.ranks(fam, p, tmp_path)[2] in (0, 1)
+        # an ideal ranked without its vectors has codim 2 at shear's origin
+        monkeypatch.setattr(cli, "zero_time_vectors", lambda *a: [])
+        code, report = lie_fixed_time_ideal(shear, (0, 0), tmp_path)
+        assert (code, report["status"]) == (cli.EXIT_NUMERIC, "numeric-failure")
+        assert report["error"] == (
+            "codimension of the fixed-time ideal must be 0 or 1, got 2")
 
 
 def preset_family(name):
@@ -266,17 +283,22 @@ class TestGeneratorDuplicates:
             ["X1", "X2"], [], [], [], [], []]
         assert (f.stabilized_at, f.certificate) == (1, "symbolic-closure")
         assert [str(w) for w, _ in f.generator_duplicates] == ["[X2,X1]"]
-        assert [str(c) for g in f.derived_words() for c in g.components] == ["-1"]
+        # the derived words are the kept words of depth >= 2, then the duplicates
+        derived = [g for level in f.levels[1:] for _, g in level] + [
+            g for _, g in f.generator_duplicates]
+        assert [str(c) for g in derived for c in g.components] == ["-1"]
+        *_, (_, ((_, values),)) = word_vectors(f.family, field_values(f.family, [(1,)]), [(1,)])
+        assert values == [[-1]]
         # X2 - X1 vanishes at 1, so the bracket alone makes the ideal rank 1
-        rep = fixed_time_ideal_rank(f, (1,))
-        assert (rep.ideal_rank, rep.lie_rank, rep.codim) == (1, 1, 0)
-        assert f.ranks_by_depth((1,)) == [1] * 6
+        ideal_rank, rank = fixed_time_ranks(f.family, (1,))
+        assert (ideal_rank, rank, rank - ideal_rank) == (1, 1, 0)
+        assert lie_ranks_by_depth(f.family, (1,)) == [1] * 6
 
     def test_flat_generator_module_ideal(self):
         f = filtration(preset_family("flat-generator-module"))
         assert [str(w) for w, _ in f.generator_duplicates] == ["[X2,X1]"]
-        rep = fixed_time_ideal_rank(f, (1,))
-        assert (rep.ideal_rank, rep.codim) == (1, 0)
+        ideal_rank, rank = fixed_time_ranks(f.family, (1,))
+        assert (ideal_rank, rank - ideal_rank) == (1, 0)
 
     @pytest.mark.parametrize("name", ["linear-shear", "vanishing-pair",
                                       "mixed-degree-pair", "umbrella-ideal"])
@@ -324,22 +346,18 @@ class TestGeneratorRobustness:
         pts = [(0, 0), (1, 0), (1, 1), (Fraction(1, 2), Fraction(-3, 2))]
         cap = 4
         for fam in fams:
-            base = filtration(fam, cap + 1)
             for f in multipliers:
                 which = int(rng.integers(0, len(fam)))
                 aug = list(fam) + [multiply_field(f, fam[which])]
-                grown = filtration(aug, cap + 1)
                 for p in pts:
-                    assert base.rank_at(p) == grown.rank_at(p)
+                    assert lie_rank(fam, p, cap + 1) == lie_rank(aug, p, cap + 1)
 
     def test_rescaling_never_changes_rank(self, shear):
         aug = list(shear) + [multiply_field(const(Fraction(5, 3)), shear[0])]
-        base = filtration(shear, 4)
-        grown = filtration(aug, 4)
         for p in [(0, 0), (2, 1)]:
-            assert base.rank_at(p) == grown.rank_at(p)
+            assert lie_rank(shear, p, 4) == lie_rank(aug, p, 4)
 
     def test_generator_dependence_regression_pair(self, flat, shear):
         # same smooth distribution away from the flat wall, different ranks
-        assert filtration(flat, 8).rank_at((0, 0)) == 1
-        assert filtration(shear, 8).rank_at((0, 0)) == 2
+        assert lie_rank(flat, (0, 0), 8) == 1
+        assert lie_rank(shear, (0, 0), 8) == 2

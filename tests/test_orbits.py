@@ -23,6 +23,8 @@ from vfkit.orbits import (
 )
 from vfkit.linalg import FLOW_REL_TOL, svd_rank
 
+from conftest import fixed_time_ranks, lie_rank
+
 
 
 @pytest.fixture
@@ -375,7 +377,7 @@ class TestNagano:
             grid = [p for p in itertools.product((-1, 0, 1), repeat=n)]
             for p in grid:
                 sampled = sampled_orbit(fam, p, sampler).dimension
-                assert sampled <= filt.rank_at(p), (fam, p)
+                assert sampled <= lie_rank(fam, p), (fam, p)
 
     def test_flat_restricted_and_divided_families_sample(self, flat, partial, vf):
         divided = [vf("X", ["1/(1+x1^2)", "0"], 2)]
@@ -460,32 +462,30 @@ class TestFixedTime:
 
     def test_one_filtration_per_call(self, diag, monkeypatch):
         calls = []
-        original = liealg.filtration_by_depth
+        original = liealg._filtration_by_depth
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        # the name is bound both in liealg and, by import, in orbits
-        monkeypatch.setattr(liealg, "filtration_by_depth", counted)
-        monkeypatch.setattr(orbits, "filtration_by_depth", counted)
+        # the walk and ``filtration`` both build through this one builder
+        monkeypatch.setattr(liealg, "_filtration_by_depth", counted)
         rep = fixed_time_dimension(diag, (1, 1), 0.0, WordSampler(seed=3, count=40))
         assert rep.orbit_dimension_at_reached == 2
         assert len(calls) == 1
 
     def test_sampled_dimension_callers_build_no_extra_filtration(self, flat, monkeypatch):
         calls = []
-        original = liealg.filtration_by_depth
+        original = liealg._filtration_by_depth
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
         # each caller builds the one filtration whose words it reads (the
-        # bracket-rank and Nagano tests), and no other; ``filtration`` builds
-        # through the name in liealg, the orbit functions through their own
-        monkeypatch.setattr(liealg, "filtration_by_depth", counted)
-        monkeypatch.setattr(orbits, "filtration_by_depth", counted)
+        # bracket-rank and Nagano tests), and no other; the walk and
+        # ``filtration`` both build through this one builder
+        monkeypatch.setattr(liealg, "_filtration_by_depth", counted)
         sampler = WordSampler(seed=1, count=30, max_len=4, max_time=1.0)
         # the rank drops to 1 on x1 <= 0, so the verdict samples orbits there
         grid = [(Fraction(i, 2), Fraction(j, 2)) for i in (-1, 0, 1) for j in (-1, 1)]
@@ -560,7 +560,7 @@ class TestZeroTimeIdeal:
         for fam, filt in families:
             for p in itertools.product((-1, 0, 1), repeat=fam[0].dim):
                 sampled = sampled_orbit(fam, p, sampler).dimension
-                assert sampled <= liealg.fixed_time_ideal_rank(filt, p).ideal_rank, (fam, p)
+                assert sampled <= fixed_time_ranks(fam, p)[0], (fam, p)
 
     def test_uncertified_families_sample(self, walked):
         rep = fixed_time_dimension(preset_family("half-plane-translations"), (0, 0), 0.0,

@@ -371,22 +371,42 @@ class TestCli:
 
     def test_lie_fixed_time_ideal_builds_one_filtration(self, capsys, vanishing_file,
                                                         monkeypatch):
-        # the ideal rank reads the filtration the report already built
+        # the ideal rank reads the filtration the report already built: the
+        # walk and ``filtration`` both build through this one builder
         calls = []
-        real = liealg.filtration
+        real = liealg._filtration_by_depth
 
         def counted(*args, **kw):
             calls.append(args)
             return real(*args, **kw)
 
-        monkeypatch.setattr(cli, "filtration", counted)
-        monkeypatch.setattr(liealg, "filtration", counted)
+        monkeypatch.setattr(liealg, "_filtration_by_depth", counted)
         code, out = run_cli(capsys, "lie", "--system", vanishing_file, "--point",
                             "1/2,3/4", "--depth", "3", "--module-degree", "1",
                             "--fixed-time-ideal", "--format", "json")
         assert code == 0
         assert json.loads(out)["results"]["fixed_time_ideal"]["ideal_rank"] == 2
         assert len(calls) == 1
+
+    def test_lie_fixed_time_ideal_evaluates_each_word_once(self, capsys, vanishing_file,
+                                                           monkeypatch):
+        # the ideal rank reads the values the ranks by depth took: one
+        # compile per component of each generator and word, with the flag
+        # as without it
+        compiled = []
+        real = fields.compile_exact
+        monkeypatch.setattr(fields, "compile_exact", lambda e: compiled.append(e) or real(e))
+        counts = []
+        for flags in ((), ("--fixed-time-ideal",)):
+            compiled.clear()
+            code, out = run_cli(capsys, "lie", "--system", vanishing_file, "--point",
+                                "1/2,3/4", "--depth", "5", "--module-degree", "4", *flags,
+                                "--format", "json")
+            assert code == 0
+            counts.append(len(compiled))
+        assert json.loads(out)["results"]["fixed_time_ideal"] == {
+            "ideal_rank": 2, "lie_rank": 2, "codim": 0}
+        assert counts == [28, 28]
 
     def test_unknowns_cap_reaches_lie(self, capsys, vanishing_file, monkeypatch):
         # an over-cap module search stops with a note; the ranks still print
