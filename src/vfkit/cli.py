@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -136,16 +135,6 @@ def _load_system(path):
         raise SystemParseError(f"cannot read {path}: {err}") from err
 
 
-def _default_seed():
-    env = os.environ.get("VFKIT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemParseError(f"VFKIT_SEED must be an integer, got {env!r}")
-    return 0
-
-
 def _time(text):
     """A flow time given as a decimal or a rational such as 1/2."""
     try:
@@ -184,7 +173,7 @@ def _check_ranges(args):
 def _add_common(p, system_required=True):
     p.add_argument("--system", required=system_required, help="system file path")
     p.add_argument("--format", default="text", choices=["json", "csv", "text"])
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default: VFKIT_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
 
 
 def build_parser():
@@ -235,7 +224,7 @@ def build_parser():
 
     p = sub.add_parser("examples", help="list or run the preset corpus")
     p.add_argument("--format", default="text", choices=["json", "csv", "text"])
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--list", action="store_true")
     g.add_argument("--run", metavar="NAME")
@@ -262,11 +251,6 @@ def main(argv=None):
         args = ap.parse_args(_join_signed_values(argv))
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
-    try:
-        seed = args.seed if args.seed is not None else _default_seed()
-    except SystemParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     handler = {
         "bracket": _cmd_bracket,
         "rank": _cmd_rank,
@@ -278,15 +262,15 @@ def main(argv=None):
     }[args.cmd]
     try:
         _check_ranges(args)
-        report, code = handler(args, seed)
+        report, code = handler(args, args.seed)
     except UsageError as err:
-        report = _report(args.cmd, seed, {}, status="usage-error", error=str(err))
+        report = _report(args.cmd, args.seed, {}, status="usage-error", error=str(err))
         code = EXIT_USAGE
     except (SystemParseError, ExprError) as err:
-        report = _report(args.cmd, seed, {}, status="parse-error", error=str(err))
+        report = _report(args.cmd, args.seed, {}, status="parse-error", error=str(err))
         code = EXIT_PARSE
     except (FlowError, LieAlgebraError, MembershipError, ValueError) as err:
-        report = _report(args.cmd, seed, {}, status="numeric-failure", error=str(err))
+        report = _report(args.cmd, args.seed, {}, status="numeric-failure", error=str(err))
         code = EXIT_NUMERIC
     report["argv"] = argv
     _emit(report, args.format)

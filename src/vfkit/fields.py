@@ -1,12 +1,17 @@
 """Vector fields on R^n, possibly defined only on an open box-like domain.
 
-Flows take a closed-form fast path whenever the field allows it:
+Flows take a closed-form fast path only where the flow is exact and its
+end point alone decides whether it left the field's domain:
 
 * fields constant along their own integral curves (L_X X = 0 symbolically)
-  flow in straight lines,
-* affine fields x' = A x + b flow by a matrix exponential,
-* everything else goes through ``solve_ivp``, this module's Dormand-Prince
-  5(4) integrator, at relative tolerance 1e-10.
+  flow in straight lines, monotone in each coordinate,
+* affine fields x' = A x + b flow by a matrix exponential when they scale
+  (A diagonal, b = 0: each coordinate moves monotonically) on any domain, or
+  when M = [[A, b], [0, 0]] is strictly triangular, so nilpotent, on all of
+  R^n,
+* everything else, every other affine field included, goes through
+  ``solve_ivp``, this module's Dormand-Prince 5(4) integrator, at relative
+  tolerance 1e-10, which locates a domain exit at every accepted step.
 
 Tangent vectors are pushed forward along a flow word in one walk: its
 inverse is walked back from x to y, carrying the n x n identity through the
@@ -23,17 +28,16 @@ Many words are walked in one place, ``_walk``, position by position.  At
 each position the words still going are grouped by field index.  A
 closed-form group takes one stacked step, end = E p + c and V <- E V over
 all its rows: E = I + t DX(p) for a straight field (X and DX evaluated row
-by row by the compiled closures), and E, c from one stacked matrix
-exponential for an affine one, so each row has the bits of a one-word
-walk.  A scaling field (A diagonal, b = 0) has a diagonal t M, whose
-exponential is one vectorised ``np.exp`` of its diagonal; every other
-affine field takes one stacked ``expm``, this module's own matrix
-exponential (Higham 2005).  An ODE group takes one ``solve_ivp`` over its
-rows [x, V]: each row has its own time, step, acceptance by a max-norm
-error per component, right-hand-side budget, box check of the whole row
-(point and matrix) at every accepted step and domain exit located on the
-step's dense output.  All arithmetic on the ODE rows is elementwise (no
-matmul or dot), so no row's bits depend on another.
+by row by the compiled closures), and E, c from the exponential of t M for
+an affine one, so each row has the bits of a one-word walk.  A scaling
+field has a diagonal t M, whose exponential is one vectorised ``np.exp`` of
+its diagonal; a nilpotent one takes one stacked ``expm``, its finite Taylor
+sum.  An ODE group takes one ``solve_ivp`` over its rows [x, V]: each row
+has its own time, step, acceptance by a max-norm error per component,
+right-hand-side budget, box check of the whole row (point and matrix) at
+every accepted step and domain exit located on the step's dense output.
+All arithmetic on the ODE rows is elementwise (no matmul or dot), so no
+row's bits depend on another.
 ``apply_words`` and ``pushforward_along_words`` return, per word, its
 result or the FlowError that stopped it; ``apply_word``,
 ``pushforward_along_word`` and ``flow`` are their one-word cases and raise
@@ -328,12 +332,11 @@ def jacobian_exprs(X):
 class _Flow(NamedTuple):
     kind: str  # "straight" | "affine" | "ode"
     value: Callable  # point -> X(point), a float vector
-    jacobian: Callable  # point -> DX(point), a float n x n matrix
     comps: tuple  # compiled components: list of floats -> float
     rows: tuple  # compiled Jacobian rows, one tuple of closures per row
     eye: np.ndarray  # n x n identity, for the straight step's Jacobian
     M: Optional[np.ndarray] = None  # affine x' = Ax + b: [[A, b], [0, 0]]
-    diagonal: Optional[np.ndarray] = None  # affine with A diagonal: M's diagonal
+    diagonal: Optional[np.ndarray] = None  # scaling (M diagonal): M's diagonal
     batch: Optional[Callable] = None  # ODE: (m, n), c -> (m, c): X, then DX row-major
 
 
@@ -346,7 +349,9 @@ def _floats(point):
 @lru_cache(maxsize=None)
 def _flow_kind(X):
     """X's flow kind, detected symbolically, and X's value and Jacobian
-    compiled once into functions that convert the point to floats once."""
+    compiled once into functions that convert the point to floats once.
+    An affine field is "affine" only when it scales (M diagonal) or M is
+    strictly triangular on a full domain, else "ode"."""
     J = jacobian_exprs(X)
     n = X.dim
     comps = tuple(compile_float(c) for c in X.components)
@@ -356,10 +361,6 @@ def _flow_kind(X):
         pt = _floats(point)
         return np.array([f(pt) for f in comps], dtype=float)
 
-    def jacobian(point):
-        pt = _floats(point)
-        return np.array([[f(pt) for f in row] for row in rows], dtype=float)
-
     eye = np.eye(n)
     eye.flags.writeable = False
     # straight lines: the field is constant along its own integral curves
@@ -367,26 +368,17 @@ def _flow_kind(X):
         sum((X.components[j] * J[i][j] for j in range(n)), ZERO).is_zero()
         for i in range(n)
     ):
-        return _Flow("straight", value, jacobian, comps, rows, eye)
+        return _Flow("straight", value, comps, rows, eye)
     if all(c.is_polynomial() and c.total_degree() <= 1 for c in X.components):
-        A = [[Fraction(0)] * n for _ in range(n)]
-        b = [Fraction(0)] * n
+        M = np.zeros((n + 1, n + 1))
         for i, comp in enumerate(X.components):
             for mono, c in poly_coeff_dict(comp, n).items():
-                deg = sum(mono)
-                if deg == 0:
-                    b[i] = c
-                else:
-                    j = mono.index(1)
-                    A[i][j] = c
-        M = np.zeros((n + 1, n + 1))
-        M[:n, :n] = np.array(A, dtype=float)
-        M[:n, n] = np.array(b, dtype=float)
+                M[i, mono.index(1) if any(mono) else n] = float(c)
         M.flags.writeable = False
-        diagonal = None
-        if all(A[i][j] == 0 for i in range(n) for j in range(n) if i != j):
-            diagonal = np.diagonal(M)
-        return _Flow("affine", value, jacobian, comps, rows, eye, M, diagonal)
+        scaling = not M[~np.eye(n + 1, dtype=bool)].any()
+        if scaling or (X.domain.is_full and not (np.tril(M).any() and np.triu(M).any())):
+            return _Flow("affine", value, comps, rows, eye, M,
+                         np.diagonal(M) if scaling else None)
     if X.is_polynomial():
         batch = _poly_batch(X.components + tuple(e for row in J for e in row), n)
     else:
@@ -395,7 +387,7 @@ def _flow_kind(X):
         def batch(x, count):
             return np.array([[f(p) for f in closures[:count]] for p in x.tolist()],
                             dtype=float).reshape(len(x), count)
-    return _Flow("ode", value, jacobian, comps, rows, eye, batch=batch)
+    return _Flow("ode", value, comps, rows, eye, batch=batch)
 
 
 def _poly_batch(exprs, n):
@@ -423,20 +415,12 @@ def _poly_batch(exprs, n):
     return batch
 
 
-# degree-13 Pade coefficients b_k = (26 - k)! / ((13 - k)! k!) and theta_13: Higham, "The
-# scaling and squaring method for the matrix exponential revisited", SIMAX 26(4), 2005
-_PADE13 = tuple(float(math.factorial(26 - k) // (math.factorial(13 - k) * math.factorial(k)))
-                for k in range(14))
-_THETA13 = 5.371920351148152
-
-
 def expm(A):
     """The exponential of every n x n matrix in A (any leading shape), each on
-    its own: the finite Taylor sum, over k < n of A^k / k!, of a strictly
-    triangular (so nilpotent) A; ``np.exp`` of the diagonal of a diagonal A;
-    else the degree-13 Pade approximant of A / 2^s squared s times, s the
-    least that takes the 1-norm of A / 2^s to theta_13 (scaling and squaring,
-    Higham 2005).  A matrix with a non-finite entry gives NaNs."""
+    its own, for the t M of closed-form affine flows: the finite Taylor sum,
+    over k < n of A^k / k!, of a strictly triangular (so nilpotent) A, and
+    ``np.exp`` of the diagonal of a diagonal A.  A matrix with a non-finite
+    entry gives NaNs; any other matrix raises ValueError."""
     shape, n = np.shape(A), np.shape(A)[-1]
     A = np.asarray(A, dtype=float).reshape(-1, n, n)
     out, eye = np.full(A.shape, np.nan), np.eye(n)
@@ -450,25 +434,9 @@ def expm(A):
             total = total + term
         out[nil] = total
     diag = finite & ~nil & ~A[:, eye == 0].any(axis=1)
+    if (finite & ~nil & ~diag).any():
+        raise ValueError("expm takes only strictly triangular or diagonal matrices")
     out[diag] = np.where(eye == 1, np.exp(A[diag]), 0.0)
-    pade = finite & ~nil & ~diag
-    if pade.any():
-        mant, e = np.frexp(np.abs(A[pade]).sum(axis=1).max(axis=1) / _THETA13)
-        s = np.maximum(e - (mant == 0.5), 0)
-        B = np.ldexp(A[pade], -s[:, None, None])
-        B2 = B @ B
-        B4 = B2 @ B2
-        B6 = B4 @ B2
-        b = _PADE13
-        U = B @ (B6 @ (b[13] * B6 + b[11] * B4 + b[9] * B2)
-                 + b[7] * B6 + b[5] * B4 + b[3] * B2 + b[1] * eye)
-        V = (B6 @ (b[12] * B6 + b[10] * B4 + b[8] * B2)
-             + b[6] * B6 + b[4] * B4 + b[2] * B2 + b[0] * eye)
-        R = np.linalg.solve(V - U, V + U)
-        for i in range(s.max()):  # row j is squared s_j times
-            sq = s > i
-            R[sq] = R[sq] @ R[sq]
-        out[pade] = R
     return out.reshape(shape)
 
 
@@ -500,17 +468,18 @@ def solve_ivp(fun, t_end, y0, events, name):
     from time 0 to t_end[j] != 0; fun(t, Y) gives the live rows' derivatives
     (t is their times at the step start: fields are autonomous).  A row
     accepts a step when max_i |err_i| / (1e-12 + rtol max(|y_i|, |y_new_i|))
-    < 1, rtol ``DEFAULT_RTOL``.  It fails if its start value is not finite,
-    its step underflows or it uses up ``MAX_RHS_EVALS``, and after an
-    accepted step, in this order, if coordinate c crossed b for a (c, b) in
-    events (exit time from the dense output), if any of its columns (the
-    point and any transported matrix) left ``DEFAULT_BOX`` or if it is not
-    finite.  Returns the end rows and {row: FlowError}."""
+    < 1, rtol ``DEFAULT_RTOL``.  It fails at once if its start value or its
+    time is not finite, later if its step underflows or it uses up
+    ``MAX_RHS_EVALS``, and after an accepted step, in this order, if
+    coordinate c crossed b for a (c, b) in events (exit time from the dense
+    output), if any of its columns (the point and any transported matrix)
+    left ``DEFAULT_BOX`` or if it is not finite.  Returns the end rows and
+    {row: FlowError}."""
     rtol, atol = DEFAULT_RTOL, 1e-12
     out, T = y0.copy(), np.asarray(t_end, dtype=float)
     with np.errstate(all="ignore"):
         f = fun(np.zeros(len(y0)), y0)
-        fin = np.isfinite(f).all(axis=1)
+        fin = np.isfinite(f).all(axis=1) & np.isfinite(T)
         failed = {j: IntegrationError("flow step gave a non-finite value")
                   for j in np.flatnonzero(~fin).tolist()}
         live, T, y, f = np.flatnonzero(fin), T[fin], y0[fin], f[fin]
@@ -608,9 +577,10 @@ def _step_group(X, ts, rows, P, V):
     one-row step: a straight flow has end = p + t X(p) and E = I + t DX(p),
     X and DX evaluated row by row by the compiled closures; an affine flow
     takes E and c from one stacked ``expm(t M)`` (``exp`` of the diagonal
-    of t M for a scaling field) and, when A is non-diagonal on a restricted
-    domain, its exit time from one more at 16 equally spaced times.  ODE
-    rows take one stacked ``solve_ivp``.
+    of t M for a scaling field).  Each coordinate of a closed-form flow is
+    monotone in time, or the domain is all of R^n, so a row whose end point
+    lies outside the domain fails with exit time t, and no other row left
+    it.  ODE rows take one stacked ``solve_ivp``.
     """
     kind = _flow_kind(X)
     failed = {}
@@ -640,8 +610,7 @@ def _step_group(X, ts, rows, P, V):
     base = [P[r] for r in rs]
     p, t = np.array(base), np.array(times)
     if kind.kind == "affine":
-        if (kind.diagonal is not None and not kind.M[:n, n].any()
-                and math.isfinite(sum(times))):
+        if kind.diagonal is not None and math.isfinite(sum(times)):
             # every t M is diagonal, so its exponential is exp of its diagonal
             F = np.zeros((len(t), n + 1, n + 1))
             F[:, range(n + 1), range(n + 1)] = np.exp(kind.diagonal * t[:, None])
@@ -652,18 +621,12 @@ def _step_group(X, ts, rows, P, V):
     else:
         vals = np.array([[f(q) for f in kind.comps] for q in base], dtype=float)
         end = p + t[:, None] * vals
-    probe_t, probe_p = t[:, None], end[:, None]
-    if kind.kind == "affine" and kind.diagonal is None and not X.domain.is_full:
-        probe_t = t[:, None] * np.arange(1, 17) / 16.0
-        F = expm(kind.M * probe_t[:, :, None, None])
-        probe_p = (F[..., :n, :n] @ p[:, None, :, None])[..., 0] + F[..., :n, n]
     escaped = (np.abs(end).max(axis=1) > DEFAULT_BOX).tolist()
-    exits = [None] * len(rs) if X.domain.is_full else [
-        next((s for s, q in zip(ss, qs) if not X.domain.contains(q)), None)
-        for ss, qs in zip(probe_t.tolist(), probe_p.tolist())]
+    inside = ([True] * len(rs) if X.domain.is_full
+              else [X.domain.contains(q) for q in end.tolist()])
     ok = []
-    for k, (exit_time, esc) in enumerate(zip(exits, escaped)):
-        if exit_time is not None:
+    for k, (exit_time, stays, esc) in enumerate(zip(times, inside, escaped)):
+        if not stays:
             failed[rs[k]] = DomainExitError(
                 f"trajectory of {X.name} left its domain", exit_time=exit_time)
         elif esc:

@@ -2,6 +2,7 @@ import math
 import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -452,8 +453,12 @@ def test_parity_cases_cover_the_grammar():
 def test_field_value_and_jacobian_match_tree_walk(e1, e2, pt):
     X = VectorField("X", (e1, e2))
     entries = [e for row in jacobian_exprs(X) for e in row]  # row-major
-    for compiled, exprs in ((X.value_float, X.components),
-                            (_flow_kind(X).jacobian, entries)):
+    rows = _flow_kind(X).rows
+
+    def jacobian(pt):
+        return np.array([[f(pt) for f in row] for row in rows], dtype=float)
+
+    for compiled, exprs in ((X.value_float, X.components), (jacobian, entries)):
         want = [outcome(walk_eval_float, e, pt) for e in exprs]
         errors = [w for w in want if w[0] == "error"]
         if errors:  # the first failing entry raises

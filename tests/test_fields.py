@@ -1,9 +1,11 @@
+import itertools
 import math
 import os
 import pathlib
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +29,7 @@ from vfkit.fields import (
     pushforward_along_words,
 )
 from vfkit.liealg import filtration
-from vfkit.orbits import WordSampler, sampled_orbit
+from vfkit.orbits import WordSampler, fixed_time_dimension, orbit_dimension, sampled_orbit
 from vfkit.presets import PRESETS
 from vfkit.systems import parse_system
 
@@ -305,15 +307,50 @@ class TestFlows:
 
     def test_restricted_rotation_exits_domain(self, vf):
         # a non-diagonal affine flow on a restricted domain: from (0, 1) the
-        # backward rotation leaves x1 < 1/2 at -pi/6 and re-enters at -5pi/6
+        # backward rotation (-sin t, cos t) leaves x1 < 1/2 at -pi/6 and
+        # re-enters at -5pi/6; it leaves x1 < 999/1000 at -asin(0.999) for
+        # a short arc only, so its end point at -0.97 pi lies inside again
         R = vf("R", ["-x2", "x1"], 2, [(1, "<", Fraction(1, 2))])
+        assert fields._flow_kind(R).kind == "ode"
         with pytest.raises(DomainExitError) as err:
             flow(R, -math.pi, (0.0, 1.0))
-        assert -5 * math.pi / 6 < err.value.exit_time <= -math.pi / 6
+        assert err.value.exit_time == pytest.approx(-math.pi / 6, abs=1e-9)
         assert err.value.step is None
         with pytest.raises(DomainExitError) as err:
             apply_word([R], [(0, 0.5), (0, -math.pi)], (0.0, 1.0))
         assert err.value.step == 1
+        near = vf("R", ["-x2", "x1"], 2, [(1, "<", Fraction(999, 1000))])
+        with pytest.raises(DomainExitError) as err:
+            flow(near, -0.97 * math.pi, (0.0, 1.0))
+        assert err.value.exit_time == pytest.approx(-math.asin(0.999), abs=1e-9)
+
+    def test_restricted_rotation_skips_the_words_the_angle_oracle_skips(self):
+        # R = (-x2, x1) on x1 < 1/2 turns a point of radius r = 251/500 by
+        # its time, and is undefined on the arc |theta| <= acos(1/(2r)).  A
+        # pushforward walks the inverse word, so it fails exactly when the
+        # range of the inverse word's partial sums, turned by the point's
+        # angle, meets that arc
+        text = (pathlib.Path(__file__).parent / "data" / "rotation.vf").read_text()
+        family = list(parse_system(text).fields)
+        point, r = (0, Fraction(251, 500)), 251 / 500
+        alpha = math.acos(0.5 / r)
+
+        def walks(word, theta):
+            sums = list(itertools.accumulate((-t for _, t in reversed(word)), initial=0.0))
+            lo, hi = theta + min(sums) - alpha, theta + max(sums) + alpha
+            return math.ceil(lo / (2 * math.pi)) > math.floor(hi / (2 * math.pi))
+
+        sampler = WordSampler(seed=0, max_time=6.0)
+        orbit = orbit_dimension(family, point, sampler)
+        fixed = fixed_time_dimension(family, point, 0.5, sampler)
+        for report, start, theta, constraint, used in (
+                (orbit, point, math.pi / 2, "free", 29),
+                (fixed, fixed.reached, math.pi / 2 + 0.5, "zero-sum", 61)):
+            words = replace(sampler, constraint=constraint).words(1)
+            got = [not isinstance(v, FlowError)
+                   for v in pushforward_along_words(family, words, family[0], start)]
+            assert got == [walks(w, theta) for w in words]
+            assert (report.words_used, report.words_skipped) == (used, 200 - used)
 
     def test_apply_word_reports_step(self, vf):
         X = vf("X", ["1", "0"], 2, [(1, "<", Fraction(1))])
@@ -573,30 +610,30 @@ class TestStackedWalk:
             q, U = np.array(point), V0
             for i, t in w:
                 kind = fields._flow_kind(family[i])
-                q, U = q + t * kind.value(q), (kind.eye + t * kind.jacobian(q)) @ U
+                q, U = q + t * kind.value(q), (kind.eye + t * _jacobian(kind, q)) @ U
             assert np.array_equal(p, q) and np.array_equal(Vw, U)
 
 
     @pytest.mark.parametrize("name", ["diagonal", "diagonal-restricted", "non-diagonal",
-                                      "non-diagonal-restricted", "scaling-3d"])
+                                      "scaling-3d", "nilpotent-3d"])
     def test_affine_step_matches_one_point_arithmetic(self, vf, name):
         half = Fraction(1, 2)
         family = {
-            "diagonal": [vf("X1", ["x1", "0"], 2), vf("X2", ["0", "-x2+1"], 2)],
+            "diagonal": [vf("X1", ["x1", "0"], 2), vf("X2", ["0", "-x2"], 2)],
             "diagonal-restricted": [vf("X1", ["x1", "0"], 2, [(1, "<", 3 * half)]),
                                     vf("X2", ["0", "x2"], 2, [(2, ">", -half)])],
-            "non-diagonal": [vf("X1", ["x2", "1"], 2), vf("H", ["x2", "x1"], 2)],
-            "non-diagonal-restricted": [vf("R", ["-x2", "x1"], 2, [(1, "<", half)]),
-                                        vf("X1", ["x2", "1"], 2, [(2, ">", -half)])],
+            "non-diagonal": [vf("X1", ["x2", "1"], 2), vf("N", ["-2*x2+1", "1/2"], 2)],
             # pure scalings take the closed-form exponential, not expm
             "scaling-3d": [vf("S1", ["x1", "0", "-x3"], 3), vf("S2", ["0", "-2*x2", "0"], 3),
                            vf("S3", ["3*x1", "x2", "0"], 3)],
+            # strictly upper and strictly lower triangular M
+            "nilpotent-3d": [vf("N1", ["x2", "x3", "1"], 3), vf("N2", ["0", "x1", "x2"], 3)],
         }[name]
         assert all(fields._flow_kind(X).kind == "affine" for X in family)
         # WordSampler times are uniform on [-2, 2], so half the steps run backwards
         words = WordSampler(seed=3, count=60, max_len=5, max_time=2.0).words(len(family))
         words += ZERO_TIME_WORDS
-        point = (0.3, -0.0, -0.7) if name == "scaling-3d" else (0.3, 0.7)
+        point = (0.3, -0.0, -0.7) if name.endswith("3d") else (0.3, 0.7)
         V0 = np.column_stack([X.value_float(point) for X in family])
         P, V, errors = fields._walk(family, words, [point] * len(words), [V0] * len(words))
         seen = set()
@@ -605,8 +642,7 @@ class TestStackedWalk:
             if isinstance(want, FlowError):
                 assert (type(err), str(err), err.step, err.exit_time) == (
                     type(want), str(want), want.step, want.exit_time), w
-                seen.add("exit at a probe" if err.exit_time not in (0.0, w[err.step][1])
-                         else "exit")
+                seen.add("exit")
                 continue
             assert err is None, w
             assert np.array_equal(p, want[0]) and np.array_equal(Vw, want[1]), w
@@ -614,25 +650,33 @@ class TestStackedWalk:
             seen.add("moved")
         assert "moved" in seen
         assert ("exit" in seen) == name.endswith("restricted")
-        assert ("exit at a probe" in seen) == (name == "non-diagonal-restricted")
 
-    @pytest.mark.parametrize("domain, calls", [((), 1), ([(1, "<", Fraction(1, 2))], 2)])
+    @pytest.mark.parametrize("domain, calls", [((), 1), ([(1, "<", Fraction(1, 2))], 0)])
     def test_affine_group_makes_one_stacked_expm(self, vf, monkeypatch, domain, calls):
-        R = vf("R", ["-x2", "x1"], 2, domain)
+        # a nilpotent field on a restricted domain is an ODE field
+        X = vf("X", ["x2", "1"], 2, domain)
         made = []
         real = fields.expm
         monkeypatch.setattr(fields, "expm", lambda A: made.append(A.shape) or real(A))
         P = [[0.0, 0.1 * k] for k in range(5)]
         V = [np.eye(2)] * 5
-        assert fields._step_group(R, [0.1, 0.2, 0.3, -0.4, 0.5], range(5), P, V) == {}
-        assert len(made) == calls
-        assert made[0] == (5, 3, 3)
+        assert fields._step_group(X, [0.1, 0.2, 0.3, -0.4, 0.5], range(5), P, V) == {}
+        assert made == [(5, 3, 3)] * calls
 
-    @pytest.mark.parametrize("comps, calls", [(["x1", "-2*x2"], 0), (["x1", "-x2+1"], 1),
-                                              (["x1", "x1+x2"], 1)],
-                             ids=["scaling", "offset", "off-diagonal"])
-    def test_only_non_scaling_groups_call_expm(self, vf, monkeypatch, comps, calls):
-        X = vf("X", comps, 2)
+    @pytest.mark.parametrize(
+        "comps, domain, kind, calls",
+        [(["x1", "-2*x2"], [(1, "<", Fraction(1))], "affine", 0),
+         (["x2", "1"], (), "affine", 1),
+         (["x1", "-x2+1"], (), "ode", 0), (["x1", "x1+x2"], (), "ode", 0),
+         (["-x2", "x1"], (), "ode", 0), (["x2", "1"], [(1, "<", Fraction(1))], "ode", 0)],
+        ids=["scaling", "nilpotent", "offset", "off-diagonal", "rotation",
+             "restricted-nilpotent"])
+    def test_only_non_scaling_groups_call_expm(self, vf, monkeypatch, comps, domain, kind,
+                                               calls):
+        # only scalings (on any domain) and nilpotent fields on R^n flow in
+        # closed form: every other affine field is an ODE field
+        X = vf("X", comps, 2, domain)
+        assert fields._flow_kind(X).kind == kind
         made = []
         real = fields.expm
         monkeypatch.setattr(fields, "expm", lambda A: made.append(A.shape) or real(A))
@@ -657,46 +701,37 @@ class TestStackedWalk:
 
 def _affine_steps(family, word, point, V0):
     """A word walked step by step with one one-matrix ``fields.expm(t M)``
-    per step (16 more at the probe times of a non-diagonal field on a
-    restricted domain): the end point and matrix, or the FlowError that
-    stops the word."""
+    per step: the end point and matrix, or the FlowError that stops the
+    word."""
     q, U = np.array(point, dtype=float), V0
     n = len(q)
     for step, (i, t) in enumerate(word):
         X = family[i]
-        kind = fields._flow_kind(X)
         err = None
         if not X.domain.contains(q.tolist()):
             err = DomainExitError(f"start point outside the domain of {X.name}", 0.0)
         elif t != 0.0:
-            probes = [t]
-            if kind.diagonal is None and not X.domain.is_full:
-                probes = [t * k / 16.0 for k in range(1, 17)]
-            for s in probes:
-                F = fields.expm(kind.M * s)
-                if not X.domain.contains((F[:n, :n] @ q + F[:n, n]).tolist()):
-                    err = DomainExitError(f"trajectory of {X.name} left its domain", s)
-                    break
-            else:
-                F = fields.expm(kind.M * t)
-                q, U = F[:n, :n] @ q + F[:n, n], F[:n, :n] @ U
-                if np.abs(q).max() > fields.DEFAULT_BOX:
-                    err = IntegrationError("trajectory escaped the bounding box")
+            F = fields.expm(fields._flow_kind(X).M * t)
+            q, U = F[:n, :n] @ q + F[:n, n], F[:n, :n] @ U
+            if not X.domain.contains(q.tolist()):
+                err = DomainExitError(f"trajectory of {X.name} left its domain", t)
+            elif np.abs(q).max() > fields.DEFAULT_BOX:
+                err = IntegrationError("trajectory escaped the bounding box")
         if err is not None:
             err.step = step
             return err
     return q, U
 
 
+def _jacobian(kind, point):
+    """DX at the point from the compiled Jacobian rows of X's flow kind."""
+    pt = [float(v) for v in point]
+    return np.array([[f(pt) for f in row] for row in kind.rows], dtype=float)
+
+
 # the affine field (x2, 1) of the double-integrator preset: x' = A x + b as
 # M = [[A, b], [0, 0]], strictly upper triangular
 DOUBLE_INTEGRATOR_M = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-
-
-def _scaling_exponent(A):
-    """s of ``fields.expm``'s scaling and squaring: the least s >= 0 with
-    ||A / 2^s||_1 <= theta_13."""
-    return max(0, math.ceil(math.log2(np.abs(A).sum(axis=0).max() / fields._THETA13)))
 
 
 class TestExpm:
@@ -712,54 +747,14 @@ class TestExpm:
         assert np.array_equal(fields.expm(DOUBLE_INTEGRATOR_M.T * t[:, None, None]),
                               F.transpose(0, 2, 1))
 
-    def test_rotations_match_cos_and_sin(self):
-        theta = np.random.default_rng(2).uniform(-40.0, 40.0, size=300)
-        F = fields.expm(np.array([[[0.0, -a], [a, 0.0]] for a in theta]))
-        c, s = np.cos(theta), np.sin(theta)
-        want = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
-        assert np.max(np.abs(F - want)) < 1e-13
-
-    def test_offset_diagonal_matches_expm1(self):
-        # x_i' = a_i x_i + b_i: M = [[diag(a), b], [0, 0]] has the exponential
-        # [[diag(e^a), b (e^a - 1) / a], [0, 1]]
-        rng = np.random.default_rng(4)
-        a, b = rng.uniform(-6.0, 6.0, size=(300, 2)), rng.uniform(-3.0, 3.0, size=(300, 2))
-        M = np.zeros((300, 3, 3))
-        M[:, [0, 1], [0, 1]], M[:, :2, 2] = a, b
-        want = np.zeros((300, 3, 3))
-        want[:, [0, 1, 2], [0, 1, 2]] = np.exp(np.column_stack([a, np.zeros(300)]))
-        want[:, :2, 2] = b * np.expm1(a) / a
-        np.testing.assert_allclose(fields.expm(M), want, rtol=1e-13, atol=1e-14)
-
-    def test_matches_scipy_on_random_matrices(self):
-        # The bound: scaling and squaring with the degree-13 Pade approximant
-        # has a backward error of at most the unit roundoff (Higham 2005), and
-        # scipy's algorithm likewise.  On these matrices (1-norm 0.01 to 80,
-        # scaling exponents 0 to 4) the two differed by at most 1.2e-11 of the
-        # largest entry, nearly all of it scipy's own error: against a 40-digit
-        # reference vfkit's stayed within 4e-14 and scipy's reached 1.1e-11.
-        # 1e-10 leaves room for other BLAS and LAPACK builds, while one wrong
-        # Pade coefficient (b_13 = 2) moves results by 2e-7.
-        expm = pytest.importorskip("scipy.linalg").expm
-        rng = np.random.default_rng(23)
-        exponents = set()
-        for _ in range(1500):
-            n = int(rng.integers(2, 5))
-            A = rng.normal(size=(n, n))
-            A *= 10 ** rng.uniform(-2.0, 1.9) / np.abs(A).sum(axis=0).max()
-            want = expm(A)
-            assert np.max(np.abs(fields.expm(A) - want)) <= 1e-10 * np.max(np.abs(want))
-            exponents.add(_scaling_exponent(A))
-        assert exponents == {0, 1, 2, 3, 4}
-
     def test_row_bits_do_not_depend_on_batch(self):
+        # strictly upper, strictly lower and diagonal matrices, and one NaN
         rng = np.random.default_rng(29)
         A = rng.normal(size=(300, 3, 3)) * 10 ** rng.uniform(-2.0, 1.9, size=(300, 1, 1))
-        A[::7] = DOUBLE_INTEGRATOR_M * rng.uniform(-3.0, 3.0, size=(43, 1, 1))
+        A = np.where(np.arange(300)[:, None, None] % 2, np.triu(A, 1), np.tril(A, -1))
         A[3::11] = np.eye(3) * rng.uniform(-5.0, 5.0, size=(27, 1, 3))
-        A[5, 1, 2] = math.nan
+        A[5, 1, 0] = math.nan
         F = fields.expm(A)
-        assert len({_scaling_exponent(a) for a in A[np.isfinite(A).all(axis=(1, 2))]}) > 3
         for r in range(300):
             assert np.array_equal(fields.expm(A[r]), F[r], equal_nan=True), r
             assert np.array_equal(fields.expm(A[r:r + 1]), F[r:r + 1], equal_nan=True), r
@@ -776,28 +771,29 @@ class TestExpm:
                     A[i, j] = bad
                     assert not np.isfinite(fields.expm(A)).any(), (M, i, j)
 
-    def test_probe_stack_keeps_its_shape_and_bits(self, vf):
-        M = fields._flow_kind(vf("R", ["-x2", "x1+1"], 2)).M
-        probe_t = np.random.default_rng(31).uniform(-2.0, 2.0, size=(5, 1)) * np.arange(1, 17) / 16
-        F = fields.expm(M * probe_t[:, :, None, None])
-        assert F.shape == (5, 16, 3, 3)
-        for i in range(5):
-            for j in range(16):
-                assert np.array_equal(F[i, j], fields.expm(M * probe_t[i, j])), (i, j)
+    def test_other_matrices_raise(self):
+        # closed-form affine flows are only scalings and nilpotent fields
+        rotation = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="strictly triangular or diagonal"):
+            fields.expm(np.stack([DOUBLE_INTEGRATOR_M, rotation]))
 
 
 class TestNonFiniteStepsAreQuiet:
     """A flow step that overflows fails with an IntegrationError and prints
     no numpy warning."""
 
-    @pytest.mark.parametrize("comps", [["x1", "0"], ["x2", "1"], ["-x2", "x1"], ["1", "0"]],
-                             ids=["scaling", "nilpotent", "rotation", "straight"])
+    @pytest.mark.parametrize("comps", [["x1", "0"], ["x2", "1"], ["-x2", "x1"], ["1", "0"],
+                                       ["x2", "-x1-x1^3"]],
+                             ids=["scaling", "nilpotent", "rotation", "straight", "duffing"])
     def test_infinite_time_raises_without_warning(self, vf, comps):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(IntegrationError) as err:
-                flow(vf("X", comps, 2), math.inf, (0.5, 0.25))
-        assert str(err.value) == "flow step gave a non-finite value"
+        # an ODE row with a non-finite time fails before its first step, not
+        # after spending its whole right-hand-side budget
+        for t in (math.inf, -math.inf, math.nan):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IntegrationError) as err:
+                    flow(vf("X", comps, 2), t, (0.5, 0.25))
+            assert str(err.value) == "flow step gave a non-finite value", t
 
     def test_overflowing_orbit_writes_nothing_to_stderr(self, tmp_path):
         system = tmp_path / "big.vf"
@@ -860,7 +856,7 @@ class TestIntegrator:
         V0 = [rng.uniform(-1, 1, size=(2, 2)) for _ in range(12)]
 
         def rhs(_, y):
-            jac = kind.jacobian(y[:2])
+            jac = _jacobian(kind, y[:2])
             return np.concatenate([kind.value(y[:2]), (jac @ y[2:].reshape(2, 2)).ravel()])
 
         for p, t, v, row in zip(starts, times, V0, _ode_group(X, starts, times, V0)):

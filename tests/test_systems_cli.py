@@ -572,12 +572,15 @@ class TestReports:
         _, second = run_cli(capsys, *args)
         assert first == second
 
-    def test_seed_env_variable(self, capsys, shear_file, monkeypatch):
+    def test_seed_defaults_to_zero(self, capsys, shear_file, monkeypatch):
+        # --seed is the one way to set the seed; the environment sets none
         monkeypatch.setenv("VFKIT_SEED", "99")
-        code, out = run_cli(capsys, "orbit", "--system", shear_file,
-                            "--point", "1,1", "--words", "10", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["seed"] == 99
+        args = ("orbit", "--system", shear_file, "--point", "1,1", "--words", "10",
+                "--format", "json")
+        code, out = run_cli(capsys, *args)
+        _, explicit = run_cli(capsys, *args, "--seed", "0")
+        assert code == 0 and json.loads(out)["seed"] == 0
+        assert json.loads(out)["results"] == json.loads(explicit)["results"]
 
 
 def preset_orbit(capsys, tmp_path, name, *opts):
