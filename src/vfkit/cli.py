@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 numeric failure,
 4 expected-fact mismatch (``examples --run``).  JSON reports are emitted
 with sorted keys, so identical invocations with identical seeds are
-byte-identical.
+byte-identical.  Each subcommand is one ``COMMANDS`` entry, and a call
+builds only its parser; only ``orbit``, ``frobenius`` and ``examples``
+import the flow layer, and with it numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .distributions import (
     Distribution,
     classify_grid,
@@ -24,8 +24,6 @@ from .distributions import (
     singular_locus_minors,
 )
 from .expr import ExprError
-from .fields import FlowError, field_values, lie_bracket
-from .frobenius import DEFAULT_INVOLUTIVITY_DEGREE, flow_box_chart, frobenius_verdict
 from .liealg import (
     DEFAULT_DEPTH_CAP,
     DEFAULT_MODULE_DEGREE,
@@ -37,8 +35,6 @@ from .liealg import (
 )
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, span_rank
 from .membership import DEGREE_CAP, MembershipError, member_bounded
-from .orbits import WordSampler, fixed_time_dimension, orbit_dimension
-from .presets import PRESETS, run_preset
 from .systems import (
     SystemParseError,
     UsageError,
@@ -47,6 +43,7 @@ from .systems import (
     parse_system,
     parse_target,
 )
+from .vectorfield import FlowError, field_values, lie_bracket
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,17 +58,18 @@ MAX_LEN_CAP = 32
 
 
 def _jsonable(x):
+    np = sys.modules.get("numpy")  # a numpy value exists only once numpy is loaded
     if isinstance(x, bool):
         return x
     if isinstance(x, Fraction):
         return str(x) if x.denominator != 1 else int(x)
-    if isinstance(x, (np.floating, float)):
+    if isinstance(x, float) or np and isinstance(x, np.floating):
         return float(x)
-    if isinstance(x, (np.integer, int)):
+    if isinstance(x, int) or np and isinstance(x, np.integer):
         return int(x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, np.ndarray)):
+    if isinstance(x, (list, tuple)) or np and isinstance(x, np.ndarray):
         return [_jsonable(v) for v in x]
     return x
 
@@ -170,8 +168,8 @@ def _check_ranges(args):
         raise UsageError(f"--max-time must not be negative, got {args.max_time}")
 
 
-def _add_common(p, system_required=True):
-    p.add_argument("--system", required=system_required, help="system file path")
+def _add_common(p):
+    p.add_argument("--system", required=True, help="system file path")
     p.add_argument("--format", default="text", choices=["json", "csv", "text"])
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
 
@@ -182,54 +180,20 @@ def build_parser():
         description="symbolic-numeric analysis of families of vector fields",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("bracket", help="Lie bracket of two named fields")
-    _add_common(p)
-    p.add_argument("--fields", required=True, help="comma-separated pair, e.g. X1,X2")
-
-    p = sub.add_parser("rank", help="fibre rank at a point or over a grid")
-    _add_common(p)
-    p.add_argument("--point", help="comma-separated rational coordinates")
-    p.add_argument("--grid", help='grid spec like "x1=-1:1:1/4,x2=-1:1:1/4"')
-
-    p = sub.add_parser("lie", help="bracket filtration ranks at a point")
-    _add_common(p)
-    p.add_argument("--point", required=True)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH_CAP)
-    p.add_argument("--module-degree", type=int, default=DEFAULT_MODULE_DEGREE)
-    p.add_argument("--fixed-time-ideal", action="store_true",
-                   help="also report the fixed-time ideal rank and codimension")
-
-    p = sub.add_parser("member", help="degree-bounded module membership")
-    _add_common(p)
-    p.add_argument("--target", required=True, help='target field "(e1,...,en)"')
-    p.add_argument("--gens", required=True, help="comma-separated generator names")
-    p.add_argument("--degree", type=int, required=True)
-
-    p = sub.add_parser("orbit", help="orbit (or fixed-time) dimension, exact or sampled")
-    _add_common(p)
-    p.add_argument("--point", required=True)
-    p.add_argument("--words", type=int, default=WordSampler.count)
-    p.add_argument("--max-len", type=int, default=WordSampler.max_len)
-    p.add_argument("--max-time", type=_time, default=WordSampler.max_time)
-    p.add_argument("--fixed-time", type=_time, default=None)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH_CAP)
-
-    p = sub.add_parser("frobenius", help="integrability verdict")
-    _add_common(p)
-    p.add_argument("--grid", default=None)
-    p.add_argument("--module-degree", type=int, default=DEFAULT_INVOLUTIVITY_DEGREE)
-    p.add_argument("--chart-point", default=None,
-                   help="also attempt a flow-box chart at this point")
-
-    p = sub.add_parser("examples", help="list or run the preset corpus")
-    p.add_argument("--format", default="text", choices=["json", "csv", "text"])
-    p.add_argument("--seed", type=int, default=0)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--list", action="store_true")
-    g.add_argument("--run", metavar="NAME")
-    g.add_argument("--run-all", action="store_true")
+    for name, (help_line, add_arguments, _) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return ap
+
+
+def _parse(argv):
+    """The subcommand and its arguments: from that subcommand's parser alone,
+    or from the full one for no argument, -h or an unknown name."""
+    if argv and argv[0] in COMMANDS:
+        ap = argparse.ArgumentParser(prog=f"vfkit {argv[0]}")
+        COMMANDS[argv[0]][1](ap)
+        return argv[0], ap.parse_args(argv[1:])
+    args = build_parser().parse_args(argv)
+    return args.cmd, args
 
 
 def _join_signed_values(argv):
@@ -246,35 +210,30 @@ def _join_signed_values(argv):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
     try:
-        args = ap.parse_args(_join_signed_values(argv))
+        cmd, args = _parse(_join_signed_values(argv))
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
-    handler = {
-        "bracket": _cmd_bracket,
-        "rank": _cmd_rank,
-        "lie": _cmd_lie,
-        "member": _cmd_member,
-        "orbit": _cmd_orbit,
-        "frobenius": _cmd_frobenius,
-        "examples": _cmd_examples,
-    }[args.cmd]
     try:
         _check_ranges(args)
-        report, code = handler(args, args.seed)
+        report, code = COMMANDS[cmd][2](args, args.seed)
     except UsageError as err:
-        report = _report(args.cmd, args.seed, {}, status="usage-error", error=str(err))
+        report = _report(cmd, args.seed, {}, status="usage-error", error=str(err))
         code = EXIT_USAGE
     except (SystemParseError, ExprError) as err:
-        report = _report(args.cmd, args.seed, {}, status="parse-error", error=str(err))
+        report = _report(cmd, args.seed, {}, status="parse-error", error=str(err))
         code = EXIT_PARSE
     except (FlowError, LieAlgebraError, MembershipError, ValueError) as err:
-        report = _report(args.cmd, args.seed, {}, status="numeric-failure", error=str(err))
+        report = _report(cmd, args.seed, {}, status="numeric-failure", error=str(err))
         code = EXIT_NUMERIC
     report["argv"] = argv
     _emit(report, args.format)
     return code
+
+
+def _args_bracket(p):
+    _add_common(p)
+    p.add_argument("--fields", required=True, help="comma-separated pair, e.g. X1,X2")
 
 
 def _cmd_bracket(args, seed):
@@ -290,6 +249,12 @@ def _cmd_bracket(args, seed):
         "domain": str(b.domain),
     }
     return _report("bracket", seed, results, system=system.name), EXIT_OK
+
+
+def _args_rank(p):
+    _add_common(p)
+    p.add_argument("--point", help="comma-separated rational coordinates")
+    p.add_argument("--grid", help='grid spec like "x1=-1:1:1/4,x2=-1:1:1/4"')
 
 
 def _cmd_rank(args, seed):
@@ -331,6 +296,15 @@ def _cmd_rank(args, seed):
     return _report("rank", seed, results, system=system.name), EXIT_OK
 
 
+def _args_lie(p):
+    _add_common(p)
+    p.add_argument("--point", required=True)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH_CAP)
+    p.add_argument("--module-degree", type=int, default=DEFAULT_MODULE_DEGREE)
+    p.add_argument("--fixed-time-ideal", action="store_true",
+                   help="also report the fixed-time ideal rank and codimension")
+
+
 def _cmd_lie(args, seed):
     system = _load_system(args.system)
     p = parse_point(args.point, system.dim)
@@ -370,6 +344,13 @@ def _cmd_lie(args, seed):
     return _report("lie", seed, results, system=system.name), EXIT_OK
 
 
+def _args_member(p):
+    _add_common(p)
+    p.add_argument("--target", required=True, help='target field "(e1,...,en)"')
+    p.add_argument("--gens", required=True, help="comma-separated generator names")
+    p.add_argument("--degree", type=int, required=True)
+
+
 def _cmd_member(args, seed):
     system = _load_system(args.system)
     target = parse_target(args.target, system.dim)
@@ -390,7 +371,19 @@ def _cmd_member(args, seed):
     return _report("member", seed, results, system=system.name), EXIT_OK
 
 
+def _args_orbit(p):
+    from .orbits import WordSampler
+    _add_common(p)
+    p.add_argument("--point", required=True)
+    p.add_argument("--words", type=int, default=WordSampler.count)
+    p.add_argument("--max-len", type=int, default=WordSampler.max_len)
+    p.add_argument("--max-time", type=_time, default=WordSampler.max_time)
+    p.add_argument("--fixed-time", type=_time, default=None)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH_CAP)
+
+
 def _cmd_orbit(args, seed):
+    from .orbits import WordSampler, fixed_time_dimension, orbit_dimension
     system = _load_system(args.system)
     p = _flow_point(args.point, system.dim, "--point")
     sampler = WordSampler(seed=seed, max_len=args.max_len,
@@ -428,7 +421,18 @@ def _cmd_orbit(args, seed):
                    tolerances={"rank_tol": FLOW_REL_TOL}), EXIT_OK
 
 
+def _args_frobenius(p):
+    from .frobenius import DEFAULT_INVOLUTIVITY_DEGREE
+    _add_common(p)
+    p.add_argument("--grid", default=None)
+    p.add_argument("--module-degree", type=int, default=DEFAULT_INVOLUTIVITY_DEGREE)
+    p.add_argument("--chart-point", default=None,
+                   help="also attempt a flow-box chart at this point")
+
+
 def _cmd_frobenius(args, seed):
+    from .frobenius import flow_box_chart, frobenius_verdict
+    from .orbits import WordSampler
     system = _load_system(args.system)
     D = Distribution(system.fields)
     if args.grid:
@@ -466,7 +470,17 @@ def _cmd_frobenius(args, seed):
                                "svd_rel_tol": VALUE_REL_TOL}), EXIT_OK
 
 
+def _args_examples(p):
+    p.add_argument("--format", default="text", choices=["json", "csv", "text"])
+    p.add_argument("--seed", type=int, default=0)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--list", action="store_true")
+    g.add_argument("--run", metavar="NAME")
+    g.add_argument("--run-all", action="store_true")
+
+
 def _cmd_examples(args, seed):
+    from .presets import PRESETS, run_preset
     if args.list:
         results = [
             {
@@ -512,6 +526,18 @@ def _cmd_examples(args, seed):
     report = _report("examples", seed, {"runs": runs, "mismatches": mismatches},
                      status=status)
     return report, EXIT_OK if mismatches == 0 else EXIT_FACTS
+
+
+# name -> (help line, function adding the arguments, handler)
+COMMANDS = {
+    "bracket": ("Lie bracket of two named fields", _args_bracket, _cmd_bracket),
+    "rank": ("fibre rank at a point or over a grid", _args_rank, _cmd_rank),
+    "lie": ("bracket filtration ranks at a point", _args_lie, _cmd_lie),
+    "member": ("degree-bounded module membership", _args_member, _cmd_member),
+    "orbit": ("orbit (or fixed-time) dimension, exact or sampled", _args_orbit, _cmd_orbit),
+    "frobenius": ("integrability verdict", _args_frobenius, _cmd_frobenius),
+    "examples": ("list or run the preset corpus", _args_examples, _cmd_examples),
+}
 
 
 if __name__ == "__main__":

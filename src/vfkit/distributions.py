@@ -9,14 +9,13 @@ set), and by singular values with a relative threshold otherwise.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-import numpy as np
-
 from .expr import Expr, ZERO, compile_exact
-from .fields import VectorField, field_values
+from .vectorfield import VectorField, field_values
 from .linalg import all_exact, exact_pivot_columns, span_rank
 
 __all__ = [
@@ -77,7 +76,7 @@ def rank_at(D, point):
 
 def fibre_rank(point, values):
     """The ``RankReport`` at a point from the generators' values there
-    (``fields.field_values``)."""
+    (``vectorfield.field_values``)."""
     defined = [(i, v) for i, v in enumerate(values) if v is not None]
     if not defined:
         raise ValueError(f"no generator of the distribution is defined at {point}")
@@ -89,13 +88,13 @@ def fibre_rank(point, values):
         # columns of the n x k matrix are the generator values
         witness = tuple(idxs[c] for c in pivots)
         return RankReport(tuple(point), len(pivots), "exact-rational", witness, excluded)
-    m = np.array([[float(x) for x in v] for v in vals], dtype=float)
+    m = [[float(x) for x in v] for v in vals]
     r = span_rank(m)
     # greedy witness: add generators while the rank grows
     witness = []
     for row_i, i in enumerate(idxs):
         candidate = witness + [row_i]
-        if span_rank(m[candidate]) == len(candidate):
+        if span_rank([m[c] for c in candidate]) == len(candidate):
             witness.append(row_i)
         if len(witness) == r:
             break
@@ -193,11 +192,9 @@ def singular_locus_minors(D):
         raise ValueError(obstacle)
     n = D.dim
     k = len(D.generators)
-    rng = np.random.default_rng(MINOR_SEED)
-    pts = [
-        tuple(Fraction(int(rng.integers(-32, 33)), 8) for _ in range(n))
-        for _ in range(MINOR_SAMPLES)
-    ]
+    rng = random.Random(MINOR_SEED)
+    pts = [tuple(Fraction(rng.randint(-32, 32), 8) for _ in range(n))
+           for _ in range(MINOR_SAMPLES)]
     ranks = [fibre_rank(p, vals).rank for p, vals in zip(pts, field_values(D.generators, pts))]
     m = max(ranks)
     # component matrix: n rows (coordinates), k columns (generators)

@@ -1,4 +1,7 @@
-"""Vector fields on R^n, possibly defined only on an open box-like domain.
+"""Flows of vector fields: the flow layer, on numpy.
+
+The fields, their brackets and exact values are in ``vectorfield``, which
+loads no numpy; ``lie_bracket`` is also served from here.
 
 Flows take a closed-form fast path only where the flow is exact and its
 end point alone decides whether it left the field's domain:
@@ -7,8 +10,9 @@ end point alone decides whether it left the field's domain:
   flow in straight lines, monotone in each coordinate,
 * affine fields x' = A x + b flow by a matrix exponential when they scale
   (A diagonal, b = 0: each coordinate moves monotonically) on any domain, or
-  when M = [[A, b], [0, 0]] is strictly triangular, so nilpotent, on all of
-  R^n,
+  when the zero pattern of M = [[A, b], [0, 0]] has no cycle, so M is
+  nilpotent (strictly triangular in some order of the coordinates), on all
+  of R^n,
 * everything else, every other affine field included, goes through
   ``solve_ivp``, this module's Dormand-Prince 5(4) integrator, at relative
   tolerance 1e-10, which locates a domain exit at every accepted step.
@@ -43,10 +47,6 @@ result or the FlowError that stopped it; ``apply_word``,
 ``pushforward_along_word`` and ``flow`` are their one-word cases and raise
 that error.
 
-``field_values`` and ``field_evaluators`` give each field's ``value`` (exact
-where it can be) at many points, the field compiled once per call, exactly
-and to floats, however many points it is read at.
-
 The relative tolerance ``DEFAULT_RTOL`` and the bounding box ``DEFAULT_BOX``
 (every coordinate stays within 1e6 in absolute value) are module constants,
 not per-call options; a step that reaches a non-finite point or tangent
@@ -57,266 +57,23 @@ step's index in the word it walks: for a pushforward, the walk back.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .expr import (Expr, ZERO, compile_exact, compile_float, poly_coeff_dict,
-                   poly_from_coeff_dict)
+from .expr import ZERO, compile_float, poly_coeff_dict
+from .vectorfield import DomainExitError, FlowError, IntegrationError, VectorField, lie_bracket
 
-__all__ = [
-    "DomainPredicate",
-    "VectorField",
-    "FlowError",
-    "DomainExitError",
-    "IntegrationError",
-    "lie_bracket",
-    "flow",
-    "apply_word",
-    "apply_words",
-    "pushforward_along_word",
-    "pushforward_along_words",
-    "field_values",
-    "field_evaluators",
-    "jacobian_exprs",
-]
+__all__ = ["lie_bracket", "flow", "apply_word", "apply_words", "pushforward_along_word",
+           "pushforward_along_words", "jacobian_exprs", "value_float"]
 
 DEFAULT_BOX = 1e6
 DEFAULT_RTOL = 1e-10
 
 
-class FlowError(Exception):
-    """A flow that failed.  ``step`` is the index of the failing step when the
-    failure happened in a word walk, and None otherwise."""
-
-    step = None
-
-
-class DomainExitError(FlowError):
-    def __init__(self, message, exit_time=None):
-        super().__init__(message)
-        self.exit_time = exit_time
-
-
-class IntegrationError(FlowError):
-    pass
-
-
-@dataclass(frozen=True)
-class DomainPredicate:
-    """Conjunction of strict one-variable inequalities; empty means all of R^n.
-
-    Each bound b keeps its float form: f = float(b) (an infinity beyond the
-    float range) and whether f < b.  No float lies strictly between b and
-    f, so ``contains`` decides v < b for a Python float v exactly as v < f,
-    or v == f when f < b (likewise for ">"), building no Fraction; other
-    coordinates compare with b exactly.  ODE domain events cross at f.
-    """
-
-    constraints: Tuple[Tuple[int, str, Fraction], ...] = ()
-
-    def __post_init__(self):
-        floats = []
-        for index, rel, bound in self.constraints:
-            if rel not in ("<", ">"):
-                raise ValueError(f"bad relation {rel!r}")
-            if index < 1:
-                raise ValueError("constraint variable indices are 1-based")
-            try:
-                f = float(bound)
-            except OverflowError:
-                f = math.inf if bound > 0 else -math.inf
-            below = rel == "<"
-            floats.append((index - 1, below, bound, f, f < bound if below else f > bound))
-        object.__setattr__(self, "_float_form", tuple(floats))
-
-    @property
-    def is_full(self):
-        return not self.constraints
-
-    def contains(self, point):
-        for i, below, bound, f, f_inside in self._float_form:
-            v = point[i]
-            if type(v) is float:
-                inside = (v < f if below else v > f) or (f_inside and v == f)
-            else:
-                inside = v < bound if below else v > bound
-            if not inside:
-                return False
-        return True
-
-    def intersect(self, other):
-        merged = tuple(dict.fromkeys(self.constraints + other.constraints))
-        return DomainPredicate(merged)
-
-    def __str__(self):
-        if self.is_full:
-            return "R^n"
-        return " and ".join(f"x{i} {rel} {bound}" for i, rel, bound in self.constraints)
-
-
-FULL_DOMAIN = DomainPredicate()
-
-
-@dataclass(frozen=True)
-class VectorField:
-    name: str
-    components: Tuple[Expr, ...]
-    domain: DomainPredicate = FULL_DOMAIN
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        for index, _, _ in self.domain.constraints:
-            if index > self.dim:
-                raise ValueError(f"domain constraint on x{index} exceeds dimension")
-
-    def __hash__(self):
-        # computed once, as Expr keeps its own: every flow step looks its
-        # field up in the ``_flow_kind`` cache
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.name, self.components, self.domain))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    @property
-    def dim(self):
-        return len(self.components)
-
-    def is_polynomial(self):
-        return all(c.is_polynomial() for c in self.components)
-
-    def value(self, point):
-        """Value at a point: Fractions when exactly evaluable, else floats."""
-        return _compile_value(self)(point)
-
-    def value_float(self, point):
-        return _flow_kind(self).value(point)
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components)
-
-    def __str__(self):
-        comps = ", ".join(str(c) for c in self.components)
-        body = f"{self.name} = ({comps})"
-        if not self.domain.is_full:
-            body += f" on {self.domain}"
-        return body
-
-
 def _as_steps(word):
     return tuple((int(i), float(t)) for i, t in word)
-
-
-def lie_bracket(X, Y, name=None):
-    """[X, Y] in coordinates, with the intersected domain:
-    [X, Y]_i = sum_j X_j d_j Y_i - Y_j d_j X_i.  When both fields are
-    polynomial this sum runs on exponent-tuple -> coefficient views
-    (``poly_coeff_dict``) and each component becomes one canonical Expr at
-    the end; otherwise it runs on Expr arithmetic.  Both give the same
-    canonical components."""
-    if X.dim != Y.dim:
-        raise ValueError("bracket of fields of different dimensions")
-    n = X.dim
-    if X.is_polynomial() and Y.is_polynomial():
-        comps = _poly_bracket(X.components, Y.components, n)
-    else:
-        comps = []
-        for i in range(n):
-            acc = ZERO
-            for j in range(n):
-                acc = acc + X.components[j] * Y.components[i].diff(j + 1)
-                acc = acc - Y.components[j] * X.components[i].diff(j + 1)
-            comps.append(acc)
-    return VectorField(
-        name or f"[{X.name},{Y.name}]",
-        tuple(comps),
-        X.domain.intersect(Y.domain),
-    )
-
-
-def _poly_bracket(xs, ys, n):
-    """The components of [X, Y] for polynomial components xs and ys."""
-    nv = max([n] + [c.max_var() for c in xs + ys])
-    X = [_int_view(c, nv) for c in xs]
-    Y = [_int_view(c, nv) for c in ys]
-    comps = []
-    for i in range(n):
-        acc = {}
-        for j in range(n):
-            _add_product(acc, X[j], _partial(Y[i], j, 1))
-            _add_product(acc, Y[j], _partial(X[i], j, -1))
-        comps.append(poly_from_coeff_dict(acc, nv))
-    return tuple(comps)
-
-
-def _int_view(e, n):
-    """``poly_coeff_dict`` with integral coefficients as ints, whose
-    products cost far less than Fraction products."""
-    return {m: c.numerator if c.denominator == 1 else c
-            for m, c in poly_coeff_dict(e, n).items()}
-
-
-def _partial(d, j, sign):
-    """sign * d/dx_(j+1) of an exponent-tuple -> coefficient map."""
-    out = {}
-    for mono, c in d.items():
-        k = mono[j]
-        if k:
-            out[mono[:j] + (k - 1,) + mono[j + 1:]] = c * (sign * k)
-    return out
-
-
-def _add_product(acc, a, b):
-    """acc += a * b, all exponent-tuple -> coefficient maps."""
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(map(operator.add, ma, mb))
-            acc[m] = acc.get(m, 0) + ca * cb
-
-
-def _compile_value(X):
-    """``X.value``: Fractions when every component is exact at the point,
-    else floats.  The components are compiled once: exactly at the first
-    rational point, to floats at the first point that needs them."""
-    exact, floats = [], []
-
-    def value(point):
-        vals = [None] * X.dim
-        if all(isinstance(v, (int, Fraction)) for v in point):
-            if not exact:
-                exact.extend(compile_exact(c) for c in X.components)
-            vals = [f(point) for f in exact]
-            if None not in vals:
-                return vals
-        if not floats:
-            floats.extend(compile_float(c) for c in X.components)
-        pt = [float(v) for v in point]
-        return [f(pt) if v is None else float(v) for f, v in zip(floats, vals)]
-
-    return value
-
-
-def field_evaluators(fields):
-    """Per field, a function from a point to the field's ``value`` there
-    (None outside its domain), the field compiled once however many points
-    it is called at."""
-    def evaluator(X):
-        inside, value = X.domain.contains, _compile_value(X)
-        return lambda p: value(p) if inside(p) else None
-
-    return [evaluator(X) for X in fields]
-
-
-def field_values(fields, points):
-    """Per point, each field's ``value`` there (None outside its domain),
-    each field compiled once whatever the number of points."""
-    evaluators = field_evaluators(fields)
-    return [[f(p) for f in evaluators] for p in points]
 
 
 # -- flow kind detection ----------------------------------------------------------
@@ -351,7 +108,7 @@ def _flow_kind(X):
     """X's flow kind, detected symbolically, and X's value and Jacobian
     compiled once into functions that convert the point to floats once.
     An affine field is "affine" only when it scales (M diagonal) or M is
-    strictly triangular on a full domain, else "ode"."""
+    nilpotent by its zero pattern on a full domain, else "ode"."""
     J = jacobian_exprs(X)
     n = X.dim
     comps = tuple(compile_float(c) for c in X.components)
@@ -376,7 +133,7 @@ def _flow_kind(X):
                 M[i, mono.index(1) if any(mono) else n] = float(c)
         M.flags.writeable = False
         scaling = not M[~np.eye(n + 1, dtype=bool)].any()
-        if scaling or (X.domain.is_full and not (np.tril(M).any() and np.triu(M).any())):
+        if scaling or (X.domain.is_full and _nilpotent(M)):
             return _Flow("affine", value, comps, rows, eye, M,
                          np.diagonal(M) if scaling else None)
     if X.is_polynomial():
@@ -388,6 +145,11 @@ def _flow_kind(X):
             return np.array([[f(p) for f in closures[:count]] for p in x.tolist()],
                             dtype=float).reshape(len(x), count)
     return _Flow("ode", value, comps, rows, eye, batch=batch)
+
+
+def value_float(X, point):
+    """``X.value_float``: X at the point as a float array."""
+    return _flow_kind(X).value(point)
 
 
 def _poly_batch(exprs, n):
@@ -415,17 +177,27 @@ def _poly_batch(exprs, n):
     return batch
 
 
+def _nilpotent(A):
+    """Per n x n matrix in A, whether its zero pattern has no cycle (the
+    pattern's n-th power is zero), so that a reordering of the coordinates
+    makes it strictly triangular and A^n = 0."""
+    pattern = power = np.asarray(A) != 0
+    for _ in range(pattern.shape[-1] - 1):
+        power = power @ pattern
+    return ~power.any(axis=(-2, -1))
+
+
 def expm(A):
     """The exponential of every n x n matrix in A (any leading shape), each on
     its own, for the t M of closed-form affine flows: the finite Taylor sum,
-    over k < n of A^k / k!, of a strictly triangular (so nilpotent) A, and
+    over k < n of A^k / k!, of an A that ``_nilpotent`` accepts, and
     ``np.exp`` of the diagonal of a diagonal A.  A matrix with a non-finite
     entry gives NaNs; any other matrix raises ValueError."""
     shape, n = np.shape(A), np.shape(A)[-1]
     A = np.asarray(A, dtype=float).reshape(-1, n, n)
     out, eye = np.full(A.shape, np.nan), np.eye(n)
     finite = np.isfinite(A).all(axis=(1, 2))
-    nil = finite & (~np.tril(A).any(axis=(1, 2)) | ~np.triu(A).any(axis=(1, 2)))
+    nil = finite & _nilpotent(A)
     if nil.any():
         N = A[nil]
         term, total = N, eye + N
@@ -435,7 +207,8 @@ def expm(A):
         out[nil] = total
     diag = finite & ~nil & ~A[:, eye == 0].any(axis=1)
     if (finite & ~nil & ~diag).any():
-        raise ValueError("expm takes only strictly triangular or diagonal matrices")
+        raise ValueError("expm takes only matrices that a reordering of the coordinates "
+                         "makes strictly triangular or diagonal")
     out[diag] = np.where(eye == 1, np.exp(A[diag]), 0.0)
     return out.reshape(shape)
 
@@ -725,7 +498,7 @@ def pushforward_along_words(family, words, X, point):
             pairs += [(r, j) for j in defined]
     if pairs:
         # one right-hand side per matrix: a vector's bits do not depend on the other fields
-        b = np.array([fields[j].value_float(Y[r]) for r, j in pairs])[:, :, None]
+        b = np.array([value_float(fields[j], Y[r]) for r, j in pairs])[:, :, None]
         for (r, j), u in zip(pairs, _solve(np.array([J[r] for r, _ in pairs]), b)[:, :, 0]):
             if not np.isfinite(u).all():
                 out[r] = IntegrationError("pushforward is not finite")

@@ -33,12 +33,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .distributions import Distribution, fibre_rank
-from .fields import (FlowError, apply_words, field_evaluators, field_values,
-                     pushforward_along_word)
+from .fields import apply_words, pushforward_along_word
 from .liealg import pairwise_brackets, pointwise_witnesses
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 from .membership import module_contains
 from .orbits import WordSampler, exact_ranks, sampled_orbit_dimension
+from .vectorfield import FlowError, field_evaluators, field_values
 
 __all__ = ["FrobeniusVerdict", "FlowBoxChart", "frobenius_verdict", "flow_box_chart"]
 

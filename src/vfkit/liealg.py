@@ -14,7 +14,7 @@ leave that module, and pointwise ranks are final.  Each depth tried is one
 whose "yes" is re-verified.  ``vfkit lie`` always certifies; the orbit
 functions only below full rank.
 Brackets of polynomial fields are computed on exponent dicts
-(``fields.lie_bracket``).  Every bracket rank at points is read from one
+(``vectorfield.lie_bracket``).  Every bracket rank at points is read from one
 walk, ``word_vectors``: one depth at a time, the filtration built so far
 and, per point, the values of the words and of the derived words, each word
 evaluated once per point, so a caller that needs only a rank can stop at
@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .expr import Expr
-from .fields import VectorField, field_evaluators, field_values, lie_bracket
+from .vectorfield import VectorField, field_evaluators, field_values, lie_bracket
 from .linalg import in_span
 from .membership import module_contains, oversize
 
@@ -167,7 +167,7 @@ def word_vectors(family, values, points, depth_cap=DEFAULT_DEPTH_CAP):
     point, (words, derived): the values there of its words and of the
     derived words (depth >= 2, then the generator duplicates, which with
     them span every bracket of depth >= 2), each left out outside its
-    domain.  ``values`` are the generators' ``fields.field_values`` there.
+    domain.  ``values`` are the generators' ``vectorfield.field_values`` there.
     Each word is compiled once for all the points and evaluated at the depth
     that builds it; a caller that stops early builds no deeper word."""
     deeper = [[] for _ in points]  # per point, the words of depth >= 2
@@ -252,7 +252,7 @@ def pairwise_brackets(family):
 def pointwise_witnesses(values, brackets, points):
     """Per point, drawn lazily: (i, j, point) for the first of the
     ``pairwise_brackets`` whose value there leaves the span of the
-    generators' ``fields.field_values`` ``values`` there, or None: the
+    generators' ``vectorfield.field_values`` ``values`` there, or None: the
     family is involutive at the point.  Each bracket is compiled once for
     all the points and evaluated only until the first witness."""
     evaluators = list(zip(brackets, field_evaluators(brackets.values())))
@@ -269,7 +269,7 @@ def pointwise_witnesses(values, brackets, points):
 
 def zero_time_vectors(values, derived, point):
     """Vectors spanning the fixed-time ideal at the point: the differences
-    of the generators' values there (``fields.field_values``, None outside
+    of the generators' values there (``vectorfield.field_values``, None outside
     a domain) from the first defined one, then the derived words' values
     ``derived``."""
     defined = [v for v in values if v is not None]

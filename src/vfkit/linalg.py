@@ -25,8 +25,6 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 
-import numpy as np
-
 __all__ = [
     "exact_solve",
     "exact_pivot_columns",
@@ -172,6 +170,7 @@ def exact_solve(A, rhs):
 
 
 def svd_rank(matrix, rel_tol):
+    import numpy as np  # only float ranks need numpy
     m = np.asarray(matrix, dtype=float)
     if m.size == 0:
         return 0
@@ -187,6 +186,7 @@ def affine_rank(vectors, rel_tol):
     times the largest singular value of the vectors or of the differences,
     whichever is larger.  So it is never above ``svd_rank`` of the
     differences, and noise between nearly equal vectors is not rank."""
+    import numpy as np
     m = np.asarray(vectors, dtype=float)
     if len(m) < 2:
         return 0
@@ -229,6 +229,7 @@ def in_span(vectors, v):
 
 def orthogonal_residual(basis_rows, v):
     """Norm of the component of v orthogonal to the row span, relative."""
+    import numpy as np
     v = np.asarray(v, dtype=float)
     nv = np.linalg.norm(v)
     if nv == 0.0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .expr import Expr, ZERO, poly_coeff_dict, poly_from_coeff_dict
-from .fields import VectorField
+from .vectorfield import VectorField
 from .linalg import exact_solve
 
 __all__ = [

@@ -42,12 +42,12 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .expr import ONE, ZERO
-from .fields import (DomainExitError, FlowError, apply_word, field_values,
-                     pushforward_along_words)
+from .fields import apply_word, pushforward_along_words, value_float
 from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, derived_certificate,
                      word_vectors, zero_time_vectors)
 from .linalg import FLOW_REL_TOL, affine_rank, all_exact, span_rank, svd_rank
 from .membership import module_contains
+from .vectorfield import DomainExitError, FlowError, field_values
 
 __all__ = [
     "WordSampler",
@@ -193,7 +193,7 @@ def _sample_orbit(family, point, sampler, batches):
         raise DomainExitError(f"no generator is defined at {point}")
     rank = affine_rank if sampler.constraint == "zero-sum" else svd_rank
     draw = sampler.draw(len(family))
-    vectors = [tuple(X.value_float(point)) for X in family if X.domain.contains(point)]
+    vectors = [tuple(value_float(X, point)) for X in family if X.domain.contains(point)]
     used = walked = 0
     for size in batches:
         words = list(islice(draw, size))
@@ -238,7 +238,7 @@ def nagano_certified(filt):
 def exact_certificate(filt, rank, values, fixed_time=False):
     """Why the exact rank of Lie(F) at a point (of the zero-time ideal, for
     ``fixed_time``) is the tangent dimension there, or None: sample it.
-    ``values`` are the generators' values there (``fields.field_values``).
+    ``values`` are the generators' values there (``vectorfield.field_values``).
 
     The cheapest sufficient reason first: a rank of n, or of 0 where every
     flow fixes the point (every value exact and zero: a float pinned to 0
@@ -258,7 +258,7 @@ def exact_certificate(filt, rank, values, fixed_time=False):
 
 def exact_ranks(family, values, points, depth_cap=DEFAULT_DEPTH_CAP, fixed_time=False):
     """(filtration, ranks, certificates, Lie ranks) at the points, given the
-    generators' ``fields.field_values`` there: the rank of Lie(F) at each
+    generators' ``vectorfield.field_values`` there: the rank of Lie(F) at each
     point (of the zero-time ideal, for ``fixed_time``) and why
     ``exact_certificate`` finds it exact (None: sample it), read from
     ``liealg.word_vectors`` at the first depth where every point's rank is

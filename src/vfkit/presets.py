@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import Distribution, rank_at, singular_locus_minors
 from .expr import compile_float, parse
-from .fields import FlowError, apply_word, apply_words, field_values, lie_bracket
+from .fields import apply_word, apply_words
 from .frobenius import flow_box_chart, frobenius_verdict
 from .liealg import filtration, pairwise_brackets, pointwise_witnesses, word_vectors
 from .linalg import span_rank
@@ -26,6 +26,7 @@ from .membership import ideal_member_bounded, member_bounded
 from .orbits import (WordSampler, chow_verdict, fixed_time_dimension, sampled_orbit,
                      sampled_orbit_dimension)
 from .systems import parse_system
+from .vectorfield import FlowError, field_values, lie_bracket
 
 __all__ = ["Preset", "Fact", "FactResult", "PRESETS", "run_preset", "steer_linear"]
 

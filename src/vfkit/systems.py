@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .expr import ParseError, parse
-from .fields import DomainPredicate, VectorField
+from .vectorfield import DomainPredicate, VectorField
 
 __all__ = [
     "System",

@@ -1,0 +1,240 @@
+"""Vector fields on R^n, possibly defined only on an open box-like domain,
+and their exact layer, which loads no numpy: ``lie_bracket``, and
+``field_values`` and ``field_evaluators``, each field's ``value`` (exact
+where it can be) at many points, the field compiled once per call.  Flows,
+and ``VectorField.value_float`` with them, are in ``fields``."""
+
+from __future__ import annotations
+
+import math
+import operator
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Tuple
+
+from .expr import Expr, ZERO, compile_exact, compile_float, poly_coeff_dict, poly_from_coeff_dict
+
+__all__ = ["DomainPredicate", "VectorField", "FlowError", "DomainExitError", "IntegrationError",
+           "lie_bracket", "field_values", "field_evaluators"]
+
+
+class FlowError(Exception):
+    """A flow that failed.  ``step`` is the index of the failing step when the
+    failure happened in a word walk, and None otherwise."""
+
+    step = None
+
+
+class DomainExitError(FlowError):
+    def __init__(self, message, exit_time=None):
+        super().__init__(message)
+        self.exit_time = exit_time
+
+
+class IntegrationError(FlowError):
+    pass
+
+
+@dataclass(frozen=True)
+class DomainPredicate:
+    """Conjunction of strict one-variable inequalities; empty means all of R^n.
+
+    Each bound b keeps its float form: f = float(b) (an infinity beyond the
+    float range) and whether f < b.  No float lies strictly between b and
+    f, so ``contains`` decides v < b for a Python float v exactly as v < f,
+    or v == f when f < b (likewise for ">"), building no Fraction; other
+    coordinates compare with b exactly.  ODE domain events cross at f.
+    """
+
+    constraints: Tuple[Tuple[int, str, Fraction], ...] = ()
+
+    def __post_init__(self):
+        floats = []
+        for index, rel, bound in self.constraints:
+            if rel not in ("<", ">"):
+                raise ValueError(f"bad relation {rel!r}")
+            if index < 1:
+                raise ValueError("constraint variable indices are 1-based")
+            try:
+                f = float(bound)
+            except OverflowError:
+                f = math.inf if bound > 0 else -math.inf
+            below = rel == "<"
+            floats.append((index - 1, below, bound, f, f < bound if below else f > bound))
+        object.__setattr__(self, "_float_form", tuple(floats))
+
+    @property
+    def is_full(self):
+        return not self.constraints
+
+    def contains(self, point):
+        for i, below, bound, f, f_inside in self._float_form:
+            v = point[i]
+            if type(v) is float:
+                inside = (v < f if below else v > f) or (f_inside and v == f)
+            else:
+                inside = v < bound if below else v > bound
+            if not inside:
+                return False
+        return True
+
+    def intersect(self, other):
+        merged = tuple(dict.fromkeys(self.constraints + other.constraints))
+        return DomainPredicate(merged)
+
+    def __str__(self):
+        if self.is_full:
+            return "R^n"
+        return " and ".join(f"x{i} {rel} {bound}" for i, rel, bound in self.constraints)
+
+
+@dataclass(frozen=True)
+class VectorField:
+    name: str
+    components: Tuple[Expr, ...]
+    domain: DomainPredicate = DomainPredicate()
+
+    def __post_init__(self):
+        object.__setattr__(self, "components", tuple(self.components))
+        for index, _, _ in self.domain.constraints:
+            if index > self.dim:
+                raise ValueError(f"domain constraint on x{index} exceeds dimension")
+
+    def __hash__(self):
+        # computed once, as Expr keeps its own: every flow step looks its
+        # field up in the ``_flow_kind`` cache
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.name, self.components, self.domain))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    @property
+    def dim(self):
+        return len(self.components)
+
+    def is_polynomial(self):
+        return all(c.is_polynomial() for c in self.components)
+
+    def value(self, point):
+        """Value at a point: Fractions when exactly evaluable, else floats."""
+        return _compile_value(self)(point)
+
+    def value_float(self, point):
+        """Value at a point as a float array, compiled once with the flow kind."""
+        from . import fields
+        return fields.value_float(self, point)
+
+    def is_zero(self):
+        return all(c.is_zero() for c in self.components)
+
+    def __str__(self):
+        comps = ", ".join(str(c) for c in self.components)
+        body = f"{self.name} = ({comps})"
+        if not self.domain.is_full:
+            body += f" on {self.domain}"
+        return body
+
+
+def lie_bracket(X, Y, name=None):
+    """[X, Y] in coordinates, with the intersected domain:
+    [X, Y]_i = sum_j X_j d_j Y_i - Y_j d_j X_i.  When both fields are
+    polynomial this sum runs on exponent-tuple -> coefficient views
+    (``poly_coeff_dict``) and each component becomes one canonical Expr at
+    the end; otherwise it runs on Expr arithmetic.  Both give the same
+    canonical components."""
+    if X.dim != Y.dim:
+        raise ValueError("bracket of fields of different dimensions")
+    n = X.dim
+    if X.is_polynomial() and Y.is_polynomial():
+        comps = _poly_bracket(X.components, Y.components, n)
+    else:
+        comps = []
+        for i in range(n):
+            acc = ZERO
+            for j in range(n):
+                acc = acc + X.components[j] * Y.components[i].diff(j + 1)
+                acc = acc - Y.components[j] * X.components[i].diff(j + 1)
+            comps.append(acc)
+    return VectorField(name or f"[{X.name},{Y.name}]", tuple(comps),
+                       X.domain.intersect(Y.domain))
+
+
+def _poly_bracket(xs, ys, n):
+    """The components of [X, Y] for polynomial components xs and ys."""
+    nv = max([n] + [c.max_var() for c in xs + ys])
+    X = [_int_view(c, nv) for c in xs]
+    Y = [_int_view(c, nv) for c in ys]
+    comps = []
+    for i in range(n):
+        acc = {}
+        for j in range(n):
+            _add_product(acc, X[j], _partial(Y[i], j, 1))
+            _add_product(acc, Y[j], _partial(X[i], j, -1))
+        comps.append(poly_from_coeff_dict(acc, nv))
+    return tuple(comps)
+
+
+def _int_view(e, n):
+    """``poly_coeff_dict`` with integral coefficients as ints, whose
+    products cost far less than Fraction products."""
+    return {m: c.numerator if c.denominator == 1 else c
+            for m, c in poly_coeff_dict(e, n).items()}
+
+
+def _partial(d, j, sign):
+    """sign * d/dx_(j+1) of an exponent-tuple -> coefficient map."""
+    out = {}
+    for mono, c in d.items():
+        k = mono[j]
+        if k:
+            out[mono[:j] + (k - 1,) + mono[j + 1:]] = c * (sign * k)
+    return out
+
+
+def _add_product(acc, a, b):
+    """acc += a * b, all exponent-tuple -> coefficient maps."""
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(map(operator.add, ma, mb))
+            acc[m] = acc.get(m, 0) + ca * cb
+
+
+def _compile_value(X):
+    """``X.value``: Fractions when every component is exact at the point,
+    else floats.  The components are compiled once: exactly at the first
+    rational point, to floats at the first point that needs them."""
+    exact, floats = [], []
+
+    def value(point):
+        vals = [None] * X.dim
+        if all(isinstance(v, (int, Fraction)) for v in point):
+            if not exact:
+                exact.extend(compile_exact(c) for c in X.components)
+            vals = [f(point) for f in exact]
+            if None not in vals:
+                return vals
+        if not floats:
+            floats.extend(compile_float(c) for c in X.components)
+        pt = [float(v) for v in point]
+        return [f(pt) if v is None else float(v) for f, v in zip(floats, vals)]
+
+    return value
+
+
+def field_evaluators(fields):
+    """Per field, a function from a point to the field's ``value`` there
+    (None outside its domain), the field compiled once however many points
+    it is called at."""
+    def evaluator(X):
+        inside, value = X.domain.contains, _compile_value(X)
+        return lambda p: value(p) if inside(p) else None
+
+    return [evaluator(X) for X in fields]
+
+
+def field_values(fields, points):
+    """Per point, each field's ``value`` there (None outside its domain),
+    each field compiled once whatever the number of points."""
+    evaluators = field_evaluators(fields)
+    return [[f(p) for f in evaluators] for p in points]

@@ -8,7 +8,7 @@ import pytest
 from vfkit import fields
 from vfkit.cli import main
 from vfkit.expr import parse
-from vfkit.fields import DomainPredicate, VectorField, field_values
+from vfkit.vectorfield import DomainPredicate, VectorField, field_values
 from vfkit.liealg import word_vectors, zero_time_vectors
 from vfkit.linalg import span_rank
 

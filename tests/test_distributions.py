@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vfkit import distributions, expr, fields
+from vfkit import distributions, expr, vectorfield
 from vfkit.distributions import (
     Distribution,
     classify_grid,
@@ -175,7 +175,7 @@ class TestCompileOnce:
             seen.append(e)
             return real(e)
 
-        for module in (expr, fields, distributions):
+        for module in (expr, vectorfield, distributions):
             monkeypatch.setattr(module, "compile_exact", spy)
         return seen
 

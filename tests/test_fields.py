@@ -12,17 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vfkit import fields
+from vfkit import fields, vectorfield
 from vfkit.expr import Expr, const, parse, var
 from vfkit.fields import (
-    DomainExitError,
-    DomainPredicate,
-    FlowError,
-    IntegrationError,
-    VectorField,
     apply_word,
     apply_words,
-    field_evaluators,
     flow,
     lie_bracket,
     pushforward_along_word,
@@ -32,6 +26,14 @@ from vfkit.liealg import filtration
 from vfkit.orbits import WordSampler, fixed_time_dimension, orbit_dimension, sampled_orbit
 from vfkit.presets import PRESETS
 from vfkit.systems import parse_system
+from vfkit.vectorfield import (
+    DomainExitError,
+    DomainPredicate,
+    FlowError,
+    IntegrationError,
+    VectorField,
+    field_evaluators,
+)
 
 from conftest import make_field, multiply_field
 
@@ -615,7 +617,7 @@ class TestStackedWalk:
 
 
     @pytest.mark.parametrize("name", ["diagonal", "diagonal-restricted", "non-diagonal",
-                                      "scaling-3d", "nilpotent-3d"])
+                                      "scaling-3d", "nilpotent-3d", "reordered-nilpotent-3d"])
     def test_affine_step_matches_one_point_arithmetic(self, vf, name):
         half = Fraction(1, 2)
         family = {
@@ -628,6 +630,9 @@ class TestStackedWalk:
                            vf("S3", ["3*x1", "x2", "0"], 3)],
             # strictly upper and strictly lower triangular M
             "nilpotent-3d": [vf("N1", ["x2", "x3", "1"], 3), vf("N2", ["0", "x1", "x2"], 3)],
+            # M triangular only in another order of the coordinates
+            "reordered-nilpotent-3d": [vf("R1", ["1", "x1", "x2"], 3),
+                                       vf("R2", ["x3", "0", "x2+1"], 3)],
         }[name]
         assert all(fields._flow_kind(X).kind == "affine" for X in family)
         # WordSampler times are uniform on [-2, 2], so half the steps run backwards
@@ -666,10 +671,10 @@ class TestStackedWalk:
     @pytest.mark.parametrize(
         "comps, domain, kind, calls",
         [(["x1", "-2*x2"], [(1, "<", Fraction(1))], "affine", 0),
-         (["x2", "1"], (), "affine", 1),
+         (["x2", "1"], (), "affine", 1), (["1", "x1"], (), "affine", 1),
          (["x1", "-x2+1"], (), "ode", 0), (["x1", "x1+x2"], (), "ode", 0),
          (["-x2", "x1"], (), "ode", 0), (["x2", "1"], [(1, "<", Fraction(1))], "ode", 0)],
-        ids=["scaling", "nilpotent", "offset", "off-diagonal", "rotation",
+        ids=["scaling", "nilpotent", "reordered-nilpotent", "offset", "off-diagonal", "rotation",
              "restricted-nilpotent"])
     def test_only_non_scaling_groups_call_expm(self, vf, monkeypatch, comps, domain, kind,
                                                calls):
@@ -746,6 +751,12 @@ class TestExpm:
         # strictly lower triangular matrices are nilpotent too
         assert np.array_equal(fields.expm(DOUBLE_INTEGRATOR_M.T * t[:, None, None]),
                               F.transpose(0, 2, 1))
+        # and so is any matrix that a reordering makes triangular: (1, x1)
+        # is the double integrator with x1 and x2 swapped
+        assert np.array_equal(fields._flow_kind(vf("X1", ["1", "x1"], 2)).M,
+                              DOUBLE_INTEGRATOR_M[[1, 0, 2]][:, [1, 0, 2]])
+        assert np.array_equal(fields.expm(DOUBLE_INTEGRATOR_M[[1, 0, 2]][:, [1, 0, 2]]
+                                          * t[:, None, None]), F[:, [1, 0, 2]][:, :, [1, 0, 2]])
 
     def test_row_bits_do_not_depend_on_batch(self):
         # strictly upper, strictly lower and diagonal matrices, and one NaN
@@ -944,9 +955,9 @@ class TestCompiledEvaluation:
         half = [(1, "<", Fraction(1))]
         X = vf("X", ["1", "x1*x2"], 2, half)
         hashed = []
-        real = fields.DomainPredicate.__hash__
+        real = DomainPredicate.__hash__
         monkeypatch.setattr(
-            fields.DomainPredicate, "__hash__", lambda d: hashed.append(1) or real(d)
+            DomainPredicate, "__hash__", lambda d: hashed.append(1) or real(d)
         )
         kinds = {id(fields._flow_kind(X)) for _ in range(100)}
         assert len(kinds) == 1
@@ -961,8 +972,8 @@ class TestCompiledEvaluation:
         X = vf("X", ["x1^2", "bumpp(x1)"], 2)
         compiled = []
         for name in ("compile_float", "compile_exact"):
-            real = getattr(fields, name)
-            monkeypatch.setattr(fields, name,
+            real = getattr(vectorfield, name)
+            monkeypatch.setattr(vectorfield, name,
                                 lambda e, real=real, name=name: compiled.append(name) or real(e))
         points = [(0.5, 1.0), (Fraction(1, 2), 1), (Fraction(-1, 2), 0), (0.25, -1.0)]
         (value,) = field_evaluators([X])

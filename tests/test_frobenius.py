@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vfkit import fields, frobenius, liealg, orbits
+from vfkit import frobenius, liealg, orbits, vectorfield
 from vfkit.cli import main
 from vfkit.distributions import Distribution
 from vfkit.frobenius import flow_box_chart, frobenius_verdict
@@ -288,7 +288,7 @@ class TestCoherence:
         # accepted chart <=> neither verdict detector (involutivity failure,
         # orbit-rank gap) flags the base point
         from vfkit.distributions import rank_at
-        from vfkit.fields import field_values
+        from vfkit.vectorfield import field_values
         from vfkit.liealg import pairwise_brackets, pointwise_witnesses
         from vfkit.orbits import orbit_dimension
 
@@ -344,13 +344,13 @@ def test_verdict_evaluates_each_generator_once_per_sample(name, monkeypatch):
     # fixed-point test all read one evaluation per (generator, sample)
     D = Distribution(parse_system(PRESETS[name].system_text).fields)
     calls = []
-    real = fields._compile_value
+    real = vectorfield._compile_value
 
     def spy(X):
         value = real(X)
         return lambda p: calls.append((X, tuple(p))) or value(p)
 
-    monkeypatch.setattr(fields, "_compile_value", spy)
+    monkeypatch.setattr(vectorfield, "_compile_value", spy)
     grid = [(Fraction(i), Fraction(j)) for i in (-1, 0, 1) for j in (-1, 0, 1)]
     v = frobenius_verdict(D, grid)
     assert v.integrable == ("no" if name == "one-sided-flat" else "undetermined")
@@ -366,8 +366,8 @@ def test_verdict_compiles_each_field_bracket_and_word_once(monkeypatch):
     # each compiled once for all nine samples
     family = parse_system(PRESETS["one-sided-flat"].system_text).fields
     compiled = []
-    real = fields._compile_value
-    monkeypatch.setattr(fields, "_compile_value", lambda X: compiled.append(X) or real(X))
+    real = vectorfield._compile_value
+    monkeypatch.setattr(vectorfield, "_compile_value", lambda X: compiled.append(X) or real(X))
     grid = [(Fraction(i), Fraction(j)) for i in (-1, 0, 1) for j in (-1, 0, 1)]
     v = frobenius_verdict(Distribution(family), grid)
     assert v.integrable == "no" and "sampled" in v.clause

@@ -155,16 +155,92 @@ def test_benchmark_clears_every_cache():
     assert cleared == {name for _, name in CLEARED_CACHES}
 
 
+def _fresh_process(code, cwd=None):
+    """Standard output of ``python -c code`` in a new process that imports
+    this checkout's vfkit."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=60, check=True).stdout.strip()
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # flows integrate with vfkit's own solver and matrix exponential, so no
     # scipy module is loaded, not even once the double integrator's preset
     # has taken affine steps; scipy.linalg would add about 0.35 s and 28 MB
     # to every process
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     check = ("import sys, vfkit.cli, vfkit.presets; "
              "vfkit.presets.run_preset('double-integrator'); "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_process(check) == "[]"
+
+
+# Every exact subcommand, run in one process; lie on mixed-degree-pair is
+# left out, as at its defaults it takes over a minute.
+EXACT_RUNS = [
+    ["bracket", "--system", "linear-shear.vf", "--fields", "X1,X2"],
+    ["lie", "--system", "linear-shear.vf", "--point", "1/2,1/2"],
+    ["member", "--system", "linear-shear.vf", "--target", "(0, 1)", "--gens", "X1,X2",
+     "--degree", "1"],
+    ["rank", "--system", "linear-shear.vf", "--point", "1/2,1/2"],
+    ["member", "--system", "mixed-degree-pair.vf", "--target", "(x2^3, 0)", "--gens", "X1,X2",
+     "--degree", "2"],
+    ["rank", "--system", "mixed-degree-pair.vf", "--point", "3/8,-5/8"],
+]
+
+
+def test_exact_subcommands_load_no_numpy(tmp_path):
+    # brackets, filtrations, membership and ranks at rational points are
+    # exact: numpy's import would be most of such a command's time
+    from vfkit.presets import PRESETS
+
+    for name in ("linear-shear", "mixed-degree-pair"):
+        (tmp_path / f"{name}.vf").write_text(PRESETS[name].system_text)
+    check = f"""
+import contextlib, io, sys
+from vfkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in {EXACT_RUNS!r}]
+print(codes, "numpy" in sys.modules)
+"""
+    assert _fresh_process(check, cwd=tmp_path) == f"{[0] * len(EXACT_RUNS)} False"
+
+
+TRACER_PY = ROOT / "perfbench" / "tracer.py"
+
+
+def test_every_traced_layer_resolves():
+    # perfbench's tracer rebinds each (module, attribute) of its LAYERS, a
+    # plain function at every vfkit module that holds it; a name that moved
+    # away, or a second object under the same name, would drop out unseen
+    tree = ast.parse(TRACER_PY.read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS")
+    modules = [importlib.import_module("vfkit" if path.stem == "__init__" else f"vfkit.{path.stem}")
+               for path in SRC.glob("*.py")]
+    unresolved, doubles = [], []
+    for _, module_name, attr, _ in layers:
+        obj = importlib.import_module(module_name)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            unresolved.append(f"{module_name}.{attr}")
+        elif "." not in attr:
+            doubles += [f"{m.__name__}.{attr}" for m in modules
+                        if getattr(m, attr, obj) is not obj]
+    assert (unresolved, doubles) == ([], [])
+
+
+def test_ode_walk_calls_the_solve_ivp_bound_at_fields(monkeypatch):
+    # the tracer counts solve_ivp (and expm) only as vfkit.fields binds it
+    from vfkit import fields
+    from vfkit.expr import parse
+    from vfkit.vectorfield import VectorField
+
+    calls = []
+    real = fields.solve_ivp
+    monkeypatch.setattr(fields, "solve_ivp", lambda *a: calls.append(1) or real(*a))
+    rotation = VectorField("R", (parse("-x2", 2), parse("x1", 2)))
+    fields.apply_word([rotation], [(0, 0.5)], (1.0, 0.0))
+    fields.pushforward_along_word([rotation], [(0, 0.5)], rotation, (1.0, 0.0))
+    assert len(calls) == 2

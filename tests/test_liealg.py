@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vfkit.expr import const, parse
-from vfkit.fields import field_values, lie_bracket
+from vfkit.vectorfield import field_values, lie_bracket
 from vfkit import cli, liealg, membership
 from vfkit.liealg import (
     LieAlgebraError,
@@ -154,7 +154,7 @@ class TestInvolutivity:
             assert next(pointwise_witnesses(field_values(fam, [p]), brackets, [p])) == (0, 1, p)
 
     def test_fibre_evaluated_once_and_only_under_a_bracket(self, vf, monkeypatch):
-        from vfkit import fields
+        from vfkit import vectorfield
 
         # two brackets, each defined only on x1 > 0; at (1, 0, 0) X2 and X3
         # vanish and [X1, X2] leaves the fibre
@@ -164,13 +164,13 @@ class TestInvolutivity:
         assert len(brackets) == 2
         given = field_values(fam, [(-1, 0, 0), (1, 0, 0)])
         values = []
-        real = fields._compile_value
+        real = vectorfield._compile_value
 
         def spy(X):
             value = real(X)
             return lambda p: values.append(X.name) or value(p)
 
-        monkeypatch.setattr(fields, "_compile_value", spy)
+        monkeypatch.setattr(vectorfield, "_compile_value", spy)
         # the caller evaluates the fibre once; a bracket is evaluated only
         # where it is defined, and the first one to leave the fibre stops
         assert next(pointwise_witnesses(given[:1], brackets, [(-1, 0, 0)])) is None

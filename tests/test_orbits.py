@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vfkit import fields, frobenius, liealg, orbits
+from vfkit import fields, frobenius, liealg, orbits, vectorfield
 from vfkit.distributions import Distribution
 from vfkit.expr import parse
 from vfkit.fields import DomainExitError, apply_word, apply_words
@@ -319,13 +319,13 @@ class TestWordsEvaluatedOnce:
         """The name of the field of every value read through a compiled
         evaluator while the test runs."""
         calls = []
-        real = fields._compile_value
+        real = vectorfield._compile_value
 
         def spy(X):
             value = real(X)
             return lambda p: calls.append(X.name) or value(p)
 
-        monkeypatch.setattr(fields, "_compile_value", spy)
+        monkeypatch.setattr(vectorfield, "_compile_value", spy)
         return calls
 
     WORDS = ["X1", "X2", "[X2,X1]", "[X1,[X2,X1]]", "[X1,[X1,[X2,X1]]]"]
@@ -731,8 +731,8 @@ class TestChow:
         # linear-shear at cap 2 has the words X1, X2 and [X2,X1]: one
         # compile per component of each, however many samples there are
         compiled = []
-        real = fields.compile_exact
-        monkeypatch.setattr(fields, "compile_exact",
+        real = vectorfield.compile_exact
+        monkeypatch.setattr(vectorfield, "compile_exact",
                             lambda expr: compiled.append(expr) or real(expr))
         rep = chow_verdict(preset_family("linear-shear"), [(0, 0), (1, 1), (-2, 3)], 2)
         assert rep.bracket_generating and rep.failing_samples == ()

@@ -6,7 +6,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from vfkit import cli, fields, liealg, membership
+from vfkit import cli, fields, liealg, membership, vectorfield
 from vfkit.cli import MAX_LEN_CAP, WORDS_CAP, main
 from vfkit.linalg import FLOW_REL_TOL, VALUE_REL_TOL
 from vfkit.presets import PRESETS
@@ -394,8 +394,8 @@ class TestCli:
         # compile per component of each generator and word, with the flag
         # as without it
         compiled = []
-        real = fields.compile_exact
-        monkeypatch.setattr(fields, "compile_exact", lambda e: compiled.append(e) or real(e))
+        real = vectorfield.compile_exact
+        monkeypatch.setattr(vectorfield, "compile_exact", lambda e: compiled.append(e) or real(e))
         counts = []
         for flags in ((), ("--fixed-time-ideal",)):
             compiled.clear()
@@ -517,6 +517,45 @@ class TestCli:
     def test_unknown_preset_usage(self, capsys):
         code, _ = run_cli(capsys, "examples", "--run", "nope")
         assert code == 1
+
+
+class TestParser:
+    """``main`` builds only the parser of the subcommand it runs; the full
+    parser serves no argument, -h and unknown names."""
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_subcommand_help_matches_the_full_parser(self, capsys, name):
+        assert main([name, "--help"]) == cli.EXIT_OK
+        alone = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([name, "--help"])
+        assert alone == capsys.readouterr().out
+        assert alone.startswith(f"usage: vfkit {name} ")
+
+    @pytest.mark.parametrize("argv, prog", [
+        ([], "vfkit"),
+        (["nope"], "vfkit"),
+        (["bracket", "--fields", "X1,X2"], "vfkit bracket"),
+        (["lie", "--system", "s.vf", "--point", "0,0", "--bogus"], "vfkit lie"),
+    ], ids=["no-argument", "unknown-subcommand", "missing-option", "unrecognized-option"])
+    def test_usage_errors(self, capsys, argv, prog):
+        # an unrecognized option is the subcommand's error, under its usage line
+        assert main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"usage: {prog} ")
+        assert f"\n{prog}: error: " in captured.err
+
+    def test_top_level_help(self, capsys):
+        assert main(["--help"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("usage: vfkit [-h]")
+        assert all(name in out for name in cli.COMMANDS)
+
+    def test_report_echoes_argv_from_the_subcommand(self, capsys, shear_file):
+        argv = ["bracket", "--system", shear_file, "--fields", "X1,X2", "--format", "json"]
+        code, out = run_cli(capsys, *argv)
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["argv"] == argv
 
 
 class TestReports:
