@@ -3,18 +3,20 @@
 The fibre at a point is the real span of the generator values there.  Rank
 is computed exactly over the rationals whenever every generator value
 evaluates exactly (flat functions contribute exact zeros on their flat
-set), and by singular values with a relative threshold otherwise.
+set), and by singular values with a relative threshold otherwise.  For
+polynomial generators on all of R^n the generic rank is exact: the largest
+r with an r x r minor of the generator matrix that is not identically zero
+(rank 0 gives the one minor "1").
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .expr import Expr, ZERO, compile_exact
+from .expr import Expr, ONE, ZERO
 from .vectorfield import VectorField, field_values
 from .linalg import all_exact, exact_pivot_columns, span_rank
 
@@ -174,44 +176,28 @@ def _symbolic_minor(matrix, rows, cols):
     return acc
 
 
-# Seeded rational points in [-4, 4]^n with denominator 8 set the generic
-# rank and check the minors.
-MINOR_SAMPLES = 200
-MINOR_SEED = 20240
-
-
 def singular_locus_minors(D):
-    """Generic rank and the full list of (rank x rank)-minors of the
-    generator matrix; their common zeros cut out the singular locus.
+    """Generic rank and the nonzero (rank x rank)-minors of the generator
+    matrix; their common zeros cut out the singular locus.
 
-    The rank is the largest at ``MINOR_SAMPLES`` seeded rational points,
-    and at every one of them a rank drop must coincide with all minors
-    vanishing (an AssertionError otherwise)."""
+    The generic rank is exact: rank A(p) >= r exactly where some r x r
+    minor is nonzero at p, so it is the largest r with a minor that is
+    not identically zero.  Rank 0 (every generator zero) gives the one
+    minor "1", whose zero set, the singular locus, is empty."""
     obstacle = D.minors_obstacle()
     if obstacle:
         raise ValueError(obstacle)
     n = D.dim
     k = len(D.generators)
-    rng = random.Random(MINOR_SEED)
-    pts = [tuple(Fraction(rng.randint(-32, 32), 8) for _ in range(n))
-           for _ in range(MINOR_SAMPLES)]
-    ranks = [fibre_rank(p, vals).rank for p, vals in zip(pts, field_values(D.generators, pts))]
-    m = max(ranks)
     # component matrix: n rows (coordinates), k columns (generators)
     matrix = [[D.generators[j].components[i] for j in range(k)] for i in range(n)]
-    minors = []
-    if m > 0:
-        for rows in itertools.combinations(range(n), m):
-            for cols in itertools.combinations(range(k), m):
+    for r in range(min(n, k), 0, -1):
+        minors = []
+        for rows in itertools.combinations(range(n), r):
+            for cols in itertools.combinations(range(k), r):
                 minor = _symbolic_minor(matrix, rows, cols)
                 if not minor.is_zero():
                     minors.append(minor)
-    zeros = [compile_exact(mi) for mi in minors]
-    for p, rank in zip(pts, ranks):
-        drop = rank < m
-        all_zero = all(z(p) == 0 for z in zeros)
-        if drop != all_zero:
-            raise AssertionError(
-                f"minor soundness failed at {p}: rank drop {drop}, minors zero {all_zero}"
-            )
-    return SingularLocus(m, tuple(minors))
+        if minors:
+            return SingularLocus(r, tuple(minors))
+    return SingularLocus(0, (ONE,))

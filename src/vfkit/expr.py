@@ -697,9 +697,9 @@ class _Tokens:
             if ch in " \t\r\n":
                 i += 1
                 continue
-            if ch.isdigit():
+            if "0" <= ch <= "9":  # str.isdigit also takes "²" and "١"
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and "0" <= text[j] <= "9":
                     j += 1
                 if j < len(text) and text[j] == ".":
                     raise ParseError(
@@ -809,7 +809,7 @@ def _parse_base(toks, n):
             if closing[0] != ")":
                 toks.error("expected ')'", closing)
             return _FUNCS[text](argument)
-        if text.startswith("x") and text[1:].isdigit():
+        if text.startswith("x") and text[1:].isascii() and text[1:].isdigit():
             i = int(text[1:])
             if i < 1 or i > n:
                 toks.error(f"unknown variable {text} (dimension is {n})", tok)

@@ -148,7 +148,7 @@ def _flow_kind(X):
 
 
 def value_float(X, point):
-    """``X.value_float``: X at the point as a float array."""
+    """X at the point as a float array, compiled once with the flow kind."""
     return _flow_kind(X).value(point)
 
 

@@ -36,7 +36,7 @@ from .distributions import Distribution, fibre_rank
 from .fields import apply_words, pushforward_along_word
 from .liealg import pairwise_brackets, pointwise_witnesses
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
-from .membership import module_contains
+from .membership import module_contains, oversize
 from .orbits import WordSampler, exact_ranks, sampled_orbit_dimension
 from .vectorfield import FlowError, field_evaluators, field_values
 
@@ -84,11 +84,12 @@ def frobenius_verdict(
         (holding if witness is None else failing).append(p)
         first_witness = first_witness or witness
 
-    # the module certificate runs only when every sample passes and every
-    # generator is a polynomial on all of R^n, and the orbit comparison
-    # only when it does not certify
+    # the module certificate runs only when every sample passes, every
+    # generator is a polynomial on all of R^n and its system is not
+    # oversized, and the orbit comparison only when it does not certify
     module_ok: Optional[bool] = None
-    if not failing and D.minors_obstacle() is None:
+    if (not failing and D.minors_obstacle() is None
+            and not (brackets and oversize(brackets.values(), family, module_degree))):
         module_ok = not brackets or module_contains(brackets.values(), family, module_degree)
     witnesses = list(failing)
     bracket_rank_gap = False

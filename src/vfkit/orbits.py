@@ -46,7 +46,7 @@ from .fields import apply_word, pushforward_along_words, value_float
 from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, derived_certificate,
                      word_vectors, zero_time_vectors)
 from .linalg import FLOW_REL_TOL, affine_rank, all_exact, span_rank, svd_rank
-from .membership import module_contains
+from .membership import module_contains, oversize
 from .vectorfield import DomainExitError, FlowError, field_values
 
 __all__ = [
@@ -398,13 +398,16 @@ def chow_verdict(family, samples, depth_cap=DEFAULT_DEPTH_CAP, orbit_sampler=Non
     if not failing:
         words = [f for level in filt.levels for _, f in level]
         axes = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
-        certified = (all(g.is_polynomial() and g.domain.is_full for g in family)
+        polynomial = all(g.is_polynomial() and g.domain.is_full for g in family)
+        too_large = polynomial and oversize(axes, words, DEFAULT_MODULE_DEGREE)
+        certified = (polynomial and not too_large
                      and module_contains(axes, words, DEFAULT_MODULE_DEGREE))
         verdict = (
             "sufficient condition met: any two points joinable by flows"
             if certified
             else "full bracket rank at every sample, but no module certificate "
             f"at depth cap {depth_cap} that the words span every tangent space"
+            + (f"; {too_large}" if too_large else "")
         )
         return ChowReport(certified, depth_cap, verdict, (), ())
     dims = []

@@ -1,8 +1,8 @@
 """Vector fields on R^n, possibly defined only on an open box-like domain,
 and their exact layer, which loads no numpy: ``lie_bracket``, and
-``field_values`` and ``field_evaluators``, each field's ``value`` (exact
-where it can be) at many points, the field compiled once per call.  Flows,
-and ``VectorField.value_float`` with them, are in ``fields``."""
+``field_values`` and ``field_evaluators``, each field's value (exact where
+it can be) at many points, the field compiled once per call.  Flows, and
+``value_float`` with them, are in ``fields``."""
 
 from __future__ import annotations
 
@@ -116,15 +116,6 @@ class VectorField:
     def is_polynomial(self):
         return all(c.is_polynomial() for c in self.components)
 
-    def value(self, point):
-        """Value at a point: Fractions when exactly evaluable, else floats."""
-        return _compile_value(self)(point)
-
-    def value_float(self, point):
-        """Value at a point as a float array, compiled once with the flow kind."""
-        from . import fields
-        return fields.value_float(self, point)
-
     def is_zero(self):
         return all(c.is_zero() for c in self.components)
 
@@ -136,7 +127,7 @@ class VectorField:
         return body
 
 
-def lie_bracket(X, Y, name=None):
+def lie_bracket(X, Y):
     """[X, Y] in coordinates, with the intersected domain:
     [X, Y]_i = sum_j X_j d_j Y_i - Y_j d_j X_i.  When both fields are
     polynomial this sum runs on exponent-tuple -> coefficient views
@@ -156,7 +147,7 @@ def lie_bracket(X, Y, name=None):
                 acc = acc + X.components[j] * Y.components[i].diff(j + 1)
                 acc = acc - Y.components[j] * X.components[i].diff(j + 1)
             comps.append(acc)
-    return VectorField(name or f"[{X.name},{Y.name}]", tuple(comps),
+    return VectorField(f"[{X.name},{Y.name}]", tuple(comps),
                        X.domain.intersect(Y.domain))
 
 
@@ -201,7 +192,7 @@ def _add_product(acc, a, b):
 
 
 def _compile_value(X):
-    """``X.value``: Fractions when every component is exact at the point,
+    """X's value: Fractions when every component is exact at the point,
     else floats.  The components are compiled once: exactly at the first
     rational point, to floats at the first point that needs them."""
     exact, floats = [], []
@@ -223,7 +214,7 @@ def _compile_value(X):
 
 
 def field_evaluators(fields):
-    """Per field, a function from a point to the field's ``value`` there
+    """Per field, a function from a point to the field's value there
     (None outside its domain), the field compiled once however many points
     it is called at."""
     def evaluator(X):
@@ -234,7 +225,7 @@ def field_evaluators(fields):
 
 
 def field_values(fields, points):
-    """Per point, each field's ``value`` there (None outside its domain),
+    """Per point, each field's value there (None outside its domain),
     each field compiled once whatever the number of points."""
     evaluators = field_evaluators(fields)
     return [[f(p) for f in evaluators] for p in points]

@@ -1,3 +1,5 @@
+import pathlib
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +13,28 @@ from vfkit.distributions import (
     singular_locus_minors,
 )
 from vfkit.expr import parse
+from vfkit.presets import PRESETS
+from vfkit.systems import parse_system
 
 from conftest import frac_grid, multiply_field
+
+
+def _distribution(text):
+    return Distribution(tuple(parse_system(text).fields))
+
+
+DEFICIENT = _distribution("system d dim 2\nfield X1 = (x1, x2)\nfield X2 = (x1*x2, x2^2)\n")
+ALL_ZERO = _distribution("system z dim 2\nfield X1 = (0, 0)\n")
+DATA = pathlib.Path(__file__).parent / "data"
+# the presets, the generic families c1-c3, a 3-D pair and the two families
+# above
+MINOR_CASES = {
+    "pair-3d": _distribution("system p dim 3\nfield a = (x1, x2, 0)\nfield b = (0, x3, 1)\n"),
+    **{name: _distribution(preset.system_text) for name, preset in PRESETS.items()},
+    **{c: _distribution((DATA / f"{c}.vf").read_text()) for c in ("c1", "c2", "c3")},
+    "deficient": DEFICIENT,
+    "all-zero": ALL_ZERO,
+}
 
 
 @pytest.fixture
@@ -123,12 +145,36 @@ class TestMinors:
         with pytest.raises(ValueError, match="defined on all of R"):
             singular_locus_minors(D)
 
-    def test_soundness_verification_runs(self, vf):
-        # rank < generic rank iff all minors vanish, on the sample set
-        D = Distribution(
-            (vf("a", ["x1", "x2", "0"], 3), vf("b", ["0", "x3", "1"], 3))
-        )
-        singular_locus_minors(D)  # raises AssertionError on a violation
+    def test_generically_deficient_family(self):
+        # every 2 x 2 minor is identically zero, so the rank is 1 everywhere
+        # off the common zeros of the entries
+        locus = singular_locus_minors(DEFICIENT)
+        assert locus.generic_rank == 1
+        assert [str(m) for m in locus.minors] == ["x1", "x1*x2", "x2", "x2^2"]
+
+    def test_all_zero_family_has_rank_zero_and_no_singular_point(self):
+        locus = singular_locus_minors(ALL_ZERO)
+        assert locus.generic_rank == 0
+        assert [str(m) for m in locus.minors] == ["1"]
+
+    def test_soundness_verification_runs(self):
+        # rank A(p) >= r exactly where some r x r minor is nonzero at p, so
+        # on 200 seeded points of [-4, 4]^n (denominator 8) the rank is
+        # below the generic rank exactly where every minor is zero, and
+        # some point has the generic rank
+        for name, D in MINOR_CASES.items():
+            if D.minors_obstacle():
+                continue
+            locus = singular_locus_minors(D)
+            rng = random.Random(20240)
+            points = [tuple(Fraction(rng.randint(-32, 32), 8) for _ in range(D.dim))
+                      for _ in range(200)]
+            zeros = [expr.compile_exact(m) for m in locus.minors]
+            ranks = [distributions.fibre_rank(p, values).rank
+                     for p, values in zip(points, vectorfield.field_values(D.generators, points))]
+            assert max(ranks) == locus.generic_rank, name
+            for p, rank in zip(points, ranks):
+                assert (rank < locus.generic_rank) == all(z(p) == 0 for z in zeros), (name, p)
 
 
 class TestRobustness:
@@ -175,7 +221,7 @@ class TestCompileOnce:
             seen.append(e)
             return real(e)
 
-        for module in (expr, vectorfield, distributions):
+        for module in (expr, vectorfield):
             monkeypatch.setattr(module, "compile_exact", spy)
         return seen
 
@@ -191,12 +237,13 @@ class TestCompileOnce:
             assert len(classify_grid(mixed, axes).points) == (2 * step + 1) ** 2
             assert compiled == components
 
-    def test_minors_compile_each_component_and_minor_once(self, mixed, compiled,
-                                                         monkeypatch):
-        components = [c for g in mixed.generators for c in g.components]
-        for samples in (20, 200):
-            compiled.clear()
-            monkeypatch.setattr(distributions, "MINOR_SAMPLES", samples)
-            locus = singular_locus_minors(mixed)
-            assert locus.generic_rank == 2 and len(locus.minors) == 1
-            assert compiled == components + list(locus.minors)
+    def test_minors_compile_and_evaluate_nothing(self, mixed, compiled, monkeypatch):
+        # the generic rank is read from the symbolic minors: no point is
+        # sampled, ranked or evaluated
+        evaluated = []
+        for name in ("fibre_rank", "field_values"):
+            monkeypatch.setattr(distributions, name,
+                                lambda *args, name=name: evaluated.append(name))
+        locus = singular_locus_minors(mixed)
+        assert locus.generic_rank == 2 and len(locus.minors) == 1
+        assert (compiled, evaluated) == ([], [])

@@ -1,6 +1,7 @@
 import math
 import struct
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from vfkit.expr import (
     poly_from_coeff_dict,
     var,
 )
-from vfkit.fields import VectorField, _flow_kind, jacobian_exprs
+from vfkit.fields import VectorField, _flow_kind, jacobian_exprs, value_float
 
 N = 3
 
@@ -88,6 +89,14 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse("x1 + * 2", 2)
         assert "column" in str(err.value)
+
+    def test_only_ascii_digits(self):
+        # str.isdigit takes "²" and "١" too: int() rejects the first, and
+        # "x١" would read as x1
+        with pytest.raises(ParseError, match=r"unexpected character '²' \(line 1, column 4\)"):
+            parse("x1^²", 1)
+        with pytest.raises(ParseError, match="unknown identifier 'x١'"):
+            parse("x١", 1)
 
     def test_non_integer_exponent(self):
         with pytest.raises(ParseError):
@@ -458,7 +467,7 @@ def test_field_value_and_jacobian_match_tree_walk(e1, e2, pt):
     def jacobian(pt):
         return np.array([[f(pt) for f in row] for row in rows], dtype=float)
 
-    for compiled, exprs in ((X.value_float, X.components), (jacobian, entries)):
+    for compiled, exprs in ((partial(value_float, X), X.components), (jacobian, entries)):
         want = [outcome(walk_eval_float, e, pt) for e in exprs]
         errors = [w for w in want if w[0] == "error"]
         if errors:  # the first failing entry raises

@@ -233,6 +233,17 @@ class TestYesOnlyFromModule:
         assert v.integrable == "no" and v.clause.startswith(SAMPLED_CLAUSE)
         assert v.witnesses == ((-1, -1), (-1, 0), (-1, 1))
 
+    def test_oversized_module_system_is_not_attempted(self):
+        # nine fields at multiplier degree 12 make 9 * C(15, 3) = 4095
+        # unknowns, over membership.UNKNOWNS_CAP: the certificate is not
+        # attempted and the orbit comparison goes on (rank 3 is exact)
+        fields = ["(1, 0, 0)", "(0, 1, 0)", "(0, 0, 1)", "(x2, 0, 0)", "(0, x3, 0)",
+                  "(0, 0, x1)", "(x3, 0, 0)", "(0, x1, 0)", "(0, 0, x2)"]
+        text = "system nine dim 3\n" + "".join(f"field X{j} = {f}\n" for j, f in enumerate(fields))
+        v = frobenius_verdict(Distribution(parse_system(text).fields), grid3(), 12)
+        assert v.module_involutive is None and v.module_degree is None
+        assert v.integrable == "undetermined" and v.ranks == (3,) * 27
+
     @pytest.mark.parametrize("name", ["coordinate-plane", "vanishing-pair", "umbrella-ideal"])
     def test_preset_yes_from_module(self, name):
         system = parse_system(PRESETS[name].system_text)

@@ -113,8 +113,9 @@ class TestFiltration:
             assert [f.depth_cap for f in cut] == [1, 2, 3, 4, 5]
             assert [f.levels for f in cut] == [full.levels[:d] for d in range(1, 6)]
             assert [span_rank(words) for _, ((words, _),) in walk] == [
-                span_rank([f.value(p) for level in full.levels[:d] for _, f in level
-                           if f.domain.contains(p)]) for d in range(1, 6)]
+                span_rank([v for v in field_values(
+                    [f for level in full.levels[:d] for _, f in level], [p])[0]
+                    if v is not None]) for d in range(1, 6)]
             assert (cut[-1].stabilized_at, cut[-1].certificate) == (
                 full.stabilized_at, full.certificate)
 
@@ -222,7 +223,7 @@ class TestDerived:
         fam = [vf("X1", ["0", "1", "0"], 3), vf("X2", ["1", "0", "x2"], 3)]
         fields = derived(fam, 4)
         assert len(fields) == 1
-        values = fields[0].value((0, 0, 0))
+        ((values,),) = field_values(fields, [(0, 0, 0)])
         assert [abs(v) for v in values] == [0, 0, 1]
 
 

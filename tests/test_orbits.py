@@ -703,11 +703,11 @@ class TestFixedPoint:
         # evaluation pins both values to 0
         family = [vf("X1", ["bump(x1)", "0"], 2), vf("X2", ["0", "bump(x1)"], 2)]
         p = (Fraction(1, 10**13), 0)
-        assert all(X.value(p) == [0.0, 0.0] for X in family)
+        (values,) = vectorfield.field_values(family, [p])
+        assert all(v == [0.0, 0.0] for v in values)
         rep = orbit_dimension(family, p, WordSampler(seed=0, count=10))
         assert (rep.certificate, rep.linf_rank) == ("sampled", 0)
         assert rep.words_used + rep.words_skipped == 10
-        values = [X.value(p) for X in family]
         assert orbits.exact_certificate(liealg.filtration(family), 0, values) is None
 
 
@@ -726,6 +726,17 @@ class TestChow:
         assert not rep.bracket_generating
         assert rep.failing_samples == ()
         assert "no module certificate" in rep.verdict
+
+    def test_oversized_module_system_gives_no_certificate(self):
+        # the words at cap 5 and degree DEFAULT_MODULE_DEGREE make a
+        # membership system over membership.UNKNOWNS_CAP: the verdict says
+        # so instead of raising
+        fam = parse_system("system c dim 3\nfield X1 = (1, x3, x1*x2)\n"
+                           "field X2 = (x2^2, 1, x1)\nfield X3 = (x3, x1^2, 1)\n").fields
+        rep = chow_verdict(fam, [(0, 0, 0), (Fraction(1, 2),) * 3], 5)
+        assert not rep.bracket_generating and rep.failing_samples == ()
+        assert rep.verdict.startswith("full bracket rank at every sample, but no module")
+        assert rep.verdict.endswith("; membership system has 9324 unknowns, more than 4000")
 
     def test_each_word_compiled_once_for_all_samples(self, monkeypatch):
         # linear-shear at cap 2 has the words X1, X2 and [X2,X1]: one

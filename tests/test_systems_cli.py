@@ -186,6 +186,24 @@ class TestCli:
         code, _ = run_cli(capsys, "rank", "--system", str(bad), "--point", "0")
         assert code == 2
 
+    def test_non_ascii_digit_is_a_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.vf"
+        bad.write_text("system s dim 1\nfield X = (x1^²)\nfield Y = (1)\n")
+        code, out = run_cli(capsys, "bracket", "--system", str(bad), "--fields", "X,Y",
+                            "--format", "json")
+        assert code == 2
+        assert "unexpected character '²' (line 1, column 4)" in json.loads(out)["error"]
+
+    def test_rank_point_of_an_all_zero_system(self, capsys, tmp_path):
+        # generic rank 0: the one minor is "1", so no point is singular
+        path = tmp_path / "zero.vf"
+        path.write_text("system zero dim 2\nfield X1 = (0, 0)\n")
+        code, out = run_cli(capsys, "rank", "--system", str(path), "--point", "1,1",
+                            "--format", "json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert (results["rank"], results["generic_rank"], results["minors"]) == (0, 0, ["1"])
+
     def test_numeric_failure_exit(self, capsys, tmp_path):
         blow = tmp_path / "blow.vf"
         blow.write_text("system blow dim 1\nfield X = (1) on x1 < 1\n")
