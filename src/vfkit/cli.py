@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -134,11 +135,14 @@ def _load_system(path):
 
 
 def _time(text):
-    """A flow time given as a decimal or a rational such as 1/2."""
+    """A flow time given as a decimal or a rational such as 1/2, in ASCII
+    (``Fraction`` also reads other Unicode digits)."""
     try:
-        return float(Fraction(text))
+        if text.isascii():
+            return float(Fraction(text))
     except (ValueError, ZeroDivisionError, OverflowError):
-        raise argparse.ArgumentTypeError(f"invalid time {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"invalid time {text!r}")
 
 
 def _flow_point(text, dim, flag):
@@ -164,8 +168,12 @@ def _check_ranges(args):
         if value is not None and not lo <= value <= hi:
             flag = "--" + name.replace("_", "-")
             raise UsageError(f"{flag} must lie in [{lo}, {hi}], got {value}")
-    if getattr(args, "max_time", 0.0) < 0:
-        raise UsageError(f"--max-time must not be negative, got {args.max_time}")
+    max_time = getattr(args, "max_time", 0.0)
+    if max_time < 0:
+        raise UsageError(f"--max-time must not be negative, got {max_time}")
+    if not math.isfinite(2 * max_time):  # the sampler draws times from [-t, t]
+        raise UsageError(f"--max-time {max_time} gives a time range [-t, t] wider "
+                         "than the float range")
 
 
 def _add_common(p):

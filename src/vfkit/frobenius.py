@@ -21,24 +21,29 @@ The verdict combines three independent detectors:
   rank rules it out.  The bracket words stop at the first depth where every
   sample's rank is exact.
 
-Flow-box charts sample a ``CHART_GRID_POINTS``-per-axis grid of flow times
-in [-CHART_RADIUS, CHART_RADIUS].
+A flow-box chart takes one path whatever its rank m: the flows of a fibre
+basis at the base over a ``CHART_GRID_POINTS``-per-axis grid of times in
+[-CHART_RADIUS, CHART_RADIUS] (for m = 0, the one empty word) give the images
+in one walk and each image's m tangents in one more.  The first failing check
+names the rejection: a flow, a tangent off the fibre, a varying fibre rank,
+an orbit dimension (from (b) or (c) above) other than m, a degenerate image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .distributions import Distribution, fibre_rank
-from .fields import apply_words, pushforward_along_word
+from .fields import apply_words, pushforward_along_words
 from .liealg import pairwise_brackets, pointwise_witnesses
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 from .membership import module_contains, oversize
 from .orbits import WordSampler, exact_ranks, sampled_orbit_dimension
-from .vectorfield import FlowError, field_evaluators, field_values
+from .vectorfield import DomainExitError, FlowError, field_evaluators, field_values
 
 __all__ = ["FrobeniusVerdict", "FlowBoxChart", "frobenius_verdict", "flow_box_chart"]
 
@@ -60,6 +65,20 @@ class FrobeniusVerdict:
     ranks: Tuple[int, ...]
     witnesses: Tuple[tuple, ...]  # points backing a "no"
     invariant_slice_samples: Tuple[tuple, ...]  # involutivity held there
+
+
+def _orbit_dimensions(family, points, ranks, certificates, sampler):
+    """Per point, lazily, the orbit dimension and its kind: the rank and its
+    certificate where ``orbits.exact_ranks`` certifies it, else
+    ``sampled_orbit_dimension`` (a lower bound) and "sampled", with None
+    where a flow fails."""
+    for p, dim, kind in zip(points, ranks, certificates):
+        if not kind:
+            try:
+                dim, kind = sampled_orbit_dimension(family, p, sampler or ORBIT_SAMPLER), "sampled"
+            except FlowError:
+                dim, kind = None, "sampled"
+        yield dim, kind
 
 
 def frobenius_verdict(
@@ -100,16 +119,9 @@ def frobenius_verdict(
         witnesses = [p for p, lie, r in zip(samples, lie_ranks, ranks) if lie > r]
         bracket_rank_gap = bool(witnesses)
         if not witnesses:
-            sampler = orbit_sampler or ORBIT_SAMPLER
-            for p, certificate, r in zip(samples, exact, ranks):
-                if certificate:
-                    continue
-                try:
-                    dim = sampled_orbit_dimension(family, p, sampler)
-                except FlowError:
-                    continue
-                if dim > r:
-                    witnesses.append(p)
+            orbit = _orbit_dimensions(family, samples, lie_ranks, exact, orbit_sampler)
+            witnesses = [p for p, (dim, _), r in zip(samples, orbit, ranks)
+                         if dim is not None and dim > r]
 
     if failing:
         integrable, clause = "no", (
@@ -167,102 +179,60 @@ class FlowBoxChart:
 
 def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] = None):
     """Chart candidate t -> flow_{Y_m, t_m} o ... o flow_{Y_1, t_1}(base)
-    built from a fibre basis of generators at the base.
-
-    Accepted only when the chart behaves like an integral-manifold chart on
-    the sample: every coordinate tangent stays in the fibre, the fibre rank
-    matches the chart rank over the sampled image, and the orbit dimension
-    at the base (an exact bracket rank from ``orbits.exact_ranks``, else
-    ``orbits.sampled_orbit_dimension``, a lower bound) does not outrun the
-    chart (generator flows cannot leave an integral manifold, so a larger
-    orbit refutes it)."""
+    built from a fibre basis of generators at the base, accepted only where it
+    behaves like an integral-manifold chart on the sample (module docstring).
+    Generator flows cannot leave an integral manifold, so an orbit dimension
+    at the base above the chart rank refutes the chart."""
     base, family = tuple(base), D.generators
     values = field_values(family, [base])  # each generator evaluated once at the base
     base_report = fibre_rank(base, values[0])
     m = base_report.rank
-    sampler = orbit_sampler or ORBIT_SAMPLER
+    _, ranks, exact, _ = exact_ranks(family, values, [base])
+    ((orbit_dim, orbit_kind),) = _orbit_dimensions(family, [base], ranks, exact, orbit_sampler)
+    frame = [family[i] for i in base_report.witness]
+    axis = np.linspace(-CHART_RADIUS, CHART_RADIUS, CHART_GRID_POINTS).tolist()
+    words = [tuple(enumerate(t)) for t in product(axis, repeat=m)]
+    evaluators = field_evaluators(family)
+    residual, fibre_ok, tangents, failure = 0.0, True, [], None
     try:
-        _, (orbit_dim,), (orbit_kind,), _ = exact_ranks(family, values, [base])
-        if not orbit_kind:
-            orbit_dim, orbit_kind = sampled_orbit_dimension(family, base, sampler), "sampled"
-    except FlowError:
-        orbit_dim, orbit_kind = None, "sampled"
-    if m == 0:
-        ok = orbit_dim in (0, None)
-        return FlowBoxChart(
-            base=base,
-            chart_rank=0,
-            max_residual=0.0,
-            image_tangent_rank=0,
-            fibre_rank_constant=True,
-            orbit_dimension=orbit_dim,
-            accepted=ok,
-            rejected_reason=(
-                None if ok else f"{orbit_kind} orbit dimension exceeds the chart rank"
-            ),
-        )
-    frame = [D.generators[i] for i in base_report.witness]
-    axes = np.linspace(-CHART_RADIUS, CHART_RADIUS, CHART_GRID_POINTS)
-    grids = np.meshgrid(*([axes] * m), indexing="ij")
-    t_list = np.stack([g.ravel() for g in grids], axis=-1)
-    max_residual = 0.0
-    fibre_ok = True
-    tangents = []
-    reason = None
-    words = [[(j, float(t[j])) for j in range(m)] for t in t_list]
-    evaluators = field_evaluators(D.generators)
-    try:
-        # the images in one walk, checked in grid order
-        for word, image_pt in zip(words, apply_words(frame, words, base)):
-            if isinstance(image_pt, FlowError):
-                raise image_pt
-            vals = [f(image_pt) for f in evaluators]
-            fibre_vals = [v for v in vals if v is not None]
-            if fibre_rank(tuple(image_pt), vals).rank != m:
-                fibre_ok = False
-            for j in range(m):
-                tail = word[j + 1 :]
-                # d(phi)/dt_j: the frame field Y_j after step j, pushed through
-                # the remaining flows (the pushforward pulls back from the image)
-                v = pushforward_along_word(frame, tail, frame[j], image_pt)
-                tangents.append(tuple(float(x) for x in v))
-                max_residual = max(max_residual, orthogonal_residual(fibre_vals, v))
+        # the images in one walk, checked in grid order; then per image one
+        # walk for its m tangents d(phi)/dt_j: the frame field Y_j after
+        # step j, pushed through the remaining flows (row j, field j)
+        for word, image in zip(words, apply_words(frame, words, base)):
+            if isinstance(image, FlowError):
+                raise image
+            vals = [f(image) for f in evaluators]
+            fibre_ok &= fibre_rank(tuple(image), vals).rank == m
+            fibre = [v for v in vals if v is not None]
+            tails = [word[j + 1:] for j in range(m)]
+            for j, pushed in enumerate(pushforward_along_words(frame, tails, frame, image)):
+                if isinstance(pushed, FlowError):
+                    raise pushed
+                if pushed[j] is None:
+                    raise DomainExitError(f"{frame[j].name} is undefined at the pulled-back point")
+                tangents.append(tuple(float(x) for x in pushed[j]))
+                residual = max(residual, orthogonal_residual(fibre, pushed[j]))
     except FlowError as err:
-        return FlowBoxChart(
-            base=base,
-            chart_rank=m,
-            max_residual=float("inf"),
-            image_tangent_rank=0,
-            fibre_rank_constant=False,
-            orbit_dimension=orbit_dim,
-            accepted=False,
-            rejected_reason=f"flow failure: {err}",
-        )
+        failure = f"flow failure: {err}"
+        residual, fibre_ok, tangents = float("inf"), False, []
     # the tighter threshold: this asks whether the sampled image degenerates,
     # not whether a tangent leaves the fibre
-    tangent_rank = svd_rank(np.array(tangents, dtype=float), VALUE_REL_TOL)
-    orbit_ok = orbit_dim is None or orbit_dim == m
-    accepted = max_residual < FLOW_REL_TOL and fibre_ok and tangent_rank == m and orbit_ok
-    if not accepted:
-        if max_residual >= FLOW_REL_TOL:
-            reason = f"tangency residual {max_residual:.3e} exceeds {FLOW_REL_TOL:.1e}"
-        elif not fibre_ok:
-            reason = "fibre rank varies over the sampled image"
-        elif not orbit_ok:
-            reason = (
-                f"{orbit_kind} orbit dimension {orbit_dim} at the base exceeds the "
-                f"chart rank {m}"
-            )
-        else:
-            reason = "sampled image degenerates (tangent rank below chart rank)"
+    tangent_rank = svd_rank(tangents, VALUE_REL_TOL)
+    reason = next((text for failed, text in (
+        (failure, failure),
+        (residual >= FLOW_REL_TOL, f"tangency residual {residual:.3e} exceeds {FLOW_REL_TOL:.1e}"),
+        (not fibre_ok, "fibre rank varies over the sampled image"),
+        (orbit_dim not in (None, m),
+         f"{orbit_kind} orbit dimension {orbit_dim} at the base exceeds the chart rank {m}"),
+        (tangent_rank != m, "sampled image degenerates (tangent rank below chart rank)"),
+    ) if failed), None)
     return FlowBoxChart(
         base=base,
         chart_rank=m,
-        max_residual=max_residual,
+        max_residual=residual,
         image_tangent_rank=tangent_rank,
         fibre_rank_constant=fibre_ok,
         orbit_dimension=orbit_dim,
-        accepted=accepted,
+        accepted=reason is None,
         rejected_reason=reason,
     )
-

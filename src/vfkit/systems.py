@@ -66,9 +66,10 @@ class System:
         return out
 
 
-_HEADER = re.compile(r"^system\s+(\S+)\s+dim\s+(\d+)\s*$")
+# ASCII digits only: \d matches every Unicode digit
+_HEADER = re.compile(r"^system\s+(\S+)\s+dim\s+([0-9]+)\s*$")
 _FIELD = re.compile(r"^field\s+(\S+)\s*=\s*\((.*)\)\s*(?:on\s+(.*))?$")
-_INEQ = re.compile(r"^x(\d+)\s*(<|>)\s*(-?\d+(?:/\d+)?)$")
+_INEQ = re.compile(r"^x([0-9]+)\s*(<|>)\s*(-?[0-9]+(?:/[0-9]+)?)$")
 
 
 def _split_components(body, line_no):
@@ -170,7 +171,7 @@ def parse_target(text, dim):
     return tuple(parse(t, dim) for t in comps)
 
 
-_GRID_AXIS = re.compile(r"^x(\d+)=(-?[\d./]+):(-?[\d./]+):(-?[\d./]+)$")
+_GRID_AXIS = re.compile(r"^x([0-9]+)=(-?[0-9./]+):(-?[0-9./]+):(-?[0-9./]+)$")
 
 
 def parse_grid(spec, dim):
@@ -206,6 +207,8 @@ def _grid_value(text):
 
 def _rational(text, what):
     try:
+        if not text.isascii():  # Fraction also reads other Unicode digits
+            raise ValueError("not ASCII")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
         raise SystemParseError(f"bad {what} {text!r}: {err}") from err

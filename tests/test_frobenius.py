@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vfkit import frobenius, liealg, orbits, vectorfield
+from vfkit import fields, frobenius, liealg, orbits, vectorfield
 from vfkit.cli import main
 from vfkit.distributions import Distribution
 from vfkit.frobenius import flow_box_chart, frobenius_verdict
@@ -292,6 +292,37 @@ class TestCharts:
         assert chart.accepted is False
         assert chart.rejected_reason.startswith("flow failure")
         assert chart.orbit_dimension == sampled
+
+    def test_rank_zero_base_is_the_empty_word(self):
+        # both generators vanish at the origin: the one image is the base, it
+        # has no tangent, and the orbit is the point
+        D = Distribution(parse_system(PRESETS["vanishing-pair"].system_text).fields)
+        chart = flow_box_chart(D, (0, 0))
+        assert (chart.accepted, chart.rejected_reason, chart.chart_rank) == (True, None, 0)
+        assert (chart.max_residual, chart.image_tangent_rank, chart.orbit_dimension) == (
+            0.0, 0, 0)
+        assert chart.fibre_rank_constant
+
+    def test_one_pushforward_walk_per_image(self, monkeypatch):
+        # each image's m tangents come from one walk of m words; no one-word
+        # pushforward is made
+        walks = []
+        real = fields.pushforward_along_words
+
+        def counted(family, words, X, point):
+            walks.append(len(words))
+            return real(family, words, X, point)
+
+        def refuse(*a, **kw):
+            raise AssertionError("a chart called pushforward_along_word")
+
+        monkeypatch.setattr(frobenius, "pushforward_along_words", counted, raising=False)
+        monkeypatch.setattr(fields, "pushforward_along_word", refuse)
+        monkeypatch.setattr(frobenius, "pushforward_along_word", refuse, raising=False)
+        D = Distribution(parse_system(PRESETS["coordinate-plane"].system_text).fields)
+        chart = flow_box_chart(D, (0, 0, 0))
+        assert (chart.accepted, chart.chart_rank, chart.orbit_dimension) == (True, 2, 2)
+        assert walks == [2] * 9
 
 
 class TestCoherence:

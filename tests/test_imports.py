@@ -44,6 +44,8 @@ UNREFERENCED_PUBLIC = {
     "members_bounded": "the many-target form of member_bounded, one solve for all targets",
     "nagano_certified": "names the condition under which exact_certificate trusts Nagano",
     "steer_linear": "the double integrator's closed-form steering, which its facts check",
+    "pushforward_along_word": "vfkit's lazily exported one-word pushforward, which "
+                              "perfbench/tracer.py times as a layer",
 }
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 USERS = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
@@ -167,12 +169,16 @@ def _fresh_process(code, cwd=None):
 def test_cli_import_leaves_out_scipy_integrate():
     # flows integrate with vfkit's own solver and matrix exponential, so no
     # scipy module is loaded, not even once the double integrator's preset
-    # has taken affine steps; scipy.linalg would add about 0.35 s and 28 MB
-    # to every process
-    check = ("import sys, vfkit.cli, vfkit.presets; "
-             "vfkit.presets.run_preset('double-integrator'); "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert _fresh_process(check) == "[]"
+    # has run and its affine X1 = (x2, 1) has taken a step through ``expm``
+    # (the preset's own facts take none); scipy.linalg would add about
+    # 0.35 s and 28 MB to every process
+    check = ("import sys, vfkit.cli, vfkit.presets as p, vfkit.fields as f, vfkit.systems as s; "
+             "calls = []; real = f.expm; f.expm = lambda A: calls.append(A) or real(A); "
+             "p.run_preset('double-integrator'); "
+             "(X1,) = s.parse_system(p.PRESETS['double-integrator'].system_text).pick(['X1']); "
+             "f.apply_word([X1], [(0, 0.5)], (0, 0)); "
+             "print(len(calls), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_process(check) == "1 []"
 
 
 # Every exact subcommand, run in one process; lie on mixed-degree-pair is

@@ -194,6 +194,39 @@ class TestCli:
         assert code == 2
         assert "unexpected character '²' (line 1, column 4)" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("text,argv,error", [
+        ("system s dim ٢\nfield X1 = (1, 0)\n", ["--point", "0,0"], "expected header"),
+        ("system s dim 2\nfield X1 = (1, 0) on x١ < 1\n", ["--point", "0,0"],
+         "bad inequality"),
+        ("system s dim 2\nfield X1 = (1, 0) on x1 < ١/2\n", ["--point", "0,0"],
+         "bad inequality"),
+        (SHEAR, ["--grid", "x١=0:1:1/2"], "bad grid axis"),
+        (SHEAR, ["--grid", "x1=0:١:1/2"], "bad grid axis"),
+        (SHEAR, ["--point", "١/2,0"], "bad coordinate '١/2'"),
+    ], ids=["header", "inequality-index", "inequality-bound", "grid-index", "grid-value",
+            "point"])
+    def test_non_ascii_digits_in_systems_and_points(self, capsys, tmp_path, text, argv, error):
+        # \d and Fraction read every Unicode digit: "dim ٢" declared dimension 2
+        # and "x١" meant x1; the same input in ASCII digits is accepted
+        path = tmp_path / "system.vf"
+        path.write_text(text, encoding="utf-8")
+        code, out = run_cli(capsys, "rank", "--system", str(path), *argv, "--format", "json")
+        report = json.loads(out)
+        assert (code, report["status"]) == (cli.EXIT_PARSE, "parse-error")
+        assert error in report["error"]
+        ascii_digits = str.maketrans("١٢", "12")
+        path.write_text(text.translate(ascii_digits))
+        code, out = run_cli(capsys, "rank", "--system", str(path),
+                            *[a.translate(ascii_digits) for a in argv], "--format", "json")
+        assert (code, json.loads(out)["status"]) == (0, "ok")
+
+    def test_non_ascii_digits_in_times(self, capsys, shear_file):
+        # Fraction reads "١/2" as 1/2; like every invalid time it is a usage error
+        for flag in ("--max-time", "--fixed-time"):
+            code = main(["orbit", "--system", shear_file, "--point", "0,0", flag, "١/2"])
+            assert code == cli.EXIT_USAGE
+            assert "invalid time '١/2'" in capsys.readouterr().err
+
     def test_rank_point_of_an_all_zero_system(self, capsys, tmp_path):
         # generic rank 0: the one minor is "1", so no point is singular
         path = tmp_path / "zero.vf"
@@ -344,6 +377,17 @@ class TestCli:
                          flag, "1e400"])
             assert code == cli.EXIT_USAGE
             assert "invalid time '1e400'" in capsys.readouterr().err
+        # a float t whose range [-t, t], which the sampler draws from, has no
+        # finite width
+        code, out = run_cli(capsys, "orbit", "--system", shear_file, "--point", "0,0",
+                            "--max-time", "1e308", "--format", "json")
+        report = json.loads(out)
+        assert (code, report["status"]) == (cli.EXIT_USAGE, "usage-error")
+        assert report["error"] == ("--max-time 1e+308 gives a time range [-t, t] wider "
+                                   "than the float range")
+        code, out = run_cli(capsys, "orbit", "--system", shear_file, "--point", "0,0",
+                            "--words", "5", "--max-time", "8e307", "--format", "json")
+        assert (code, json.loads(out)["status"]) == (0, "ok")
 
     def test_flow_points_beyond_float_range(self, capsys, shear_file, flow_steps):
         code, out = run_cli(capsys, "orbit", "--system", shear_file, "--point",
