@@ -24,7 +24,7 @@ from .distributions import (
     rank_at,
     singular_locus_minors,
 )
-from .expr import ExprError
+from .expr import EvalError, ExprError
 from .liealg import (
     DEFAULT_DEPTH_CAP,
     DEFAULT_MODULE_DEGREE,
@@ -228,12 +228,13 @@ def main(argv=None):
     except UsageError as err:
         report = _report(cmd, args.seed, {}, status="usage-error", error=str(err))
         code = EXIT_USAGE
+    except (EvalError, FlowError, LieAlgebraError, MembershipError, ValueError) as err:
+        # before ExprError: a pole met while evaluating is numeric, not a parse error
+        report = _report(cmd, args.seed, {}, status="numeric-failure", error=str(err))
+        code = EXIT_NUMERIC
     except (SystemParseError, ExprError) as err:
         report = _report(cmd, args.seed, {}, status="parse-error", error=str(err))
         code = EXIT_PARSE
-    except (FlowError, LieAlgebraError, MembershipError, ValueError) as err:
-        report = _report(cmd, args.seed, {}, status="numeric-failure", error=str(err))
-        code = EXIT_NUMERIC
     report["argv"] = argv
     _emit(report, args.format)
     return code

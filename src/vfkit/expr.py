@@ -276,7 +276,12 @@ class Expr:
             c, factors = self.terms[0]
             coeff = Fraction(c) ** k
             newf = _sorted_factors((a, e * k) for a, e in factors)
-            return Expr(((coeff, newf),))
+            term = Expr(((coeff, newf),))
+            # a positive power of an inverse base is its base's power: expand
+            # it as a product does
+            if any(a.kind == "invbase" and e > 0 for a, e in newf):
+                return term * ONE
+            return term
         if k > 0:
             if k > 64:
                 raise ExprError("exponent too large to expand")

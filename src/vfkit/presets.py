@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -54,12 +55,21 @@ class Preset:
     facts: Tuple[Fact, ...]
 
 
+# every preset by name, in corpus order: each is registered once, below its checks
+PRESETS: Dict[str, Preset] = {}
+
+
+def _register(name, title, system_text, *facts):
+    PRESETS[name] = Preset(name, title, system_text, facts)
+
+
 class PresetContext:
     def __init__(self, preset, seed):
         self.preset = preset
         self.seed = int(seed)
         self.system = parse_system(preset.system_text)
         self.family = list(self.system.fields)
+        self.distribution = Distribution(self.system.fields)
 
     def sampler(self, offset=0, **kw):
         return WordSampler(seed=self.seed + offset, **kw)
@@ -84,18 +94,20 @@ def _result(ok, expected, measured):
     return FactResult(bool(ok), str(expected), str(measured))
 
 
-def _eq_result(expected, measured):
-    return _result(expected == measured, expected, measured)
-
-
-def _first_bracket_is(expected):
-    """Check that [X1, X2] prints as ``expected``."""
+def _equals(expected, question):
+    """Check that ``question(ctx)`` equals ``expected``."""
 
     def check(ctx):
-        b = lie_bracket(ctx.family[0], ctx.family[1])
-        return _eq_result(expected, f"({', '.join(str(c) for c in b.components)})")
+        measured = question(ctx)
+        return _result(expected == measured, expected, measured)
 
     return check
+
+
+def _first_bracket(ctx):
+    """[X1, X2] as printed, e.g. "(0, 1)"."""
+    b = lie_bracket(ctx.family[0], ctx.family[1])
+    return f"({', '.join(str(c) for c in b.components)})"
 
 
 def _bracket_generating_at(samples):
@@ -109,14 +121,20 @@ def _bracket_generating_at(samples):
     return check
 
 
-def _fixed_time_dimension_is(expected, point, T, offset):
-    """Check the fixed-time dimension from the point at time T, seed + offset."""
-
-    def check(ctx):
-        rep = fixed_time_dimension(ctx.family, point, T, ctx.sampler(offset))
-        return _eq_result(expected, rep.dimension)
-
-    return check
+def _zero_sum_change(ctx, rep, sampler, *functions):
+    """The largest change of any of the functions between the point that the
+    report reached and where the sampler's zero-sum words take it; a
+    coordinate projection measures displacement, an invariant its drift.
+    A word that exits is skipped."""
+    reached = np.array(rep.reached)
+    start = [f(reached.tolist()) for f in functions]
+    words = replace(sampler, constraint="zero-sum").words(len(ctx.family))
+    change = 0.0
+    for q in apply_words(ctx.family, words, reached):
+        if not isinstance(q, FlowError):
+            q = q.tolist()
+            change = max(change, *(abs(f(q) - s) for f, s in zip(functions, start)))
+    return change
 
 
 # Frobenius sample grids: half steps on [-1, 1]^2, unit steps on [-1, 1]^3.
@@ -150,15 +168,6 @@ _NINE_POINTS = [
     (1, -1),
     (-1, -1),
 ]
-_NINE_DIMS = (0, 1, 1, 1, 1, 2, 2, 2, 2)
-
-
-def _nine_orbit_dims(ctx):
-    dims = tuple(
-        sampled_orbit_dimension(ctx.family, p, ctx.sampler(i))
-        for i, p in enumerate(_NINE_POINTS)
-    )
-    return _eq_result(_NINE_DIMS, dims)
 
 
 def _sign_pattern(v):
@@ -186,53 +195,31 @@ def _diag_stabilizes(ctx):
                    f"stabilized_at={filt.stabilized_at}")
 
 
-def _diag_ranks(ctx):
-    d = Distribution(tuple(ctx.family))
-    got = tuple(rank_at(d, p).rank for p in [(0, 0), (1, 0), (1, 1)])
-    return _eq_result((0, 1, 2), got)
-
-
-NINE_ORBITS = Preset(
+_register(
     "nine-orbits",
     "two diagonal scalings on the plane with nine distinct orbits",
     _DIAG_SYSTEM,
-    (
-        Fact("orbit-dims", "published",
-             "orbit dimensions at the nine representative points are "
-             "(0,1,1,1,1,2,2,2,2)", _nine_orbit_dims),
-        Fact("sign-pattern", "published",
-             "200 seeded words per point never change the sign pattern",
-             _nine_orbit_signs),
-        Fact("bracket-closure", "derived",
-             "all depth>=2 brackets vanish symbolically", _diag_stabilizes),
-        Fact("fibre-ranks", "trivial",
-             "fibre ranks at (0,0),(1,0),(1,1) are 0,1,2", _diag_ranks),
-    ),
+    Fact("orbit-dims", "published",
+         "orbit dimensions at the nine representative points are "
+         "(0,1,1,1,1,2,2,2,2)",
+         _equals((0, 1, 1, 1, 1, 2, 2, 2, 2), lambda ctx: tuple(
+             sampled_orbit_dimension(ctx.family, p, ctx.sampler(i))
+             for i, p in enumerate(_NINE_POINTS)))),
+    Fact("sign-pattern", "published",
+         "200 seeded words per point never change the sign pattern",
+         _nine_orbit_signs),
+    Fact("bracket-closure", "derived",
+         "all depth>=2 brackets vanish symbolically", _diag_stabilizes),
+    Fact("fibre-ranks", "trivial",
+         "fibre ranks at (0,0),(1,0),(1,1) are 0,1,2",
+         _equals((0, 1, 2), lambda ctx: tuple(
+             rank_at(ctx.distribution, p).rank for p in [(0, 0), (1, 0), (1, 1)]))),
 )
-
-
-def _zero_sum_walk(ctx, rep, sampler, invariant=None):
-    """How far the sampler's zero-sum words move the point that the report
-    reached: the largest coordinate displacement and, with an invariant,
-    its largest drift (else None).  A word that exits is skipped."""
-    reached = np.array(rep.reached)
-    words = replace(sampler, constraint="zero-sum").words(len(ctx.family))
-    disp, drift = 0.0, None if invariant is None else 0.0
-    if invariant is not None:
-        level = compile_float(invariant)
-        start = level(reached.tolist())
-    for q in apply_words(ctx.family, words, reached):
-        if isinstance(q, FlowError):
-            continue
-        disp = max(disp, float(np.max(np.abs(q - reached))))
-        if invariant is not None:
-            drift = max(drift, abs(level(q.tolist()) - start))
-    return disp, drift
 
 
 def _axis_singleton(ctx):
     rep = fixed_time_dimension(ctx.family, (1, 0), 0.5, ctx.sampler(0))
-    disp, _ = _zero_sum_walk(ctx, rep, ctx.sampler(0))
+    disp = _zero_sum_change(ctx, rep, ctx.sampler(0), itemgetter(0), itemgetter(1))
     return _result(
         disp < 1e-9,
         "every zero-sum word fixes the reached axis point within 1e-9 "
@@ -245,39 +232,34 @@ def _axis_singleton(ctx):
 
 def _hyperbola_invariant(ctx):
     rep = fixed_time_dimension(ctx.family, (1, 1), 0.0, ctx.sampler(2))
-    _, drift = _zero_sum_walk(ctx, rep, ctx.sampler(2), parse("x1*x2", 2))
+    drift = _zero_sum_change(ctx, rep, ctx.sampler(2), compile_float(parse("x1*x2", 2)))
     return _result(drift < 1e-8, "x1*x2 preserved within 1e-8 over 200 zero-sum words",
                    f"max deviation {drift:.3e}")
 
 
-def _hyperbola_gap(ctx):
-    rep = fixed_time_dimension(ctx.family, (1, 1), 0.0, ctx.sampler(3))
-    return _eq_result(1, rep.orbit_dimension_at_reached - rep.dimension)
-
-
-FIXED_TIME = Preset(
+_register(
     "hyperbola-fixed-time",
     "fixed-time orbits of the diagonal scalings: hyperbolas x1*x2 = c",
     _DIAG_SYSTEM,
-    (
-        Fact("axis-singleton", "published",
-             "the fixed-time orbit through (1,0) is a sampled singleton",
-             _axis_singleton),
-        Fact("hyperbola-dim", "published",
-             "sampled fixed-time dimension at (1,1) is 1",
-             _fixed_time_dimension_is(1, (1, 1), 0.0, 1)),
-        Fact("product-invariant", "derived",
-             "zero-sum words preserve x1*x2 (each flow scales one coordinate "
-             "by e^t; zero net time cancels)", _hyperbola_invariant),
-        Fact("dimension-gap", "published",
-             "orbit dimension minus fixed-time dimension is 1 at (1,1)",
-             _hyperbola_gap),
-    ),
+    Fact("axis-singleton", "published",
+         "the fixed-time orbit through (1,0) is a sampled singleton",
+         _axis_singleton),
+    Fact("hyperbola-dim", "published",
+         "sampled fixed-time dimension at (1,1) is 1",
+         _equals(1, lambda ctx: fixed_time_dimension(
+             ctx.family, (1, 1), 0.0, ctx.sampler(1)).dimension)),
+    Fact("product-invariant", "derived",
+         "zero-sum words preserve x1*x2 (each flow scales one coordinate "
+         "by e^t; zero net time cancels)", _hyperbola_invariant),
+    Fact("dimension-gap", "published",
+         "orbit dimension minus fixed-time dimension is 1 at (1,1)",
+         _equals(1, lambda ctx: fixed_time_dimension(
+             ctx.family, (1, 1), 0.0, ctx.sampler(3)).dimension_gap)),
 )
 
 
 # ---------------------------------------------------------------------------
-# one-sided flat pair: full orbits, deficient bracket rank, not integrable
+# flat pairs: full orbits, deficient bracket rank, not integrable
 
 
 _FLAT_SYSTEM = """\
@@ -295,27 +277,10 @@ def _flat_sampler(ctx, offset):
     return ctx.sampler(offset, count=400, max_len=8, max_time=1.5)
 
 
-def _lie_ranks(family, points, depth_cap):
-    """The bracket-filtration ranks at the points at the depth cap."""
-    *_, (_, vectors) = word_vectors(family, field_values(family, points), points, depth_cap)
+def _lie_ranks(family, points):
+    """The bracket-filtration ranks at the points at depth cap 8."""
+    *_, (_, vectors) = word_vectors(family, field_values(family, points), points, 8)
     return tuple(span_rank(words) for words, _ in vectors)
-
-
-def _lie_ranks_are(expected):
-    """Check the bracket-filtration ranks at depth cap 8 at ``_FLAT_POINTS``."""
-
-    def check(ctx):
-        return _eq_result(expected, _lie_ranks(ctx.family, _FLAT_POINTS, 8))
-
-    return check
-
-
-def _flat_orbit_dims(ctx):
-    got = tuple(
-        sampled_orbit_dimension(ctx.family, p, _flat_sampler(ctx, 10 + i))
-        for i, p in enumerate(_FLAT_POINTS)
-    )
-    return _eq_result((2, 2, 2), got)
 
 
 def _flat_chow(ctx):
@@ -340,8 +305,8 @@ def _flat_involutive(ctx):
 
 
 def _flat_frobenius(ctx):
-    d = Distribution(tuple(ctx.family))
-    v = frobenius_verdict(d, _HALF_STEP_GRID, orbit_sampler=_flat_sampler(ctx, 30))
+    v = frobenius_verdict(ctx.distribution, _HALF_STEP_GRID,
+                          orbit_sampler=_flat_sampler(ctx, 30))
     ok = (
         v.integrable == "no"
         and v.involutive_pointwise
@@ -356,8 +321,8 @@ def _flat_frobenius(ctx):
 
 def _flat_generator_dependence(ctx):
     smooth = parse_system(_LINEAR_SHEAR)
-    (flat_rank,) = _lie_ranks(ctx.family, [(0, 0)], 8)
-    (poly_rank,) = _lie_ranks(smooth.fields, [(0, 0)], 8)
+    (flat_rank,) = _lie_ranks(ctx.family, [(0, 0)])
+    (poly_rank,) = _lie_ranks(smooth.fields, [(0, 0)])
     return _result(flat_rank == 1 and poly_rank == 2,
                    "bracket rank at the origin: 1 for the flat generators, "
                    "2 for polynomial generators of a distribution agreeing "
@@ -365,31 +330,59 @@ def _flat_generator_dependence(ctx):
                    f"flat={flat_rank}, polynomial={poly_rank}")
 
 
-ONE_SIDED_FLAT = Preset(
+_register(
     "one-sided-flat",
     "flat (one-sided bump) second generator: full orbits despite deficient "
     "bracket rank; involutive but not integrable",
     _FLAT_SYSTEM,
-    (
-        Fact("lie-ranks", "published",
-             "bracket-filtration ranks at depth cap 8 are 1,1,2 at "
-             "(-1,0),(0,0),(1,0)", _lie_ranks_are((1, 1, 2))),
-        Fact("orbit-dims", "published",
-             "sampled orbit dimension is 2 at all three points",
-             _flat_orbit_dims),
-        Fact("chow-gap", "published",
-             "the bracket sufficiency test fails at the cap although the "
-             "sampled orbits are full", _flat_chow),
-        Fact("involutive", "published",
-             "the pair is pointwise involutive", _flat_involutive),
-        Fact("not-integrable", "published",
-             "integrability verdict is 'no' with witness at the origin",
-             _flat_frobenius),
-        Fact("generator-dependence", "published",
-             "bracket rank at the origin depends on the generators chosen "
-             "for the same distribution off the flat set",
-             _flat_generator_dependence),
-    ),
+    Fact("lie-ranks", "published",
+         "bracket-filtration ranks at depth cap 8 are 1,1,2 at "
+         "(-1,0),(0,0),(1,0)",
+         _equals((1, 1, 2), lambda ctx: _lie_ranks(ctx.family, _FLAT_POINTS))),
+    Fact("orbit-dims", "published",
+         "sampled orbit dimension is 2 at all three points",
+         _equals((2, 2, 2), lambda ctx: tuple(
+             sampled_orbit_dimension(ctx.family, p, _flat_sampler(ctx, 10 + i))
+             for i, p in enumerate(_FLAT_POINTS)))),
+    Fact("chow-gap", "published",
+         "the bracket sufficiency test fails at the cap although the "
+         "sampled orbits are full", _flat_chow),
+    Fact("involutive", "published",
+         "the pair is pointwise involutive", _flat_involutive),
+    Fact("not-integrable", "published",
+         "integrability verdict is 'no' with witness at the origin",
+         _flat_frobenius),
+    Fact("generator-dependence", "published",
+         "bracket rank at the origin depends on the generators chosen "
+         "for the same distribution off the flat set",
+         _flat_generator_dependence),
+)
+
+
+_TWO_SIDED_FLAT = """\
+system two-sided-flat dim 2
+field X1 = (1, 0)
+field X2 = (0, bump(x1))
+"""
+
+
+def _two_sided_frobenius(ctx):
+    v = frobenius_verdict(ctx.distribution, _HALF_STEP_GRID,
+                          orbit_sampler=_flat_sampler(ctx, 40))
+    ok = v.integrable == "no" and v.involutive_pointwise
+    return _result(ok, "involutive but not integrable",
+                   f"integrable={v.integrable}, involutive={v.involutive_pointwise}")
+
+
+_register(
+    "two-sided-flat",
+    "the two-sided flat generator: bracket rank collapses only on x1=0",
+    _TWO_SIDED_FLAT,
+    Fact("lie-ranks", "published",
+         "bracket ranks 2,1,2 at (-1,0),(0,0),(1,0) at depth cap 8",
+         _equals((2, 1, 2), lambda ctx: _lie_ranks(ctx.family, _FLAT_POINTS))),
+    Fact("not-integrable", "published",
+         "involutive but not integrable", _two_sided_frobenius),
 )
 
 
@@ -413,19 +406,17 @@ def _linear_shear_rank(ctx):
                    f"ranks={ranks}, stabilized_at={filt.stabilized_at}")
 
 
-LINEAR_SHEAR = Preset(
+_register(
     "linear-shear",
     "the bracket [d1, x1 d2] = d2 spans the missing direction",
     _LINEAR_SHEAR,
-    (
-        Fact("bracket", "published", "[X1, X2] = (0, 1) exactly",
-             _first_bracket_is("(0, 1)")),
-        Fact("full-rank", "published",
-             "bracket rank 2 everywhere, certified stable at depth 2",
-             _linear_shear_rank),
-        Fact("chow", "derived", "the sufficiency test passes at depth 2",
-             _bracket_generating_at([(0, 0), (1, 1), (-2, 3)])),
-    ),
+    Fact("bracket", "published", "[X1, X2] = (0, 1) exactly",
+         _equals("(0, 1)", _first_bracket)),
+    Fact("full-rank", "published",
+         "bracket rank 2 everywhere, certified stable at depth 2",
+         _linear_shear_rank),
+    Fact("chow", "derived", "the sufficiency test passes at depth 2",
+         _bracket_generating_at([(0, 0), (1, 1), (-2, 3)])),
 )
 
 
@@ -439,19 +430,16 @@ field X2 = (0, x1^2)
 def _quadratic_shear_brackets(ctx):
     b1 = lie_bracket(ctx.family[0], ctx.family[1])
     b2 = lie_bracket(ctx.family[0], b1)
-    got = (str(b1.components[1]), str(b2.components[1]))
-    return _eq_result(("2*x1", "2"), got)
+    return (str(b1.components[1]), str(b2.components[1]))
 
 
-QUADRATIC_SHEAR = Preset(
+_register(
     "quadratic-shear",
     "a depth-3 bracket is needed at the origin when the shear is quadratic",
     _QUADRATIC_SHEAR,
-    (
-        Fact("brackets", "published",
-             "[X1,X2] = 2 x1 d2 and [X1,[X1,X2]] = 2 d2 exactly",
-             _quadratic_shear_brackets),
-    ),
+    Fact("brackets", "published",
+         "[X1,X2] = 2 x1 d2 and [X1,[X1,X2]] = 2 d2 exactly",
+         _equals(("2*x1", "2"), _quadratic_shear_brackets)),
 )
 
 
@@ -500,23 +488,22 @@ def _steer_loop(ctx):
                    f"u1={u1}, u2={u2}, error={err:.2e}")
 
 
-DOUBLE_INTEGRATOR = Preset(
+_register(
     "double-integrator",
     "planar double integrator under two constant inputs: closed-form steering",
     _DOUBLE_INTEGRATOR,
-    (
-        Fact("steer-corner", "published",
-             "steering (0,0) to (1,1) in time 1 uses u1=3, u2=-1",
-             _steer_to_corner),
-        Fact("steer-loop", "derived",
-             "the same formula produces nonzero loops", _steer_loop),
-        Fact("chow", "derived",
-             "the input family is bracket-generating at depth 2",
-             _bracket_generating_at([(0, 0), (2, -1)])),
-        Fact("fixed-time-full", "published",
-             "fixed-time orbits are the whole plane: sampled dimension 2",
-             _fixed_time_dimension_is(2, (0, 0), 1.0, 4)),
-    ),
+    Fact("steer-corner", "published",
+         "steering (0,0) to (1,1) in time 1 uses u1=3, u2=-1",
+         _steer_to_corner),
+    Fact("steer-loop", "derived",
+         "the same formula produces nonzero loops", _steer_loop),
+    Fact("chow", "derived",
+         "the input family is bracket-generating at depth 2",
+         _bracket_generating_at([(0, 0), (2, -1)])),
+    Fact("fixed-time-full", "published",
+         "fixed-time orbits are the whole plane: sampled dimension 2",
+         _equals(2, lambda ctx: fixed_time_dimension(
+             ctx.family, (0, 0), 1.0, ctx.sampler(4)).dimension)),
 )
 
 
@@ -544,7 +531,7 @@ def _half_plane_dims(ctx):
 
 def _half_plane_singleton(ctx):
     rep = fixed_time_dimension(ctx.family, (3, 4), 0.0, ctx.sampler(7))
-    disp, _ = _zero_sum_walk(ctx, rep, ctx.sampler(7))
+    disp = _zero_sum_change(ctx, rep, ctx.sampler(7), itemgetter(0), itemgetter(1))
     return _result(rep.dimension == 0 and disp < 1e-9,
                    "the zero-time orbit at (3,4) is a sampled singleton "
                    "(only the vertical field is defined there, and it "
@@ -555,29 +542,27 @@ def _half_plane_singleton(ctx):
 def _half_plane_diagonal(ctx):
     sampler = ctx.sampler(8, max_time=0.3)
     rep = fixed_time_dimension(ctx.family, (0, 0), 0.0, sampler)
-    _, drift = _zero_sum_walk(ctx, rep, sampler, parse("x1+x2", 2))
+    drift = _zero_sum_change(ctx, rep, sampler, compile_float(parse("x1+x2", 2)))
     return _result(rep.dimension == 1 and drift < 1e-8,
                    "zero-time orbits left of x1=1 are diagonal lines: "
                    "dimension 1 and x1+x2 preserved",
                    f"dimension={rep.dimension}, deviation={drift:.2e}")
 
 
-HALF_PLANE = Preset(
+_register(
     "half-plane-translations",
     "partially defined translations: orbit dimension drops where a field "
     "switches off",
     _HALF_PLANE,
-    (
-        Fact("orbit-dims", "published",
-             "orbits are a half-plane left of x1=1 and vertical lines from "
-             "x1>=1", _half_plane_dims),
-        Fact("frozen-point", "published",
-             "zero-time orbits right of x1=1 are singletons",
-             _half_plane_singleton),
-        Fact("diagonal-lines", "derived",
-             "zero-time orbits left of x1=1 are diagonal lines preserving "
-             "x1+x2", _half_plane_diagonal),
-    ),
+    Fact("orbit-dims", "published",
+         "orbits are a half-plane left of x1=1 and vertical lines from "
+         "x1>=1", _half_plane_dims),
+    Fact("frozen-point", "published",
+         "zero-time orbits right of x1=1 are singletons",
+         _half_plane_singleton),
+    Fact("diagonal-lines", "derived",
+         "zero-time orbits left of x1=1 are diagonal lines preserving "
+         "x1+x2", _half_plane_diagonal),
 )
 
 
@@ -601,15 +586,14 @@ def _pair_membership(ctx):
 
 
 def _pair_frobenius(ctx):
-    d = Distribution(tuple(ctx.family))
-    v = frobenius_verdict(d, _HALF_STEP_GRID, module_degree=1)
+    v = frobenius_verdict(ctx.distribution, _HALF_STEP_GRID, module_degree=1)
     ok = v.integrable == "yes" and v.module_involutive
     return _result(ok, "integrable via the module-involutivity certificate",
                    f"integrable={v.integrable}, clause: {v.clause}")
 
 
 def _pair_minors(ctx):
-    locus = singular_locus_minors(Distribution(tuple(ctx.family)))
+    locus = singular_locus_minors(ctx.distribution)
     expected = str(parse("(x1^2+x2^2)^2", 2))
     got = [str(m) for m in locus.minors]
     ok = locus.generic_rank == 2 and got == [expected]
@@ -617,21 +601,19 @@ def _pair_minors(ctx):
                    f"rank {locus.generic_rank}, minors {got}")
 
 
-VANISHING_PAIR = Preset(
+_register(
     "vanishing-pair",
     "both generators vanish at the origin yet the module stays involutive",
     _VANISHING_PAIR,
-    (
-        Fact("bracket-member", "published",
-             "the bracket lies in the generator module with degree-1 "
-             "multipliers", _pair_membership),
-        Fact("integrable", "published",
-             "the integrability verdict is 'yes' via the module certificate",
-             _pair_frobenius),
-        Fact("singular-locus", "derived",
-             "the singular locus is cut out by the squared radius",
-             _pair_minors),
-    ),
+    Fact("bracket-member", "published",
+         "the bracket lies in the generator module with degree-1 "
+         "multipliers", _pair_membership),
+    Fact("integrable", "published",
+         "the integrability verdict is 'yes' via the module certificate",
+         _pair_frobenius),
+    Fact("singular-locus", "derived",
+         "the singular locus is cut out by the squared radius",
+         _pair_minors),
 )
 
 
@@ -648,15 +630,13 @@ def _mixed_membership(ctx):
     return _result(not cert.member, "not a member up to degree 8", str(cert))
 
 
-MIXED_PAIR = Preset(
+_register(
     "mixed-degree-pair",
     "same distribution, different generators: the module loses involutivity",
     _MIXED_PAIR,
-    (
-        Fact("bracket-not-member", "published",
-             "the bracket escapes the generator module at every multiplier "
-             "degree up to 8", _mixed_membership),
-    ),
+    Fact("bracket-not-member", "published",
+         "the bracket escapes the generator module at every multiplier "
+         "degree up to 8", _mixed_membership),
 )
 
 
@@ -681,15 +661,13 @@ def _bad_generator(ctx):
                    f"{c1.verdict}; {c2}")
 
 
-FLAT_GENERATOR = Preset(
+_register(
     "flat-generator-module",
     "a generator of the right span can still generate the wrong module",
     _FLAT_GENERATOR,
-    (
-        Fact("membership", "published",
-             "the linear section is outside the module of the quadratic "
-             "generator", _bad_generator),
-    ),
+    Fact("membership", "published",
+         "the linear section is outside the module of the quadratic "
+         "generator", _bad_generator),
 )
 
 
@@ -716,15 +694,13 @@ def _umbrella_checks(ctx):
                    f"{c1.verdict}; {c2}; {c3}")
 
 
-UMBRELLA = Preset(
+_register(
     "umbrella-ideal",
     "the umbrella surface's ideal refuses the plane section x1 = 0",
     _UMBRELLA,
-    (
-        Fact("ideal-membership", "published",
-             "degree-bounded ideal membership separates x1 from the "
-             "umbrella polynomial", _umbrella_checks),
-    ),
+    Fact("ideal-membership", "published",
+         "degree-bounded ideal membership separates x1 from the "
+         "umbrella polynomial", _umbrella_checks),
 )
 
 
@@ -740,8 +716,7 @@ field X2 = (1, 0, x2)
 
 
 def _shear3_frobenius(ctx):
-    d = Distribution(tuple(ctx.family))
-    v = frobenius_verdict(d, _UNIT_CUBE_GRID)
+    v = frobenius_verdict(ctx.distribution, _UNIT_CUBE_GRID)
     ok = v.integrable == "no" and not v.involutive_pointwise
     return _result(ok, "not involutive anywhere, hence not integrable",
                    f"integrable={v.integrable}")
@@ -759,31 +734,28 @@ def _shear3_commutator(ctx):
 
 
 def _shear3_chart(ctx):
-    d = Distribution(tuple(ctx.family))
-    chart = flow_box_chart(d, (0, 0, 0))
+    chart = flow_box_chart(ctx.distribution, (0, 0, 0))
     return _result(not chart.accepted,
                    "the flow-box chart at the origin is rejected",
                    f"accepted={chart.accepted}, residual={chart.max_residual:.3e}")
 
 
-SHEAR3 = Preset(
+_register(
     "nonintegrable-shear",
     "a rank-2 plane field in R^3 whose bracket escapes: no integral "
     "manifolds at all",
     _SHEAR3,
-    (
-        Fact("bracket", "derived", "[X1, X2] = (0, 0, 1) exactly",
-             _first_bracket_is("(0, 0, 1)")),
-        Fact("not-integrable", "published",
-             "the verdict is 'no' by the involutivity clause",
-             _shear3_frobenius),
-        Fact("commutator-word", "published",
-             "the forward-forward-backward-backward word climbs to height "
-             "t^2", _shear3_commutator),
-        Fact("chart-rejected", "derived",
-             "no accepted flow-box chart exists at the origin",
-             _shear3_chart),
-    ),
+    Fact("bracket", "derived", "[X1, X2] = (0, 0, 1) exactly",
+         _equals("(0, 0, 1)", _first_bracket)),
+    Fact("not-integrable", "published",
+         "the verdict is 'no' by the involutivity clause",
+         _shear3_frobenius),
+    Fact("commutator-word", "published",
+         "the forward-forward-backward-backward word climbs to height "
+         "t^2", _shear3_commutator),
+    Fact("chart-rejected", "derived",
+         "no accepted flow-box chart exists at the origin",
+         _shear3_chart),
 )
 
 
@@ -795,23 +767,20 @@ field X2 = (0, 1, 0)
 
 
 def _plane_frobenius(ctx):
-    d = Distribution(tuple(ctx.family))
-    v = frobenius_verdict(d, _UNIT_CUBE_GRID)
-    chart = flow_box_chart(d, (0, 0, 0))
+    v = frobenius_verdict(ctx.distribution, _UNIT_CUBE_GRID)
+    chart = flow_box_chart(ctx.distribution, (0, 0, 0))
     ok = v.integrable == "yes" and chart.accepted and chart.max_residual < 1e-9
     return _result(ok, "integrable, chart accepted with residual < 1e-9",
                    f"integrable={v.integrable}, residual={chart.max_residual:.2e}")
 
 
-PLANE3 = Preset(
+_register(
     "coordinate-plane",
     "two commuting translations: the model integrable plane field",
     _PLANE3,
-    (
-        Fact("integrable", "published",
-             "constant rank 2 and involutive: integrable with an exact chart",
-             _plane_frobenius),
-    ),
+    Fact("integrable", "published",
+         "constant rank 2 and involutive: integrable with an exact chart",
+         _plane_frobenius),
 )
 
 
@@ -823,8 +792,7 @@ field X2 = (0, 0, 1)
 
 
 def _isolated_frobenius(ctx):
-    d = Distribution(tuple(ctx.family))
-    v = frobenius_verdict(d, _UNIT_CUBE_GRID)
+    v = frobenius_verdict(ctx.distribution, _UNIT_CUBE_GRID)
     ok = (
         v.integrable == "no"
         and all(p[0] != 0 for p in v.witnesses)
@@ -840,79 +808,25 @@ def _isolated_frobenius(ctx):
 
 
 def _isolated_charts(ctx):
-    d = Distribution(tuple(ctx.family))
-    on_slice = flow_box_chart(d, (0, 0, 0))
-    off_slice = flow_box_chart(d, (Fraction(1, 2), 0, 0))
+    on_slice = flow_box_chart(ctx.distribution, (0, 0, 0))
+    off_slice = flow_box_chart(ctx.distribution, (Fraction(1, 2), 0, 0))
     ok = on_slice.accepted and not off_slice.accepted
     return _result(ok, "chart accepted on the slice, rejected off it",
                    f"on={on_slice.accepted}, off={off_slice.accepted}")
 
 
-ISOLATED = Preset(
+_register(
     "isolated-leaf",
     "one isolated integral surface: the slice x1=0 survives, nothing else",
     _ISOLATED,
-    (
-        Fact("bracket", "published", "[X1, X2] = (-x1, 0, 0) exactly",
-             _first_bracket_is("(-x1, 0, 0)")),
-        Fact("slice-verdict", "published",
-             "not integrable off x1=0, with the slice reported as the "
-             "surviving invariant set", _isolated_frobenius),
-        Fact("charts", "derived",
-             "flow-box charts certify exactly the slice", _isolated_charts),
-    ),
+    Fact("bracket", "published", "[X1, X2] = (-x1, 0, 0) exactly",
+         _equals("(-x1, 0, 0)", _first_bracket)),
+    Fact("slice-verdict", "published",
+         "not integrable off x1=0, with the slice reported as the "
+         "surviving invariant set", _isolated_frobenius),
+    Fact("charts", "derived",
+         "flow-box charts certify exactly the slice", _isolated_charts),
 )
-
-
-_TWO_SIDED_FLAT = """\
-system two-sided-flat dim 2
-field X1 = (1, 0)
-field X2 = (0, bump(x1))
-"""
-
-
-def _two_sided_frobenius(ctx):
-    d = Distribution(tuple(ctx.family))
-    v = frobenius_verdict(d, _HALF_STEP_GRID, orbit_sampler=_flat_sampler(ctx, 40))
-    ok = v.integrable == "no" and v.involutive_pointwise
-    return _result(ok, "involutive but not integrable",
-                   f"integrable={v.integrable}, involutive={v.involutive_pointwise}")
-
-
-TWO_SIDED_FLAT = Preset(
-    "two-sided-flat",
-    "the two-sided flat generator: bracket rank collapses only on x1=0",
-    _TWO_SIDED_FLAT,
-    (
-        Fact("lie-ranks", "published",
-             "bracket ranks 2,1,2 at (-1,0),(0,0),(1,0) at depth cap 8",
-             _lie_ranks_are((2, 1, 2))),
-        Fact("not-integrable", "published",
-             "involutive but not integrable", _two_sided_frobenius),
-    ),
-)
-
-
-PRESETS: Dict[str, Preset] = {
-    p.name: p
-    for p in (
-        NINE_ORBITS,
-        FIXED_TIME,
-        ONE_SIDED_FLAT,
-        TWO_SIDED_FLAT,
-        LINEAR_SHEAR,
-        QUADRATIC_SHEAR,
-        DOUBLE_INTEGRATOR,
-        HALF_PLANE,
-        VANISHING_PAIR,
-        MIXED_PAIR,
-        FLAT_GENERATOR,
-        UMBRELLA,
-        SHEAR3,
-        PLANE3,
-        ISOLATED,
-    )
-}
 
 
 def run_preset(name, seed=0):

@@ -177,8 +177,8 @@ _GRID_AXIS = re.compile(r"^x([0-9]+)=(-?[0-9./]+):(-?[0-9./]+):(-?[0-9./]+)$")
 def parse_grid(spec, dim):
     """Parse 'x1=-1:1:0.25,x2=-1:1:0.25' into {index: [values]} (exact).
 
-    The points are counted before any is built: a grid of more than
-    ``GRID_POINTS_CAP`` points is a UsageError."""
+    The points are counted before any is built: an axis with no point, or
+    a grid of more than ``GRID_POINTS_CAP`` points, is a UsageError."""
     axes: Dict[int, Tuple[Fraction, Fraction, int]] = {}
     for piece in spec.split(","):
         m = _GRID_AXIS.match(piece.strip())
@@ -190,7 +190,10 @@ def parse_grid(spec, dim):
         lo, hi, step = (_grid_value(m.group(k)) for k in (2, 3, 4))
         if step <= 0:
             raise SystemParseError("grid step must be positive")
-        axes[idx] = (lo, step, max(0, (hi - lo) // step + 1))
+        count = (hi - lo) // step + 1
+        if count < 1:
+            raise UsageError(f"grid axis x{idx} has no point: {lo} is above {hi}")
+        axes[idx] = (lo, step, count)
     points = math.prod(count for _, _, count in axes.values())
     if points > GRID_POINTS_CAP:
         raise UsageError(f"grid has {points} points, more than {GRID_POINTS_CAP}")

@@ -113,6 +113,14 @@ class TestParsing:
         with pytest.raises(ExprError):
             parse("x1/0", 1)
 
+    def test_positive_power_of_an_inverse_base_expands(self):
+        # the inverse of a single inverse-base term is its polynomial base
+        e = parse("((x1+1)^-1)^-1", 2)
+        assert e == parse("x1+1", 2)
+        assert e.is_polynomial()
+        assert compile_exact(e)((1, 0)) == 2
+        assert parse("((x1+1)^-1)^-2", 2) == parse("(x1+1)^2", 2)
+
 
 class TestDiff:
     def test_power_rule(self):

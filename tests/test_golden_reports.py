@@ -93,3 +93,9 @@ def test_report_matches_golden_bytes(case, name, argv, tmp_path, monkeypatch, ca
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{case}.json").read_text()
+
+
+def test_examples_list_matches_golden_bytes(capsys):
+    # every preset's name, title and order, and every fact's id, tag and text
+    assert main(["examples", "--list", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "examples-list.json").read_text()

@@ -118,6 +118,11 @@ class TestSystemFormat:
         assert axes[1] == [Fraction(-1), Fraction(-1, 2), 0, Fraction(1, 2), 1]
         assert axes[2] == [0, 1]
 
+    def test_parse_grid_rejects_an_axis_with_no_point(self):
+        assert parse_grid("x2=0:0:1", 2) == {2: [0]}
+        with pytest.raises(UsageError, match="grid axis x1 has no point: 1 is above 0"):
+            parse_grid("x1=1:0:1/2", 2)
+
     def test_parse_grid_caps_the_point_count(self):
         assert GRID_POINTS_CAP == 10_000
         axes = parse_grid("x1=0:99:1,x2=0:99:1", 2)  # exactly at the cap
@@ -243,6 +248,26 @@ class TestCli:
         code, out = run_cli(capsys, "orbit", "--system", str(blow),
                             "--point", "5", "--words", "5")
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [["rank", "--point", "-1,0"], ["frobenius"]],
+                             ids=["rank", "frobenius"])
+    def test_pole_is_a_numeric_failure(self, capsys, tmp_path, argv):
+        # the system parses; frobenius's default grid holds x1 = -1
+        pole = tmp_path / "pole.vf"
+        pole.write_text("system pole dim 2\nfield X1 = (1/(x1+1), 0)\nfield X2 = (0, 1)\n")
+        code, out = run_cli(capsys, argv[0], "--system", str(pole), *argv[1:],
+                            "--format", "json")
+        report = json.loads(out)
+        assert (code, report["status"]) == (cli.EXIT_NUMERIC, "numeric-failure")
+        assert report["error"] == "division by zero at a pole"
+
+    def test_inverse_of_an_inverse_base_ranks_exactly(self, capsys, tmp_path):
+        path = tmp_path / "inverse.vf"
+        path.write_text("system inverse dim 2\nfield X1 = (((x1+1)^-1)^-1, 0)\n")
+        code, out = run_cli(capsys, "rank", "--system", str(path), "--point", "1,0",
+                            "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["method"] == "exact-rational"
 
     def test_lie_command(self, capsys, shear_file):
         code, out = run_cli(capsys, "lie", "--system", shear_file,
@@ -488,6 +513,14 @@ class TestCli:
                             "x1=0:1000:1/1000", "--format", "json")
         assert code == 1
         assert json.loads(out)["status"] == "usage-error"
+
+    @pytest.mark.parametrize("command", ["rank", "frobenius"])
+    def test_grid_axis_with_no_point_is_a_usage_error(self, capsys, shear_file, command):
+        code, out = run_cli(capsys, command, "--system", shear_file, "--grid",
+                            "x1=1:0:1/2,x2=0:0:1", "--format", "json")
+        report = json.loads(out)
+        assert (code, report["status"]) == (cli.EXIT_USAGE, "usage-error")
+        assert report["error"] == "grid axis x1 has no point: 1 is above 0"
 
     @pytest.mark.parametrize("spec", ["x1=0:1:1/0", "x1=0:1/0:1", "x1=0:1:1..2"])
     def test_bad_grid_rational_is_a_parse_error(self, capsys, shear_file, spec):
