@@ -478,33 +478,28 @@ def apply_word(family, word, point):
     return end
 
 
-def pushforward_along_words(family, words, X, point):
-    """``pushforward_along_word`` for every word in one walk: per word, its
-    result, or the FlowError that it would raise."""
-    single = isinstance(X, VectorField)
-    fields = (X,) if single else tuple(X)
+def pushforward_along_words(family, words, fields, point):
+    """``pushforward_along_word`` for every word in one walk, word r pushing
+    the sequence of fields ``fields[r]``: per word, one vector per field,
+    None for a field undefined at its pulled-back point, or the FlowError
+    that the word's walk or solve gives."""
     inverse = [tuple((i, -t) for i, t in reversed(_as_steps(w))) for w in words]
     start = _floats(point)
     Y, J, out = _walk(family, inverse, [start] * len(words), [np.eye(len(start))] * len(words))
     pairs = []  # (row, field index) of every pushforward to solve for
     for r, y in enumerate(Y):
-        if out[r] is not None:
-            continue
-        defined = [j for j, F in enumerate(fields) if F.domain.contains(y)]
-        if single and not defined:
-            out[r] = DomainExitError(f"{X.name} is undefined at the pulled-back point")
-        else:
-            out[r] = [None] * len(fields)
-            pairs += [(r, j) for j in defined]
+        if out[r] is None:
+            out[r] = [None] * len(fields[r])
+            pairs += [(r, j) for j, F in enumerate(fields[r]) if F.domain.contains(y)]
     if pairs:
         # one right-hand side per matrix: a vector's bits do not depend on the other fields
-        b = np.array([value_float(fields[j], Y[r]) for r, j in pairs])[:, :, None]
+        b = np.array([value_float(fields[r][j], Y[r]) for r, j in pairs])[:, :, None]
         for (r, j), u in zip(pairs, _solve(np.array([J[r] for r, _ in pairs]), b)[:, :, 0]):
             if not np.isfinite(u).all():
                 out[r] = IntegrationError("pushforward is not finite")
             elif isinstance(out[r], list):
                 out[r][j] = u
-    return [v[0] if single and isinstance(v, list) else v for v in out]
+    return out
 
 
 def _solve(A, B):
@@ -530,7 +525,12 @@ def pushforward_along_word(family, word, X, point):
     ``step`` set to its index in the walk back; a singular J or a
     non-finite pushforward raises IntegrationError.
     """
-    (pushed,) = pushforward_along_words(family, [word], X, point)
+    single = isinstance(X, VectorField)
+    (pushed,) = pushforward_along_words(family, [word], [(X,) if single else tuple(X)], point)
     if isinstance(pushed, FlowError):
         raise pushed
-    return pushed
+    if not single:
+        return pushed
+    if pushed[0] is None:
+        raise DomainExitError(f"{X.name} is undefined at the pulled-back point")
+    return pushed[0]

@@ -41,7 +41,7 @@ from .distributions import Distribution, fibre_rank
 from .fields import apply_words, pushforward_along_words
 from .liealg import pairwise_brackets, pointwise_witnesses
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
-from .membership import module_contains, oversize
+from .membership import OversizeError, module_contains
 from .orbits import WordSampler, exact_ranks, sampled_orbit_dimension
 from .vectorfield import DomainExitError, FlowError, field_evaluators, field_values
 
@@ -70,14 +70,12 @@ class FrobeniusVerdict:
 def _orbit_dimensions(family, points, ranks, certificates, sampler):
     """Per point, lazily, the orbit dimension and its kind: the rank and its
     certificate where ``orbits.exact_ranks`` certifies it, else
-    ``sampled_orbit_dimension`` (a lower bound) and "sampled", with None
-    where a flow fails."""
+    ``sampled_orbit_dimension`` (a lower bound) and "sampled".  A sample
+    raises only where no generator is defined, and there the callers'
+    ``fibre_rank`` at the same points has raised first."""
     for p, dim, kind in zip(points, ranks, certificates):
         if not kind:
-            try:
-                dim, kind = sampled_orbit_dimension(family, p, sampler or ORBIT_SAMPLER), "sampled"
-            except FlowError:
-                dim, kind = None, "sampled"
+            dim, kind = sampled_orbit_dimension(family, p, sampler or ORBIT_SAMPLER), "sampled"
         yield dim, kind
 
 
@@ -103,13 +101,16 @@ def frobenius_verdict(
         (holding if witness is None else failing).append(p)
         first_witness = first_witness or witness
 
-    # the module certificate runs only when every sample passes, every
-    # generator is a polynomial on all of R^n and its system is not
-    # oversized, and the orbit comparison only when it does not certify
+    # the module certificate runs only when every sample passes and every
+    # generator is a polynomial on all of R^n (an oversized system leaves it
+    # unattempted, and says why), and the orbit comparison when it does not certify
     module_ok: Optional[bool] = None
-    if (not failing and D.minors_obstacle() is None
-            and not (brackets and oversize(brackets.values(), family, module_degree))):
-        module_ok = not brackets or module_contains(brackets.values(), family, module_degree)
+    too_large = ""
+    if not failing and D.minors_obstacle() is None:
+        try:
+            module_ok = not brackets or module_contains(brackets.values(), family, module_degree)
+        except OversizeError as err:
+            too_large = f"; the module certificate was not attempted: {err}"
     witnesses = list(failing)
     bracket_rank_gap = False
     if not failing and not module_ok:
@@ -120,8 +121,7 @@ def frobenius_verdict(
         bracket_rank_gap = bool(witnesses)
         if not witnesses:
             orbit = _orbit_dimensions(family, samples, lie_ranks, exact, orbit_sampler)
-            witnesses = [p for p, (dim, _), r in zip(samples, orbit, ranks)
-                         if dim is not None and dim > r]
+            witnesses = [p for p, (dim, _), r in zip(samples, orbit, ranks) if dim > r]
 
     if failing:
         integrable, clause = "no", (
@@ -150,7 +150,7 @@ def frobenius_verdict(
     else:
         integrable, clause = "undetermined", (
             "pointwise involutive, and neither a module certificate nor an "
-            "orbit-rank gap decided the question"
+            f"orbit-rank gap decided the question{too_large}"
         )
     return FrobeniusVerdict(
         integrable=integrable,
@@ -172,7 +172,7 @@ class FlowBoxChart:
     max_residual: float  # worst tangency defect of d(phi)/dt_j over the grid
     image_tangent_rank: int
     fibre_rank_constant: bool  # fibre rank stays m over the sampled image
-    orbit_dimension: Optional[int]  # exact or sampled orbit dimension at the base
+    orbit_dimension: int  # exact or sampled orbit dimension at the base
     accepted: bool
     rejected_reason: Optional[str] = None
 
@@ -197,7 +197,7 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
     try:
         # the images in one walk, checked in grid order; then per image one
         # walk for its m tangents d(phi)/dt_j: the frame field Y_j after
-        # step j, pushed through the remaining flows (row j, field j)
+        # step j, pushed through the remaining flows (row j, field Y_j alone)
         for word, image in zip(words, apply_words(frame, words, base)):
             if isinstance(image, FlowError):
                 raise image
@@ -205,13 +205,15 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
             fibre_ok &= fibre_rank(tuple(image), vals).rank == m
             fibre = [v for v in vals if v is not None]
             tails = [word[j + 1:] for j in range(m)]
-            for j, pushed in enumerate(pushforward_along_words(frame, tails, frame, image)):
+            pushes = pushforward_along_words(frame, tails, [(Y,) for Y in frame], image)
+            for Y, pushed in zip(frame, pushes):
                 if isinstance(pushed, FlowError):
                     raise pushed
-                if pushed[j] is None:
-                    raise DomainExitError(f"{frame[j].name} is undefined at the pulled-back point")
-                tangents.append(tuple(float(x) for x in pushed[j]))
-                residual = max(residual, orthogonal_residual(fibre, pushed[j]))
+                (tangent,) = pushed
+                if tangent is None:
+                    raise DomainExitError(f"{Y.name} is undefined at the pulled-back point")
+                tangents.append(tuple(float(x) for x in tangent))
+                residual = max(residual, orthogonal_residual(fibre, tangent))
     except FlowError as err:
         failure = f"flow failure: {err}"
         residual, fibre_ok, tangents = float("inf"), False, []
@@ -222,7 +224,7 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
         (failure, failure),
         (residual >= FLOW_REL_TOL, f"tangency residual {residual:.3e} exceeds {FLOW_REL_TOL:.1e}"),
         (not fibre_ok, "fibre rank varies over the sampled image"),
-        (orbit_dim not in (None, m),
+        (orbit_dim != m,
          f"{orbit_kind} orbit dimension {orbit_dim} at the base exceeds the chart rank {m}"),
         (tangent_rank != m, "sampled image degenerates (tangent rank below chart rank)"),
     ) if failed), None)

@@ -35,7 +35,7 @@ from typing import List, Optional, Tuple
 from .expr import Expr
 from .vectorfield import VectorField, field_evaluators, field_values, lie_bracket
 from .linalg import in_span
-from .membership import module_contains, oversize
+from .membership import OversizeError, module_contains
 
 __all__ = [
     "BracketWord",
@@ -191,9 +191,9 @@ def certify(filt, module_degree=DEFAULT_MODULE_DEGREE):
     certify, the first depth whose words are members, with multipliers of
     degree <= module_degree, of the module of the shallower words
     ("module-degree-D"), one membership system per depth tried.  The search
-    stops, uncertified and with a note, at the first system that
-    ``membership.oversize`` rejects; a degree outside ``DEGREE_CAP`` raises
-    MembershipError.  Any other filtration is returned as it is."""
+    stops, uncertified and with a note, at the first system whose solve
+    raises ``membership.OversizeError``; a degree outside ``DEGREE_CAP``
+    raises MembershipError.  Any other filtration is returned as it is."""
     if filt.certificate is not None or not all(g.is_polynomial() for g in filt.family):
         return filt
     kept = [[f for _, f in level] for level in filt.levels]
@@ -205,16 +205,16 @@ def certify(filt, module_degree=DEFAULT_MODULE_DEGREE):
 def _module_closure(levels, low, extra, degree):
     """The first depth d > low whose words are members, with multipliers
     of degree <= degree, of the module generated by the words of
-    ``levels[low:d]`` and ``extra``: (d, None).  (None, why) when
-    ``membership.oversize`` rejects a system first; (None, None) when no
-    depth below the cap closes."""
+    ``levels[low:d]`` and ``extra``: (d, None).  (None, why) when a
+    system's solve raises ``membership.OversizeError`` first; (None, None)
+    when no depth below the cap closes."""
     for depth in range(low + 1, len(levels)):
         basis = [f for lv in levels[low:depth] for f in lv] + extra
-        too_large = oversize(levels[depth], basis, degree)
-        if too_large:
-            return None, f"module search stopped at depth {depth}: {too_large}"
-        if module_contains(levels[depth], basis, degree):
-            return depth, None
+        try:
+            if module_contains(levels[depth], basis, degree):
+                return depth, None
+        except OversizeError as err:
+            return None, f"module search stopped at depth {depth}: {err}"
     return None, None
 
 
@@ -231,8 +231,8 @@ def derived_certificate(filt):
     [X_i, a Y] = X_i(a) Y + a [X_i, Y] closes that module under every
     ad X_i, so it holds every bracket of depth >= 2, and
     "derived-module-degree-D" is returned.  One membership system per depth
-    tried; the search stops uncertified at the first system that
-    ``membership.oversize`` rejects."""
+    tried; the search stops uncertified at the first system whose solve
+    raises ``membership.OversizeError``."""
     if filt.certificate is None or filt.certificate == "symbolic-closure":
         return filt.certificate
     kept = [[f for _, f in level] for level in filt.levels]

@@ -10,7 +10,9 @@ Many targets against one generator set are one solve, read two ways:
 ``members_bounded`` gives a certificate per target, with every member's
 multipliers built and re-verified symbolically; ``module_contains`` only
 says whether every target is a member, builds no multipliers for a "no"
-and re-verifies every target's multipliers before a "yes".
+and re-verifies every target's multipliers before a "yes".  That solve
+alone decides whether a system is too large: it raises OversizeError,
+naming the count, before any monomial is enumerated.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from .linalg import exact_solve
 
 __all__ = [
     "MembershipError",
+    "OversizeError",
     "MembershipCertificate",
     "member_bounded",
     "members_bounded",
     "module_contains",
-    "oversize",
     "ideal_member_bounded",
 ]
 
@@ -42,6 +44,11 @@ UNKNOWNS_CAP = 4_000
 
 class MembershipError(Exception):
     pass
+
+
+class OversizeError(MembershipError):
+    """A system with more than ``UNKNOWNS_CAP`` unknowns, raised by the solve
+    before any monomial is enumerated; its text names the count."""
 
 
 @dataclass(frozen=True)
@@ -93,35 +100,13 @@ def _require_polynomial(components, what):
             )
 
 
-def _check_degree(degree):
-    if degree < 0 or degree > DEGREE_CAP:
-        raise MembershipError(f"degree bound {degree} outside [0, {DEGREE_CAP}]")
-
-
-def _num_vars(fields):
-    return max([c.max_var() for f in fields for c in f] + [1])
-
-
-def oversize(targets, generators, degree):
-    """Why the one system that ``members_bounded`` builds for these targets
-    and generators is too large, or None when it fits: its unknowns
-    (generators x multiplier monomials) may not exceed ``UNKNOWNS_CAP``.
-    A degree outside [0, DEGREE_CAP] raises MembershipError, as it does
-    there."""
-    _check_degree(degree)
-    n = _num_vars([_components(f) for f in (*targets, *generators)])
-    unknowns = len(generators) * math.comb(n + degree, degree)
-    if unknowns > UNKNOWNS_CAP:
-        return f"membership system has {unknowns} unknowns, more than {UNKNOWNS_CAP}"
-    return None
-
-
 def _solve(targets, generators, degree):
     """The one exact solve behind ``members_bounded`` and
     ``module_contains``: (target components, generator components, the
     solutions, one per target or None, and the multiplier monomials and
     variable count that ``_multipliers`` reads a solution with)."""
-    _check_degree(degree)
+    if degree < 0 or degree > DEGREE_CAP:
+        raise MembershipError(f"degree bound {degree} outside [0, {DEGREE_CAP}]")
     tgts = [_components(t) for t in targets]
     gens = [_components(g) for g in generators]
     if not gens:
@@ -134,13 +119,13 @@ def _solve(targets, generators, degree):
     for g in gens:
         _require_polynomial(g, "generators")
 
-    n = _num_vars(tgts + gens)
+    n = max([c.max_var() for f in tgts + gens for c in f] + [1])
     if all(c.is_zero() for t in tgts for c in t):
         return tgts, gens, [{} for _ in tgts], [], n
 
-    too_large = oversize(tgts, gens, degree)
-    if too_large:
-        raise MembershipError(too_large)
+    unknowns = len(gens) * math.comb(n + degree, degree)
+    if unknowns > UNKNOWNS_CAP:
+        raise OversizeError(f"membership system has {unknowns} unknowns, more than {UNKNOWNS_CAP}")
     monos = _monomials_up_to(n, degree)
 
     # one sparse equation {unknown: coefficient} per (component, monomial of

@@ -46,7 +46,7 @@ from .fields import apply_word, pushforward_along_words, value_float
 from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, derived_certificate,
                      word_vectors, zero_time_vectors)
 from .linalg import FLOW_REL_TOL, affine_rank, all_exact, span_rank, svd_rank
-from .membership import module_contains, oversize
+from .membership import OversizeError, module_contains
 from .vectorfield import DomainExitError, FlowError, field_values
 
 __all__ = [
@@ -198,7 +198,7 @@ def _sample_orbit(family, point, sampler, batches):
     for size in batches:
         words = list(islice(draw, size))
         walked += len(words)
-        for pushed in pushforward_along_words(family, words, family, point):
+        for pushed in pushforward_along_words(family, words, [family] * len(words), point):
             if not isinstance(pushed, FlowError):
                 got = [tuple(float(x) for x in v) for v in pushed if v is not None]
                 vectors += got
@@ -398,16 +398,17 @@ def chow_verdict(family, samples, depth_cap=DEFAULT_DEPTH_CAP, orbit_sampler=Non
     if not failing:
         words = [f for level in filt.levels for _, f in level]
         axes = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
-        polynomial = all(g.is_polynomial() and g.domain.is_full for g in family)
-        too_large = polynomial and oversize(axes, words, DEFAULT_MODULE_DEGREE)
-        certified = (polynomial and not too_large
-                     and module_contains(axes, words, DEFAULT_MODULE_DEGREE))
+        certified, too_large = False, ""
+        if all(g.is_polynomial() and g.domain.is_full for g in family):
+            try:
+                certified = module_contains(axes, words, DEFAULT_MODULE_DEGREE)
+            except OversizeError as err:
+                too_large = f"; {err}"
         verdict = (
             "sufficient condition met: any two points joinable by flows"
             if certified
             else "full bracket rank at every sample, but no module certificate "
-            f"at depth cap {depth_cap} that the words span every tangent space"
-            + (f"; {too_large}" if too_large else "")
+            f"at depth cap {depth_cap} that the words span every tangent space{too_large}"
         )
         return ChowReport(certified, depth_cap, verdict, (), ())
     dims = []

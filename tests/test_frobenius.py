@@ -243,6 +243,8 @@ class TestYesOnlyFromModule:
         v = frobenius_verdict(Distribution(parse_system(text).fields), grid3(), 12)
         assert v.module_involutive is None and v.module_degree is None
         assert v.integrable == "undetermined" and v.ranks == (3,) * 27
+        assert v.clause.endswith("decided the question; the module certificate was not "
+                                 "attempted: membership system has 4095 unknowns, more than 4000")
 
     @pytest.mark.parametrize("name", ["coordinate-plane", "vanishing-pair", "umbrella-ideal"])
     def test_preset_yes_from_module(self, name):
@@ -323,6 +325,17 @@ class TestCharts:
         chart = flow_box_chart(D, (0, 0, 0))
         assert (chart.accepted, chart.chart_rank, chart.orbit_dimension) == (True, 2, 2)
         assert walks == [2] * 9
+
+    def test_one_solved_row_per_tangent(self, monkeypatch):
+        # each of an image's m tails pushes only its own frame field: m
+        # solved rows per image, not m * m
+        rows = []
+        real = fields._solve
+        monkeypatch.setattr(fields, "_solve", lambda A, B: rows.append(len(A)) or real(A, B))
+        D = Distribution(parse_system(PRESETS["coordinate-plane"].system_text).fields)
+        chart = flow_box_chart(D, (0, 0, 0))
+        assert (chart.accepted, chart.chart_rank) == (True, 2)
+        assert rows == [2] * 9
 
 
 class TestCoherence:

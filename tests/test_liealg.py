@@ -333,9 +333,14 @@ class TestDerivedCertificate:
         assert solved == [(kept[2], kept[1]), (kept[3], kept[1] + kept[2])]
 
     def test_oversize_stops_uncertified(self, monkeypatch):
+        # the first system's solve rejects it before any monomial is
+        # enumerated, and the search stops there uncertified
+        def enumerated(n, d):
+            raise AssertionError("monomials enumerated for an over-cap system")
+
         f = certify(filtration(preset_family("vanishing-pair")))
         monkeypatch.setattr(membership, "UNKNOWNS_CAP", 10)
-        monkeypatch.setattr(liealg, "module_contains", None)  # never reached
+        monkeypatch.setattr(membership, "_monomials_up_to", enumerated)
         assert derived_certificate(f) is None
 
 

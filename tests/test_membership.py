@@ -1,12 +1,16 @@
 import itertools
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from vfkit.expr import ZERO, const, parse, var
 from vfkit.fields import lie_bracket
-from vfkit.liealg import filtration
+from vfkit.distributions import Distribution
+from vfkit.frobenius import frobenius_verdict
+from vfkit.liealg import certify, filtration
 from vfkit.linalg import in_span
 from vfkit import membership
 from vfkit.membership import (
@@ -16,6 +20,7 @@ from vfkit.membership import (
     member_bounded,
     members_bounded,
 )
+from vfkit.orbits import chow_verdict
 from vfkit.presets import PRESETS
 from vfkit.systems import parse_system
 from vfkit.vectorfield import field_values
@@ -144,6 +149,22 @@ def test_rejects_oversized_system_before_building_rows(vf, monkeypatch):
     with pytest.raises(MembershipError, match="646646 unknowns"):
         member_bounded(vf("t", [x[0]], 10), [vf("g", [x[9]], 10)], 12)
     assert UNKNOWNS_CAP < 646646
+
+
+def test_unknowns_counted_once_per_system(monkeypatch, vf):
+    # the solve alone sizes a system: the module searches of certify,
+    # frobenius_verdict and chow_verdict ask nothing before it
+    counted, solved = [], []
+    comb, solve = math.comb, membership._solve
+    monkeypatch.setattr(membership, "math",
+                        SimpleNamespace(comb=lambda *a: counted.append(a) or comb(*a)))
+    monkeypatch.setattr(membership, "_solve", lambda *a: solved.append(a) or solve(*a))
+    family = parse_system(PRESETS["vanishing-pair"].system_text).fields
+    assert certify(filtration(family)).certificate == "module-degree-6"
+    assert frobenius_verdict(Distribution(family), [(1, 1)]).integrable == "yes"
+    plane = [vf("X1", ["1", "0"], 2), vf("X2", ["0", "1 + x1"], 2)]
+    assert chow_verdict(plane, [(0, 0)]).bracket_generating
+    assert len(solved) >= 3 and len(counted) == len(solved)
 
 
 # Multiplier strings pinned exactly: the reduced row echelon form, with free

@@ -508,6 +508,17 @@ class TestCli:
             "module search stopped at depth 1: membership system has 30 unknowns, "
             "more than 10")
 
+    def test_over_cap_member_is_a_numeric_failure(self, capsys, tmp_path):
+        # one generator in 10 variables at degree 12: C(22, 12) = 646646 unknowns
+        path = tmp_path / "ten.vf"
+        path.write_text("system ten dim 10\nfield G = (x10" + ", 0" * 9 + ")\n")
+        code, out = run_cli(capsys, "member", "--system", str(path), "--target",
+                            "(x1" + ", 0" * 9 + ")", "--gens", "G", "--degree", "12",
+                            "--format", "json")
+        report = json.loads(out)
+        assert (code, report["status"]) == (cli.EXIT_NUMERIC, "numeric-failure")
+        assert report["error"] == "membership system has 646646 unknowns, more than 4000"
+
     def test_grid_cap_is_a_usage_error(self, capsys, shear_file):
         code, out = run_cli(capsys, "rank", "--system", shear_file, "--grid",
                             "x1=0:1000:1/1000", "--format", "json")
