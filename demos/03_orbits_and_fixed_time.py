@@ -31,7 +31,7 @@ for i, p in enumerate(points):
 def zero_sum_images(rep, seed):
     """Where 200 seeded zero-sum words take the point that rep reached."""
     words = WordSampler(seed=seed, count=200, constraint="zero-sum").words(len(family))
-    return [q for q in apply_words(family, words, rep.reached)
+    return [q for q in apply_words(family, words, [rep.reached] * len(words))
             if not isinstance(q, FlowError)]
 
 

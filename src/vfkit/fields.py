@@ -28,22 +28,23 @@ compiled once (``expr.compile_float``, same log-space semantics) in the
 same ``_flow_kind`` entry, with an ODE field's array evaluator of X and DX:
 its monomials if it is polynomial, else those closures row by row.
 
-Many words are walked in one place, ``_walk``, position by position.  At
-each position the words still going are grouped by field index.  A
-closed-form group takes one stacked step, end = E p + c and V <- E V over
-all its rows: E = I + t DX(p) for a straight field (X and DX evaluated row
-by row by the compiled closures), and E, c from the exponential of t M for
-an affine one, so each row has the bits of a one-word walk.  A scaling
-field has a diagonal t M, whose exponential is one vectorised ``np.exp`` of
-its diagonal; a nilpotent one takes one stacked ``expm``, its finite Taylor
-sum.  An ODE group takes one ``solve_ivp`` over its rows [x, V]: each row
-has its own time, step, acceptance by a max-norm error per component,
-right-hand-side budget, box check of the whole row (point and matrix) at
-every accepted step and domain exit located on the step's dense output.
-All arithmetic on the ODE rows is elementwise (no matmul or dot), so no
-row's bits depend on another.
-``apply_words`` and ``pushforward_along_words`` return, per word, its
-result or the FlowError that stopped it; ``apply_word``,
+Many words are walked in one place, ``_walk``, each from its own start
+point and each a row of arrays, position by position, the live rows of
+each field index in one stacked step.  A closed-form group steps
+end = E p + c and V <- E V: E = I + t DX(p) for a straight field, only the
+entries of X and DX not identically zero evaluated (a constant field keeps
+V), and E, c from the exponential of t M for an affine one, so each row has
+the bits of a one-word walk.  A scaling field's exponential is one
+vectorised ``np.exp`` of the diagonal of t M; a nilpotent one takes one
+stacked ``expm``, its finite Taylor sum.  An ODE group takes one
+``solve_ivp`` over its rows [x, V]: each row has its own time, step,
+acceptance by a max-norm error per component, right-hand-side budget, box
+check of the whole row (point and matrix) at every accepted step and
+domain exit located on the step's dense output, all by elementwise
+arithmetic, so no row's bits depend on another.  ``apply_words`` and
+``pushforward_along_words`` take one start point per word, walk
+``WALK_ROWS`` words at a time and return, per word, its result or the
+FlowError that stopped it; ``apply_word``,
 ``pushforward_along_word`` and ``flow`` are their one-word cases and raise
 that error.
 
@@ -56,8 +57,8 @@ step's index in the word it walks: for a pushforward, the walk back.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
+from itertools import accumulate, chain, islice
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -70,10 +71,9 @@ __all__ = ["lie_bracket", "flow", "apply_word", "apply_words", "pushforward_alon
 
 DEFAULT_BOX = 1e6
 DEFAULT_RTOL = 1e-10
-
-
-def _as_steps(word):
-    return tuple((int(i), float(t)) for i, t in word)
+# Words walked at once: a walk holds arrays and results for all its words, so
+# longer calls walk runs of this many, which bounds their memory.
+WALK_ROWS = 512
 
 
 # -- flow kind detection ----------------------------------------------------------
@@ -95,6 +95,9 @@ class _Flow(NamedTuple):
     M: Optional[np.ndarray] = None  # affine x' = Ax + b: [[A, b], [0, 0]]
     diagonal: Optional[np.ndarray] = None  # scaling (M diagonal): M's diagonal
     batch: Optional[Callable] = None  # ODE: (m, n), c -> (m, c): X, then DX row-major
+    const: Optional[np.ndarray] = None  # straight with DX = 0: the constant X
+    # straight: (c, closure) of the entries not identically zero, X then DX row-major
+    live: tuple = ()
 
 
 def _floats(point):
@@ -125,7 +128,10 @@ def _flow_kind(X):
         sum((X.components[j] * J[i][j] for j in range(n)), ZERO).is_zero()
         for i in range(n)
     ):
-        return _Flow("straight", value, comps, rows, eye)
+        entries = zip(X.components + sum(J, ()), comps + sum(rows, ()))  # X, then DX
+        live = tuple((c, f) for c, (e, f) in enumerate(entries) if not e.is_zero())
+        const = None if any(c >= n for c, _ in live) else value([0.0] * n)
+        return _Flow("straight", value, comps, rows, eye, const=const, live=live)
     if all(c.is_polynomial() and c.total_degree() <= 1 for c in X.components):
         M = np.zeros((n + 1, n + 1))
         for i, comp in enumerate(X.components):
@@ -337,169 +343,199 @@ def _ode_rhs(batch, n, k):
     return fun
 
 
+def _inside(domain, P):
+    """Per row of P, ``domain.contains`` by its comparisons on a float point
+    (``DomainPredicate._float_form``); True for a full domain."""
+    ok = True
+    for i, below, _, f, f_inside in domain._float_form:
+        v = P[:, i]
+        side = v < f if below else v > f
+        if f_inside:
+            side |= v == f
+        ok = side if ok is True else ok & side
+    return ok
+
+
 @np.errstate(all="ignore")  # a non-finite step is an IntegrationError, not a warning
 def _step_group(X, ts, rows, P, V):
-    """One flow step along X for the given rows of P, row rows[j] for time
-    ts[j], transporting the rows' matrices in V unless V is None; the
-    rows of P and V are replaced in place.  Returns {row: FlowError} for
-    the rows that fail.
-
-    A start point outside X's domain fails with exit time 0, and a zero
-    time leaves the row as it is.  A closed-form flow moves the other rows
-    in one stacked step, end = E p + c and V <- E V, with every bit of a
-    one-row step: a straight flow has end = p + t X(p) and E = I + t DX(p),
-    X and DX evaluated row by row by the compiled closures; an affine flow
-    takes E and c from one stacked ``expm(t M)`` (``exp`` of the diagonal
-    of t M for a scaling field).  Each coordinate of a closed-form flow is
-    monotone in time, or the domain is all of R^n, so a row whose end point
-    lies outside the domain fails with exit time t, and no other row left
-    it.  ODE rows take one stacked ``solve_ivp``.
+    """One flow step along X for the rows (an index array) of P (m x n),
+    row rows[j] for time ts[j], transporting their n x k matrices in V
+    (m x n x k) unless V is None, in place (module docstring); returns
+    {row: FlowError} for the rows that fail.  A start point outside X's
+    domain fails with exit time 0, and a zero time leaves the row as it is.
+    A closed-form flow is monotone in each coordinate or its domain is R^n,
+    so a row whose end point lies outside the domain, by the comparisons
+    ``DomainPredicate.contains`` makes, fails with exit time t.
     """
-    kind = _flow_kind(X)
-    failed = {}
-    moving = []
-    for r, t in zip(rows, ts):
-        if not X.domain.contains(P[r]):
-            failed[r] = DomainExitError(
-                f"start point outside the domain of {X.name}", exit_time=0.0)
-        elif t != 0.0:
-            moving.append((r, t))
-    n = X.dim
-    if kind.kind == "ode" and moving:
-        rs, times = zip(*moving)
-        k = 0 if V is None else V[rs[0]].shape[1]
-        y0 = np.array([P[r] + ([] if V is None else V[r].ravel().tolist()) for r in rs])
-        ends, errors = solve_ivp(_ode_rhs(kind.batch, n, k), times, y0,
-                                 [(i, f) for i, _, _, f, _ in X.domain._float_form], X.name)
-        failed.update((rs[j], err) for j, err in errors.items())
-        for j, r in enumerate(rs):
-            if j not in errors:
-                P[r] = ends[j, :n].tolist()
-                if V is not None:
-                    V[r] = ends[j, n:].reshape(n, k)
-    if kind.kind == "ode" or not moving:
+    kind, failed = _flow_kind(X), {}
+    if not X.domain.is_full:
+        out = ~_inside(X.domain, P[rows])
+        if np.count_nonzero(out):
+            failed = {r: DomainExitError(f"start point outside the domain of {X.name}", 0.0)
+                      for r in rows[out].tolist()}
+            rows, ts = rows[~out], ts[~out]
+    if np.count_nonzero(ts) < len(ts):
+        rows, ts = rows[ts != 0.0], ts[ts != 0.0]
+    if not len(rows):
         return failed
-    rs, times = zip(*moving)
-    base = [P[r] for r in rs]
-    p, t = np.array(base), np.array(times)
+    n, p = X.dim, P[rows]
+    if kind.kind == "ode":
+        k = 0 if V is None else V.shape[2]
+        y0 = p if V is None else np.concatenate([p, V[rows].reshape(len(rows), n * k)], axis=1)
+        ends, errors = solve_ivp(_ode_rhs(kind.batch, n, k), ts, y0,
+                                 [(i, f) for i, _, _, f, _ in X.domain._float_form], X.name)
+        failed.update((int(rows[j]), err) for j, err in errors.items())
+        ok = [j not in errors for j in range(len(rows))]
+        P[rows[ok]] = ends[ok, :n]
+        if V is not None:
+            V[rows[ok]] = ends[ok, n:].reshape(-1, n, k)
+        return failed
+    E = None  # the identity
     if kind.kind == "affine":
-        if kind.diagonal is not None and math.isfinite(sum(times)):
+        if kind.diagonal is not None and np.isfinite(ts).all():
             # every t M is diagonal, so its exponential is exp of its diagonal
-            F = np.zeros((len(t), n + 1, n + 1))
-            F[:, range(n + 1), range(n + 1)] = np.exp(kind.diagonal * t[:, None])
+            F = np.zeros((len(ts), n + 1, n + 1))
+            F[:, range(n + 1), range(n + 1)] = np.exp(kind.diagonal * ts[:, None])
         else:
-            F = expm(kind.M * t[:, None, None])  # [[E, c], [0, 1]]
+            F = expm(kind.M * ts[:, None, None])  # [[E, c], [0, 1]]
         E = F[:, :n, :n]
         end = (E @ p[:, :, None])[:, :, 0] + F[:, :n, n]
+    elif kind.const is not None:
+        end = p + ts[:, None] * kind.const
     else:
-        vals = np.array([[f(q) for f in kind.comps] for q in base], dtype=float)
-        end = p + t[:, None] * vals
-    escaped = (np.abs(end).max(axis=1) > DEFAULT_BOX).tolist()
-    inside = ([True] * len(rs) if X.domain.is_full
-              else [X.domain.contains(q) for q in end.tolist()])
-    ok = []
-    for k, (exit_time, stays, esc) in enumerate(zip(times, inside, escaped)):
-        if not stays:
-            failed[rs[k]] = DomainExitError(
-                f"trajectory of {X.name} left its domain", exit_time=exit_time)
-        elif esc:
-            failed[rs[k]] = IntegrationError("trajectory escaped the bounding box")
-        else:
-            ok.append(k)
-    finite = np.isfinite(end[ok]).all(axis=1)
-    if V is not None and ok:
-        if kind.kind == "straight":
-            jac = np.array([[[f(base[k]) for f in row] for row in kind.rows] for k in ok],
-                           dtype=float)
-            E = kind.eye + t[ok][:, None, None] * jac
-        else:
-            E = E[ok]
-        moved = E @ np.array([V[rs[k]] for k in ok])
-        finite &= np.isfinite(moved).all(axis=(1, 2))
-    for j, (k, fin, q) in enumerate(zip(ok, finite.tolist(), end[ok].tolist())):
-        if not fin:
-            failed[rs[k]] = IntegrationError("flow step gave a non-finite value")
-            continue
-        P[rs[k]] = q
+        width = n if V is None else n + n * n  # X, then DX row-major
+        base, vals = p.tolist(), np.zeros((len(rows), width))
+        for c, f in kind.live:
+            if c < width:
+                vals[:, c] = [f(q) for q in base]
+        end = p + ts[:, None] * vals[:, :n]
         if V is not None:
-            V[rs[k]] = moved[j]
+            E = kind.eye + ts[:, None, None] * vals[:, n:].reshape(-1, n, n)
+    moved = None if V is None or kind.const is not None else E @ V[rows]
+    # a row fails, in this order, outside the domain, outside the box, not finite
+    inside = _inside(X.domain, end)
+    ok = inside & (np.abs(end).max(axis=1) <= DEFAULT_BOX)  # False also for a NaN
+    if moved is not None:
+        ok &= np.isfinite(moved).all(axis=(1, 2))
+    if np.count_nonzero(ok) < len(ok):
+        inside = np.ones(len(ok), dtype=bool) & inside
+        for r, t, stays, size in zip(rows[~ok].tolist(), ts[~ok].tolist(), inside[~ok],
+                                     np.abs(end[~ok]).max(axis=1).tolist()):
+            failed[r] = (IntegrationError("trajectory escaped the bounding box"
+                                          if size > DEFAULT_BOX else
+                                          "flow step gave a non-finite value") if stays else
+                         DomainExitError(f"trajectory of {X.name} left its domain", t))
+        rows, end, moved = rows[ok], end[ok], None if moved is None else moved[ok]
+    P[rows] = end
+    if moved is not None:
+        V[rows] = moved
     return failed
 
 
-def _walk(family, words, P, V=None):
-    """Flow row r of P, a list of points each given as a list of floats,
-    through words[r], transporting V[r] (an n x k_r matrix) unless V is
-    None.
-
-    All rows advance position by position: at each position the live rows
-    are grouped by field index, and each group takes one ``_step_group``.
-    Returns the end rows, the transported matrices and, per row, the
-    FlowError that stopped it (``step`` set to the index of the failing
-    step) or None.  Any other exception propagates at once.
-    """
-    P = list(P)
-    V = None if V is None else list(V)
-    errors = [None] * len(words)
-    for pos in range(max(map(len, words), default=0)):
-        groups = {}
-        for r, w in enumerate(words):
-            if pos < len(w) and errors[r] is None:
-                groups.setdefault(w[pos][0], []).append(r)
-        for i, rows in groups.items():
-            ts = [words[r][pos][1] for r in rows]
-            for r, err in _step_group(family[i], ts, rows, P, V).items():
-                err.step = pos
-                errors[r] = err
+def _walk(family, words, P, V=None, back=False):
+    """Flow row r of P (m x n) through words[r], or its inverse when ``back``,
+    transporting V[r] (V m x n x k) unless V is None: position by position,
+    the live rows of each field index in one ``_step_group``.  Returns P, V
+    and per row the FlowError that stopped it (``step`` set) or None; a start
+    point without n coordinates raises ValueError."""
+    m, n = len(words), family[0].dim if family else len(P[0])
+    for p in P:
+        if len(p) != n:
+            raise ValueError(f"a start point has {len(p)} coordinates, the fields have {n}")
+    P = np.array(P, dtype=float).reshape(m, n)
+    V = None if V is None else np.asarray(V, dtype=float)  # moved in place
+    lens = [len(w) for w in words]
+    steps = np.fromiter(chain.from_iterable(chain.from_iterable(words)), float, 2 * sum(lens))
+    index, times = steps[::2], -steps[1::2] if back else steps[1::2]
+    # floats: numpy's integer comparisons would page in 128 kB more of its code
+    lengths = np.array(lens, dtype=float)
+    # per live row its step at this position, from the first (the last when walked back)
+    bounds = np.fromiter(accumulate(lens, initial=0), np.intp, m + 1)
+    at = bounds[1:] - 1 if back else bounds[:-1]
+    errors, dead, live, failed = [None] * m, np.zeros(m, dtype=bool), np.arange(m), False
+    shortest = min(lens)
+    for pos in range(max(lens)):
+        at = at if not pos else (at - 1 if back else at + 1)
+        if pos >= shortest or failed:  # drop the rows whose word ended or failed
+            going = (lengths[live] > pos) & ~dead[live]
+            live, at, failed = live[going], at[going], False
+        fields, ts = index[at], times[at]
+        groups = dict.fromkeys(fields.tolist())  # field indices, in the order of their rows
+        for i in groups:
+            group = fields == i if len(groups) > 1 else slice(None)
+            for r, err in _step_group(family[int(i)], ts[group], live[group], P, V).items():
+                err.step, errors[r], dead[r], failed = pos, err, True, True
     return P, V, errors
 
 
 def flow(X, t, point):
     """Flow the point for time t along X.  Raises on domain exit or blow-up."""
-    P, _, (err,) = _walk((X,), [((0, float(t)),)], [_floats(point)])
+    P, _, (err,) = _walk((X,), [((0, t),)], [point])
     if err is not None:
         err.step = None  # a lone flow is no step of a word
         raise err
-    return np.array(P[0])
+    return P[0]
 
 
-def apply_words(family, words, point):
-    """Apply every flow word to the point in one walk: per word, the end
-    point, or the FlowError (``step`` set) that stopped the word."""
-    steps = [_as_steps(w) for w in words]
-    P, _, errors = _walk(family, steps, [_floats(point)] * len(steps))
-    return [np.array(end) if err is None else err for end, err in zip(P, errors)]
+def _runs(words, *per_word):
+    """Lists of at most ``WALK_ROWS`` words and their entries in per_word."""
+    words, others = iter(words), [iter(a) for a in per_word]
+    while run := list(islice(words, WALK_ROWS)):
+        yield [run] + [list(islice(it, len(run))) for it in others]
+
+
+def apply_words(family, words, points):
+    """Apply every flow word to its start point, word r to points[r], in one
+    walk per ``WALK_ROWS`` words: per word, the end point, or the FlowError
+    (``step`` set) that stopped the word."""
+    out = []
+    for run, starts in _runs(words, points):
+        P, _, errors = _walk(family, run, starts)
+        out += [end if err is None else err for end, err in zip(P, errors)]
+    return out
 
 
 def apply_word(family, word, point):
     """Apply a flow word left to right: step k flows along family[i_k]."""
-    (end,) = apply_words(family, [word], point)
+    (end,) = apply_words(family, [word], [point])
     if isinstance(end, FlowError):
         raise end
     return end
 
 
-def pushforward_along_words(family, words, fields, point):
-    """``pushforward_along_word`` for every word in one walk, word r pushing
-    the sequence of fields ``fields[r]``: per word, one vector per field,
-    None for a field undefined at its pulled-back point, or the FlowError
-    that the word's walk or solve gives."""
-    inverse = [tuple((i, -t) for i, t in reversed(_as_steps(w))) for w in words]
-    start = _floats(point)
-    Y, J, out = _walk(family, inverse, [start] * len(words), [np.eye(len(start))] * len(words))
-    pairs = []  # (row, field index) of every pushforward to solve for
-    for r, y in enumerate(Y):
-        if out[r] is None:
-            out[r] = [None] * len(fields[r])
-            pairs += [(r, j) for j, F in enumerate(fields[r]) if F.domain.contains(y)]
-    if pairs:
-        # one right-hand side per matrix: a vector's bits do not depend on the other fields
-        b = np.array([value_float(fields[r][j], Y[r]) for r, j in pairs])[:, :, None]
-        for (r, j), u in zip(pairs, _solve(np.array([J[r] for r, _ in pairs]), b)[:, :, 0]):
-            if not np.isfinite(u).all():
-                out[r] = IntegrationError("pushforward is not finite")
-            elif isinstance(out[r], list):
-                out[r][j] = u
-    return out
+def pushforward_along_words(family, words, fields, points):
+    """``pushforward_along_word`` for every word, word r pushing the fields
+    ``fields[r]`` to points[r], in one walk per ``WALK_ROWS`` words: per
+    word, one vector per field (None where the field is undefined at its
+    pulled-back point) or the FlowError that stopped it.  Each field is
+    evaluated at all its rows of a walk, and every J^{-1} X(y) of a walk is
+    one stacked solve with one finiteness check."""
+    pushed = []
+    for words, fields, points in _runs(words, fields, points):
+        m, n = len(words), len(points[0])
+        Y, J, out = _walk(family, words, points, np.eye(n)[None].repeat(m, axis=0), True)
+        sequences = {}  # the live rows of each sequence of fields, which may serve many words
+        for r, err in enumerate(out):
+            if err is None:
+                sequences.setdefault(id(fields[r]), (fields[r], []))[1].append(r)
+                out[r] = [None] * len(fields[r])
+        rows, slots, b, ys = [], [], [], Y.tolist()
+        for seq, live in sequences.values():
+            for j, F in enumerate(seq):
+                at = live if F.domain.is_full else [
+                    r for r, keep in zip(live, _inside(F.domain, Y[live]).tolist()) if keep]
+                rows, slots, comps = rows + at, slots + [j] * len(at), _flow_kind(F).comps
+                b += [[f(ys[r]) for f in comps] for r in at]
+        if rows:
+            # one right-hand side per matrix: a vector's bits do not depend on the other fields
+            U = _solve(J[rows], np.array(b)[:, :, None])[:, :, 0]
+            for r, j, u, fin in zip(rows, slots, U, np.isfinite(U).all(axis=1).tolist()):
+                if not fin:
+                    out[r] = IntegrationError("pushforward is not finite")
+                elif isinstance(out[r], list):
+                    out[r][j] = u
+        pushed += out
+    return pushed
 
 
 def _solve(A, B):
@@ -526,7 +562,7 @@ def pushforward_along_word(family, word, X, point):
     non-finite pushforward raises IntegrationError.
     """
     single = isinstance(X, VectorField)
-    (pushed,) = pushforward_along_words(family, [word], [(X,) if single else tuple(X)], point)
+    (pushed,) = pushforward_along_words(family, [word], [(X,) if single else tuple(X)], [point])
     if isinstance(pushed, FlowError):
         raise pushed
     if not single:

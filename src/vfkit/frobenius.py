@@ -18,8 +18,9 @@ The verdict combines three independent detectors:
   sample to be the orbit dimension (full rank, every generator defined and
   exactly zero there, or, below full rank, a Nagano-certified family), no
   flow can find more; (c) else a sampled orbit dimension above the fibre
-  rank rules it out.  The bracket words stop at the first depth where every
-  sample's rank is exact.
+  rank rules it out, every such sample's orbit sampled in the same walks
+  (``orbits.sampled_orbit_dimensions``).  The bracket words stop at the
+  first depth where every sample's rank is exact.
 
 A flow-box chart takes one path whatever its rank m: the flows of a fibre
 basis at the base over a ``CHART_GRID_POINTS``-per-axis grid of times in
@@ -42,7 +43,7 @@ from .fields import apply_words, pushforward_along_words
 from .liealg import pairwise_brackets, pointwise_witnesses
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 from .membership import OversizeError, module_contains
-from .orbits import WordSampler, exact_ranks, sampled_orbit_dimension
+from .orbits import WordSampler, exact_ranks, sampled_orbit_dimensions
 from .vectorfield import DomainExitError, FlowError, field_evaluators, field_values
 
 __all__ = ["FrobeniusVerdict", "FlowBoxChart", "frobenius_verdict", "flow_box_chart"]
@@ -68,15 +69,15 @@ class FrobeniusVerdict:
 
 
 def _orbit_dimensions(family, points, ranks, certificates, sampler):
-    """Per point, lazily, the orbit dimension and its kind: the rank and its
-    certificate where ``orbits.exact_ranks`` certifies it, else
-    ``sampled_orbit_dimension`` (a lower bound) and "sampled".  A sample
-    raises only where no generator is defined, and there the callers'
-    ``fibre_rank`` at the same points has raised first."""
-    for p, dim, kind in zip(points, ranks, certificates):
-        if not kind:
-            dim, kind = sampled_orbit_dimension(family, p, sampler or ORBIT_SAMPLER), "sampled"
-        yield dim, kind
+    """Per point, the orbit dimension and its kind: the rank and certificate
+    that ``orbits.exact_ranks`` gives, else, all such points sampled at once,
+    ``sampled_orbit_dimensions`` (a lower bound) and "sampled", which fails
+    only where no generator is defined, and there ``fibre_rank`` has raised."""
+    sampled = [p for p, kind in zip(points, certificates) if not kind]
+    dims = iter(sampled_orbit_dimensions(family, sampled,
+                                         [sampler or ORBIT_SAMPLER] * len(sampled)))
+    return [(dim, kind) if kind else (next(dims), "sampled")
+            for dim, kind in zip(ranks, certificates)]
 
 
 def frobenius_verdict(
@@ -198,14 +199,14 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
         # the images in one walk, checked in grid order; then per image one
         # walk for its m tangents d(phi)/dt_j: the frame field Y_j after
         # step j, pushed through the remaining flows (row j, field Y_j alone)
-        for word, image in zip(words, apply_words(frame, words, base)):
+        for word, image in zip(words, apply_words(frame, words, [base] * len(words))):
             if isinstance(image, FlowError):
                 raise image
             vals = [f(image) for f in evaluators]
             fibre_ok &= fibre_rank(tuple(image), vals).rank == m
             fibre = [v for v in vals if v is not None]
             tails = [word[j + 1:] for j in range(m)]
-            pushes = pushforward_along_words(frame, tails, [(Y,) for Y in frame], image)
+            pushes = pushforward_along_words(frame, tails, [(Y,) for Y in frame], [image] * m)
             for Y, pushed in zip(frame, pushes):
                 if isinstance(pushed, FlowError):
                     raise pushed

@@ -23,8 +23,9 @@ point, by one path (``sampled_orbit``) whose fixed-time words have net time
 zero: the rank of the collected vectors (for zero-sum words, of the linear
 part of their affine hull) is a lower bound (``certificate="sampled"``).  Every
 orbit is an immersed submanifold of R^n (Sussmann 1973), so a sampled rank of
-n is the orbit dimension: ``sampled_orbit_dimension`` walks the first
-``FIRST_WORDS`` words and draws the rest only when their rank stays below n.
+n is the orbit dimension: ``sampled_orbit_dimensions`` walks the first
+``FIRST_WORDS`` words of all its points in one walk and draws the rest only
+for the points whose rank stays below n, all of them in one more walk.
 ``WordSampler`` reads its words from one raw PCG64 stream with the bits of
 numpy's ``Generator.integers`` and ``uniform``, so a seed gives the same
 words whatever numpy release draws them.
@@ -36,13 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import islice, repeat, tee
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from .expr import ONE, ZERO
-from .fields import apply_word, pushforward_along_words, value_float
+from .fields import WALK_ROWS, apply_word, pushforward_along_words, value_float
 from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, derived_certificate,
                      word_vectors, zero_time_vectors)
 from .linalg import FLOW_REL_TOL, affine_rank, all_exact, span_rank, svd_rank
@@ -57,6 +58,7 @@ __all__ = [
     "SampledOrbit",
     "sampled_orbit",
     "sampled_orbit_dimension",
+    "sampled_orbit_dimensions",
     "FIRST_WORDS",
     "nagano_certified",
     "exact_certificate",
@@ -182,31 +184,49 @@ class SampledOrbit(NamedTuple):
     words_skipped: int
 
 
-def _sample_orbit(family, point, sampler, batches):
-    """Generator values at the point and their pushforwards along the
-    sampler's words, walked in the given batch sizes (None: all the rest)
-    until the rank of the collected vectors is full: of their span for free
-    words, of the linear part of their affine hull (``linalg.affine_rank``)
-    for zero-sum ones.  A generator defined at the point gives a vector even
-    when every word exits."""
-    if not any(X.domain.contains(point) for X in family):
-        raise DomainExitError(f"no generator is defined at {point}")
-    rank = affine_rank if sampler.constraint == "zero-sum" else svd_rank
-    draw = sampler.draw(len(family))
-    vectors = [tuple(value_float(X, point)) for X in family if X.domain.contains(point)]
-    used = walked = 0
+def _sample_orbits(family, points, samplers, batches):
+    """Per point, its SampledOrbit (the DomainExitError where no generator is
+    defined): the generator values and their pushforwards along its sampler's
+    words in the given batch sizes (None: the rest) until the rank (of the
+    span, or of the affine hull's linear part for zero-sum words) is full; a
+    batch of every point below it walks together, a sampler drawn once."""
+    n, out, streams = family[0].dim, [None] * len(points), {}
+    for k, p in enumerate(points):
+        if not any(X.domain.contains(p) for X in family):
+            out[k] = DomainExitError(f"no generator is defined at {p}")
+    for s in dict.fromkeys(samplers):
+        ks = [k for k, t in enumerate(samplers) if t == s and out[k] is None]
+        streams.update(zip(ks, tee(s.draw(len(family)), len(ks))))
+    found, values = {k: [] for k in streams}, {}
+    walked, used, offset = dict.fromkeys(streams, 0), dict.fromkeys(streams, 0), 0
     for size in batches:
-        words = list(islice(draw, size))
-        walked += len(words)
-        for pushed in pushforward_along_words(family, words, [family] * len(words), point):
-            if not isinstance(pushed, FlowError):
-                got = [tuple(float(x) for x in v) for v in pushed if v is not None]
-                vectors += got
-                used += bool(got)
-        dim = rank(vectors, FLOW_REL_TOL)
-        if dim == len(point):
-            break
-    return SampledOrbit(dim, vectors, used, walked - used)
+        rows = ((w, k) for k in streams for w in islice(streams[k], size))
+        while run := list(islice(rows, WALK_ROWS)):
+            pushes = pushforward_along_words(family, [w for w, _ in run], [family] * len(run),
+                                             [points[k] for _, k in run])
+            for (_, k), pushed in zip(run, pushes):
+                vs = [] if isinstance(pushed, FlowError) else [v for v in pushed if v is not None]
+                walked[k], used[k] = walked[k] + 1, used[k] + bool(vs)
+                found[k] += vs
+        offset = None if size is None else offset + size
+        for k in list(streams):
+            if k not in values:  # once the walk has checked the point
+                values[k] = np.array([value_float(X, points[k]) for X in family
+                                      if X.domain.contains(points[k])])
+            vectors = np.vstack([values[k]] + found[k])
+            rank = affine_rank if samplers[k].constraint == "zero-sum" else svd_rank
+            dim = rank(vectors, FLOW_REL_TOL)
+            if dim == n or offset is None or walked[k] < offset:  # full rank or no more words
+                out[k] = SampledOrbit(dim, [tuple(v) for v in vectors.tolist()], used[k],
+                                      walked[k] - used[k])
+                del streams[k]
+    return out
+
+
+def _raised(result):
+    if isinstance(result, FlowError):
+        raise result
+    return result
 
 
 def sampled_orbit(family, point, sampler):
@@ -214,15 +234,21 @@ def sampled_orbit(family, point, sampler):
     the sampler's words give there; no bracket filtration is built.  With
     zero-sum words (``constraint="zero-sum"``) it is the sampled dimension
     of the fixed-time orbit through the point."""
-    return _sample_orbit(family, point, sampler, (None,))
+    return _raised(_sample_orbits(family, [point], [sampler], (None,))[0])
+
+
+def sampled_orbit_dimensions(family, points, samplers):
+    """Per point, ``sampled_orbit(family, points[k], samplers[k]).dimension``
+    (the DomainExitError where it raises), in one walk for every point's
+    first ``FIRST_WORDS`` words and one more for the rest of every point
+    still below full rank (an orbit has no more dimensions than R^n)."""
+    return [s if isinstance(s, FlowError) else s.dimension
+            for s in _sample_orbits(family, points, samplers, (FIRST_WORDS, None))]
 
 
 def sampled_orbit_dimension(family, point, sampler):
-    """``sampled_orbit(family, point, sampler).dimension``, stopping after
-    the first ``FIRST_WORDS`` words when their rank is already full (an
-    orbit has no more dimensions than R^n); else the rank of all the
-    vectors, in the same order."""
-    return _sample_orbit(family, point, sampler, (FIRST_WORDS, None)).dimension
+    """``sampled_orbit_dimensions`` at one point; raises its DomainExitError."""
+    return _raised(sampled_orbit_dimensions(family, [point], [sampler])[0])
 
 
 def nagano_certified(filt):
@@ -412,12 +438,9 @@ def chow_verdict(family, samples, depth_cap=DEFAULT_DEPTH_CAP, orbit_sampler=Non
         )
         return ChowReport(certified, depth_cap, verdict, (), ())
     dims = []
-    if orbit_sampler is not None:
-        for p in failing:
-            try:
-                dims.append(sampled_orbit_dimension(family, p, orbit_sampler))
-            except FlowError:
-                dims.append(-1)
+    if orbit_sampler is not None:  # -1 where no generator is defined
+        dims = [-1 if isinstance(d, FlowError) else d for d in
+                sampled_orbit_dimensions(family, failing, [orbit_sampler] * len(failing))]
     note = f"not established at depth cap {depth_cap}"
     if dims and all(d == n for d in dims):
         note += (

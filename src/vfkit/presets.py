@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, Tuple
 
@@ -25,7 +26,7 @@ from .liealg import filtration, pairwise_brackets, pointwise_witnesses, word_vec
 from .linalg import span_rank
 from .membership import ideal_member_bounded, member_bounded
 from .orbits import (WordSampler, chow_verdict, fixed_time_dimension, sampled_orbit,
-                     sampled_orbit_dimension)
+                     sampled_orbit_dimensions)
 from .systems import parse_system
 from .vectorfield import FlowError, field_values, lie_bracket
 
@@ -130,7 +131,7 @@ def _zero_sum_change(ctx, rep, sampler, *functions):
     start = [f(reached.tolist()) for f in functions]
     words = replace(sampler, constraint="zero-sum").words(len(ctx.family))
     change = 0.0
-    for q in apply_words(ctx.family, words, reached):
+    for q in apply_words(ctx.family, words, [reached] * len(words)):
         if not isinstance(q, FlowError):
             q = q.tolist()
             change = max(change, *(abs(f(q) - s) for f, s in zip(functions, start)))
@@ -170,19 +171,17 @@ _NINE_POINTS = [
 ]
 
 
-def _sign_pattern(v):
-    return tuple(0 if x == 0 else (1 if x > 0 else -1) for x in v)
-
-
 def _nine_orbit_signs(ctx):
-    bad = 0
-    for i, p in enumerate(_NINE_POINTS):
-        ref = _sign_pattern(p)
-        for landed in apply_words(ctx.family, ctx.sampler(100 + i).words(len(ctx.family)), p):
-            if isinstance(landed, FlowError):
-                raise landed
-            if _sign_pattern(np.where(np.abs(landed) < 1e-12, 0.0, landed)) != ref:
-                bad += 1
+    samplers = [ctx.sampler(100 + i) for i in range(len(_NINE_POINTS))]
+    starts = [p for p, s in zip(_NINE_POINTS, samplers) for _ in range(s.count)]
+    words = chain.from_iterable(s.draw(len(ctx.family)) for s in samplers)
+    landed = apply_words(ctx.family, words, starts)
+    for q in landed:
+        if isinstance(q, FlowError):
+            raise q
+    landed = np.array(landed)
+    signs = np.sign(np.where(np.abs(landed) < 1e-12, 0.0, landed))
+    bad = int((signs != np.sign(np.array(starts, dtype=float))).any(axis=1).sum())
     return _result(bad == 0, "sign pattern (sgn x1, sgn x2) never changes", f"{bad} violations")
 
 
@@ -202,9 +201,8 @@ _register(
     Fact("orbit-dims", "published",
          "orbit dimensions at the nine representative points are "
          "(0,1,1,1,1,2,2,2,2)",
-         _equals((0, 1, 1, 1, 1, 2, 2, 2, 2), lambda ctx: tuple(
-             sampled_orbit_dimension(ctx.family, p, ctx.sampler(i))
-             for i, p in enumerate(_NINE_POINTS)))),
+         _equals((0, 1, 1, 1, 1, 2, 2, 2, 2), lambda ctx: tuple(sampled_orbit_dimensions(
+             ctx.family, _NINE_POINTS, [ctx.sampler(i) for i in range(len(_NINE_POINTS))])))),
     Fact("sign-pattern", "published",
          "200 seeded words per point never change the sign pattern",
          _nine_orbit_signs),
@@ -341,9 +339,8 @@ _register(
          _equals((1, 1, 2), lambda ctx: _lie_ranks(ctx.family, _FLAT_POINTS))),
     Fact("orbit-dims", "published",
          "sampled orbit dimension is 2 at all three points",
-         _equals((2, 2, 2), lambda ctx: tuple(
-             sampled_orbit_dimension(ctx.family, p, _flat_sampler(ctx, 10 + i))
-             for i, p in enumerate(_FLAT_POINTS)))),
+         _equals((2, 2, 2), lambda ctx: tuple(sampled_orbit_dimensions(
+             ctx.family, _FLAT_POINTS, [_flat_sampler(ctx, 10 + i) for i in range(3)])))),
     Fact("chow-gap", "published",
          "the bracket sufficiency test fails at the cap although the "
          "sampled orbits are full", _flat_chow),

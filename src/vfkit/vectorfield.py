@@ -226,6 +226,9 @@ def field_evaluators(fields):
 
 def field_values(fields, points):
     """Per point, each field's value there (None outside its domain),
-    each field compiled once whatever the number of points."""
+    each field compiled once; a point of another dimension raises ValueError."""
     evaluators = field_evaluators(fields)
+    for p in points:
+        if fields and len(p) != fields[0].dim:
+            raise ValueError(f"a point has {len(p)} coordinates, the fields have {fields[0].dim}")
     return [[f(p) for f in evaluators] for p in points]

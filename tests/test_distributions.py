@@ -247,3 +247,9 @@ class TestCompileOnce:
         locus = singular_locus_minors(mixed)
         assert locus.generic_rank == 2 and len(locus.minors) == 1
         assert (compiled, evaluated) == ([], [])
+
+
+def test_rank_at_rejects_a_point_of_another_dimension():
+    D = Distribution(parse_system(PRESETS["linear-shear"].system_text).fields)
+    with pytest.raises(ValueError, match="has 1 coordinates, the fields have 2"):
+        rank_at(D, (Fraction(1, 2),))

@@ -248,11 +248,11 @@ class TestDomainFloatForm:
         far = [vf("X1", ["1", "0"], 2), vf("X2", ["0", "x2^2"], 2, [(1, "<", FAR)])]
         free = [vf("X1", ["1", "0"], 2), vf("X2", ["0", "x2^2"], 2)]
         words = WordSampler(seed=2, count=6, max_len=3).words(2)
-        point = (0.0, 0.1)
-        for a, b in zip(apply_words(far, words, point), apply_words(free, words, point)):
+        points = [(0.0, 0.1)] * len(words)
+        for a, b in zip(apply_words(far, words, points), apply_words(free, words, points)):
             assert np.array_equal(a, b)
-        for a, b in zip(pushforward_along_words(far, words, [far] * len(words), point),
-                        pushforward_along_words(free, words, [free] * len(words), point)):
+        for a, b in zip(pushforward_along_words(far, words, [far] * len(words), points),
+                        pushforward_along_words(free, words, [free] * len(words), points)):
             assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
@@ -351,7 +351,7 @@ class TestFlows:
             words = replace(sampler, constraint=constraint).words(1)
             got = [not isinstance(v, FlowError) and v[0] is not None
                    for v in pushforward_along_words(family, words, [family[:1]] * len(words),
-                                                    start)]
+                                                    [start] * len(words))]
             assert got == [walks(w, theta) for w in words]
             assert (report.words_used, report.words_skipped) == (used, 200 - used)
 
@@ -479,7 +479,7 @@ class TestBatchedTransport:
         # stacked solve of the other words
         S = vf("S", ["x1", "x2"], 2)
         singular, (ordinary,) = pushforward_along_words([S], [[(0, 800.0)], [(0, 0.5)]],
-                                                        [(S,), (S,)], (0.3, 0.7))
+                                                        [(S,), (S,)], [(0.3, 0.7)] * 2)
         assert isinstance(singular, IntegrationError)
         assert str(singular) == "pushforward is not finite"
         assert np.array_equal(ordinary, pushforward_along_word([S], [(0, 0.5)], S, (0.3, 0.7)))
@@ -580,13 +580,14 @@ class TestStackedWalk:
         words = sampler.words(len(family)) + ZERO_TIME_WORDS
         seen = set()
         for point in [(0.3, 0.7), (Fraction(1, 2), Fraction(-1, 3)), (0.05, -0.6)]:
-            stacked = apply_words(family, words, point)
+            stacked = apply_words(family, words, [point] * len(words))
             for w, got in zip(words, stacked):
                 assert _outcome(_one_word(apply_word, family, w, point), got, seen), w
             for X in (family, family[0]):
                 single = X is family[0]
                 stacked = pushforward_along_words(family, words,
-                                                  [(X,) if single else X] * len(words), point)
+                                                  [(X,) if single else X] * len(words),
+                                                  [point] * len(words))
                 for w, got in zip(words, stacked):
                     want = _one_word(pushforward_along_word, family, w, X, point)
                     if single and isinstance(got, list):
@@ -599,11 +600,42 @@ class TestStackedWalk:
                     assert _outcome(want, got, seen), (w, X)
         assert STACKED_OUTCOMES.get(name, set()) <= seen
 
+    @pytest.mark.parametrize("walk_rows", [3, fields.WALK_ROWS])
+    @pytest.mark.parametrize("name", ["half-plane-translations", "diagonal-affine", "blow-up"])
+    def test_each_word_walks_from_its_own_point(self, vf, monkeypatch, name, walk_rows):
+        # walks of three words split the call into runs
+        monkeypatch.setattr(fields, "WALK_ROWS", walk_rows)
+        family = _stacked_families(vf)[name]
+        words = WordSampler(seed=9, count=8 if name == "blow-up" else 30, max_len=4,
+                            max_time=1.0).words(len(family)) + ZERO_TIME_WORDS
+        points = [(0.3, 0.7), (Fraction(1, 2), Fraction(-1, 3)), (-1.5, 0.2), (2.0, -0.6)]
+        starts = [points[r % len(points)] for r in range(len(words))]
+        seen = set()
+        for w, p, got in zip(words, starts, apply_words(family, words, iter(starts))):
+            assert _outcome(_one_word(apply_word, family, w, p), got, seen), (w, p)
+        pushed = pushforward_along_words(family, words, [family] * len(words), starts)
+        for w, p, got in zip(words, starts, pushed):
+            assert _outcome(_one_word(pushforward_along_word, family, w, family, p), got, seen)
+        assert len(pushed) == len(words)
+        assert {"half-plane-translations": {"start point outside the domain", "left its domain"},
+                "diagonal-affine": {"start point outside the domain", "left its domain"},
+                "blow-up": {"escaped the bounding box"}}[name] <= seen
+
+    @pytest.mark.parametrize("entry", ["apply_words", "pushforward_along_words", "flow"])
+    def test_point_of_another_dimension_is_rejected(self, entry):
+        family = parse_system(PRESETS["nonintegrable-shear"].system_text).fields
+        call = {"apply_words": lambda: apply_words(family, [((0, 0.5),)], [(0.0, 0.0)]),
+                "pushforward_along_words": lambda: pushforward_along_words(
+                    family, [((0, 0.5),)], [family], [(0.0, 0.0)]),
+                "flow": lambda: flow(family[0], 0.5, (0.0, 0.0))}[entry]
+        with pytest.raises(ValueError, match="has 2 coordinates, the fields have 3"):
+            call()
+
     def test_straight_exit_reports_its_step_and_time(self, vf):
         X1 = vf("X1", ["1", "0"], 2, [(1, "<", Fraction(1))])
         X2 = vf("X2", ["0", "1"], 2)
         words = [[(0, 0.5), (1, 0.2), (0, 0.75)], [(1, 1.0), (0, 2.0)], [(0, -3.0)]]
-        first, second, inside = apply_words([X1, X2], words, (0.0, 0.0))
+        first, second, inside = apply_words([X1, X2], words, [(0.0, 0.0)] * 3)
         assert isinstance(first, DomainExitError) and isinstance(second, DomainExitError)
         assert (first.step, first.exit_time) == (2, 0.75)
         assert (second.step, second.exit_time) == (1, 2.0)
@@ -673,9 +705,10 @@ class TestStackedWalk:
         made = []
         real = fields.expm
         monkeypatch.setattr(fields, "expm", lambda A: made.append(A.shape) or real(A))
-        P = [[0.0, 0.1 * k] for k in range(5)]
-        V = [np.eye(2)] * 5
-        assert fields._step_group(X, [0.1, 0.2, 0.3, -0.4, 0.5], range(5), P, V) == {}
+        P = np.array([[0.0, 0.1 * k] for k in range(5)])
+        V = np.array([np.eye(2)] * 5)
+        assert fields._step_group(X, np.array([0.1, 0.2, 0.3, -0.4, 0.5]), np.arange(5), P,
+                                  V) == {}
         assert made == [(5, 3, 3)] * calls
 
     @pytest.mark.parametrize(
@@ -695,9 +728,10 @@ class TestStackedWalk:
         made = []
         real = fields.expm
         monkeypatch.setattr(fields, "expm", lambda A: made.append(A.shape) or real(A))
-        P = [[0.3, 0.1 * k] for k in range(5)]
-        V = [np.eye(2)] * 5
-        assert fields._step_group(X, [0.1, 0.2, 0.3, -0.4, 0.5], range(5), P, V) == {}
+        P = np.array([[0.3, 0.1 * k] for k in range(5)])
+        V = np.array([np.eye(2)] * 5)
+        assert fields._step_group(X, np.array([0.1, 0.2, 0.3, -0.4, 0.5]), np.arange(5), P,
+                                  V) == {}
         assert made == [(5, 3, 3)] * calls
 
     def test_non_finite_step_fails(self, vf):
@@ -836,9 +870,9 @@ DAMPED = ["x2*exp(-x1^2)", "-x1+1/10*exp(x1)"]  # non-polynomial ODE field
 def _ode_group(X, points, times, V=None):
     """One stacked ODE step of X for the given rows: per row (end point,
     transported matrix) or its FlowError."""
-    P = [list(map(float, q)) for q in points]
-    V = None if V is None else list(V)
-    failed = fields._step_group(X, list(times), range(len(P)), P, V)
+    P = np.array([list(map(float, q)) for q in points])
+    V = None if V is None else np.array(V, dtype=float)
+    failed = fields._step_group(X, np.array(times, dtype=float), np.arange(len(P)), P, V)
     return [failed[r] if r in failed else (np.array(P[r]), None if V is None else V[r])
             for r in range(len(P))]
 

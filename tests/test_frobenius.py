@@ -119,9 +119,9 @@ class TestOrbitSamplesSkipped:
         self, monkeypatch, name, grid, sampler, sampled, verdict, witness_x1
     ):
         calls = []
-        real = frobenius.sampled_orbit_dimension
-        monkeypatch.setattr(frobenius, "sampled_orbit_dimension",
-                            lambda fam, p, s: calls.append(p) or real(fam, p, s))
+        real = frobenius.sampled_orbit_dimensions
+        monkeypatch.setattr(frobenius, "sampled_orbit_dimensions",
+                            lambda fam, ps, ss: calls.extend(ps) or real(fam, ps, ss))
         D = Distribution(parse_system(PRESETS[name].system_text).fields)
         v = frobenius_verdict(D, grid, orbit_sampler=sampler)
         assert len(calls) == sampled
@@ -133,15 +133,25 @@ class TestOrbitSamplesSkipped:
             assert v.clause.startswith(SAMPLED_CLAUSE)
 
 
+    def test_sampled_points_share_their_walks(self, monkeypatch):
+        walks = []
+        real = fields._walk
+        monkeypatch.setattr(fields, "_walk", lambda *a: walks.append(len(a[1])) or real(*a))
+        D = Distribution(parse_system(PRESETS["one-sided-flat"].system_text).fields)
+        v = frobenius_verdict(D, grid2(), orbit_sampler=WordSampler(seed=30, count=400,
+                                                                     max_len=8, max_time=1.5))
+        assert len(v.witnesses) == 15
+        assert 1 <= len(walks) <= 2
+
     # sampled orbit dimensions in ``vfkit frobenius`` on the default grid
     CLI_SAMPLED = {"one-sided-flat": 6, "two-sided-flat": 3, "half-plane-translations": 6}
 
     @pytest.mark.parametrize("name", list(PRESETS))
     def test_cli_samples_per_preset(self, monkeypatch, capsys, tmp_path, name):
         calls = []
-        real = frobenius.sampled_orbit_dimension
-        monkeypatch.setattr(frobenius, "sampled_orbit_dimension",
-                            lambda *a: calls.append(a) or real(*a))
+        real = frobenius.sampled_orbit_dimensions
+        monkeypatch.setattr(frobenius, "sampled_orbit_dimensions",
+                            lambda fam, ps, ss: calls.extend(ps) or real(fam, ps, ss))
         path = tmp_path / f"{name}.vf"
         path.write_text(PRESETS[name].system_text)
         assert main(["frobenius", "--system", str(path), "--format", "json"]) == 0

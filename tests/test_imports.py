@@ -46,6 +46,8 @@ UNREFERENCED_PUBLIC = {
     "steer_linear": "the double integrator's closed-form steering, which its facts check",
     "pushforward_along_word": "vfkit's lazily exported one-word pushforward, which "
                               "perfbench/tracer.py times as a layer",
+    "sampled_orbit_dimension": "the one-point case of sampled_orbit_dimensions, which "
+                               "fixed_time_dimension and the tests call",
 }
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 USERS = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]

@@ -8,7 +8,7 @@ import pytest
 from vfkit import fields, frobenius, liealg, orbits, vectorfield
 from vfkit.distributions import Distribution
 from vfkit.expr import parse
-from vfkit.fields import DomainExitError, apply_word, apply_words
+from vfkit.fields import DomainExitError, FlowError, apply_word, apply_words
 from vfkit.presets import PRESETS, steer_linear
 from vfkit.systems import parse_system
 from vfkit.orbits import (
@@ -20,6 +20,7 @@ from vfkit.orbits import (
     orbit_dimension,
     sampled_orbit,
     sampled_orbit_dimension,
+    sampled_orbit_dimensions,
 )
 from vfkit.linalg import FLOW_REL_TOL, svd_rank
 
@@ -263,9 +264,9 @@ def walked(monkeypatch):
     sizes = []
     real = orbits.pushforward_along_words
 
-    def counted(family, words, X, point):
+    def counted(family, words, X, points):
         sizes.append(len(words))
-        return real(family, words, X, point)
+        return real(family, words, X, points)
 
     monkeypatch.setattr(orbits, "pushforward_along_words", counted)
     return sizes
@@ -418,7 +419,7 @@ class TestFixedTime:
         assert rep.orbit_dimension_at_reached - rep.dimension == 1
         product = parse("x1*x2", 2)
         words = WordSampler(seed=3, count=200, constraint="zero-sum").words(2)
-        for q in apply_words(diag, words, rep.reached):
+        for q in apply_words(diag, words, [rep.reached] * len(words)):
             assert abs(product.eval_float(q) - product.eval_float(rep.reached)) < 1e-8
 
     def test_axis_point_reaches_scaled_point(self, diag):
@@ -451,7 +452,7 @@ class TestFixedTime:
         assert rep.words_used + rep.words_skipped == 150
         # only X2 is defined right of x1 = 1, and a zero-sum word of it is the identity
         words = WordSampler(seed=2, count=150, constraint="zero-sum").words(2)
-        landed = [q for q in apply_words(partial, words, rep.reached)
+        landed = [q for q in apply_words(partial, words, [rep.reached] * len(words))
                   if isinstance(q, np.ndarray)]
         assert landed and all(np.max(np.abs(q - rep.reached)) < 1e-12 for q in landed)
 
@@ -801,3 +802,53 @@ class TestSignPatterns:
             ref = pattern(p)
             for w in WordSampler(seed=60 + i, count=200).words(2):
                 assert pattern(apply_word(diag, w, p)) == ref
+
+
+HALF_STEP_GRID = [(Fraction(i, 2), Fraction(j, 2)) for i in range(-2, 3) for j in range(-2, 3)]
+
+
+class TestManyPoints:
+    """``sampled_orbit_dimensions`` walks all its points together, and each
+    point keeps the dimension, vectors and counts of its own walk."""
+
+    @pytest.mark.parametrize("name, points, sampler", [
+        ("nine-orbits", NINE, lambda i: WordSampler(seed=11 + i)),
+        ("one-sided-flat", HALF_STEP_GRID,
+         lambda i: WordSampler(seed=30, count=400, max_len=8, max_time=1.5)),
+        ("two-sided-flat", HALF_STEP_GRID,
+         lambda i: WordSampler(seed=40, count=400, max_len=8, max_time=1.5)),
+        ("half-plane-translations", HALF_STEP_GRID,
+         lambda i: WordSampler(seed=i, count=60, max_time=1.0)),
+    ], ids=["nine-orbits", "one-sided-flat", "two-sided-flat", "half-plane-translations"])
+    def test_bits_of_one_point_walks(self, name, points, sampler):
+        family = preset_family(name)
+        samplers = [sampler(i) for i in range(len(points))]
+        together = orbits._sample_orbits(family, points, samplers, (FIRST_WORDS, None))
+        dims = sampled_orbit_dimensions(family, points, samplers)
+        for p, s, both, dim in zip(points, samplers, together, dims):
+            (alone,) = orbits._sample_orbits(family, [p], [s], (FIRST_WORDS, None))
+            assert (both.dimension, both.words_used, both.words_skipped) == (
+                alone.dimension, alone.words_used, alone.words_skipped), p
+            assert np.array(both.vectors).tobytes() == np.array(alone.vectors).tobytes(), p
+            assert dim == both.dimension == sampled_orbit_dimension(family, p, s)
+
+    def test_chow_marks_a_point_without_generators(self, vf):
+        # no generator is defined at (1, 0); at (-1, 0) the rank is 1
+        family = [vf("X1", ["1", "0"], 2, [(1, "<", Fraction(0))]),
+                  vf("X2", ["0", "x2"], 2, [(1, "<", Fraction(0))])]
+        rep = chow_verdict(family, [(-1, 0), (1, 0)], 2,
+                           orbit_sampler=WordSampler(seed=0, count=20))
+        assert rep.failing_samples == ((-1, 0), (1, 0))
+        assert rep.sampled_orbit_dims == (1, -1)
+        (err,) = sampled_orbit_dimensions(family, [(1, 0)], [WordSampler(seed=0)])
+        assert isinstance(err, DomainExitError)
+
+
+@pytest.mark.parametrize("entry", ["orbit_dimension", "sampled_orbit_dimension"])
+def test_point_of_another_dimension_is_rejected(entry):
+    family = {"orbit_dimension": preset_family("linear-shear"),
+              "sampled_orbit_dimension": preset_family("nonintegrable-shear")}[entry]
+    point = (Fraction(1, 2),) if entry == "orbit_dimension" else (0.5, 0.25)
+    with pytest.raises(ValueError, match=f"has {len(point)} coordinates, the fields have "
+                                         f"{len(point) + 1}"):
+        getattr(orbits, entry)(family, point, WordSampler(seed=0))

@@ -771,7 +771,7 @@ class TestExactOrbitsWalkNoFlow:
             # restricted domains, and X1 - X2 alone spans the zero-time ideal:
             # the one other walk pushes the generators along the 12 zero-sum words
             assert res["certificate"] == "sampled"
-            ((_, words, _, tangents),) = others
+            ((_, words, _, tangents, _),) = others
             assert len(words) == 12 and tangents is not None
             assert all(abs(sum(t for _, t in w)) < 1e-12 for w in words)
             assert res["words_used"] + res["words_skipped"] == 12
