@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .expr import Expr, ONE, ZERO
-from .vectorfield import VectorField, field_values
+from .vectorfield import VectorField, field_values, point_text
 from .linalg import all_exact, exact_pivot_columns, span_rank
 
 __all__ = [
@@ -81,7 +81,7 @@ def fibre_rank(point, values):
     (``vectorfield.field_values``)."""
     defined = [(i, v) for i, v in enumerate(values) if v is not None]
     if not defined:
-        raise ValueError(f"no generator of the distribution is defined at {point}")
+        raise ValueError(f"no generator of the distribution is defined at {point_text(point)}")
     excluded = tuple(i for i, v in enumerate(values) if v is None)
     idxs = [i for i, _ in defined]
     vals = [v for _, v in defined]

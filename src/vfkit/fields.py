@@ -42,11 +42,13 @@ acceptance by a max-norm error per component, right-hand-side budget, box
 check of the whole row (point and matrix) at every accepted step and
 domain exit located on the step's dense output, all by elementwise
 arithmetic, so no row's bits depend on another.  ``apply_words`` and
-``pushforward_along_words`` take one start point per word, walk
-``WALK_ROWS`` words at a time and return, per word, its result or the
-FlowError that stopped it; ``apply_word``,
-``pushforward_along_word`` and ``flow`` are their one-word cases and raise
-that error.
+``pushforward_along_words`` take one start point (and one sequence of
+fields) per word, walk ``WALK_ROWS`` words at a time and return, per word,
+its result or the FlowError that stopped it.  Where the rows enter, a count
+other than one per word raises ValueError in ``_runs``, and a point without
+the fields' n coordinates in ``_walk``.  ``apply_word`` and ``flow`` are
+their one-word cases, ``pushforward_along_word`` pushes one field along
+one word, and these raise the error.
 
 The relative tolerance ``DEFAULT_RTOL`` and the bounding box ``DEFAULT_BOX``
 (every coordinate stays within 1e6 in absolute value) are module constants,
@@ -64,7 +66,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .expr import ZERO, compile_float, poly_coeff_dict
-from .vectorfield import DomainExitError, FlowError, IntegrationError, VectorField, lie_bracket
+from .vectorfield import DomainExitError, FlowError, IntegrationError, lie_bracket
 
 __all__ = ["lie_bracket", "flow", "apply_word", "apply_words", "pushforward_along_word",
            "pushforward_along_words", "jacobian_exprs", "value_float"]
@@ -88,9 +90,7 @@ def jacobian_exprs(X):
 
 class _Flow(NamedTuple):
     kind: str  # "straight" | "affine" | "ode"
-    value: Callable  # point -> X(point), a float vector
     comps: tuple  # compiled components: list of floats -> float
-    rows: tuple  # compiled Jacobian rows, one tuple of closures per row
     eye: np.ndarray  # n x n identity, for the straight step's Jacobian
     M: Optional[np.ndarray] = None  # affine x' = Ax + b: [[A, b], [0, 0]]
     diagonal: Optional[np.ndarray] = None  # scaling (M diagonal): M's diagonal
@@ -100,27 +100,16 @@ class _Flow(NamedTuple):
     live: tuple = ()
 
 
-def _floats(point):
-    if isinstance(point, np.ndarray) and point.dtype == float:
-        return point.tolist()
-    return [float(v) for v in point]
-
-
 @lru_cache(maxsize=None)
 def _flow_kind(X):
     """X's flow kind, detected symbolically, and X's value and Jacobian
-    compiled once into functions that convert the point to floats once.
-    An affine field is "affine" only when it scales (M diagonal) or M is
-    nilpotent by its zero pattern on a full domain, else "ode"."""
+    compiled once into functions of a list of floats.  An affine field is
+    "affine" only when it scales (M diagonal) or M is nilpotent by its zero
+    pattern on a full domain, else "ode"."""
     J = jacobian_exprs(X)
     n = X.dim
     comps = tuple(compile_float(c) for c in X.components)
     rows = tuple(tuple(compile_float(e) for e in row) for row in J)
-
-    def value(point):
-        pt = _floats(point)
-        return np.array([f(pt) for f in comps], dtype=float)
-
     eye = np.eye(n)
     eye.flags.writeable = False
     # straight lines: the field is constant along its own integral curves
@@ -130,8 +119,9 @@ def _flow_kind(X):
     ):
         entries = zip(X.components + sum(J, ()), comps + sum(rows, ()))  # X, then DX
         live = tuple((c, f) for c, (e, f) in enumerate(entries) if not e.is_zero())
-        const = None if any(c >= n for c, _ in live) else value([0.0] * n)
-        return _Flow("straight", value, comps, rows, eye, const=const, live=live)
+        const = (None if any(c >= n for c, _ in live) else
+                 np.array([f([0.0] * n) for f in comps], dtype=float))
+        return _Flow("straight", comps, eye, const=const, live=live)
     if all(c.is_polynomial() and c.total_degree() <= 1 for c in X.components):
         M = np.zeros((n + 1, n + 1))
         for i, comp in enumerate(X.components):
@@ -140,8 +130,7 @@ def _flow_kind(X):
         M.flags.writeable = False
         scaling = not M[~np.eye(n + 1, dtype=bool)].any()
         if scaling or (X.domain.is_full and _nilpotent(M)):
-            return _Flow("affine", value, comps, rows, eye, M,
-                         np.diagonal(M) if scaling else None)
+            return _Flow("affine", comps, eye, M, np.diagonal(M) if scaling else None)
     if X.is_polynomial():
         batch = _poly_batch(X.components + tuple(e for row in J for e in row), n)
     else:
@@ -150,12 +139,13 @@ def _flow_kind(X):
         def batch(x, count):
             return np.array([[f(p) for f in closures[:count]] for p in x.tolist()],
                             dtype=float).reshape(len(x), count)
-    return _Flow("ode", value, comps, rows, eye, batch=batch)
+    return _Flow("ode", comps, eye, batch=batch)
 
 
 def value_float(X, point):
     """X at the point as a float array, compiled once with the flow kind."""
-    return _flow_kind(X).value(point)
+    pt = [float(v) for v in point]
+    return np.array([f(pt) for f in _flow_kind(X).comps], dtype=float)
 
 
 def _poly_batch(exprs, n):
@@ -477,11 +467,23 @@ def flow(X, t, point):
     return P[0]
 
 
-def _runs(words, *per_word):
-    """Lists of at most ``WALK_ROWS`` words and their entries in per_word."""
-    words, others = iter(words), [iter(a) for a in per_word]
-    while run := list(islice(words, WALK_ROWS)):
-        yield [run] + [list(islice(it, len(run))) for it in others]
+def _runs(words, **per_word):
+    """Lists of at most ``WALK_ROWS`` words and their entries in each
+    iterable of per_word, read a run at a time; ValueError, naming both
+    counts, where an iterable does not hold one entry per word."""
+    words, others, read = iter(words), {k: iter(a) for k, a in per_word.items()}, 0
+    while True:
+        run = list(islice(words, WALK_ROWS))
+        entries = [list(islice(it, len(run))) for it in others.values()]
+        for (name, it), got in zip(others.items(), entries):
+            extra = sum(1 for _ in it) if len(run) < WALK_ROWS else 0  # every word read
+            if len(got) < len(run) or extra:
+                raise ValueError(f"one {name.replace('_', ' ')} per word: {read + len(got) + extra}"
+                                 f" for {read + len(run) + sum(1 for _ in words)} words")
+        if not run:
+            return
+        read += len(run)
+        yield [run] + entries
 
 
 def apply_words(family, words, points):
@@ -489,7 +491,7 @@ def apply_words(family, words, points):
     walk per ``WALK_ROWS`` words: per word, the end point, or the FlowError
     (``step`` set) that stopped the word."""
     out = []
-    for run, starts in _runs(words, points):
+    for run, starts in _runs(words, start_point=points):
         P, _, errors = _walk(family, run, starts)
         out += [end if err is None else err for end, err in zip(P, errors)]
     return out
@@ -504,14 +506,16 @@ def apply_word(family, word, point):
 
 
 def pushforward_along_words(family, words, fields, points):
-    """``pushforward_along_word`` for every word, word r pushing the fields
-    ``fields[r]`` to points[r], in one walk per ``WALK_ROWS`` words: per
-    word, one vector per field (None where the field is undefined at its
-    pulled-back point) or the FlowError that stopped it.  Each field is
-    evaluated at all its rows of a walk, and every J^{-1} X(y) of a walk is
-    one stacked solve with one finiteness check."""
+    """Per word, the pushforward of each field of ``fields[r]`` under word
+    r's composite diffeomorphism, at points[r], in one walk per
+    ``WALK_ROWS`` words (module docstring): one vector per field (None
+    where the field is undefined at the pulled-back point), or the
+    FlowError that stopped the word, an IntegrationError for a singular J
+    or a non-finite pushforward.  Each field is evaluated at all its rows
+    of a walk, and every J^{-1} X(y) of a walk is one stacked solve with
+    one finiteness check."""
     pushed = []
-    for words, fields, points in _runs(words, fields, points):
+    for words, fields, points in _runs(words, field_sequence=fields, start_point=points):
         m, n = len(words), len(points[0])
         Y, J, out = _walk(family, words, points, np.eye(n)[None].repeat(m, axis=0), True)
         sequences = {}  # the live rows of each sequence of fields, which may serve many words
@@ -549,24 +553,14 @@ def _solve(A, B):
 
 
 def pushforward_along_word(family, word, X, point):
-    """Pushforward of X under the word's composite diffeomorphism, at point.
-
-    Walks the inverse word once, from point back to y = Phi^{-1}(point),
-    carrying the identity to J = D(Phi^{-1})(point); the pushforward of X
-    is J^{-1} X(y), one linear solve whatever the number of fields.
-
-    X is one field, giving one vector (DomainExitError when X is undefined
-    at y), or a sequence of fields, giving one vector per field, with None
-    for a field undefined at y.  A failing step raises FlowError with
-    ``step`` set to its index in the walk back; a singular J or a
-    non-finite pushforward raises IntegrationError.
-    """
-    single = isinstance(X, VectorField)
-    (pushed,) = pushforward_along_words(family, [word], [(X,) if single else tuple(X)], [point])
+    """Pushforward of the field X under the word's composite diffeomorphism,
+    at point: ``pushforward_along_words`` for one word and one field.  A
+    failing step raises its FlowError (``step`` its index in the walk back),
+    X undefined at the pulled-back point DomainExitError, and a singular J
+    or a non-finite pushforward IntegrationError."""
+    (pushed,) = pushforward_along_words(family, [word], [(X,)], [point])
     if isinstance(pushed, FlowError):
         raise pushed
-    if not single:
-        return pushed
     if pushed[0] is None:
         raise DomainExitError(f"{X.name} is undefined at the pulled-back point")
     return pushed[0]

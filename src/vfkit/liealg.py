@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .expr import Expr
-from .vectorfield import VectorField, field_evaluators, field_values, lie_bracket
+from .vectorfield import VectorField, field_evaluators, field_values, lie_bracket, point_text
 from .linalg import in_span
 from .membership import OversizeError, module_contains
 
@@ -274,5 +274,5 @@ def zero_time_vectors(values, derived, point):
     ``derived``."""
     defined = [v for v in values if v is not None]
     if not defined:
-        raise LieAlgebraError(f"no generator defined at {point}")
+        raise LieAlgebraError(f"no generator defined at {point_text(point)}")
     return [[a - b for a, b in zip(v, defined[0])] for v in defined[1:]] + derived

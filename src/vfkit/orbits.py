@@ -25,7 +25,8 @@ part of their affine hull) is a lower bound (``certificate="sampled"``).  Every
 orbit is an immersed submanifold of R^n (Sussmann 1973), so a sampled rank of
 n is the orbit dimension: ``sampled_orbit_dimensions`` walks the first
 ``FIRST_WORDS`` words of all its points in one walk and draws the rest only
-for the points whose rank stays below n, all of them in one more walk.
+for the points whose rank stays below n, all of them in one more walk, for
+one point (a fixed-time orbit's ``reached``) or many.
 ``WordSampler`` reads its words from one raw PCG64 stream with the bits of
 numpy's ``Generator.integers`` and ``uniform``, so a seed gives the same
 words whatever numpy release draws them.
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice, repeat, tee
+from itertools import chain, islice, repeat, tee
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -48,7 +49,7 @@ from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, derived_
                      word_vectors, zero_time_vectors)
 from .linalg import FLOW_REL_TOL, affine_rank, all_exact, span_rank, svd_rank
 from .membership import OversizeError, module_contains
-from .vectorfield import DomainExitError, FlowError, field_values
+from .vectorfield import DomainExitError, FlowError, field_values, point_text
 
 __all__ = [
     "WordSampler",
@@ -57,7 +58,6 @@ __all__ = [
     "ChowReport",
     "SampledOrbit",
     "sampled_orbit",
-    "sampled_orbit_dimension",
     "sampled_orbit_dimensions",
     "FIRST_WORDS",
     "nagano_certified",
@@ -189,11 +189,14 @@ def _sample_orbits(family, points, samplers, batches):
     defined): the generator values and their pushforwards along its sampler's
     words in the given batch sizes (None: the rest) until the rank (of the
     span, or of the affine hull's linear part for zero-sum words) is full; a
-    batch of every point below it walks together, a sampler drawn once."""
+    batch of every point below it walks together, a sampler drawn once.  A
+    point without n coordinates raises the walk's ValueError first."""
     n, out, streams = family[0].dim, [None] * len(points), {}
     for k, p in enumerate(points):
+        if len(p) != n:
+            raise ValueError(f"a start point has {len(p)} coordinates, the fields have {n}")
         if not any(X.domain.contains(p) for X in family):
-            out[k] = DomainExitError(f"no generator is defined at {p}")
+            out[k] = DomainExitError(f"no generator is defined at {point_text(p)}")
     for s in dict.fromkeys(samplers):
         ks = [k for k, t in enumerate(samplers) if t == s and out[k] is None]
         streams.update(zip(ks, tee(s.draw(len(family)), len(ks))))
@@ -244,11 +247,6 @@ def sampled_orbit_dimensions(family, points, samplers):
     still below full rank (an orbit has no more dimensions than R^n)."""
     return [s if isinstance(s, FlowError) else s.dimension
             for s in _sample_orbits(family, points, samplers, (FIRST_WORDS, None))]
-
-
-def sampled_orbit_dimension(family, point, sampler):
-    """``sampled_orbit_dimensions`` at one point; raises its DomainExitError."""
-    return _raised(sampled_orbit_dimensions(family, [point], [sampler])[0])
 
 
 def nagano_certified(filt):
@@ -341,20 +339,15 @@ class FixedTimeReport:
 
 def _seed_point(family, point, T):
     """The point that the first successful net-time-T word reaches from the
-    given one, trying single steps then pairs."""
-    n = len(family)
-    for i in range(n):
+    given one, trying single steps then pairs of half steps."""
+    index = range(len(family))
+    for word in chain(([(i, T)] for i in index),
+                      ([(i, T / 2.0), (j, T / 2.0)] for i in index for j in index)):
         try:
-            return apply_word(family, [(i, T)], point)
+            return apply_word(family, word, point)
         except FlowError:
             continue
-    for i in range(n):
-        for j in range(n):
-            try:
-                return apply_word(family, [(i, T / 2.0), (j, T / 2.0)], point)
-            except FlowError:
-                continue
-    raise DomainExitError(f"no net-time-{T} seed word succeeds from {point}")
+    raise DomainExitError(f"no net-time-{T} seed word succeeds from {point_text(point)}")
 
 
 def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP):
@@ -387,7 +380,7 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     # the ideal lies in Lie(F): a stop at full ideal rank is a full Lie rank,
     # and any other filtration here is final and certified
     exact = exact_certificate(filt, linf, values[0])
-    orbit_dim = linf if exact else sampled_orbit_dimension(family, at, sampler)
+    orbit_dim = linf if exact else _raised(sampled_orbit_dimensions(family, [at], [sampler])[0])
     return FixedTimeReport(
         start=tuple(point),
         reached=at,

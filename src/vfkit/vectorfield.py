@@ -15,7 +15,7 @@ from typing import Tuple
 from .expr import Expr, ZERO, compile_exact, compile_float, poly_coeff_dict, poly_from_coeff_dict
 
 __all__ = ["DomainPredicate", "VectorField", "FlowError", "DomainExitError", "IntegrationError",
-           "lie_bracket", "field_values", "field_evaluators"]
+           "lie_bracket", "field_values", "field_evaluators", "point_text"]
 
 
 class FlowError(Exception):
@@ -222,6 +222,11 @@ def field_evaluators(fields):
         return lambda p: value(p) if inside(p) else None
 
     return [evaluator(X) for X in fields]
+
+
+def point_text(point):
+    """The point as the CLI reads it, for error texts: (1/2, -1, 0.25)."""
+    return f"({', '.join(map(str, point))})"
 
 
 def field_values(fields, points):

@@ -14,7 +14,8 @@ import pytest
 
 from vfkit.distributions import Distribution, rank_at
 from vfkit.expr import parse
-from vfkit.fields import VectorField, apply_word, lie_bracket, value_float
+from vfkit.fields import apply_word, lie_bracket, value_float
+from vfkit.vectorfield import VectorField
 from vfkit.frobenius import flow_box_chart, frobenius_verdict
 from vfkit.membership import ideal_member_bounded, member_bounded
 from vfkit.orbits import (

@@ -24,7 +24,8 @@ from vfkit.expr import (
     poly_from_coeff_dict,
     var,
 )
-from vfkit.fields import VectorField, _flow_kind, jacobian_exprs, value_float
+from vfkit.fields import jacobian_exprs, value_float
+from vfkit.vectorfield import VectorField
 
 N = 3
 
@@ -470,7 +471,7 @@ def test_parity_cases_cover_the_grammar():
 def test_field_value_and_jacobian_match_tree_walk(e1, e2, pt):
     X = VectorField("X", (e1, e2))
     entries = [e for row in jacobian_exprs(X) for e in row]  # row-major
-    rows = _flow_kind(X).rows
+    rows = [[compile_float(e) for e in row] for row in jacobian_exprs(X)]
 
     def jacobian(pt):
         return np.array([[f(pt) for f in row] for row in rows], dtype=float)

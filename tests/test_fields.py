@@ -7,13 +7,14 @@ import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vfkit import fields, vectorfield
-from vfkit.expr import Expr, const, parse, var
+from vfkit.expr import Expr, compile_float, const, parse, var
 from vfkit.fields import (
     apply_word,
     apply_words,
@@ -412,6 +413,16 @@ DIAG_PAIR = (["x1", "0"], ["0", "x2"])  # affine flows
 CUBIC_PAIR = (["1", "0"], ["0", "x1^2*x2+x2^3"])  # variational ODE
 
 
+def _pushed(family, word, fields_seq, point):
+    """Every field of fields_seq pushed along one word to the point, one
+    vector per field (None where it is undefined at the pulled-back point);
+    raises the FlowError that stops the word."""
+    (pushed,) = pushforward_along_words(family, [word], [fields_seq], [point])
+    if isinstance(pushed, FlowError):
+        raise pushed
+    return pushed
+
+
 def _single_or_error(family, word, X, point):
     try:
         return pushforward_along_word(family, word, X, point)
@@ -430,7 +441,7 @@ class TestBatchedTransport:
         for word in WordSampler(seed=11, count=60).words(2):
             singles = [_single_or_error(family, word, X, point) for X in family]
             try:
-                batch = pushforward_along_word(family, word, family, point)
+                batch = _pushed(family, word, family, point)
             except FlowError as err:
                 assert all(type(s) is type(err) for s in singles)
                 assert all(s.step == err.step for s in singles)
@@ -446,7 +457,7 @@ class TestBatchedTransport:
             singles = [_single_or_error(family, word, X, point) for X in family]
             if any(isinstance(s, FlowError) for s in singles):
                 continue
-            batch = pushforward_along_word(family, word, family, point)
+            batch = _pushed(family, word, family, point)
             for single, column in zip(singles, batch):
                 scale = max(1.0, float(np.max(np.abs(single))))
                 assert np.max(np.abs(column - single)) <= 1e-9 * scale
@@ -460,7 +471,7 @@ class TestBatchedTransport:
         walks = []
         real = fields._walk
         monkeypatch.setattr(fields, "_walk", lambda *a: walks.append(1) or real(*a))
-        pushforward_along_word(family, word, family, (0.3, 0.7))
+        _pushed(family, word, family, (0.3, 0.7))
         assert len(walks) == 1
         assert flow_steps == [(family[i], -t) for i, t in reversed(word)]
 
@@ -489,7 +500,7 @@ class TestBatchedTransport:
         g1 = vf("g1", ["0", "1"], 2, [(1, ">", Fraction(-1, 2))])
         g2 = vf("g2", ["x1", "1"], 2)
         word = [(0, 0.75)]  # pulls (0, 0) back to (-0.75, 0), outside g1's domain
-        missing, pushed = pushforward_along_word(family, word, [g1, g2], (0.0, 0.0))
+        missing, pushed = _pushed(family, word, [g1, g2], (0.0, 0.0))
         assert missing is None
         assert np.array_equal(pushed, pushforward_along_word(family, word, g2, (0.0, 0.0)))
         with pytest.raises(DomainExitError, match="g1 is undefined"):
@@ -499,16 +510,16 @@ class TestBatchedTransport:
         X1 = vf("X1", ["1", "0"], 2, [(1, "<", Fraction(1, 2))])
         X2 = vf("X2", ["0", "1"], 2)
         word = [(0, -1.0), (1, 0.3)]  # the inverse walk leaves X1's domain
-        for fields_arg in ([X1, X2], X2):
+        for push in (_pushed, pushforward_along_word):
             with pytest.raises(DomainExitError) as err:
-                pushforward_along_word([X1, X2], word, fields_arg, (0.0, 0.0))
+                push([X1, X2], word, [X1, X2] if push is _pushed else X2, (0.0, 0.0))
             assert err.value.step == 1
 
     def test_single_field_returns_one_vector(self, vf):
         family = [vf(f"X{j + 1}", c, 2) for j, c in enumerate(CUBIC_PAIR)]
         v = pushforward_along_word(family, [(1, 0.2), (0, -0.1)], family[1], (0.3, 0.7))
         assert isinstance(v, np.ndarray) and v.shape == (2,)
-        batch = pushforward_along_word(family, [(1, 0.2)], family[:1], (0.3, 0.7))
+        batch = _pushed(family, [(1, 0.2)], family[:1], (0.3, 0.7))
         assert isinstance(batch, list) and len(batch) == 1
 
 
@@ -589,7 +600,8 @@ class TestStackedWalk:
                                                   [(X,) if single else X] * len(words),
                                                   [point] * len(words))
                 for w, got in zip(words, stacked):
-                    want = _one_word(pushforward_along_word, family, w, X, point)
+                    want = _one_word(pushforward_along_word if single else _pushed, family, w,
+                                     X, point)
                     if single and isinstance(got, list):
                         # a lone field's one-word call gives its vector, and
                         # raises where the field is undefined
@@ -615,7 +627,7 @@ class TestStackedWalk:
             assert _outcome(_one_word(apply_word, family, w, p), got, seen), (w, p)
         pushed = pushforward_along_words(family, words, [family] * len(words), starts)
         for w, p, got in zip(words, starts, pushed):
-            assert _outcome(_one_word(pushforward_along_word, family, w, family, p), got, seen)
+            assert _outcome(_one_word(_pushed, family, w, family, p), got, seen)
         assert len(pushed) == len(words)
         assert {"half-plane-translations": {"start point outside the domain", "left its domain"},
                 "diagonal-affine": {"start point outside the domain", "left its domain"},
@@ -630,6 +642,28 @@ class TestStackedWalk:
                 "flow": lambda: flow(family[0], 0.5, (0.0, 0.0))}[entry]
         with pytest.raises(ValueError, match="has 2 coordinates, the fields have 3"):
             call()
+
+    @pytest.mark.parametrize("as_input", [list, iter], ids=["lists", "iterators"])
+    @pytest.mark.parametrize("entry, words, points, sequences, error", [
+        ("apply_words", 2, 1, None, "one start point per word: 1 for 2 words"),
+        ("apply_words", 1, 2, None, "one start point per word: 2 for 1 words"),
+        ("apply_words", 7, 5, None, "one start point per word: 5 for 7 words"),
+        ("apply_words", 6, 7, None, "one start point per word: 7 for 6 words"),
+        ("pushforward_along_words", 2, 2, 1, "one field sequence per word: 1 for 2 words"),
+        ("pushforward_along_words", 7, 8, 7, "one start point per word: 8 for 7 words"),
+    ], ids=["too-few-points", "too-many-points", "too-few-points-in-a-later-run",
+            "a-point-after-full-runs", "too-few-field-sequences", "too-many-points-to-push"])
+    def test_one_entry_per_word(self, monkeypatch, as_input, entry, words, points, sequences,
+                                error):
+        # runs of three words: 7 words walk as 3, 3 and 1, and 6 as two full runs
+        monkeypatch.setattr(fields, "WALK_ROWS", 3)
+        family = parse_system(PRESETS["nonintegrable-shear"].system_text).fields
+        args = [as_input([((0, 0.5), (1, -0.25))] * words), as_input([(0.0, 0.0, 0.0)] * points)]
+        if sequences is not None:
+            args.insert(1, as_input([family] * sequences))
+        with pytest.raises(ValueError) as err:
+            getattr(fields, entry)(family, *args)
+        assert str(err.value) == error
 
     def test_straight_exit_reports_its_step_and_time(self, vf):
         X1 = vf("X1", ["1", "0"], 2, [(1, "<", Fraction(1))])
@@ -653,8 +687,9 @@ class TestStackedWalk:
         for w, p, Vw in zip(words, P, V):
             q, U = np.array(point), V0
             for i, t in w:
-                kind = fields._flow_kind(family[i])
-                q, U = q + t * kind.value(q), (kind.eye + t * _jacobian(kind, q)) @ U
+                X = family[i]
+                q, U = (q + t * fields.value_float(X, q),
+                        (fields._flow_kind(X).eye + t * _jacobian(X, q)) @ U)
             assert np.array_equal(p, q) and np.array_equal(Vw, U)
 
 
@@ -742,7 +777,7 @@ class TestStackedWalk:
             apply_word(family, word, (0.5, 0.0))
         assert err.value.step == 1
         with pytest.raises(IntegrationError, match="non-finite"):
-            pushforward_along_word(family, [(1, 0.1)], family, (1.0, 0.0))
+            _pushed(family, [(1, 0.1)], family, (1.0, 0.0))
         report = sampled_orbit(family, (0.5, 0.0), WordSampler(seed=1, count=40))
         assert report.words_skipped > 0
         assert report.words_used + report.words_skipped == 40
@@ -772,10 +807,15 @@ def _affine_steps(family, word, point, V0):
     return q, U
 
 
-def _jacobian(kind, point):
-    """DX at the point from the compiled Jacobian rows of X's flow kind."""
+@lru_cache(maxsize=None)
+def _jacobian_rows(X):
+    return tuple(tuple(compile_float(e) for e in row) for row in fields.jacobian_exprs(X))
+
+
+def _jacobian(X, point):
+    """DX at the point from X's Jacobian entries, each compiled once."""
     pt = [float(v) for v in point]
-    return np.array([[f(pt) for f in row] for row in kind.rows], dtype=float)
+    return np.array([[f(pt) for f in row] for row in _jacobian_rows(X)], dtype=float)
 
 
 # the affine field (x2, 1) of the double-integrator preset: x' = A x + b as
@@ -904,15 +944,15 @@ class TestIntegrator:
     def test_matches_scipy_at_tight_tolerance(self, vf, comps):
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         X = vf("X", comps, 2)
-        kind = fields._flow_kind(X)
         rng = np.random.default_rng(3)
         starts = rng.uniform(-0.8, 0.8, size=(12, 2))
         times = rng.uniform(-1.0, 1.0, size=12)
         V0 = [rng.uniform(-1, 1, size=(2, 2)) for _ in range(12)]
 
         def rhs(_, y):
-            jac = _jacobian(kind, y[:2])
-            return np.concatenate([kind.value(y[:2]), (jac @ y[2:].reshape(2, 2)).ravel()])
+            jac = _jacobian(X, y[:2])
+            return np.concatenate([fields.value_float(X, y[:2]),
+                                   (jac @ y[2:].reshape(2, 2)).ravel()])
 
         for p, t, v, row in zip(starts, times, V0, _ode_group(X, starts, times, V0)):
             sol = solve_ivp(rhs, (0.0, t), np.concatenate([p, v.ravel()]), method="RK45",
@@ -987,12 +1027,12 @@ class TestCompiledEvaluation:
         once = sum(X.dim + X.dim**2 for X in family)  # value and Jacobian
         word = [(0, 0.1), (1, 0.1), (0, -0.05)]
         for _ in range(100):
-            pushforward_along_word(family, word, family, (0.3, 0.7))
+            _pushed(family, word, family, (0.3, 0.7))
         assert len(compiled) == once
         assert not walked  # flow steps never evaluate an Expr directly
         fields._flow_kind.cache_clear()
         fields.jacobian_exprs.cache_clear()
-        pushforward_along_word(family, word, family, (0.3, 0.7))
+        _pushed(family, word, family, (0.3, 0.7))
         assert len(compiled) == 2 * once
 
     def test_field_hashed_once_across_lookups(self, vf, monkeypatch):

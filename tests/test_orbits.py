@@ -19,7 +19,6 @@ from vfkit.orbits import (
     nagano_certified,
     orbit_dimension,
     sampled_orbit,
-    sampled_orbit_dimension,
     sampled_orbit_dimensions,
 )
 from vfkit.linalg import FLOW_REL_TOL, svd_rank
@@ -282,21 +281,21 @@ class TestDimensionOnly:
             try:
                 full = sampled_orbit(family, p, s).dimension
             except DomainExitError:
-                with pytest.raises(DomainExitError):
-                    sampled_orbit_dimension(family, p, s)
+                (err,) = sampled_orbit_dimensions(family, [p], [s])
+                assert isinstance(err, DomainExitError)
                 continue
-            assert sampled_orbit_dimension(family, p, s) == full, p
+            assert sampled_orbit_dimensions(family, [p], [s]) == [full], p
 
     def test_stops_once_the_rank_is_full(self, walked):
         family = parse_system(PRESETS["one-sided-flat"].system_text).fields
         s = WordSampler(seed=30, count=400, max_len=8, max_time=1.5)
-        assert sampled_orbit_dimension(family, (-1, 0), s) == 2
+        assert sampled_orbit_dimensions(family, [(-1, 0)], [s]) == [2]
         assert walked == [FIRST_WORDS]
 
     def test_walks_every_word_below_full_rank(self, flat, walked):
         # short words never leave x1 <= 0, where the orbit looks 1-D
         s = WordSampler(seed=0, count=200)
-        assert sampled_orbit_dimension(flat, (-3, 0), s) == 1
+        assert sampled_orbit_dimensions(flat, [(-3, 0)], [s]) == [1]
         assert walked == [FIRST_WORDS, 200 - FIRST_WORDS]
         walked.clear()
         assert sampled_orbit(flat, (-3, 0), s).dimension == 1
@@ -310,7 +309,7 @@ class TestDimensionOnly:
         s = WordSampler(seed=0, count=50)
         full = sampled_orbit(strip, p, s)
         assert (full.dimension, full.words_used, full.words_skipped) == (1, 0, 50)
-        assert sampled_orbit_dimension(strip, p, s) == 1
+        assert sampled_orbit_dimensions(strip, [p], [s]) == [1]
         assert walked == [50, FIRST_WORDS, 50 - FIRST_WORDS]
 
 
@@ -363,7 +362,7 @@ class TestNagano:
 
     def test_fixed_time_reads_the_orbit_from_the_filtration(self, cubic, monkeypatch):
         calls = []
-        monkeypatch.setattr(orbits, "sampled_orbit_dimension", lambda *a: calls.append(a))
+        monkeypatch.setattr(orbits, "sampled_orbit_dimensions", lambda *a: calls.append(a))
         rep = fixed_time_dimension(cubic, (Fraction(1, 4), Fraction(1, 2)), 0.3,
                                    WordSampler(seed=2, count=20, max_len=4))
         assert rep.orbit_dimension_at_reached == 2 and calls == []
@@ -455,6 +454,29 @@ class TestFixedTime:
         landed = [q for q in apply_words(partial, words, [rep.reached] * len(words))
                   if isinstance(q, np.ndarray)]
         assert landed and all(np.max(np.abs(q - rep.reached)) < 1e-12 for q in landed)
+
+    @pytest.fixture
+    def seed_family(self, vf):
+        return [vf("X1", ["1"], 1, [(1, "<", Fraction(1))]),
+                vf("X2", ["1"], 1, [(1, ">", Fraction(1, 2))])]
+
+    def test_seed_falls_back_to_two_half_steps(self, seed_family, monkeypatch):
+        # from 2/5 at T = 4/5, X1 alone leaves x1 < 1 and X2 starts outside
+        # x1 > 1/2; (X1, X1) leaves x1 < 1 too, and (X1, X2) reaches 6/5
+        tried = []
+        real = orbits.apply_word
+        monkeypatch.setattr(orbits, "apply_word",
+                            lambda f, w, p: tried.append(list(w)) or real(f, w, p))
+        rep = fixed_time_dimension(seed_family, (Fraction(2, 5),), 0.8,
+                                   WordSampler(seed=0, count=20))
+        assert rep.reached == (1.2000000000000002,)
+        assert tried == [[(0, 0.8)], [(1, 0.8)], [(0, 0.4), (0, 0.4)], [(0, 0.4), (1, 0.4)]]
+
+    def test_no_seed_word_is_a_domain_exit(self, seed_family):
+        # X1 alone leaves x1 < 1 from 99/100 in one step of 1 and in two of 1/2
+        with pytest.raises(DomainExitError) as err:
+            fixed_time_dimension(seed_family[:1], (Fraction(99, 100),), 1.0, WordSampler(seed=0))
+        assert str(err.value) == "no net-time-1.0 seed word succeeds from (99/100)"
 
     def test_integrator_fixed_time_full(self, vf):
         integrator = [vf("X0", ["x2", "0"], 2), vf("X1", ["x2", "1"], 2)]
@@ -570,8 +592,8 @@ class TestZeroTimeIdeal:
 
     def test_bracket_rank_n_is_the_orbit_dimension(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(orbits, "sampled_orbit_dimension",
-                            lambda *a: calls.append(a) or 1)
+        monkeypatch.setattr(orbits, "sampled_orbit_dimensions",
+                            lambda *a: calls.append(a) or [1])
         family = preset_family("half-plane-translations")
         sampler = WordSampler(seed=8, count=30, max_time=0.3)
         rep = fixed_time_dimension(family, (0, 0), 0.0, sampler)
@@ -830,7 +852,7 @@ class TestManyPoints:
             assert (both.dimension, both.words_used, both.words_skipped) == (
                 alone.dimension, alone.words_used, alone.words_skipped), p
             assert np.array(both.vectors).tobytes() == np.array(alone.vectors).tobytes(), p
-            assert dim == both.dimension == sampled_orbit_dimension(family, p, s)
+            assert [dim] == [both.dimension] == sampled_orbit_dimensions(family, [p], [s])
 
     def test_chow_marks_a_point_without_generators(self, vf):
         # no generator is defined at (1, 0); at (-1, 0) the rank is 1
@@ -844,11 +866,22 @@ class TestManyPoints:
         assert isinstance(err, DomainExitError)
 
 
-@pytest.mark.parametrize("entry", ["orbit_dimension", "sampled_orbit_dimension"])
-def test_point_of_another_dimension_is_rejected(entry):
-    family = {"orbit_dimension": preset_family("linear-shear"),
-              "sampled_orbit_dimension": preset_family("nonintegrable-shear")}[entry]
+@pytest.mark.parametrize("entry, bounded", [
+    ("orbit_dimension", False), ("sampled_orbit_dimensions", False),
+    ("sampled_orbit_dimensions", True), ("sampled_orbit", True),
+], ids=["orbit_dimension", "sampled_orbit_dimensions", "sampled_orbit_dimensions-domain-bounded",
+        "sampled_orbit-domain-bounded"])
+def test_point_of_another_dimension_is_rejected(vf, entry, bounded):
+    # on a domain bounded by x3 < 1, a 2-coordinate point has no x3 to compare
+    x3_below_1 = [(3, "<", Fraction(1))]
+    family = ([vf("X1", ["1", "0", "0"], 3, x3_below_1), vf("X2", ["0", "1", "0"], 3, x3_below_1)]
+              if bounded else preset_family("linear-shear" if entry == "orbit_dimension"
+                                            else "nonintegrable-shear"))
     point = (Fraction(1, 2),) if entry == "orbit_dimension" else (0.5, 0.25)
+    sampler = WordSampler(seed=0)
+    call = {"orbit_dimension": lambda: orbit_dimension(family, point, sampler),
+            "sampled_orbit_dimensions": lambda: sampled_orbit_dimensions(family, [point], [sampler]),
+            "sampled_orbit": lambda: sampled_orbit(family, point, sampler)}[entry]
     with pytest.raises(ValueError, match=f"has {len(point)} coordinates, the fields have "
                                          f"{len(point) + 1}"):
-        getattr(orbits, entry)(family, point, WordSampler(seed=0))
+        call()

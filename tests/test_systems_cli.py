@@ -261,6 +261,27 @@ class TestCli:
         assert (code, report["status"]) == (cli.EXIT_NUMERIC, "numeric-failure")
         assert report["error"] == "division by zero at a pole"
 
+    @pytest.mark.parametrize("argv, error", [
+        (["orbit", "--point", "1/2,1/3"], "no generator is defined at (1/2, 1/3)"),
+        (["orbit", "--point", "1/2,1/3", "--fixed-time", "1/2"],
+         "no net-time-0.5 seed word succeeds from (1/2, 1/3)"),
+        (["rank", "--point", "1/2,1/3"],
+         "no generator of the distribution is defined at (1/2, 1/3)"),
+        (["frobenius", "--grid", "x1=1/2:1:1/2,x2=0:1:1"],
+         "no generator of the distribution is defined at (1/2, 0)"),
+        (["lie", "--point", "1/2,1/3", "--fixed-time-ideal"], "no generator defined at (1/2, 1/3)"),
+    ], ids=["orbit", "orbit-fixed-time", "rank", "frobenius", "lie-fixed-time-ideal"])
+    def test_error_prints_the_point_as_given(self, capsys, tmp_path, argv, error):
+        # both generators live on x1 < 0
+        path = tmp_path / "left.vf"
+        path.write_text("system left dim 2\nfield X1 = (1, 0) on x1 < 0\n"
+                        "field X2 = (0, 1) on x1 < 0\n")
+        code, out = run_cli(capsys, argv[0], "--system", str(path), *argv[1:],
+                            "--format", "json")
+        report = json.loads(out)
+        assert (code, report["status"]) == (cli.EXIT_NUMERIC, "numeric-failure")
+        assert report["error"] == error
+
     def test_inverse_of_an_inverse_base_ranks_exactly(self, capsys, tmp_path):
         path = tmp_path / "inverse.vf"
         path.write_text("system inverse dim 2\nfield X1 = (((x1+1)^-1)^-1, 0)\n")
