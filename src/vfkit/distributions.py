@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .expr import Expr, ONE, ZERO
+from .expr import Expr, ONE, sum_products
 from .vectorfield import VectorField, field_values, point_text
 from .linalg import all_exact, exact_pivot_columns, span_rank
 
@@ -166,14 +166,11 @@ class SingularLocus:
 def _symbolic_minor(matrix, rows, cols):
     if len(rows) == 1:
         return matrix[rows[0]][cols[0]]
-    acc = ZERO
-    sign = 1
-    for k, c in enumerate(cols):
-        sub = _symbolic_minor(matrix, rows[1:], cols[:k] + cols[k + 1 :])
-        term = matrix[rows[0]][c] * sub
-        acc = acc + (term if sign > 0 else -term)
-        sign = -sign
-    return acc
+    head = matrix[rows[0]]
+    return sum_products(
+        (head[c] if k % 2 == 0 else -head[c],
+         _symbolic_minor(matrix, rows[1:], cols[:k] + cols[k + 1 :]))
+        for k, c in enumerate(cols))
 
 
 def singular_locus_minors(D):

@@ -15,7 +15,13 @@ atom set contains:
 Negative powers of a variable are legitimate only as companions of a
 bump/bumpp factor in the same argument (that is how differentiation closes
 over the flat functions); such a product extends by zero at the argument's
-zero and floating evaluation honours that.
+zero and floating evaluation honours that.  A negative power of bump or
+bumpp is a pole on its flat set, as x1^-1 is at 0.
+
+Products and sums have one implementation, ``sum_products``: the sum of
+a*b over pairs (a, b), every product of terms added into one dict that is
+sorted once.  ``*``, ``+`` and ``diff`` run on it, as do the callers that
+sum products (non-polynomial brackets, certificates, minors).
 
 Exact evaluation has one implementation, ``compile_exact`` (a rational
 point to a Fraction, or None), and float evaluation one, ``compile_float``
@@ -30,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 __all__ = [
     "Expr",
@@ -49,9 +55,8 @@ __all__ = [
     "ONE",
     "poly_coeff_dict",
     "poly_from_coeff_dict",
+    "sum_products",
 ]
-
-Rat = Union[int, Fraction]
 
 # |u| below this counts as the extension point of a flat function.
 FLAT_EVAL_EPS = 1e-12
@@ -80,16 +85,25 @@ class Atom:
 
     ``invbase`` marks a general polynomial base carrying a negative
     exponent; positive powers of polynomials are always expanded away.
+    The sort key and the hash are computed once, as ``Expr`` keeps its
+    hash: every product sorts factors by the one and every term dict
+    hashes the other.
     """
 
     kind: str
     index: int = 0
     arg: Optional["Expr"] = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "_key", (0, self.index) if self.kind == "var" else
+                           (_KIND_RANK[self.kind], self.arg.sort_key()))
+        object.__setattr__(self, "_hash", hash((self.kind, self.index, self.arg)))
+
     def sort_key(self):
-        if self.kind == "var":
-            return (0, self.index)
-        return (_KIND_RANK[self.kind], self.arg.sort_key())
+        return self._key
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         if self.kind == "var":
@@ -99,27 +113,25 @@ class Atom:
         return f"{self.kind}({self.arg})"
 
 
-# A factor is (Atom, nonzero int exponent); a term is (Fraction, factors).
-Factors = tuple
+# A factor is (Atom, nonzero int exponent); a term is (Fraction, factors),
+# the factors sorted by their atoms' keys.
+
+
+def _factor_key(pair):
+    return pair[0]._key
 
 
 def _merge_factors(f1, f2):
-    d = {}
-    for atom, k in f1:
-        d[atom] = d.get(atom, 0) + k
+    if not f1 or not f2:
+        return f1 or f2
+    d = dict(f1)
     for atom, k in f2:
         d[atom] = d.get(atom, 0) + k
-    return tuple(
-        sorted(((a, k) for a, k in d.items() if k != 0), key=lambda p: p[0].sort_key())
-    )
-
-
-def _sorted_factors(pairs):
-    return tuple(sorted(pairs, key=lambda p: p[0].sort_key()))
+    return tuple(sorted(((a, k) for a, k in d.items() if k), key=_factor_key))
 
 
 def _factors_key(factors):
-    return tuple((a.sort_key(), k) for a, k in factors)
+    return tuple((a._key, k) for a, k in factors)
 
 
 class Expr:
@@ -135,27 +147,14 @@ class Expr:
 
     @staticmethod
     def _from_dict(d):
-        items = [(f, c) for f, c in d.items() if c != 0]
+        items = [(f, c) for f, c in d.items() if c]
         items.sort(key=lambda fc: _factors_key(fc[0]))
-        return Expr(tuple((c, f) for f, c in items))
-
-    def _as_dict(self):
-        return {f: c for c, f in self.terms}
+        return Expr(tuple((c if type(c) is Fraction else Fraction(c), f) for f, c in items))
 
     # -- basic predicates ------------------------------------------------------
 
     def is_zero(self):
         return not self.terms
-
-    def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and not self.terms[0][1])
-
-    def constant_value(self):
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and not self.terms[0][1]:
-            return self.terms[0][0]
-        raise ExprError("not a constant expression")
 
     def is_polynomial(self):
         for _, factors in self.terms:
@@ -207,11 +206,7 @@ class Expr:
     # -- ring operations ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        d = self._as_dict()
-        for c, f in other.terms:
-            d[f] = d.get(f, 0) + c
-        return Expr._from_dict(d)
+        return sum_products(((self, ONE), (_coerce(other), ONE)))
 
     __radd__ = __add__
 
@@ -225,30 +220,7 @@ class Expr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        out = {}
-        pending = []
-        for c1, f1 in self.terms:
-            for c2, f2 in other.terms:
-                c = c1 * c2
-                merged = _merge_factors(f1, f2)
-                expand = [
-                    (a, k)
-                    for a, k in merged
-                    if a.kind == "invbase" and k > 0 and a.arg.is_polynomial()
-                ]
-                if expand:
-                    rest = tuple(p for p in merged if p not in expand)
-                    pending.append((c, rest, expand))
-                else:
-                    out[merged] = out.get(merged, 0) + c
-        result = Expr._from_dict(out)
-        for c, rest, expand in pending:
-            piece = Expr(((c, rest),))
-            for atom, k in expand:
-                piece = piece * atom.arg.int_pow(k)
-            result = result + piece
-        return result
+        return sum_products(((self, _coerce(other)),))
 
     __rmul__ = __mul__
 
@@ -273,15 +245,10 @@ class Expr:
                 raise ExprError("division by zero: negative power of 0")
             return ZERO
         if len(self.terms) == 1:
+            # a positive power of an inverse base is its base's power: the
+            # product by ONE expands it
             c, factors = self.terms[0]
-            coeff = Fraction(c) ** k
-            newf = _sorted_factors((a, e * k) for a, e in factors)
-            term = Expr(((coeff, newf),))
-            # a positive power of an inverse base is its base's power: expand
-            # it as a product does
-            if any(a.kind == "invbase" and e > 0 for a, e in newf):
-                return term * ONE
-            return term
+            return Expr(((Fraction(c) ** k, tuple((a, e * k) for a, e in factors)),)) * ONE
         if k > 0:
             if k > 64:
                 raise ExprError("exponent too large to expand")
@@ -299,16 +266,18 @@ class Expr:
         return Expr(((Fraction(1), ((Atom("invbase", arg=self), k),)),))
 
     def diff(self, i):
-        """Exact partial derivative with respect to x_i, canonical form."""
-        out = ZERO
+        """Exact partial derivative with respect to x_i, canonical form: the
+        product rule over every term adds into one dict, and each
+        (atom, power) is differentiated once per call."""
+        acc, derivatives = {}, {}
         for c, factors in self.terms:
-            for pos, (atom, k) in enumerate(factors):
-                rest = factors[:pos] + factors[pos + 1 :]
-                base_term = Expr(((c, rest),))
-                d = _atom_power_diff(atom, k, i)
-                if not d.is_zero():
-                    out = out + base_term * d
-        return out
+            for pos, factor in enumerate(factors):
+                d = derivatives.get(factor)
+                if d is None:
+                    d = derivatives[factor] = _atom_power_diff(*factor, i)
+                if d.terms:
+                    _add_products(acc, ((c, factors[:pos] + factors[pos + 1:]),), d.terms)
+        return Expr._from_dict(acc)
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -346,32 +315,65 @@ class Expr:
         return f"Expr({self})"
 
 
+def sum_products(pairs):
+    """The canonical form of the sum of a*b over the pairs (a, b) of Exprs,
+    in one pass: every product of a term of a by a term of b adds into one
+    factors -> coefficient dict, which is sorted once.  A positive power of
+    a polynomial inverse base is expanded as that power of its base.  Equal
+    to the chain of ``*`` and ``+`` that it replaces."""
+    acc = {}
+    for a, b in pairs:
+        _add_products(acc, a.terms, b.terms)
+    return Expr._from_dict(acc)
+
+
+def _ints(terms):
+    # integral coefficients as ints, whose products cost far less than
+    # Fraction products; ``_from_dict`` makes them Fractions again
+    return [(c.numerator if c.denominator == 1 else c, f) for c, f in terms]
+
+
+def _add_products(acc, terms1, terms2):
+    """acc += (sum of terms1) * (sum of terms2), factors -> coefficient."""
+    terms2 = _ints(terms2)
+    for c1, f1 in _ints(terms1):
+        for c2, f2 in terms2:
+            merged = _merge_factors(f1, f2)
+            # invbase sorts last: only a term that ends in one can expand
+            if merged and merged[-1][0].kind == "invbase":
+                expand = [(a, k) for a, k in merged
+                          if a.kind == "invbase" and k > 0 and a.arg.is_polynomial()]
+                if expand:
+                    power = ONE
+                    for atom, k in expand:
+                        power = power * atom.arg.int_pow(k)
+                    rest = tuple(p for p in merged if p not in expand)
+                    _add_products(acc, ((c1 * c2, rest),), power.terms)
+                    continue
+            acc[merged] = acc.get(merged, 0) + c1 * c2
+
+
 def _atom_power_diff(atom, k, i):
-    """d(atom^k)/dx_i divided by atom^... -> full Expr for the factor."""
+    """d(atom^k)/dx_i, a full Expr."""
     if atom.kind == "var":
-        if atom.index != i:
-            return ZERO
-        coeff = Fraction(k)
-        if k == 1:
-            return Expr(((coeff, ()),))
-        return Expr(((coeff, ((atom, k - 1),)),))
+        return _power_term(k, atom, k - 1) if atom.index == i else ZERO
     darg = atom.arg.diff(i)
     if darg.is_zero():
         return ZERO
     if atom.kind == "exp":
-        head = Expr(((Fraction(k), ((atom, k),)),))
-        return head * darg
+        return _power_term(k, atom, k) * darg
     if atom.kind in ("bump", "bumpp"):
         # d bump(u) = 2 u^-3 bump(u); the one-sided variant differentiates
         # to the same flat product, which also vanishes on u <= 0.
-        head = Expr(((Fraction(2 * k), ((atom, k),)),))
-        return head * atom.arg.int_pow(-3) * darg
+        return _power_term(2 * k, atom, k) * atom.arg.int_pow(-3) * darg
     if atom.kind == "invbase":
-        head = Expr(((Fraction(k), ((Atom("invbase", arg=atom.arg), k - 1),)),))
-        if k - 1 == 0:
-            head = Expr(((Fraction(k), ()),))
-        return head * darg
+        return _power_term(k, atom, k - 1) * darg
     raise ExprError(f"unknown atom kind {atom.kind}")
+
+
+def _power_term(c, atom, k):
+    """The one-term Expr c * atom^k (c when k = 0)."""
+    return Expr(((Fraction(c), ((atom, k),) if k else ()),))
 
 
 # -- exact evaluation ----------------------------------------------------------------
@@ -462,7 +464,8 @@ def compile_float(e):
     monomial*bump products cannot overflow; an overflowing term is +-inf.
     A bump or bumpp factor within ``FLAT_EVAL_EPS`` of its extension set
     pins its term to 0, and then only a pole that no flat factor of the
-    same argument cancels raises EvalError.  Everything that does not depend
+    same argument cancels raises EvalError; a negative power of one there
+    always raises it.  Everything that does not depend
     on the point is resolved here, once, and the function performs the same
     float operations in the same order at every call.
     """
@@ -509,8 +512,18 @@ def _compile_term(coeff, factors):
         for base in [var(a.index) if code == _VAR else a.arg]
     )
     flats = tuple((dist, at) for dist, at, _ in flats)
+    # bump^k and bumpp^k with k < 0: poles on the extension set, which no
+    # factor cancels
+    inverse_flats = tuple(
+        (abs if a.kind == "bump" else float, at)
+        for (a, k), (code, at, _, _) in zip(factors, steps)
+        if code == _FLAT and k < 0
+    )
 
     def term(pt):
+        for dist, at in inverse_flats:
+            if dist(at(pt)) < FLAT_EVAL_EPS:
+                raise EvalError("division by zero at a pole")
         pinned = flats and [
             j for j, (dist, at) in enumerate(flats) if dist(at(pt)) < FLAT_EVAL_EPS
         ]
@@ -610,11 +623,7 @@ def divide(num, den):
     den = _coerce(den)
     if den.is_zero():
         raise ExprError("division by zero")
-    if den.is_constant():
-        return num * const(Fraction(1) / den.constant_value())
-    if len(den.terms) == 1:
-        return num * den.int_pow(-1)
-    if num.is_polynomial() and den.is_polynomial():
+    if len(den.terms) > 1 and num.is_polynomial() and den.is_polynomial():
         q = _poly_exact_divide(num, den)
         if q is not None:
             return q

@@ -23,10 +23,12 @@ exact Jacobian of each step (closed form where the flow is, otherwise the
 variational equation dV/dt = DX(x(t)) V) to J = D(Phi^{-1})(x).  The
 pushforward of X is J^{-1} X(y) = DPhi(y) X(y), one stacked linear solve.
 
-A field's flow kind is detected once, and its value and Jacobian are
-compiled once (``expr.compile_float``, same log-space semantics) in the
-same ``_flow_kind`` entry, with an ODE field's array evaluator of X and DX:
-its monomials if it is polynomial, else those closures row by row.
+A field's flow kind is detected once, and its value and the Jacobian
+entries that its kind calls are compiled once (``expr.compile_float``, same
+log-space semantics) in the same ``_flow_kind`` entry: a straight field's
+entries of X and DX not identically zero, and a non-polynomial ODE field's
+whole Jacobian, which its array evaluator of X and DX calls row by row; a
+polynomial ODE field's evaluator runs on its monomials.
 
 Many words are walked in one place, ``_walk``, each from its own start
 point and each a row of arrays, position by position, the live rows of
@@ -65,7 +67,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .expr import ZERO, compile_float, poly_coeff_dict
+from .expr import compile_float, poly_coeff_dict, sum_products
 from .vectorfield import DomainExitError, FlowError, IntegrationError, lie_bracket
 
 __all__ = ["lie_bracket", "flow", "apply_word", "apply_words", "pushforward_along_word",
@@ -102,23 +104,19 @@ class _Flow(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _flow_kind(X):
-    """X's flow kind, detected symbolically, and X's value and Jacobian
-    compiled once into functions of a list of floats.  An affine field is
+    """X's flow kind, detected symbolically, and X's value and the Jacobian
+    entries that kind calls compiled once into functions of a list of floats.  An affine field is
     "affine" only when it scales (M diagonal) or M is nilpotent by its zero
     pattern on a full domain, else "ode"."""
     J = jacobian_exprs(X)
     n = X.dim
     comps = tuple(compile_float(c) for c in X.components)
-    rows = tuple(tuple(compile_float(e) for e in row) for row in J)
     eye = np.eye(n)
     eye.flags.writeable = False
     # straight lines: the field is constant along its own integral curves
-    if all(
-        sum((X.components[j] * J[i][j] for j in range(n)), ZERO).is_zero()
-        for i in range(n)
-    ):
-        entries = zip(X.components + sum(J, ()), comps + sum(rows, ()))  # X, then DX
-        live = tuple((c, f) for c, (e, f) in enumerate(entries) if not e.is_zero())
+    if all(sum_products(zip(X.components, J[i])).is_zero() for i in range(n)):
+        live = tuple((c, comps[c] if c < n else compile_float(e))  # X, then DX
+                     for c, e in enumerate(X.components + sum(J, ())) if not e.is_zero())
         const = (None if any(c >= n for c, _ in live) else
                  np.array([f([0.0] * n) for f in comps], dtype=float))
         return _Flow("straight", comps, eye, const=const, live=live)
@@ -132,9 +130,9 @@ def _flow_kind(X):
         if scaling or (X.domain.is_full and _nilpotent(M)):
             return _Flow("affine", comps, eye, M, np.diagonal(M) if scaling else None)
     if X.is_polynomial():
-        batch = _poly_batch(X.components + tuple(e for row in J for e in row), n)
+        batch = _poly_batch(X.components + sum(J, ()), n)
     else:
-        closures = comps + tuple(f for row in rows for f in row)
+        closures = comps + tuple(compile_float(e) for e in sum(J, ()))
 
         def batch(x, count):
             return np.array([[f(p) for f in closures[:count]] for p in x.tolist()],

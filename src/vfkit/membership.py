@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .expr import Expr, ZERO, poly_coeff_dict, poly_from_coeff_dict
+from .expr import Expr, poly_coeff_dict, poly_from_coeff_dict, sum_products
 from .vectorfield import VectorField
 from .linalg import exact_solve
 
@@ -209,10 +209,7 @@ def member_bounded(target, generators, degree):
 
 def _verify(multipliers, tgt, gens):
     for comp in range(len(tgt)):
-        acc = ZERO
-        for m, g in zip(multipliers, gens):
-            acc = acc + m * g[comp]
-        if acc != tgt[comp]:
+        if sum_products((m, g[comp]) for m, g in zip(multipliers, gens)) != tgt[comp]:
             raise MembershipError("certificate failed symbolic re-verification")
 
 

@@ -1,5 +1,6 @@
 """Vector fields on R^n, possibly defined only on an open box-like domain,
-and their exact layer, which loads no numpy: ``lie_bracket``, and
+and their exact layer, which loads no numpy: ``lie_bracket`` (on exponent
+dicts for polynomial fields, on ``expr.sum_products`` otherwise), and
 ``field_values`` and ``field_evaluators``, each field's value (exact where
 it can be) at many points, the field compiled once per call.  Flows, and
 ``value_float`` with them, are in ``fields``."""
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .expr import Expr, ZERO, compile_exact, compile_float, poly_coeff_dict, poly_from_coeff_dict
+from .expr import (Expr, compile_exact, compile_float, poly_coeff_dict, poly_from_coeff_dict,
+                   sum_products)
 
 __all__ = ["DomainPredicate", "VectorField", "FlowError", "DomainExitError", "IntegrationError",
            "lie_bracket", "field_values", "field_evaluators", "point_text"]
@@ -131,24 +133,21 @@ def lie_bracket(X, Y):
     """[X, Y] in coordinates, with the intersected domain:
     [X, Y]_i = sum_j X_j d_j Y_i - Y_j d_j X_i.  When both fields are
     polynomial this sum runs on exponent-tuple -> coefficient views
-    (``poly_coeff_dict``) and each component becomes one canonical Expr at
-    the end; otherwise it runs on Expr arithmetic.  Both give the same
-    canonical components."""
+    (``poly_coeff_dict``), otherwise on ``sum_products``, which skips the
+    products whose multiplier X_j or Y_j is zero; either way each component
+    becomes one canonical Expr, sorted once at the end."""
     if X.dim != Y.dim:
         raise ValueError("bracket of fields of different dimensions")
     n = X.dim
+    xs, ys = X.components, Y.components
     if X.is_polynomial() and Y.is_polynomial():
-        comps = _poly_bracket(X.components, Y.components, n)
+        comps = _poly_bracket(xs, ys, n)
     else:
-        comps = []
-        for i in range(n):
-            acc = ZERO
-            for j in range(n):
-                acc = acc + X.components[j] * Y.components[i].diff(j + 1)
-                acc = acc - Y.components[j] * X.components[i].diff(j + 1)
-            comps.append(acc)
-    return VectorField(f"[{X.name},{Y.name}]", tuple(comps),
-                       X.domain.intersect(Y.domain))
+        comps = tuple(
+            sum_products([(xs[j], ys[i].diff(j + 1)) for j in range(n) if xs[j].terms]
+                         + [(-ys[j], xs[i].diff(j + 1)) for j in range(n) if ys[j].terms])
+            for i in range(n))
+    return VectorField(f"[{X.name},{Y.name}]", comps, X.domain.intersect(Y.domain))
 
 
 def _poly_bracket(xs, ys, n):

@@ -9,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from vfkit.expr import (
     FLAT_EVAL_EPS,
+    ONE,
     ZERO,
+    Atom,
+    Expr,
     EvalError,
     ExprError,
     ParseError,
@@ -22,6 +25,7 @@ from vfkit.expr import (
     parse,
     poly_coeff_dict,
     poly_from_coeff_dict,
+    sum_products,
     var,
 )
 from vfkit.fields import jacobian_exprs, value_float
@@ -238,6 +242,23 @@ class TestEval:
     def test_flat_pole_product_extends_by_zero(self):
         assert parse("x1^-1*bump(x1)", 1).eval_float((0.0,)) == 0.0
 
+    @pytest.mark.parametrize("text,x", [
+        ("1/bump(x1)", 0), ("1/bump(x1)", 1e-13), ("1/bump(x1)", -1e-13),
+        ("1/bumpp(x1)", 0), ("1/bumpp(x1)", 1e-13), ("1/bumpp(x1)", -1),
+        ("1/bumpp(x1)", Fraction(-1, 2)), ("x1^3*bumpp(x1)^-2", -2),
+        ("bump(x1)/bumpp(x1)", -1), ("bump(x1)/bumpp(x1)", 0),
+    ], ids=str)
+    def test_negative_flat_power_is_a_pole_on_the_flat_set(self, text, x):
+        # bump(0) = 0 and bumpp(u) = 0 for u <= 0: as x1^-1 at 0, exact and float
+        e = parse(text, 1)
+        for evaluate in (e.eval, e.eval_float, compile_float(e)):
+            with pytest.raises(EvalError, match="division by zero at a pole"):
+                evaluate([x])
+
+    def test_negative_flat_power_off_the_flat_set(self):
+        assert parse("1/bumpp(x1)", 1).eval_float((0.5,)) == math.exp(4.0)
+        assert parse("1/bump(x1)", 1).eval((-1,)) == math.exp(1.0)
+
     def test_inverse_base_eval(self):
         e = parse("x1/(x1+x2)", 2)
         assert e.eval_float((1.0, 1.0)) == pytest.approx(0.5)
@@ -325,6 +346,11 @@ def _term_eval_float(coeff, factors, pt):
     """One term in log-space so monomial*bump products cannot overflow."""
     if not factors:
         return float(coeff)
+    for atom, k in factors:  # a negative flat power: a pole on its flat set
+        if atom.kind in ("bump", "bumpp") and k < 0:
+            u = walk_eval_float(atom.arg, pt)
+            if (abs(u) if atom.kind == "bump" else u) < FLAT_EVAL_EPS:
+                raise EvalError("division by zero at a pole")
     flat_zero_args = []
     for atom, k in factors:
         if atom.kind in ("bump", "bumpp") and k > 0:
@@ -452,7 +478,8 @@ def test_parity_cases_cover_the_grammar():
         ("x1^3*x2^-1", [0.0, 0.0], 0.0),  # a zero factor first returns 0
         ("exp(x1^2)", [750.0, 0.0], math.inf),  # overflow
         ("-exp(x1^2)", [750.0, 0.0], -math.inf),
-        ("bump(x1)^-1", [0.0, 0.0], ZeroDivisionError),
+        ("bump(x1)^-1", [0.0, 0.0], EvalError),  # a flat pole
+        ("bumpp(x1)^-1*bump(x2)", [-1.0, 0.0], EvalError),  # no flat factor cancels it
         ("bump(x1)", [math.nextafter(FLAT_EVAL_EPS, 1.0), 0.0], 0.0),  # underflow
     ]
     for text, pt, want in cases:
@@ -483,3 +510,93 @@ def test_field_value_and_jacobian_match_tree_walk(e1, e2, pt):
             assert outcome(compiled, pt) == errors[0]
         else:
             assert [outcome(float, v) for v in compiled(pt).ravel()] == want
+
+
+# -- one-pass products against the chain of + and * they replace ----------------------
+
+
+def reference_product(a, b):
+    """a*b term by term: the exponents of each atom added, each product term
+    its own Expr summed with +, and a positive power of a polynomial inverse
+    base expanded by multiplying by its base that many times."""
+    total = ZERO
+    for c1, f1 in a.terms:
+        for c2, f2 in b.terms:
+            powers = dict(f1)
+            for atom, k in f2:
+                powers[atom] = powers.get(atom, 0) + k
+            expand = [(atom, k) for atom, k in powers.items()
+                      if atom.kind == "invbase" and k > 0 and atom.arg.is_polynomial()]
+            rest = sorted(((atom, k) for atom, k in powers.items()
+                           if k and (atom, k) not in expand), key=lambda p: p[0].sort_key())
+            piece = Expr(((c1 * c2, tuple(rest)),))
+            for atom, k in expand:
+                for _ in range(k):
+                    piece = reference_product(piece, atom.arg)
+            total = total + piece
+    return total
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(grammar_exprs(depth=1), grammar_exprs(depth=1)), max_size=4))
+def test_sum_products_equals_the_chain_it_replaces(pairs):
+    chain = ZERO
+    for a, b in pairs:
+        chain = chain + a * b
+    reference = sum((reference_product(a, b) for a, b in pairs), ZERO)
+    assert sum_products(pairs) == chain == reference
+    assert sum_products(iter(pairs)).terms == chain.terms
+    assert all(type(c) is Fraction for c, _ in sum_products(pairs).terms)
+
+
+def test_sum_products_expands_a_positive_inverse_base_power():
+    base = parse("x1 + x2", 2)
+    inverse = Atom("invbase", arg=base)
+    lifted = Expr(((Fraction(3), ((inverse, 2),)),))  # 3*(x1 + x2)^2, unexpanded
+    bumped = bump(var(1)) * Expr(((Fraction(1), ((inverse, -1),)),))
+    got = sum_products([(lifted, var(1)), (bumped, lifted), (ONE, ONE)])
+    want = parse("3*x1*(x1 + x2)^2 + 3*(x1 + x2)*bump(x1) + 1", 2)
+    assert got == want == reference_product(lifted, var(1)) + reference_product(
+        bumped, lifted) + ONE
+    assert parse("((x1 + x2)^-1*x1)^-2", 2) == parse("(x1 + x2)^2*x1^-2", 2)
+
+
+def test_sum_products_of_nothing_is_zero():
+    assert sum_products([]) == ZERO
+    assert sum_products([(var(1), ZERO), (ZERO, bump(var(1)))]) == ZERO
+    assert sum_products([(var(1), ONE), (-var(1), ONE)]) == ZERO
+
+
+# -- derivatives against sympy, at 30 digits ----------------------------------------
+
+
+def _sympy_of(e, sympy):
+    """e as a sympy expression: bump(u) = exp(-1/u^2), and bumpp(u) that
+    for u > 0 and 0 elsewhere."""
+    xs = {f"x{i}": sympy.Symbol(f"x{i}", real=True) for i in (1, 2)}
+    names = {
+        "bump": lambda u: sympy.exp(-1 / u**2),
+        "bumpp": lambda u: sympy.Piecewise((sympy.exp(-1 / u**2), u > 0), (0, True)),
+        "exp": sympy.exp,
+        **xs,
+    }
+    return sympy.sympify(str(e).replace("^", "**"), locals=names), xs
+
+
+SYMPY_POINTS = [(Fraction(2, 7), Fraction(-5, 11)), (Fraction(3, 5), Fraction(4, 13)),
+                (Fraction(-7, 9), Fraction(1, 3))]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(grammar_exprs(depth=1), st.integers(1, 2))
+def test_diff_matches_sympy_to_30_digits(e, i):
+    sympy = pytest.importorskip("sympy")
+    ours, xs = _sympy_of(e.diff(i), sympy)
+    theirs = sympy.diff(_sympy_of(e, sympy)[0], xs[f"x{i}"])
+    for p in SYMPY_POINTS:
+        subs = {xs["x1"]: sympy.Rational(p[0].numerator, p[0].denominator),
+                xs["x2"]: sympy.Rational(p[1].numerator, p[1].denominator)}
+        a, b = ours.evalf(40, subs=subs), theirs.evalf(40, subs=subs)
+        if not (a.is_finite and b.is_finite):  # a pole of both at this point
+            continue
+        assert abs(a - b) <= sympy.Float(10) ** -30 * max(1, abs(a), abs(b)), (str(e), p)

@@ -17,6 +17,7 @@ from vfkit.cli import main
 from vfkit.presets import PRESETS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+DATA = pathlib.Path(__file__).parent / "data"
 
 PLANE_GRID = "x1=-1:1:1/2,x2=-1:1:1/2"
 # preset name: (point, rank grid, bracket pair, member (target, gens, degree)s)
@@ -47,6 +48,19 @@ FROBENIUS = ["linear-shear", "vanishing-pair", "umbrella-ideal", "coordinate-pla
 # after --system); nine-orbits is Nagano-certified, so its 300 words are
 # never drawn; at (3, 4) only X2 of half-plane-translations is defined, so
 # both the zero-sum words and the orbit are sampled
+# float-free reports of non-polynomial brackets: the flat presets, and a
+# family that mixes exp, bump and division (``tests/data``), whose products
+# expand positive powers of inverse bases: (case, system, argv after --system)
+NON_POLYNOMIAL = [
+    ("one-sided-flat-bracket", "one-sided-flat", ["bracket", "--fields", "X1,X2"]),
+    ("one-sided-flat-lie-depth8", "one-sided-flat",
+     ["lie", "--point", "1/2,1/2", "--depth", "8"]),
+    ("two-sided-flat-bracket", "two-sided-flat", ["bracket", "--fields", "X1,X2"]),
+    ("two-sided-flat-lie-depth8", "two-sided-flat",
+     ["lie", "--point", "1/2,1/2", "--depth", "8"]),
+    ("exp-bump-division-lie", "exp-bump-division",
+     ["lie", "--point", "1/2,1/3", "--depth", "3"]),
+]
 SAMPLED_SEED = "7"
 SAMPLED = [
     ("one-sided-flat-orbit", "one-sided-flat", ["orbit", "--point=-1/2,1/2"]),
@@ -78,6 +92,7 @@ def _cases():
                                          "--gens", gens, "--degree", degree]))
         cases.extend((f"{name}-{run}", name, argv) for run, argv in runs)
     cases.extend((f"{name}-frobenius", name, ["frobenius"]) for name in FROBENIUS)
+    cases.extend(NON_POLYNOMIAL)
     cases.extend((case, name, argv + ["--seed", SAMPLED_SEED]) for case, name, argv in SAMPLED)
     return cases
 
@@ -88,7 +103,8 @@ CASES = _cases()
 @pytest.mark.parametrize("case,name,argv", CASES, ids=[c for c, _, _ in CASES])
 def test_report_matches_golden_bytes(case, name, argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / f"{name}.vf").write_text(PRESETS[name].system_text)
+    text = PRESETS[name].system_text if name in PRESETS else (DATA / f"{name}.vf").read_text()
+    (tmp_path / f"{name}.vf").write_text(text)
     code = main([argv[0], "--system", f"{name}.vf", *argv[1:], "--format", "json"])
     out = capsys.readouterr().out
     assert code == 0

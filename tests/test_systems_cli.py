@@ -261,6 +261,27 @@ class TestCli:
         assert (code, report["status"]) == (cli.EXIT_NUMERIC, "numeric-failure")
         assert report["error"] == "division by zero at a pole"
 
+    @pytest.mark.parametrize("flat, argv", [
+        ("bump", ["rank", "--point", "0,0"]),
+        ("bump", ["lie", "--point", "0,0"]),
+        ("bump", ["orbit", "--point", "0,0"]),
+        ("bump", ["frobenius"]),
+        ("bumpp", ["rank", "--point", "0,1"]),
+        ("bumpp", ["rank", "--point", "-1,0"]),
+        ("bumpp", ["lie", "--point", "-1/2,0"]),
+        ("bumpp", ["orbit", "--point", "-1,0"]),
+    ], ids=lambda v: v if isinstance(v, str) else "-".join(v).replace("--point-", ""))
+    def test_negative_flat_power_is_a_pole(self, capsys, tmp_path, flat, argv):
+        # bump(0) = 0 and bumpp(u) = 0 for u <= 0, so 1/flat(x1) has poles there
+        path = tmp_path / "inverse-flat.vf"
+        path.write_text(f"system inverse-flat dim 2\nfield X1 = (1, 0)\n"
+                        f"field X2 = (0, 1/{flat}(x1))\n")
+        code, out = run_cli(capsys, argv[0], "--system", str(path), *argv[1:],
+                            "--format", "json")
+        report = json.loads(out)
+        assert (code, report["status"]) == (cli.EXIT_NUMERIC, "numeric-failure")
+        assert report["error"] == "division by zero at a pole"
+
     @pytest.mark.parametrize("argv, error", [
         (["orbit", "--point", "1/2,1/3"], "no generator is defined at (1/2, 1/3)"),
         (["orbit", "--point", "1/2,1/3", "--fixed-time", "1/2"],
