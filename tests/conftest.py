@@ -1,16 +1,37 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import vfkit
 from vfkit import fields
 from vfkit.cli import main
 from vfkit.expr import parse
 from vfkit.vectorfield import DomainPredicate, VectorField, field_values
 from vfkit.liealg import word_vectors, zero_time_vectors
 from vfkit.linalg import span_rank
+
+
+# ``python -c CLI args...`` runs ``vfkit args...``
+CLI = "import sys; from vfkit.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def fresh_process(code, *args, cwd=None, hash_seed=None, check=True):
+    """``python -c code *args``, run to its end in a new process that imports
+    this checkout's vfkit, under PYTHONHASHSEED=hash_seed when one is given."""
+    src = str(pathlib.Path(vfkit.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60, check=check)
 
 
 def make_field(name, components, dim, constraints=()):

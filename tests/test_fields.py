@@ -386,15 +386,16 @@ class TestFlows:
         sampler = WordSampler(seed=0, max_time=6.0)
         orbit = orbit_dimension(family, point, sampler)
         fixed = fixed_time_dimension(family, point, 0.5, sampler)
-        for report, start, theta, constraint, used in (
-                (orbit, point, math.pi / 2, "free", 29),
-                (fixed, fixed.reached, math.pi / 2 + 0.5, "zero-sum", 61)):
+        for report, start, theta, constraint, dim, used in (
+                (orbit, point, math.pi / 2, "free", 1, 29),
+                (fixed, fixed.reached, math.pi / 2 + 0.5, "zero-sum", 0, 61)):
             words = replace(sampler, constraint=constraint).words(1)
             got = [not isinstance(v, FlowError) and v[0] is not None
                    for v in pushforward_along_words(family, words, [family[:1]] * len(words),
                                                     [start] * len(words))]
             assert got == [walks(w, theta) for w in words]
-            assert (report.words_used, report.words_skipped) == (used, 200 - used)
+            assert (report.dimension, report.words_used, report.words_skipped) == (
+                dim, used, 200 - used)
 
     def test_apply_word_reports_step(self, vf):
         X = vf("X", ["1", "0"], 2, [(1, "<", Fraction(1))])

@@ -16,6 +16,8 @@ import pytest
 from vfkit.cli import main
 from vfkit.presets import PRESETS
 
+from conftest import CLI, fresh_process
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -109,6 +111,16 @@ def test_report_matches_golden_bytes(case, name, argv, tmp_path, monkeypatch, ca
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{case}.json").read_text()
+
+
+@pytest.mark.parametrize("case,name,argv", SAMPLED, ids=[c for c, _, _ in SAMPLED])
+def test_sampled_report_matches_golden_bytes_in_a_fresh_process(case, name, argv, tmp_path):
+    # the seeded words and their flows give the same floats in a new process,
+    # at another hash seed and with nothing cached by earlier tests
+    (tmp_path / f"{name}.vf").write_text(PRESETS[name].system_text)
+    run = fresh_process(CLI, argv[0], "--system", f"{name}.vf", *argv[1:], "--seed", SAMPLED_SEED,
+                        "--format", "json", cwd=tmp_path, hash_seed=12345)
+    assert run.stdout == (GOLDEN / f"{case}.json").read_text()
 
 
 def test_examples_list_matches_golden_bytes(capsys):

@@ -3,12 +3,11 @@
 import ast
 import importlib
 import inspect
-import os
 import pathlib
-import subprocess
-import sys
 
 import vfkit
+
+from conftest import fresh_process
 
 SRC = pathlib.Path(vfkit.__file__).parent
 
@@ -157,15 +156,6 @@ def test_benchmark_clears_every_cache():
     assert cleared == {name for _, name in CLEARED_CACHES}
 
 
-def _fresh_process(code, cwd=None):
-    """Standard output of ``python -c code`` in a new process that imports
-    this checkout's vfkit."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
-                          text=True, timeout=60, check=True).stdout.strip()
-
-
 def test_cli_import_leaves_out_scipy_integrate():
     # flows integrate with vfkit's own solver and matrix exponential, so no
     # scipy module is loaded, not even once the double integrator's preset
@@ -178,11 +168,17 @@ def test_cli_import_leaves_out_scipy_integrate():
              "(X1,) = s.parse_system(p.PRESETS['double-integrator'].system_text).pick(['X1']); "
              "f.apply_word([X1], [(0, 0.5)], (0, 0)); "
              "print(len(calls), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert _fresh_process(check) == "1 []"
+    assert fresh_process(check).stdout.strip() == "1 []"
 
 
 # Every exact subcommand, run in one process; lie on mixed-degree-pair is
-# left out, as at its defaults it takes over a minute.
+# left out, as at its defaults it takes over a minute.  The generic rank
+# comes from the symbolic minors, of an all-zero and a generically
+# deficient system too.
+EXACT_SYSTEMS = {
+    "zero": "system zero dim 2\nfield X1 = (0, 0)\n",
+    "deficient": "system deficient dim 2\nfield X1 = (x1, x2)\nfield X2 = (x1*x2, x2^2)\n",
+}
 EXACT_RUNS = [
     ["bracket", "--system", "linear-shear.vf", "--fields", "X1,X2"],
     ["lie", "--system", "linear-shear.vf", "--point", "1/2,1/2"],
@@ -192,6 +188,8 @@ EXACT_RUNS = [
     ["member", "--system", "mixed-degree-pair.vf", "--target", "(x2^3, 0)", "--gens", "X1,X2",
      "--degree", "2"],
     ["rank", "--system", "mixed-degree-pair.vf", "--point", "3/8,-5/8"],
+    ["rank", "--system", "zero.vf", "--point", "1,1"],
+    ["rank", "--system", "deficient.vf", "--point", "1,1"],
 ]
 
 
@@ -202,6 +200,8 @@ def test_exact_subcommands_load_no_numpy(tmp_path):
 
     for name in ("linear-shear", "mixed-degree-pair"):
         (tmp_path / f"{name}.vf").write_text(PRESETS[name].system_text)
+    for name, text in EXACT_SYSTEMS.items():
+        (tmp_path / f"{name}.vf").write_text(text)
     check = f"""
 import contextlib, io, sys
 from vfkit.cli import main
@@ -209,7 +209,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in {EXACT_RUNS!r}]
 print(codes, "numpy" in sys.modules)
 """
-    assert _fresh_process(check, cwd=tmp_path) == f"{[0] * len(EXACT_RUNS)} False"
+    assert fresh_process(check, cwd=tmp_path).stdout.strip() == f"{[0] * len(EXACT_RUNS)} False"
 
 
 TRACER_PY = ROOT / "perfbench" / "tracer.py"

@@ -4,7 +4,10 @@ import re
 
 import pytest
 
+from vfkit.cli import EXIT_FACTS
 from vfkit.presets import PRESETS, run_preset
+
+from conftest import CLI, fresh_process
 
 # every fact's text at seed 0, one entry per fact in corpus order
 CORPUS_SEED0 = pathlib.Path(__file__).parent / "data" / "corpus-seed0.json"
@@ -33,6 +36,19 @@ def test_preset_facts(name):
                 f"{name}entry {fact.fact_id} [{fact.tag}]\n"
                 f"expected: {result.expected}\nmeasured: {result.measured}"
             )
+
+
+def test_run_all_fails_only_the_refuted_fact_under_any_hash_seed(tmp_path):
+    # ``vfkit examples --run-all``, as a user runs it, at two hash seeds:
+    # one designed mismatch, and the same bytes whatever the set order
+    runs = [fresh_process(CLI, "examples", "--run-all", "--format", "json", cwd=tmp_path,
+                          hash_seed=seed, check=False) for seed in (0, 12345)]
+    assert [run.returncode for run in runs] == [EXIT_FACTS, EXIT_FACTS]
+    assert runs[0].stdout == runs[1].stdout
+    failing = [(run["preset"], fact["id"])
+               for run in json.loads(runs[0].stdout)["results"]["runs"]
+               for fact in run["facts"] if not fact["ok"]]
+    assert failing == sorted(KNOWN_REFUTED)
 
 
 def test_every_preset_has_published_fact():

@@ -319,6 +319,25 @@ class TestCli:
         assert payload["results"]["ranks_by_depth"] == [1, 2, 2, 2]
         assert payload["results"]["stabilized_at"] == 2
 
+    def test_mixed_degree_pair_ranks_exactly_away_from_the_origin(self, capsys, tmp_path):
+        # X1 and X2 vanish only at the origin, so at (3/8, -5/8) they span at
+        # every depth, and the zero-time ideal is the whole algebra
+        path = tmp_path / "mixed-degree-pair.vf"
+        path.write_text(PRESETS["mixed-degree-pair"].system_text)
+        code, out = run_cli(capsys, "rank", "--system", str(path), "--point", "3/8,-5/8",
+                            "--format", "json")
+        res = json.loads(out)["results"]
+        assert code == 0
+        assert (res["rank"], res["method"], res["generic_rank"], len(res["minors"])) == (
+            2, "exact-rational", 2, 1)
+        code, out = run_cli(capsys, "lie", "--system", str(path), "--point", "3/8,-5/8",
+                            "--depth", "5", "--module-degree", "4", "--fixed-time-ideal",
+                            "--format", "json")
+        res = json.loads(out)["results"]
+        assert code == 0
+        assert res["ranks_by_depth"] == [2] * 5
+        assert res["fixed_time_ideal"] == {"ideal_rank": 2, "lie_rank": 2, "codim": 0}
+
     def test_member_command(self, capsys, shear_file):
         code, out = run_cli(capsys, "member", "--system", shear_file,
                             "--target", "(0,x1^2)", "--gens", "X2",
@@ -866,3 +885,29 @@ class TestGenericFamilies:
         assert (res["dimension"], res["certificate"]) == (dim, "bracket-rank")
         assert (res["words_used"], res["words_skipped"]) == (0, 0)
         assert searches == []
+
+
+BLOW = """\
+system blow dim 3
+field X1 = (0, 1, 0)
+field X2 = (x1^2+x2^2, 0, 1)
+"""
+
+
+@pytest.mark.parametrize("text,opts,counts", [
+    (BLOW, ("--point=2,1,0", "--max-time", "1"), (3, 128, 72)),
+    (BLOW, ("--point=3,2,0", "--max-time", "1.5", "--max-len", "8"), (3, 65, 135)),
+    (PRESETS["isolated-leaf"].system_text,
+     ("--point=2,1,-1", "--max-time", "1.5", "--max-len", "8"), (3, 200, 0)),
+], ids=["blow-1", "blow-2", "isolated-leaf"])
+def test_sampled_orbit_counts_through_blow_up_words(capsys, tmp_path, text, opts, counts):
+    # at depth 1 the bracket rank is 2, so the orbit is sampled; along X2,
+    # x1' = x1^2 + x2^2 blows up in finite time, and the words whose flows
+    # blow up are skipped
+    path = tmp_path / "family.vf"
+    path.write_text(text)
+    code, out = run_cli(capsys, "orbit", "--system", str(path), *opts, "--depth", "1",
+                        "--format", "json")
+    res = json.loads(out)["results"]
+    assert code == 0
+    assert (res["dimension"], res["words_used"], res["words_skipped"]) == counts
