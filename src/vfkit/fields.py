@@ -68,7 +68,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .expr import compile_float, poly_coeff_dict, sum_products
-from .vectorfield import DomainExitError, FlowError, IntegrationError, lie_bracket
+from .vectorfield import DomainExitError, FlowError, IntegrationError, jacobian, lie_bracket
 
 __all__ = ["lie_bracket", "flow", "apply_word", "apply_words", "pushforward_along_word",
            "pushforward_along_words", "jacobian_exprs", "value_float"]
@@ -85,9 +85,7 @@ WALK_ROWS = 512
 
 @lru_cache(maxsize=None)
 def jacobian_exprs(X):
-    return tuple(
-        tuple(X.components[i].diff(j + 1) for j in range(X.dim)) for i in range(X.dim)
-    )
+    return jacobian(X)
 
 
 class _Flow(NamedTuple):

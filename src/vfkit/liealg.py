@@ -33,7 +33,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .expr import Expr
-from .vectorfield import VectorField, field_evaluators, field_values, lie_bracket, point_text
+from .vectorfield import (VectorField, field_evaluators, field_values, jacobian, lie_bracket,
+                          point_text)
 from .linalg import in_span
 from .membership import OversizeError, module_contains
 
@@ -128,12 +129,17 @@ def _filtration_by_depth(family, depth_cap):
     duplicates = {}  # generator key -> the first bracket that is its multiple
 
     stabilized_at = None
+    partials = None  # the generators' jacobians, taken at the first bracket depth
     for depth in range(1, depth_cap + 1):
         if depth > 1:
+            if partials is None:
+                # polynomial brackets differentiate on exponent dicts instead
+                polynomial = all(g.is_polynomial() for g in family)
+                partials = [None if polynomial else jacobian(g) for g in family]
             new_level = []
             for word, f in levels[-1]:
                 for i, g in enumerate(family):
-                    b = lie_bracket(g, f)
+                    b = lie_bracket(g, f, partials[i])
                     w = BracketWord(word.indices + (i,))
                     if b.is_zero():
                         continue

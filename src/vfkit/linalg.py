@@ -17,6 +17,15 @@ too, each relative to the largest singular value:
 of the vectors against the scale of the vectors themselves: nearly equal
 flow vectors differ only by integration noise, and a threshold relative to
 the largest difference would count that noise as rank.
+
+``exact_solve`` eliminates only the part of a system that its right-hand
+sides reach: the rows where some side is nonzero, and every row linked to
+them through an unknown they share.  The rows left out form blocks that
+share no unknown with the rest and whose sides are all 0; in the unique
+reduced row echelon form their pivots read 0 and their free unknowns are
+0, so every solution and every None is the one the whole system gives, and
+the unknowns left out read 0.  Ranks (``exact_pivot_columns``) need every
+row and eliminate them all.
 """
 
 from __future__ import annotations
@@ -42,37 +51,35 @@ VALUE_REL_TOL = 1e-9
 FLOW_REL_TOL = 1e-7
 
 
-def _sparse_rows(matrix, rhs=()):
-    """Rows as ``{column: int}`` dicts without zero cells, and the width.
+def _is_mapping(row):
+    # a plain dict, the common row, skips the Mapping ABC check
+    return type(row) is dict or isinstance(row, Mapping)
 
-    A row may be a sequence or a ``{column: value}`` dict; the width of dict
-    rows is one past their largest column.  ``rhs`` lists right-hand sides,
-    one entry per row each; the k-th joins the rows in column width + k.
-    Every row is scaled to a primitive integer vector, which keeps its span.
-    ``int`` and ``Fraction`` cells are read through their numerator and
-    denominator as they are; only other cells go through ``Fraction(x)``.
+
+def _sparse_rows(matrix, rhs=()):
+    """Rows as ``{column: int}`` dicts without zero cells.
+
+    A row may be a sequence or a ``{column: value}`` Mapping.  ``rhs``
+    lists right-hand sides, each a ``{row index: value}`` Mapping; the k-th
+    joins the rows in column -1 - k, so no width is needed to place it.
+    Every row is scaled to a primitive integer vector, which keeps its
+    span.  ``int`` and ``Fraction`` cells are read through their numerator
+    and denominator as they are; only other cells go through
+    ``Fraction(x)``.
     """
-    rows = []
-    ncols = 0
-    for row in matrix:
-        if isinstance(row, Mapping):
-            ncols = max(ncols, max(row, default=-1) + 1)
-            items = row.items()
-        else:
-            ncols = max(ncols, len(row))
-            items = enumerate(row)
-        rows.append({c: x if isinstance(x, (int, Fraction)) else Fraction(x)
-                     for c, x in items if x != 0})
-    for k, side in enumerate(rhs):
-        for row, v in zip(rows, side):
+    rows = [{c: x if isinstance(x, (int, Fraction)) else Fraction(x)
+             for c, x in (row.items() if _is_mapping(row) else enumerate(row)) if x != 0}
+            for row in matrix]
+    for k, side in enumerate(rhs, 1):
+        for i, v in side.items():
             if v != 0:
-                row[ncols + k] = v if isinstance(v, (int, Fraction)) else Fraction(v)
+                rows[i][-k] = v if isinstance(v, (int, Fraction)) else Fraction(v)
     for i, row in enumerate(rows):
         scale = math.lcm(*(x.denominator for x in row.values()))
         rows[i] = _primitive(
             {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
         )
-    return rows, ncols
+    return rows
 
 
 def _primitive(row):
@@ -83,16 +90,17 @@ def _primitive(row):
     return row
 
 
-def _rref(rows, ncols):
+def _rref(rows):
     """Sparse Gauss-Jordan elimination of ``_sparse_rows`` rows, in place.
 
-    Columns are taken in order.  Each pivot is the sparsest row not yet used
+    The columns 0, 1, ... are taken in order; the negative ones, right-hand
+    sides, are never pivots.  Each pivot is the sparsest row not yet used
     as one, and it is cleared from every other row by integer combinations
     (each row kept primitive), so no fraction is formed.  Dividing each
     pivot row by its pivot gives the reduced row echelon form, which is
     unique, so the pivot choice changes no result.  Returns ``(pivot row,
-    column)`` pairs in column order; the other rows are zero in the first
-    ``ncols`` columns.
+    column)`` pairs in column order; the other rows are zero in every
+    column from 0 on.
     """
     holders = {}  # column -> indices of the rows with a nonzero there
     for i, row in enumerate(rows):
@@ -100,10 +108,11 @@ def _rref(rows, ncols):
             holders.setdefault(c, set()).add(i)
     unused = set(range(len(rows)))
     pivots = []
-    for c in range(ncols):
+    # elimination only fills in columns some row already holds
+    for c in sorted(c for c in holders if c >= 0):
         if not unused:
             break
-        candidates = holders.get(c, set()) & unused
+        candidates = holders[c] & unused
         if not candidates:
             continue
         p = min(candidates, key=lambda i: (len(rows[i]), i))
@@ -139,7 +148,28 @@ def _rref(rows, ncols):
 
 def exact_pivot_columns(matrix):
     """Column indices of a maximal independent subset, in elimination order."""
-    return [c for _, c in _rref(*_sparse_rows(matrix))]
+    return [c for _, c in _rref(_sparse_rows(matrix))]
+
+
+def _reached(matrix, sides):
+    """Indices, in order, of the rows that the right-hand sides reach: each
+    row where some side is nonzero, and each row that shares an unknown
+    with a reached row.  A zero cell of a Mapping row counts as shared,
+    which can only reach more."""
+    support = [row.keys() if _is_mapping(row) else {c for c, x in enumerate(row) if x != 0}
+               for row in matrix]
+    holders = {}  # unknown -> the rows that hold it
+    for i, cols in enumerate(support):
+        for c in cols:
+            holders.setdefault(c, []).append(i)
+    reached = {i for b in sides for i, v in b.items() if v != 0}
+    front, seen = reached, set()  # one breadth-first level at a time
+    while front:
+        cols = set().union(*[support[i] for i in front]) - seen
+        seen |= cols
+        front = set().union(*[holders[c] for c in cols]) - reached
+        reached |= front
+    return sorted(reached)
 
 
 def exact_solve(A, rhs):
@@ -149,22 +179,30 @@ def exact_solve(A, rhs):
     One elimination serves every b: pivots are taken among A's columns only,
     and the reduced row echelon form is unique, so each solution is the one
     b would get alone.  Rows of A are sequences, and each solution is a
-    list, or they are ``{column: value}`` dicts, and each is a dict of its
-    nonzero entries.
+    list, or they are ``{column: value}`` Mappings, and each is a dict of
+    its nonzero entries.  Each b is a sequence with one entry per row or a
+    ``{row index: value}`` Mapping of its nonzero entries.
+
+    Only the rows the sides reach (``_reached``) are converted and
+    eliminated; the module's docstring says why no solution changes.
     """
-    rows, ncols = _sparse_rows(A, rhs)
-    pivots = _rref(rows, ncols)
+    sides = [b if isinstance(b, Mapping) else dict(enumerate(b)) for b in rhs]
+    keep = _reached(A, sides)
+    rows = _sparse_rows([A[i] for i in keep],
+                        [{k: b[i] for k, i in enumerate(keep) if i in b} for b in sides])
+    pivots = _rref(rows)
     # rows left over are zero among the unknowns: each reads 0 = b_i for its b's
-    inconsistent = {c for row in rows if row and min(row) >= ncols for c in row}
+    inconsistent = {c for row in rows if row and max(row) < 0 for c in row}
     solutions = [
         None if b in inconsistent
         else {c: Fraction(row[b], row[c]) for row, c in pivots if b in row}
-        for b in range(ncols, ncols + len(rhs))
+        for b in range(-1, -1 - len(rhs), -1)
     ]
-    if len(A) and isinstance(A[0], Mapping):
+    if len(A) and _is_mapping(A[0]):
         return solutions
+    width = max(map(len, A), default=0)
     return [
-        None if x is None else [x.get(c, Fraction(0)) for c in range(ncols)]
+        None if x is None else [x.get(c, Fraction(0)) for c in range(width)]
         for x in solutions
     ]
 

@@ -12,7 +12,12 @@ multipliers built and re-verified symbolically; ``module_contains`` only
 says whether every target is a member, builds no multipliers for a "no"
 and re-verifies every target's multipliers before a "yes".  That solve
 alone decides whether a system is too large: it raises OversizeError,
-naming the count, before any monomial is enumerated.
+naming the count, before any monomial is enumerated.  The count is of the
+nominal unknowns, generators times multiplier monomials, although
+``linalg.exact_solve`` then eliminates only the equations and unknowns that
+the targets' coefficients reach: the rest is a homogeneous part whose
+unknowns read 0 in the one solution the whole system gives, so the
+multipliers do not change.
 """
 
 from __future__ import annotations
@@ -151,8 +156,9 @@ def _solve(targets, generators, degree):
     for side in sides:
         for key in side:
             rows.setdefault(key, {})  # no multiplier produces it: 0 = coefficient
+    index = {key: i for i, key in enumerate(rows)}
     solutions = exact_solve(
-        list(rows.values()), [[side.get(key, 0) for key in rows] for side in sides]
+        list(rows.values()), [{index[key]: tc for key, tc in side.items()} for side in sides]
     )
     return tgts, gens, solutions, monos, n
 

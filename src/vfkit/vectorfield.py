@@ -17,7 +17,7 @@ from .expr import (Expr, compile_exact, compile_float, poly_coeff_dict, poly_fro
                    sum_products)
 
 __all__ = ["DomainPredicate", "VectorField", "FlowError", "DomainExitError", "IntegrationError",
-           "lie_bracket", "field_values", "field_evaluators", "point_text"]
+           "jacobian", "lie_bracket", "field_values", "field_evaluators", "point_text"]
 
 
 class FlowError(Exception):
@@ -129,13 +129,21 @@ class VectorField:
         return body
 
 
-def lie_bracket(X, Y):
+def jacobian(X):
+    """X's partials: row i holds d X_i / d x_j for j = 1, ..., dim."""
+    return tuple(tuple(c.diff(j + 1) for j in range(X.dim)) for c in X.components)
+
+
+def lie_bracket(X, Y, dX=None):
     """[X, Y] in coordinates, with the intersected domain:
     [X, Y]_i = sum_j X_j d_j Y_i - Y_j d_j X_i.  When both fields are
     polynomial this sum runs on exponent-tuple -> coefficient views
     (``poly_coeff_dict``), otherwise on ``sum_products``, which skips the
     products whose multiplier X_j or Y_j is zero; either way each component
-    becomes one canonical Expr, sorted once at the end."""
+    becomes one canonical Expr, sorted once at the end.  ``dX``, X's
+    ``jacobian`` when the caller brackets X with many fields, spares the
+    second sum differentiating X again; without it only the partials of X
+    that the sum reads are taken."""
     if X.dim != Y.dim:
         raise ValueError("bracket of fields of different dimensions")
     n = X.dim
@@ -143,9 +151,11 @@ def lie_bracket(X, Y):
     if X.is_polynomial() and Y.is_polynomial():
         comps = _poly_bracket(xs, ys, n)
     else:
+        if dX is None:
+            dX = [[c.diff(j + 1) if ys[j].terms else None for j in range(n)] for c in xs]
         comps = tuple(
             sum_products([(xs[j], ys[i].diff(j + 1)) for j in range(n) if xs[j].terms]
-                         + [(-ys[j], xs[i].diff(j + 1)) for j in range(n) if ys[j].terms])
+                         + [(-ys[j], dX[i][j]) for j in range(n) if ys[j].terms])
             for i in range(n))
     return VectorField(f"[{X.name},{Y.name}]", comps, X.domain.intersect(Y.domain))
 

@@ -3,9 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vfkit.expr import const, parse
+from vfkit.expr import Expr, const, parse
 from vfkit.vectorfield import field_values, lie_bracket
-from vfkit import cli, liealg, membership
+from vfkit import cli, liealg, linalg, membership
 from vfkit.liealg import (
     LieAlgebraError,
     certify,
@@ -100,6 +100,49 @@ class TestFiltration:
         assert f.stabilized_at is None
         assert solved == [len(level) for level in f.levels[1:]]
         assert len(solved) == 5
+
+    def test_module_search_eliminates_only_what_the_targets_reach(self, tmp_path, monkeypatch):
+        # lie on mixed-degree-pair at depth 5 and module degree 5 solves
+        # systems of up to 267 rows; at most 46 of them connect to a target
+        # coefficient, and only those are eliminated
+        systems = []  # per membership system: [its rows, the rows eliminated]
+        solving = []  # the system being solved; ranks eliminate outside any
+        solve, rref = membership.exact_solve, linalg._rref
+
+        def solving_spy(A, rhs):
+            solving.append([len(A), 0])
+            try:
+                return solve(A, rhs)
+            finally:
+                systems.append(solving.pop())
+
+        def rref_spy(rows):
+            if solving:
+                solving[-1][1] += len(rows)
+            return rref(rows)
+
+        monkeypatch.setattr(membership, "exact_solve", solving_spy)
+        monkeypatch.setattr(linalg, "_rref", rref_spy)
+        path = tmp_path / "mixed-degree-pair.vf"
+        path.write_text(PRESETS["mixed-degree-pair"].system_text)
+        assert cli.main(["lie", "--system", str(path), "--point", "1/2,3/4", "--depth", "5",
+                         "--module-degree", "5", "--format", "json"]) == 0
+        assert max(rows for rows, _ in systems) == 267
+        assert 0 < max(eliminated for _, eliminated in systems) <= 46
+
+    def test_generators_are_differentiated_once_per_filtration(self, monkeypatch):
+        # a depth-8 one-sided-flat filtration takes each generator's 2 x 2
+        # partials once; its non-polynomial brackets then differentiate only
+        # the deeper word (82 calls in all when each bracket differentiated
+        # its generator again)
+        family = preset_family("one-sided-flat")
+        diffs, jacobians = [], []
+        diff, jacobian = Expr.diff, liealg.jacobian
+        monkeypatch.setattr(Expr, "diff", lambda e, i: diffs.append(e) or diff(e, i))
+        monkeypatch.setattr(liealg, "jacobian", lambda g: jacobians.append(g) or jacobian(g))
+        filtration(family, 8)
+        assert jacobians == family
+        assert len(diffs) == 54
 
     def test_by_depth_is_the_filtration_cut_at_each_depth(self, diag, shear):
         # one builder: the walk's depth-d filtration holds the first d levels

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfkit.linalg import (
+    _reached,
     affine_rank,
     exact_pivot_columns,
     exact_solve,
@@ -234,28 +235,88 @@ def test_rank_pivots_kernel_match_dense(A):
     assert exact_nullspace(A) == dense_nullspace(A)
 
 
+def mapping_side(b):
+    """A dense right-hand side as the {row index: value} Mapping of its
+    nonzero entries."""
+    return {i: v for i, v in enumerate(b) if v != 0}
+
+
+def assert_solves_like_dense(A, sides):
+    """``exact_solve`` of A with sequence and with {column: value} rows,
+    and with dense and Mapping sides, against ``dense_solve``: the same
+    Nones, and the same solutions with free unknowns 0, as lists of the
+    full width or as dicts of their nonzero entries."""
+    wants = [dense_solve(A, b) for b in sides]
+    sparse = [{c: x for c, x in enumerate(row) if x != 0} for row in A]
+    for b_form in (list, mapping_side):
+        b = [b_form(side) for side in sides]
+        assert exact_solve(A, b) == wants
+        got = exact_solve(sparse, b)
+        assert got == [None if want is None else {c: x for c, x in enumerate(want) if x != 0}
+                       for want in wants]
+
+
 @settings(max_examples=200, deadline=None)
 @given(systems())
 def test_solve_matches_dense(system):
-    A, sides = system
-    wants = [dense_solve(A, b) for b in sides]
-    assert exact_solve(A, sides) == wants
-    # the same system as {column: value} rows gives the nonzero entries
-    sparse = [{c: x for c, x in enumerate(row) if x != 0} for row in A]
-    for got, want in zip(exact_solve(sparse, sides), wants):
-        if want is None:
-            assert got is None
-        else:
-            assert got == {c: x for c, x in enumerate(want) if x != 0}
+    assert_solves_like_dense(*system)
+
+
+@st.composite
+def block_systems(draw):
+    """Two or three independent ``systems()`` blocks on their own rows and
+    unknowns, with the rows and the unknowns shuffled together.  The first
+    block's sides are all 0, and any other block's may be, so the rows that
+    the nonzero sides reach leave some out.  Returns the system and the
+    rows of the blocks with a nonzero side."""
+    nsides = draw(st.integers(1, 3))
+    blocks = []
+    for k in range(draw(st.integers(2, 3))):
+        A, sides = draw(systems())
+        sides = (sides * 3)[:nsides]
+        if k == 0 or draw(st.booleans()):
+            sides = [[Fraction(0)] * len(A) for _ in sides]
+        blocks.append((A, sides))
+    nrows = sum(len(A) for A, _ in blocks)
+    ncols = sum(len(A[0]) for A, _ in blocks)
+    row_at = draw(st.permutations(range(nrows)))
+    col_at = draw(st.permutations(range(ncols)))
+    M = [[Fraction(0)] * ncols for _ in range(nrows)]
+    sides = [[Fraction(0)] * nrows for _ in range(nsides)]
+    live = set()
+    r0 = c0 = 0
+    for A, block_sides in blocks:
+        for i, row in enumerate(A):
+            for j, x in enumerate(row):
+                M[row_at[r0 + i]][col_at[c0 + j]] = x
+            for side, block_side in zip(sides, block_sides):
+                side[row_at[r0 + i]] = block_side[i]
+        if any(v != 0 for side in block_sides for v in side):
+            live.update(row_at[r0 + i] for i in range(len(A)))
+        r0, c0 = r0 + len(A), c0 + len(A[0])
+    return M, sides, live
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_systems())
+def test_solve_of_independent_blocks_matches_dense(system):
+    # only the blocks with a nonzero side are reached, and leaving the
+    # others out changes no solution: their unknowns read 0
+    A, sides, live = system
+    assert set(_reached(A, [mapping_side(b) for b in sides])) <= live
+    assert_solves_like_dense(A, sides)
 
 
 def test_solve_edge_shapes():
-    assert exact_solve([[0, 0], [0, 0]], [[0, 0]]) == [[Fraction(0), Fraction(0)]]
-    assert exact_solve([[0, 0]], [[1]]) == [None]
-    assert exact_solve([{}, {1: 2}], [[0, 3]]) == [{1: Fraction(3, 2)}]
-    assert exact_solve([{}, {1: 2}], [[1, 3]]) == [None]
-    assert exact_solve([], [[]]) == [[]]
+    for b_form in (list, mapping_side):
+        assert exact_solve([[0, 0], [0, 0]], [b_form([0, 0])]) == [[Fraction(0), Fraction(0)]]
+        assert exact_solve([[0, 0]], [b_form([1])]) == [None]
+        assert exact_solve([{}, {1: 2}], [b_form([0, 3])]) == [{1: Fraction(3, 2)}]
+        assert exact_solve([{}, {1: 2}], [b_form([1, 3])]) == [None]
+        assert exact_solve([], [b_form([])]) == [[]]
     assert exact_solve([[1, 2]], []) == []
+    # the width of sequence rows holds when no side reaches a row
+    assert exact_solve([[1, 2, 0]], [{}]) == [[Fraction(0)] * 3]
     assert exact_pivot_columns([]) == [] and exact_nullspace([]) == []
 
 

@@ -641,7 +641,7 @@ class TestRankFirst:
         inner = []
         real = liealg.lie_bracket
         monkeypatch.setattr(liealg, "lie_bracket",
-                            lambda g, f: inner.append(f.name) or real(g, f))
+                            lambda g, f, *dg: inner.append(f.name) or real(g, f, *dg))
         return inner
 
     def test_full_rank_runs_no_module_search(self, searches, brackets):
