@@ -31,8 +31,9 @@ from .liealg import (
     DEPTH_CAP_LIMIT,
     LieAlgebraError,
     certify,
+    ideal_vectors,
+    time_extended,
     word_vectors,
-    zero_time_vectors,
 )
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, span_rank
 from .membership import DEGREE_CAP, MembershipError, member_bounded
@@ -44,7 +45,7 @@ from .systems import (
     parse_system,
     parse_target,
 )
-from .vectorfield import FlowError, field_values, lie_bracket
+from .vectorfield import FlowError, field_values, lie_bracket, point_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -319,12 +320,11 @@ def _cmd_lie(args, seed):
     p = parse_point(args.point, system.dim)
     values = field_values(system.fields, [p])
     walk = list(word_vectors(system.fields, values, [p], args.depth))
-    filt, ((_, derived),) = walk[-1]
-    filt = certify(filt, args.module_degree)
+    filt = certify(walk[-1][0], args.module_degree)
     results = {
         "point": list(p),
         "depth_cap": args.depth,
-        "ranks_by_depth": [span_rank(words) for _, ((words, _),) in walk],
+        "ranks_by_depth": [span_rank(words) for _, (words,) in walk],
         "stabilized_at": filt.stabilized_at,
         "certificate": filt.certificate,
         "words": [
@@ -338,9 +338,14 @@ def _cmd_lie(args, seed):
             f"no stabilization certificate at depth cap {args.depth}; ranks "
             "are lower bounds", filt.note]))
     if args.fixed_time_ideal:
-        # the kept words span what every generator and derived word spans
+        # the zero-time ideal spanned by the time-extended family's words at (p, 0)
+        if all(v is None for v in values[0]):
+            raise LieAlgebraError(f"no generator defined at {point_text(p)}")
+        extended, start = time_extended(system.fields), [(*p, 0)]
+        *_, (_, (words,)) = word_vectors(extended, field_values(extended, start), start,
+                                         args.depth)
         lie_rank = results["ranks_by_depth"][-1]
-        ideal_rank = span_rank(zero_time_vectors(values[0], derived, p))
+        ideal_rank = span_rank(ideal_vectors(words))
         codim = lie_rank - ideal_rank
         if codim not in (0, 1):
             raise LieAlgebraError(

@@ -2,9 +2,7 @@
 
 Left-nested bracket words [X_ik, [..., [X_i2, X_i1]...]] span the whole
 generated Lie algebra, so the filtration enumerates only those, pruning
-symbolic zeros and rational multiples of words already kept.  A pruned
-bracket that is a multiple of a generator is still recorded, apart from
-the levels, since the derived algebra [L, L] needs it.  ``filtration``
+symbolic zeros and rational multiples of words already kept.  ``filtration``
 builds the words to the cap, with the free symbolic-closure certificate
 and nothing else.  For polynomial families ``certify`` then attempts a
 stabilization certificate: once every depth-(k+1) word is a degree-bounded
@@ -16,11 +14,16 @@ functions only below full rank.
 Brackets of polynomial fields are computed on exponent dicts
 (``vectorfield.lie_bracket``).  Every bracket rank at points is read from one
 walk, ``word_vectors``: one depth at a time, the filtration built so far
-and, per point, the values of the words and of the derived words, each word
-evaluated once per point, so a caller that needs only a rank can stop at
-the first depth that gives it (``orbits.exact_ranks``).
-``derived_certificate`` certifies the same way that the derived words span
-[L, L] at every point.
+and, per point, the values of its words, each word evaluated once per
+point, so a caller that needs only a rank can stop at the first depth that
+gives it (``orbits.exact_ranks``).
+Fixed time needs no algebra of its own.  The time-extended family
+``time_extended``, Y_i = (X_i, 1) on R^n x R, has brackets
+[Y_i, Y_j] = ([X_i, X_j], 0), so at (x, t) its words span
+R*Y_j + (L0(x) x 0), where L0 = {sum c_i X_i : sum c_i = 0} + [L, L] is the
+zero-time ideal: ``ideal_vectors`` reads from Y's word values vectors
+spanning L0(x), whose rank is the rank of Y's words minus 1, and dropping
+their last coordinate gives Lie(F)(x).
 Involutivity reads the nonzero pairwise brackets, built once by
 ``pairwise_brackets`` and compiled once by ``pointwise_witnesses``.
 """
@@ -28,13 +31,12 @@ Involutivity reads the nonzero pairwise brackets, built once by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .expr import Expr
-from .vectorfield import (VectorField, field_evaluators, field_values, jacobian, lie_bracket,
-                          point_text)
+from .expr import ONE, Expr
+from .vectorfield import VectorField, field_evaluators, field_values, jacobian, lie_bracket
 from .linalg import in_span
 from .membership import OversizeError, module_contains
 
@@ -44,10 +46,10 @@ __all__ = [
     "filtration",
     "word_vectors",
     "certify",
-    "derived_certificate",
+    "time_extended",
+    "ideal_vectors",
     "pairwise_brackets",
     "pointwise_witnesses",
-    "zero_time_vectors",
 ]
 
 DEPTH_CAP_LIMIT = 10
@@ -100,10 +102,6 @@ class LieFiltration:
     stabilized_at: Optional[int]  # certified depth; None = capped at depth_cap
     certificate: Optional[str]  # "symbolic-closure" | "module-degree-D"
     note: Optional[str] = None  # why the module search stopped short of the cap
-    # pruned brackets of depth >= 2 that are rational multiples of a
-    # generator, the first one per generator
-    generator_duplicates: List[Tuple[BracketWord, VectorField]] = field(
-        default_factory=list)
 
 
 def _filtration_by_depth(family, depth_cap):
@@ -125,8 +123,6 @@ def _filtration_by_depth(family, depth_cap):
         seen.add(key)
         current.append((BracketWord((i,)), g))
     levels.append(current)
-    generator_keys = set(seen)
-    duplicates = {}  # generator key -> the first bracket that is its multiple
 
     stabilized_at = None
     partials = None  # the generators' jacobians, taken at the first bracket depth
@@ -140,24 +136,18 @@ def _filtration_by_depth(family, depth_cap):
             for word, f in levels[-1]:
                 for i, g in enumerate(family):
                     b = lie_bracket(g, f, partials[i])
-                    w = BracketWord(word.indices + (i,))
-                    if b.is_zero():
-                        continue
                     key = _normal_key(b)
-                    if key in seen:
-                        if key in generator_keys and key not in duplicates:
-                            duplicates[key] = (w, VectorField(str(w), b.components,
-                                                              b.domain))
+                    if key is None or key in seen:  # zero, or a multiple of a kept word
                         continue
                     seen.add(key)
+                    w = BracketWord(word.indices + (i,))
                     new_level.append((w, VectorField(str(w), b.components, b.domain)))
             levels.append(new_level)
             if not new_level and stabilized_at is None:
                 # every deeper word is zero or a rational multiple of a kept one
                 stabilized_at = depth - 1
         certificate = None if stabilized_at is None else "symbolic-closure"
-        yield LieFiltration(family, depth, list(levels), stabilized_at, certificate, None,
-                            list(duplicates.values()))
+        yield LieFiltration(family, depth, list(levels), stabilized_at, certificate)
 
 
 def filtration(family, depth_cap=DEFAULT_DEPTH_CAP):
@@ -170,25 +160,19 @@ def filtration(family, depth_cap=DEFAULT_DEPTH_CAP):
 
 def word_vectors(family, values, points, depth_cap=DEFAULT_DEPTH_CAP):
     """Per depth d = 1, ..., depth_cap: the filtration to depth d and, per
-    point, (words, derived): the values there of its words and of the
-    derived words (depth >= 2, then the generator duplicates, which with
-    them span every bracket of depth >= 2), each left out outside its
-    domain.  ``values`` are the generators' ``vectorfield.field_values`` there.
+    point, the values there of its words, each left out outside its domain.
+    ``values`` are the generators' ``vectorfield.field_values`` there.
     Each word is compiled once for all the points and evaluated at the depth
     that builds it; a caller that stops early builds no deeper word."""
     deeper = [[] for _ in points]  # per point, the words of depth >= 2
-    duplicates = [[] for _ in points]  # and the generator duplicates
-    evaluated = 0  # generator duplicates evaluated so far
     for filt in _filtration_by_depth(family, depth_cap):
-        level = [f for _, f in filt.levels[-1]] if filt.depth_cap > 1 else []
-        new = level + [f for _, f in filt.generator_duplicates[evaluated:]]
-        evaluated = len(filt.generator_duplicates)
-        for words, dups, vals in zip(deeper, duplicates, field_values(new, points)):
-            words += [v for v in vals[:len(level)] if v is not None]
-            dups += [v for v in vals[len(level):] if v is not None]
+        if filt.depth_cap > 1:
+            level = [f for _, f in filt.levels[-1]]
+            for words, vals in zip(deeper, field_values(level, points)):
+                words += [v for v in vals if v is not None]
         generators = [w.indices[0] for w, _ in filt.levels[0]]
-        yield filt, [([vals[i] for i in generators if vals[i] is not None] + words,
-                      words + dups) for vals, words, dups in zip(values, deeper, duplicates)]
+        yield filt, [[vals[i] for i in generators if vals[i] is not None] + words
+                     for vals, words in zip(values, deeper)]
 
 
 def certify(filt, module_degree=DEFAULT_MODULE_DEGREE):
@@ -203,19 +187,19 @@ def certify(filt, module_degree=DEFAULT_MODULE_DEGREE):
     if filt.certificate is not None or not all(g.is_polynomial() for g in filt.family):
         return filt
     kept = [[f for _, f in level] for level in filt.levels]
-    stabilized_at, note = _module_closure(kept, 0, [], module_degree)
+    stabilized_at, note = _module_closure(kept, module_degree)
     certificate = None if stabilized_at is None else f"module-degree-{module_degree}"
     return replace(filt, stabilized_at=stabilized_at, certificate=certificate, note=note)
 
 
-def _module_closure(levels, low, extra, degree):
-    """The first depth d > low whose words are members, with multipliers
-    of degree <= degree, of the module generated by the words of
-    ``levels[low:d]`` and ``extra``: (d, None).  (None, why) when a
-    system's solve raises ``membership.OversizeError`` first; (None, None)
-    when no depth below the cap closes."""
-    for depth in range(low + 1, len(levels)):
-        basis = [f for lv in levels[low:depth] for f in lv] + extra
+def _module_closure(levels, degree):
+    """The first depth d whose words are members, with multipliers of
+    degree <= degree, of the module generated by the words of
+    ``levels[:d]``: (d, None).  (None, why) when a system's solve raises
+    ``membership.OversizeError`` first; (None, None) when no depth below
+    the cap closes."""
+    for depth in range(1, len(levels)):
+        basis = [f for lv in levels[:depth] for f in lv]
         try:
             if module_contains(levels[depth], basis, degree):
                 return depth, None
@@ -224,27 +208,24 @@ def _module_closure(levels, low, extra, degree):
     return None, None
 
 
-def derived_certificate(filt):
-    """Why the derived words of ``filt`` (``word_vectors``) span [L, L] at
-    every point, or None.
+def time_extended(family):
+    """The time-extended family Y_i = (X_i, 1) on R^n x R, each on its
+    field's domain, named as its field: a word of net time T flows (x, t)
+    to (x', t + T), so the fixed-time orbits are the slices t = const of
+    Y's orbits."""
+    return tuple(VectorField(X.name, X.components + (ONE,), X.domain) for X in family)
 
-    Under "symbolic-closure" every bracket of depth >= 2 is zero or a
-    rational multiple of a derived word, and that certificate is returned.
-    Under a module certificate, d = 2, 3, ... are tried below the cap: once
-    every depth-(d+1) word is a member, with multipliers of degree <=
-    ``DEFAULT_MODULE_DEGREE``, of the module generated by the words of
-    depths 2..d and the generator duplicates, the product rule
-    [X_i, a Y] = X_i(a) Y + a [X_i, Y] closes that module under every
-    ad X_i, so it holds every bracket of depth >= 2, and
-    "derived-module-degree-D" is returned.  One membership system per depth
-    tried; the search stops uncertified at the first system whose solve
-    raises ``membership.OversizeError``."""
-    if filt.certificate is None or filt.certificate == "symbolic-closure":
-        return filt.certificate
-    kept = [[f for _, f in level] for level in filt.levels]
-    duplicates = [f for _, f in filt.generator_duplicates]
-    depth, _ = _module_closure(kept, 1, duplicates, DEFAULT_MODULE_DEGREE)
-    return None if depth is None else f"derived-module-degree-{DEFAULT_MODULE_DEGREE}"
+
+def ideal_vectors(words):
+    """Vectors spanning the zero-time ideal L0(x), given the values at
+    (x, t) of the time-extended family's words (``word_vectors``): the
+    brackets, whose last coordinate is 0, and each generator's difference
+    from the first, whose last coordinate is 1, without that coordinate.
+    Their rank is the rank of the words minus 1, but unlike that it does not
+    depend on how large the values are against the constant 1."""
+    generators = [w for w in words if w[-1]]
+    return ([[a - b for a, b in zip(g[:-1], generators[0])] for g in generators[1:]]
+            + [w[:-1] for w in words if not w[-1]])
 
 
 def pairwise_brackets(family):
@@ -272,13 +253,3 @@ def pointwise_witnesses(values, brackets, points):
                 break
         yield witness
 
-
-def zero_time_vectors(values, derived, point):
-    """Vectors spanning the fixed-time ideal at the point: the differences
-    of the generators' values there (``vectorfield.field_values``, None outside
-    a domain) from the first defined one, then the derived words' values
-    ``derived``."""
-    defined = [v for v in values if v is not None]
-    if not defined:
-        raise LieAlgebraError(f"no generator defined at {point_text(point)}")
-    return [[a - b for a, b in zip(v, defined[0])] for v in defined[1:]] + derived

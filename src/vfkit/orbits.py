@@ -15,9 +15,13 @@ applies the rule at any number of points: it reads the ranks from the walk
 ``liealg.word_vectors`` one depth at a time and stops at the first depth
 where every point's rank is exact, each word evaluated once per point; else
 it runs the module search (``liealg.certify``) once, at the cap.
-Fixed-time orbits take the rank of the zero-time ideal at the float point
-that the seed word reaches, exact by the same rule (``"zero-time-ideal"``
-also needs ``liealg.derived_certificate``).
+A fixed-time orbit is a slice t = const of an orbit of the time-extended
+family Y (``liealg.time_extended``), so its dimension is the rank of
+Lie(Y) minus 1 (``liealg.ideal_vectors``), read by the same ladder once,
+on Y at (x, T) for the float point x that the seed word reaches, and exact
+by the same rule (Y's ``"nagano"`` is reported as ``"zero-time-ideal"``);
+dropping the last coordinate of Y's words gives Lie(F)(x) for the orbit
+dimension there.
 Every other case samples flow words that push the generators forward to the
 point, by one path (``sampled_orbit``) whose fixed-time words have net time
 zero: the rank of the collected vectors (for zero-sum words, of the linear
@@ -45,8 +49,8 @@ import numpy as np
 
 from .expr import ONE, ZERO
 from .fields import WALK_ROWS, apply_word, pushforward_along_words, value_float
-from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, derived_certificate,
-                     word_vectors, zero_time_vectors)
+from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, ideal_vectors,
+                     time_extended, word_vectors)
 from .linalg import FLOW_REL_TOL, affine_rank, all_exact, span_rank, svd_rank
 from .membership import OversizeError, module_contains
 from .vectorfield import DomainExitError, FlowError, field_values, point_text
@@ -259,50 +263,54 @@ def nagano_certified(filt):
     )
 
 
-def exact_certificate(filt, rank, values, fixed_time=False):
-    """Why the exact rank of Lie(F) at a point (of the zero-time ideal, for
-    ``fixed_time``) is the tangent dimension there, or None: sample it.
-    ``values`` are the generators' values there (``vectorfield.field_values``).
+def exact_certificate(filt, rank, values):
+    """Why the exact rank of Lie(F) at a point is the tangent dimension
+    there, or None: sample it.  ``values`` are the generators' values there
+    (``vectorfield.field_values``), whose length is the dimension n.
 
     The cheapest sufficient reason first: a rank of n, or of 0 where every
     flow fixes the point (every value exact and zero: a float pinned to 0
     does not count), is "bracket-rank" for any smooth family.  Only
     below that does Nagano decide, from the stabilization certificate that
-    ``filt`` carries (and, for fixed time, ``derived_certificate``):
-    ``exact_ranks`` passes ``liealg.certify(filt)`` once a rank stays below
-    n at the cap, so the module search runs only there and at most once per
-    filtration."""
+    ``filt`` carries: ``exact_ranks`` passes ``liealg.certify(filt)`` once a
+    rank stays below n at the cap, so the module search runs only there and
+    at most once per filtration.  ``filt`` may be the time-extended
+    family's, whose words span Lie(F) once their last coordinate is dropped
+    (``fixed_time_dimension``)."""
+    n = next((len(v) for v in values if v is not None), None)
     fixed = None not in values and all_exact(values) and not any(map(any, values))
-    if rank == filt.family[0].dim or (rank == 0 and fixed):
+    if rank == n or (rank == 0 and fixed):
         return "bracket-rank"
-    if nagano_certified(filt) and not (fixed_time and derived_certificate(filt) is None):
-        return "zero-time-ideal" if fixed_time else "nagano"
-    return None
+    return "nagano" if nagano_certified(filt) else None
 
 
-def exact_ranks(family, values, points, depth_cap=DEFAULT_DEPTH_CAP, fixed_time=False):
-    """(filtration, ranks, certificates, Lie ranks) at the points, given the
-    generators' ``vectorfield.field_values`` there: the rank of Lie(F) at each
-    point (of the zero-time ideal, for ``fixed_time``) and why
-    ``exact_certificate`` finds it exact (None: sample it), read from
-    ``liealg.word_vectors`` at the first depth where every point's rank is
-    exact; else, at the cap, with the module search run once on the
-    filtration (``liealg.certify``).  A rank found exact is the rank at the
-    cap, as no deeper word can raise it."""
+def exact_ranks(family, values, points, depth_cap=DEFAULT_DEPTH_CAP, view=None):
+    """(filtration, ranks, certificates, word values) at the points, given
+    the generators' ``vectorfield.field_values`` there: the rank of Lie(F)
+    at each point and why ``exact_certificate`` finds it exact (None: sample
+    it), read from ``liealg.word_vectors`` at the first depth where every
+    point's rank is exact, with the words' values there; else, at the cap,
+    with the module search run once on the filtration (``liealg.certify``).
+    A rank found exact is the rank at the cap, as no deeper word can raise
+    it.  ``view(words, values)`` gives, per point, the vectors whose rank is
+    wanted and the generator values that ``exact_certificate`` judges it by
+    (by default the words and ``values``; ``fixed_time_dimension`` ranks
+    the zero-time ideal on the time-extended family this way)."""
+    view = view or (lambda words, vals: (words, vals))
     for filt, vectors in word_vectors(family, values, points, depth_cap):
-        lie, ranks, exact = [], [], []
-        for vals, (words, derived), p in zip(values, vectors, points):
-            lie.append(span_rank(words))
-            ranks.append(span_rank(zero_time_vectors(vals, derived, p)) if fixed_time
-                         else lie[-1])
-            exact.append(exact_certificate(filt, ranks[-1], vals, fixed_time))
+        ranks, exact, judged = [], [], []
+        for vals, words in zip(values, vectors):
+            spanning, base = view(words, vals)
+            ranks.append(span_rank(spanning))
+            judged.append(base)
+            exact.append(exact_certificate(filt, ranks[-1], base))
             if not exact[-1] and filt.depth_cap < depth_cap:
                 break  # a deeper word is needed whatever the other points' ranks
         if all(exact):  # no deeper word and no module search
-            return filt, ranks, exact, lie
+            return filt, ranks, exact, vectors
     filt = certify(filt)
-    return filt, ranks, [exact_certificate(filt, r, vals, fixed_time)
-                         for r, vals in zip(ranks, values)], lie
+    return filt, ranks, [exact_certificate(filt, r, base)
+                         for r, base in zip(ranks, judged)], vectors
 
 
 def orbit_dimension(family, point, sampler, depth_cap=DEFAULT_DEPTH_CAP):
@@ -353,33 +361,44 @@ def _seed_point(family, point, T):
 def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP):
     """Tangent dimension of the fixed-time orbit through the point.
 
-    Reaches x by one net-time-T word.  For real analytic generators the
-    fixed-time orbit through x has tangent L0(x), where the zero-time ideal
-    is L0 = {sum c_i X_i : sum c_i = 0} + [L, L] (Sussmann and Jurdjevic
+    Reaches x by one net-time-T word.  The fixed-time orbit through x is
+    the slice t = T of the orbit of the time-extended family Y
+    (``liealg.time_extended``) through (x, T), and t is a submersion on
+    that orbit, so the slice has one dimension less (Sussmann and Jurdjevic
     1972, "Controllability of nonlinear systems"; Jurdjevic, *Geometric
-    Control Theory*, 1997, ch. 3); for any smooth family L0(x) lies in it,
-    as that orbit holds the curves e^{tX_i} e^{-tX_j} x and every flow of F
-    preserves it.  Where ``exact_certificate`` finds the rank of L0 at x
-    exact ("zero-time-ideal" or "bracket-rank"), no word but the seed is
-    walked; otherwise ``sampled_orbit`` along the sampler's words, made
+    Control Theory*, 1997, ch. 3).  Lie(Y)(x, T) = R*Y_j + (L0(x) x 0) for
+    the zero-time ideal L0 = {sum c_i X_i : sum c_i = 0} + [L, L], so the
+    rank of Y's words minus 1 is the rank of L0(x), taken on the vectors
+    that ``liealg.ideal_vectors`` reads from them.  One ladder
+    (``exact_ranks``) walks Y's words at (x, T): where ``exact_certificate``
+    finds that rank exact ("bracket-rank" at n, or at 0 where every X_i(x)
+    is exactly zero; Y's "nagano", reported as "zero-time-ideal"), no word
+    but the seed is walked; otherwise ``sampled_orbit`` along the sampler's words, made
     zero-sum, gives the sampled lower bound.  The orbit dimension at x is
-    ``orbit_dimension``'s, by the same rule and sampler.
+    the rank of the same words with their last coordinate dropped,
+    Lie(F)(x), where the same rule finds it exact, else the sampled one.
     """
     family = tuple(family)
     reached = _seed_point(family, point, T)
     at = tuple(reached)
-    values = field_values(family, [at])
-    filt, (ideal_rank,), (certificate,), (linf,) = exact_ranks(family, values, [at],
-                                                               depth_cap, True)
+    extended, start = time_extended(family), [at + (T,)]
+    values = field_values(extended, start)
+    base = [None if v is None else v[:-1] for v in values[0]]  # the generators' values at x
+    filt, (ideal_rank,), (certificate,), (words,) = exact_ranks(
+        extended, values, start, depth_cap, lambda words, _: (ideal_vectors(words), base))
     dim, used, skipped = ideal_rank, 0, 0
     if certificate is None:
         certificate = "sampled"
         dim, _, used, skipped = sampled_orbit(family, reached,
                                               replace(sampler, constraint="zero-sum"))
+    elif certificate == "nagano":
+        certificate = "zero-time-ideal"
 
-    # the ideal lies in Lie(F): a stop at full ideal rank is a full Lie rank,
-    # and any other filtration here is final and certified
-    exact = exact_certificate(filt, linf, values[0])
+    # an exact ideal rank makes the projected rank exact: L0(x) lies in
+    # Lie(F)(x), so n there is n here, 0 at a fixed point is 0, and Y's
+    # certificate spans Lie(F) too
+    linf = span_rank([w[:-1] for w in words])
+    exact = exact_certificate(filt, linf, base)
     orbit_dim = linf if exact else _raised(sampled_orbit_dimensions(family, [at], [sampler])[0])
     return FixedTimeReport(
         start=tuple(point),
@@ -413,7 +432,7 @@ def chow_verdict(family, samples, depth_cap=DEFAULT_DEPTH_CAP, orbit_sampler=Non
     n = family[0].dim
     *_, (filt, vectors) = word_vectors(family, field_values(family, samples), samples,
                                        depth_cap)
-    failing = [tuple(p) for p, (words, _) in zip(samples, vectors) if span_rank(words) < n]
+    failing = [tuple(p) for p, words in zip(samples, vectors) if span_rank(words) < n]
     if not failing:
         words = [f for level in filt.levels for _, f in level]
         axes = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]

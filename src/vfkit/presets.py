@@ -278,7 +278,7 @@ def _flat_sampler(ctx, offset):
 def _lie_ranks(family, points):
     """The bracket-filtration ranks at the points at depth cap 8."""
     *_, (_, vectors) = word_vectors(family, field_values(family, points), points, 8)
-    return tuple(span_rank(words) for words, _ in vectors)
+    return tuple(span_rank(words) for words in vectors)
 
 
 def _flat_chow(ctx):
@@ -396,7 +396,7 @@ field X2 = (0, x1)
 
 def _linear_shear_rank(ctx):
     walk = list(word_vectors(ctx.family, field_values(ctx.family, [(0, 0)]), [(0, 0)]))
-    ranks = [span_rank(words) for _, ((words, _),) in walk]
+    ranks = [span_rank(words) for _, (words,) in walk]
     filt = walk[-1][0]
     ok = ranks[-1] == 2 and filt.stabilized_at == 2
     return _result(ok, "rank 2 at the origin, stable at depth 2",

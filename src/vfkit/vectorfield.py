@@ -161,7 +161,8 @@ def lie_bracket(X, Y, dX=None):
 
 
 def _poly_bracket(xs, ys, n):
-    """The components of [X, Y] for polynomial components xs and ys."""
+    """The components of [X, Y] for polynomial components xs and ys,
+    skipping a product whose multiplier component is zero."""
     nv = max([n] + [c.max_var() for c in xs + ys])
     X = [_int_view(c, nv) for c in xs]
     Y = [_int_view(c, nv) for c in ys]
@@ -169,8 +170,10 @@ def _poly_bracket(xs, ys, n):
     for i in range(n):
         acc = {}
         for j in range(n):
-            _add_product(acc, X[j], _partial(Y[i], j, 1))
-            _add_product(acc, Y[j], _partial(X[i], j, -1))
+            if X[j]:
+                _add_product(acc, X[j], _partial(Y[i], j, 1))
+            if Y[j]:
+                _add_product(acc, Y[j], _partial(X[i], j, -1))
         comps.append(poly_from_coeff_dict(acc, nv))
     return tuple(comps)
 

@@ -14,7 +14,7 @@ from vfkit import fields
 from vfkit.cli import main
 from vfkit.expr import parse
 from vfkit.vectorfield import DomainPredicate, VectorField, field_values
-from vfkit.liealg import word_vectors, zero_time_vectors
+from vfkit.liealg import ideal_vectors, time_extended, word_vectors
 from vfkit.linalg import span_rank
 
 
@@ -54,7 +54,7 @@ def lie_ranks_by_depth(family, point, depth_cap=6):
     d = 1, ..., depth_cap, read from the walk ``liealg.word_vectors``."""
     values = field_values(family, [point])
     return [span_rank(words)
-            for _, ((words, _),) in word_vectors(family, values, [point], depth_cap)]
+            for _, (words,) in word_vectors(family, values, [point], depth_cap)]
 
 
 def lie_rank(family, point, depth_cap=6):
@@ -63,11 +63,13 @@ def lie_rank(family, point, depth_cap=6):
 
 
 def fixed_time_ranks(family, point, depth_cap=6):
-    """(rank of the zero-time ideal, rank of the Lie algebra) at the point,
-    from the walk's values of the words and derived words at the cap."""
-    values = field_values(family, [point])
-    *_, (_, ((words, derived),)) = word_vectors(family, values, [point], depth_cap)
-    return span_rank(zero_time_vectors(values[0], derived, point)), span_rank(words)
+    """(rank of the zero-time ideal, rank of the Lie algebra) at the point:
+    the rank of the vectors that ``liealg.ideal_vectors`` reads from the
+    time-extended family's words at (point, 0) at the cap, and the rank of
+    those words with their last coordinate dropped."""
+    extended, start = time_extended(family), [(*point, 0)]
+    *_, (_, (words,)) = word_vectors(extended, field_values(extended, start), start, depth_cap)
+    return span_rank(ideal_vectors(words)), span_rank([w[:-1] for w in words])
 
 
 def lie_fixed_time_ideal(family, point, tmp_path):

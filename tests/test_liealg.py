@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +10,11 @@ from vfkit import cli, liealg, linalg, membership
 from vfkit.liealg import (
     LieAlgebraError,
     certify,
-    derived_certificate,
     filtration,
+    ideal_vectors,
     pairwise_brackets,
     pointwise_witnesses,
+    time_extended,
     word_vectors,
 )
 from vfkit.linalg import span_rank
@@ -155,7 +157,7 @@ class TestFiltration:
             cut = [f for f, _ in walk]
             assert [f.depth_cap for f in cut] == [1, 2, 3, 4, 5]
             assert [f.levels for f in cut] == [full.levels[:d] for d in range(1, 6)]
-            assert [span_rank(words) for _, ((words, _),) in walk] == [
+            assert [span_rank(words) for _, (words,) in walk] == [
                 span_rank([v for v in field_values(
                     [f for level in full.levels[:d] for _, f in level], [p])[0]
                     if v is not None]) for d in range(1, 6)]
@@ -271,8 +273,9 @@ class TestDerived:
 
 
 class TestFixedTimeIdeal:
-    """``vfkit lie --fixed-time-ideal`` ranks the zero-time ideal from the
-    walk's derived values, and checks that its codimension is 0 or 1."""
+    """``vfkit lie --fixed-time-ideal`` ranks the zero-time ideal as the
+    time-extended family's rank at (p, 0) minus 1, and checks that its
+    codimension is 0 or 1."""
 
     @staticmethod
     def ranks(family, point, tmp_path):
@@ -304,8 +307,10 @@ class TestFixedTimeIdeal:
             for p in pts:
                 # the command fails (exit 3) if codim is not in {0,1}
                 assert self.ranks(fam, p, tmp_path)[2] in (0, 1)
-        # an ideal ranked without its vectors has codim 2 at shear's origin
-        monkeypatch.setattr(cli, "zero_time_vectors", lambda *a: [])
+        # an ideal ranked on a family whose only word is d/dt has rank 0,
+        # so codim 2 at shear's origin
+        monkeypatch.setattr(cli, "time_extended",
+                            lambda family: time_extended([vf("Z", ["0", "0"], 2)]))
         code, report = lie_fixed_time_ideal(shear, (0, 0), tmp_path)
         assert (code, report["status"]) == (cli.EXIT_NUMERIC, "numeric-failure")
         assert report["error"] == (
@@ -318,7 +323,9 @@ def preset_family(name):
 
 class TestGeneratorDuplicates:
     """A bracket of depth >= 2 that is a rational multiple of a generator
-    is pruned from the levels but still belongs to the derived algebra."""
+    is pruned from the family's levels, but the time-extended family keeps
+    it (no bracket (B, 0) is a multiple of a generator (X_i, 1)), so it
+    counts in the zero-time ideal."""
 
     def test_bracket_equal_to_a_generator(self, vf):
         # [X2, X1] = -X1 for X1 = d/dx1, X2 = x1 d/dx1
@@ -326,38 +333,109 @@ class TestGeneratorDuplicates:
         assert [[str(w) for w, _ in level] for level in f.levels] == [
             ["X1", "X2"], [], [], [], [], []]
         assert (f.stabilized_at, f.certificate) == (1, "symbolic-closure")
-        assert [str(w) for w, _ in f.generator_duplicates] == ["[X2,X1]"]
-        # the derived words are the kept words of depth >= 2, then the duplicates
-        derived = [g for level in f.levels[1:] for _, g in level] + [
-            g for _, g in f.generator_duplicates]
-        assert [str(c) for g in derived for c in g.components] == ["-1"]
-        *_, (_, ((_, values),)) = word_vectors(f.family, field_values(f.family, [(1,)]), [(1,)])
-        assert values == [[-1]]
+        # the time extension keeps the bracket as its only word of depth >= 2
+        g = filtration(time_extended(f.family))
+        assert [[str(w) for w, _ in level] for level in g.levels] == [
+            ["X1", "X2"], ["[X2,X1]"], [], [], [], []]
+        assert (g.stabilized_at, g.certificate) == (2, "symbolic-closure")
+        assert [str(c) for c in g.levels[1][0][1].components] == ["-1", "0"]
+        start = [(1, 0)]
+        *_, (_, (values,)) = word_vectors(g.family, field_values(g.family, start), start)
+        assert values == [[1, 1], [1, 1], [-1, 0]]
         # X2 - X1 vanishes at 1, so the bracket alone makes the ideal rank 1
         ideal_rank, rank = fixed_time_ranks(f.family, (1,))
         assert (ideal_rank, rank, rank - ideal_rank) == (1, 1, 0)
         assert lie_ranks_by_depth(f.family, (1,)) == [1] * 6
 
     def test_flat_generator_module_ideal(self):
-        f = filtration(preset_family("flat-generator-module"))
-        assert [str(w) for w, _ in f.generator_duplicates] == ["[X2,X1]"]
-        ideal_rank, rank = fixed_time_ranks(f.family, (1,))
+        family = preset_family("flat-generator-module")
+        g = filtration(time_extended(family))
+        assert [str(w) for w, _ in g.levels[1]] == ["[X2,X1]"]
+        assert filtration(family).levels[1] == []
+        ideal_rank, rank = fixed_time_ranks(family, (1,))
         assert (ideal_rank, rank - ideal_rank) == (1, 0)
 
     @pytest.mark.parametrize("name", ["linear-shear", "vanishing-pair",
                                       "mixed-degree-pair", "umbrella-ideal"])
     def test_golden_ideal_systems_have_none(self, name):
-        # so the eight *-lie*-ideal.json goldens keep their bytes
-        for degree in (2, 6):
-            assert certify(filtration(preset_family(name), 6),
-                           degree).generator_duplicates == []
+        # no bracket is a multiple of a generator: the time extension's
+        # words of depth >= 2 are the family's, with a last coordinate 0
+        family = preset_family(name)
+        words, extended = filtration(family, 6), filtration(time_extended(family), 6)
+        assert [[(str(w), f.components + (const(0),)) for w, f in level]
+                for level in words.levels[1:]] == [
+            [(str(w), f.components) for w, f in level] for level in extended.levels[1:]]
+
+
+ORACLE_CAPS = (2, 4, 6)
+ORACLE_AXIS = {1: (-3, -2, -1, 0, 1, 2, 3), 2: (-2, -1, 0, 1, 2), 3: (-2, 0, 1)}
+
+
+def zero_time_reference(family, points, caps):
+    """Per cap, per point: the rank of the zero-time ideal
+    L0 = {sum c_i X_i : sum c_i = 0} + [L, L] from its own spanning set,
+    the differences X_i - X_1 of the generators defined there and every
+    nonzero left-nested bracket of depth 2..cap, each built here by
+    ``lie_bracket`` (None where no generator is defined)."""
+    brackets, level = [], list(family)
+    for _ in range(2, max(caps) + 1):
+        built = {}
+        for f in level:
+            for g in family:
+                b = lie_bracket(g, f)
+                if not b.is_zero():
+                    built.setdefault((b.components, b.domain), b)
+        level = list(built.values())
+        brackets.append(level)
+    generators = field_values(family, points)
+    ranks = []
+    for cap in caps:
+        words = [b for level in brackets[:cap - 1] for b in level]
+        row = []
+        for gens, vals in zip(generators, field_values(words, points)):
+            defined = [v for v in gens if v is not None]
+            row.append(None if not defined else span_rank(
+                [[a - b for a, b in zip(v, defined[0])] for v in defined[1:]]
+                + [v for v in vals if v is not None]))
+        ranks.append(row)
+    return ranks
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_time_extension_ranks_the_zero_time_ideal(name):
+    # Lie(Y)(x, 0) = R*Y_j + (L0(x) x 0) and its projection is Lie(F)(x):
+    # at every cap, Y's rank minus 1 is L0's, and so is the rank of the
+    # vectors that ideal_vectors reads from Y's words, and the projected
+    # rank is Lie(F)'s
+    family = preset_family(name)
+    n = family[0].dim
+    points = list(itertools.product([Fraction(k, 2) for k in ORACLE_AXIS[n]], repeat=n))
+    starts = [(*p, 0) for p in points]
+    extended = time_extended(family)
+    walk = list(word_vectors(extended, field_values(extended, starts), starts, max(ORACLE_CAPS)))
+    lie = list(word_vectors(family, field_values(family, points), points, max(ORACLE_CAPS)))
+    cases = 0
+    for cap, reference in zip(ORACLE_CAPS, zero_time_reference(family, points, ORACLE_CAPS)):
+        (_, vectors), (_, lie_vectors) = walk[cap - 1], lie[cap - 1]
+        for p, words, lie_words, ideal in zip(points, vectors, lie_vectors, reference):
+            if ideal is None:
+                assert words == [], p
+                continue
+            assert span_rank(words) - 1 == span_rank(ideal_vectors(words)) == ideal, (cap, p)
+            assert span_rank([w[:-1] for w in words]) == span_rank(lie_words), (cap, p)
+            cases += 1
+    assert cases >= len(ORACLE_CAPS) * len(points) // 2
 
 
 class TestDerivedCertificate:
-    def test_closure_and_uncertified_pass_through(self, diag, vf):
-        assert derived_certificate(filtration(diag)) == "symbolic-closure"
-        mixed = filtration(preset_family("mixed-degree-pair"))
-        assert mixed.certificate is None and derived_certificate(mixed) is None
+    """The zero-time ideal, and with it [L, L], is certified by the
+    stabilization certificate of the time-extended family: the module that
+    its words generate is closed under every ad Y_i."""
+
+    def test_closure_and_uncertified_pass_through(self, diag):
+        assert filtration(time_extended(diag)).certificate == "symbolic-closure"
+        mixed = filtration(time_extended(preset_family("mixed-degree-pair")))
+        assert mixed.certificate is None and certify(mixed).certificate is None
 
     def test_module_certificate_one_system_per_depth(self, monkeypatch):
         solved = []
@@ -367,13 +445,13 @@ class TestDerivedCertificate:
             return module_contains(targets, basis, degree)
 
         module_contains = liealg.module_contains
-        f = certify(filtration(preset_family("vanishing-pair")))
-        assert f.certificate == "module-degree-6"
+        f = filtration(time_extended(preset_family("vanishing-pair")))
         monkeypatch.setattr(liealg, "module_contains", counting)
-        assert derived_certificate(f) == "derived-module-degree-6"
-        # depth 3 is not in the module of depth 2, depth 4 is in that of 2..3
+        g = certify(f)
+        assert (g.certificate, g.stabilized_at) == ("module-degree-6", 3)
+        # depths 1 and 2 are not in the module of the shallower words, 3 is
         kept = [len(level) for level in f.levels]
-        assert solved == [(kept[2], kept[1]), (kept[3], kept[1] + kept[2])]
+        assert solved == [(kept[d], sum(kept[:d])) for d in (1, 2, 3)]
 
     def test_oversize_stops_uncertified(self, monkeypatch):
         # the first system's solve rejects it before any monomial is
@@ -381,10 +459,11 @@ class TestDerivedCertificate:
         def enumerated(n, d):
             raise AssertionError("monomials enumerated for an over-cap system")
 
-        f = certify(filtration(preset_family("vanishing-pair")))
+        f = filtration(time_extended(preset_family("vanishing-pair")))
         monkeypatch.setattr(membership, "UNKNOWNS_CAP", 10)
         monkeypatch.setattr(membership, "_monomials_up_to", enumerated)
-        assert derived_certificate(f) is None
+        g = certify(f)
+        assert g.certificate is None and g.note.startswith("module search stopped at depth 1")
 
 
 class TestGeneratorRobustness:

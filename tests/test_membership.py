@@ -10,7 +10,7 @@ from vfkit.expr import ZERO, const, parse, var
 from vfkit.fields import lie_bracket
 from vfkit.distributions import Distribution
 from vfkit.frobenius import frobenius_verdict
-from vfkit.liealg import certify, filtration
+from vfkit.liealg import certify, filtration, time_extended
 from vfkit.linalg import in_span
 from vfkit import membership
 from vfkit.membership import (
@@ -287,17 +287,15 @@ def _cubic_family(vf):
 
 
 def _module_search_levels(family):
-    """(targets, basis) of every system that the filtration's module search
-    and ``derived_certificate`` may solve, up to depth 6."""
-    filt = filtration(family, 6)
-    kept = [[f for _, f in level] for level in filt.levels]
-    extra = {0: [], 1: [f for _, f in filt.generator_duplicates]}
-    return [
-        (kept[depth], [f for lv in kept[low:depth] for f in lv] + extra[low])
-        for low in (0, 1)
-        for depth in range(low + 1, len(kept))
-        if kept[depth]
-    ]
+    """(targets, basis) of every system that the module search of the
+    filtration, or of its time extension's (fixed time), may solve, up to
+    depth 6."""
+    systems = []
+    for fam in (family, time_extended(family)):
+        kept = [[f for _, f in level] for level in filtration(fam, 6).levels]
+        systems += [(kept[depth], [f for lv in kept[:depth] for f in lv])
+                    for depth in range(1, len(kept)) if kept[depth]]
+    return systems
 
 
 @pytest.mark.parametrize("name", ["vanishing-pair", "mixed-degree-pair", "cubic"])

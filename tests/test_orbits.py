@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ from vfkit.linalg import FLOW_REL_TOL, svd_rank
 
 from conftest import fixed_time_ranks, lie_rank
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -527,10 +530,10 @@ class TestFixedTime:
 
 
 def zero_time_certified_families(vf):
-    """The Nagano-certified families whose derived words certifiably span
-    [L, L]: their fixed-time dimension is the exact rank of L0."""
+    """The Nagano-certified families whose time extension is certified
+    too: their fixed-time dimension is the exact rank of L0."""
     return [(fam, filt) for fam, filt in analytic_certified_families(vf)
-            if liealg.derived_certificate(filt) is not None]
+            if nagano_certified(liealg.certify(liealg.filtration(liealg.time_extended(fam))))]
 
 
 def preset_family(name):
@@ -585,6 +588,36 @@ class TestZeroTimeIdeal:
                 sampled = sampled_orbit(fam, p, sampler).dimension
                 assert sampled <= fixed_time_ranks(fam, p)[0], (fam, p)
 
+    def test_ranked_at_the_reached_point(self):
+        # the rank is taken at the point the seed word reaches, not at the
+        # start: from (0, 0) the seed reaches (1/2, 0), where the ideal has
+        # rank n, and from (-1/2, 0), the two-sided-flat-orbit-fixed-time
+        # golden, it reaches (0, 0), where bump(x1) is flat, and samples
+        family = preset_family("two-sided-flat")
+        rep = fixed_time_dimension(family, (0, 0), 0.5, WordSampler(seed=7))
+        assert rep.reached == (0.5, 0.0)
+        assert (rep.certificate, rep.dimension, rep.ideal_rank) == ("bracket-rank", 2, 2)
+        golden = json.loads((GOLDEN / "two-sided-flat-orbit-fixed-time.json").read_text())
+        rep = fixed_time_dimension(family, (Fraction(-1, 2), 0), 0.5, WordSampler(seed=7))
+        assert rep.reached == (0.0, 0.0)
+        assert (rep.certificate, rep.dimension, rep.ideal_rank) == tuple(
+            golden["results"][k] for k in ("certificate", "dimension", "ideal_rank")) == (
+            "sampled", 2, 1)
+
+    @pytest.mark.parametrize("x2,scale,orbit_dim", [("0,x2", 1e-10, 2), ("0,x2", 1e12, 2),
+                                                     ("2*x1,0", 1e-10, 1),
+                                                     ("2*x1,0", 1e12, 1)])
+    def test_float_rank_does_not_depend_on_the_scale(self, vf, x2, scale, orbit_dim):
+        # Y's words (s, 0, 1) and X2's value with a last coordinate 1: their
+        # float rank against the constant 1 drops at a small s, and for
+        # parallel X1, X2 at a large one too, while L0 = R*(X2 - X1) has
+        # rank 1 at any s
+        family = [vf("X1", ["x1", "0"], 2), vf("X2", x2.split(","), 2)]
+        rep = fixed_time_dimension(family, (scale, scale), 0.0, WordSampler(seed=0, count=10))
+        assert rep.reached == (scale, scale)
+        assert (rep.dimension, rep.ideal_rank, rep.certificate) == (1, 1, "zero-time-ideal")
+        assert (rep.orbit_dimension_at_reached, rep.dimension_gap) == (orbit_dim, orbit_dim - 1)
+
     def test_uncertified_families_sample(self, walked):
         rep = fixed_time_dimension(preset_family("half-plane-translations"), (0, 0), 0.0,
                                    WordSampler(seed=8, count=30, max_time=0.3))
@@ -625,14 +658,12 @@ class TestRankFirst:
     @pytest.fixture
     def searches(self, monkeypatch):
         """The module searches run: ("closure", depth cap) per stabilization
-        or derived search, ("derived",) per ``derived_certificate`` asked."""
+        search."""
         runs = []
-        closure, derived = liealg._module_closure, orbits.derived_certificate
+        closure = liealg._module_closure
         monkeypatch.setattr(liealg, "_module_closure",
                             lambda levels, *a: runs.append(("closure", len(levels)))
                             or closure(levels, *a))
-        monkeypatch.setattr(orbits, "derived_certificate",
-                            lambda filt: runs.append(("derived",)) or derived(filt))
         return runs
 
     @pytest.fixture
@@ -680,12 +711,12 @@ class TestRankFirst:
 
     def test_fixed_time_searches_once_below_full_rank(self, cubic, searches):
         # on the axis both the ideal and the Lie algebra have rank 1 < n:
-        # one stabilization search serves both, and one derived search the ideal
+        # the time extension's one stabilization search serves both
         rep = fixed_time_dimension(cubic, (Fraction(1, 2), 0), 0.3,
                                    WordSampler(seed=0, count=10))
         assert (rep.dimension, rep.orbit_dimension_at_reached, rep.certificate) == (
             1, 1, "zero-time-ideal")
-        assert searches == [("closure", 6), ("derived",), ("closure", 6)]
+        assert searches == [("closure", 6)]
 
     def test_frobenius_searches_once_across_samples(self, cubic, searches):
         # rank 1 < n at the three samples on the axis, each decided by Nagano

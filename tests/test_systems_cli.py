@@ -517,10 +517,11 @@ class TestCli:
         assert code == cli.EXIT_USAGE
         assert json.loads(out)["error"] == "--module-degree must lie in [0, 12], got 13"
 
-    def test_lie_fixed_time_ideal_builds_one_filtration(self, capsys, vanishing_file,
-                                                        monkeypatch):
-        # the ideal rank reads the filtration the report already built: the
-        # walk and ``filtration`` both build through this one builder
+    def test_lie_fixed_time_ideal_walks_each_family_once(self, capsys, vanishing_file,
+                                                          monkeypatch):
+        # the report's ranks and words read the family's filtration, and the
+        # ideal rank the time-extended family's: the walk and ``filtration``
+        # both build through this one builder
         calls = []
         real = liealg._filtration_by_depth
 
@@ -534,13 +535,13 @@ class TestCli:
                             "--fixed-time-ideal", "--format", "json")
         assert code == 0
         assert json.loads(out)["results"]["fixed_time_ideal"]["ideal_rank"] == 2
-        assert len(calls) == 1
+        assert [[X.dim for X in family] for family, _ in calls] == [[2, 2], [3, 3]]
 
     def test_lie_fixed_time_ideal_evaluates_each_word_once(self, capsys, vanishing_file,
                                                            monkeypatch):
-        # the ideal rank reads the values the ranks by depth took: one
-        # compile per component of each generator and word, with the flag
-        # as without it
+        # one compile per component of each generator and word: the 14 of
+        # the family, and with the flag also the same 14 of its time
+        # extension, with a third component
         compiled = []
         real = vectorfield.compile_exact
         monkeypatch.setattr(vectorfield, "compile_exact", lambda e: compiled.append(e) or real(e))
@@ -554,7 +555,7 @@ class TestCli:
             counts.append(len(compiled))
         assert json.loads(out)["results"]["fixed_time_ideal"] == {
             "ideal_rank": 2, "lie_rank": 2, "codim": 0}
-        assert counts == [28, 28]
+        assert counts == [28, 28 + 42]
 
     def test_unknowns_cap_reaches_lie(self, capsys, vanishing_file, monkeypatch):
         # an over-cap module search stops with a note; the ranks still print
