@@ -16,6 +16,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .distributions import (
     Distribution,
@@ -76,11 +77,57 @@ def _jsonable(x):
     return x
 
 
+# JSON text of the leaves of the common exact types, as json writes them
+_JSON_LEAVES = {
+    str: encode_basestring_ascii,
+    type(None): lambda _: "null",
+    bool: lambda b: "true" if b else "false",
+    int: int.__repr__,
+    float: lambda x: ("NaN" if x != x else "Infinity" if x == math.inf
+                      else "-Infinity" if x == -math.inf else repr(x)),
+    Fraction: lambda q: (str(q.numerator) if q.denominator == 1
+                         else encode_basestring_ascii(str(q))),
+}
+
+
+def _write_json(x, np, out, indent="\n"):
+    """Append ``json.dumps(_jsonable(x), sort_keys=True, indent=2)``'s text
+    to ``out`` in one pass (json's indenting encoder is pure Python, on a
+    ``_jsonable`` copy); ``np`` is numpy once it is loaded, else None."""
+    leaf = _JSON_LEAVES.get(type(x))
+    if leaf is not None:
+        out.append(leaf(x))
+        return
+    inner = indent + "  "
+    if isinstance(x, dict):
+        items = {str(k): v for k, v in x.items()}
+        sep = "{" + inner
+        for k in sorted(items):
+            out += (sep, encode_basestring_ascii(k), ": ")
+            _write_json(items[k], np, out, inner)
+            sep = "," + inner
+        out.append(indent + "}" if items else "{}")
+    elif isinstance(x, (list, tuple)) or np and isinstance(x, np.ndarray):
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _write_json(v, np, out, inner)
+            sep = "," + inner
+        out.append(indent + "]" if len(x) else "[]")
+    else:  # a subclass of a leaf type, or a numpy scalar
+        y = _jsonable(x)
+        kind = next((k for k in (str, float, int) if isinstance(y, k)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        out.append(_JSON_LEAVES[kind](y))
+
+
 def _emit(report, fmt, stream=None):
     stream = stream or sys.stdout
     if fmt == "json":
-        json.dump(_jsonable(report), stream, sort_keys=True, indent=2)
-        stream.write("\n")
+        out = []
+        _write_json(report, sys.modules.get("numpy"), out)
+        stream.write("".join(out) + "\n")
     elif fmt == "csv":
         rows = report.get("results")
         if isinstance(rows, dict) and "csv_rows" in rows:

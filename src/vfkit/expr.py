@@ -21,7 +21,11 @@ bumpp is a pole on its flat set, as x1^-1 is at 0.
 Products and sums have one implementation, ``sum_products``: the sum of
 a*b over pairs (a, b), every product of terms added into one dict that is
 sorted once.  ``*``, ``+`` and ``diff`` run on it, as do the callers that
-sum products (non-polynomial brackets, certificates, minors).
+sum products (non-polynomial brackets, certificates, minors).  Polynomials
+held as exponent-tuple -> coefficient maps (``poly_coeff_dict``) have one
+of their own, ``add_poly_product``: ``parse`` keeps every polynomial
+subexpression as such a map and builds one Expr at the end, and exact
+polynomial division and polynomial brackets run on it too.
 
 Exact evaluation has one implementation, ``compile_exact`` (a rational
 point to a Fraction, or None), and float evaluation one, ``compile_float``
@@ -34,6 +38,8 @@ call; loops over many points compile once, as the flows in ``fields`` do.
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -55,6 +61,7 @@ __all__ = [
     "ONE",
     "poly_coeff_dict",
     "poly_from_coeff_dict",
+    "add_poly_product",
     "sum_products",
 ]
 
@@ -624,34 +631,28 @@ def divide(num, den):
     if den.is_zero():
         raise ExprError("division by zero")
     if len(den.terms) > 1 and num.is_polynomial() and den.is_polynomial():
-        q = _poly_exact_divide(num, den)
+        n = max(num.max_var(), den.max_var())
+        q = _poly_exact_divide(poly_coeff_dict(num, n), poly_coeff_dict(den, n))
         if q is not None:
-            return q
+            return poly_from_coeff_dict(q, n)
     return num * den.int_pow(-1)
 
 
 def _poly_exact_divide(num, den):
-    """num / den over the rationals when the remainder is zero, else None."""
-    n = max(num.max_var(), den.max_var())
-    r = dict(poly_coeff_dict(num, n))
-    d = poly_coeff_dict(den, n)
-    dlead = max(d, key=_mono_order)
+    """num / den of exponent-tuple -> coefficient maps over the rationals,
+    as a map, when the remainder is zero, else None."""
+    r = dict(num)
+    dlead = max(den, key=_mono_order)
     q = {}
     while r:
         rlead = max(r, key=_mono_order)
-        diff = tuple(a - b for a, b in zip(rlead, dlead))
-        if any(e < 0 for e in diff):
+        diff = tuple(map(operator.sub, rlead, dlead))
+        if min(diff) < 0:
             return None
-        coeff = r[rlead] / d[dlead]
-        q[diff] = q.get(diff, 0) + coeff
-        for mono, c in d.items():
-            m = tuple(a + b for a, b in zip(diff, mono))
-            nc = r.get(m, Fraction(0)) - coeff * c
-            if nc == 0:
-                r.pop(m, None)
-            else:
-                r[m] = nc
-    return poly_from_coeff_dict(q, n)
+        # the leading term cancels and every term added is lower: no diff repeats
+        q[diff] = Fraction(r[rlead]) / den[dlead]
+        add_poly_product(r, {diff: -q[diff]}, den)
+    return q
 
 
 def _mono_order(mono):
@@ -662,7 +663,8 @@ def _mono_order(mono):
 
 
 def poly_coeff_dict(e, n):
-    """Map exponent tuples (length n) to rational coefficients."""
+    """Map exponent tuples (length n) to rational coefficients, the integral
+    ones as ints, whose products cost far less than Fraction products."""
     if not e.is_polynomial():
         raise ExprError("expression is not polynomial")
     out = {}
@@ -672,7 +674,7 @@ def poly_coeff_dict(e, n):
             if atom.index > n:
                 raise ExprError(f"variable x{atom.index} exceeds dimension {n}")
             exps[atom.index - 1] = k
-        out[tuple(exps)] = c if type(c) is Fraction else Fraction(c)
+        out[tuple(exps)] = c.numerator if c.denominator == 1 else c
     return out
 
 
@@ -690,51 +692,52 @@ def poly_from_coeff_dict(d, n):
     return Expr(terms)
 
 
+def add_poly_product(acc, a, b):
+    """acc += a * b on exponent-tuple -> coefficient maps; an entry that
+    cancels to 0 is removed."""
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(map(operator.add, ma, mb))
+            c = acc.get(m, 0) + ca * cb
+            if c:
+                acc[m] = c
+            else:
+                del acc[m]
+
+
 # -- parser ---------------------------------------------------------------------------
 
 _FUNCS = {"exp": exp_of, "bump": bump, "bumpp": bumpp}
+# an integer ("0"-"9" only: str.isdigit also takes "²" and "١"), a word
+# (\w is str.isalnum or "_"; an identifier starts with a letter or "_"), an
+# operator, blanks, or any other character
+_TOKEN = re.compile(r"([0-9]+)|(\w+)|([-+*/^()])|([ \t\r\n]+)|(.)", re.S)
 
 
 class _Tokens:
     def __init__(self, text):
         self.text = text
-        self.pos = 0
         self.tokens = []
         self._scan()
         self.idx = 0
 
     def _scan(self):
         text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch in " \t\r\n":
-                i += 1
-                continue
-            if "0" <= ch <= "9":  # str.isdigit also takes "²" and "١"
-                j = i
-                while j < len(text) and "0" <= text[j] <= "9":
-                    j += 1
-                if j < len(text) and text[j] == ".":
+        for m in _TOKEN.finditer(text):
+            kind, i = m.lastindex, m.start()
+            if kind == 1:
+                if text.startswith(".", m.end()):
                     raise ParseError(
                         "decimal literals are not supported; use rationals like 1/2",
                         *self._linecol(i),
                     )
-                self.tokens.append(("int", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j], i))
-                i = j
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", *self._linecol(i))
+                self.tokens.append(("int", m.group(), i))
+            elif kind == 2 and (text[i].isalpha() or text[i] == "_"):
+                self.tokens.append(("ident", m.group(), i))
+            elif kind == 3:
+                self.tokens.append((m.group(), m.group(), i))
+            elif kind != 4:
+                raise ParseError(f"unexpected character {text[i]!r}", *self._linecol(i))
         self.tokens.append(("end", "", len(text)))
 
     def _linecol(self, pos):
@@ -756,20 +759,32 @@ class _Tokens:
 
 
 def parse(text, n):
-    """Parse the expression grammar into a canonical Expr of dimension n."""
+    """Parse the expression grammar into a canonical Expr of dimension n.
+
+    A polynomial subexpression is an exponent-tuple -> coefficient map (no
+    zero entry) until a function atom, a negative power of a non-constant or
+    an inexact division makes an Expr, whose arithmetic (and errors) then
+    take over; one Expr is built at the end."""
     toks = _Tokens(text)
     e = _parse_expr(toks, n)
     if toks.peek()[0] != "end":
         toks.error(f"unexpected token {toks.peek()[1]!r}")
-    return e
+    return _expr(e, n)
+
+
+def _expr(v, n):
+    return v if isinstance(v, Expr) else poly_from_coeff_dict(v, n)
 
 
 def _parse_expr(toks, n):
     e = _parse_term(toks, n)
     while toks.peek()[0] in ("+", "-"):
-        op = toks.next()[0]
+        sign = 1 if toks.next()[0] == "+" else -1
         rhs = _parse_term(toks, n)
-        e = e + rhs if op == "+" else e - rhs
+        if isinstance(e, dict) and isinstance(rhs, dict):
+            add_poly_product(e, rhs, {(0,) * n: sign})  # each map is the parser's own
+        else:
+            e = _expr(e, n) + (_expr(rhs, n) if sign > 0 else -_expr(rhs, n))
     return e
 
 
@@ -778,8 +793,37 @@ def _parse_term(toks, n):
     while toks.peek()[0] in ("*", "/"):
         op = toks.next()[0]
         rhs = _parse_factor(toks, n)
-        e = e * rhs if op == "*" else divide(e, rhs)
+        e = _product(e, rhs, n) if op == "*" else _quotient(e, rhs, n)
     return e
+
+
+def _product(a, b, n):
+    if isinstance(a, Expr) or isinstance(b, Expr):
+        return _expr(a, n) * _expr(b, n)
+    acc = {}
+    add_poly_product(acc, a, b)
+    return acc
+
+
+def _quotient(num, den, n):
+    if isinstance(num, dict) and isinstance(den, dict) and den:
+        q = _poly_exact_divide(num, den)
+        if q is not None:
+            return q
+    return divide(_expr(num, n), _expr(den, n))
+
+
+def _power(base, k, n):
+    if (isinstance(base, Expr) or not base or (k < 0 and any(map(any, base)))
+            or (k > 64 and len(base) > 1)):
+        return _expr(base, n).int_pow(k)
+    if len(base) == 1:
+        (mono, c), = base.items()
+        return {tuple(e * k for e in mono): (c if k >= 0 else Fraction(c)) ** k}
+    out = {(0,) * n: 1}
+    for _ in range(k):
+        out = _product(out, base, n)
+    return out
 
 
 def _parse_factor(toks, n):
@@ -795,7 +839,7 @@ def _parse_factor(toks, n):
         tok = toks.next()
         if tok[0] != "int":
             toks.error("exponent must be an integer", tok)
-        return base.int_pow(sign * int(tok[1]))
+        return _power(base, sign * int(tok[1]), n)
     return base
 
 
@@ -803,7 +847,8 @@ def _parse_base(toks, n):
     tok = toks.next()
     kind, text, pos = tok
     if kind == "-":
-        return -_parse_factor(toks, n)
+        e = _parse_factor(toks, n)
+        return -e if isinstance(e, Expr) else {m: -c for m, c in e.items()}
     if kind == "(":
         e = _parse_expr(toks, n)
         closing = toks.next()
@@ -811,8 +856,8 @@ def _parse_base(toks, n):
             toks.error("expected ')'", closing)
         return e
     if kind == "int":
-        value = Fraction(int(text))
-        return const(value)
+        value = int(text)
+        return {(0,) * n: value} if value else {}
     if kind == "ident":
         if text in _FUNCS:
             opening = toks.next()
@@ -822,11 +867,11 @@ def _parse_base(toks, n):
             closing = toks.next()
             if closing[0] != ")":
                 toks.error("expected ')'", closing)
-            return _FUNCS[text](argument)
+            return _FUNCS[text](_expr(argument, n))
         if text.startswith("x") and text[1:].isascii() and text[1:].isdigit():
             i = int(text[1:])
             if i < 1 or i > n:
                 toks.error(f"unknown variable {text} (dimension is {n})", tok)
-            return var(i)
+            return {tuple(int(j == i - 1) for j in range(n)): 1}
         toks.error(f"unknown identifier {text!r}", tok)
     toks.error(f"unexpected token {text!r}", tok)

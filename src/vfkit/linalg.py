@@ -18,14 +18,9 @@ of the vectors against the scale of the vectors themselves: nearly equal
 flow vectors differ only by integration noise, and a threshold relative to
 the largest difference would count that noise as rank.
 
-``exact_solve`` eliminates only the part of a system that its right-hand
-sides reach: the rows where some side is nonzero, and every row linked to
-them through an unknown they share.  The rows left out form blocks that
-share no unknown with the rest and whose sides are all 0; in the unique
-reduced row echelon form their pivots read 0 and their free unknowns are
-0, so every solution and every None is the one the whole system gives, and
-the unknowns left out read 0.  Ranks (``exact_pivot_columns``) need every
-row and eliminate them all.
+``exact_solve`` and ``exact_pivot_columns`` eliminate every row they are
+given; a caller that needs only part of a system builds only that part, as
+``membership`` builds only the rows its targets reach.
 """
 
 from __future__ import annotations
@@ -151,27 +146,6 @@ def exact_pivot_columns(matrix):
     return [c for _, c in _rref(_sparse_rows(matrix))]
 
 
-def _reached(matrix, sides):
-    """Indices, in order, of the rows that the right-hand sides reach: each
-    row where some side is nonzero, and each row that shares an unknown
-    with a reached row.  A zero cell of a Mapping row counts as shared,
-    which can only reach more."""
-    support = [row.keys() if _is_mapping(row) else {c for c, x in enumerate(row) if x != 0}
-               for row in matrix]
-    holders = {}  # unknown -> the rows that hold it
-    for i, cols in enumerate(support):
-        for c in cols:
-            holders.setdefault(c, []).append(i)
-    reached = {i for b in sides for i, v in b.items() if v != 0}
-    front, seen = reached, set()  # one breadth-first level at a time
-    while front:
-        cols = set().union(*[support[i] for i in front]) - seen
-        seen |= cols
-        front = set().union(*[holders[c] for c in cols]) - reached
-        reached |= front
-    return sorted(reached)
-
-
 def exact_solve(A, rhs):
     """For each right-hand side b in ``rhs``, one exact solution of A x = b
     (free variables 0), or None if none exists.
@@ -182,14 +156,8 @@ def exact_solve(A, rhs):
     list, or they are ``{column: value}`` Mappings, and each is a dict of
     its nonzero entries.  Each b is a sequence with one entry per row or a
     ``{row index: value}`` Mapping of its nonzero entries.
-
-    Only the rows the sides reach (``_reached``) are converted and
-    eliminated; the module's docstring says why no solution changes.
     """
-    sides = [b if isinstance(b, Mapping) else dict(enumerate(b)) for b in rhs]
-    keep = _reached(A, sides)
-    rows = _sparse_rows([A[i] for i in keep],
-                        [{k: b[i] for k, i in enumerate(keep) if i in b} for b in sides])
+    rows = _sparse_rows(A, [b if isinstance(b, Mapping) else dict(enumerate(b)) for b in rhs])
     pivots = _rref(rows)
     # rows left over are zero among the unknowns: each reads 0 = b_i for its b's
     inconsistent = {c for row in rows if row and max(row) < 0 for c in row}

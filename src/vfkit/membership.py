@@ -13,11 +13,12 @@ says whether every target is a member, builds no multipliers for a "no"
 and re-verifies every target's multipliers before a "yes".  That solve
 alone decides whether a system is too large: it raises OversizeError,
 naming the count, before any monomial is enumerated.  The count is of the
-nominal unknowns, generators times multiplier monomials, although
-``linalg.exact_solve`` then eliminates only the equations and unknowns that
-the targets' coefficients reach: the rest is a homogeneous part whose
-unknowns read 0 in the one solution the whole system gives, so the
-multipliers do not change.
+nominal unknowns, generators times multiplier monomials, although only
+the equations and unknowns that the targets' coefficients reach are built
+and eliminated: the rest of the nominal system is a homogeneous part that
+shares no unknown with them, whose pivots read 0 and whose free unknowns
+are 0 in the unique reduced row echelon form, so every solution, None and
+multiplier is the one the whole system gives.
 """
 
 from __future__ import annotations
@@ -132,30 +133,45 @@ def _solve(targets, generators, degree):
     if unknowns > UNKNOWNS_CAP:
         raise OversizeError(f"membership system has {unknowns} unknowns, more than {UNKNOWNS_CAP}")
     monos = _monomials_up_to(n, degree)
+    gcoeffs = [[poly_coeff_dict(c, n) for c in g] for g in gens]
+    tcoeffs = [[poly_coeff_dict(c, n) for c in t] for t in tgts]
+    # monomials as ints, the exponents the digits of base `radix`, above every
+    # exponent of a row (a target's, or a generator's plus at most degree):
+    # codes add as monomials do, and a difference with a negative exponent
+    # has a digit above degree, so it is no multiplier monomial's code
+    radix = degree + 1 + max(max(m) for f in gcoeffs + tcoeffs for p in f for m in p)
+    weights = [radix**i for i in range(n)]
 
-    # one sparse equation {unknown: coefficient} per (component, monomial of
-    # the expanded products), with each target's coefficient on the right;
-    # unknown gi * len(monos) + j is the coefficient of monos[j] in m_gi
-    rows = {}
-    for gi, g in enumerate(gens):
-        for comp in range(ncomp):
-            for gmono, gc in poly_coeff_dict(g[comp], n).items():
-                if gc.denominator == 1:
-                    gc = gc.numerator  # an int cell costs less to read
-                for k, mmono in enumerate(monos, gi * len(monos)):
-                    prod = tuple(map(operator.add, gmono, mmono))
-                    rows.setdefault((comp, prod), {})[k] = gc
-    sides = [
-        {
-            (comp, mono): tc
-            for comp in range(ncomp)
-            for mono, tc in poly_coeff_dict(t[comp], n).items()
-        }
-        for t in tgts
-    ]
-    for side in sides:
-        for key in side:
-            rows.setdefault(key, {})  # no multiplier produces it: 0 = coefficient
+    def coded(p):
+        return {sum(map(operator.mul, m, weights)): c for m, c in p.items()}
+
+    codes = list(coded(dict.fromkeys(monos)))  # in the order of monos
+    position = {code: j for j, code in enumerate(codes)}
+    cells = [[(comp, m, c) for comp, p in enumerate(map(coded, g)) for m, c in p.items()]
+             for g in gcoeffs]
+    holders = [[(gi * len(monos), m, gcells) for gi, gcells in enumerate(cells)
+                for c, m, _ in gcells if c == comp] for comp in range(ncomp)]
+    sides = [{(comp, m): c for comp, p in enumerate(map(coded, t)) for m, c in p.items()}
+             for t in tcoeffs]
+    # one equation {unknown: coefficient} per (component, monomial) that the
+    # targets reach, their coefficients on the right; unknown gi * len(monos)
+    # + j is the coefficient of monos[j] in m_gi.  From the target rows, a row
+    # reaches the unknowns it holds and an unknown adds its cells to its rows.
+    rows = {key: {} for side in sides for key in side}
+    front = list(rows)
+    while front:
+        comp, mono = front.pop()
+        row = rows[comp, mono]
+        for first, gmono, gcells in holders[comp]:
+            j = position.get(mono - gmono)
+            if j is None or first + j in row:
+                continue  # no such multiplier monomial, or walked: its cell is here
+            for c, gm, gc in gcells:
+                key = (c, gm + codes[j])
+                if key not in rows:
+                    rows[key] = {}
+                    front.append(key)
+                rows[key][first + j] = gc
     index = {key: i for i, key in enumerate(rows)}
     solutions = exact_solve(
         list(rows.values()), [{index[key]: tc for key, tc in side.items()} for side in sides]

@@ -42,12 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import chain, islice, repeat, tee
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .expr import ONE, ZERO
+from .expr import ONE, ZERO, compile_exact
 from .fields import WALK_ROWS, apply_word, pushforward_along_words, value_float
 from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, ideal_vectors,
                      time_extended, word_vectors)
@@ -361,7 +362,8 @@ def _seed_point(family, point, T):
 def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP):
     """Tangent dimension of the fixed-time orbit through the point.
 
-    Reaches x by one net-time-T word.  The fixed-time orbit through x is
+    Reaches x by one net-time-T word, or takes x = p where every X_i(p) is
+    exactly zero, as every flow fixes p.  The fixed-time orbit through x is
     the slice t = T of the orbit of the time-extended family Y
     (``liealg.time_extended``) through (x, T), and t is a submersion on
     that orbit, so the slice has one dimension less (Sussmann and Jurdjevic
@@ -379,9 +381,12 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     Lie(F)(x), where the same rule finds it exact, else the sampled one.
     """
     family = tuple(family)
-    reached = _seed_point(family, point, T)
-    at = tuple(reached)
-    extended, start = time_extended(family), [at + (T,)]
+    fixed = all_exact([point]) and all(
+        X.domain.contains(point) and all(compile_exact(c)(point) == 0 for c in X.components)
+        for X in family)
+    at = tuple(point) if fixed else tuple(_seed_point(family, point, T))
+    # no Y_i depends on t, so an exact T keeps Y exact at an exact x
+    extended, start = time_extended(family), [at + (Fraction(T),)]
     values = field_values(extended, start)
     base = [None if v is None else v[:-1] for v in values[0]]  # the generators' values at x
     filt, (ideal_rank,), (certificate,), (words,) = exact_ranks(
@@ -389,7 +394,7 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     dim, used, skipped = ideal_rank, 0, 0
     if certificate is None:
         certificate = "sampled"
-        dim, _, used, skipped = sampled_orbit(family, reached,
+        dim, _, used, skipped = sampled_orbit(family, at,
                                               replace(sampler, constraint="zero-sum"))
     elif certificate == "nagano":
         certificate = "zero-time-ideal"

@@ -8,13 +8,12 @@ it can be) at many points, the field compiled once per call.  Flows, and
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .expr import (Expr, compile_exact, compile_float, poly_coeff_dict, poly_from_coeff_dict,
-                   sum_products)
+from .expr import (Expr, add_poly_product, compile_exact, compile_float, poly_coeff_dict,
+                   poly_from_coeff_dict, sum_products)
 
 __all__ = ["DomainPredicate", "VectorField", "FlowError", "DomainExitError", "IntegrationError",
            "jacobian", "lie_bracket", "field_values", "field_evaluators", "point_text"]
@@ -164,25 +163,18 @@ def _poly_bracket(xs, ys, n):
     """The components of [X, Y] for polynomial components xs and ys,
     skipping a product whose multiplier component is zero."""
     nv = max([n] + [c.max_var() for c in xs + ys])
-    X = [_int_view(c, nv) for c in xs]
-    Y = [_int_view(c, nv) for c in ys]
+    X = [poly_coeff_dict(c, nv) for c in xs]
+    Y = [poly_coeff_dict(c, nv) for c in ys]
     comps = []
     for i in range(n):
         acc = {}
         for j in range(n):
             if X[j]:
-                _add_product(acc, X[j], _partial(Y[i], j, 1))
+                add_poly_product(acc, X[j], _partial(Y[i], j, 1))
             if Y[j]:
-                _add_product(acc, Y[j], _partial(X[i], j, -1))
+                add_poly_product(acc, Y[j], _partial(X[i], j, -1))
         comps.append(poly_from_coeff_dict(acc, nv))
     return tuple(comps)
-
-
-def _int_view(e, n):
-    """``poly_coeff_dict`` with integral coefficients as ints, whose
-    products cost far less than Fraction products."""
-    return {m: c.numerator if c.denominator == 1 else c
-            for m, c in poly_coeff_dict(e, n).items()}
 
 
 def _partial(d, j, sign):
@@ -193,14 +185,6 @@ def _partial(d, j, sign):
         if k:
             out[mono[:j] + (k - 1,) + mono[j + 1:]] = c * (sign * k)
     return out
-
-
-def _add_product(acc, a, b):
-    """acc += a * b, all exponent-tuple -> coefficient maps."""
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(map(operator.add, ma, mb))
-            acc[m] = acc.get(m, 0) + ca * cb
 
 
 def _compile_value(X):

@@ -21,6 +21,7 @@ from vfkit.expr import (
     compile_exact,
     compile_float,
     const,
+    divide,
     exp_of,
     parse,
     poly_coeff_dict,
@@ -125,6 +126,102 @@ class TestParsing:
         assert e.is_polynomial()
         assert compile_exact(e)((1, 0)) == 2
         assert parse("((x1+1)^-1)^-2", 2) == parse("(x1+1)^2", 2)
+
+
+def parse_trees(n=2, functions=True):
+    """Random expression trees as (text, thunk): the text fully
+    parenthesised, the thunk computing the Expr with ``Expr``'s operators
+    and ``divide`` in the order the parser meets them.  Powers run from -2
+    to 3, unary minus binds looser than ``^``, and with ``functions`` exp,
+    bump and bumpp nodes mix non-polynomial terms in."""
+    leaves = st.one_of(
+        st.integers(0, 4).map(lambda k: (str(k), lambda: const(k))),
+        st.integers(1, n).map(lambda i: (f"x{i}", lambda: var(i))),
+    )
+    ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+           "*": lambda a, b: a * b, "/": divide}
+
+    def extend(trees):
+        nodes = [
+            st.tuples(trees, st.sampled_from(sorted(ops)), trees).map(
+                lambda t: (f"({t[0][0]}){t[1]}({t[2][0]})",
+                           lambda: ops[t[1]](t[0][1](), t[2][1]()))),
+            st.tuples(trees, st.integers(-2, 3)).map(
+                lambda t: (f"({t[0][0]})^{t[1]}", lambda: t[0][1]().int_pow(t[1]))),
+            st.tuples(trees, st.integers(-2, 3)).map(
+                lambda t: (f"-({t[0][0]})^{t[1]}", lambda: -t[0][1]().int_pow(t[1]))),
+            trees.map(lambda t: (f"-({t[0]})", lambda: -t[1]())),
+        ]
+        if functions:
+            nodes.append(st.tuples(st.sampled_from([("exp", exp_of), ("bump", bump),
+                                                    ("bumpp", bumpp)]), trees).map(
+                lambda t: (f"{t[0][0]}({t[1][0]})", lambda: t[0][1](t[1][1]()))))
+        return st.one_of(nodes)
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def assert_parses_as_built(text, build, n=2):
+    """parse(text) is the Expr that ``build`` computes term for term, every
+    coefficient a Fraction, or raises the same error, which (as an error of
+    Expr arithmetic) carries no line or column."""
+    try:
+        want = build()
+    except ExprError as err:
+        with pytest.raises(ExprError) as got:
+            parse(text, n)
+        assert (type(got.value), str(got.value)) == (type(err), str(err))
+        assert not isinstance(got.value, ParseError)
+        return
+    got = parse(text, n)
+    assert got.terms == want.terms
+    assert all(type(c) is Fraction for c, _ in got.terms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parse_trees(functions=False))
+def test_parsed_polynomial_trees_match_expr_arithmetic(tree):
+    assert_parses_as_built(*tree)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parse_trees())
+def test_parsed_mixed_trees_match_expr_arithmetic(tree):
+    assert_parses_as_built(*tree)
+
+
+@pytest.mark.parametrize("text, build", [
+    ("0^0", lambda: ZERO.int_pow(0)),
+    ("(x1-x1)^0", lambda: ZERO.int_pow(0)),
+    ("0^-1", lambda: ZERO.int_pow(-1)),
+    ("x1/0", lambda: divide(var(1), ZERO)),
+    ("x2/(x1-x1)", lambda: divide(var(2), ZERO)),
+    ("exp(x1)/(2-2)", lambda: divide(exp_of(var(1)), ZERO)),
+    ("(x1+1)^65", lambda: (var(1) + 1).int_pow(65)),
+    ("(x1+x2)^-65", lambda: (var(1) + var(2)).int_pow(-65)),
+    ("(2*x1)^65", lambda: (2 * var(1)).int_pow(65)),
+    ("x1^-2", lambda: var(1).int_pow(-2)),
+    ("-x1^2", lambda: -var(1).int_pow(2)),
+    ("-x1^-2*x2", lambda: -var(1).int_pow(-2) * var(2)),
+    ("(-x1)^-3", lambda: (-var(1)).int_pow(-3)),
+    ("2^-3*x1", lambda: const(Fraction(1, 8)) * var(1)),
+    ("(1/3)^-2", lambda: const(9)),
+    ("x1^2/x1", lambda: var(1)),
+    ("x1/x2", lambda: divide(var(1), var(2))),
+    ("(x1^2-x2^2)/(x1-x2)", lambda: var(1) + var(2)),
+    ("(x1^2+1)/(x1+1)", lambda: divide(var(1) ** 2 + 1, var(1) + 1)),
+    ("x1/3", lambda: const(Fraction(1, 3)) * var(1)),
+    ("(x1+x2)^+2", lambda: (var(1) + var(2)) ** 2),
+])
+def test_parse_matches_expr_arithmetic(text, build):
+    # errors (0^0, division by zero, an exponent too large to expand) and
+    # powers of every sign, each as Expr arithmetic gives it
+    assert_parses_as_built(text, build)
+
+
+def test_a_division_by_a_constant_stays_exact():
+    (c, factors), = parse("x1/3", 1).terms
+    assert type(c) is Fraction and c == Fraction(1, 3) and factors == var(1).terms[0][1]
 
 
 class TestDiff:

@@ -105,8 +105,8 @@ class TestFiltration:
 
     def test_module_search_eliminates_only_what_the_targets_reach(self, tmp_path, monkeypatch):
         # lie on mixed-degree-pair at depth 5 and module degree 5 solves
-        # systems of up to 267 rows; at most 46 of them connect to a target
-        # coefficient, and only those are eliminated
+        # systems of up to 267 nominal rows; at most 46 of them connect to a
+        # target coefficient, and only those are built and eliminated
         systems = []  # per membership system: [its rows, the rows eliminated]
         solving = []  # the system being solved; ranks eliminate outside any
         solve, rref = membership.exact_solve, linalg._rref
@@ -129,8 +129,8 @@ class TestFiltration:
         path.write_text(PRESETS["mixed-degree-pair"].system_text)
         assert cli.main(["lie", "--system", str(path), "--point", "1/2,3/4", "--depth", "5",
                          "--module-degree", "5", "--format", "json"]) == 0
-        assert max(rows for rows, _ in systems) == 267
-        assert 0 < max(eliminated for _, eliminated in systems) <= 46
+        assert all(built == eliminated for built, eliminated in systems)
+        assert 0 < max(built for built, _ in systems) <= 46
 
     def test_generators_are_differentiated_once_per_filtration(self, monkeypatch):
         # a depth-8 one-sided-flat filtration takes each generator's 2 x 2

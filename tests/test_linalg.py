@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfkit.linalg import (
-    _reached,
     affine_rank,
     exact_pivot_columns,
     exact_solve,
@@ -267,8 +266,7 @@ def block_systems(draw):
     """Two or three independent ``systems()`` blocks on their own rows and
     unknowns, with the rows and the unknowns shuffled together.  The first
     block's sides are all 0, and any other block's may be, so the rows that
-    the nonzero sides reach leave some out.  Returns the system and the
-    rows of the blocks with a nonzero side."""
+    the nonzero sides reach leave some out.  Returns the system."""
     nsides = draw(st.integers(1, 3))
     blocks = []
     for k in range(draw(st.integers(2, 3))):
@@ -283,7 +281,6 @@ def block_systems(draw):
     col_at = draw(st.permutations(range(ncols)))
     M = [[Fraction(0)] * ncols for _ in range(nrows)]
     sides = [[Fraction(0)] * nrows for _ in range(nsides)]
-    live = set()
     r0 = c0 = 0
     for A, block_sides in blocks:
         for i, row in enumerate(A):
@@ -291,20 +288,17 @@ def block_systems(draw):
                 M[row_at[r0 + i]][col_at[c0 + j]] = x
             for side, block_side in zip(sides, block_sides):
                 side[row_at[r0 + i]] = block_side[i]
-        if any(v != 0 for side in block_sides for v in side):
-            live.update(row_at[r0 + i] for i in range(len(A)))
         r0, c0 = r0 + len(A), c0 + len(A[0])
-    return M, sides, live
+    return M, sides
 
 
 @settings(max_examples=100, deadline=None)
 @given(block_systems())
 def test_solve_of_independent_blocks_matches_dense(system):
-    # only the blocks with a nonzero side are reached, and leaving the
-    # others out changes no solution: their unknowns read 0
-    A, sides, live = system
-    assert set(_reached(A, [mapping_side(b) for b in sides])) <= live
-    assert_solves_like_dense(A, sides)
+    # a block whose sides are all 0 solves to 0 whatever the other blocks
+    # hold; membership systems, which leave such blocks out, rely on it
+    # (tests/test_membership.py checks the part that its targets reach)
+    assert_solves_like_dense(*system)
 
 
 def test_solve_edge_shapes():

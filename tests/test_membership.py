@@ -5,13 +5,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vfkit.expr import ZERO, const, parse, var
+from vfkit.expr import ZERO, const, parse, poly_coeff_dict, poly_from_coeff_dict, var
 from vfkit.fields import lie_bracket
 from vfkit.distributions import Distribution
 from vfkit.frobenius import frobenius_verdict
 from vfkit.liealg import certify, filtration, time_extended
-from vfkit.linalg import in_span
+from vfkit.linalg import exact_solve, in_span
 from vfkit import membership
 from vfkit.membership import (
     UNKNOWNS_CAP,
@@ -357,3 +358,87 @@ def test_module_contains_raises_when_verification_fails(monkeypatch, mixed_pair)
         membership.module_contains([mixed_pair[0]], mixed_pair, 2)
     # a "no" verifies nothing, so it cannot fail verification
     assert not membership.module_contains([lie_bracket(*mixed_pair)], mixed_pair, 2)
+
+
+# -- the rows a solve builds -----------------------------------------------------------
+
+COEFFS = st.sampled_from([-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3)])
+POLYS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), COEFFS, max_size=3).map(
+    lambda d: poly_from_coeff_dict(d, 2))
+
+
+@st.composite
+def membership_systems(draw):
+    """Generators and targets in two variables with one or two components,
+    and a degree bound: targets are random or combinations of the
+    generators, so members and non-members both occur."""
+    ncomp = draw(st.integers(1, 2))
+    field = st.lists(POLYS, min_size=ncomp, max_size=ncomp).map(tuple)
+    gens = draw(st.lists(field, min_size=1, max_size=3))
+    targets = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            targets.append(draw(field))
+        else:
+            mults = [draw(POLYS) for _ in gens]
+            targets.append(tuple(sum((m * g[c] for m, g in zip(mults, gens)), ZERO)
+                                 for c in range(ncomp)))
+    return targets, gens, draw(st.integers(0, 2))
+
+
+def nominal_system(targets, gens, degree):
+    """Every row of the membership system, keyed by (component, monomial),
+    with unknown gi * len(monos) + j the coefficient of monos[j] in m_gi,
+    and the targets' sides by the same keys."""
+    monos = membership._monomials_up_to(2, degree)
+    rows = {}
+    for gi, g in enumerate(gens):
+        for comp, gcomp in enumerate(g):
+            for gmono, gc in poly_coeff_dict(gcomp, 2).items():
+                for j, mono in enumerate(monos):
+                    key = (comp, tuple(a + b for a, b in zip(gmono, mono)))
+                    rows.setdefault(key, {})[gi * len(monos) + j] = gc
+    sides = [{(comp, mono): c for comp, tc in enumerate(t)
+              for mono, c in poly_coeff_dict(tc, 2).items()} for t in targets]
+    for side in sides:
+        for key in side:
+            rows.setdefault(key, {})
+    return rows, sides
+
+
+def connected_to(rows, keys):
+    """The keys of the rows linked to the given ones through shared unknowns."""
+    reached, front = set(keys), list(keys)
+    while front:
+        unknowns = rows[front.pop()].keys()
+        for key, row in rows.items():
+            if key not in reached and unknowns & row.keys():
+                reached.add(key)
+                front.append(key)
+    return reached
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(membership_systems())
+def test_rows_built_are_the_part_connected_to_the_targets(system):
+    # the solve builds exactly the rows that the targets' coefficients reach
+    # and solves them as exact_solve solves the whole nominal system
+    targets, gens, degree = system
+    solved = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(membership, "exact_solve",
+                   lambda A, rhs: solved.append(A) or exact_solve(A, rhs))
+        solutions = membership._solve(targets, gens, degree)[2]
+    rows, sides = nominal_system(targets, gens, degree)
+    keys = sorted(rows)
+    index = {key: i for i, key in enumerate(keys)}
+    want = exact_solve([rows[key] for key in keys],
+                       [{index[key]: c for key, c in side.items()} for side in sides])
+    if not any(sides):  # all-zero targets: no system at all
+        assert solved == [] and solutions == [{} for _ in targets]
+        return
+    reached = connected_to(rows, [key for side in sides for key in side])
+    (built,) = solved
+    assert sorted(sorted(row.items()) for row in built) == sorted(
+        sorted(rows[key].items()) for key in reached)
+    assert solutions == want

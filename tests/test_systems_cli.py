@@ -1,8 +1,11 @@
+import io
 import json
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -858,6 +861,26 @@ class TestExactOrbitsWalkNoFlow:
             "bracket-rank", 0, True)
         assert (res["vectors"], res["words_used"], res["words_skipped"]) == ([], 0, 0)
 
+    def test_fixed_time_at_a_fixed_point_walks_no_word(self, capsys, tmp_path, monkeypatch):
+        # every X_i is exactly zero at the origin, a flat factor included, so
+        # every flow fixes it: it is reached exactly, and the fixed-time
+        # answer is "bracket-rank" 0 as the orbit's is, with no seed word or
+        # sampled word walked (before, 200 zero-sum words gave a sampled 0)
+        path = tmp_path / "flat-fixed.vf"
+        path.write_text("system flat-fixed dim 2\nfield X1 = (x1*bump(x2), 0)\n"
+                        "field X2 = (0, x1)\n")
+        walks = spy(monkeypatch, fields, "_walk")
+        for opts in (("--fixed-time", "1/2"), ()):
+            code, out = run_cli(capsys, "orbit", "--system", str(path), "--point", "0,0",
+                                *opts, "--format", "json")
+            res = json.loads(out)["results"]
+            assert code == 0 and walks == []
+            assert (res["certificate"], res["dimension"], res["words_used"]) == (
+                "bracket-rank", 0, 0)
+        code, out = run_cli(capsys, "orbit", "--system", str(path), "--point", "0,0",
+                            "--fixed-time", "1/2", "--format", "json")
+        assert json.loads(out)["results"]["reached"] == [0, 0]
+
     def test_mixed_degree_pair_is_bracket_rank_in_both_modes(self, capsys, tmp_path):
         for opts in ((), ("--fixed-time", "1/2", "--words", "12")):
             res = preset_orbit(capsys, tmp_path, "mixed-degree-pair", *opts)
@@ -912,3 +935,61 @@ def test_sampled_orbit_counts_through_blow_up_words(capsys, tmp_path, text, opts
     res = json.loads(out)["results"]
     assert code == 0
     assert (res["dimension"], res["words_used"], res["words_skipped"]) == counts
+
+
+# -- the one-pass JSON writer ---------------------------------------------------------
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(),
+    st.floats(allow_nan=True, allow_infinity=True), st.just(-0.0),
+    st.fractions(max_denominator=50), st.integers().map(Fraction),
+)
+JSON_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.fractions(max_denominator=5),
+                      st.none())
+
+
+def json_reports(leaves=JSON_LEAVES):
+    """Nested reports as vfkit builds them: dicts with str and other keys,
+    lists and tuples (empty ones too) over the leaves."""
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_KEYS, inner, max_size=4)), max_leaves=20)
+
+
+def assert_writes_like_json(report):
+    buf = io.StringIO()
+    cli._emit(report, "json", buf)
+    assert buf.getvalue() == json.dumps(cli._jsonable(report), sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(json_reports())
+def test_json_report_text_is_json_dumps_of_jsonable(report):
+    assert_writes_like_json(report)
+    # numpy not loaded: no numpy type is looked up
+    out = []
+    cli._write_json(report, None, out)
+    assert "".join(out) == json.dumps(cli._jsonable(report), sort_keys=True, indent=2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(json_reports(st.one_of(
+    JSON_LEAVES,
+    st.floats(allow_nan=True, width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+    st.lists(st.floats(allow_nan=True), max_size=3).map(np.array),
+    st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=3).map(
+        lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), 2)),
+)))
+def test_json_report_text_with_numpy_values(report):
+    # numpy scalars and arrays are written once numpy is loaded, as
+    # _jsonable converts them
+    assert_writes_like_json(report)
+
+
+def test_json_report_text_rejects_what_json_rejects():
+    for report in ({"a": object()}, [np.bool_(True)], {"a": {1, 2}}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dumps(cli._jsonable(report), sort_keys=True, indent=2)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._emit(report, "json", io.StringIO())
