@@ -385,14 +385,18 @@ def _cmd_lie(args, seed):
             f"no stabilization certificate at depth cap {args.depth}; ranks "
             "are lower bounds", filt.note]))
     if args.fixed_time_ideal:
-        # the zero-time ideal spanned by the time-extended family's words at (p, 0)
+        # the zero-time ideal spanned by the time-extended family's words at
+        # (p, 0), walked to the cap or to the first depth where its rank is
+        # the Lie rank: L0(p) lies in Lie(F)(p), so no deeper word raises it
         if all(v is None for v in values[0]):
             raise LieAlgebraError(f"no generator defined at {point_text(p)}")
         extended, start = time_extended(system.fields), [(*p, 0)]
-        *_, (_, (words,)) = word_vectors(extended, field_values(extended, start), start,
-                                         args.depth)
         lie_rank = results["ranks_by_depth"][-1]
-        ideal_rank = span_rank(ideal_vectors(words))
+        for _, (words,) in word_vectors(extended, field_values(extended, start), start,
+                                        args.depth):
+            ideal_rank = span_rank(ideal_vectors(words))
+            if ideal_rank >= lie_rank:
+                break
         codim = lie_rank - ideal_rank
         if codim not in (0, 1):
             raise LieAlgebraError(

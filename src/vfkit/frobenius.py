@@ -18,9 +18,9 @@ The verdict combines three independent detectors:
   sample to be the orbit dimension (full rank, every generator defined and
   exactly zero there, or, below full rank, a Nagano-certified family), no
   flow can find more; (c) else a sampled orbit dimension above the fibre
-  rank rules it out, every such sample's orbit sampled in the same walks
-  (``orbits.sampled_orbit_dimensions``).  The bracket words stop at the
-  first depth where every sample's rank is exact.
+  rank rules it out, every such sample sampled in one walk; both are read
+  from ``orbits.orbit_dimensions``.  The bracket words stop at the first
+  depth where every sample's rank is exact.
 
 A flow-box chart takes one path whatever its rank m: the flows of a fibre
 basis at the base over a ``CHART_GRID_POINTS``-per-axis grid of times in
@@ -43,7 +43,7 @@ from .fields import apply_words, pushforward_along_words
 from .liealg import pairwise_brackets, pointwise_witnesses
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 from .membership import OversizeError, module_contains
-from .orbits import WordSampler, exact_ranks, sampled_orbit_dimensions
+from .orbits import WordSampler, exact_ranks, orbit_dimensions
 from .vectorfield import DomainExitError, FlowError, field_evaluators, field_values
 
 __all__ = ["FrobeniusVerdict", "FlowBoxChart", "frobenius_verdict", "flow_box_chart"]
@@ -66,18 +66,6 @@ class FrobeniusVerdict:
     ranks: Tuple[int, ...]
     witnesses: Tuple[tuple, ...]  # points backing a "no"
     invariant_slice_samples: Tuple[tuple, ...]  # involutivity held there
-
-
-def _orbit_dimensions(family, points, ranks, certificates, sampler):
-    """Per point, the orbit dimension and its kind: the rank and certificate
-    that ``orbits.exact_ranks`` gives, else, all such points sampled at once,
-    ``sampled_orbit_dimensions`` (a lower bound) and "sampled", which fails
-    only where no generator is defined, and there ``fibre_rank`` has raised."""
-    sampled = [p for p, kind in zip(points, certificates) if not kind]
-    dims = iter(sampled_orbit_dimensions(family, sampled,
-                                         [sampler or ORBIT_SAMPLER] * len(sampled)))
-    return [(dim, kind) if kind else (next(dims), "sampled")
-            for dim, kind in zip(ranks, certificates)]
 
 
 def frobenius_verdict(
@@ -121,7 +109,8 @@ def frobenius_verdict(
         witnesses = [p for p, lie, r in zip(samples, lie_ranks, ranks) if lie > r]
         bracket_rank_gap = bool(witnesses)
         if not witnesses:
-            orbit = _orbit_dimensions(family, samples, lie_ranks, exact, orbit_sampler)
+            orbit = orbit_dimensions(family, samples, lie_ranks, exact,
+                                     orbit_sampler or ORBIT_SAMPLER)
             witnesses = [p for p, (dim, _), r in zip(samples, orbit, ranks) if dim > r]
 
     if failing:
@@ -189,7 +178,8 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
     base_report = fibre_rank(base, values[0])
     m = base_report.rank
     _, ranks, exact, _ = exact_ranks(family, values, [base])
-    ((orbit_dim, orbit_kind),) = _orbit_dimensions(family, [base], ranks, exact, orbit_sampler)
+    ((orbit_dim, orbit_kind),) = orbit_dimensions(family, [base], ranks, exact,
+                                                  orbit_sampler or ORBIT_SAMPLER)
     frame = [family[i] for i in base_report.witness]
     axis = np.linspace(-CHART_RADIUS, CHART_RADIUS, CHART_GRID_POINTS).tolist()
     words = [tuple(enumerate(t)) for t in product(axis, repeat=m)]

@@ -13,8 +13,11 @@ filtration carries a stabilization certificate, the family is
 the dimension (``certificate="nagano"``).  One ladder, ``exact_ranks``,
 applies the rule at any number of points: it reads the ranks from the walk
 ``liealg.word_vectors`` one depth at a time and stops at the first depth
-where every point's rank is exact, each word evaluated once per point; else
-it runs the module search (``liealg.certify``) once, at the cap.
+where every point's rank is exact, each word evaluated once per point; else,
+for a family analytic on all of R^n (no other is Nagano-certified), it runs
+the module search (``liealg.certify``) once, at the cap.
+``orbit_dimensions`` reads the certified rank, else samples every uncertified
+point in one walk, for ``frobenius`` and fixed time alike.
 A fixed-time orbit is a slice t = const of an orbit of the time-extended
 family Y (``liealg.time_extended``), so its dimension is the rank of
 Lie(Y) minus 1 (``liealg.ideal_vectors``), read by the same ladder once,
@@ -68,6 +71,7 @@ __all__ = [
     "nagano_certified",
     "exact_certificate",
     "exact_ranks",
+    "orbit_dimensions",
     "orbit_dimension",
     "fixed_time_dimension",
     "chow_verdict",
@@ -254,14 +258,24 @@ def sampled_orbit_dimensions(family, points, samplers):
             for s in _sample_orbits(family, points, samplers, (FIRST_WORDS, None))]
 
 
+def _analytic(family):
+    """Whether every generator is real analytic on all of R^n."""
+    return all(X.domain.is_full and all(c.is_analytic() for c in X.components)
+               for X in family)
+
+
+def _fixes(values):
+    """Whether every generator's value at a point (None: undefined) is exactly
+    zero, a float pinned to 0 not counting; read up to the first that fails."""
+    return all(v is not None and all(x == 0 and all_exact([(x,)]) for x in v)
+               for v in values)
+
+
 def nagano_certified(filt):
     """Whether the rank at p of the words of ``filt`` is the orbit dimension
     at every p: every generator is real analytic on all of R^n and a
     stabilization certificate proves that the words span Lie(F)(p)."""
-    return filt.certificate is not None and all(
-        X.domain.is_full and all(c.is_analytic() for c in X.components)
-        for X in filt.family
-    )
+    return filt.certificate is not None and _analytic(filt.family)
 
 
 def exact_certificate(filt, rank, values):
@@ -274,13 +288,12 @@ def exact_certificate(filt, rank, values):
     does not count), is "bracket-rank" for any smooth family.  Only
     below that does Nagano decide, from the stabilization certificate that
     ``filt`` carries: ``exact_ranks`` passes ``liealg.certify(filt)`` once a
-    rank stays below n at the cap, so the module search runs only there and
-    at most once per filtration.  ``filt`` may be the time-extended
-    family's, whose words span Lie(F) once their last coordinate is dropped
-    (``fixed_time_dimension``)."""
+    rank stays below n at the cap of an analytic family, so the module
+    search runs only there and at most once per filtration.  ``filt`` may be
+    the time-extended family's, whose words span Lie(F) once their last
+    coordinate is dropped (``fixed_time_dimension``)."""
     n = next((len(v) for v in values if v is not None), None)
-    fixed = None not in values and all_exact(values) and not any(map(any, values))
-    if rank == n or (rank == 0 and fixed):
+    if rank == n or (rank == 0 and _fixes(values)):
         return "bracket-rank"
     return "nagano" if nagano_certified(filt) else None
 
@@ -309,9 +322,21 @@ def exact_ranks(family, values, points, depth_cap=DEFAULT_DEPTH_CAP, view=None):
                 break  # a deeper word is needed whatever the other points' ranks
         if all(exact):  # no deeper word and no module search
             return filt, ranks, exact, vectors
-    filt = certify(filt)
+    if _analytic(family):  # else no module certificate can make a rank exact
+        filt = certify(filt)
     return filt, ranks, [exact_certificate(filt, r, base)
                          for r, base in zip(ranks, judged)], vectors
+
+
+def orbit_dimensions(family, points, ranks, certificates, sampler):
+    """Per point, (dimension, kind): the rank and certificate that ``exact_ranks``
+    gives, else ``sampled_orbit_dimensions`` (a lower bound; every such point in
+    one walk, none without one; raising where no generator is defined) and "sampled"."""
+    sampled = [p for p, kind in zip(points, certificates) if not kind]
+    dims = iter(sampled_orbit_dimensions(family, sampled, [sampler] * len(sampled))
+                if sampled else ())
+    return [(dim, kind) if kind else (_raised(next(dims)), "sampled")
+            for dim, kind in zip(ranks, certificates)]
 
 
 def orbit_dimension(family, point, sampler, depth_cap=DEFAULT_DEPTH_CAP):
@@ -378,11 +403,11 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     but the seed is walked; otherwise ``sampled_orbit`` along the sampler's words, made
     zero-sum, gives the sampled lower bound.  The orbit dimension at x is
     the rank of the same words with their last coordinate dropped,
-    Lie(F)(x), where the same rule finds it exact, else the sampled one.
+    Lie(F)(x), exact by the same rule, else sampled (``orbit_dimensions``).
     """
     family = tuple(family)
-    fixed = all_exact([point]) and all(
-        X.domain.contains(point) and all(compile_exact(c)(point) == 0 for c in X.components)
+    fixed = all_exact([point]) and _fixes(
+        (compile_exact(c)(point) for c in X.components) if X.domain.contains(point) else None
         for X in family)
     at = tuple(point) if fixed else tuple(_seed_point(family, point, T))
     # no Y_i depends on t, so an exact T keeps Y exact at an exact x
@@ -403,8 +428,8 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     # Lie(F)(x), so n there is n here, 0 at a fixed point is 0, and Y's
     # certificate spans Lie(F) too
     linf = span_rank([w[:-1] for w in words])
-    exact = exact_certificate(filt, linf, base)
-    orbit_dim = linf if exact else _raised(sampled_orbit_dimensions(family, [at], [sampler])[0])
+    ((orbit_dim, _),) = orbit_dimensions(family, [at], [linf],
+                                         [exact_certificate(filt, linf, base)], sampler)
     return FixedTimeReport(
         start=tuple(point),
         reached=at,

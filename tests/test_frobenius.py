@@ -119,8 +119,8 @@ class TestOrbitSamplesSkipped:
         self, monkeypatch, name, grid, sampler, sampled, verdict, witness_x1
     ):
         calls = []
-        real = frobenius.sampled_orbit_dimensions
-        monkeypatch.setattr(frobenius, "sampled_orbit_dimensions",
+        real = orbits.sampled_orbit_dimensions
+        monkeypatch.setattr(orbits, "sampled_orbit_dimensions",
                             lambda fam, ps, ss: calls.extend(ps) or real(fam, ps, ss))
         D = Distribution(parse_system(PRESETS[name].system_text).fields)
         v = frobenius_verdict(D, grid, orbit_sampler=sampler)
@@ -149,8 +149,8 @@ class TestOrbitSamplesSkipped:
     @pytest.mark.parametrize("name", list(PRESETS))
     def test_cli_samples_per_preset(self, monkeypatch, capsys, tmp_path, name):
         calls = []
-        real = frobenius.sampled_orbit_dimensions
-        monkeypatch.setattr(frobenius, "sampled_orbit_dimensions",
+        real = orbits.sampled_orbit_dimensions
+        monkeypatch.setattr(orbits, "sampled_orbit_dimensions",
                             lambda fam, ps, ss: calls.extend(ps) or real(fam, ps, ss))
         path = tmp_path / f"{name}.vf"
         path.write_text(PRESETS[name].system_text)

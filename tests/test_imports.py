@@ -4,6 +4,10 @@ import ast
 import importlib
 import inspect
 import pathlib
+import re
+import subprocess
+
+import pytest
 
 import vfkit
 
@@ -184,6 +188,7 @@ EXACT_RUNS = [
     ["lie", "--system", "linear-shear.vf", "--point", "1/2,1/2"],
     ["member", "--system", "linear-shear.vf", "--target", "(0, 1)", "--gens", "X1,X2",
      "--degree", "1"],
+    ["lie", "--system", "linear-shear.vf", "--point", "1/2,1/2", "--fixed-time-ideal"],
     ["rank", "--system", "linear-shear.vf", "--point", "1/2,1/2"],
     ["member", "--system", "mixed-degree-pair.vf", "--target", "(x2^3, 0)", "--gens", "X1,X2",
      "--degree", "2"],
@@ -250,3 +255,18 @@ def test_ode_walk_calls_the_solve_ivp_bound_at_fields(monkeypatch):
     fields.apply_word([rotation], [(0, 0.5)], (1.0, 0.0))
     fields.pushforward_along_word([rotation], [(0, 0.5)], rotation, (1.0, 0.0))
     assert len(calls) == 2
+
+
+BUILD_ARTIFACT = re.compile(r"(^|/)__pycache__/|\.pyc$|\.egg-info(/|$)")
+
+
+def test_no_build_artifact_is_committed():
+    # bytecode and egg-info are built from the sources; committed, they go stale
+    try:
+        listed = subprocess.run(["git", "ls-files"], cwd=ROOT, capture_output=True, text=True,
+                                timeout=60)
+    except FileNotFoundError:
+        pytest.skip("git is not installed")
+    if listed.returncode != 0:
+        pytest.skip(f"{ROOT} is not a git checkout")
+    assert [p for p in listed.stdout.splitlines() if BUILD_ARTIFACT.search(p)] == []

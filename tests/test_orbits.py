@@ -718,6 +718,23 @@ class TestRankFirst:
             1, 1, "zero-time-ideal")
         assert searches == [("closure", 6)]
 
+    def test_restricted_domain_runs_no_module_search(self, vf, monkeypatch):
+        # Nagano needs every generator analytic on all of R^n, so on a
+        # restricted domain no module certificate could make a rank exact
+        systems = []
+        real = liealg.module_contains
+        monkeypatch.setattr(liealg, "module_contains", lambda *a: systems.append(a) or real(*a))
+        domain = [(1, ">", Fraction(-5))]
+        family = [vf("X1", ["1", "0"], 2, domain), vf("X2", ["0", "x1^2*x2+x2^3"], 2, domain)]
+        p, sampler = (Fraction(1, 2), 0), WordSampler(seed=0, count=20)
+        rep = orbit_dimension(family, p, sampler)
+        assert (rep.dimension, rep.linf_rank, rep.certificate, rep.words_used) == (
+            1, 1, "sampled", 20)
+        rep = fixed_time_dimension(family, p, 0.5, sampler)
+        assert (rep.dimension, rep.orbit_dimension_at_reached, rep.ideal_rank,
+                rep.certificate, rep.words_used) == (1, 1, 1, "sampled", 20)
+        assert systems == []
+
     def test_frobenius_searches_once_across_samples(self, cubic, searches):
         # rank 1 < n at the three samples on the axis, each decided by Nagano
         grid = list(itertools.product((-1, 0, 1), repeat=2))

@@ -543,22 +543,26 @@ class TestCli:
     def test_lie_fixed_time_ideal_evaluates_each_word_once(self, capsys, vanishing_file,
                                                            monkeypatch):
         # one compile per component of each generator and word: the 14 of
-        # the family, and with the flag also the same 14 of its time
-        # extension, with a third component
+        # the family, and with the flag also the words of its time
+        # extension, 3 components each, up to the first depth where the
+        # ideal rank reaches the Lie rank: 3 words (depth 2) at (1/2, 3/4),
+        # where both are n = 2, and the 2 generators at the origin, where
+        # both are 0
         compiled = []
         real = vectorfield.compile_exact
         monkeypatch.setattr(vectorfield, "compile_exact", lambda e: compiled.append(e) or real(e))
-        counts = []
-        for flags in ((), ("--fixed-time-ideal",)):
-            compiled.clear()
-            code, out = run_cli(capsys, "lie", "--system", vanishing_file, "--point",
-                                "1/2,3/4", "--depth", "5", "--module-degree", "4", *flags,
-                                "--format", "json")
-            assert code == 0
-            counts.append(len(compiled))
-        assert json.loads(out)["results"]["fixed_time_ideal"] == {
-            "ideal_rank": 2, "lie_rank": 2, "codim": 0}
-        assert counts == [28, 28 + 42]
+        for point, rank, extension in (("1/2,3/4", 2, 9), ("0,0", 0, 6)):
+            counts = []
+            for flags in ((), ("--fixed-time-ideal",)):
+                compiled.clear()
+                code, out = run_cli(capsys, "lie", "--system", vanishing_file, "--point",
+                                    point, "--depth", "5", "--module-degree", "4", *flags,
+                                    "--format", "json")
+                assert code == 0
+                counts.append(len(compiled))
+            assert json.loads(out)["results"]["fixed_time_ideal"] == {
+                "ideal_rank": rank, "lie_rank": rank, "codim": 0}
+            assert counts == [28, 28 + extension]
 
     def test_unknowns_cap_reaches_lie(self, capsys, vanishing_file, monkeypatch):
         # an over-cap module search stops with a note; the ranks still print
