@@ -4,8 +4,12 @@ Exit codes: 0 success, 1 usage error, 2 parse error, 3 numeric failure,
 4 expected-fact mismatch (``examples --run``).  JSON reports are emitted
 with sorted keys, so identical invocations with identical seeds are
 byte-identical.  Each subcommand is one ``COMMANDS`` entry, and a call
-builds only its parser; only ``orbit``, ``frobenius`` and ``examples``
-import the flow layer, and with it numpy.
+builds only its parser.  A call loads numpy only where it needs floats: the
+flow layer (``vfkit.fields``) when it walks a flow (a sampled ``orbit``, a
+fixed-time one from a point that a flow moves, a flow-box chart or sampled
+orbit of ``frobenius``, a preset run of ``examples``), ``linalg``'s float
+ranks when a value is irrational.  An exact ``orbit``, an exact
+``frobenius`` verdict and ``examples --list`` load neither.
 """
 
 from __future__ import annotations

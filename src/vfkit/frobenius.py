@@ -36,10 +36,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .distributions import Distribution, fibre_rank
-from .fields import apply_words, pushforward_along_words
 from .liealg import pairwise_brackets, pointwise_witnesses
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 from .membership import OversizeError, module_contains
@@ -173,6 +170,8 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
     behaves like an integral-manifold chart on the sample (module docstring).
     Generator flows cannot leave an integral manifold, so an orbit dimension
     at the base above the chart rank refutes the chart."""
+    import numpy as np  # the flow layer loads only where a flow is walked
+    from .fields import apply_words, pushforward_along_words
     base, family = tuple(base), D.generators
     values = field_values(family, [base])  # each generator evaluated once at the base
     base_report = fibre_rank(base, values[0])

@@ -36,7 +36,9 @@ for the points whose rank stays below n, all of them in one more walk, for
 one point (a fixed-time orbit's ``reached``) or many.
 ``WordSampler`` reads its words from one raw PCG64 stream with the bits of
 numpy's ``Generator.integers`` and ``uniform``, so a seed gives the same
-words whatever numpy release draws them.
+words whatever numpy release draws them.  numpy and the flow layer
+(``vfkit.fields``) are imported by the functions that draw words or walk
+flows, so an exact answer loads neither.
 Flow ranks are read at ``linalg.FLOW_REL_TOL``, and filtrations go to
 ``liealg.DEFAULT_DEPTH_CAP`` unless a cap is given.
 """
@@ -49,10 +51,7 @@ from fractions import Fraction
 from itertools import chain, islice, repeat, tee
 from typing import NamedTuple, Tuple
 
-import numpy as np
-
 from .expr import ONE, ZERO, compile_exact
-from .fields import WALK_ROWS, apply_word, pushforward_along_words, value_float
 from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, ideal_vectors,
                      time_extended, word_vectors)
 from .linalg import FLOW_REL_TOL, affine_rank, all_exact, span_rank, svd_rank
@@ -148,6 +147,7 @@ class WordSampler:
         of lengths or fields of 2^32 or more raises ValueError, a non-finite
         time range OverflowError and an unknown constraint ValueError, all
         at the first word."""
+        import numpy as np  # only sampled words need numpy
         bits = np.random.PCG64(self.seed)
         if self.count <= 0:
             return
@@ -200,6 +200,8 @@ def _sample_orbits(family, points, samplers, batches):
     span, or of the affine hull's linear part for zero-sum words) is full; a
     batch of every point below it walks together, a sampler drawn once.  A
     point without n coordinates raises the walk's ValueError first."""
+    import numpy as np  # the flow layer loads only where a flow is walked
+    from .fields import WALK_ROWS, pushforward_along_words, value_float
     n, out, streams = family[0].dim, [None] * len(points), {}
     for k, p in enumerate(points):
         if len(p) != n:
@@ -374,6 +376,7 @@ class FixedTimeReport:
 def _seed_point(family, point, T):
     """The point that the first successful net-time-T word reaches from the
     given one, trying single steps then pairs of half steps."""
+    from .fields import apply_word
     index = range(len(family))
     for word in chain(([(i, T)] for i in index),
                       ([(i, T / 2.0), (j, T / 2.0)] for i in index for j in index)):

@@ -16,11 +16,8 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, Tuple
 
-import numpy as np
-
 from .distributions import Distribution, rank_at, singular_locus_minors
 from .expr import compile_float, parse
-from .fields import apply_word, apply_words
 from .frobenius import flow_box_chart, frobenius_verdict
 from .liealg import filtration, pairwise_brackets, pointwise_witnesses, word_vectors
 from .linalg import span_rank
@@ -127,6 +124,8 @@ def _zero_sum_change(ctx, rep, sampler, *functions):
     report reached and where the sampler's zero-sum words take it; a
     coordinate projection measures displacement, an invariant its drift.
     A word that exits is skipped."""
+    import numpy as np  # the flow layer loads only where a flow is walked
+    from .fields import apply_words
     reached = np.array(rep.reached)
     start = [f(reached.tolist()) for f in functions]
     words = replace(sampler, constraint="zero-sum").words(len(ctx.family))
@@ -172,6 +171,8 @@ _NINE_POINTS = [
 
 
 def _nine_orbit_signs(ctx):
+    import numpy as np
+    from .fields import apply_words
     samplers = [ctx.sampler(100 + i) for i in range(len(_NINE_POINTS))]
     starts = [p for p, s in zip(_NINE_POINTS, samplers) for _ in range(s.count)]
     words = chain.from_iterable(s.draw(len(ctx.family)) for s in samplers)
@@ -720,6 +721,8 @@ def _shear3_frobenius(ctx):
 
 
 def _shear3_commutator(ctx):
+    import numpy as np
+    from .fields import apply_word
     t = 0.37
     word = [(0, t), (1, t), (0, -t), (1, -t)]
     landed = apply_word(ctx.family, word, (0.0, 0.0, 0.0))

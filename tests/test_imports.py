@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import json
 import pathlib
 import re
 import subprocess
@@ -215,6 +216,57 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(codes, "numpy" in sys.modules)
 """
     assert fresh_process(check, cwd=tmp_path).stdout.strip() == f"{[0] * len(EXACT_RUNS)} False"
+
+
+FLOW_LAYER = ["numpy", "vfkit.fields"]
+
+
+def _flow_layer_after(runs, tmp_path):
+    """(exit codes, JSON reports, whether each FLOW_LAYER module is loaded)
+    after importing presets, orbits and frobenius and running the CLI calls
+    in one fresh process, in ``tmp_path`` beside every preset's system file."""
+    from vfkit.presets import PRESETS
+
+    for name, preset in PRESETS.items():
+        (tmp_path / f"{name}.vf").write_text(preset.system_text)
+    check = f"""
+import contextlib, io, json, sys
+import vfkit.presets, vfkit.orbits, vfkit.frobenius
+from vfkit.cli import main
+codes, reports = [], []
+for argv in {runs!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes.append(main(argv + ["--format", "json"]))
+    reports.append(json.loads(out.getvalue()))
+print(json.dumps([codes, reports, [m in sys.modules for m in {FLOW_LAYER!r}]]))
+"""
+    return json.loads(fresh_process(check, cwd=tmp_path).stdout)
+
+
+def test_exact_paths_load_no_flow_layer(tmp_path):
+    # an exact orbit is the rank of its brackets, an exact verdict walks no
+    # flow and the preset list is text: none of them loads numpy or fields
+    from vfkit.presets import PRESETS
+
+    runs = [["orbit", "--system", "mixed-degree-pair.vf", "--point", "3/8,-5/8"],
+            ["frobenius", "--system", "coordinate-plane.vf"],
+            ["examples", "--list"]]
+    codes, (orbit, verdict, listed), loaded = _flow_layer_after(runs, tmp_path)
+    assert codes == [0, 0, 0]
+    assert (orbit["results"]["certificate"], orbit["results"]["dimension"]) == ("bracket-rank", 2)
+    assert verdict["results"]["integrable"] == "yes"
+    assert [p["name"] for p in listed["results"]] == list(PRESETS)
+    assert loaded == [False, False]
+
+
+def test_sampled_orbit_loads_the_flow_layer(tmp_path):
+    # the counterpart that keeps the guard above from passing vacuously: a
+    # sampled orbit walks flows, and the same check sees both modules loaded
+    runs = [["orbit", "--system", "one-sided-flat.vf", "--point", "-1/2,0"]]
+    codes, (orbit,), loaded = _flow_layer_after(runs, tmp_path)
+    assert (codes, orbit["results"]["certificate"]) == ([0], "sampled")
+    assert loaded == [True, True]
 
 
 TRACER_PY = ROOT / "perfbench" / "tracer.py"

@@ -262,15 +262,15 @@ CLOSED_FORM_PLANE = ["nine-orbits", "hyperbola-fixed-time", "one-sided-flat",
 
 @pytest.fixture
 def walked(monkeypatch):
-    """The number of words of every pushforward walk that orbits makes."""
+    """The number of words of every pushforward walk made through ``fields``."""
     sizes = []
-    real = orbits.pushforward_along_words
+    real = fields.pushforward_along_words
 
     def counted(family, words, X, points):
         sizes.append(len(words))
         return real(family, words, X, points)
 
-    monkeypatch.setattr(orbits, "pushforward_along_words", counted)
+    monkeypatch.setattr(fields, "pushforward_along_words", counted)
     return sizes
 
 
@@ -467,8 +467,8 @@ class TestFixedTime:
         # from 2/5 at T = 4/5, X1 alone leaves x1 < 1 and X2 starts outside
         # x1 > 1/2; (X1, X1) leaves x1 < 1 too, and (X1, X2) reaches 6/5
         tried = []
-        real = orbits.apply_word
-        monkeypatch.setattr(orbits, "apply_word",
+        real = fields.apply_word
+        monkeypatch.setattr(fields, "apply_word",
                             lambda f, w, p: tried.append(list(w)) or real(f, w, p))
         rep = fixed_time_dimension(seed_family, (Fraction(2, 5),), 0.8,
                                    WordSampler(seed=0, count=20))
