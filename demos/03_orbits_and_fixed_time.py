@@ -12,7 +12,7 @@ import numpy as np
 
 from vfkit import DomainPredicate, VectorField, parse
 from vfkit.fields import FlowError, apply_words
-from vfkit.orbits import WordSampler, fixed_time_dimension, orbit_dimension
+from vfkit.orbits import WordSampler, fixed_time_dimension, orbit_dimension, zero_sum_words
 
 
 def field(name, comps, n):
@@ -30,7 +30,7 @@ for i, p in enumerate(points):
 
 def zero_sum_images(rep, seed):
     """Where 200 seeded zero-sum words take the point that rep reached."""
-    words = WordSampler(seed=seed, count=200, constraint="zero-sum").words(len(family))
+    words = zero_sum_words(WordSampler(seed=seed, count=200).words(len(family)))
     return [q for q in apply_words(family, words, [rep.reached] * len(words))
             if not isinstance(q, FlowError)]
 

@@ -17,7 +17,7 @@ where every point's rank is exact, each word evaluated once per point; else,
 for a family analytic on all of R^n (no other is Nagano-certified), it runs
 the module search (``liealg.certify``) once, at the cap.
 ``orbit_dimensions`` reads the certified rank, else samples every uncertified
-point in one walk, for ``frobenius`` and fixed time alike.
+point in one walk, for ``frobenius``.
 A fixed-time orbit is a slice t = const of an orbit of the time-extended
 family Y (``liealg.time_extended``), so its dimension is the rank of
 Lie(Y) minus 1 (``liealg.ideal_vectors``), read by the same ladder once,
@@ -26,14 +26,12 @@ by the same rule (Y's ``"nagano"`` is reported as ``"zero-time-ideal"``);
 dropping the last coordinate of Y's words gives Lie(F)(x) for the orbit
 dimension there.
 Every other case samples flow words that push the generators forward to the
-point, by one path (``sampled_orbit``) whose fixed-time words have net time
-zero: the rank of the collected vectors (for zero-sum words, of the linear
-part of their affine hull) is a lower bound (``certificate="sampled"``).  Every
-orbit is an immersed submanifold of R^n (Sussmann 1973), so a sampled rank of
-n is the orbit dimension: ``sampled_orbit_dimensions`` walks the first
-``FIRST_WORDS`` words of all its points in one walk and draws the rest only
-for the points whose rank stays below n, all of them in one more walk, for
-one point (a fixed-time orbit's ``reached``) or many.
+point (``sampled_orbit``): the span rank of the vectors bounds the orbit
+dimension from below and their affine rank the fixed-time one
+(``certificate="sampled"``), so one walk of free words from ``reached`` gives
+both.  An orbit is an immersed submanifold of R^n (Sussmann 1973), so a walk
+takes the first ``FIRST_WORDS`` words of all its points at once and the rest,
+in one more walk, only for the points whose rank stays below n.
 ``WordSampler`` reads its words from one raw PCG64 stream with the bits of
 numpy's ``Generator.integers`` and ``uniform``, so a seed gives the same
 words whatever numpy release draws them.  numpy and the flow layer
@@ -46,7 +44,7 @@ Flow ranks are read at ``linalg.FLOW_REL_TOL``, and filtrations go to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat, tee
 from typing import NamedTuple, Tuple
@@ -63,6 +61,7 @@ __all__ = [
     "OrbitTangentReport",
     "FixedTimeReport",
     "ChowReport",
+    "zero_sum_words",
     "SampledOrbit",
     "sampled_orbit",
     "sampled_orbit_dimensions",
@@ -117,9 +116,8 @@ class WordSampler:
     """Seeded sampler of flow words: tuples of (field index, time) steps.
 
     Lengths are uniform on 1..max_len, field indices uniform, step times
-    uniform on [-max_time, max_time].  The zero-sum constraint replaces
-    the final time by minus the partial sum, so the word's net time is
-    exactly zero.
+    uniform on [-max_time, max_time] (``zero_sum_words`` gives words of net
+    time zero).
 
     The words are read from one stream, ``np.random.PCG64(seed).random_raw``,
     with the bits that ``Generator.integers`` and ``Generator.uniform`` give
@@ -130,8 +128,7 @@ class WordSampler:
     ``next_uint32``), and no draw at all when s = 1; m = u * s is redrawn
     while m mod 2^32 < (2^32 - s) mod s, and the value is m >> 32.  A time
     takes a fresh raw output r and is lo + (hi - lo) * ((r >> 11) * 2^-53).
-    A zero-sum word's last time is ``-np.sum`` of the others, numpy's
-    pairwise sum.  So the words depend only on the seed and PCG64's raw
+    So the words depend only on the seed and PCG64's raw
     output, which numpy keeps fixed (a new algorithm is a new bit
     generator), not on how a numpy release draws from it.
     """
@@ -140,13 +137,11 @@ class WordSampler:
     max_len: int = 6
     max_time: float = 0.5
     count: int = 200
-    constraint: str = "free"  # "free" | "zero-sum"
 
     def draw(self, n_fields):
         """The words one at a time, each drawn only when asked for.  A range
-        of lengths or fields of 2^32 or more raises ValueError, a non-finite
-        time range OverflowError and an unknown constraint ValueError, all
-        at the first word."""
+        of lengths or fields of 2^32 or more raises ValueError and a
+        non-finite time range OverflowError, both at the first word."""
         import numpy as np  # only sampled words need numpy
         bits = np.random.PCG64(self.seed)
         if self.count <= 0:
@@ -160,19 +155,21 @@ class WordSampler:
             raise OverflowError("high - low range exceeds valid bounds")
         if span < 0:
             raise ValueError("high - low < 0")
-        if self.constraint not in ("free", "zero-sum"):
-            raise ValueError(f"unknown constraint {self.constraint!r}")
-        zero_sum = self.constraint == "zero-sum"
         for _ in range(self.count):
             k = 1 + next(lengths)
             idx = list(islice(indices, k))
             times = [lo + span * ((r >> 11) * 2.0**-53) for r in islice(raw, k)]
-            if zero_sum:
-                times[-1] = -float(np.sum(times[:-1]))
             yield tuple(zip(idx, times))
 
     def words(self, n_fields):
         return list(self.draw(n_fields))
+
+
+def zero_sum_words(words):
+    """The words with each last time replaced by ``-np.sum`` of the others
+    (numpy's pairwise sum), so that every word's net time is exactly zero."""
+    import numpy as np
+    return [w[:-1] + ((w[-1][0], -float(np.sum([t for _, t in w[:-1]]))),) for w in words]
 
 
 @dataclass(frozen=True)
@@ -187,19 +184,18 @@ class OrbitTangentReport:
 
 
 class SampledOrbit(NamedTuple):
-    dimension: int  # rank of the vectors (affine rank for zero-sum words): a lower bound
+    dimension: int  # the walk's rank of the vectors (span or affine): a lower bound
     vectors: list  # generator values at the point and their pushforwards
     words_used: int
     words_skipped: int
 
 
-def _sample_orbits(family, points, samplers, batches):
+def _sample_orbits(family, points, samplers, batches, rank=svd_rank):
     """Per point, its SampledOrbit (the DomainExitError where no generator is
     defined): the generator values and their pushforwards along its sampler's
-    words in the given batch sizes (None: the rest) until the rank (of the
-    span, or of the affine hull's linear part for zero-sum words) is full; a
-    batch of every point below it walks together, a sampler drawn once.  A
-    point without n coordinates raises the walk's ValueError first."""
+    words in the given batch sizes (None: the rest) until ``rank`` of them
+    is full; a batch of every point below it walks together, a sampler drawn
+    once.  A point without n coordinates raises the walk's ValueError first."""
     import numpy as np  # the flow layer loads only where a flow is walked
     from .fields import WALK_ROWS, pushforward_along_words, value_float
     n, out, streams = family[0].dim, [None] * len(points), {}
@@ -228,7 +224,6 @@ def _sample_orbits(family, points, samplers, batches):
                 values[k] = np.array([value_float(X, points[k]) for X in family
                                       if X.domain.contains(points[k])])
             vectors = np.vstack([values[k]] + found[k])
-            rank = affine_rank if samplers[k].constraint == "zero-sum" else svd_rank
             dim = rank(vectors, FLOW_REL_TOL)
             if dim == n or offset is None or walked[k] < offset:  # full rank or no more words
                 out[k] = SampledOrbit(dim, [tuple(v) for v in vectors.tolist()], used[k],
@@ -245,9 +240,9 @@ def _raised(result):
 
 def sampled_orbit(family, point, sampler):
     """Sampled orbit dimension at the point, from the pushforwards that all
-    the sampler's words give there; no bracket filtration is built.  With
-    zero-sum words (``constraint="zero-sum"``) it is the sampled dimension
-    of the fixed-time orbit through the point."""
+    the sampler's words give there; no bracket filtration is built.  The
+    ``linalg.affine_rank`` of its vectors bounds the dimension of the
+    fixed-time orbit through the point (``fixed_time_dimension``)."""
     return _raised(_sample_orbits(family, [point], [sampler], (None,))[0])
 
 
@@ -361,8 +356,8 @@ class FixedTimeReport:
     start: tuple
     reached: tuple
     net_time: float
-    dimension: int  # rank of L0 (exact) or of the sampled affine-hull linear part
-    orbit_dimension_at_reached: int  # orbit_dimension's rule at the reached point
+    dimension: int  # rank of L0 (exact) or affine rank of the sampled pushforwards
+    orbit_dimension_at_reached: int  # exact by orbit_dimension's rule, else their span rank
     ideal_rank: int  # I(X) rank at the reached point
     words_used: int  # 0 when exact, as is words_skipped
     words_skipped: int
@@ -403,10 +398,13 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     (``exact_ranks``) walks Y's words at (x, T): where ``exact_certificate``
     finds that rank exact ("bracket-rank" at n, or at 0 where every X_i(x)
     is exactly zero; Y's "nagano", reported as "zero-time-ideal"), no word
-    but the seed is walked; otherwise ``sampled_orbit`` along the sampler's words, made
-    zero-sum, gives the sampled lower bound.  The orbit dimension at x is
-    the rank of the same words with their last coordinate dropped,
-    Lie(F)(x), exact by the same rule, else sampled (``orbit_dimensions``).
+    but the seed is walked.  The orbit dimension at x is the rank of Y's
+    words with their last coordinate dropped, Lie(F)(x), exact by the same
+    rule.  Else one walk of the sampler's free words from x gives both
+    bounds: Y_i pushed along a word w is ((Phi_w)_* X_i, 1), so the affine
+    rank of the pushforwards bounds the fixed-time dimension and their span
+    rank the orbit's; the walk stops early only at an affine rank of n,
+    which is a span rank of n.
     """
     family = tuple(family)
     fixed = all_exact([point]) and _fixes(
@@ -419,20 +417,19 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     base = [None if v is None else v[:-1] for v in values[0]]  # the generators' values at x
     filt, (ideal_rank,), (certificate,), (words,) = exact_ranks(
         extended, values, start, depth_cap, lambda words, _: (ideal_vectors(words), base))
-    dim, used, skipped = ideal_rank, 0, 0
-    if certificate is None:
-        certificate = "sampled"
-        dim, _, used, skipped = sampled_orbit(family, at,
-                                              replace(sampler, constraint="zero-sum"))
-    elif certificate == "nagano":
-        certificate = "zero-time-ideal"
-
     # an exact ideal rank makes the projected rank exact: L0(x) lies in
     # Lie(F)(x), so n there is n here, 0 at a fixed point is 0, and Y's
     # certificate spans Lie(F) too
     linf = span_rank([w[:-1] for w in words])
-    ((orbit_dim, _),) = orbit_dimensions(family, [at], [linf],
-                                         [exact_certificate(filt, linf, base)], sampler)
+    dim, orbit_dim, used, skipped = ideal_rank, linf, 0, 0
+    if certificate is None:
+        certificate = "sampled"
+        dim, vectors, used, skipped = _raised(_sample_orbits(
+            family, [at], [sampler], (FIRST_WORDS, None), affine_rank)[0])
+        if not exact_certificate(filt, linf, base):
+            orbit_dim = svd_rank(vectors, FLOW_REL_TOL)
+    elif certificate == "nagano":
+        certificate = "zero-time-ideal"
     return FixedTimeReport(
         start=tuple(point),
         reached=at,

@@ -10,7 +10,7 @@ mechanically visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
@@ -23,7 +23,7 @@ from .liealg import filtration, pairwise_brackets, pointwise_witnesses, word_vec
 from .linalg import span_rank
 from .membership import ideal_member_bounded, member_bounded
 from .orbits import (WordSampler, chow_verdict, fixed_time_dimension, sampled_orbit,
-                     sampled_orbit_dimensions)
+                     sampled_orbit_dimensions, zero_sum_words)
 from .systems import parse_system
 from .vectorfield import FlowError, field_values, lie_bracket
 
@@ -128,7 +128,7 @@ def _zero_sum_change(ctx, rep, sampler, *functions):
     from .fields import apply_words
     reached = np.array(rep.reached)
     start = [f(reached.tolist()) for f in functions]
-    words = replace(sampler, constraint="zero-sum").words(len(ctx.family))
+    words = zero_sum_words(sampler.words(len(ctx.family)))
     change = 0.0
     for q in apply_words(ctx.family, words, [reached] * len(words)):
         if not isinstance(q, FlowError):

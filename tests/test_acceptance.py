@@ -23,6 +23,7 @@ from vfkit.orbits import (
     chow_verdict,
     fixed_time_dimension,
     orbit_dimension,
+    zero_sum_words,
 )
 from vfkit.presets import steer_linear
 
@@ -77,7 +78,7 @@ def test_criterion_2_fixed_time_hyperbolas():
         assert rep.orbit_dimension_at_reached - rep.dimension == 1
         product = parse("x1*x2", 2)
         ref = product.eval_float(rep.reached)
-        for w in WordSampler(seed=7, count=200, constraint="zero-sum").words(2):
+        for w in zero_sum_words(WordSampler(seed=7, count=200).words(2)):
             assert abs(product.eval_float(apply_word(DIAG, w, rep.reached)) - ref) < 1e-8
         ok = True
     finally:
@@ -102,7 +103,7 @@ def test_criterion_2_axis_singleton_clause():
         assert (rep.certificate, rep.words_used, rep.words_skipped) == (
             "zero-time-ideal", 0, 0)
 
-        words = WordSampler(seed=7, count=200, constraint="zero-sum").words(2)
+        words = zero_sum_words(WordSampler(seed=7, count=200).words(2))
         closed_form_disp = walked_disp = 0.0
         for w in words:
             s1 = sum(t for i, t in w if i == 0)

@@ -49,7 +49,9 @@ FROBENIUS = ["linear-shear", "vanishing-pair", "umbrella-ideal", "coordinate-pla
 # reports of the sampling commands at one seed: (case, preset name, argv
 # after --system); nine-orbits is Nagano-certified, so its 300 words are
 # never drawn; at (3, 4) only X2 of half-plane-translations is defined, so
-# both the zero-sum words and the orbit are sampled
+# both the fixed-time dimension and the orbit are sampled, by one walk; on
+# two-sided-flat that walk stops at the first 32 words (orbits.FIRST_WORDS),
+# whose affine rank is already n
 # float-free reports of non-polynomial brackets: the flat presets, and a
 # family that mixes exp, bump and division (``tests/data``), whose products
 # expand positive powers of inverse bases: (case, system, argv after --system)

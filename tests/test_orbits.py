@@ -1,7 +1,6 @@
 import itertools
 import json
 import pathlib
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +21,9 @@ from vfkit.orbits import (
     orbit_dimension,
     sampled_orbit,
     sampled_orbit_dimensions,
+    zero_sum_words,
 )
-from vfkit.linalg import FLOW_REL_TOL, svd_rank
+from vfkit.linalg import FLOW_REL_TOL, affine_rank, svd_rank
 
 from conftest import fixed_time_ranks, lie_rank
 
@@ -64,7 +64,7 @@ class TestSampler:
         assert WordSampler(seed=6, count=10).words(2) != a
 
     def test_zero_sum_exact(self):
-        for w in WordSampler(seed=1, count=50, constraint="zero-sum").words(3):
+        for w in zero_sum_words(WordSampler(seed=1, count=50).words(3)):
             assert sum(t for _, t in w) == 0.0
 
     def test_lengths_within_bounds(self):
@@ -73,21 +73,23 @@ class TestSampler:
 
     @pytest.mark.parametrize("constraint", ["free", "zero-sum"])
     def test_draw_is_the_word_list(self, constraint):
-        s = WordSampler(seed=7, count=60, max_len=5, constraint=constraint)
-        assert list(s.draw(3)) == s.words(3)
+        s = WordSampler(seed=7, count=60, max_len=5)
+        made = zero_sum_words if constraint == "zero-sum" else list
+        assert made(s.draw(3)) == made(s.words(3))
         # a prefix needs only its own words
-        assert list(itertools.islice(s.draw(3), 10)) == s.words(3)[:10]
+        assert made(itertools.islice(s.draw(3), 10)) == made(s.words(3))[:10]
 
 
-def _generator_words(sampler, n_fields):
-    """The words as numpy's ``Generator`` draws them: three calls per word."""
+def _generator_words(sampler, n_fields, zero_sum=False):
+    """The words as numpy's ``Generator`` draws them: three calls per word;
+    with ``zero_sum``, each last time is minus numpy's sum of the others."""
     rng = np.random.default_rng(sampler.seed)
     words = []
     for _ in range(sampler.count):
         k = int(rng.integers(1, sampler.max_len + 1))
         idx = rng.integers(0, n_fields, size=k)
         times = rng.uniform(-sampler.max_time, sampler.max_time, size=k)
-        if sampler.constraint == "zero-sum":
+        if zero_sum:
             times[-1] = -float(np.sum(times[:-1]))
         words.append(tuple((int(i), float(t)) for i, t in zip(idx, times)))
     return words
@@ -108,13 +110,14 @@ class TestRawStream:
                 seed=int(rng.integers(0, 2**31)),
                 max_len=int(rng.choice([1, 2, 3, 6, 8, 12])),
                 max_time=[0, 0.0, 0.5, 1.0, 1.5, 7.25, 1e-300][int(rng.integers(0, 7))],
-                count=int(rng.integers(0, 40)),
-                constraint=["free", "zero-sum"][int(rng.integers(0, 2))])
+                count=int(rng.integers(0, 40)))
+            zero_sum = bool(rng.integers(0, 2))
             n_fields = int(rng.choice([1, 2, 3, 5, 7, 1000003, 2**31 + 3]))
             words = sampler.words(n_fields)
-            assert _bits(words) == _bits(_generator_words(sampler, n_fields)), sampler
-            if sampler.constraint == "zero-sum":
+            if zero_sum:
+                words = zero_sum_words(words)
                 long_zero_sum += sum(len(w) >= 9 for w in words)
+            assert _bits(words) == _bits(_generator_words(sampler, n_fields, zero_sum)), sampler
         # sums of 8 or more earlier steps take numpy's pairwise order
         assert long_zero_sum > 0
 
@@ -127,9 +130,10 @@ class TestRawStream:
 
     @pytest.mark.parametrize("max_time", [0, 0.0])
     def test_zero_times_keep_their_sign_bits(self, max_time):
-        for constraint in ("free", "zero-sum"):
-            sampler = WordSampler(seed=4, count=20, max_time=max_time, constraint=constraint)
-            assert _bits(sampler.words(2)) == _bits(_generator_words(sampler, 2))
+        sampler = WordSampler(seed=4, count=20, max_time=max_time)
+        assert _bits(sampler.words(2)) == _bits(_generator_words(sampler, 2))
+        assert _bits(zero_sum_words(sampler.words(2))) == _bits(
+            _generator_words(sampler, 2, zero_sum=True))
 
     def test_pinned_words(self):
         assert WordSampler(seed=0, count=3, max_len=3, max_time=1.0).words(2) == [
@@ -137,8 +141,8 @@ class TestRawStream:
             ((1, 0.4589931219679968), (1, 0.08724998293084574)),
             ((1, 0.6317071082430643), (1, -0.9945229996597038)),
         ]
-        zero_sum = WordSampler(seed=0, count=2, max_len=3, max_time=1.0, constraint="zero-sum")
-        assert zero_sum.words(3) == [
+        zero_sum = zero_sum_words(WordSampler(seed=0, count=2, max_len=3, max_time=1.0).words(3))
+        assert zero_sum == [
             ((1, -0.9180529521276106), (1, -0.9669447289429418), (0, 1.8849976810705524)),
             ((2, 0.4589931219679968), (1, -0.4589931219679968)),
         ]
@@ -147,7 +151,6 @@ class TestRawStream:
         cases = [
             (WordSampler(seed=0, max_time=1e308), 2, OverflowError),
             (WordSampler(seed=0, max_time=float("inf")), 2, OverflowError),
-            (WordSampler(seed=0, constraint="both"), 2, ValueError),
             (WordSampler(seed=0), 2**32, ValueError),
             (WordSampler(seed=0, max_len=0), 2, ValueError),
         ]
@@ -158,7 +161,8 @@ class TestRawStream:
         # numpy raises the same for a non-finite range
         with pytest.raises(OverflowError):
             _generator_words(WordSampler(seed=0, max_time=1e308), 2)
-        assert WordSampler(seed=0, count=0, constraint="both").words(2) == []
+        # no word, no error
+        assert WordSampler(seed=0, count=0, max_len=0).words(2) == []
 
     def test_draw_is_lazy(self, monkeypatch):
         fetched = []
@@ -420,7 +424,7 @@ class TestFixedTime:
         assert rep.dimension == 1
         assert rep.orbit_dimension_at_reached - rep.dimension == 1
         product = parse("x1*x2", 2)
-        words = WordSampler(seed=3, count=200, constraint="zero-sum").words(2)
+        words = zero_sum_words(WordSampler(seed=3, count=200).words(2))
         for q in apply_words(diag, words, [rep.reached] * len(words)):
             assert abs(product.eval_float(q) - product.eval_float(rep.reached)) < 1e-8
 
@@ -453,7 +457,7 @@ class TestFixedTime:
         assert (rep.dimension, rep.certificate) == (0, "sampled")
         assert rep.words_used + rep.words_skipped == 150
         # only X2 is defined right of x1 = 1, and a zero-sum word of it is the identity
-        words = WordSampler(seed=2, count=150, constraint="zero-sum").words(2)
+        words = zero_sum_words(WordSampler(seed=2, count=150).words(2))
         landed = [q for q in apply_words(partial, words, [rep.reached] * len(words))
                   if isinstance(q, np.ndarray)]
         assert landed and all(np.max(np.abs(q - rep.reached)) < 1e-12 for q in landed)
@@ -559,33 +563,34 @@ class TestZeroTimeIdeal:
         # a rank of n needs no certificate; below it Nagano decides
         certificate = "bracket-rank" if dim == len(p) else "zero-time-ideal"
         assert (rep.dimension, rep.ideal_rank, rep.certificate) == (dim, dim, certificate)
-        # the seed word's one step is the only flow, and no zero-sum word is walked
+        # the seed word's one step is the only flow, and no sampled word is walked
         assert [t for _, t in flow_steps] == [0.5]
         assert (rep.words_used, rep.words_skipped) == (0, 0)
 
     def test_uncertified_single_field_samples_zero(self, vf):
-        # one field: every zero-sum word is the identity, so the pushforwards
-        # differ from U only by integration noise (U is not certified on
-        # x1 < 2, so it is sampled)
+        # one field: U's flow carries U to itself, so the pushforwards along
+        # any word differ from U only by integration noise (U is not
+        # certified on x1 < 2, so it is sampled)
         U = vf("U", ["x3*(x1^2+x2^2) - x2^3", "0", "0"], 3, [(1, "<", Fraction(2))])
         p = (Fraction(1, 2),) * 3
         sampler = WordSampler(seed=0, count=30)
         rep = fixed_time_dimension([U], p, 0.5, sampler)
         assert (rep.dimension, rep.ideal_rank, rep.certificate) == (0, 0, "sampled")
-        s = sampled_orbit([U], rep.reached, replace(sampler, constraint="zero-sum"))
+        s = sampled_orbit([U], rep.reached, sampler)
         diffs = np.array(s.vectors[1:]) - np.array(s.vectors[0])
         assert 0 < np.abs(diffs).max() < 1e-9
         # ranked against the largest difference, the noise would count
-        assert s.dimension == 0 and svd_rank(diffs, FLOW_REL_TOL) == 1
+        assert affine_rank(s.vectors, FLOW_REL_TOL) == 0
+        assert svd_rank(diffs, FLOW_REL_TOL) == 1
 
     def test_sampled_never_above_zero_time_rank(self, vf):
         # L0(p) is the fixed-time orbit's tangent, so a larger sampled rank is a bug
         families = zero_time_certified_families(vf)
         assert len(families) >= 14
-        sampler = WordSampler(seed=21, count=12, max_len=3, max_time=0.4, constraint="zero-sum")
+        sampler = WordSampler(seed=21, count=12, max_len=3, max_time=0.4)
         for fam, filt in families:
             for p in itertools.product((-1, 0, 1), repeat=fam[0].dim):
-                sampled = sampled_orbit(fam, p, sampler).dimension
+                sampled = affine_rank(sampled_orbit(fam, p, sampler).vectors, FLOW_REL_TOL)
                 assert sampled <= fixed_time_ranks(fam, p)[0], (fam, p)
 
     def test_ranked_at_the_reached_point(self):
@@ -624,16 +629,62 @@ class TestZeroTimeIdeal:
         assert rep.certificate == "sampled" and walked == [30]
 
     def test_bracket_rank_n_is_the_orbit_dimension(self, monkeypatch):
+        # the walk's span rank is read only where the bracket rank is not exact
         calls = []
-        monkeypatch.setattr(orbits, "sampled_orbit_dimensions",
-                            lambda *a: calls.append(a) or [1])
+        monkeypatch.setattr(orbits, "svd_rank", lambda *a: calls.append(a) or 1)
         family = preset_family("half-plane-translations")
         sampler = WordSampler(seed=8, count=30, max_time=0.3)
         rep = fixed_time_dimension(family, (0, 0), 0.0, sampler)
+        assert rep.certificate == "sampled"
         assert rep.orbit_dimension_at_reached == 2 and calls == []
         # only X2 is defined at (3, 4): rank 1, so the orbit is sampled
         rep = fixed_time_dimension(family, (3, 4), 0.0, sampler)
         assert rep.orbit_dimension_at_reached == 1 and len(calls) == 1
+
+    def test_one_walk_gives_both_sampled_bounds(self, walked):
+        # at (3, 4) neither dimension is exact: one walk of the 30 free
+        # words gives the fixed-time bound and the orbit's
+        rep = fixed_time_dimension(preset_family("half-plane-translations"), (3, 4), 0.0,
+                                   WordSampler(seed=8, count=30, max_time=0.3))
+        assert (rep.certificate, rep.dimension, rep.ideal_rank) == ("sampled", 0, 0)
+        assert rep.orbit_dimension_at_reached == 1
+        # only words of X2 alone stay where X1 is undefined
+        assert (rep.words_used, rep.words_skipped) == (5, 25)
+        assert walked == [30]
+
+
+CENSUS = pathlib.Path(__file__).parent / "data" / "fixed-time-census-seed7.json"
+
+
+def zero_sum_bound(family, point, sampler):
+    """The sampled fixed-time dimension as a walk of zero-sum words gives it:
+    the affine rank of the generator values at the point and of their
+    pushforwards along the sampler's words made zero-sum."""
+    words = zero_sum_words(sampler.words(len(family)))
+    pushed = fields.pushforward_along_words(family, words, [family] * len(words),
+                                            [point] * len(words))
+    values = [fields.value_float(X, point) for X in family if X.domain.contains(point)]
+    found = [v for vs in pushed if not isinstance(vs, FlowError) for v in vs if v is not None]
+    return affine_rank(np.vstack(values + found), FLOW_REL_TOL)
+
+
+class TestFixedTimeCensus:
+    def test_answers_and_the_zero_sum_bound(self):
+        # every preset, starts in {-1/2, 0, 1/2}^n, T in {1/2, 1}, seed 7:
+        # the answers as a walk of zero-sum words gave them, and, where the
+        # answer is sampled, that walk's bound is the free walk's
+        sampler, sampled = WordSampler(seed=7), 0
+        for name, point, T, *answer in json.loads(CENSUS.read_text()):
+            family = preset_family(name)
+            p = tuple(Fraction(x) for x in point.split(","))
+            rep = fixed_time_dimension(family, p, Fraction(T), sampler)
+            case = (name, point, T)
+            assert [rep.dimension, rep.orbit_dimension_at_reached, rep.ideal_rank,
+                    rep.certificate] == answer, case
+            if rep.certificate == "sampled":
+                sampled += 1
+                assert zero_sum_bound(family, rep.reached, sampler) == rep.dimension, case
+        assert sampled == 24
 
 
 class TestOneRule:
