@@ -518,7 +518,7 @@ def _cmd_frobenius(args, seed):
         "integrable": v.integrable,
         "clause": v.clause,
         "involutive_pointwise": v.involutive_pointwise,
-        "involutive_witness": _jsonable(v.involutive_witness),
+        "involutive_witness": v.involutive_witness,
         "module_involutive": v.module_involutive,
         "module_degree": v.module_degree,
         "ranks": list(v.ranks),

@@ -21,10 +21,10 @@ point in one walk, for ``frobenius``.
 A fixed-time orbit is a slice t = const of an orbit of the time-extended
 family Y (``liealg.time_extended``), so its dimension is the rank of
 Lie(Y) minus 1 (``liealg.ideal_vectors``), read by the same ladder once,
-on Y at (x, T) for the float point x that the seed word reaches, and exact
-by the same rule (Y's ``"nagano"`` is reported as ``"zero-time-ideal"``);
-dropping the last coordinate of Y's words gives Lie(F)(x) for the orbit
-dimension there.
+on Y at the start (p, 0), exactly where p is, and exact by the same rule
+(Y's ``"nagano"`` is reported as ``"zero-time-ideal"``); dropping the last
+coordinate of Y's words gives Lie(F)(p) for the orbit dimension.  Both hold
+along Y's orbit, so at the point ``reached`` by the seed word too.
 Every other case samples flow words that push the generators forward to the
 point (``sampled_orbit``): the span rank of the vectors bounds the orbit
 dimension from below and their affine rank the fixed-time one
@@ -45,11 +45,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, islice, repeat, tee
 from typing import NamedTuple, Tuple
 
-from .expr import ONE, ZERO, compile_exact
+from .expr import ONE, ZERO
 from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, ideal_vectors,
                      time_extended, word_vectors)
 from .linalg import FLOW_REL_TOL, affine_rank, all_exact, span_rank, svd_rank
@@ -358,7 +357,7 @@ class FixedTimeReport:
     net_time: float
     dimension: int  # rank of L0 (exact) or affine rank of the sampled pushforwards
     orbit_dimension_at_reached: int  # exact by orbit_dimension's rule, else their span rank
-    ideal_rank: int  # I(X) rank at the reached point
+    ideal_rank: int  # rank of L0 at the start, as at the reached point
     words_used: int  # 0 when exact, as is words_skipped
     words_skipped: int
     certificate: str  # "zero-time-ideal" | "bracket-rank" (exact) | "sampled" (a lower bound)
@@ -383,42 +382,39 @@ def _seed_point(family, point, T):
 
 
 def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP):
-    """Tangent dimension of the fixed-time orbit through the point.
+    """Tangent dimension of the fixed-time orbit through the point p.
 
-    Reaches x by one net-time-T word, or takes x = p where every X_i(p) is
-    exactly zero, as every flow fixes p.  The fixed-time orbit through x is
-    the slice t = T of the orbit of the time-extended family Y
-    (``liealg.time_extended``) through (x, T), and t is a submersion on
-    that orbit, so the slice has one dimension less (Sussmann and Jurdjevic
-    1972, "Controllability of nonlinear systems"; Jurdjevic, *Geometric
-    Control Theory*, 1997, ch. 3).  Lie(Y)(x, T) = R*Y_j + (L0(x) x 0) for
-    the zero-time ideal L0 = {sum c_i X_i : sum c_i = 0} + [L, L], so the
-    rank of Y's words minus 1 is the rank of L0(x), taken on the vectors
-    that ``liealg.ideal_vectors`` reads from them.  One ladder
-    (``exact_ranks``) walks Y's words at (x, T): where ``exact_certificate``
-    finds that rank exact ("bracket-rank" at n, or at 0 where every X_i(x)
-    is exactly zero; Y's "nagano", reported as "zero-time-ideal"), no word
-    but the seed is walked.  The orbit dimension at x is the rank of Y's
-    words with their last coordinate dropped, Lie(F)(x), exact by the same
-    rule.  Else one walk of the sampler's free words from x gives both
-    bounds: Y_i pushed along a word w is ((Phi_w)_* X_i, 1), so the affine
-    rank of the pushforwards bounds the fixed-time dimension and their span
-    rank the orbit's; the walk stops early only at an affine rank of n,
-    which is a span rank of n.
+    The fixed-time orbit through p is the slice t = 0 of the orbit of the
+    time-extended family Y (``liealg.time_extended``) through (p, 0), and t
+    is a submersion on that orbit, so the slice has one dimension less
+    (Sussmann and Jurdjevic 1972, "Controllability of nonlinear systems";
+    Jurdjevic, *Geometric Control Theory*, 1997, ch. 3).  Lie(Y)(p, 0) =
+    R*Y_j + (L0(p) x 0) for the zero-time ideal L0 = {sum c_i X_i : sum c_i
+    = 0} + [L, L], so the rank of Y's words minus 1 is the rank of L0(p),
+    taken on the vectors that ``liealg.ideal_vectors`` reads from them.  One
+    ladder (``exact_ranks``) walks Y's words at (p, 0), in Fractions where p
+    is: where ``exact_certificate`` finds that rank exact ("bracket-rank" at
+    n, or at 0 where every X_i(p) is exactly zero; Y's "nagano", reported as
+    "zero-time-ideal"), no word but the seed is walked.  The orbit dimension
+    is the rank of Lie(F)(p), Y's words with their last coordinate dropped,
+    exact by the same rule.  Both ranks are constant along Y's orbit
+    (Sussmann 1973), so they hold at (x, T) for the point x ``reached`` by
+    one net-time-T word (x = p where every flow fixes p).  Else one walk of
+    the sampler's free words from x gives both bounds: Y_i pushed along a
+    word w is ((Phi_w)_* X_i, 1), so the affine rank of the pushforwards
+    bounds the fixed-time dimension and their span rank the orbit's; the
+    walk stops early only at an affine rank of n, which is a span rank of n.
     """
     family = tuple(family)
-    fixed = all_exact([point]) and _fixes(
-        (compile_exact(c)(point) for c in X.components) if X.domain.contains(point) else None
-        for X in family)
-    at = tuple(point) if fixed else tuple(_seed_point(family, point, T))
-    # no Y_i depends on t, so an exact T keeps Y exact at an exact x
-    extended, start = time_extended(family), [at + (Fraction(T),)]
-    values = field_values(extended, start)
-    base = [None if v is None else v[:-1] for v in values[0]]  # the generators' values at x
+    (base,) = field_values(family, [point])  # the generators' values at p
+    at = tuple(point) if _fixes(base) else tuple(_seed_point(family, point, T))
+    # Y_i = (X_i, 1): its values at (p, 0) are X_i(p) with a 1 appended
+    extended, start = time_extended(family), [(*point, 0)]
+    values = [[None if v is None else [*v, 1] for v in base]]
     filt, (ideal_rank,), (certificate,), (words,) = exact_ranks(
         extended, values, start, depth_cap, lambda words, _: (ideal_vectors(words), base))
-    # an exact ideal rank makes the projected rank exact: L0(x) lies in
-    # Lie(F)(x), so n there is n here, 0 at a fixed point is 0, and Y's
+    # an exact ideal rank makes the projected rank exact: L0(p) lies in
+    # Lie(F)(p), so n there is n here, 0 at a fixed point is 0, and Y's
     # certificate spans Lie(F) too
     linf = span_rank([w[:-1] for w in words])
     dim, orbit_dim, used, skipped = ideal_rank, linf, 0, 0

@@ -50,8 +50,8 @@ FROBENIUS = ["linear-shear", "vanishing-pair", "umbrella-ideal", "coordinate-pla
 # after --system); nine-orbits is Nagano-certified, so its 300 words are
 # never drawn; at (3, 4) only X2 of half-plane-translations is defined, so
 # both the fixed-time dimension and the orbit are sampled, by one walk; on
-# two-sided-flat that walk stops at the first 32 words (orbits.FIRST_WORDS),
-# whose affine rank is already n
+# two-sided-flat the zero-time ideal has rank n at the start (-1/2, 0), so
+# only the seed word is walked, to the flat (0, 0)
 # float-free reports of non-polynomial brackets: the flat presets, and a
 # family that mixes exp, bump and division (``tests/data``), whose products
 # expand positive powers of inverse bases: (case, system, argv after --system)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vfkit import fields, frobenius, liealg, orbits, vectorfield
+from vfkit import cli, fields, frobenius, liealg, linalg, orbits, vectorfield
 from vfkit.distributions import Distribution
 from vfkit.expr import parse
 from vfkit.fields import DomainExitError, FlowError, apply_word, apply_words
@@ -593,21 +593,23 @@ class TestZeroTimeIdeal:
                 sampled = affine_rank(sampled_orbit(fam, p, sampler).vectors, FLOW_REL_TOL)
                 assert sampled <= fixed_time_ranks(fam, p)[0], (fam, p)
 
-    def test_ranked_at_the_reached_point(self):
-        # the rank is taken at the point the seed word reaches, not at the
-        # start: from (0, 0) the seed reaches (1/2, 0), where the ideal has
-        # rank n, and from (-1/2, 0), the two-sided-flat-orbit-fixed-time
-        # golden, it reaches (0, 0), where bump(x1) is flat, and samples
+    def test_ranked_at_the_start(self):
+        # the rank is taken at the start (p, 0), not at the point the seed
+        # word reaches: from (0, 0), where bump(x1) is flat, the ideal has
+        # rank 1 and the answer is sampled, though the seed reaches (1/2, 0);
+        # from (-1/2, 0), the two-sided-flat-orbit-fixed-time golden, it has
+        # rank n, though the seed reaches the flat (0, 0)
         family = preset_family("two-sided-flat")
         rep = fixed_time_dimension(family, (0, 0), 0.5, WordSampler(seed=7))
         assert rep.reached == (0.5, 0.0)
-        assert (rep.certificate, rep.dimension, rep.ideal_rank) == ("bracket-rank", 2, 2)
+        assert (rep.certificate, rep.dimension, rep.ideal_rank) == ("sampled", 2, 1)
         golden = json.loads((GOLDEN / "two-sided-flat-orbit-fixed-time.json").read_text())
         rep = fixed_time_dimension(family, (Fraction(-1, 2), 0), 0.5, WordSampler(seed=7))
         assert rep.reached == (0.0, 0.0)
         assert (rep.certificate, rep.dimension, rep.ideal_rank) == tuple(
             golden["results"][k] for k in ("certificate", "dimension", "ideal_rank")) == (
-            "sampled", 2, 1)
+            "bracket-rank", 2, 2)
+        assert (rep.words_used, rep.words_skipped) == (0, 0)
 
     @pytest.mark.parametrize("x2,scale,orbit_dim", [("0,x2", 1e-10, 2), ("0,x2", 1e12, 2),
                                                      ("2*x1,0", 1e-10, 1),
@@ -671,8 +673,9 @@ def zero_sum_bound(family, point, sampler):
 class TestFixedTimeCensus:
     def test_answers_and_the_zero_sum_bound(self):
         # every preset, starts in {-1/2, 0, 1/2}^n, T in {1/2, 1}, seed 7:
-        # the answers as a walk of zero-sum words gave them, and, where the
-        # answer is sampled, that walk's bound is the free walk's
+        # the answers ranked at the start (p, 0), with the dimensions as a
+        # walk of zero-sum words gave them, and, where the answer is sampled,
+        # that walk's bound is the free walk's
         sampler, sampled = WordSampler(seed=7), 0
         for name, point, T, *answer in json.loads(CENSUS.read_text()):
             family = preset_family(name)
@@ -684,7 +687,49 @@ class TestFixedTimeCensus:
             if rep.certificate == "sampled":
                 sampled += 1
                 assert zero_sum_bound(family, rep.reached, sampler) == rep.dimension, case
-        assert sampled == 24
+        assert sampled == 36
+
+    def test_lie_and_orbit_rank_the_same_ideal(self, tmp_path, capsys):
+        # ``lie --fixed-time-ideal`` and ``orbit --fixed-time`` both rank the
+        # zero-time ideal at the exact start (p, 0), so they agree everywhere
+        def results(*argv):
+            assert cli.main([*argv, "--format", "json"]) == 0
+            return json.loads(capsys.readouterr().out)["results"]
+
+        ideal_ranks = {}
+        for name, point, T, *_ in json.loads(CENSUS.read_text()):
+            system = tmp_path / f"{name}.vf"
+            if (name, point) not in ideal_ranks:
+                system.write_text(PRESETS[name].system_text)
+                ideal_ranks[name, point] = results(
+                    "lie", "--system", str(system), f"--point={point}",
+                    "--fixed-time-ideal")["fixed_time_ideal"]["ideal_rank"]
+            orbit = results("orbit", "--system", str(system), f"--point={point}",
+                            "--fixed-time", T, "--seed", "7")
+            assert orbit["ideal_rank"] == ideal_ranks[name, point], (name, point, T)
+
+    def test_exact_polynomial_answers_rank_no_float(self, monkeypatch):
+        # a polynomial family is exact at a rational start, so no rank behind
+        # an exact certificate goes through ``svd_rank``
+        calls, real = [], linalg.svd_rank
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "svd_rank", spy)
+        monkeypatch.setattr(orbits, "svd_rank", spy)
+        sampler, exact = WordSampler(seed=7), 0
+        for name, point, T, *_ in json.loads(CENSUS.read_text()):
+            family = preset_family(name)
+            if not all(X.is_polynomial() for X in family):
+                continue
+            calls.clear()
+            p = tuple(Fraction(x) for x in point.split(","))
+            if fixed_time_dimension(family, p, Fraction(T), sampler).certificate != "sampled":
+                exact += 1
+                assert calls == [], (name, point, T)
+        assert exact == 348
 
 
 class TestOneRule:
@@ -699,6 +744,10 @@ class TestOneRule:
             orbit = orbit_dimension(family, rep.reached, sampler)
             assert orbit.dimension == rep.orbit_dimension_at_reached, p
             assert rep.dimension <= orbit.dimension, p
+            # the orbit dimension is the same at the start p
+            at_start = orbit_dimension(family, p, sampler)
+            if "sampled" not in (at_start.certificate, rep.certificate):
+                assert at_start.dimension == rep.orbit_dimension_at_reached, p
 
 
 class TestRankFirst:
@@ -967,18 +1016,20 @@ class TestManyPoints:
 
 @pytest.mark.parametrize("entry, bounded", [
     ("orbit_dimension", False), ("sampled_orbit_dimensions", False),
-    ("sampled_orbit_dimensions", True), ("sampled_orbit", True),
+    ("sampled_orbit_dimensions", True), ("sampled_orbit", True), ("fixed_time_dimension", False),
 ], ids=["orbit_dimension", "sampled_orbit_dimensions", "sampled_orbit_dimensions-domain-bounded",
-        "sampled_orbit-domain-bounded"])
+        "sampled_orbit-domain-bounded", "fixed_time_dimension"])
 def test_point_of_another_dimension_is_rejected(vf, entry, bounded):
     # on a domain bounded by x3 < 1, a 2-coordinate point has no x3 to compare
     x3_below_1 = [(3, "<", Fraction(1))]
+    # fixed_time_dimension ranks a family on R^(n+1), yet names the caller's n
+    exact = entry in ("orbit_dimension", "fixed_time_dimension")
     family = ([vf("X1", ["1", "0", "0"], 3, x3_below_1), vf("X2", ["0", "1", "0"], 3, x3_below_1)]
-              if bounded else preset_family("linear-shear" if entry == "orbit_dimension"
-                                            else "nonintegrable-shear"))
-    point = (Fraction(1, 2),) if entry == "orbit_dimension" else (0.5, 0.25)
+              if bounded else preset_family("linear-shear" if exact else "nonintegrable-shear"))
+    point = (Fraction(1, 2),) if exact else (0.5, 0.25)
     sampler = WordSampler(seed=0)
     call = {"orbit_dimension": lambda: orbit_dimension(family, point, sampler),
+            "fixed_time_dimension": lambda: fixed_time_dimension(family, point, 0.5, sampler),
             "sampled_orbit_dimensions": lambda: sampled_orbit_dimensions(family, [point], [sampler]),
             "sampled_orbit": lambda: sampled_orbit(family, point, sampler)}[entry]
     with pytest.raises(ValueError, match=f"has {len(point)} coordinates, the fields have "

@@ -461,6 +461,31 @@ class TestCli:
         assert (res["dimension"], res["ideal_rank"], res["certificate"]) == (
             1, 1, "bracket-rank")
 
+    @pytest.mark.parametrize("text,expected", [
+        # the zero-time ideal holds X1 - X3 and X2 - X3: rank 2 where x1*x2 != 0
+        ("system three dim 2\nfield X1 = (x1, 0)\nfield X2 = (0, x2)\n"
+         "field X3 = (0, 0)\n", (2, 2, 2, "bracket-rank")),
+        (PRESETS["nine-orbits"].system_text, (1, 2, 1, "zero-time-ideal")),
+    ], ids=["three", "nine-orbits"])
+    def test_fixed_time_ranks_at_the_exact_start(self, capsys, tmp_path, text, expected):
+        # from (1, 1/10^12) the seed reaches a float point whose coordinates
+        # differ by 12 orders of magnitude, where a float rank drops x2;
+        # ranked at the exact start, the answers are orbit's
+        path = tmp_path / "system.vf"
+        path.write_text(text)
+        point = ("--point", "1,1/1000000000000")
+        code, out = run_cli(capsys, "orbit", "--system", str(path), *point,
+                            "--fixed-time", "1/2", "--format", "json")
+        res = json.loads(out)["results"]
+        assert code == 0
+        assert (res["dimension"], res["orbit_dimension"], res["ideal_rank"],
+                res["certificate"]) == expected
+        code, out = run_cli(capsys, "orbit", "--system", str(path), *point, "--format", "json")
+        orbit = json.loads(out)["results"]
+        assert code == 0
+        assert (orbit["dimension"], orbit["certificate"]) == (2, "bracket-rank")
+        assert res["orbit_dimension"] == orbit["dimension"]
+
     def test_orbit_times_beyond_float_range(self, capsys, shear_file):
         for flag in ("--max-time", "--fixed-time"):
             code = main(["orbit", "--system", shear_file, "--point", "0,0",
