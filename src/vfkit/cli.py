@@ -341,18 +341,16 @@ def _cmd_rank(args, seed):
                        tolerances={"svd_rel_tol": VALUE_REL_TOL}), EXIT_OK
     axes = parse_grid(args.grid, system.dim)
     gc = classify_grid(D, axes)
-    rows = [("point", "rank", "class")] + [
-        (";".join(str(c) for c in p), r, gc.label(i))
+    points = [
+        {"point": [str(c) for c in p], "rank": r, "class": gc.label(i)}
         for i, (p, r) in enumerate(zip(gc.points, gc.ranks))
     ]
     results = {
         "regular_density": gc.regular_density,
         "grid": {f"x{i}": [str(v) for v in vals] for i, vals in axes.items()},
-        "csv_rows": rows,
-        "points": [
-            {"point": [str(c) for c in p], "rank": r, "class": gc.label(i)}
-            for i, (p, r) in enumerate(zip(gc.points, gc.ranks))
-        ],
+        "csv_rows": [("point", "rank", "class")] + [
+            (";".join(pt["point"]), pt["rank"], pt["class"]) for pt in points],
+        "points": points,
     }
     return _report("rank", seed, results, system=system.name), EXIT_OK
 
@@ -394,10 +392,11 @@ def _cmd_lie(args, seed):
         # the Lie rank: L0(p) lies in Lie(F)(p), so no deeper word raises it
         if all(v is None for v in values[0]):
             raise LieAlgebraError(f"no generator defined at {point_text(p)}")
+        # Y_i = (X_i, 1): its values at (p, 0) are X_i(p) with a 1 appended
         extended, start = time_extended(system.fields), [(*p, 0)]
+        lifted = [[None if v is None else [*v, 1] for v in values[0]]]
         lie_rank = results["ranks_by_depth"][-1]
-        for _, (words,) in word_vectors(extended, field_values(extended, start), start,
-                                        args.depth):
+        for _, (words,) in word_vectors(extended, lifted, start, args.depth):
             ideal_rank = span_rank(ideal_vectors(words))
             if ideal_rank >= lie_rank:
                 break

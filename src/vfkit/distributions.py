@@ -6,17 +6,23 @@ evaluates exactly (flat functions contribute exact zeros on their flat
 set), and by singular values with a relative threshold otherwise.  For
 polynomial generators on all of R^n the generic rank is exact: the largest
 r with an r x r minor of the generator matrix that is not identically zero
-(rank 0 gives the one minor "1").
+(rank 0 gives the one minor "1").  One search walks the minors, largest
+order first: ``singular_locus_minors`` keeps every nonzero minor of that
+order, and ``fibre_ranks`` only the first, M.  No (r+1)-minor is nonzero
+anywhere, so at a rational point where M is nonzero the rank is r; only
+on M's zero set, at float points and for generators with a
+``minors_obstacle`` are the generators evaluated and eliminated.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .expr import Expr, ONE, sum_products
+from .expr import Expr, ONE, compile_exact, sum_products
 from .vectorfield import VectorField, field_values, point_text
 from .linalg import all_exact, exact_pivot_columns, span_rank
 
@@ -27,6 +33,7 @@ __all__ = [
     "SingularLocus",
     "rank_at",
     "fibre_rank",
+    "fibre_ranks",
     "classify_grid",
     "grid_points",
     "singular_locus_minors",
@@ -105,6 +112,29 @@ def fibre_rank(point, values):
     )
 
 
+def fibre_ranks(D, points, values=None):
+    """The fibre rank at each point, ``fibre_rank``'s, with each generator
+    evaluated only where the first nonzero minor M of
+    ``singular_locus_minors``'s order does not decide it (module docstring);
+    ``values``, when given, are the generators' values at every point."""
+    points = [tuple(p) for p in points]
+    for p in points:
+        if len(p) != D.dim:
+            raise ValueError(f"a point has {len(p)} coordinates, the fields have {D.dim}")
+    exact = [all(isinstance(c, (int, Fraction)) for c in p) for p in points]
+    ranks = [None] * len(points)
+    if any(exact) and D.minors_obstacle() is None:
+        r, minor = next(_nonzero_minors(D))
+        at = compile_exact(minor)
+        ranks = [r if ok and at(p) != 0 else None for ok, p in zip(exact, points)]
+    rest = [i for i, rank in enumerate(ranks) if rank is None]
+    rest_values = (field_values(D.generators, [points[i] for i in rest]) if values is None
+                   else [values[i] for i in rest])
+    for i, vals in zip(rest, rest_values):
+        ranks[i] = fibre_rank(points[i], vals).rank
+    return tuple(ranks)
+
+
 @dataclass(frozen=True)
 class GridClassification:
     points: Tuple[tuple, ...]
@@ -137,23 +167,19 @@ def classify_grid(D, axes):
     shape = [len(axes.get(i + 1, [0])) for i in range(n)]
     index_grid = list(itertools.product(*[range(s) for s in shape]))
     points = grid_points(axes, n)
-    values = field_values(D.generators, points)
-    ranks = {multi: fibre_rank(p, vals).rank
-             for multi, p, vals in zip(index_grid, points, values)}
-    regular = []
-    for multi in index_grid:
-        r = ranks[multi]
-        flag = True
-        for d in range(n):
-            for delta in (-1, 1):
-                nb = list(multi)
-                nb[d] += delta
-                if 0 <= nb[d] < shape[d] and ranks[tuple(nb)] > r:
-                    flag = False
-        regular.append(flag)
+    ranks = fibre_ranks(D, points)
+    regular = [True] * len(points)
+    # each axis-adjacent pair once: along axis d, the neighbour of the i-th
+    # point (last coordinate fastest) is the (i + stride)-th
+    for d in range(n):
+        stride = math.prod(shape[d + 1:])
+        for i, multi in enumerate(index_grid):
+            j = i + stride
+            if multi[d] + 1 < shape[d] and ranks[i] != ranks[j]:
+                regular[i if ranks[i] < ranks[j] else j] = False
     density = sum(regular) / len(regular) if regular else 0.0
     return GridClassification(
-        tuple(points), tuple(ranks[m] for m in index_grid), tuple(regular), density
+        tuple(points), ranks, tuple(regular), density
     )
 
 
@@ -173,14 +199,11 @@ def _symbolic_minor(matrix, rows, cols):
         for k, c in enumerate(cols))
 
 
-def singular_locus_minors(D):
-    """Generic rank and the nonzero (rank x rank)-minors of the generator
-    matrix; their common zeros cut out the singular locus.
-
-    The generic rank is exact: rank A(p) >= r exactly where some r x r
-    minor is nonzero at p, so it is the largest r with a minor that is
-    not identically zero.  Rank 0 (every generator zero) gives the one
-    minor "1", whose zero set, the singular locus, is empty."""
+def _nonzero_minors(D):
+    """(r, minor) for each minor of the generator matrix that is not
+    identically zero, of the largest order r that has one, rows then
+    columns; (0, "1") when every generator is zero.  Lazy: a reader that
+    stops early builds no further minor."""
     obstacle = D.minors_obstacle()
     if obstacle:
         raise ValueError(obstacle)
@@ -189,12 +212,25 @@ def singular_locus_minors(D):
     # component matrix: n rows (coordinates), k columns (generators)
     matrix = [[D.generators[j].components[i] for j in range(k)] for i in range(n)]
     for r in range(min(n, k), 0, -1):
-        minors = []
+        found = False
         for rows in itertools.combinations(range(n), r):
             for cols in itertools.combinations(range(k), r):
                 minor = _symbolic_minor(matrix, rows, cols)
                 if not minor.is_zero():
-                    minors.append(minor)
-        if minors:
-            return SingularLocus(r, tuple(minors))
-    return SingularLocus(0, (ONE,))
+                    found = True
+                    yield r, minor
+        if found:
+            return
+    yield 0, ONE
+
+
+def singular_locus_minors(D):
+    """Generic rank and the nonzero (rank x rank)-minors of the generator
+    matrix; their common zeros cut out the singular locus.
+
+    The generic rank is exact: rank A(p) >= r exactly where some r x r
+    minor is nonzero at p, so it is the largest r with a minor that is
+    not identically zero.  Rank 0 (every generator zero) gives the one
+    minor "1", whose zero set, the singular locus, is empty."""
+    found = list(_nonzero_minors(D))
+    return SingularLocus(found[0][0], tuple(minor for _, minor in found))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import List, Optional, Tuple
 
-from .distributions import Distribution, fibre_rank
+from .distributions import Distribution, fibre_rank, fibre_ranks
 from .liealg import pairwise_brackets, pointwise_witnesses
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 from .membership import OversizeError, module_contains
@@ -75,7 +75,7 @@ def frobenius_verdict(
     family = list(D.generators)
     # each generator evaluated once per sample, for every test below
     values = field_values(family, samples)
-    ranks = tuple(fibre_rank(p, vals).rank for p, vals in zip(samples, values))
+    ranks = fibre_ranks(D, samples, values)
 
     # pointwise involutivity, sample by sample so mixed outcomes are visible,
     # from one set of pairwise brackets, each compiled once

@@ -175,10 +175,12 @@ _GRID_AXIS = re.compile(r"^x([0-9]+)=(-?[0-9./]+):(-?[0-9./]+):(-?[0-9./]+)$")
 
 
 def parse_grid(spec, dim):
-    """Parse 'x1=-1:1:0.25,x2=-1:1:0.25' into {index: [values]} (exact).
+    """Parse 'x1=-1:1:0.25,x2=-1:1:0.25' into {index: [values]}, each value
+    read exactly, as ``parse_point`` reads a coordinate.
 
-    The points are counted before any is built: an axis with no point, or
-    a grid of more than ``GRID_POINTS_CAP`` points, is a UsageError."""
+    An axis named twice is a SystemParseError.  The points are counted
+    before any is built: an axis with no point, or a grid of more than
+    ``GRID_POINTS_CAP`` points, is a UsageError."""
     axes: Dict[int, Tuple[Fraction, Fraction, int]] = {}
     for piece in spec.split(","):
         m = _GRID_AXIS.match(piece.strip())
@@ -187,7 +189,9 @@ def parse_grid(spec, dim):
         idx = int(m.group(1))
         if idx < 1 or idx > dim:
             raise SystemParseError(f"grid axis x{idx} outside dimension {dim}")
-        lo, hi, step = (_grid_value(m.group(k)) for k in (2, 3, 4))
+        if idx in axes:
+            raise SystemParseError(f"grid axis x{idx} is given twice")
+        lo, hi, step = (_rational(m.group(k), "grid value") for k in (2, 3, 4))
         if step <= 0:
             raise SystemParseError("grid step must be positive")
         count = (hi - lo) // step + 1
@@ -201,11 +205,6 @@ def parse_grid(spec, dim):
         idx: [lo + k * step for k in range(count)]
         for idx, (lo, step, count) in axes.items()
     }
-
-
-def _grid_value(text):
-    value = _rational(text, "grid value")
-    return value.limit_denominator(10**9) if "." in text else value
 
 
 def _rational(text, what):

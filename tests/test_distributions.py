@@ -13,6 +13,7 @@ from vfkit.distributions import (
     singular_locus_minors,
 )
 from vfkit.expr import parse
+from vfkit.frobenius import frobenius_verdict
 from vfkit.presets import PRESETS
 from vfkit.systems import parse_system
 
@@ -177,6 +178,104 @@ class TestMinors:
                 assert (rank < locus.generic_rank) == all(z(p) == 0 for z in zeros), (name, p)
 
 
+class TestManyPointRanks:
+    """``fibre_ranks`` reads the rank r wherever the first nonzero r x r
+    minor M is nonzero at a rational point, and ranks every other point as
+    ``fibre_rank`` does."""
+
+    @pytest.fixture
+    def minor_points(self, monkeypatch):
+        # the minor search's calls, and every point a compiled minor is read at
+        searches, read = [], []
+        real_search, real_compile = distributions._nonzero_minors, distributions.compile_exact
+
+        def search(D):
+            searches.append(D)
+            return real_search(D)
+
+        def compile_minor(e):
+            at = real_compile(e)
+            read.append((e, []))
+            return lambda p: read[-1][1].append(p) or at(p)
+
+        monkeypatch.setattr(distributions, "_nonzero_minors", search)
+        monkeypatch.setattr(distributions, "compile_exact", compile_minor)
+        return searches, read
+
+    @staticmethod
+    def _one_by_one(D, points):
+        values = vectorfield.field_values(D.generators, points)
+        return tuple(distributions.fibre_rank(p, v).rank for p, v in zip(points, values))
+
+    def test_equal_to_the_rank_point_by_point(self):
+        # every polynomial full-domain case on a seeded grid of quarters
+        # through 0 and on 100 seeded points of denominator 1 to 3: both
+        # hit the singular locus, so both paths run
+        rng = random.Random(4049)
+        on_locus = 0
+        for name, D in MINOR_CASES.items():
+            if D.minors_obstacle():
+                continue
+            axes = {i + 1: sorted({Fraction(0)} | {Fraction(rng.randint(-8, 8), 4)
+                                                   for _ in range(4)})
+                    for i in range(D.dim)}
+            scattered = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                               for _ in range(D.dim)) for _ in range(100)]
+            grid = distributions.grid_points(axes, D.dim)
+            assert classify_grid(D, axes).ranks == self._one_by_one(D, grid), name
+            generic = singular_locus_minors(D).generic_rank
+            for points in (grid, scattered):
+                want = self._one_by_one(D, points)
+                assert distributions.fibre_ranks(D, points) == want, name
+                on_locus += sum(rank < generic for rank in want)
+        assert on_locus > 100
+
+    def test_a_vanishing_minor_falls_back_to_the_rank_there(self, vf, minor_points):
+        # M = x1 vanishes at (0, 5), where X2 and X3 still span the plane
+        D = Distribution((vf("X1", ["x1", "0"], 2), vf("X2", ["0", "1"], 2),
+                          vf("X3", ["1", "0"], 2)))
+        _, read = minor_points
+        assert distributions.fibre_ranks(D, [(0, 5), (Fraction(1, 2), 5)]) == (2, 2)
+        assert [(str(m), points) for m, points in read] == [
+            ("x1", [(0, 5), (Fraction(1, 2), 5)])]
+
+    def test_float_points_and_obstacles_compile_no_minor(self, minor_points):
+        searches, read = minor_points
+        D = MINOR_CASES["vanishing-pair"]
+        floats = [(0.5, 0.25), (0.0, 0.0), (Fraction(1, 2), 0.25)]
+        assert distributions.fibre_ranks(D, floats) == self._one_by_one(D, floats)
+        assert (searches, read) == ([], [])
+        # beside a rational point, a float point is still never read by M
+        assert distributions.fibre_ranks(D, [(1, 1), (1.0, 1.0)]) == (2, 2)
+        assert [points for _, points in read] == [[(1, 1)]]
+        read.clear()
+        grid = {1: frac_grid(-1, 1, 2), 2: frac_grid(-1, 1, 2)}
+        for name in ("one-sided-flat", "two-sided-flat", "half-plane-translations"):
+            D = MINOR_CASES[name]
+            assert D.minors_obstacle(), name
+            points = distributions.grid_points(grid, 2)
+            ranks = classify_grid(D, grid).ranks
+            assert ranks == self._one_by_one(D, points), name
+            assert frobenius_verdict(D, points).ranks == ranks, name
+        assert (len(searches), read) == (1, [])  # the (1, 1) call's search
+
+    @pytest.mark.parametrize("name", ["isolated-leaf", "vanishing-pair", "nine-orbits"])
+    def test_one_search_and_one_compiled_minor_per_call(self, name, minor_points):
+        searches, read = minor_points
+        D = MINOR_CASES[name]
+        first = singular_locus_minors(D).minors[0]
+        grid = {i + 1: frac_grid(-1, 1, 2) for i in range(D.dim)}
+        points = distributions.grid_points(grid, D.dim)
+        searches.clear()
+        for run in (lambda: classify_grid(D, grid).ranks,
+                    lambda: frobenius_verdict(D, points).ranks):
+            read.clear()
+            assert run() == self._one_by_one(D, points)
+            assert [m for m, _ in read] == [first]
+            assert [q for _, q in read] == [points]
+        assert searches == [D, D]
+
+
 class TestRobustness:
     def test_rank_unchanged_by_module_augmentation(self, vf):
         # appending f * g_i never changes the pointwise span
@@ -221,7 +320,7 @@ class TestCompileOnce:
             seen.append(e)
             return real(e)
 
-        for module in (expr, vectorfield):
+        for module in (expr, vectorfield, distributions):
             monkeypatch.setattr(module, "compile_exact", spy)
         return seen
 
@@ -230,12 +329,19 @@ class TestCompileOnce:
         return Distribution((vf("X1", ["x1^2+x2^2", "0"], 2), vf("X2", ["0", "x1^4+x2^4"], 2)))
 
     def test_grid_compiles_each_component_once(self, mixed, compiled):
+        # the first nonzero minor once, and each component once where that
+        # minor vanishes: only at the origin, on these grids
+        (minor,) = singular_locus_minors(mixed).minors
         components = [c for g in mixed.generators for c in g.components]
         for step in (1, 4):  # 9 and 81 points
             compiled.clear()
             axes = {1: frac_grid(-1, 1, step), 2: frac_grid(-1, 1, step)}
             assert len(classify_grid(mixed, axes).points) == (2 * step + 1) ** 2
-            assert compiled == components
+            assert compiled == [minor] + components
+        compiled.clear()
+        axes = {1: frac_grid(1, 2, 4), 2: frac_grid(-1, 1, 4)}  # off the origin
+        assert classify_grid(mixed, axes).ranks == (2,) * 45
+        assert compiled == [minor]
 
     def test_minors_compile_and_evaluate_nothing(self, mixed, compiled, monkeypatch):
         # the generic rank is read from the symbolic minors: no point is

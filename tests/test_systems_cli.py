@@ -122,6 +122,16 @@ class TestSystemFormat:
         assert axes[1] == [Fraction(-1), Fraction(-1, 2), 0, Fraction(1, 2), 1]
         assert axes[2] == [0, 1]
 
+    def test_parse_grid_reads_decimals_exactly(self):
+        # as parse_point does: ten or more decimal places stay where they are
+        axes = parse_grid("x1=0.1234567891234:0.2:0.05", 1)
+        assert axes[1] == [Fraction("0.1234567891234"), Fraction("0.1734567891234")]
+        assert axes[1][0] == parse_point("0.1234567891234", 1)[0]
+
+    def test_parse_grid_rejects_an_axis_named_twice(self):
+        with pytest.raises(SystemParseError, match="grid axis x1 is given twice"):
+            parse_grid("x1=0:1:1,x1=0:2:1", 2)
+
     def test_parse_grid_rejects_an_axis_with_no_point(self):
         assert parse_grid("x2=0:0:1", 2) == {2: [0]}
         with pytest.raises(UsageError, match="grid axis x1 has no point: 1 is above 0"):
@@ -569,15 +579,16 @@ class TestCli:
     def test_lie_fixed_time_ideal_evaluates_each_word_once(self, capsys, vanishing_file,
                                                            monkeypatch):
         # one compile per component of each generator and word: the 14 of
-        # the family, and with the flag also the words of its time
+        # the family, and with the flag also the bracket words of its time
         # extension, 3 components each, up to the first depth where the
-        # ideal rank reaches the Lie rank: 3 words (depth 2) at (1/2, 3/4),
-        # where both are n = 2, and the 2 generators at the origin, where
-        # both are 0
+        # ideal rank reaches the Lie rank: 1 word (depth 2) at (1/2, 3/4),
+        # where both are n = 2, and none at the origin, where both are 0;
+        # the extension's generators are the family's values with a 1
+        # appended, so they compile nothing
         compiled = []
         real = vectorfield.compile_exact
         monkeypatch.setattr(vectorfield, "compile_exact", lambda e: compiled.append(e) or real(e))
-        for point, rank, extension in (("1/2,3/4", 2, 9), ("0,0", 0, 6)):
+        for point, rank, extension in (("1/2,3/4", 2, 3), ("0,0", 0, 0)):
             counts = []
             for flags in ((), ("--fixed-time-ideal",)):
                 compiled.clear()
@@ -627,6 +638,14 @@ class TestCli:
         report = json.loads(out)
         assert (code, report["status"]) == (cli.EXIT_USAGE, "usage-error")
         assert report["error"] == "grid axis x1 has no point: 1 is above 0"
+
+    @pytest.mark.parametrize("command", ["rank", "frobenius"])
+    def test_grid_axis_named_twice_is_a_parse_error(self, capsys, shear_file, command):
+        code, out = run_cli(capsys, command, "--system", shear_file, "--grid",
+                            "x1=0:1:1,x1=0:2:1", "--format", "json")
+        report = json.loads(out)
+        assert (code, report["status"]) == (cli.EXIT_PARSE, "parse-error")
+        assert report["error"] == "grid axis x1 is given twice"
 
     @pytest.mark.parametrize("spec", ["x1=0:1:1/0", "x1=0:1/0:1", "x1=0:1:1..2"])
     def test_bad_grid_rational_is_a_parse_error(self, capsys, shear_file, spec):
