@@ -40,7 +40,7 @@ from .liealg import (
     time_extended,
     word_vectors,
 )
-from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, span_rank
+from .linalg import FLOW_REL_TOL, VALUE_REL_TOL
 from .membership import DEGREE_CAP, MembershipError, member_bounded
 from .systems import (
     SystemParseError,
@@ -373,7 +373,7 @@ def _cmd_lie(args, seed):
     results = {
         "point": list(p),
         "depth_cap": args.depth,
-        "ranks_by_depth": [span_rank(words) for _, (words,) in walk],
+        "ranks_by_depth": [rank for _, _, (rank,) in walk],
         "stabilized_at": filt.stabilized_at,
         "certificate": filt.certificate,
         "words": [
@@ -396,8 +396,8 @@ def _cmd_lie(args, seed):
         extended, start = time_extended(system.fields), [(*p, 0)]
         lifted = [[None if v is None else [*v, 1] for v in values[0]]]
         lie_rank = results["ranks_by_depth"][-1]
-        for _, (words,) in word_vectors(extended, lifted, start, args.depth):
-            ideal_rank = span_rank(ideal_vectors(words))
+        for _, _, (ideal_rank,) in word_vectors(extended, lifted, start, args.depth,
+                                                ideal_vectors):
             if ideal_rank >= lie_rank:
                 break
         codim = lie_rank - ideal_rank

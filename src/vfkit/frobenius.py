@@ -20,7 +20,7 @@ The verdict combines three independent detectors:
   flow can find more; (c) else a sampled orbit dimension above the fibre
   rank rules it out, every such sample sampled in one walk; both are read
   from ``orbits.orbit_dimensions``.  The bracket words stop at the first
-  depth where every sample's rank is exact.
+  depth where every sample's rank is exact, and at full rank sooner.
 
 A flow-box chart takes one path whatever its rank m: the flows of a fibre
 basis at the base over a ``CHART_GRID_POINTS``-per-axis grid of times in

@@ -13,10 +13,10 @@ whose "yes" is re-verified.  ``vfkit lie`` always certifies; the orbit
 functions only below full rank.
 Brackets of polynomial fields are computed on exponent dicts
 (``vectorfield.lie_bracket``).  Every bracket rank at points is read from one
-walk, ``word_vectors``: one depth at a time, the filtration built so far
-and, per point, the values of its words, each word evaluated once per
-point, so a caller that needs only a rank can stop at the first depth that
-gives it (``orbits.exact_ranks``).
+ladder, ``word_vectors``: one depth at a time, the filtration built so far
+and, per point, its words' values and rank, each word evaluated once per
+point and none at a point already at full rank, so a caller that needs only
+a rank can stop at the first depth that gives it (``orbits.exact_ranks``).
 Fixed time needs no algebra of its own.  The time-extended family
 ``time_extended``, Y_i = (X_i, 1) on R^n x R, has brackets
 [Y_i, Y_j] = ([X_i, X_j], 0), so at (x, t) its words span
@@ -37,7 +37,7 @@ from typing import List, Optional, Tuple
 
 from .expr import ONE, Expr
 from .vectorfield import VectorField, field_evaluators, field_values, jacobian, lie_bracket
-from .linalg import in_span
+from .linalg import in_span, span_rank
 from .membership import OversizeError, module_contains
 
 __all__ = [
@@ -158,21 +158,31 @@ def filtration(family, depth_cap=DEFAULT_DEPTH_CAP):
     return filt
 
 
-def word_vectors(family, values, points, depth_cap=DEFAULT_DEPTH_CAP):
-    """Per depth d = 1, ..., depth_cap: the filtration to depth d and, per
-    point, the values there of its words, each left out outside its domain.
-    ``values`` are the generators' ``vectorfield.field_values`` there.
-    Each word is compiled once for all the points and evaluated at the depth
-    that builds it; a caller that stops early builds no deeper word."""
-    deeper = [[] for _ in points]  # per point, the words of depth >= 2
+def word_vectors(family, values, points, depth_cap=DEFAULT_DEPTH_CAP, view=None):
+    """The rank ladder: per depth d = 1, ..., depth_cap, the filtration to
+    depth d and, per point, the values there of its words (each left out
+    outside its domain) and the ``linalg.span_rank`` of ``view(words)`` (by
+    default the words; ``ideal_vectors`` ranks the zero-time ideal), given
+    the generators' ``vectorfield.field_values`` there.  A rank only grows
+    with depth up to the viewed vectors' length, so a point at that rank
+    keeps its values and takes no deeper word.  Each word is compiled once,
+    for the points below it, and not at all when there are none."""
+    view = view or (lambda words: words)
+    vectors, ranks, live = [[] for _ in points], [0] * len(points), list(range(len(points)))
     for filt in _filtration_by_depth(family, depth_cap):
-        if filt.depth_cap > 1:
+        if filt.depth_cap == 1:  # the generators' values are given
+            found = [[vals[w.indices[0]] for w, _ in filt.levels[0]] for vals in values]
+        else:
             level = [f for _, f in filt.levels[-1]]
-            for words, vals in zip(deeper, field_values(level, points)):
-                words += [v for v in vals if v is not None]
-        generators = [w.indices[0] for w, _ in filt.levels[0]]
-        yield filt, [[vals[i] for i in generators if vals[i] is not None] + words
-                     for vals, words in zip(values, deeper)]
+            found = field_values(level, [points[k] for k in live]) if level and live else ()
+        for k, vals in zip(list(live), found):
+            if new := [v for v in vals if v is not None]:
+                vectors[k] = vectors[k] + new
+                viewed = view(vectors[k])
+                ranks[k] = span_rank(viewed)
+                if viewed and ranks[k] == len(viewed[0]):
+                    live.remove(k)
+        yield filt, list(vectors), list(ranks)
 
 
 def certify(filt, module_degree=DEFAULT_MODULE_DEGREE):

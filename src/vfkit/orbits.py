@@ -11,11 +11,11 @@ Nagano decide: when every generator is real analytic on all of R^n (no
 filtration carries a stabilization certificate, the family is
 *Nagano-certified*: the tangent is Lie(F)(p) (Nagano 1966) and its rank is
 the dimension (``certificate="nagano"``).  One ladder, ``exact_ranks``,
-applies the rule at any number of points: it reads the ranks from the walk
-``liealg.word_vectors`` one depth at a time and stops at the first depth
-where every point's rank is exact, each word evaluated once per point; else,
-for a family analytic on all of R^n (no other is Nagano-certified), it runs
-the module search (``liealg.certify``) once, at the cap.
+applies the rule at any number of points: it reads the ranks from the ladder
+``liealg.word_vectors``, where a point at full rank takes no deeper word,
+and stops at the first depth where every point's rank is exact; else, for a
+family analytic on all of R^n (no other is Nagano-certified), it runs the
+module search (``liealg.certify``) once, at the cap.
 ``orbit_dimensions`` reads the certified rank, else samples every uncertified
 point in one walk, for ``frobenius``.
 A fixed-time orbit is a slice t = const of an orbit of the time-extended
@@ -222,7 +222,7 @@ def _sample_orbits(family, points, samplers, batches, rank=svd_rank):
             if k not in values:  # once the walk has checked the point
                 values[k] = np.array([value_float(X, points[k]) for X in family
                                       if X.domain.contains(points[k])])
-            vectors = np.vstack([values[k]] + found[k])
+            vectors = np.concatenate([values[k], np.array(found[k]).reshape(-1, n)])
             dim = rank(vectors, FLOW_REL_TOL)
             if dim == n or offset is None or walked[k] < offset:  # full rank or no more words
                 out[k] = SampledOrbit(dim, [tuple(v) for v in vectors.tolist()], used[k],
@@ -294,34 +294,26 @@ def exact_certificate(filt, rank, values):
     return "nagano" if nagano_certified(filt) else None
 
 
-def exact_ranks(family, values, points, depth_cap=DEFAULT_DEPTH_CAP, view=None):
+def exact_ranks(family, values, points, depth_cap=DEFAULT_DEPTH_CAP, base=None):
     """(filtration, ranks, certificates, word values) at the points, given
     the generators' ``vectorfield.field_values`` there: the rank of Lie(F)
     at each point and why ``exact_certificate`` finds it exact (None: sample
-    it), read from ``liealg.word_vectors`` at the first depth where every
-    point's rank is exact, with the words' values there; else, at the cap,
-    with the module search run once on the filtration (``liealg.certify``).
-    A rank found exact is the rank at the cap, as no deeper word can raise
-    it.  ``view(words, values)`` gives, per point, the vectors whose rank is
-    wanted and the generator values that ``exact_certificate`` judges it by
-    (by default the words and ``values``; ``fixed_time_dimension`` ranks
-    the zero-time ideal on the time-extended family this way)."""
-    view = view or (lambda words, vals: (words, vals))
-    for filt, vectors in word_vectors(family, values, points, depth_cap):
-        ranks, exact, judged = [], [], []
-        for vals, words in zip(values, vectors):
-            spanning, base = view(words, vals)
-            ranks.append(span_rank(spanning))
-            judged.append(base)
-            exact.append(exact_certificate(filt, ranks[-1], base))
-            if not exact[-1] and filt.depth_cap < depth_cap:
-                break  # a deeper word is needed whatever the other points' ranks
+    it), read from the ladder ``liealg.word_vectors`` at the first depth
+    where every point's rank is exact, with the words' values there; else,
+    at the cap, with the module search run once on the filtration
+    (``liealg.certify``).  A point at full rank takes no deeper word; no
+    deeper word can raise a rank found exact.  Given ``base``, the values of
+    the family whose time extension ``family`` is, the ladder ranks the
+    zero-time ideal (``liealg.ideal_vectors``), judged by ``base``."""
+    view = ideal_vectors if base else None
+    for filt, vectors, ranks in word_vectors(family, values, points, depth_cap, view):
+        exact = [exact_certificate(filt, r, vals) for r, vals in zip(ranks, base or values)]
         if all(exact):  # no deeper word and no module search
             return filt, ranks, exact, vectors
     if _analytic(family):  # else no module certificate can make a rank exact
         filt = certify(filt)
-    return filt, ranks, [exact_certificate(filt, r, base)
-                         for r, base in zip(ranks, judged)], vectors
+    return filt, ranks, [exact_certificate(filt, r, vals)
+                         for r, vals in zip(ranks, base or values)], vectors
 
 
 def orbit_dimensions(family, points, ranks, certificates, sampler):
@@ -412,7 +404,7 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     extended, start = time_extended(family), [(*point, 0)]
     values = [[None if v is None else [*v, 1] for v in base]]
     filt, (ideal_rank,), (certificate,), (words,) = exact_ranks(
-        extended, values, start, depth_cap, lambda words, _: (ideal_vectors(words), base))
+        extended, values, start, depth_cap, [base])
     # an exact ideal rank makes the projected rank exact: L0(p) lies in
     # Lie(F)(p), so n there is n here, 0 at a fixed point is 0, and Y's
     # certificate spans Lie(F) too
@@ -456,9 +448,9 @@ def chow_verdict(family, samples, depth_cap=DEFAULT_DEPTH_CAP, orbit_sampler=Non
     rank at the samples alone is no certificate.  Failure decides nothing."""
     family = tuple(family)
     n = family[0].dim
-    *_, (filt, vectors) = word_vectors(family, field_values(family, samples), samples,
-                                       depth_cap)
-    failing = [tuple(p) for p, words in zip(samples, vectors) if span_rank(words) < n]
+    *_, (filt, _, ranks) = word_vectors(family, field_values(family, samples), samples,
+                                        depth_cap)
+    failing = [tuple(p) for p, rank in zip(samples, ranks) if rank < n]
     if not failing:
         words = [f for level in filt.levels for _, f in level]
         axes = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]

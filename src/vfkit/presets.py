@@ -20,7 +20,6 @@ from .distributions import Distribution, rank_at, singular_locus_minors
 from .expr import compile_float, parse
 from .frobenius import flow_box_chart, frobenius_verdict
 from .liealg import filtration, pairwise_brackets, pointwise_witnesses, word_vectors
-from .linalg import span_rank
 from .membership import ideal_member_bounded, member_bounded
 from .orbits import (WordSampler, chow_verdict, fixed_time_dimension, sampled_orbit,
                      sampled_orbit_dimensions, zero_sum_words)
@@ -278,8 +277,8 @@ def _flat_sampler(ctx, offset):
 
 def _lie_ranks(family, points):
     """The bracket-filtration ranks at the points at depth cap 8."""
-    *_, (_, vectors) = word_vectors(family, field_values(family, points), points, 8)
-    return tuple(span_rank(words) for words in vectors)
+    *_, (_, _, ranks) = word_vectors(family, field_values(family, points), points, 8)
+    return tuple(ranks)
 
 
 def _flat_chow(ctx):
@@ -397,8 +396,7 @@ field X2 = (0, x1)
 
 def _linear_shear_rank(ctx):
     walk = list(word_vectors(ctx.family, field_values(ctx.family, [(0, 0)]), [(0, 0)]))
-    ranks = [span_rank(words) for _, (words,) in walk]
-    filt = walk[-1][0]
+    ranks, filt = [rank for _, _, (rank,) in walk], walk[-1][0]
     ok = ranks[-1] == 2 and filt.stabilized_at == 2
     return _result(ok, "rank 2 at the origin, stable at depth 2",
                    f"ranks={ranks}, stabilized_at={filt.stabilized_at}")

@@ -51,10 +51,9 @@ def multiply_field(f, X):
 
 def lie_ranks_by_depth(family, point, depth_cap=6):
     """The rank at the point of the bracket words of depth <= d, for
-    d = 1, ..., depth_cap, read from the walk ``liealg.word_vectors``."""
+    d = 1, ..., depth_cap, read from the ladder ``liealg.word_vectors``."""
     values = field_values(family, [point])
-    return [span_rank(words)
-            for _, (words,) in word_vectors(family, values, [point], depth_cap)]
+    return [rank for _, _, (rank,) in word_vectors(family, values, [point], depth_cap)]
 
 
 def lie_rank(family, point, depth_cap=6):
@@ -64,12 +63,13 @@ def lie_rank(family, point, depth_cap=6):
 
 def fixed_time_ranks(family, point, depth_cap=6):
     """(rank of the zero-time ideal, rank of the Lie algebra) at the point:
-    the rank of the vectors that ``liealg.ideal_vectors`` reads from the
-    time-extended family's words at (point, 0) at the cap, and the rank of
-    those words with their last coordinate dropped."""
+    the ladder's rank of the vectors that ``liealg.ideal_vectors`` reads from
+    the time-extended family's words at (point, 0) at the cap, and the rank
+    of those words with their last coordinate dropped."""
     extended, start = time_extended(family), [(*point, 0)]
-    *_, (_, (words,)) = word_vectors(extended, field_values(extended, start), start, depth_cap)
-    return span_rank(ideal_vectors(words)), span_rank([w[:-1] for w in words])
+    *_, (_, (words,), (ideal,)) = word_vectors(extended, field_values(extended, start), start,
+                                               depth_cap, ideal_vectors)
+    return ideal, span_rank([w[:-1] for w in words])
 
 
 def lie_fixed_time_ideal(family, point, tmp_path):

@@ -132,6 +132,17 @@ class TestOrbitSamplesSkipped:
         if verdict == "no":
             assert v.clause.startswith(SAMPLED_CLAUSE)
 
+    def test_deeper_words_only_below_full_rank(self, monkeypatch):
+        # two-sided-flat's half-step grid has rank 2 at depth 1 off x1 = 0,
+        # so the ladder evaluates words of depth >= 2 only at the 5 samples
+        # on x1 = 0
+        evaluated = []
+        real = liealg.field_values
+        monkeypatch.setattr(liealg, "field_values",
+                            lambda fs, ps: evaluated.append(list(ps)) or real(fs, ps))
+        D = Distribution(parse_system(PRESETS["two-sided-flat"].system_text).fields)
+        frobenius_verdict(D, grid2(), orbit_sampler=WordSampler(seed=40, count=10))
+        assert evaluated and all(ps == [p for p in grid2() if p[0] == 0] for ps in evaluated)
 
     def test_sampled_points_share_their_walks(self, monkeypatch):
         walks = []

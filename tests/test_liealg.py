@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -147,20 +149,24 @@ class TestFiltration:
         assert len(diffs) == 54
 
     def test_by_depth_is_the_filtration_cut_at_each_depth(self, diag, shear):
-        # one builder: the walk's depth-d filtration holds the first d levels
-        # of the full one, and its ranks are those of the full one's words of
-        # depth <= d, each evaluated on its own
-        for fam, p in [(diag, (1, 0)), (shear, (0, 0)),
-                       (preset_family("vanishing-pair"), (0, 1))]:
+        # one builder: the ladder's depth-d filtration holds the first d
+        # levels of the full one, and its ranks are those of the full one's
+        # words of depth <= d, each evaluated on its own; the words it yields
+        # are those until the rank is full (2), and no more after
+        for fam, p, frozen in [(diag, (1, 0), 5), (shear, (0, 0), 2),
+                               (preset_family("vanishing-pair"), (0, 1), 1)]:
             full = filtration(fam, 5)
             walk = list(word_vectors(fam, field_values(fam, [p]), [p], 5))
-            cut = [f for f, _ in walk]
+            cut = [f for f, _, _ in walk]
             assert [f.depth_cap for f in cut] == [1, 2, 3, 4, 5]
             assert [f.levels for f in cut] == [full.levels[:d] for d in range(1, 6)]
-            assert [span_rank(words) for _, (words,) in walk] == [
-                span_rank([v for v in field_values(
-                    [f for level in full.levels[:d] for _, f in level], [p])[0]
-                    if v is not None]) for d in range(1, 6)]
+            reference = [[v for v in field_values(
+                [f for level in full.levels[:d] for _, f in level], [p])[0]
+                if v is not None] for d in range(1, 6)]
+            assert [rank for _, _, (rank,) in walk] == [span_rank(words)
+                                                        for words in reference]
+            assert [words for _, (words,), _ in walk] == (
+                reference[:frozen] + [reference[frozen - 1]] * (5 - frozen))
             assert (cut[-1].stabilized_at, cut[-1].certificate) == (
                 full.stabilized_at, full.certificate)
 
@@ -340,7 +346,7 @@ class TestGeneratorDuplicates:
         assert (g.stabilized_at, g.certificate) == (2, "symbolic-closure")
         assert [str(c) for c in g.levels[1][0][1].components] == ["-1", "0"]
         start = [(1, 0)]
-        *_, (_, (values,)) = word_vectors(g.family, field_values(g.family, start), start)
+        *_, (_, (values,), _) = word_vectors(g.family, field_values(g.family, start), start)
         assert values == [[1, 1], [1, 1], [-1, 0]]
         # X2 - X1 vanishes at 1, so the bracket alone makes the ideal rank 1
         ideal_rank, rank = fixed_time_ranks(f.family, (1,))
@@ -416,7 +422,7 @@ def test_time_extension_ranks_the_zero_time_ideal(name):
     lie = list(word_vectors(family, field_values(family, points), points, max(ORACLE_CAPS)))
     cases = 0
     for cap, reference in zip(ORACLE_CAPS, zero_time_reference(family, points, ORACLE_CAPS)):
-        (_, vectors), (_, lie_vectors) = walk[cap - 1], lie[cap - 1]
+        (_, vectors, _), (_, lie_vectors, _) = walk[cap - 1], lie[cap - 1]
         for p, words, lie_words, ideal in zip(points, vectors, lie_vectors, reference):
             if ideal is None:
                 assert words == [], p
@@ -425,6 +431,53 @@ def test_time_extension_ranks_the_zero_time_ideal(name):
             assert span_rank([w[:-1] for w in words]) == span_rank(lie_words), (cap, p)
             cases += 1
     assert cases >= len(ORACLE_CAPS) * len(points) // 2
+
+
+CENSUS = pathlib.Path(__file__).parent / "data" / "fixed-time-census-seed7.json"
+
+
+def test_ladder_ranks_every_word_until_full():
+    # at the fixed-time census starts p (and (p, 0) for the time extension
+    # Y): per depth d, the ladder's rank is the span rank of every word of
+    # depth <= d, each evaluated on its own, under either view; a point's
+    # words are all of those until the depth where its rank is full (n for
+    # F's words and the ideal's vectors, n + 1 for Y's own words), and stop
+    # growing there
+    starts = {}
+    for name, point, *_ in json.loads(CENSUS.read_text()):
+        starts.setdefault(name, {})[tuple(Fraction(x) for x in point.split(","))] = None
+    assert sorted(starts) == sorted(PRESETS)
+    # 224 of the 603 (family, point, view) cases reach full rank below the cap
+    assert sum(_ladder_against_every_word(preset_family(name), list(points))
+               for name, points in starts.items()) == 224
+
+
+def _ladder_against_every_word(family, points):
+    """The checks of ``test_ladder_ranks_every_word_until_full`` at the
+    points, and how many (family, point, view) cases froze before the cap."""
+    assert len(points) == 3 ** family[0].dim
+    starts = [(*p, 0) for p in points]
+    extended = time_extended(family)
+    frozen = 0
+    for fam, at, view, full in [(family, points, None, len(points[0])),
+                                (extended, starts, None, len(starts[0])),
+                                (extended, starts, ideal_vectors, len(points[0]))]:
+        levels = filtration(fam).levels
+        counts = list(itertools.accumulate(len(level) for level in levels))
+        every = field_values([f for level in levels for _, f in level], at)
+        ladder = list(word_vectors(fam, field_values(fam, at), at, view=view))
+        for k in range(len(at)):
+            reached = None
+            for d, (_, vectors, ranks) in enumerate(ladder):
+                reference = [v for v in every[k][:counts[d]] if v is not None]
+                assert ranks[k] == span_rank((view or list)(reference)), (at[k], view, d + 1)
+                if reached is None:
+                    assert vectors[k] == reference, (at[k], view, d + 1)
+                    reached = d if ranks[k] == full else None
+                else:
+                    assert vectors[k] == ladder[reached][1][k], (at[k], view, d + 1)
+            frozen += reached is not None and reached < len(ladder) - 1
+    return frozen
 
 
 class TestDerivedCertificate:

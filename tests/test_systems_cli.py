@@ -578,17 +578,19 @@ class TestCli:
 
     def test_lie_fixed_time_ideal_evaluates_each_word_once(self, capsys, vanishing_file,
                                                            monkeypatch):
-        # one compile per component of each generator and word: the 14 of
-        # the family, and with the flag also the bracket words of its time
-        # extension, 3 components each, up to the first depth where the
-        # ideal rank reaches the Lie rank: 1 word (depth 2) at (1/2, 3/4),
-        # where both are n = 2, and none at the origin, where both are 0;
-        # the extension's generators are the family's values with a 1
-        # appended, so they compile nothing
+        # one compile per component of each generator and word up to the
+        # first depth where the rank is full: at (1/2, 3/4) the generators
+        # alone (rank 2 at depth 1), and at the origin, where the rank stays
+        # 0, all 14 words of the family; with the flag also the bracket
+        # words of its time extension, 3 components each, up to the first
+        # depth where the ideal rank reaches the Lie rank: 1 word (depth 2)
+        # at (1/2, 3/4), where both are n = 2, and none at the origin, where
+        # both are 0; the extension's generators are the family's values
+        # with a 1 appended, so they compile nothing
         compiled = []
         real = vectorfield.compile_exact
         monkeypatch.setattr(vectorfield, "compile_exact", lambda e: compiled.append(e) or real(e))
-        for point, rank, extension in (("1/2,3/4", 2, 3), ("0,0", 0, 0)):
+        for point, rank, counts_at in (("1/2,3/4", 2, [4, 7]), ("0,0", 0, [28, 28])):
             counts = []
             for flags in ((), ("--fixed-time-ideal",)):
                 compiled.clear()
@@ -599,7 +601,23 @@ class TestCli:
                 counts.append(len(compiled))
             assert json.loads(out)["results"]["fixed_time_ideal"] == {
                 "ideal_rank": rank, "lie_rank": rank, "codim": 0}
-            assert counts == [28, 28 + extension]
+            assert counts == counts_at
+
+    def test_lie_at_full_rank_compiles_only_the_generators(self, capsys, vanishing_file,
+                                                            monkeypatch):
+        # rank 2 at depth 1 at (1/2, 3/4): the report still lists all 14
+        # words to the cap, but only the generators' 4 components are
+        # compiled (28 when every word was evaluated)
+        compiled = []
+        real = vectorfield.compile_exact
+        monkeypatch.setattr(vectorfield, "compile_exact", lambda e: compiled.append(e) or real(e))
+        code, out = run_cli(capsys, "lie", "--system", vanishing_file, "--point", "1/2,3/4",
+                            "--depth", "5", "--module-degree", "4", "--format", "json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["ranks_by_depth"] == [2] * 5
+        assert len(results["words"]) == 14 and results["words"][-1]["depth"] == 5
+        assert len(compiled) == 4
 
     def test_unknowns_cap_reaches_lie(self, capsys, vanishing_file, monkeypatch):
         # an over-cap module search stops with a note; the ranks still print
