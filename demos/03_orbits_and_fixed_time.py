@@ -66,4 +66,5 @@ print("\npartially defined translations:")
 for p in [(0, 0), (2, 0)]:
     rep = orbit_dimension(partial, p, WordSampler(seed=7, count=150))
     print(f"  at {p}: dim {rep.dimension} "
-          f"({rep.words_skipped} of 150 words exited a domain)")
+          f"({rep.words_skipped} of {rep.words_used + rep.words_skipped} walked words "
+          "exited a domain)")

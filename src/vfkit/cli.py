@@ -36,9 +36,8 @@ from .liealg import (
     DEPTH_CAP_LIMIT,
     LieAlgebraError,
     certify,
-    ideal_vectors,
-    time_extended,
     word_vectors,
+    zero_time_ladder,
 )
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL
 from .membership import DEGREE_CAP, MembershipError, member_bounded
@@ -126,21 +125,18 @@ def _write_json(x, np, out, indent="\n"):
         out.append(_JSON_LEAVES[kind](y))
 
 
-def _emit(report, fmt, stream=None):
+def _emit(report, fmt, stream=None, csv_rows=None):
+    """The report in its format; ``--format csv`` writes the command's CSV
+    rows, given beside the report, and JSON where it has none."""
     stream = stream or sys.stdout
-    if fmt == "json":
+    if fmt == "text":
+        _print_text(report, stream)
+    elif fmt == "csv" and csv_rows is not None:
+        stream.writelines(",".join(map(str, row)) + "\n" for row in csv_rows)
+    else:
         out = []
         _write_json(report, sys.modules.get("numpy"), out)
         stream.write("".join(out) + "\n")
-    elif fmt == "csv":
-        rows = report.get("results")
-        if isinstance(rows, dict) and "csv_rows" in rows:
-            for row in rows["csv_rows"]:
-                stream.write(",".join(str(c) for c in row) + "\n")
-        else:
-            _emit(report, "json", stream)
-    else:
-        _print_text(report, stream)
 
 
 def _print_text(report, stream):
@@ -151,8 +147,6 @@ def _print_text(report, stream):
     results = report["results"]
     if isinstance(results, dict):
         for key, value in results.items():
-            if key == "csv_rows":
-                continue
             stream.write(f"{key}: {_text_value(value)}\n")
     else:
         for item in results:
@@ -274,9 +268,10 @@ def main(argv=None):
         cmd, args = _parse(_join_signed_values(argv))
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
+    csv_rows = ()
     try:
         _check_ranges(args)
-        report, code = COMMANDS[cmd][2](args, args.seed)
+        report, code, *csv_rows = COMMANDS[cmd][2](args, args.seed)
     except UsageError as err:
         report = _report(cmd, args.seed, {}, status="usage-error", error=str(err))
         code = EXIT_USAGE
@@ -288,7 +283,7 @@ def main(argv=None):
         report = _report(cmd, args.seed, {}, status="parse-error", error=str(err))
         code = EXIT_PARSE
     report["argv"] = argv
-    _emit(report, args.format)
+    _emit(report, args.format, sys.stdout, *csv_rows)
     return code
 
 
@@ -348,11 +343,11 @@ def _cmd_rank(args, seed):
     results = {
         "regular_density": gc.regular_density,
         "grid": {f"x{i}": [str(v) for v in vals] for i, vals in axes.items()},
-        "csv_rows": [("point", "rank", "class")] + [
-            (";".join(pt["point"]), pt["rank"], pt["class"]) for pt in points],
         "points": points,
     }
-    return _report("rank", seed, results, system=system.name), EXIT_OK
+    rows = [("point", "rank", "class")] + [
+        (";".join(pt["point"]), pt["rank"], pt["class"]) for pt in points]
+    return _report("rank", seed, results, system=system.name), EXIT_OK, rows
 
 
 def _args_lie(p):
@@ -392,12 +387,8 @@ def _cmd_lie(args, seed):
         # the Lie rank: L0(p) lies in Lie(F)(p), so no deeper word raises it
         if all(v is None for v in values[0]):
             raise LieAlgebraError(f"no generator defined at {point_text(p)}")
-        # Y_i = (X_i, 1): its values at (p, 0) are X_i(p) with a 1 appended
-        extended, start = time_extended(system.fields), [(*p, 0)]
-        lifted = [[None if v is None else [*v, 1] for v in values[0]]]
         lie_rank = results["ranks_by_depth"][-1]
-        for _, _, (ideal_rank,) in word_vectors(extended, lifted, start, args.depth,
-                                                ideal_vectors):
+        for _, _, (ideal_rank,) in zero_time_ladder(system.fields, values, [p], args.depth):
             if ideal_rank >= lie_rank:
                 break
         codim = lie_rank - ideal_rank
@@ -468,8 +459,8 @@ def _cmd_orbit(args, seed):
             "words_used": rep.words_used,
             "words_skipped": rep.words_skipped,
             "vectors": [list(v) for v in rep.vectors],
-            "csv_rows": [tuple(f"v{i}" for i in range(system.dim)), *map(tuple, rep.vectors)],
         }
+        rows = [[f"v{i}" for i in range(system.dim)], *rep.vectors]
     else:
         rep = fixed_time_dimension(family, p, args.fixed_time, sampler,
                                    depth_cap=args.depth)
@@ -485,8 +476,9 @@ def _cmd_orbit(args, seed):
             "words_skipped": rep.words_skipped,
             "certificate": rep.certificate,
         }
+        rows = None  # JSON for --format csv
     return _report("orbit", seed, results, system=system.name,
-                   tolerances={"rank_tol": FLOW_REL_TOL}), EXIT_OK
+                   tolerances={"rank_tol": FLOW_REL_TOL}), EXIT_OK, rows
 
 
 def _args_frobenius(p):
@@ -596,7 +588,8 @@ def _cmd_examples(args, seed):
     return report, EXIT_OK if mismatches == 0 else EXIT_FACTS
 
 
-# name -> (help line, function adding the arguments, handler)
+# name -> (help line, function adding the arguments, handler); a handler
+# returns (report, exit code), and a command with a CSV form its rows third
 COMMANDS = {
     "bracket": ("Lie bracket of two named fields", _args_bracket, _cmd_bracket),
     "rank": ("fibre rank at a point or over a grid", _args_rank, _cmd_rank),

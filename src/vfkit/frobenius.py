@@ -37,7 +37,7 @@ from itertools import product
 from typing import List, Optional, Tuple
 
 from .distributions import Distribution, fibre_rank, fibre_ranks
-from .liealg import pairwise_brackets, pointwise_witnesses
+from .liealg import pairwise_brackets, pointwise_witnesses, word_vectors
 from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
 from .membership import OversizeError, module_contains
 from .orbits import WordSampler, exact_ranks, orbit_dimensions
@@ -102,7 +102,7 @@ def frobenius_verdict(
     if not failing and not module_ok:
         # (a) bracket-rank witnesses; (b) where ``orbits.exact_ranks`` finds
         # the bracket rank exact, no flow can find more; (c) else sample orbits
-        _, lie_ranks, exact, _ = exact_ranks(family, values, samples)
+        _, lie_ranks, exact, _ = exact_ranks(word_vectors(family, values, samples), values)
         witnesses = [p for p, lie, r in zip(samples, lie_ranks, ranks) if lie > r]
         bracket_rank_gap = bool(witnesses)
         if not witnesses:
@@ -176,7 +176,7 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
     values = field_values(family, [base])  # each generator evaluated once at the base
     base_report = fibre_rank(base, values[0])
     m = base_report.rank
-    _, ranks, exact, _ = exact_ranks(family, values, [base])
+    _, ranks, exact, _ = exact_ranks(word_vectors(family, values, [base]), values)
     ((orbit_dim, orbit_kind),) = orbit_dimensions(family, [base], ranks, exact,
                                                   orbit_sampler or ORBIT_SAMPLER)
     frame = [family[i] for i in base_report.witness]

@@ -23,7 +23,8 @@ Fixed time needs no algebra of its own.  The time-extended family
 R*Y_j + (L0(x) x 0), where L0 = {sum c_i X_i : sum c_i = 0} + [L, L] is the
 zero-time ideal: ``ideal_vectors`` reads from Y's word values vectors
 spanning L0(x), whose rank is the rank of Y's words minus 1, and dropping
-their last coordinate gives Lie(F)(x).
+their last coordinate gives Lie(F)(x).  ``zero_time_ladder`` is the one
+ladder of L0 at points p: Y's words at the starts (p, 0).
 Involutivity reads the nonzero pairwise brackets, built once by
 ``pairwise_brackets`` and compiled once by ``pointwise_witnesses``.
 """
@@ -46,8 +47,7 @@ __all__ = [
     "filtration",
     "word_vectors",
     "certify",
-    "time_extended",
-    "ideal_vectors",
+    "zero_time_ladder",
     "pairwise_brackets",
     "pointwise_witnesses",
 ]
@@ -236,6 +236,17 @@ def ideal_vectors(words):
     generators = [w for w in words if w[-1]]
     return ([[a - b for a, b in zip(g[:-1], generators[0])] for g in generators[1:]]
             + [w[:-1] for w in words if not w[-1]])
+
+
+def zero_time_ladder(family, values, points, depth_cap=DEFAULT_DEPTH_CAP):
+    """The rank ladder (``word_vectors``) of the zero-time ideal at the
+    points p: the time-extended family's words at the starts (p, 0), ranked
+    on their ``ideal_vectors``, given the family's
+    ``vectorfield.field_values`` at the points (Y_i(p, 0) is X_i(p) with a
+    1 appended)."""
+    lifted = [[None if v is None else [*v, 1] for v in vals] for vals in values]
+    return word_vectors(time_extended(family), lifted, [(*p, 0) for p in points], depth_cap,
+                        ideal_vectors)
 
 
 def pairwise_brackets(family):

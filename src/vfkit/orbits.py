@@ -10,28 +10,30 @@ Nagano decide: when every generator is real analytic on all of R^n (no
 ``bump``, ``bumpp`` or division atom, every domain full) and the bracket
 filtration carries a stabilization certificate, the family is
 *Nagano-certified*: the tangent is Lie(F)(p) (Nagano 1966) and its rank is
-the dimension (``certificate="nagano"``).  One ladder, ``exact_ranks``,
-applies the rule at any number of points: it reads the ranks from the ladder
-``liealg.word_vectors``, where a point at full rank takes no deeper word,
-and stops at the first depth where every point's rank is exact; else, for a
-family analytic on all of R^n (no other is Nagano-certified), it runs the
-module search (``liealg.certify``) once, at the cap.
+the dimension (``certificate="nagano"``).  ``exact_ranks`` applies the rule
+to a rank ladder at any number of points (``liealg.word_vectors``, where a
+point at full rank takes no deeper word) and stops at the first depth where
+every point's rank is exact; else, for a family analytic on all of R^n (no
+other is Nagano-certified), it runs the module search (``liealg.certify``)
+once, at the cap.
 ``orbit_dimensions`` reads the certified rank, else samples every uncertified
 point in one walk, for ``frobenius``.
 A fixed-time orbit is a slice t = const of an orbit of the time-extended
 family Y (``liealg.time_extended``), so its dimension is the rank of
-Lie(Y) minus 1 (``liealg.ideal_vectors``), read by the same ladder once,
-on Y at the start (p, 0), exactly where p is, and exact by the same rule
-(Y's ``"nagano"`` is reported as ``"zero-time-ideal"``); dropping the last
-coordinate of Y's words gives Lie(F)(p) for the orbit dimension.  Both hold
-along Y's orbit, so at the point ``reached`` by the seed word too.
+Lie(Y) minus 1, read once by the same rule from the zero-time ideal's
+ladder on Y at the start (p, 0) (``liealg.zero_time_ladder``), exactly
+where p is (Y's ``"nagano"`` is reported as ``"zero-time-ideal"``);
+dropping the last coordinate of Y's words gives Lie(F)(p) for the orbit
+dimension.  Both hold along Y's orbit, so at the point ``reached`` by the
+seed word too.
 Every other case samples flow words that push the generators forward to the
-point (``sampled_orbit``): the span rank of the vectors bounds the orbit
-dimension from below and their affine rank the fixed-time one
-(``certificate="sampled"``), so one walk of free words from ``reached`` gives
-both.  An orbit is an immersed submanifold of R^n (Sussmann 1973), so a walk
-takes the first ``FIRST_WORDS`` words of all its points at once and the rest,
-in one more walk, only for the points whose rank stays below n.
+point, in the one sampled walk ``sampled_orbits``: the span rank of the
+vectors bounds the orbit dimension from below and their affine rank the
+fixed-time one (``certificate="sampled"``), so one walk of free words from
+``reached`` gives both.  An orbit is an immersed submanifold of R^n
+(Sussmann 1973), so no word can raise a rank of n: every walk takes the
+first ``FIRST_WORDS`` words of all its points at once and the rest, in one
+more walk, only for the points whose rank stays below n.
 ``WordSampler`` reads its words from one raw PCG64 stream with the bits of
 numpy's ``Generator.integers`` and ``uniform``, so a seed gives the same
 words whatever numpy release draws them.  numpy and the flow layer
@@ -49,8 +51,8 @@ from itertools import chain, islice, repeat, tee
 from typing import NamedTuple, Tuple
 
 from .expr import ONE, ZERO
-from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, ideal_vectors,
-                     time_extended, word_vectors)
+from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, word_vectors,
+                     zero_time_ladder)
 from .linalg import FLOW_REL_TOL, affine_rank, all_exact, span_rank, svd_rank
 from .membership import OversizeError, module_contains
 from .vectorfield import DomainExitError, FlowError, field_values, point_text
@@ -62,8 +64,7 @@ __all__ = [
     "ChowReport",
     "zero_sum_words",
     "SampledOrbit",
-    "sampled_orbit",
-    "sampled_orbit_dimensions",
+    "sampled_orbits",
     "FIRST_WORDS",
     "nagano_certified",
     "exact_certificate",
@@ -74,7 +75,7 @@ __all__ = [
     "chow_verdict",
 ]
 
-# Words walked before a dimension-only sample checks for full rank.
+# Words of every point that a sampled walk takes before it checks for rank n.
 FIRST_WORDS = 32
 
 
@@ -189,12 +190,15 @@ class SampledOrbit(NamedTuple):
     words_skipped: int
 
 
-def _sample_orbits(family, points, samplers, batches, rank=svd_rank):
+def sampled_orbits(family, points, samplers, rank=svd_rank):
     """Per point, its SampledOrbit (the DomainExitError where no generator is
-    defined): the generator values and their pushforwards along its sampler's
-    words in the given batch sizes (None: the rest) until ``rank`` of them
-    is full; a batch of every point below it walks together, a sampler drawn
-    once.  A point without n coordinates raises the walk's ValueError first."""
+    defined): the generator values there and their pushforwards along its
+    sampler's words, and the ``rank`` of those vectors, a lower bound
+    (``linalg.svd_rank`` for the orbit, ``affine_rank`` for the fixed-time
+    orbit).  The first ``FIRST_WORDS`` words of every point are walked
+    together, the rest in one more walk, only for the points whose rank is
+    still below n; a sampler shared by points is drawn once.  A point
+    without n coordinates raises the walk's ValueError first."""
     import numpy as np  # the flow layer loads only where a flow is walked
     from .fields import WALK_ROWS, pushforward_along_words, value_float
     n, out, streams = family[0].dim, [None] * len(points), {}
@@ -207,8 +211,8 @@ def _sample_orbits(family, points, samplers, batches, rank=svd_rank):
         ks = [k for k, t in enumerate(samplers) if t == s and out[k] is None]
         streams.update(zip(ks, tee(s.draw(len(family)), len(ks))))
     found, values = {k: [] for k in streams}, {}
-    walked, used, offset = dict.fromkeys(streams, 0), dict.fromkeys(streams, 0), 0
-    for size in batches:
+    walked, used = dict.fromkeys(streams, 0), dict.fromkeys(streams, 0)
+    for size in (FIRST_WORDS, None):
         rows = ((w, k) for k in streams for w in islice(streams[k], size))
         while run := list(islice(rows, WALK_ROWS)):
             pushes = pushforward_along_words(family, [w for w, _ in run], [family] * len(run),
@@ -217,14 +221,13 @@ def _sample_orbits(family, points, samplers, batches, rank=svd_rank):
                 vs = [] if isinstance(pushed, FlowError) else [v for v in pushed if v is not None]
                 walked[k], used[k] = walked[k] + 1, used[k] + bool(vs)
                 found[k] += vs
-        offset = None if size is None else offset + size
         for k in list(streams):
             if k not in values:  # once the walk has checked the point
                 values[k] = np.array([value_float(X, points[k]) for X in family
                                       if X.domain.contains(points[k])])
             vectors = np.concatenate([values[k], np.array(found[k]).reshape(-1, n)])
             dim = rank(vectors, FLOW_REL_TOL)
-            if dim == n or offset is None or walked[k] < offset:  # full rank or no more words
+            if dim == n or size is None or walked[k] < size:  # full rank or no more words
                 out[k] = SampledOrbit(dim, [tuple(v) for v in vectors.tolist()], used[k],
                                       walked[k] - used[k])
                 del streams[k]
@@ -235,23 +238,6 @@ def _raised(result):
     if isinstance(result, FlowError):
         raise result
     return result
-
-
-def sampled_orbit(family, point, sampler):
-    """Sampled orbit dimension at the point, from the pushforwards that all
-    the sampler's words give there; no bracket filtration is built.  The
-    ``linalg.affine_rank`` of its vectors bounds the dimension of the
-    fixed-time orbit through the point (``fixed_time_dimension``)."""
-    return _raised(_sample_orbits(family, [point], [sampler], (None,))[0])
-
-
-def sampled_orbit_dimensions(family, points, samplers):
-    """Per point, ``sampled_orbit(family, points[k], samplers[k]).dimension``
-    (the DomainExitError where it raises), in one walk for every point's
-    first ``FIRST_WORDS`` words and one more for the rest of every point
-    still below full rank (an orbit has no more dimensions than R^n)."""
-    return [s if isinstance(s, FlowError) else s.dimension
-            for s in _sample_orbits(family, points, samplers, (FIRST_WORDS, None))]
 
 
 def _analytic(family):
@@ -294,50 +280,49 @@ def exact_certificate(filt, rank, values):
     return "nagano" if nagano_certified(filt) else None
 
 
-def exact_ranks(family, values, points, depth_cap=DEFAULT_DEPTH_CAP, base=None):
-    """(filtration, ranks, certificates, word values) at the points, given
-    the generators' ``vectorfield.field_values`` there: the rank of Lie(F)
-    at each point and why ``exact_certificate`` finds it exact (None: sample
-    it), read from the ladder ``liealg.word_vectors`` at the first depth
-    where every point's rank is exact, with the words' values there; else,
-    at the cap, with the module search run once on the filtration
+def exact_ranks(ladder, values):
+    """(filtration, ranks, certificates, word values) from a rank ladder at
+    some points (``liealg.word_vectors``, or ``liealg.zero_time_ladder`` for
+    the zero-time ideal), judged by the generators'
+    ``vectorfield.field_values`` there: each point's rank and why
+    ``exact_certificate`` finds it exact (None: sample it), at the first
+    depth where every point's rank is exact, with the words' values there;
+    else, at the cap, with the module search run once on the filtration
     (``liealg.certify``).  A point at full rank takes no deeper word; no
-    deeper word can raise a rank found exact.  Given ``base``, the values of
-    the family whose time extension ``family`` is, the ladder ranks the
-    zero-time ideal (``liealg.ideal_vectors``), judged by ``base``."""
-    view = ideal_vectors if base else None
-    for filt, vectors, ranks in word_vectors(family, values, points, depth_cap, view):
-        exact = [exact_certificate(filt, r, vals) for r, vals in zip(ranks, base or values)]
+    deeper word can raise a rank found exact."""
+    for filt, vectors, ranks in ladder:
+        exact = [exact_certificate(filt, r, vals) for r, vals in zip(ranks, values)]
         if all(exact):  # no deeper word and no module search
             return filt, ranks, exact, vectors
-    if _analytic(family):  # else no module certificate can make a rank exact
+    if _analytic(filt.family):  # else no module certificate can make a rank exact
         filt = certify(filt)
-    return filt, ranks, [exact_certificate(filt, r, vals)
-                         for r, vals in zip(ranks, base or values)], vectors
+        exact = [exact_certificate(filt, r, vals) for r, vals in zip(ranks, values)]
+    return filt, ranks, exact, vectors
 
 
 def orbit_dimensions(family, points, ranks, certificates, sampler):
     """Per point, (dimension, kind): the rank and certificate that ``exact_ranks``
-    gives, else ``sampled_orbit_dimensions`` (a lower bound; every such point in
-    one walk, none without one; raising where no generator is defined) and "sampled"."""
+    gives, else the ``sampled_orbits`` dimension (a lower bound; every such point
+    in one walk, none without one; raising where no generator is defined) and "sampled"."""
     sampled = [p for p, kind in zip(points, certificates) if not kind]
-    dims = iter(sampled_orbit_dimensions(family, sampled, [sampler] * len(sampled))
-                if sampled else ())
-    return [(dim, kind) if kind else (_raised(next(dims)), "sampled")
+    walks = iter(sampled_orbits(family, sampled, [sampler] * len(sampled)) if sampled else ())
+    return [(dim, kind) if kind else (_raised(next(walks)).dimension, "sampled")
             for dim, kind in zip(ranks, certificates)]
 
 
 def orbit_dimension(family, point, sampler, depth_cap=DEFAULT_DEPTH_CAP):
     """Orbit dimension at the point, with the bracket-filtration rank there:
     that rank where ``exact_certificate`` finds it exact, else the sampled
-    dimension (a certified lower bound).  Bracket words stop at the first
-    depth whose rank is n, which is then also the rank at the cap."""
+    dimension (a certified lower bound), whose walk stops at rank n.  Bracket
+    words stop at the first depth whose rank is n, which is then also the
+    rank at the cap."""
     family = tuple(family)
-    _, (linf,), (exact,), _ = exact_ranks(family, field_values(family, [point]), [point],
-                                          depth_cap)
+    values = field_values(family, [point])
+    _, (linf,), (exact,), _ = exact_ranks(word_vectors(family, values, [point], depth_cap),
+                                          values)
     if exact:  # no flow word is walked
         return OrbitTangentReport(tuple(point), linf, (), linf, 0, 0, exact)
-    s = sampled_orbit(family, point, sampler)
+    s = _raised(sampled_orbits(family, [point], [sampler])[0])
     return OrbitTangentReport(tuple(point), s.dimension, tuple(s.vectors), linf,
                               s.words_used, s.words_skipped, "sampled")
 
@@ -384,10 +369,11 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     R*Y_j + (L0(p) x 0) for the zero-time ideal L0 = {sum c_i X_i : sum c_i
     = 0} + [L, L], so the rank of Y's words minus 1 is the rank of L0(p),
     taken on the vectors that ``liealg.ideal_vectors`` reads from them.  One
-    ladder (``exact_ranks``) walks Y's words at (p, 0), in Fractions where p
-    is: where ``exact_certificate`` finds that rank exact ("bracket-rank" at
-    n, or at 0 where every X_i(p) is exactly zero; Y's "nagano", reported as
-    "zero-time-ideal"), no word but the seed is walked.  The orbit dimension
+    ladder (``liealg.zero_time_ladder``, judged by ``exact_ranks``) walks Y's
+    words at (p, 0), in Fractions where p is: where ``exact_certificate``
+    finds that rank exact ("bracket-rank" at n, or at 0 where every X_i(p)
+    is exactly zero; Y's "nagano", reported as "zero-time-ideal"), no word
+    but the seed is walked.  The orbit dimension
     is the rank of Lie(F)(p), Y's words with their last coordinate dropped,
     exact by the same rule.  Both ranks are constant along Y's orbit
     (Sussmann 1973), so they hold at (x, T) for the point x ``reached`` by
@@ -400,11 +386,8 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     family = tuple(family)
     (base,) = field_values(family, [point])  # the generators' values at p
     at = tuple(point) if _fixes(base) else tuple(_seed_point(family, point, T))
-    # Y_i = (X_i, 1): its values at (p, 0) are X_i(p) with a 1 appended
-    extended, start = time_extended(family), [(*point, 0)]
-    values = [[None if v is None else [*v, 1] for v in base]]
     filt, (ideal_rank,), (certificate,), (words,) = exact_ranks(
-        extended, values, start, depth_cap, [base])
+        zero_time_ladder(family, [base], [point], depth_cap), [base])
     # an exact ideal rank makes the projected rank exact: L0(p) lies in
     # Lie(F)(p), so n there is n here, 0 at a fixed point is 0, and Y's
     # certificate spans Lie(F) too
@@ -412,8 +395,8 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     dim, orbit_dim, used, skipped = ideal_rank, linf, 0, 0
     if certificate is None:
         certificate = "sampled"
-        dim, vectors, used, skipped = _raised(_sample_orbits(
-            family, [at], [sampler], (FIRST_WORDS, None), affine_rank)[0])
+        dim, vectors, used, skipped = _raised(sampled_orbits(family, [at], [sampler],
+                                                             affine_rank)[0])
         if not exact_certificate(filt, linf, base):
             orbit_dim = svd_rank(vectors, FLOW_REL_TOL)
     elif certificate == "nagano":
@@ -469,8 +452,8 @@ def chow_verdict(family, samples, depth_cap=DEFAULT_DEPTH_CAP, orbit_sampler=Non
         return ChowReport(certified, depth_cap, verdict, (), ())
     dims = []
     if orbit_sampler is not None:  # -1 where no generator is defined
-        dims = [-1 if isinstance(d, FlowError) else d for d in
-                sampled_orbit_dimensions(family, failing, [orbit_sampler] * len(failing))]
+        dims = [-1 if isinstance(s, FlowError) else s.dimension for s in
+                sampled_orbits(family, failing, [orbit_sampler] * len(failing))]
     note = f"not established at depth cap {depth_cap}"
     if dims and all(d == n for d in dims):
         note += (

@@ -21,8 +21,8 @@ from .expr import compile_float, parse
 from .frobenius import flow_box_chart, frobenius_verdict
 from .liealg import filtration, pairwise_brackets, pointwise_witnesses, word_vectors
 from .membership import ideal_member_bounded, member_bounded
-from .orbits import (WordSampler, chow_verdict, fixed_time_dimension, sampled_orbit,
-                     sampled_orbit_dimensions, zero_sum_words)
+from .orbits import (WordSampler, chow_verdict, fixed_time_dimension, sampled_orbits,
+                     zero_sum_words)
 from .systems import parse_system
 from .vectorfield import FlowError, field_values, lie_bracket
 
@@ -201,8 +201,9 @@ _register(
     Fact("orbit-dims", "published",
          "orbit dimensions at the nine representative points are "
          "(0,1,1,1,1,2,2,2,2)",
-         _equals((0, 1, 1, 1, 1, 2, 2, 2, 2), lambda ctx: tuple(sampled_orbit_dimensions(
-             ctx.family, _NINE_POINTS, [ctx.sampler(i) for i in range(len(_NINE_POINTS))])))),
+         _equals((0, 1, 1, 1, 1, 2, 2, 2, 2), lambda ctx: tuple(
+             s.dimension for s in sampled_orbits(ctx.family, _NINE_POINTS, [
+                 ctx.sampler(i) for i in range(len(_NINE_POINTS))])))),
     Fact("sign-pattern", "published",
          "200 seeded words per point never change the sign pattern",
          _nine_orbit_signs),
@@ -339,7 +340,7 @@ _register(
          _equals((1, 1, 2), lambda ctx: _lie_ranks(ctx.family, _FLAT_POINTS))),
     Fact("orbit-dims", "published",
          "sampled orbit dimension is 2 at all three points",
-         _equals((2, 2, 2), lambda ctx: tuple(sampled_orbit_dimensions(
+         _equals((2, 2, 2), lambda ctx: tuple(s.dimension for s in sampled_orbits(
              ctx.family, _FLAT_POINTS, [_flat_sampler(ctx, 10 + i) for i in range(3)])))),
     Fact("chow-gap", "published",
          "the bracket sufficiency test fails at the cap although the "
@@ -515,8 +516,7 @@ field X2 = (0, 1) on x1 > -1
 
 
 def _half_plane_dims(ctx):
-    r_out = sampled_orbit(ctx.family, (2, 0), ctx.sampler(5))
-    r_in = sampled_orbit(ctx.family, (0, 0), ctx.sampler(6))
+    r_out, r_in = sampled_orbits(ctx.family, [(2, 0), (0, 0)], [ctx.sampler(5), ctx.sampler(6)])
     ok = r_out.dimension == 1 and r_in.dimension == 2 and r_out.words_skipped > 0
     return _result(ok,
                    "orbit dimension 1 at (2,0) (with skipped words reported) "

@@ -14,7 +14,7 @@ from vfkit import fields
 from vfkit.cli import main
 from vfkit.expr import parse
 from vfkit.vectorfield import DomainPredicate, VectorField, field_values
-from vfkit.liealg import ideal_vectors, time_extended, word_vectors
+from vfkit.liealg import word_vectors, zero_time_ladder
 from vfkit.linalg import span_rank
 
 
@@ -63,12 +63,11 @@ def lie_rank(family, point, depth_cap=6):
 
 def fixed_time_ranks(family, point, depth_cap=6):
     """(rank of the zero-time ideal, rank of the Lie algebra) at the point:
-    the ladder's rank of the vectors that ``liealg.ideal_vectors`` reads from
-    the time-extended family's words at (point, 0) at the cap, and the rank
-    of those words with their last coordinate dropped."""
-    extended, start = time_extended(family), [(*point, 0)]
-    *_, (_, (words,), (ideal,)) = word_vectors(extended, field_values(extended, start), start,
-                                               depth_cap, ideal_vectors)
+    the rank at the cap of ``liealg.zero_time_ladder``, which ranks the
+    time-extended family's words at (point, 0), and the rank of those words
+    with their last coordinate dropped."""
+    ladder = zero_time_ladder(family, field_values(family, [point]), [point], depth_cap)
+    *_, (_, (words,), (ideal,)) = ladder
     return ideal, span_rank([w[:-1] for w in words])
 
 

@@ -23,7 +23,7 @@ from vfkit.fields import (
     pushforward_along_words,
 )
 from vfkit.liealg import filtration, time_extended
-from vfkit.orbits import WordSampler, fixed_time_dimension, orbit_dimension, sampled_orbit
+from vfkit.orbits import WordSampler, fixed_time_dimension, orbit_dimension, sampled_orbits
 from vfkit.presets import PRESETS
 from vfkit.systems import parse_system
 from vfkit.vectorfield import (
@@ -819,7 +819,7 @@ class TestStackedWalk:
         assert err.value.step == 1
         with pytest.raises(IntegrationError, match="non-finite"):
             _pushed(family, [(1, 0.1)], family, (1.0, 0.0))
-        report = sampled_orbit(family, (0.5, 0.0), WordSampler(seed=1, count=40))
+        (report,) = sampled_orbits(family, [(0.5, 0.0)], [WordSampler(seed=1, count=40)])
         assert report.words_skipped > 0
         assert report.words_used + report.words_skipped == 40
 

@@ -149,6 +149,26 @@ def test_only_caches_the_benchmark_clears():
     assert calls == []
 
 
+# The only code outside the flow layer that names its pushforward walks:
+# every sampled orbit is the one walk ``orbits.sampled_orbits``, and the
+# flow-box chart pushes its frame along its own tangent words.
+PUSHFORWARD_WALKS = {"pushforward_along_words", "pushforward_along_word"}
+PUSHFORWARD_USERS = {("orbits.py", "sampled_orbits"), ("frobenius.py", "flow_box_chart")}
+
+
+def test_one_sampled_walk():
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                name = node.name if isinstance(node, ast.alias) else _default_name(node)
+                if name in PUSHFORWARD_WALKS:
+                    users.add((path.name, getattr(top, "name", f"line {top.lineno}")))
+    assert users == PUSHFORWARD_USERS
+
+
 def test_benchmark_clears_every_cache():
     tree = ast.parse(RUN_PY.read_text(encoding="utf-8"))
     clear = next(node for node in ast.walk(tree)

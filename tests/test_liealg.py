@@ -315,7 +315,7 @@ class TestFixedTimeIdeal:
                 assert self.ranks(fam, p, tmp_path)[2] in (0, 1)
         # an ideal ranked on a family whose only word is d/dt has rank 0,
         # so codim 2 at shear's origin
-        monkeypatch.setattr(cli, "time_extended",
+        monkeypatch.setattr(liealg, "time_extended",
                             lambda family: time_extended([vf("Z", ["0", "0"], 2)]))
         code, report = lie_fixed_time_ideal(shear, (0, 0), tmp_path)
         assert (code, report["status"]) == (cli.EXIT_NUMERIC, "numeric-failure")

@@ -19,8 +19,7 @@ from vfkit.orbits import (
     fixed_time_dimension,
     nagano_certified,
     orbit_dimension,
-    sampled_orbit,
-    sampled_orbit_dimensions,
+    sampled_orbits,
     zero_sum_words,
 )
 from vfkit.linalg import FLOW_REL_TOL, affine_rank, svd_rank
@@ -233,8 +232,8 @@ class TestOrbitDimension:
 
     def test_determinism_of_report(self, diag):
         # orbit_dimension walks no word on diag (Nagano), so compare the sampler
-        a = sampled_orbit(diag, (1, 1), WordSampler(seed=11, count=50))
-        b = sampled_orbit(diag, (1, 1), WordSampler(seed=11, count=50))
+        (a,) = sampled_orbits(diag, [(1, 1)], [WordSampler(seed=11, count=50)])
+        (b,) = sampled_orbits(diag, [(1, 1)], [WordSampler(seed=11, count=50)])
         assert a == b and len(a.vectors) > 2
 
 
@@ -278,46 +277,55 @@ def walked(monkeypatch):
     return sizes
 
 
+def every_word_rank(family, point, sampler):
+    """The span rank of the generator values at the point and of their
+    pushforwards along every word of the sampler, walked in one call."""
+    words = sampler.words(len(family))
+    pushed = fields.pushforward_along_words(family, words, [family] * len(words),
+                                            [point] * len(words))
+    vectors = [fields.value_float(X, point) for X in family if X.domain.contains(point)]
+    vectors += [v for vs in pushed if not isinstance(vs, FlowError) for v in vs if v is not None]
+    return svd_rank(vectors, FLOW_REL_TOL)
+
+
 class TestDimensionOnly:
     @pytest.mark.parametrize("name", CLOSED_FORM_PLANE)
     def test_same_dimension_as_every_word(self, name):
+        # no word after rank n raises it, so stopping there keeps the dimension
         family = list(parse_system(PRESETS[name].system_text).fields)
         grid = [(Fraction(i, 2), Fraction(j, 2)) for i in (-2, 0, 1) for j in (-1, 2)]
         for p, seed in itertools.product(grid, (0, 1)):
             s = WordSampler(seed=seed, count=60, max_len=8, max_time=1.5)
-            try:
-                full = sampled_orbit(family, p, s).dimension
-            except DomainExitError:
-                (err,) = sampled_orbit_dimensions(family, [p], [s])
-                assert isinstance(err, DomainExitError)
+            (walk,) = sampled_orbits(family, [p], [s])
+            if isinstance(walk, DomainExitError):
+                assert not any(X.domain.contains(p) for X in family), p
                 continue
-            assert sampled_orbit_dimensions(family, [p], [s]) == [full], p
+            assert walk.dimension == every_word_rank(family, p, s), p
 
     def test_stops_once_the_rank_is_full(self, walked):
         family = parse_system(PRESETS["one-sided-flat"].system_text).fields
         s = WordSampler(seed=30, count=400, max_len=8, max_time=1.5)
-        assert sampled_orbit_dimensions(family, [(-1, 0)], [s]) == [2]
+        assert sampled_orbits(family, [(-1, 0)], [s])[0].dimension == 2
         assert walked == [FIRST_WORDS]
 
     def test_walks_every_word_below_full_rank(self, flat, walked):
         # short words never leave x1 <= 0, where the orbit looks 1-D
         s = WordSampler(seed=0, count=200)
-        assert sampled_orbit_dimensions(flat, [(-3, 0)], [s]) == [1]
+        (walk,) = sampled_orbits(flat, [(-3, 0)], [s])
+        assert (walk.dimension, walk.words_used + walk.words_skipped) == (1, 200)
         assert walked == [FIRST_WORDS, 200 - FIRST_WORDS]
         walked.clear()
-        assert sampled_orbit(flat, (-3, 0), s).dimension == 1
-        assert walked == [200]
+        assert orbit_dimension(flat, (-3, 0), s).dimension == 1
+        assert walked == [FIRST_WORDS, 200 - FIRST_WORDS]
 
     def test_every_word_exits(self, vf, walked):
         # a strip too thin for any sampled step: the generator value at the
         # point is the only vector, and every word counts as skipped
         strip = [vf("X", ["1", "0"], 2, [(1, ">", 0), (1, "<", Fraction(1, 10**9))])]
         p = (Fraction(1, 2 * 10**9), 0)
-        s = WordSampler(seed=0, count=50)
-        full = sampled_orbit(strip, p, s)
-        assert (full.dimension, full.words_used, full.words_skipped) == (1, 0, 50)
-        assert sampled_orbit_dimensions(strip, [p], [s]) == [1]
-        assert walked == [50, FIRST_WORDS, 50 - FIRST_WORDS]
+        (walk,) = sampled_orbits(strip, [p], [WordSampler(seed=0, count=50)])
+        assert (walk.dimension, walk.words_used, walk.words_skipped) == (1, 0, 50)
+        assert walked == [FIRST_WORDS, 50 - FIRST_WORDS]
 
 
 class TestWordsEvaluatedOnce:
@@ -369,7 +377,7 @@ class TestNagano:
 
     def test_fixed_time_reads_the_orbit_from_the_filtration(self, cubic, monkeypatch):
         calls = []
-        monkeypatch.setattr(orbits, "sampled_orbit_dimensions", lambda *a: calls.append(a))
+        monkeypatch.setattr(orbits, "sampled_orbits", lambda *a: calls.append(a))
         rep = fixed_time_dimension(cubic, (Fraction(1, 4), Fraction(1, 2)), 0.3,
                                    WordSampler(seed=2, count=20, max_len=4))
         assert rep.orbit_dimension_at_reached == 2 and calls == []
@@ -382,9 +390,8 @@ class TestNagano:
         for fam, filt in families:
             n = fam[0].dim
             grid = [p for p in itertools.product((-1, 0, 1), repeat=n)]
-            for p in grid:
-                sampled = sampled_orbit(fam, p, sampler).dimension
-                assert sampled <= lie_rank(fam, p), (fam, p)
+            for p, s in zip(grid, sampled_orbits(fam, grid, [sampler] * len(grid))):
+                assert s.dimension <= lie_rank(fam, p), (fam, p)
 
     def test_flat_restricted_and_divided_families_sample(self, flat, partial, vf):
         divided = [vf("X", ["1/(1+x1^2)", "0"], 2)]
@@ -576,7 +583,7 @@ class TestZeroTimeIdeal:
         sampler = WordSampler(seed=0, count=30)
         rep = fixed_time_dimension([U], p, 0.5, sampler)
         assert (rep.dimension, rep.ideal_rank, rep.certificate) == (0, 0, "sampled")
-        s = sampled_orbit([U], rep.reached, sampler)
+        (s,) = sampled_orbits([U], [rep.reached], [sampler])
         diffs = np.array(s.vectors[1:]) - np.array(s.vectors[0])
         assert 0 < np.abs(diffs).max() < 1e-9
         # ranked against the largest difference, the noise would count
@@ -589,9 +596,9 @@ class TestZeroTimeIdeal:
         assert len(families) >= 14
         sampler = WordSampler(seed=21, count=12, max_len=3, max_time=0.4)
         for fam, filt in families:
-            for p in itertools.product((-1, 0, 1), repeat=fam[0].dim):
-                sampled = affine_rank(sampled_orbit(fam, p, sampler).vectors, FLOW_REL_TOL)
-                assert sampled <= fixed_time_ranks(fam, p)[0], (fam, p)
+            grid = list(itertools.product((-1, 0, 1), repeat=fam[0].dim))
+            for p, s in zip(grid, sampled_orbits(fam, grid, [sampler] * len(grid), affine_rank)):
+                assert s.dimension <= fixed_time_ranks(fam, p)[0], (fam, p)
 
     def test_ranked_at_the_start(self):
         # the rank is taken at the start (p, 0), not at the point the seed
@@ -978,8 +985,8 @@ HALF_STEP_GRID = [(Fraction(i, 2), Fraction(j, 2)) for i in range(-2, 3) for j i
 
 
 class TestManyPoints:
-    """``sampled_orbit_dimensions`` walks all its points together, and each
-    point keeps the dimension, vectors and counts of its own walk."""
+    """``sampled_orbits`` walks all its points together, and each point
+    keeps the dimension, vectors and counts of its own walk."""
 
     @pytest.mark.parametrize("name, points, sampler", [
         ("nine-orbits", NINE, lambda i: WordSampler(seed=11 + i)),
@@ -993,14 +1000,12 @@ class TestManyPoints:
     def test_bits_of_one_point_walks(self, name, points, sampler):
         family = preset_family(name)
         samplers = [sampler(i) for i in range(len(points))]
-        together = orbits._sample_orbits(family, points, samplers, (FIRST_WORDS, None))
-        dims = sampled_orbit_dimensions(family, points, samplers)
-        for p, s, both, dim in zip(points, samplers, together, dims):
-            (alone,) = orbits._sample_orbits(family, [p], [s], (FIRST_WORDS, None))
+        together = sampled_orbits(family, points, samplers)
+        for p, s, both in zip(points, samplers, together):
+            (alone,) = sampled_orbits(family, [p], [s])
             assert (both.dimension, both.words_used, both.words_skipped) == (
                 alone.dimension, alone.words_used, alone.words_skipped), p
             assert np.array(both.vectors).tobytes() == np.array(alone.vectors).tobytes(), p
-            assert [dim] == [both.dimension] == sampled_orbit_dimensions(family, [p], [s])
 
     def test_chow_marks_a_point_without_generators(self, vf):
         # no generator is defined at (1, 0); at (-1, 0) the rank is 1
@@ -1010,15 +1015,15 @@ class TestManyPoints:
                            orbit_sampler=WordSampler(seed=0, count=20))
         assert rep.failing_samples == ((-1, 0), (1, 0))
         assert rep.sampled_orbit_dims == (1, -1)
-        (err,) = sampled_orbit_dimensions(family, [(1, 0)], [WordSampler(seed=0)])
+        (err,) = sampled_orbits(family, [(1, 0)], [WordSampler(seed=0)])
         assert isinstance(err, DomainExitError)
 
 
 @pytest.mark.parametrize("entry, bounded", [
-    ("orbit_dimension", False), ("sampled_orbit_dimensions", False),
-    ("sampled_orbit_dimensions", True), ("sampled_orbit", True), ("fixed_time_dimension", False),
-], ids=["orbit_dimension", "sampled_orbit_dimensions", "sampled_orbit_dimensions-domain-bounded",
-        "sampled_orbit-domain-bounded", "fixed_time_dimension"])
+    ("orbit_dimension", False), ("sampled_orbits", False), ("sampled_orbits", True),
+    ("fixed_time_dimension", False),
+], ids=["orbit_dimension", "sampled_orbits", "sampled_orbits-domain-bounded",
+        "fixed_time_dimension"])
 def test_point_of_another_dimension_is_rejected(vf, entry, bounded):
     # on a domain bounded by x3 < 1, a 2-coordinate point has no x3 to compare
     x3_below_1 = [(3, "<", Fraction(1))]
@@ -1030,8 +1035,7 @@ def test_point_of_another_dimension_is_rejected(vf, entry, bounded):
     sampler = WordSampler(seed=0)
     call = {"orbit_dimension": lambda: orbit_dimension(family, point, sampler),
             "fixed_time_dimension": lambda: fixed_time_dimension(family, point, 0.5, sampler),
-            "sampled_orbit_dimensions": lambda: sampled_orbit_dimensions(family, [point], [sampler]),
-            "sampled_orbit": lambda: sampled_orbit(family, point, sampler)}[entry]
+            "sampled_orbits": lambda: sampled_orbits(family, [point], [sampler])}[entry]
     with pytest.raises(ValueError, match=f"has {len(point)} coordinates, the fields have "
                                          f"{len(point) + 1}"):
         call()

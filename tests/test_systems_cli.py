@@ -12,7 +12,7 @@ jsonschema = pytest.importorskip("jsonschema")
 from vfkit import cli, fields, liealg, membership, vectorfield
 from vfkit.cli import MAX_LEN_CAP, WORDS_CAP, main
 from vfkit.linalg import FLOW_REL_TOL, VALUE_REL_TOL
-from vfkit.orbits import WordSampler
+from vfkit.orbits import FIRST_WORDS, WordSampler
 from vfkit.presets import PRESETS
 from vfkit.systems import (
     GRID_POINTS_CAP,
@@ -24,6 +24,7 @@ from vfkit.systems import (
     parse_target,
 )
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SHEAR = """\
 system shear dim 2
 # a comment line
@@ -193,7 +194,26 @@ class TestCli:
         code, out = run_cli(capsys, "rank", "--system", shear_file,
                             "--grid", "x1=-1:1:1/2,x2=0:0:1", "--format", "csv")
         assert code == 0
-        assert "0;0,1,singular" in out
+        assert out == ("point,rank,class\n-1;0,2,regular\n-1/2;0,2,regular\n"
+                       "0;0,1,singular\n1/2;0,2,regular\n1;0,2,regular\n")
+
+    def test_orbit_csv(self, capsys, shear_file, tmp_path):
+        # one row per vector under a header: none for an exact orbit, the
+        # golden report's vectors for a sampled one; a fixed-time orbit has
+        # no rows, so its CSV form is the JSON report
+        code, out = run_cli(capsys, "orbit", "--system", shear_file, "--point", "1/2,3/4",
+                            "--format", "csv")
+        assert (code, out) == (0, "v0,v1\n")
+        path = tmp_path / "one-sided-flat.vf"
+        path.write_text(PRESETS["one-sided-flat"].system_text)
+        code, out = run_cli(capsys, "orbit", "--system", str(path), "--point=-1/2,1/2",
+                            "--seed", "7", "--format", "csv")
+        golden = json.loads(open(os.path.join(GOLDEN, "one-sided-flat-orbit.json")).read())["results"]
+        assert code == 0 and out.startswith("v0,v1\n1.0,0.0\n0.0,0.0\n")
+        assert out == "v0,v1\n" + "".join(f"{x},{y}\n" for x, y in golden["vectors"])
+        code, out = run_cli(capsys, "orbit", "--system", shear_file, "--point", "1/2,3/4",
+                            "--fixed-time", "1/2", "--format", "csv")
+        assert code == 0 and json.loads(out)["results"]["certificate"] == "bracket-rank"
 
     def test_usage_error(self, capsys, shear_file):
         code, _ = run_cli(capsys, "rank", "--system", shear_file)
@@ -987,15 +1007,16 @@ field X2 = (x1^2+x2^2, 0, 1)
 
 
 @pytest.mark.parametrize("text,opts,counts", [
-    (BLOW, ("--point=2,1,0", "--max-time", "1"), (3, 128, 72)),
-    (BLOW, ("--point=3,2,0", "--max-time", "1.5", "--max-len", "8"), (3, 65, 135)),
+    (BLOW, ("--point=2,1,0", "--max-time", "1"), (3, 19, 13)),
+    (BLOW, ("--point=3,2,0", "--max-time", "1.5", "--max-len", "8"), (3, 12, 20)),
     (PRESETS["isolated-leaf"].system_text,
-     ("--point=2,1,-1", "--max-time", "1.5", "--max-len", "8"), (3, 200, 0)),
+     ("--point=2,1,-1", "--max-time", "1.5", "--max-len", "8"), (3, 32, 0)),
 ], ids=["blow-1", "blow-2", "isolated-leaf"])
 def test_sampled_orbit_counts_through_blow_up_words(capsys, tmp_path, text, opts, counts):
     # at depth 1 the bracket rank is 2, so the orbit is sampled; along X2,
     # x1' = x1^2 + x2^2 blows up in finite time, and the words whose flows
-    # blow up are skipped
+    # blow up are skipped; rank 3 after the first FIRST_WORDS words ends
+    # the walk
     path = tmp_path / "family.vf"
     path.write_text(text)
     code, out = run_cli(capsys, "orbit", "--system", str(path), *opts, "--depth", "1",
@@ -1003,6 +1024,21 @@ def test_sampled_orbit_counts_through_blow_up_words(capsys, tmp_path, text, opts
     res = json.loads(out)["results"]
     assert code == 0
     assert (res["dimension"], res["words_used"], res["words_skipped"]) == counts
+
+
+def test_sampled_orbit_stops_at_full_rank(capsys, tmp_path, monkeypatch):
+    # the one-sided-flat orbit golden: the rank is 2 after the first
+    # FIRST_WORDS words, and no later word can raise it (an orbit is a
+    # submanifold of R^n), so no later word is walked
+    walks = spy(monkeypatch, fields, "pushforward_along_words")
+    path = tmp_path / "one-sided-flat.vf"
+    path.write_text(PRESETS["one-sided-flat"].system_text)
+    code, out = run_cli(capsys, "orbit", "--system", str(path), "--point=-1/2,1/2",
+                        "--seed", "7", "--format", "json")
+    res = json.loads(out)["results"]
+    assert (code, res["dimension"], res["certificate"]) == (0, 2, "sampled")
+    assert [len(words) for _, words, _, _ in walks] == [FIRST_WORDS]
+    assert res["words_used"] + res["words_skipped"] == FIRST_WORDS
 
 
 # -- the one-pass JSON writer ---------------------------------------------------------
