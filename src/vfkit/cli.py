@@ -64,18 +64,11 @@ MAX_LEN_CAP = 32
 
 
 def _jsonable(x):
-    np = sys.modules.get("numpy")  # a numpy value exists only once numpy is loaded
-    if isinstance(x, bool):
-        return x
     if isinstance(x, Fraction):
         return str(x) if x.denominator != 1 else int(x)
-    if isinstance(x, float) or np and isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, int) or np and isinstance(x, np.integer):
-        return int(x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)) or np and isinstance(x, np.ndarray):
+    if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     return x
 
@@ -87,16 +80,16 @@ _JSON_LEAVES = {
     bool: lambda b: "true" if b else "false",
     int: int.__repr__,
     float: lambda x: ("NaN" if x != x else "Infinity" if x == math.inf
-                      else "-Infinity" if x == -math.inf else repr(x)),
+                      else "-Infinity" if x == -math.inf else float.__repr__(x)),
     Fraction: lambda q: (str(q.numerator) if q.denominator == 1
                          else encode_basestring_ascii(str(q))),
 }
 
 
-def _write_json(x, np, out, indent="\n"):
+def _write_json(x, out, indent="\n"):
     """Append ``json.dumps(_jsonable(x), sort_keys=True, indent=2)``'s text
     to ``out`` in one pass (json's indenting encoder is pure Python, on a
-    ``_jsonable`` copy); ``np`` is numpy once it is loaded, else None."""
+    ``_jsonable`` copy)."""
     leaf = _JSON_LEAVES.get(type(x))
     if leaf is not None:
         out.append(leaf(x))
@@ -107,17 +100,17 @@ def _write_json(x, np, out, indent="\n"):
         sep = "{" + inner
         for k in sorted(items):
             out += (sep, encode_basestring_ascii(k), ": ")
-            _write_json(items[k], np, out, inner)
+            _write_json(items[k], out, inner)
             sep = "," + inner
         out.append(indent + "}" if items else "{}")
-    elif isinstance(x, (list, tuple)) or np and isinstance(x, np.ndarray):
+    elif isinstance(x, (list, tuple)):
         sep = "[" + inner
         for v in x:
             out.append(sep)
-            _write_json(v, np, out, inner)
+            _write_json(v, out, inner)
             sep = "," + inner
-        out.append(indent + "]" if len(x) else "[]")
-    else:  # a subclass of a leaf type, or a numpy scalar
+        out.append(indent + "]" if x else "[]")
+    else:  # a subclass of a leaf type
         y = _jsonable(x)
         kind = next((k for k in (str, float, int) if isinstance(y, k)), None)
         if kind is None:
@@ -135,7 +128,7 @@ def _emit(report, fmt, stream=None, csv_rows=None):
         stream.writelines(",".join(map(str, row)) + "\n" for row in csv_rows)
     else:
         out = []
-        _write_json(report, sys.modules.get("numpy"), out)
+        _write_json(report, out)
         stream.write("".join(out) + "\n")
 
 

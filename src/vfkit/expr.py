@@ -807,9 +807,8 @@ def _product(a, b, n):
 
 def _quotient(num, den, n):
     if isinstance(num, dict) and isinstance(den, dict) and den:
-        q = _poly_exact_divide(num, den)
-        if q is not None:
-            return q
+        q = _poly_exact_divide(num, den)  # ``divide`` would try it again
+        return q if q is not None else _expr(num, n) * _expr(den, n).int_pow(-1)
     return divide(_expr(num, n), _expr(den, n))
 
 

@@ -35,10 +35,9 @@ point and each a row of arrays, position by position, the live rows of
 each field index in one stacked step.  A closed-form group steps
 end = E p + c and V <- E V: E = I + t DX(p) for a straight field, only the
 entries of X and DX not identically zero evaluated (a constant field keeps
-V), and E, c from the exponential of t M for an affine one, so each row has
-the bits of a one-word walk.  A scaling field's exponential is one
-vectorised ``np.exp`` of the diagonal of t M; a nilpotent one takes one
-stacked ``expm``, its finite Taylor sum.  An ODE group takes one
+V), and E, c from one stacked ``expm`` of t M for an affine one (``np.exp``
+of a scaling's diagonal, a nilpotent one's finite Taylor sum), so each row
+has the bits of a one-word walk.  An ODE group takes one
 ``solve_ivp`` over its rows [x, V]: each row has its own time, step,
 acceptance by a max-norm error per component, right-hand-side budget, box
 check of the whole row (point and matrix) at every accepted step and
@@ -93,7 +92,6 @@ class _Flow(NamedTuple):
     comps: tuple  # compiled components: list of floats -> float
     eye: np.ndarray  # n x n identity, for the straight step's Jacobian
     M: Optional[np.ndarray] = None  # affine x' = Ax + b: [[A, b], [0, 0]]
-    diagonal: Optional[np.ndarray] = None  # scaling (M diagonal): M's diagonal
     batch: Optional[Callable] = None  # ODE: (m, n), c -> (m, c): X, then DX row-major
     const: Optional[np.ndarray] = None  # straight with DX = 0: the constant X
     # straight: (c, closure) of the entries not identically zero, X then DX row-major
@@ -124,9 +122,8 @@ def _flow_kind(X):
             for mono, c in poly_coeff_dict(comp, n).items():
                 M[i, mono.index(1) if any(mono) else n] = float(c)
         M.flags.writeable = False
-        scaling = not M[~np.eye(n + 1, dtype=bool)].any()
-        if scaling or (X.domain.is_full and _nilpotent(M)):
-            return _Flow("affine", comps, eye, M, np.diagonal(M) if scaling else None)
+        if not M[~np.eye(n + 1, dtype=bool)].any() or (X.domain.is_full and _nilpotent(M)):
+            return _Flow("affine", comps, eye, M)
     if X.is_polynomial():
         batch = _poly_batch(X.components + sum(J, ()), n)
     else:
@@ -181,27 +178,27 @@ def _nilpotent(A):
 
 def expm(A):
     """The exponential of every n x n matrix in A (any leading shape), each on
-    its own, for the t M of closed-form affine flows: the finite Taylor sum,
-    over k < n of A^k / k!, of an A that ``_nilpotent`` accepts, and
-    ``np.exp`` of the diagonal of a diagonal A.  A matrix with a non-finite
-    entry gives NaNs; any other matrix raises ValueError."""
+    its own, for the t M of closed-form affine flows: ``np.exp`` of the
+    diagonal of a diagonal A, and the finite Taylor sum, over k < n of
+    A^k / k!, of any other A that ``_nilpotent`` accepts.  A matrix with a
+    non-finite entry gives NaNs; any other matrix raises ValueError."""
     shape, n = np.shape(A), np.shape(A)[-1]
     A = np.asarray(A, dtype=float).reshape(-1, n, n)
     out, eye = np.full(A.shape, np.nan), np.eye(n)
     finite = np.isfinite(A).all(axis=(1, 2))
-    nil = finite & _nilpotent(A)
-    if nil.any():
-        N = A[nil]
+    diag = finite & ~A[:, eye == 0].any(axis=1)
+    out[diag] = np.where(eye == 1, np.exp(A[diag]), 0.0)
+    rest = finite & ~diag
+    if rest.any():
+        N = A[rest]
+        if not _nilpotent(N).all():
+            raise ValueError("expm takes only matrices that a reordering of the coordinates "
+                             "makes strictly triangular or diagonal")
         term, total = N, eye + N
         for k in range(2, n):
             term = term @ N / k
             total = total + term
-        out[nil] = total
-    diag = finite & ~nil & ~A[:, eye == 0].any(axis=1)
-    if (finite & ~nil & ~diag).any():
-        raise ValueError("expm takes only matrices that a reordering of the coordinates "
-                         "makes strictly triangular or diagonal")
-    out[diag] = np.where(eye == 1, np.exp(A[diag]), 0.0)
+        out[rest] = total
     return out.reshape(shape)
 
 
@@ -378,12 +375,7 @@ def _step_group(X, ts, rows, P, V):
         return failed
     E = None  # the identity
     if kind.kind == "affine":
-        if kind.diagonal is not None and np.isfinite(ts).all():
-            # every t M is diagonal, so its exponential is exp of its diagonal
-            F = np.zeros((len(ts), n + 1, n + 1))
-            F[:, range(n + 1), range(n + 1)] = np.exp(kind.diagonal * ts[:, None])
-        else:
-            F = expm(kind.M * ts[:, None, None])  # [[E, c], [0, 1]]
+        F = expm(kind.M * ts[:, None, None])  # [[E, c], [0, 1]]
         E = F[:, :n, :n]
         end = (E @ p[:, :, None])[:, :, 0] + F[:, :n, n]
     elif kind.const is not None:

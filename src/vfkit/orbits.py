@@ -15,14 +15,15 @@ to a rank ladder at any number of points (``liealg.word_vectors``, where a
 point at full rank takes no deeper word) and stops at the first depth where
 every point's rank is exact; else, for a family analytic on all of R^n (no
 other is Nagano-certified), it runs the module search (``liealg.certify``)
-once, at the cap.
+once, at the cap.  ``orbit_dimension`` and ``fixed_time_dimension`` rank a
+float coordinate as the Fraction it equals (``_exact``).
 ``orbit_dimensions`` reads the certified rank, else samples every uncertified
 point in one walk, for ``frobenius``.
 A fixed-time orbit is a slice t = const of an orbit of the time-extended
 family Y (``liealg.time_extended``), so its dimension is the rank of
 Lie(Y) minus 1, read once by the same rule from the zero-time ideal's
-ladder on Y at the start (p, 0) (``liealg.zero_time_ladder``), exactly
-where p is (Y's ``"nagano"`` is reported as ``"zero-time-ideal"``);
+ladder on Y at the start (p, 0) (``liealg.zero_time_ladder``) (Y's
+``"nagano"`` is reported as ``"zero-time-ideal"``);
 dropping the last coordinate of Y's words gives Lie(F)(p) for the orbit
 dimension.  Both hold along Y's orbit, so at the point ``reached`` by the
 seed word too.
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, islice, repeat, tee
 from typing import NamedTuple, Tuple
 
@@ -240,6 +242,13 @@ def _raised(result):
     return result
 
 
+def _exact(point):
+    """The point with each finite float read as the Fraction it equals, for
+    the ranks; walks start from the floats, which these Fractions give back."""
+    return tuple(Fraction(x) if isinstance(x, float) and math.isfinite(x) else x
+                 for x in point)
+
+
 def _analytic(family):
     """Whether every generator is real analytic on all of R^n."""
     return all(X.domain.is_full and all(c.is_analytic() for c in X.components)
@@ -311,15 +320,15 @@ def orbit_dimensions(family, points, ranks, certificates, sampler):
 
 
 def orbit_dimension(family, point, sampler, depth_cap=DEFAULT_DEPTH_CAP):
-    """Orbit dimension at the point, with the bracket-filtration rank there:
-    that rank where ``exact_certificate`` finds it exact, else the sampled
-    dimension (a certified lower bound), whose walk stops at rank n.  Bracket
-    words stop at the first depth whose rank is n, which is then also the
-    rank at the cap."""
-    family = tuple(family)
-    values = field_values(family, [point])
-    _, (linf,), (exact,), _ = exact_ranks(word_vectors(family, values, [point], depth_cap),
-                                          values)
+    """Orbit dimension at the point, with the bracket-filtration rank there
+    (``_exact``): that rank where ``exact_certificate`` finds it exact, else
+    the sampled dimension (a certified lower bound), whose walk stops at
+    rank n.  Bracket words stop at the first depth whose rank is n, which is
+    then also the rank at the cap."""
+    family, exact_point = tuple(family), _exact(point)
+    values = field_values(family, [exact_point])
+    _, (linf,), (exact,), _ = exact_ranks(
+        word_vectors(family, values, [exact_point], depth_cap), values)
     if exact:  # no flow word is walked
         return OrbitTangentReport(tuple(point), linf, (), linf, 0, 0, exact)
     s = _raised(sampled_orbits(family, [point], [sampler])[0])
@@ -370,7 +379,7 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     = 0} + [L, L], so the rank of Y's words minus 1 is the rank of L0(p),
     taken on the vectors that ``liealg.ideal_vectors`` reads from them.  One
     ladder (``liealg.zero_time_ladder``, judged by ``exact_ranks``) walks Y's
-    words at (p, 0), in Fractions where p is: where ``exact_certificate``
+    words at (p, 0), in Fractions (``_exact``): where ``exact_certificate``
     finds that rank exact ("bracket-rank" at n, or at 0 where every X_i(p)
     is exactly zero; Y's "nagano", reported as "zero-time-ideal"), no word
     but the seed is walked.  The orbit dimension
@@ -383,11 +392,11 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     bounds the fixed-time dimension and their span rank the orbit's; the
     walk stops early only at an affine rank of n, which is a span rank of n.
     """
-    family = tuple(family)
-    (base,) = field_values(family, [point])  # the generators' values at p
-    at = tuple(point) if _fixes(base) else tuple(_seed_point(family, point, T))
+    family, exact_point = tuple(family), _exact(point)
+    (base,) = field_values(family, [exact_point])  # the generators' values at p
+    at = tuple(point) if _fixes(base) else tuple(_seed_point(family, point, T).tolist())
     filt, (ideal_rank,), (certificate,), (words,) = exact_ranks(
-        zero_time_ladder(family, [base], [point], depth_cap), [base])
+        zero_time_ladder(family, [base], [exact_point], depth_cap), [base])
     # an exact ideal rank makes the projected rank exact: L0(p) lies in
     # Lie(F)(p), so n there is n here, 0 at a fixed point is 0, and Y's
     # certificate spans Lie(F) too

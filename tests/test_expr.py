@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vfkit import expr
 from vfkit.expr import (
     FLAT_EVAL_EPS,
     ONE,
@@ -222,6 +223,16 @@ def test_parse_matches_expr_arithmetic(text, build):
 def test_a_division_by_a_constant_stays_exact():
     (c, factors), = parse("x1/3", 1).terms
     assert type(c) is Fraction and c == Fraction(1, 3) and factors == var(1).terms[0][1]
+
+
+@pytest.mark.parametrize("num, den", [("x1", "x1+x1*x2"), ("x1+1", "x2+1"), ("x1", "x2")])
+def test_an_inexact_quotient_tries_one_division(monkeypatch, num, den):
+    calls, real = [], expr._poly_exact_divide
+    monkeypatch.setattr(expr, "_poly_exact_divide", lambda *a: calls.append(a) or real(*a))
+    e = parse(f"({num})/({den})", 2)
+    assert len(calls) == 1
+    monkeypatch.setattr(expr, "_poly_exact_divide", real)
+    assert e == divide(parse(num, 2), parse(den, 2))
 
 
 class TestDiff:

@@ -743,7 +743,7 @@ class TestStackedWalk:
             "diagonal-restricted": [vf("X1", ["x1", "0"], 2, [(1, "<", 3 * half)]),
                                     vf("X2", ["0", "x2"], 2, [(2, ">", -half)])],
             "non-diagonal": [vf("X1", ["x2", "1"], 2), vf("N", ["-2*x2+1", "1/2"], 2)],
-            # pure scalings take the closed-form exponential, not expm
+            # pure scalings: expm exponentiates the diagonal of each t M
             "scaling-3d": [vf("S1", ["x1", "0", "-x3"], 3), vf("S2", ["0", "-2*x2", "0"], 3),
                            vf("S3", ["3*x1", "x2", "0"], 3)],
             # strictly upper and strictly lower triangular M
@@ -789,16 +789,17 @@ class TestStackedWalk:
 
     @pytest.mark.parametrize(
         "comps, domain, kind, calls",
-        [(["x1", "-2*x2"], [(1, "<", Fraction(1))], "affine", 0),
+        [(["x1", "-2*x2"], [(1, "<", Fraction(1))], "affine", 1),
          (["x2", "1"], (), "affine", 1), (["1", "x1"], (), "affine", 1),
          (["x1", "-x2+1"], (), "ode", 0), (["x1", "x1+x2"], (), "ode", 0),
          (["-x2", "x1"], (), "ode", 0), (["x2", "1"], [(1, "<", Fraction(1))], "ode", 0)],
         ids=["scaling", "nilpotent", "reordered-nilpotent", "offset", "off-diagonal", "rotation",
              "restricted-nilpotent"])
-    def test_only_non_scaling_groups_call_expm(self, vf, monkeypatch, comps, domain, kind,
-                                               calls):
+    def test_closed_form_affine_groups_call_expm(self, vf, monkeypatch, comps, domain, kind,
+                                                calls):
         # only scalings (on any domain) and nilpotent fields on R^n flow in
-        # closed form: every other affine field is an ODE field
+        # closed form, each group through one stacked expm: every other
+        # affine field is an ODE field, which calls none
         X = vf("X", comps, 2, domain)
         assert fields._flow_kind(X).kind == kind
         made = []
@@ -895,6 +896,19 @@ class TestExpm:
             assert np.array_equal(fields.expm(A[r]), F[r], equal_nan=True), r
             assert np.array_equal(fields.expm(A[r:r + 1]), F[r:r + 1], equal_nan=True), r
         assert np.isfinite(np.delete(F, 5, axis=0)).all()
+
+    def test_diagonal_matrices_skip_the_nilpotent_check(self, monkeypatch):
+        # the diagonal case is decided first: of the diagonal matrices only
+        # the zero matrix is nilpotent too, and its exponential is I either way
+        calls, real = [], fields._nilpotent
+        monkeypatch.setattr(fields, "_nilpotent", lambda A: calls.append(len(A)) or real(A))
+        t = np.array([0.5, -1.5, 0.0, 3.0])
+        F = fields.expm(np.diag([1.0, -2.0, 0.0]) * t[:, None, None])
+        assert calls == []
+        for s, Fs in zip(t.tolist(), F):
+            assert np.array_equal(Fs, np.diag(np.exp(np.array([1.0, -2.0, 0.0]) * s))), s
+        fields.expm(np.stack([np.zeros((3, 3)), DOUBLE_INTEGRATOR_M]))
+        assert calls == [1]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_gives_non_finite_result(self, bad):

@@ -861,6 +861,51 @@ class TestRankFirst:
         assert brackets == []
 
 
+THREE = "system three dim 2\nfield X1 = (x1, 0)\nfield X2 = (0, x2)\nfield X3 = (0, 0)\n"
+
+
+class TestFloatStart:
+    """A float start is ranked at the Fraction it equals, so its x2 = 1e-12
+    beside x1 = 1, which a float rank drops, still counts; every walk starts
+    from the floats as given."""
+
+    @pytest.mark.parametrize("text, fixed", [
+        (THREE, (2, 2, 2, "bracket-rank")),
+        # the hyperbolas x1*x2 = const are the fixed-time orbits
+        (PRESETS["nine-orbits"].system_text, (1, 2, 1, "zero-time-ideal")),
+    ], ids=["three", "nine-orbits"])
+    def test_float_start_ranks_exactly(self, text, fixed):
+        family = list(parse_system(text).fields)
+        p = (1.0, 1e-12)
+        rep = orbit_dimension(family, p, WordSampler(seed=7))
+        assert (rep.dimension, rep.certificate, rep.linf_rank) == (2, "bracket-rank", 2)
+        rep = fixed_time_dimension(family, p, 0.5, WordSampler(seed=7))
+        assert (rep.dimension, rep.orbit_dimension_at_reached, rep.ideal_rank,
+                rep.certificate) == fixed
+        # the seed word flows X1 for 1/2: x1 scales by e^(1/2)
+        assert (rep.start, rep.reached) == (p, (float(np.exp(0.5)), 1e-12))
+
+    def test_reached_holds_python_numbers(self, diag, vf):
+        rep = fixed_time_dimension(diag, (1, 0), 0.5, WordSampler(seed=7, count=20))
+        assert [type(x) for x in rep.reached] == [float, float]
+        # every flow fixes the origin, so the start is the reached point
+        rep = fixed_time_dimension(preset_family("mixed-degree-pair"), (0, 0), 0.5,
+                                   WordSampler(seed=7))
+        assert rep.reached == (0, 0) and [type(x) for x in rep.reached] == [int, int]
+
+    def test_walks_start_from_the_given_floats(self, flat, monkeypatch):
+        seen, real = [], orbits.sampled_orbits
+        monkeypatch.setattr(orbits, "sampled_orbits",
+                            lambda fam, points, *a: seen.append(points) or real(fam, points, *a))
+        p = (-0.5, 0.25)
+        rep = orbit_dimension(flat, p, WordSampler(seed=0, count=10))
+        assert (rep.certificate, rep.point) == ("sampled", p)
+        rep = fixed_time_dimension(flat, p, 0.5, WordSampler(seed=0, count=10))
+        assert rep.certificate == "sampled"
+        assert seen == [[p], [rep.reached]]
+        assert [type(x) for x in seen[0][0]] == [float, float]
+
+
 class TestFixedPoint:
     """Where every generator is defined and exactly zero, every flow fixes
     the point: rank 0 is exact for any smooth family."""

@@ -1070,25 +1070,9 @@ def assert_writes_like_json(report):
 @given(json_reports())
 def test_json_report_text_is_json_dumps_of_jsonable(report):
     assert_writes_like_json(report)
-    # numpy not loaded: no numpy type is looked up
     out = []
-    cli._write_json(report, None, out)
+    cli._write_json(report, out)
     assert "".join(out) == json.dumps(cli._jsonable(report), sort_keys=True, indent=2)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(json_reports(st.one_of(
-    JSON_LEAVES,
-    st.floats(allow_nan=True, width=32).map(np.float32), st.floats().map(np.float64),
-    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
-    st.lists(st.floats(allow_nan=True), max_size=3).map(np.array),
-    st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=3).map(
-        lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), 2)),
-)))
-def test_json_report_text_with_numpy_values(report):
-    # numpy scalars and arrays are written once numpy is loaded, as
-    # _jsonable converts them
-    assert_writes_like_json(report)
 
 
 def test_json_report_text_rejects_what_json_rejects():
