@@ -2,7 +2,17 @@
 
 Left-nested bracket words [X_ik, [..., [X_i2, X_i1]...]] span the whole
 generated Lie algebra, so the filtration enumerates only those, pruning
-symbolic zeros and rational multiples of words already kept.  ``filtration``
+symbolic zeros and rational multiples of words already kept on the same
+domain, and of depth 2 only [X_i, X_j] with i > j: [X_i, X_i] = 0, and
+[X_i, X_j] = -[X_j, X_i] is built earlier in the same depth, from X_i, or
+from X_k where X_i is pruned as c X_k, k < i, so the kept words are those
+of every pair (the first layer of a Hall basis).  Each bracket is one
+``vectorfield.bracket_components`` call on its operands' components,
+exponent maps for a polynomial family, built once per word, and Exprs
+otherwise, each generator's partials taken once, when first read.  One
+key, ``_normal_key``, prunes on both: the terms with coprime integer
+coefficients of a fixed sign, and the domain's constraints as a set.  Only a
+kept word becomes a VectorField, with canonical Exprs.  ``filtration``
 builds the words to the cap, with the free symbolic-closure certificate
 and nothing else.  For polynomial families ``certify`` then attempts a
 stabilization certificate: once every depth-(k+1) word is a degree-bounded
@@ -11,12 +21,11 @@ leave that module, and pointwise ranks are final.  Each depth tried is one
 ``membership.module_contains`` system, whose "no" builds no multipliers and
 whose "yes" is re-verified.  ``vfkit lie`` always certifies; the orbit
 functions only below full rank.
-Brackets of polynomial fields are computed on exponent dicts
-(``vectorfield.lie_bracket``).  Every bracket rank at points is read from one
-ladder, ``word_vectors``: one depth at a time, the filtration built so far
-and, per point, its words' values and rank, each word evaluated once per
-point and none at a point already at full rank, so a caller that needs only
-a rank can stop at the first depth that gives it (``orbits.exact_ranks``).
+Every bracket rank at points is read from one ladder, ``word_vectors``:
+one depth at a time, the filtration built so far and, per point, its
+words' values and rank, each word evaluated once per point and none at a
+point already at full rank, so a caller that needs only a rank can stop at
+the first depth that gives it (``orbits.exact_ranks``).
 Fixed time needs no algebra of its own.  The time-extended family
 ``time_extended``, Y_i = (X_i, 1) on R^n x R, has brackets
 [Y_i, Y_j] = ([X_i, X_j], 0), so at (x, t) its words span
@@ -32,12 +41,13 @@ Involutivity reads the nonzero pairwise brackets, built once by
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .expr import ONE, Expr
-from .vectorfield import VectorField, field_evaluators, field_values, jacobian, lie_bracket
+from .expr import ONE, Expr, poly_coeff_dict, poly_from_coeff_dict
+from .vectorfield import (VectorField, bracket_components, field_evaluators, field_values,
+                          lie_bracket)
 from .linalg import in_span, span_rank
 from .membership import OversizeError, module_contains
 
@@ -73,25 +83,29 @@ class BracketWord:
         return len(self.indices)
 
     def __str__(self):
-        if self.depth == 1:
-            return f"X{self.indices[0] + 1}"
-        inner = str(BracketWord(self.indices[:-1]))
-        return f"[X{self.indices[-1] + 1},{inner}]"
+        text = f"X{self.indices[0] + 1}"
+        for i in self.indices[1:]:
+            text = f"[X{i + 1},{text}]"
+        return text
 
 
-def _normal_key(field_):
-    """Key invariant under nonzero rational rescaling, for duplicate pruning."""
-    for comp in field_.components:
-        if comp.terms:
-            inverse = Fraction(1) / comp.terms[0][0]
-            break
-    else:
+def _normal_key(components, domain):
+    """Key of a field up to nonzero rational rescaling, for duplicate
+    pruning, from its components' (monomial, coefficient) terms: the set of
+    (component, monomial, coefficient), the coefficients brought to coprime
+    integers, the one of the least monomial of the first nonzero component
+    positive, and the set of the domain's constraints; None for the zero
+    field."""
+    terms = [(i, m, c) for i, comp in enumerate(components) for m, c in comp]
+    if not terms:
         return None
-    scaled = tuple(
-        Expr(tuple((c * inverse, f) for c, f in comp.terms)).sort_key()
-        for comp in field_.components
-    )
-    return (scaled, field_.domain.constraints)
+    den = math.lcm(*[c.denominator for _, _, c in terms])
+    ints = [c.numerator * (den // c.denominator) for _, _, c in terms]
+    scale = math.gcd(*ints)
+    if min(t for t in terms if t[0] == terms[0][0])[2] < 0:
+        scale = -scale
+    return (frozenset([(i, m, k // scale) for (i, m, _), k in zip(terms, ints)]),
+            frozenset(domain.constraints))
 
 
 @dataclass
@@ -113,36 +127,48 @@ def _filtration_by_depth(family, depth_cap):
     if depth_cap < 1 or depth_cap > DEPTH_CAP_LIMIT:
         raise LieAlgebraError(f"depth cap must lie in [1, {DEPTH_CAP_LIMIT}]")
 
+    # each word's components as exponent maps for a polynomial family, else
+    # as Exprs, with the terms that the key reads and the Exprs of a kept word
+    if all(g.is_polynomial() for g in family):
+        nv = max([g.dim for g in family] + [c.max_var() for g in family for c in g.components],
+                 default=0)
+        comps = [[poly_coeff_dict(c, nv) for c in g.components] for g in family]
+        terms, exprs = dict.items, lambda cs: tuple(poly_from_coeff_dict(c, nv) for c in cs)
+    else:
+        comps = [g.components for g in family]
+        terms, exprs = Expr.sort_key, tuple
+    partials = [{} for _ in family]  # -d_j X_i per generator, taken when first read
+
     seen = set()
     levels: List[List[Tuple[BracketWord, VectorField]]] = []
-    current = []
+    current, last = [], []  # the kept words of the last depth, and their components
     for i, g in enumerate(family):
-        key = _normal_key(g)
+        key = _normal_key(map(terms, comps[i]), g.domain)
         if key is None or key in seen:
             continue
         seen.add(key)
         current.append((BracketWord((i,)), g))
+        last.append(comps[i])
     levels.append(current)
 
     stabilized_at = None
-    partials = None  # the generators' jacobians, taken at the first bracket depth
     for depth in range(1, depth_cap + 1):
         if depth > 1:
-            if partials is None:
-                # polynomial brackets differentiate on exponent dicts instead
-                polynomial = all(g.is_polynomial() for g in family)
-                partials = [None if polynomial else jacobian(g) for g in family]
-            new_level = []
-            for word, f in levels[-1]:
-                for i, g in enumerate(family):
-                    b = lie_bracket(g, f, partials[i])
-                    key = _normal_key(b)
+            new_level, new_last = [], []
+            for (word, f), fs in zip(levels[-1], last):
+                # of depth 2 only [X_i, X_j] with i > j: see the module docstring
+                for i in range(word.indices[0] + 1 if depth == 2 else 0, len(family)):
+                    b = bracket_components(comps[i], fs, partials[i])
+                    domain = family[i].domain.intersect(f.domain)
+                    key = _normal_key(map(terms, b), domain)
                     if key is None or key in seen:  # zero, or a multiple of a kept word
                         continue
                     seen.add(key)
                     w = BracketWord(word.indices + (i,))
-                    new_level.append((w, VectorField(str(w), b.components, b.domain)))
+                    new_level.append((w, VectorField(str(w), exprs(b), domain)))
+                    new_last.append(b)
             levels.append(new_level)
+            last = new_last
             if not new_level and stabilized_at is None:
                 # every deeper word is zero or a rational multiple of a kept one
                 stabilized_at = depth - 1

@@ -1,6 +1,7 @@
 """Vector fields on R^n, possibly defined only on an open box-like domain,
-and their exact layer, which loads no numpy: ``lie_bracket`` (on exponent
-dicts for polynomial fields, on ``expr.sum_products`` otherwise), and
+and their exact layer, which loads no numpy: ``lie_bracket`` and its one
+kernel ``bracket_components`` (on exponent dicts for polynomial fields, on
+``expr.sum_products`` otherwise), and
 ``field_values`` and ``field_evaluators``, each field's value (exact where
 it can be) at many points, the field compiled once per call.  Flows, and
 ``value_float`` with them, are in ``fields``."""
@@ -16,7 +17,8 @@ from .expr import (Expr, add_poly_product, compile_exact, compile_float, poly_co
                    poly_from_coeff_dict, sum_products)
 
 __all__ = ["DomainPredicate", "VectorField", "FlowError", "DomainExitError", "IntegrationError",
-           "jacobian", "lie_bracket", "field_values", "field_evaluators", "point_text"]
+           "jacobian", "lie_bracket", "bracket_components", "field_values", "field_evaluators",
+           "point_text"]
 
 
 class FlowError(Exception):
@@ -133,48 +135,60 @@ def jacobian(X):
     return tuple(tuple(c.diff(j + 1) for j in range(X.dim)) for c in X.components)
 
 
-def lie_bracket(X, Y, dX=None):
-    """[X, Y] in coordinates, with the intersected domain:
-    [X, Y]_i = sum_j X_j d_j Y_i - Y_j d_j X_i.  When both fields are
-    polynomial this sum runs on exponent-tuple -> coefficient views
-    (``poly_coeff_dict``), otherwise on ``sum_products``, which skips the
-    products whose multiplier X_j or Y_j is zero; either way each component
-    becomes one canonical Expr, sorted once at the end.  ``dX``, X's
-    ``jacobian`` when the caller brackets X with many fields, spares the
-    second sum differentiating X again; without it only the partials of X
-    that the sum reads are taken."""
+def lie_bracket(X, Y):
+    """[X, Y] in coordinates, with the intersected domain: its
+    ``bracket_components`` on exponent-tuple -> coefficient maps
+    (``poly_coeff_dict``), each then one canonical Expr, when both fields are
+    polynomial, else on the Exprs."""
     if X.dim != Y.dim:
         raise ValueError("bracket of fields of different dimensions")
-    n = X.dim
     xs, ys = X.components, Y.components
     if X.is_polynomial() and Y.is_polynomial():
-        comps = _poly_bracket(xs, ys, n)
+        nv = max([X.dim] + [c.max_var() for c in xs + ys])
+        comps = tuple(poly_from_coeff_dict(c, nv) for c in bracket_components(
+            [poly_coeff_dict(c, nv) for c in xs], [poly_coeff_dict(c, nv) for c in ys]))
     else:
-        if dX is None:
-            dX = [[c.diff(j + 1) if ys[j].terms else None for j in range(n)] for c in xs]
-        comps = tuple(
-            sum_products([(xs[j], ys[i].diff(j + 1)) for j in range(n) if xs[j].terms]
-                         + [(-ys[j], dX[i][j]) for j in range(n) if ys[j].terms])
-            for i in range(n))
+        comps = bracket_components(xs, ys)
     return VectorField(f"[{X.name},{Y.name}]", comps, X.domain.intersect(Y.domain))
 
 
-def _poly_bracket(xs, ys, n):
-    """The components of [X, Y] for polynomial components xs and ys,
-    skipping a product whose multiplier component is zero."""
-    nv = max([n] + [c.max_var() for c in xs + ys])
-    X = [poly_coeff_dict(c, nv) for c in xs]
-    Y = [poly_coeff_dict(c, nv) for c in ys]
+def bracket_components(xs, ys, dxs=None):
+    """The components [X, Y]_i = sum_j X_j d_j Y_i - Y_j d_j X_i from X's
+    and Y's: all exponent-tuple -> coefficient maps, summed into maps, or all
+    Exprs, summed by ``sum_products`` into canonical Exprs.  A product whose
+    multiplier X_j or Y_j is zero is skipped, with the partial it would
+    read.  ``dxs`` holds -d_j X_i at (i, j), each taken when first read: a
+    caller that brackets X with many fields passes one dict for all."""
+    dxs = {} if dxs is None else dxs
+    maps = bool(xs) and type(xs[0]) is dict
+    partial = _partial if maps else _expr_partial
+
+    def minus_dx(i, j):
+        d = dxs.get((i, j))
+        if d is None:
+            d = dxs[i, j] = partial(xs[i], j, -1)
+        return d
+
+    live_x = [j for j, x in enumerate(xs) if (x if maps else x.terms)]
+    live_y = [j for j, y in enumerate(ys) if (y if maps else y.terms)]
     comps = []
-    for i in range(n):
-        acc = {}
-        for j in range(n):
-            if X[j]:
-                add_poly_product(acc, X[j], _partial(Y[i], j, 1))
-            if Y[j]:
-                add_poly_product(acc, Y[j], _partial(X[i], j, -1))
-        comps.append(poly_from_coeff_dict(acc, nv))
+    for i in range(len(xs)):
+        pairs = ([(xs[j], partial(ys[i], j, 1)) for j in live_x]
+                 + [(ys[j], minus_dx(i, j)) for j in live_y])
+        if maps:
+            acc = {}
+            for a, b in pairs:
+                add_poly_product(acc, a, b)
+            comps.append(acc)
+        else:
+            comps.append(sum_products(pairs))
     return tuple(comps)
+
+
+def _expr_partial(e, j, sign):
+    """sign * d/dx_(j+1) of an Expr."""
+    d = e.diff(j + 1)
+    return d if sign > 0 else -d
 
 
 def _partial(d, j, sign):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import vfkit
-from vfkit import fields
+from vfkit import fields, vectorfield
 from vfkit.cli import main
 from vfkit.expr import parse
 from vfkit.vectorfield import DomainPredicate, VectorField, field_values
@@ -102,3 +102,19 @@ def flow_steps(monkeypatch):
 
     monkeypatch.setattr(fields, "_step_group", counted)
     return steps
+
+
+def spy_brackets(monkeypatch, record):
+    """Call record(xs, ys) before every bracket [X, Y] that vfkit builds, by
+    ``lie_bracket`` or in a filtration: the one kernel they all call,
+    ``vectorfield.bracket_components``, is rebound at every vfkit module that
+    holds it."""
+    real = vectorfield.bracket_components
+
+    def spy(xs, ys, *dxs):
+        record(xs, ys)
+        return real(xs, ys, *dxs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vfkit.") and vars(module).get("bracket_components") is real:
+            monkeypatch.setattr(module, "bracket_components", spy)

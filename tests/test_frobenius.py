@@ -11,6 +11,8 @@ from vfkit.orbits import WordSampler, orbit_dimension
 from vfkit.presets import PRESETS
 from vfkit.systems import parse_system
 
+from conftest import spy_brackets
+
 
 
 def grid2(step=2):
@@ -175,27 +177,23 @@ class TestBracketsBuiltOnce:
         # one-sided-flat's 25-point grid reaches the orbit comparison, whose
         # ladder builds its own words; the pointwise checks and the module
         # certificate share one bracket per pair
-        inside = []
-        outside = []
-        real_bracket, real_ranks = liealg.lie_bracket, frobenius.exact_ranks
-
-        def bracket(*a):
-            (inside if inside and inside[-1] else outside).append(a)
-            return real_bracket(*a)
+        # the exact_ranks calls open, and the brackets built inside and outside them
+        ranking, inside, outside = [0], [], []
+        real_ranks = frobenius.exact_ranks
 
         def exact_ranks(*a, **kw):
-            inside.append(True)
+            ranking[0] += 1
             try:
                 return real_ranks(*a, **kw)
             finally:
-                inside.pop()
+                ranking[0] -= 1
 
-        monkeypatch.setattr(liealg, "lie_bracket", bracket)
+        spy_brackets(monkeypatch, lambda *a: (inside if ranking[0] else outside).append(a))
         monkeypatch.setattr(frobenius, "exact_ranks", exact_ranks)
         D = Distribution(parse_system(PRESETS["one-sided-flat"].system_text).fields)
         v = frobenius_verdict(D, grid2(), orbit_sampler=WordSampler(seed=0, count=10))
         assert len(v.ranks) == 25 and v.involutive_pointwise
-        assert len(outside) == 1
+        assert len(outside) == 1 and inside
 
 
     def test_no_word_once_every_sample_is_exact(self, monkeypatch, capsys, tmp_path):
@@ -203,8 +201,7 @@ class TestBracketsBuiltOnce:
         # at depth 1 (rank 2, or both generators exactly zero at the origin),
         # so the one pairwise bracket is the only bracket built
         built = []
-        real = liealg.lie_bracket
-        monkeypatch.setattr(liealg, "lie_bracket", lambda g, f: built.append(f) or real(g, f))
+        spy_brackets(monkeypatch, lambda *a: built.append(a))
         path = tmp_path / "mixed-degree-pair.vf"
         path.write_text(PRESETS["mixed-degree-pair"].system_text)
         assert main(["frobenius", "--system", str(path), "--format", "json"]) == 0

@@ -1,15 +1,17 @@
 import itertools
 import json
 import pathlib
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vfkit.expr import Expr, const, parse
-from vfkit.vectorfield import field_values, lie_bracket
+from vfkit.expr import Expr, const, parse, var
+from vfkit.vectorfield import DomainPredicate, VectorField, field_values, lie_bracket
 from vfkit import cli, liealg, linalg, membership
 from vfkit.liealg import (
+    BracketWord,
     LieAlgebraError,
     certify,
     filtration,
@@ -135,18 +137,26 @@ class TestFiltration:
         assert 0 < max(built for built, _ in systems) <= 46
 
     def test_generators_are_differentiated_once_per_filtration(self, monkeypatch):
-        # a depth-8 one-sided-flat filtration takes each generator's 2 x 2
-        # partials once; its non-polynomial brackets then differentiate only
-        # the deeper word (82 calls in all when each bracket differentiated
-        # its generator again)
+        # a depth-8 one-sided-flat filtration keeps one partials dict per
+        # generator, so each generator partial is taken once, when a bracket
+        # first reads it; its non-polynomial brackets otherwise differentiate
+        # only the deeper word: 46 calls in all (71 when each bracket
+        # differentiated its generator again, 54 when every depth-2 pair was
+        # built)
         family = preset_family("one-sided-flat")
-        diffs, jacobians = [], []
-        diff, jacobian = Expr.diff, liealg.jacobian
+        diffs, memos = [], {}
+        diff, bracket = Expr.diff, liealg.bracket_components
         monkeypatch.setattr(Expr, "diff", lambda e, i: diffs.append(e) or diff(e, i))
-        monkeypatch.setattr(liealg, "jacobian", lambda g: jacobians.append(g) or jacobian(g))
+
+        def spy(xs, ys, dxs):
+            memos.setdefault(tuple(xs), set()).add(id(dxs))
+            return bracket(xs, ys, dxs)
+
+        monkeypatch.setattr(liealg, "bracket_components", spy)
         filtration(family, 8)
-        assert jacobians == family
-        assert len(diffs) == 54
+        assert sorted(map(len, memos.values())) == [1, 1]
+        assert set(memos) == {g.components for g in family}
+        assert len(diffs) == 46
 
     def test_by_depth_is_the_filtration_cut_at_each_depth(self, diag, shear):
         # one builder: the ladder's depth-d filtration holds the first d
@@ -371,6 +381,99 @@ class TestGeneratorDuplicates:
         assert [[(str(w), f.components + (const(0),)) for w, f in level]
                 for level in words.levels[1:]] == [
             [(str(w), f.components) for w, f in level] for level in extended.levels[1:]]
+
+
+def all_pairs_reference(family, depth_cap):
+    """(levels, stabilized_at, certificate) of the filtration by its
+    definition, built here: per depth, [X_i, w] for every kept word w of the
+    depth before and every generator X_i, in that order, by ``lie_bracket``,
+    each kept unless it is zero or a rational multiple of a kept word on the
+    same domain, the same set of constraints."""
+    def key(X):
+        lead = next((c.terms[0][0] for c in X.components if c.terms), None)
+        return None if lead is None else (
+            tuple(tuple((f, c / lead) for c, f in comp.terms) for comp in X.components),
+            frozenset(X.domain.constraints))
+
+    seen, levels, stabilized_at = set(), [], None
+    for depth in range(1, depth_cap + 1):
+        built = ([(BracketWord((i,)), g) for i, g in enumerate(family)] if depth == 1 else
+                 [(BracketWord(w.indices + (i,)), lie_bracket(g, f))
+                  for w, f in levels[-1] for i, g in enumerate(family)])
+        level = []
+        for w, b in built:
+            if (k := key(b)) is not None and k not in seen:
+                seen.add(k)
+                level.append((w, b if depth == 1 else VectorField(str(w), b.components, b.domain)))
+        levels.append(level)
+        if depth > 1 and not level and stabilized_at is None:
+            stabilized_at = depth - 1
+    return levels, stabilized_at, None if stabilized_at is None else "symbolic-closure"
+
+
+def random_family(rng):
+    """Up to three polynomial fields on R^n, n <= 3, with rational
+    coefficients, some on a half-space, and now and then a rational multiple
+    of one of them, on its domain or on another."""
+    n = rng.randint(1, 3)
+
+    def poly():
+        e = const(0)
+        for _ in range(rng.randint(0, 3)):
+            term = const(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 2)):
+                term = term * var(rng.randint(1, n))
+            e = e + term
+        return e
+
+    def domain():
+        return DomainPredicate(rng.choice([(), (), ((
+            rng.randint(1, n), rng.choice("<>"), Fraction(rng.randint(-2, 2), 2)),)]))
+
+    family = [VectorField(f"X{i + 1}", tuple(poly() for _ in range(n)), domain())
+              for i in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        X = rng.choice(family)
+        q = const(Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2)))
+        family.append(VectorField(f"X{len(family) + 1}", tuple(q * c for c in X.components),
+                                  rng.choice([X.domain, domain()])))
+    return family
+
+
+class TestAgainstAllPairs:
+    """The filtration builds [X_i, X_j] of depth 2 only for i > j and keys
+    its words on exponent maps; its words, their order, names, components
+    and domains, and its certificate, are those of the definition, every
+    pair bracketed by ``lie_bracket``."""
+
+    def check(self, family, depth_cap):
+        for fam in (family, list(time_extended(family))):
+            filt = filtration(fam, depth_cap)
+            assert (filt.levels, filt.stabilized_at, filt.certificate) == all_pairs_reference(
+                fam, depth_cap)
+
+    def test_random_polynomial_families(self):
+        rng = random.Random(54)
+        for _ in range(150):
+            self.check(random_family(rng), 4)
+
+    @pytest.mark.parametrize("name", ["one-sided-flat", "two-sided-flat"])
+    def test_flat_presets(self, name):
+        family = preset_family(name)
+        assert not all(g.is_polynomial() for g in family)
+        self.check(family, 6)
+
+    def test_lie_prints_one_word_per_pair_on_restricted_domains(self, tmp_path, capsys):
+        # [X1, X2] = -[X2, X1], both on x1 > 0 and x2 > 0 whichever generator
+        # brings which constraint
+        path = tmp_path / "half-planes.vf"
+        path.write_text("system half-planes dim 2\nfield X1 = (1, 0) on x1 > 0\n"
+                        "field X2 = (0, x1) on x2 > 0\n")
+        assert cli.main(["lie", "--system", str(path), "--point=1,1", "--depth", "2",
+                         "--format", "json"]) == 0
+        words = json.loads(capsys.readouterr().out)["results"]["words"]
+        assert [(w["word"], w["components"]) for w in words] == [
+            ("X1", ["1", "0"]), ("X2", ["0", "x1"]), ("[X2,X1]", ["0", "-1"])]
 
 
 ORACLE_CAPS = (2, 4, 6)

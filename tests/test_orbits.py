@@ -8,7 +8,7 @@ import pytest
 
 from vfkit import cli, fields, frobenius, liealg, linalg, orbits, vectorfield
 from vfkit.distributions import Distribution
-from vfkit.expr import parse
+from vfkit.expr import parse, poly_coeff_dict
 from vfkit.fields import DomainExitError, FlowError, apply_word, apply_words
 from vfkit.presets import PRESETS, steer_linear
 from vfkit.systems import parse_system
@@ -24,7 +24,7 @@ from vfkit.orbits import (
 )
 from vfkit.linalg import FLOW_REL_TOL, affine_rank, svd_rank
 
-from conftest import fixed_time_ranks, lie_rank
+from conftest import fixed_time_ranks, lie_rank, spy_brackets
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -775,11 +775,10 @@ class TestRankFirst:
 
     @pytest.fixture
     def brackets(self, monkeypatch):
-        """The name of the inner word of every bracket the filtration builds."""
+        """The inner word of every bracket built, as the components that
+        the bracket kernel reads."""
         inner = []
-        real = liealg.lie_bracket
-        monkeypatch.setattr(liealg, "lie_bracket",
-                            lambda g, f, *dg: inner.append(f.name) or real(g, f, *dg))
+        spy_brackets(monkeypatch, lambda xs, ys: inner.append(ys))
         return inner
 
     def test_full_rank_runs_no_module_search(self, searches, brackets):
@@ -806,8 +805,10 @@ class TestRankFirst:
         p = (Fraction(1, 2), Fraction(3, 16), Fraction(1, 8))
         rep = orbit_dimension(family, p, WordSampler(seed=0))
         assert (rep.dimension, rep.linf_rank, rep.certificate) == (3, 3, "bracket-rank")
-        # every bracket has a generator inside: [X_i, X_j], depth 2
-        assert sorted(brackets) == ["X1", "X1", "X2", "X2"] and searches == []
+        # one bracket, [X2, X1] of depth 2: [X_i, X_i] = 0, and [X1, X2] is
+        # -[X2, X1]
+        assert brackets == [[poly_coeff_dict(c, 3) for c in family[0].components]]
+        assert searches == []
 
     def test_isolated_leaf_slice_is_nagano(self):
         # on x1 = 0 the rank is 2 < n, and symbolic closure certifies it
