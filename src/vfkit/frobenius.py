@@ -1,15 +1,18 @@
 """Integrability verdicts and flow-box integral-manifold charts.
 
-The verdict combines three independent detectors:
+The verdict reads one rank ladder (``liealg.word_vectors``) at the samples,
+as Fractions (``vectorfield.exact_point``), with three detectors:
 
-* a pointwise bracket escaping the fibre at a sample rules integrability
-  out near that sample (integrable implies involutive);
-* a degree-bounded module-involutivity certificate rules it in: the module
-  of sections generated by a real-analytic family on all of R^n is
-  involutive, so the distribution is integrable (Hermann 1962; Nagano
-  1966).  It is tried only for polynomial generators on full domains.  It
-  is the only "yes": rank that looks constant on the samples is no
-  certificate, since the rank may drop between them;
+* a pair bracket escaping the fibre at a sample rules integrability out
+  near it (integrable implies involutive): the ladder's depth 2 adds the
+  pair brackets to the fibre, so a sample fails where its rank grows
+  there, and the first pair value there off the fibre is the witness;
+* a degree-bounded module-involutivity certificate, on the kept depth-2
+  words, rules it in: the module of sections generated by a real-analytic
+  family on all of R^n is involutive, so the distribution is integrable
+  (Hermann 1962; Nagano 1966).  It is tried only for polynomial generators
+  on full domains.  It is the only "yes": rank that looks constant on the
+  samples is no certificate, since the rank may drop between them;
 * otherwise the orbit, which an integral manifold would hold to the
   fibre, is compared to the fibre in three steps: (a) bracket words of
   rank above the fibre rank at a sample rule integrability out for any
@@ -19,8 +22,8 @@ The verdict combines three independent detectors:
   exactly zero there, or, below full rank, a Nagano-certified family), no
   flow can find more; (c) else a sampled orbit dimension above the fibre
   rank rules it out, every such sample sampled in one walk; both are read
-  from ``orbits.orbit_dimensions``.  The bracket words stop at the first
-  depth where every sample's rank is exact, and at full rank sooner.
+  from ``orbits.orbit_dimensions``.  The same ladder goes on to the first
+  depth where every sample's rank is exact, and stops at full rank sooner.
 
 A flow-box chart takes one path whatever its rank m: the flows of a fibre
 basis at the base over a ``CHART_GRID_POINTS``-per-axis grid of times in
@@ -33,15 +36,15 @@ an orbit dimension (from (b) or (c) above) other than m, a degenerate image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import List, Optional, Tuple
+from itertools import chain, product
+from typing import Optional, Tuple
 
 from .distributions import Distribution, fibre_rank, fibre_ranks
-from .liealg import pairwise_brackets, pointwise_witnesses, word_vectors
-from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, orthogonal_residual, svd_rank
+from .liealg import word_vectors
+from .linalg import FLOW_REL_TOL, VALUE_REL_TOL, in_span, orthogonal_residual, svd_rank
 from .membership import OversizeError, module_contains
 from .orbits import WordSampler, exact_ranks, orbit_dimensions
-from .vectorfield import DomainExitError, FlowError, field_evaluators, field_values
+from .vectorfield import DomainExitError, FlowError, exact_point, field_evaluators, field_values
 
 __all__ = ["FrobeniusVerdict", "FlowBoxChart", "frobenius_verdict", "flow_box_chart"]
 
@@ -72,41 +75,44 @@ def frobenius_verdict(
     orbit_sampler: Optional[WordSampler] = None,
 ):
     samples = [tuple(p) for p in samples]
+    exact = [exact_point(p) for p in samples]
     family = list(D.generators)
-    # each generator evaluated once per sample, for every test below
-    values = field_values(family, samples)
-    ranks = fibre_ranks(D, samples, values)
+    values = field_values(family, exact)  # once per (generator, sample), for every test
+    ranks = fibre_ranks(D, exact, values)
 
-    # pointwise involutivity, sample by sample so mixed outcomes are visible,
-    # from one set of pairwise brackets, each compiled once
-    brackets = pairwise_brackets(family)
-    failing: List[tuple] = []
-    holding: List[tuple] = []
-    first_witness = None
-    for p, witness in zip(samples, pointwise_witnesses(values, brackets, samples)):
-        (holding if witness is None else failing).append(p)
-        first_witness = first_witness or witness
+    # one ladder for every test: depth 1 is the fibre and depth 2 adds the
+    # pair brackets, so a sample is involutive where its rank stays; the
+    # witness is the first pair value off the fibre at the first failing one
+    ladder = word_vectors(family, values, exact)
+    read = [next(ladder), next(ladder)]
+    (_, spans, depth1), (filt, vectors, depth2) = read
+    failing = [k for k, (a, b) in enumerate(zip(depth1, depth2)) if b > a]
+    first_witness = next(((*w.indices, samples[k]) for k in failing[:1] for w, v in zip(
+        [w for w, f in filt.levels[1] if f.domain.contains(exact[k])],
+        vectors[k][len(spans[k]):]) if not in_span(spans[k], v)), None)
 
-    # the module certificate runs only when every sample passes and every
+    # the module certificate, on the kept pair brackets (a pruned one is a
+    # member whenever they are), runs only when every sample passes and every
     # generator is a polynomial on all of R^n (an oversized system leaves it
     # unattempted, and says why), and the orbit comparison when it does not certify
     module_ok: Optional[bool] = None
     too_large = ""
     if not failing and D.minors_obstacle() is None:
+        targets = [f for _, f in filt.levels[1]]
         try:
-            module_ok = not brackets or module_contains(brackets.values(), family, module_degree)
+            module_ok = not targets or module_contains(targets, family, module_degree)
         except OversizeError as err:
             too_large = f"; the module certificate was not attempted: {err}"
-    witnesses = list(failing)
+    witnesses = [samples[k] for k in failing]
     bracket_rank_gap = False
     if not failing and not module_ok:
         # (a) bracket-rank witnesses; (b) where ``orbits.exact_ranks`` finds
         # the bracket rank exact, no flow can find more; (c) else sample orbits
-        _, lie_ranks, exact, _ = exact_ranks(word_vectors(family, values, samples), values)
+        _, lie_ranks, kinds, _ = exact_ranks(chain(read, ladder), values)
         witnesses = [p for p, lie, r in zip(samples, lie_ranks, ranks) if lie > r]
         bracket_rank_gap = bool(witnesses)
         if not witnesses:
-            orbit = orbit_dimensions(family, samples, lie_ranks, exact,
+            orbit = orbit_dimensions(family, samples, lie_ranks, kinds,
                                      orbit_sampler or ORBIT_SAMPLER)
             witnesses = [p for p, (dim, _), r in zip(samples, orbit, ranks) if dim > r]
 
@@ -148,7 +154,7 @@ def frobenius_verdict(
         module_degree=module_degree if module_ok is not None else None,
         ranks=ranks,
         witnesses=tuple(witnesses),
-        invariant_slice_samples=tuple(holding),
+        invariant_slice_samples=tuple(p for p, a, b in zip(samples, depth1, depth2) if a == b),
     )
 
 
@@ -172,11 +178,12 @@ def flow_box_chart(D: Distribution, base, orbit_sampler: Optional[WordSampler] =
     at the base above the chart rank refutes the chart."""
     import numpy as np  # the flow layer loads only where a flow is walked
     from .fields import apply_words, pushforward_along_words
-    base, family = tuple(base), D.generators
-    values = field_values(family, [base])  # each generator evaluated once at the base
-    base_report = fibre_rank(base, values[0])
+    # ranked at the Fraction, each generator evaluated once there; flows start from base
+    base, exact_base, family = tuple(base), exact_point(base), D.generators
+    values = field_values(family, [exact_base])
+    base_report = fibre_rank(exact_base, values[0])
     m = base_report.rank
-    _, ranks, exact, _ = exact_ranks(word_vectors(family, values, [base]), values)
+    _, ranks, exact, _ = exact_ranks(word_vectors(family, values, [exact_base]), values)
     ((orbit_dim, orbit_kind),) = orbit_dimensions(family, [base], ranks, exact,
                                                   orbit_sampler or ORBIT_SAMPLER)
     frame = [family[i] for i in base_report.witness]

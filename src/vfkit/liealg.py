@@ -34,21 +34,19 @@ zero-time ideal: ``ideal_vectors`` reads from Y's word values vectors
 spanning L0(x), whose rank is the rank of Y's words minus 1, and dropping
 their last coordinate gives Lie(F)(x).  ``zero_time_ladder`` is the one
 ladder of L0 at points p: Y's words at the starts (p, 0).
-Involutivity reads the nonzero pairwise brackets, built once by
-``pairwise_brackets`` and compiled once by ``pointwise_witnesses``.
+Involutivity is the ladder's depth 2, the pair brackets: a point is
+involutive where its depth-2 rank is its depth-1 rank (``frobenius``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from .expr import ONE, Expr, poly_coeff_dict, poly_from_coeff_dict
-from .vectorfield import (VectorField, bracket_components, field_evaluators, field_values,
-                          lie_bracket)
-from .linalg import in_span, span_rank
+from .vectorfield import VectorField, bracket_components, field_values
+from .linalg import span_rank
 from .membership import OversizeError, module_contains
 
 __all__ = [
@@ -58,8 +56,6 @@ __all__ = [
     "word_vectors",
     "certify",
     "zero_time_ladder",
-    "pairwise_brackets",
-    "pointwise_witnesses",
 ]
 
 DEPTH_CAP_LIMIT = 10
@@ -273,30 +269,4 @@ def zero_time_ladder(family, values, points, depth_cap=DEFAULT_DEPTH_CAP):
     lifted = [[None if v is None else [*v, 1] for v in vals] for vals in values]
     return word_vectors(time_extended(family), lifted, [(*p, 0) for p in points], depth_cap,
                         ideal_vectors)
-
-
-def pairwise_brackets(family):
-    """The nonzero brackets [X_i, X_j], i < j, keyed by (i, j) in
-    ``itertools.combinations`` order."""
-    brackets = {(i, j): lie_bracket(family[i], family[j])
-                for i, j in itertools.combinations(range(len(family)), 2)}
-    return {ij: b for ij, b in brackets.items() if not b.is_zero()}
-
-
-def pointwise_witnesses(values, brackets, points):
-    """Per point, drawn lazily: (i, j, point) for the first of the
-    ``pairwise_brackets`` whose value there leaves the span of the
-    generators' ``vectorfield.field_values`` ``values`` there, or None: the
-    family is involutive at the point.  Each bracket is compiled once for
-    all the points and evaluated only until the first witness."""
-    evaluators = list(zip(brackets, field_evaluators(brackets.values())))
-    for vals, point in zip(values, points):
-        fibre = [v for v in vals if v is not None]
-        witness = None
-        for (i, j), value in evaluators:
-            b = value(point)
-            if b is not None and not in_span(fibre, b):
-                witness = (i, j, tuple(point))
-                break
-        yield witness
 

@@ -15,8 +15,8 @@ to a rank ladder at any number of points (``liealg.word_vectors``, where a
 point at full rank takes no deeper word) and stops at the first depth where
 every point's rank is exact; else, for a family analytic on all of R^n (no
 other is Nagano-certified), it runs the module search (``liealg.certify``)
-once, at the cap.  ``orbit_dimension`` and ``fixed_time_dimension`` rank a
-float coordinate as the Fraction it equals (``_exact``).
+once, at the cap.  A rank at a given point reads a float coordinate as
+the Fraction it equals (``vectorfield.exact_point``), in ``chow_verdict`` too.
 ``orbit_dimensions`` reads the certified rank, else samples every uncertified
 point in one walk, for ``frobenius``.
 A fixed-time orbit is a slice t = const of an orbit of the time-extended
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, islice, repeat, tee
 from typing import NamedTuple, Tuple
 
@@ -57,7 +56,7 @@ from .liealg import (DEFAULT_DEPTH_CAP, DEFAULT_MODULE_DEGREE, certify, word_vec
                      zero_time_ladder)
 from .linalg import FLOW_REL_TOL, affine_rank, all_exact, span_rank, svd_rank
 from .membership import OversizeError, module_contains
-from .vectorfield import DomainExitError, FlowError, field_values, point_text
+from .vectorfield import DomainExitError, FlowError, exact_point, field_values, point_text
 
 __all__ = [
     "WordSampler",
@@ -242,13 +241,6 @@ def _raised(result):
     return result
 
 
-def _exact(point):
-    """The point with each finite float read as the Fraction it equals, for
-    the ranks; walks start from the floats, which these Fractions give back."""
-    return tuple(Fraction(x) if isinstance(x, float) and math.isfinite(x) else x
-                 for x in point)
-
-
 def _analytic(family):
     """Whether every generator is real analytic on all of R^n."""
     return all(X.domain.is_full and all(c.is_analytic() for c in X.components)
@@ -321,14 +313,14 @@ def orbit_dimensions(family, points, ranks, certificates, sampler):
 
 def orbit_dimension(family, point, sampler, depth_cap=DEFAULT_DEPTH_CAP):
     """Orbit dimension at the point, with the bracket-filtration rank there
-    (``_exact``): that rank where ``exact_certificate`` finds it exact, else
-    the sampled dimension (a certified lower bound), whose walk stops at
-    rank n.  Bracket words stop at the first depth whose rank is n, which is
-    then also the rank at the cap."""
-    family, exact_point = tuple(family), _exact(point)
-    values = field_values(family, [exact_point])
+    (at ``vectorfield.exact_point``): that rank where ``exact_certificate``
+    finds it exact, else the sampled dimension (a certified lower bound),
+    whose walk stops at rank n.  Bracket words stop at the first depth whose
+    rank is n, which is then also the rank at the cap."""
+    family, exact_p = tuple(family), exact_point(point)
+    values = field_values(family, [exact_p])
     _, (linf,), (exact,), _ = exact_ranks(
-        word_vectors(family, values, [exact_point], depth_cap), values)
+        word_vectors(family, values, [exact_p], depth_cap), values)
     if exact:  # no flow word is walked
         return OrbitTangentReport(tuple(point), linf, (), linf, 0, 0, exact)
     s = _raised(sampled_orbits(family, [point], [sampler])[0])
@@ -379,10 +371,10 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     = 0} + [L, L], so the rank of Y's words minus 1 is the rank of L0(p),
     taken on the vectors that ``liealg.ideal_vectors`` reads from them.  One
     ladder (``liealg.zero_time_ladder``, judged by ``exact_ranks``) walks Y's
-    words at (p, 0), in Fractions (``_exact``): where ``exact_certificate``
-    finds that rank exact ("bracket-rank" at n, or at 0 where every X_i(p)
-    is exactly zero; Y's "nagano", reported as "zero-time-ideal"), no word
-    but the seed is walked.  The orbit dimension
+    words at (p, 0), in Fractions (``vectorfield.exact_point``): where
+    ``exact_certificate`` finds that rank exact ("bracket-rank" at n, or at
+    0 where every X_i(p) is exactly zero; Y's "nagano", reported as
+    "zero-time-ideal"), no word but the seed is walked.  The orbit dimension
     is the rank of Lie(F)(p), Y's words with their last coordinate dropped,
     exact by the same rule.  Both ranks are constant along Y's orbit
     (Sussmann 1973), so they hold at (x, T) for the point x ``reached`` by
@@ -392,11 +384,11 @@ def fixed_time_dimension(family, point, T, sampler, depth_cap=DEFAULT_DEPTH_CAP)
     bounds the fixed-time dimension and their span rank the orbit's; the
     walk stops early only at an affine rank of n, which is a span rank of n.
     """
-    family, exact_point = tuple(family), _exact(point)
-    (base,) = field_values(family, [exact_point])  # the generators' values at p
+    family, exact_p = tuple(family), exact_point(point)
+    (base,) = field_values(family, [exact_p])  # the generators' values at p
     at = tuple(point) if _fixes(base) else tuple(_seed_point(family, point, T).tolist())
     filt, (ideal_rank,), (certificate,), (words,) = exact_ranks(
-        zero_time_ladder(family, [base], [exact_point], depth_cap), [base])
+        zero_time_ladder(family, [base], [exact_p], depth_cap), [base])
     # an exact ideal rank makes the projected rank exact: L0(p) lies in
     # Lie(F)(p), so n there is n here, 0 at a fixed point is 0, and Y's
     # certificate spans Lie(F) too
@@ -438,10 +430,9 @@ def chow_verdict(family, samples, depth_cap=DEFAULT_DEPTH_CAP, orbit_sampler=Non
     only for a polynomial family on full domains, by each coordinate field
     being a member of the words' module at ``DEFAULT_MODULE_DEGREE``; full
     rank at the samples alone is no certificate.  Failure decides nothing."""
-    family = tuple(family)
+    family, exact = tuple(family), [exact_point(p) for p in samples]
     n = family[0].dim
-    *_, (filt, _, ranks) = word_vectors(family, field_values(family, samples), samples,
-                                        depth_cap)
+    *_, (filt, _, ranks) = word_vectors(family, field_values(family, exact), exact, depth_cap)
     failing = [tuple(p) for p, rank in zip(samples, ranks) if rank < n]
     if not failing:
         words = [f for level in filt.levels for _, f in level]

@@ -19,7 +19,7 @@ from typing import Callable, Dict, Tuple
 from .distributions import Distribution, rank_at, singular_locus_minors
 from .expr import compile_float, parse
 from .frobenius import flow_box_chart, frobenius_verdict
-from .liealg import filtration, pairwise_brackets, pointwise_witnesses, word_vectors
+from .liealg import filtration, word_vectors
 from .membership import ideal_member_bounded, member_bounded
 from .orbits import (WordSampler, chow_verdict, fixed_time_dimension, sampled_orbits,
                      zero_sum_words)
@@ -295,10 +295,10 @@ def _flat_chow(ctx):
 
 
 def _flat_involutive(ctx):
-    brackets = pairwise_brackets(ctx.family)
     points = _FLAT_POINTS + [(0.5, 0.5), (-0.5, 2.0)]
-    values = field_values(ctx.family, points)
-    witness = next(filter(None, pointwise_witnesses(values, brackets, points)), None)
+    (_, _, fibre), (_, _, pairs) = word_vectors(ctx.family, field_values(ctx.family, points),
+                                                points, 2)
+    witness = next((p for p, a, b in zip(points, fibre, pairs) if b > a), None)
     return _result(witness is None, "pointwise involutive at all samples",
                    f"involutive={witness is None}, witness={witness}")
 

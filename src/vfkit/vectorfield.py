@@ -18,7 +18,7 @@ from .expr import (Expr, add_poly_product, compile_exact, compile_float, poly_co
 
 __all__ = ["DomainPredicate", "VectorField", "FlowError", "DomainExitError", "IntegrationError",
            "jacobian", "lie_bracket", "bracket_components", "field_values", "field_evaluators",
-           "point_text"]
+           "point_text", "exact_point"]
 
 
 class FlowError(Exception):
@@ -237,6 +237,13 @@ def field_evaluators(fields):
 def point_text(point):
     """The point as the CLI reads it, for error texts: (1/2, -1, 0.25)."""
     return f"({', '.join(map(str, point))})"
+
+
+def exact_point(point):
+    """The point with each finite float read as the Fraction it equals, for
+    exact values and ranks; flows start from the floats, which it gives back."""
+    return tuple(Fraction(x) if isinstance(x, float) and math.isfinite(x) else x
+                 for x in point)
 
 
 def field_values(fields, points):

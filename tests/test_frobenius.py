@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -174,9 +175,9 @@ class TestOrbitSamplesSkipped:
 
 class TestBracketsBuiltOnce:
     def test_one_bracket_per_pair_outside_the_filtration(self, monkeypatch):
-        # one-sided-flat's 25-point grid reaches the orbit comparison, whose
-        # ladder builds its own words; the pointwise checks and the module
-        # certificate share one bracket per pair
+        # one-sided-flat's 25-point grid reaches the orbit comparison, which
+        # goes on with the ladder that the pointwise test read to depth 2:
+        # the one pair bracket is built once, before, and deeper words inside
         # the exact_ranks calls open, and the brackets built inside and outside them
         ranking, inside, outside = [0], [], []
         real_ranks = frobenius.exact_ranks
@@ -199,7 +200,8 @@ class TestBracketsBuiltOnce:
     def test_no_word_once_every_sample_is_exact(self, monkeypatch, capsys, tmp_path):
         # on mixed-degree-pair's default grid every sample is "bracket-rank"
         # at depth 1 (rank 2, or both generators exactly zero at the origin),
-        # so the one pairwise bracket is the only bracket built
+        # so the one pair bracket, which the pointwise test reads, is the
+        # only bracket built
         built = []
         spy_brackets(monkeypatch, lambda *a: built.append(a))
         path = tmp_path / "mixed-degree-pair.vf"
@@ -208,6 +210,26 @@ class TestBracketsBuiltOnce:
         results = json.loads(capsys.readouterr().out)["results"]
         assert (results["integrable"], results["ranks"]) == ("undetermined", [2] * 4 + [0] + [2] * 4)
         assert len(built) == 1
+
+
+    @pytest.mark.parametrize("name, verdict", [
+        ("linear-shear", "no"), ("one-sided-flat", "no"), ("coordinate-plane", "yes")])
+    def test_one_ladder_and_no_lie_bracket(self, monkeypatch, name, verdict):
+        # the pointwise test and its witness, the module certificate's
+        # targets and the bracket ranks all read one ladder: no bracket goes
+        # through lie_bracket, at any vfkit module that binds it
+        ladders, paired = [], []
+        real = frobenius.word_vectors
+        monkeypatch.setattr(frobenius, "word_vectors", lambda *a: ladders.append(a) or real(*a))
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("vfkit") and hasattr(module, "lie_bracket"):
+                monkeypatch.setattr(module, "lie_bracket", lambda *a: paired.append(a))
+        system = parse_system(PRESETS[name].system_text)
+        grid = grid3() if system.dim == 3 else grid2()
+        v = frobenius_verdict(Distribution(system.fields), grid,
+                              orbit_sampler=WordSampler(seed=30, count=20))
+        assert v.integrable == verdict
+        assert (len(ladders), paired) == (1, [])
 
 
 class TestYesOnlyFromModule:
@@ -263,6 +285,31 @@ class TestYesOnlyFromModule:
         assert v.integrable == "undetermined" and v.ranks == (3,) * 27
         assert v.clause.endswith("decided the question; the module certificate was not "
                                  "attempted: membership system has 4095 unknowns, more than 4000")
+
+    SO3 = ["(0, -x3, x2)", "(x3, 0, -x1)", "(-x2, x1, 0)"]
+
+    def so3(self, zeros=0):
+        fields = self.SO3 + ["(0, 0, 0)"] * zeros
+        text = "system so3 dim 3\n" + "".join(f"field X{j} = {f}\n" for j, f in enumerate(fields))
+        return Distribution(parse_system(text).fields)
+
+    def test_pair_brackets_pruned_as_generators_need_no_system(self):
+        # [R_i, R_j] = +-R_k is a multiple of a generator, pruned from depth
+        # 2, so no pair bracket is a target: "yes" although nine fields at
+        # degree 12 would make 9 * C(15, 12) = 4095 unknowns, over
+        # membership.UNKNOWNS_CAP
+        v = frobenius_verdict(self.so3(zeros=6), grid3(), 12)
+        assert (v.integrable, v.module_involutive, v.module_degree) == ("yes", True, 12)
+        assert v.clause.startswith(MODULE_CLAUSE)
+
+    def test_so3_solves_no_membership_system(self, monkeypatch):
+        from vfkit import membership
+
+        solved = []
+        real = membership._solve
+        monkeypatch.setattr(membership, "_solve", lambda *a: solved.append(a) or real(*a))
+        v = frobenius_verdict(self.so3(), grid3())
+        assert (v.integrable, v.module_involutive, solved) == ("yes", True, [])
 
     @pytest.mark.parametrize("name", ["coordinate-plane", "vanishing-pair", "umbrella-ideal"])
     def test_preset_yes_from_module(self, name):
@@ -361,13 +408,16 @@ class TestCoherence:
         # orbit-rank gap) flags the base point
         from vfkit.distributions import rank_at
         from vfkit.vectorfield import field_values
-        from vfkit.liealg import pairwise_brackets, pointwise_witnesses
+        from vfkit.linalg import in_span
         from vfkit.orbits import orbit_dimension
 
         def point_flagged(D, base, sampler):
+            # a pair bracket (a depth-2 word) off the fibre, or an orbit-rank gap
             fam = list(D.generators)
-            values = field_values(fam, [base])
-            if next(pointwise_witnesses(values, pairwise_brackets(fam), [base])) is not None:
+            (values,) = field_values(fam, [base])
+            (pairs,) = field_values([f for _, f in liealg.filtration(fam, 2).levels[1]], [base])
+            fibre = [v for v in values if v is not None]
+            if any(b is not None and not in_span(fibre, b) for b in pairs):
                 return True
             rep = orbit_dimension(fam, base, sampler or WordSampler(seed=0, count=200, max_len=8, max_time=1.0))
             return rep.dimension > rank_at(D, base).rank
@@ -410,10 +460,15 @@ class TestCoherence:
                 assert not flow_box_chart(D, p, orbit_sampler=LIGHT).accepted
 
 
-@pytest.mark.parametrize("name", ["one-sided-flat", "mixed-degree-pair"])
+VERDICTS = {"one-sided-flat": "no", "mixed-degree-pair": "undetermined", "linear-shear": "no"}
+
+
+@pytest.mark.parametrize("name", list(VERDICTS))
 def test_verdict_evaluates_each_generator_once_per_sample(name, monkeypatch):
-    # the fibre rank, the pointwise witness, the bracket rank and the
-    # fixed-point test all read one evaluation per (generator, sample)
+    # the fibre rank, the pointwise test and its witness, the bracket rank
+    # and the fixed-point test all read one evaluation per (generator,
+    # sample); linear-shear fails pointwise, and its witness reuses the
+    # ladder's values
     D = Distribution(parse_system(PRESETS[name].system_text).fields)
     calls = []
     real = vectorfield._compile_value
@@ -425,17 +480,19 @@ def test_verdict_evaluates_each_generator_once_per_sample(name, monkeypatch):
     monkeypatch.setattr(vectorfield, "_compile_value", spy)
     grid = [(Fraction(i), Fraction(j)) for i in (-1, 0, 1) for j in (-1, 0, 1)]
     v = frobenius_verdict(D, grid)
-    assert v.integrable == ("no" if name == "one-sided-flat" else "undetermined")
+    assert v.integrable == VERDICTS[name]
+    assert v.involutive_pointwise == (name != "linear-shear")
     generator_calls = [c for c in calls if c[0] in D.generators]
     assert len(generator_calls) == len(set(generator_calls)) == 18
-    # and every pairwise bracket and bracket word at most once per sample
+    # and every bracket word at most once per sample
     assert len(calls) == len(set(calls))
 
 
 def test_verdict_compiles_each_field_bracket_and_word_once(monkeypatch):
     # one-sided-flat passes the pointwise test and samples orbits below the
-    # bracket rank: its generators, pairwise brackets and bracket words are
-    # each compiled once for all nine samples
+    # bracket rank: its generators and bracket words are each compiled once
+    # for all nine samples, and the one pair bracket is the ladder's
+    # depth-2 word [X2,X1], not a second field [X1,X2]
     family = parse_system(PRESETS["one-sided-flat"].system_text).fields
     compiled = []
     real = vectorfield._compile_value
@@ -445,7 +502,8 @@ def test_verdict_compiles_each_field_bracket_and_word_once(monkeypatch):
     assert v.integrable == "no" and "sampled" in v.clause
     names = [X.name for X in compiled]
     assert len(names) == len(set(names))
-    assert {"X1", "X2", "[X1,X2]", "[X2,X1]"} <= set(names)
+    assert {"X1", "X2", "[X2,X1]"} <= set(names) and "[X1,X2]" not in names
+    assert [n for n in names if n.count("X") == 2] == ["[X2,X1]"]
 
 
 def test_chart_asks_only_for_the_orbit_dimension(monkeypatch):

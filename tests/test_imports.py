@@ -169,6 +169,26 @@ def test_one_sampled_walk():
     assert users == PUSHFORWARD_USERS
 
 
+# The only code outside vectorfield that calls ``lie_bracket``: the CLI's
+# one requested bracket and the preset facts that print a named pair's
+# bracket.  Every family-wide bracket is a word of the filtration.
+LIE_BRACKET_CALLERS = {("cli.py", "_cmd_bracket"), ("presets.py", "_first_bracket"),
+                       ("presets.py", "_quadratic_shear_brackets"),
+                       ("presets.py", "_pair_membership"), ("presets.py", "_mixed_membership")}
+
+
+def test_family_brackets_come_from_the_filtration():
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "vectorfield.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _called_name(node) == "lie_bracket":
+                    callers.add((path.name, getattr(top, "name", f"line {top.lineno}")))
+    assert callers == LIE_BRACKET_CALLERS
+
+
 def test_cli_names_no_numpy():
     # every report value is a Python value, so the JSON writer looks up no
     # numpy type: cli.py names numpy nowhere but in prose

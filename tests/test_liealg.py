@@ -16,12 +16,13 @@ from vfkit.liealg import (
     certify,
     filtration,
     ideal_vectors,
-    pairwise_brackets,
-    pointwise_witnesses,
     time_extended,
     word_vectors,
 )
+from vfkit.distributions import Distribution
+from vfkit.frobenius import frobenius_verdict
 from vfkit.linalg import span_rank
+from vfkit.orbits import WordSampler
 from vfkit.presets import PRESETS
 from vfkit.systems import parse_system
 
@@ -192,53 +193,58 @@ class TestFiltration:
 
 
 def module_witness(family, degree):
-    """The first pairwise bracket that is no member of the generators'
-    module with multipliers of degree <= degree, or None."""
-    brackets = pairwise_brackets(family)
-    certs = membership.members_bounded(brackets.values(), family, degree)
-    return next((ij for ij, c in zip(brackets, certs) if not c.member), None)
+    """The indices of the first kept pair bracket (a depth-2 word) that is
+    no member of the generators' module with multipliers of degree <=
+    degree, or None."""
+    pairs = filtration(family, 2).levels[1]
+    certs = membership.members_bounded([f for _, f in pairs], family, degree)
+    return next((w.indices for (w, _), c in zip(pairs, certs) if not c.member), None)
 
 
 class TestInvolutivity:
-    def test_pairwise_brackets_keep_the_nonzero_pairs_in_order(self, vf):
+    """Pointwise involutivity is the ladder's depth 2, the pair brackets;
+    ``frobenius_verdict`` reads it, and its module certificate takes the
+    kept depth-2 words as targets."""
+
+    def test_depth_two_holds_the_pairs_left_after_pruning(self, vf):
         fam = [vf("X1", ["1", "0"], 2), vf("X2", ["0", "1"], 2), vf("X3", ["0", "x1"], 2),
                vf("X4", ["x2", "0"], 2)]
-        brackets = pairwise_brackets(fam)
-        # [X1, X2], [X1, X4] and [X2, X3] vanish
-        assert list(brackets) == [(0, 2), (1, 3), (2, 3)]
-        for (i, j), b in brackets.items():
-            assert b == lie_bracket(fam[i], fam[j])
+        pairs = filtration(fam, 2).levels[1]
+        # [X1, X2], [X1, X4] and [X2, X3] vanish, [X3, X1] = -X2 and
+        # [X4, X2] = -X1 are multiples of generators: one pair is left
+        assert [(w.indices, str(w)) for w, _ in pairs] == [((2, 3), "[X4,X3]")]
+        assert pairs[0][1].components == lie_bracket(fam[3], fam[2]).components
 
     def test_shear3_not_involutive(self, vf):
         fam = [vf("X1", ["0", "1", "0"], 3), vf("X2", ["1", "0", "x2"], 3)]
-        brackets = pairwise_brackets(fam)
         for p in [(0, 0, 0), (1, 1, 1)]:
-            assert next(pointwise_witnesses(field_values(fam, [p]), brackets, [p])) == (0, 1, p)
+            v = frobenius_verdict(Distribution(fam), [p])
+            assert (v.involutive_pointwise, v.involutive_witness) == (False, (0, 1, p))
 
     def test_fibre_evaluated_once_and_only_under_a_bracket(self, vf, monkeypatch):
         from vfkit import vectorfield
 
         # two brackets, each defined only on x1 > 0; at (1, 0, 0) X2 and X3
-        # vanish and [X1, X2] leaves the fibre
+        # vanish and [X2, X1] leaves the fibre
         fam = [vf("X1", ["1", "0", "0"], 3, [(1, ">", 0)]), vf("X2", ["0", "x1-1", "0"], 3),
                vf("X3", ["0", "0", "x1-1"], 3)]
-        brackets = pairwise_brackets(fam)
-        assert len(brackets) == 2
-        given = field_values(fam, [(-1, 0, 0), (1, 0, 0)])
+        assert len(filtration(fam, 2).levels[1]) == 2
         values = []
         real = vectorfield._compile_value
 
         def spy(X):
             value = real(X)
-            return lambda p: values.append(X.name) or value(p)
+            return lambda p: values.append((X.name, p)) or value(p)
 
         monkeypatch.setattr(vectorfield, "_compile_value", spy)
-        # the caller evaluates the fibre once; a bracket is evaluated only
-        # where it is defined, and the first one to leave the fibre stops
-        assert next(pointwise_witnesses(given[:1], brackets, [(-1, 0, 0)])) is None
-        assert values == []
-        assert next(pointwise_witnesses(given[1:], brackets, [(1, 0, 0)])) == (0, 1, (1, 0, 0))
-        assert values == [brackets[(0, 1)].name]
+        # each generator is evaluated once where defined, and a bracket
+        # only where it is defined: at (-1, 0, 0) no bracket is
+        left, right = (-1, 0, 0), (1, 0, 0)
+        v = frobenius_verdict(Distribution(fam), [left, right])
+        assert (v.involutive_witness, v.invariant_slice_samples) == ((0, 1, right), (left,))
+        assert sorted(values) == sorted([("X1", right), ("X2", left), ("X2", right),
+                                         ("X3", left), ("X3", right), ("[X2,X1]", right),
+                                         ("[X3,X1]", right)])
 
     def test_radial_pair_module_involutive(self, vf):
         fam = [vf("X1", ["x1^2+x2^2", "0"], 2), vf("X2", ["0", "x1^2+x2^2"], 2)]
@@ -260,10 +266,13 @@ class TestInvolutivity:
         assert module_witness(fam, 2) == first
 
     def test_flat_pair_pointwise_involutive(self, flat):
-        brackets = pairwise_brackets(flat)
         samples = [(-1, 0), (0, 0), (1, 0), (0.5, 0.5), (-2, 1)]
-        assert all(next(pointwise_witnesses([vals], brackets, [p])) is None
-                   for p, vals in zip(samples, field_values(flat, samples)))
+        v = frobenius_verdict(Distribution(flat), samples,
+                              orbit_sampler=WordSampler(seed=0, count=10))
+        assert v.involutive_pointwise and v.involutive_witness is None
+        # the report keeps the samples as given, floats included
+        assert v.invariant_slice_samples == tuple(samples)
+        assert [type(x) for x in v.invariant_slice_samples[3]] == [float, float]
 
 
 def derived(family, depth_cap):

@@ -886,6 +886,29 @@ class TestFloatStart:
         # the seed word flows X1 for 1/2: x1 scales by e^(1/2)
         assert (rep.start, rep.reached) == (p, (float(np.exp(0.5)), 1e-12))
 
+    def test_float_sample_verdict_ranks_exactly(self):
+        # the verdict ranks a float sample as the Fraction it equals and
+        # reports the sample as given
+        p = (1.0, 1e-12)
+        v = frobenius.frobenius_verdict(Distribution(parse_system(THREE).fields), [p])
+        assert (v.ranks, v.invariant_slice_samples) == ((2,), (p,))
+
+    def test_float_chart_base_ranks_exactly(self):
+        # the chart's rank and orbit dimension are those of the Fraction;
+        # its images, flowed from the floats, stay floats
+        p = (1.0, 1e-12)
+        family = parse_system(THREE).fields
+        chart = frobenius.flow_box_chart(Distribution(family), p,
+                                         orbit_sampler=WordSampler(seed=7, count=10))
+        assert (chart.base, chart.chart_rank, chart.orbit_dimension) == (p, 2, 2)
+        assert orbit_dimension(family, p, WordSampler(seed=7)).dimension == 2
+
+    def test_float_chow_samples_rank_exactly(self):
+        # the words reach rank 2 at the Fraction, so no sample fails
+        rep = chow_verdict(parse_system(THREE).fields, [(1.0, 1e-12)], 2)
+        assert rep.failing_samples == ()
+        assert rep.verdict.startswith("full bracket rank at every sample")
+
     def test_reached_holds_python_numbers(self, diag, vf):
         rep = fixed_time_dimension(diag, (1, 0), 0.5, WordSampler(seed=7, count=20))
         assert [type(x) for x in rep.reached] == [float, float]
